@@ -1,6 +1,6 @@
-// Multithreaded warm-hit cache throughput: gets/sec through BoundedCache at
-// 1/2/4/8/16 threads, legacy mutex LruCache versus the sharded wait-free
-// cache (DESIGN §14). This is the microbenchmark behind the serve hot path:
+// Multithreaded warm-hit cache throughput: gets/sec through the sharded
+// wait-free ConcurrentCache (DESIGN §14) at 1/2/4/8/16 threads. This is the
+// microbenchmark behind the serve hot path:
 // at high hit rates the cache, not the model, decides how the daemon scales
 // with client threads.
 //
@@ -34,6 +34,8 @@ using namespace gpuhms;
 
 namespace {
 
+using Cache = ConcurrentCache<std::string, std::string>;
+
 constexpr int kThreadPoints[] = {1, 2, 4, 8, 16};
 
 double now_ms() {
@@ -64,7 +66,6 @@ struct Point {
 // One measurement: `total_gets` warm hits split evenly across `threads`
 // threads, all hammering the same cache. Every returned value is compared
 // against the expected bytes; a single mismatch aborts the bench.
-template <typename Cache>
 Point measure(Cache& cache, std::size_t keys, int threads,
               std::size_t total_gets) {
   std::atomic<bool> corrupt{false};
@@ -104,7 +105,6 @@ Point measure(Cache& cache, std::size_t keys, int threads,
   return {threads, wall, done / (wall / 1000.0)};
 }
 
-template <typename Cache>
 std::vector<Point> sweep(Cache& cache, std::size_t keys,
                          std::size_t total_gets) {
   std::vector<Point> points;
@@ -136,16 +136,9 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 1 << 21;
 
   // Capacity 2x the key count: the warm phase must never evict, so every
-  // get is a hit and the two backends serve identical bytes.
-  const std::size_t capacity = keys * 2;
-  BoundedCache<std::string, std::string> sharded(capacity,
-                                                 CacheBackend::kSharded);
-  BoundedCache<std::string, std::string> legacy(capacity,
-                                                CacheBackend::kLegacyLru);
-  for (std::size_t i = 0; i < keys; ++i) {
-    sharded.put(key_for(i), value_for(i));
-    legacy.put(key_for(i), value_for(i));
-  }
+  // get is a hit and must return the inserted bytes.
+  Cache sharded(keys * 2);
+  for (std::size_t i = 0; i < keys; ++i) sharded.put(key_for(i), value_for(i));
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
@@ -154,14 +147,10 @@ int main(int argc, char** argv) {
       keys, total_gets, hw);
 
   const std::vector<Point> sharded_points = sweep(sharded, keys, total_gets);
-  const std::vector<Point> legacy_points = sweep(legacy, keys, total_gets);
   print_points("sharded (wait-free reads)", sharded_points);
-  print_points("legacy (mutex LruCache)", legacy_points);
 
   const double sharded_scaling =
       sharded_points.back().gets_per_sec / sharded_points.front().gets_per_sec;
-  const double legacy_scaling =
-      legacy_points.back().gets_per_sec / legacy_points.front().gets_per_sec;
   // Hardware-aware floor: 4x on >=16 cores (the ISSUE contract), pro-rated
   // by achievable parallelism below that, never below the no-collapse 0.3x.
   const double achievable = hw >= 16 ? 16.0 : static_cast<double>(hw);
@@ -169,8 +158,6 @@ int main(int argc, char** argv) {
       achievable / 4.0 > 0.3 ? achievable / 4.0 : 0.3;
   std::printf("\nsharded scaling 1->16 threads: %.2fx (floor %.2fx)\n",
               sharded_scaling, floor);
-  std::printf("legacy  scaling 1->16 threads: %.2fx (reported only)\n",
-              legacy_scaling);
 
   std::FILE* json = std::fopen("BENCH_cache.json", "w");
   if (!json) {
@@ -189,13 +176,11 @@ int main(int argc, char** argv) {
                keys, total_gets);
   std::fprintf(json, "  \"hardware_concurrency\": %u,\n", hw);
   dump_points("sharded_gets_per_sec", sharded_points);
-  dump_points("legacy_gets_per_sec", legacy_points);
   std::fprintf(json,
                "  \"sharded_scaling_1_to_16\": %.3f,\n"
-               "  \"legacy_scaling_1_to_16\": %.3f,\n"
                "  \"scaling_floor_applied\": %.3f\n"
                "}\n",
-               sharded_scaling, legacy_scaling, floor);
+               sharded_scaling, floor);
   std::fclose(json);
   std::printf("wrote BENCH_cache.json\n");
 

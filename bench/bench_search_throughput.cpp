@@ -1,16 +1,15 @@
 // Search-engine throughput: end-to-end exhaustive-search wall time and
 // predictions/sec, comparing the serial seed configuration (one thread, no
 // trace memoization, no pruning — the pre-engine code path) against the
-// parallel engine with each optimization layered in. The two single-core
-// memoized variants isolate the replay engine itself: `legacy_replay` runs
-// the scalar per-op walk (GPUHMS_LEGACY_REPLAY), `soa_replay` the
-// data-oriented batch engine — same thread, same skeleton, so their ratio is
-// the pure engine speedup. Run on the largest registered workloads (>= 4
-// arrays, i.e. the widest placement spaces).
+// parallel engine with each optimization layered in. The single-core
+// `soa_replay` variant isolates the data-oriented replay engine: same thread
+// as the seed, skeleton-backed, so its ratio to `serial_seed` is the engine
+// speedup. Run on the largest registered workloads (>= 4 arrays, i.e. the
+// widest placement spaces).
 //
 // Besides timing, the bench is a correctness harness: every variant must
 // return the serial seed's winner, and a full ranked sweep re-predicts every
-// candidate through the cold, legacy-replay and SoA paths and requires
+// candidate through the cold (full-walk) and SoA paths and requires
 // byte-identical cycles. At the default cap it also self-asserts the >= 5x
 // single-core SoA-vs-seed target on matrixmul. A final metrics-enabled pass
 // (not timed) records the per-phase breakdown.
@@ -43,7 +42,6 @@ double now_ms() {
 struct Variant {
   std::string name;
   SearchOptions options;
-  bool legacy_replay = false;  // run under GPUHMS_LEGACY_REPLAY=1
 };
 
 struct Measurement {
@@ -51,23 +49,8 @@ struct Measurement {
   SearchResult result;
 };
 
-// Forces the scalar replay for the duration of one variant. The analyzers
-// latch the env var at construction and search_exhaustive constructs its
-// per-worker analyzers inside the call, so scoping the variable around the
-// search is enough.
-struct ScopedLegacyReplay {
-  explicit ScopedLegacyReplay(bool on) : on_(on) {
-    if (on_) setenv("GPUHMS_LEGACY_REPLAY", "1", 1);
-  }
-  ~ScopedLegacyReplay() {
-    if (on_) unsetenv("GPUHMS_LEGACY_REPLAY");
-  }
-  bool on_;
-};
-
 Measurement run_variant(const Predictor& pred, const Variant& variant,
                         int repeats) {
-  const ScopedLegacyReplay legacy(variant.legacy_replay);
   Measurement m;
   m.wall_ms = 1e300;
   for (int r = 0; r < repeats; ++r) {
@@ -82,8 +65,8 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-// Re-predicts every candidate of the capped space through the three replay
-// paths — cold (regenerate the trace per candidate), legacy scalar replay,
+// Re-predicts every candidate of the capped space through both replay
+// paths — cold (regenerate the trace per candidate and walk every op) and
 // SoA replay — and requires byte-identical total cycles, candidate by
 // candidate. Ranking equality follows from value equality.
 bool ranked_results_identical(const Predictor& pred,
@@ -91,20 +74,14 @@ bool ranked_results_identical(const Predictor& pred,
                               const PlacementSpace& space) {
   const TraceSkeleton skel(c.kernel);
   TraceAnalyzer soa_analyzer = pred.make_analyzer();
-  TraceAnalyzer legacy_analyzer = [&] {
-    const ScopedLegacyReplay legacy(true);
-    return pred.make_analyzer();
-  }();
   for (const DataPlacement& p : space.placements) {
     const double cold = pred.predict(p).total_cycles;
     const double soa = pred.predict_with(p, &soa_analyzer, &skel).total_cycles;
-    const double leg =
-        pred.predict_with(p, &legacy_analyzer, &skel).total_cycles;
-    if (!same_bits(cold, soa) || !same_bits(cold, leg)) {
+    if (!same_bits(cold, soa)) {
       std::fprintf(stderr,
                    "%s: ranked results diverge on %s "
-                   "(cold=%.17g soa=%.17g legacy=%.17g)\n",
-                   c.name.c_str(), p.to_string().c_str(), cold, soa, leg);
+                   "(cold=%.17g soa=%.17g)\n",
+                   c.name.c_str(), p.to_string().c_str(), cold, soa);
       return false;
     }
   }
@@ -162,12 +139,11 @@ int main(int argc, char** argv) {
     return o;
   };
   const std::vector<Variant> variants = {
-      {"serial_seed", opts(1, false, false), false},
-      {"legacy_replay", opts(1, true, false), true},
-      {"soa_replay", opts(1, true, false), false},
-      {"parallel", opts(threads, false, false), false},
-      {"parallel_memoized", opts(threads, true, false), false},
-      {"parallel_memoized_pruned", opts(threads, true, true), false},
+      {"serial_seed", opts(1, false, false)},
+      {"soa_replay", opts(1, true, false)},
+      {"parallel", opts(threads, false, false)},
+      {"parallel_memoized", opts(threads, true, false)},
+      {"parallel_memoized_pruned", opts(threads, true, true)},
   };
 
   std::FILE* json = std::fopen("BENCH_search.json", "w");
@@ -259,10 +235,7 @@ int main(int argc, char** argv) {
     // the timed runs so metric overhead never pollutes the numbers above.
     obs::set_enabled(true);
     obs::reset_all_metrics();
-    {
-      Variant soa = variants[2];
-      run_variant(pred, soa, 1);
-    }
+    run_variant(pred, variants[1], 1);
     obs::set_enabled(false);
     const obs::MetricsSnapshot snap = obs::snapshot();
     std::fprintf(json, "      \"soa_phase_ns\": {");

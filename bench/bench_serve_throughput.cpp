@@ -418,9 +418,8 @@ int main(int argc, char** argv) {
   std::printf("\ncached-hit speedup: %.1fx (floor %.1fx)\n", speedup,
               kMinWarmSpeedup);
   std::printf("warm-hit scaling 1->16 threads: %.2fx (floor %.2fx, "
-              "%u hardware threads, cache_backend %s)\n",
-              mt_scaling, mt_floor, hw,
-              to_string(warm_service.options().cache_backend));
+              "%u hardware threads)\n",
+              mt_scaling, mt_floor, hw);
   std::printf("drain latency under load: %.2f ms (ceiling %.0f ms)\n",
               drain_ms, kMaxDrainMs);
   if (!conn_points.empty()) {
@@ -451,7 +450,6 @@ int main(int argc, char** argv) {
                "  \"drain_latency_ceiling_ms\": %.1f,\n"
                "  \"prediction_cache_hits\": %llu,\n"
                "  \"prediction_cache_misses\": %llu,\n"
-               "  \"cache_backend\": \"%s\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"warm_mt_requests_per_sec\": {\n"
                "    \"threads_1\": %.1f,\n"
@@ -463,7 +461,6 @@ int main(int argc, char** argv) {
                "  \"warm_mt_scaling_1_to_16\": %.3f,\n"
                "  \"warm_mt_scaling_floor_applied\": %.3f,\n"
                "  \"fd_soft_limit\": %zu,\n"
-               "  \"server_backend\": \"%s\",\n"
                "  \"conn_scaling_p99_factor\": %.1f,\n"
                "  \"conn_scaling_p99_slack_us\": %.1f,\n"
                "  \"conn_scaling\": [",
@@ -473,12 +470,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(warm_stats.prediction_cache.hits),
                static_cast<unsigned long long>(
                    warm_stats.prediction_cache.misses),
-               to_string(warm_service.options().cache_backend), hw,
+               hw,
                n / (warm_mt_ms[0] / 1000.0), n / (warm_mt_ms[1] / 1000.0),
                n / (warm_mt_ms[2] / 1000.0), n / (warm_mt_ms[3] / 1000.0),
                n / (warm_mt_ms[4] / 1000.0), mt_scaling, mt_floor, fd_limit,
-               std::string(serve::to_string(serve::ServerBackend::kEventLoop))
-                   .c_str(),
                kConnP99Factor, kConnP99SlackUs);
   for (std::size_t i = 0; i < conn_points.size(); ++i)
     std::fprintf(json,

@@ -6,8 +6,6 @@
 // epoll event-loop backend of DESIGN §15 — one reactor thread holds every
 // connection, request batches execute on a small worker pool, and all
 // clients share one PredictionService (one kernel/prediction cache).
-// --legacy-threaded restores the PR 5 thread-per-connection loop; responses
-// are byte-identical on either backend.
 //
 // Quickstart (see README "Serving"):
 //   $ ./examples/gpuhms_serve
@@ -86,10 +84,6 @@ void print_help() {
       "  --socket=PATH        listen on a Unix domain socket instead of\n"
       "                       stdin/stdout (epoll event loop, one shared\n"
       "                       cache). The path is unlinked first.\n"
-      "  --legacy-threaded    socket mode only: serve with the PR 5 thread-\n"
-      "                       per-connection loop instead of the event loop\n"
-      "                       (DESIGN sec 15; responses are byte-identical\n"
-      "                       either way)\n"
       "  --executor-threads=N event-loop worker threads executing request\n"
       "                       batches off the reactor (default: hardware,\n"
       "                       clamped to [1,4])\n"
@@ -107,9 +101,6 @@ void print_help() {
       "                       (default: GPUHMS_THREADS or hardware)\n"
       "  --kernel-cache=N     profiled-kernel cache capacity (default 16)\n"
       "  --prediction-cache=N memoized-prediction cache capacity (default 4096)\n"
-      "  --legacy-cache       serve from the mutex-guarded LRU caches instead\n"
-      "                       of the sharded wait-free caches (DESIGN sec 14;\n"
-      "                       responses are byte-identical either way)\n"
       "  --max-inflight=N     concurrent requests admitted (default 64)\n"
       "  --watchdog-ms=N      cancel searches running longer than N ms via\n"
       "                       their cooperative token (anytime best-so-far\n"
@@ -124,7 +115,6 @@ void print_help() {
       "environment (full list: docs/SERVING.md):\n"
       "  GPUHMS_THREADS       default worker-thread count (responses are\n"
       "                       bit-identical for any value)\n"
-      "  GPUHMS_LEGACY_CACHE  =1 is the env spelling of --legacy-cache\n"
       "  GPUHMS_METRICS       =1 mirrors serve.* counters into the obs\n"
       "                       registry (the metrics op works regardless)\n");
 }
@@ -261,16 +251,14 @@ int run_stdio_server(serve::PredictionService& service) {
 // --- socket mode -------------------------------------------------------------
 // Accept/drain/dispatch live in the library now (serve/server.hpp); the
 // daemon contributes only the signal-to-drain bridge: a watcher thread parks
-// on the self-pipe and calls begin_drain() when a signal lands, so both
-// backends share one drain entry point.
+// on the self-pipe and calls begin_drain() when a signal lands.
 int run_socket_server(serve::PredictionService& service,
                       const serve::ServerOptions& server_options) {
   serve::SocketServer server(service, server_options);
   const Status st = server.listen();
   if (!st.ok()) die(st.to_string());
-  std::fprintf(stderr, "gpuhms_serve: listening on %s (%s backend)\n",
-               server_options.socket_path.c_str(),
-               std::string(serve::to_string(server_options.backend)).c_str());
+  std::fprintf(stderr, "gpuhms_serve: listening on %s\n",
+               server_options.socket_path.c_str());
 
   int done_pipe[2] = {-1, -1};
   if (::pipe(done_pipe) != 0)
@@ -313,7 +301,7 @@ int run_socket_server(serve::PredictionService& service,
                  static_cast<unsigned long long>(
                      server.stats().connections_open));
     std::fflush(stderr);
-    // Worker/handler threads may still be running; a normal exit would run
+    // Worker threads may still be running; a normal exit would run
     // static destructors under them. _Exit skips that — the kernel closes
     // the fds.
     std::_Exit(3);
@@ -337,10 +325,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--train-overlap") == 0) {
       options.train_overlap = true;
-    } else if (std::strcmp(arg, "--legacy-cache") == 0) {
-      options.cache_backend = CacheBackend::kLegacyLru;
-    } else if (std::strcmp(arg, "--legacy-threaded") == 0) {
-      server_options.backend = serve::ServerBackend::kThreadPerConnection;
     } else if (const char* v = flag_value(arg, "--socket", argc, argv, &i)) {
       socket_path = v;
     } else if (const char* v = flag_value(arg, "--arch", argc, argv, &i)) {

@@ -79,6 +79,13 @@ Status validate(const GpuArch& arch) {
       return field_error(f.name,
                          "must be >= 1 (got " + std::to_string(f.value) + ")");
   }
+  if (!shared_banks_foldable(arch.shared_banks))
+    return field_error(
+        "shared_banks",
+        "must divide the " + std::to_string(kSharedAlign) +
+            "-byte shared slice alignment into whole 4-byte bank rotations "
+            "(kSharedAlign % (4 * shared_banks) == 0; got " +
+            std::to_string(arch.shared_banks) + ")");
   // The DSL, coalescer and trace formats are all fixed at 32-lane warps.
   if (arch.warp_size != 32)
     return field_error("warp_size", "must be 32 (got " +

@@ -122,6 +122,20 @@ struct GpuArch {
   }
 };
 
+// Alignment of each array's per-block shared-memory segment (the allocator
+// rounds every shared slice up to it).
+inline constexpr std::uint64_t kSharedAlign = 128;
+
+// The trace skeleton folds shared-memory bank conflicts once per kernel, on
+// slice-local offsets (TraceSkeleton::shared_fold). That fold is exact only
+// when the kSharedAlign-byte slice base shifts 4-byte words by whole bank
+// rotations. validate() rejects a bank count that breaks this, and the fold
+// CHECKs it.
+constexpr bool shared_banks_foldable(int shared_banks) {
+  return shared_banks > 0 &&
+         kSharedAlign % (4 * static_cast<std::uint64_t>(shared_banks)) == 0;
+}
+
 // The default configuration used everywhere unless a test overrides fields.
 const GpuArch& kepler_arch();
 
@@ -133,7 +147,9 @@ const GpuArch& fermi_arch();
 // Checks a (possibly user-built) configuration for values the simulator and
 // models cannot operate on: non-positive structural counts, a warp size
 // other than the DSL's fixed 32 lanes, a non-power-of-two cache line, zero
-// latencies/capacities. Returns INVALID_ARGUMENT naming the offending field.
+// latencies/capacities, a shared bank count the conflict fold cannot handle
+// (shared_banks_foldable). Returns INVALID_ARGUMENT naming the offending
+// field.
 Status validate(const GpuArch& arch);
 
 }  // namespace gpuhms

@@ -1,7 +1,6 @@
 #include "common/concurrent_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace gpuhms {
 
@@ -29,17 +28,6 @@ std::uint64_t concurrent_cache_mix(std::uint64_t h) {
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
-}
-
-CacheBackend cache_backend_from_env() {
-  const char* v = std::getenv("GPUHMS_LEGACY_CACHE");
-  const bool legacy =
-      v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
-  return legacy ? CacheBackend::kLegacyLru : CacheBackend::kSharded;
-}
-
-const char* to_string(CacheBackend backend) {
-  return backend == CacheBackend::kLegacyLru ? "legacy_lru" : "sharded";
 }
 
 }  // namespace gpuhms

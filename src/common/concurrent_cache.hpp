@@ -1,10 +1,9 @@
 // Sharded, open-addressing concurrent cache with wait-free reads.
 //
-// The serve warm path is where millions-of-users traffic lives, and under
-// LruCache every one of those requests serializes on a single mutex — at
-// high hit rates the lock, not the model, is the bottleneck (ROADMAP:
-// "Lock-free epoch-reclaimed caches for the serve hot path"). This cache
-// removes the reader lock entirely:
+// The serve warm path is where most traffic lives, and a mutex-guarded LRU
+// would serialize every one of those requests on a single lock — at high hit
+// rates the lock, not the model, would be the bottleneck. This cache removes
+// the reader lock entirely:
 //
 //   * The key space is split across up to kMaxShards power-of-two shards by
 //     the high bits of the key hash (the serving layer's keys are already
@@ -21,20 +20,20 @@
 //   * Eviction is CLOCK (second-chance): every node carries a reference bit
 //     that get() sets; the shard's clock hand clears bits until it finds a
 //     node with the bit already clear and evicts that. This approximates
-//     LRU without the recency list that forced LruCache to take a lock on
-//     *reads*. Evicted slots become tombstones (probe chains stay intact);
-//     inserts reuse the first tombstone on their probe path, so tombstones
-//     never exceed the table and probes stay bounded.
+//     LRU without a recency list, which would force a lock on *reads*.
+//     Evicted slots become tombstones (probe chains stay intact); inserts
+//     reuse the first tombstone on their probe path, so tombstones never
+//     exceed the table and probes stay bounded.
 //
-// Semantics preserved from LruCache (the contract test_concurrent_cache.cpp
-// diffs): capacity is a hard bound enforced per shard (the per-shard caps
-// sum to exactly `capacity`, so the global bound holds at every observation
-// point); capacity 0 disables the cache; put() of an existing key replaces
-// the value (an update, not an insert); get() returns a copy. What changes
-// is only the eviction *choice* — CLOCK may keep a different entry than
-// strict LRU. The serving layer's responses are derived from deterministic
-// predictions, so a different eviction victim can change hit counts but
-// never a single response byte (DESIGN §14).
+// Contract (test_concurrent_cache.cpp diffs it against a strict-LRU
+// reference model): capacity is a hard bound enforced per shard (the
+// per-shard caps sum to exactly `capacity`, so the global bound holds at
+// every observation point); capacity 0 disables the cache; put() of an
+// existing key replaces the value (an update, not an insert); get() returns
+// a copy. Only the eviction *choice* may differ from strict LRU — CLOCK may
+// keep a different entry. The serving layer's responses are derived from
+// deterministic predictions, so a different eviction victim can change hit
+// counts but never a single response byte (DESIGN §14).
 //
 // Stats are per-shard atomics, with the reader-hot hit/miss pair and the
 // writer-side insert/update/eviction group each padded onto their own
@@ -44,6 +43,7 @@
 // test_serve_soak's monotonicity regression locks.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -55,12 +55,10 @@
 #include <vector>
 
 #include "common/epoch.hpp"
-#include "common/lru_cache.hpp"
 
 namespace gpuhms {
 
-// Backend-independent counter snapshot shared by both cache implementations
-// (LruCache::Stats is the legacy spelling; BoundedCache converts).
+// Counter snapshot returned by ConcurrentCache::stats().
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -79,18 +77,17 @@ std::size_t concurrent_cache_shards(std::size_t capacity);
 // finalizer, so identity std::hash<int> still spreads across shards.
 std::uint64_t concurrent_cache_mix(std::uint64_t h);
 
-// GPUHMS_LEGACY_CACHE=1 selects the mutex-guarded LruCache backend
-// process-wide (the differential escape hatch, same spelling as
-// GPUHMS_LEGACY_REPLAY; "" and "0" leave the sharded cache on).
-enum class CacheBackend { kSharded, kLegacyLru };
-CacheBackend cache_backend_from_env();
-const char* to_string(CacheBackend backend);
+// One-value selector behind serve::ServeOptions::cache_backend (see there).
+enum class CacheBackend { kSharded };
 
 template <typename K, typename V, typename Hash = std::hash<K>>
 class ConcurrentCache {
  public:
   explicit ConcurrentCache(std::size_t capacity)
-      : capacity_(capacity), shards_(concurrent_cache_shards(capacity)) {
+      : capacity_(capacity),
+        shards_(concurrent_cache_shards(capacity)),
+        collect_batch_(std::clamp<std::size_t>(capacity / 8, 1,
+                                               kCollectBatch)) {
     shard_storage_.reserve(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {
       const std::size_t cap =
@@ -198,8 +195,7 @@ class ConcurrentCache {
         }
         if (insert_at == shard.slots.size()) {
           // Table saturated with live nodes + tombstones and no eviction
-          // ran (cap 0 shard): drop the insert, mirroring LruCache's
-          // capacity-0 no-op.
+          // ran (cap 0 shard): drop the insert, like the capacity-0 no-op.
           return;
         }
         Node* fresh = new Node{h, key, std::move(value)};
@@ -303,12 +299,14 @@ class ConcurrentCache {
 
   // Amortized reclamation: collect() serializes every shard's writers on
   // the domain-wide limbo mutex, so rather than paying that on each put,
-  // only the put that sees a full batch of retired nodes collects. Limbo
-  // therefore carries at most ~kCollectBatch nodes per quiescent cache
-  // (bounded memory), while the common put touches no global state.
+  // only the put that sees a full batch of retired nodes collects. The
+  // batch is an eighth of the capacity, capped at kCollectBatch: limbo then
+  // holds a small fraction of the live entries (a 16-entry cache of large
+  // values keeps ~2 evicted ones alive, not 64), while a large cache's
+  // common put still touches no global state.
   static constexpr std::size_t kCollectBatch = 64;
   void maybe_collect() {
-    if (epoch_.limbo_size() >= kCollectBatch) epoch_.collect();
+    if (epoch_.limbo_size() >= collect_batch_) epoch_.collect();
   }
 
   // CLOCK sweep under the shard lock: clear reference bits until a node
@@ -334,53 +332,9 @@ class ConcurrentCache {
 
   const std::size_t capacity_;
   const std::size_t shards_;
+  const std::size_t collect_batch_;
   std::vector<std::unique_ptr<Shard>> shard_storage_;
   epoch::Domain epoch_;
-};
-
-// The serving layer's cache handle: one of the two backends, chosen at
-// construction (ServeOptions::cache_backend, defaulted from the
-// GPUHMS_LEGACY_CACHE env var). Both backends share the bounded-capacity
-// contract and the CacheCounters observability surface, so the service and
-// its tests are backend-agnostic — exactly what lets the differential
-// battery diff them.
-template <typename K, typename V, typename Hash = std::hash<K>>
-class BoundedCache {
- public:
-  BoundedCache(std::size_t capacity, CacheBackend backend)
-      : backend_(backend) {
-    if (backend_ == CacheBackend::kLegacyLru)
-      legacy_ = std::make_unique<LruCache<K, V, Hash>>(capacity);
-    else
-      sharded_ = std::make_unique<ConcurrentCache<K, V, Hash>>(capacity);
-  }
-
-  CacheBackend backend() const { return backend_; }
-  std::size_t capacity() const {
-    return legacy_ ? legacy_->capacity() : sharded_->capacity();
-  }
-  std::size_t size() const {
-    return legacy_ ? legacy_->size() : sharded_->size();
-  }
-  std::optional<V> get(const K& key) {
-    return legacy_ ? legacy_->get(key) : sharded_->get(key);
-  }
-  void put(const K& key, V value) {
-    if (legacy_)
-      legacy_->put(key, std::move(value));
-    else
-      sharded_->put(key, std::move(value));
-  }
-  CacheCounters stats() const {
-    if (!legacy_) return sharded_->stats();
-    const auto s = legacy_->stats();
-    return {s.hits, s.misses, s.inserts, s.updates, s.evictions};
-  }
-
- private:
-  CacheBackend backend_;
-  std::unique_ptr<LruCache<K, V, Hash>> legacy_;
-  std::unique_ptr<ConcurrentCache<K, V, Hash>> sharded_;
 };
 
 }  // namespace gpuhms

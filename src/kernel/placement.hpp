@@ -85,7 +85,7 @@ PlacementSpace enumerate_placement_space(const KernelInfo& k,
                                          const GpuArch& arch,
                                          std::size_t cap = 4096);
 
-// Legacy accessor: just the legal placements (silently capped — prefer
+// Convenience accessor: just the legal placements (silently capped — prefer
 // enumerate_placement_space where the distinction matters).
 std::vector<DataPlacement> enumerate_placements(const KernelInfo& k,
                                                 const GpuArch& arch,

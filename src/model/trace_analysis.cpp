@@ -1,24 +1,12 @@
 #include "model/trace_analysis.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/obs.hpp"
 #include "sim/coalesce.hpp"
 
 namespace gpuhms {
-
-namespace {
-
-// GPUHMS_LEGACY_REPLAY=1 forces the scalar replay path process-wide (the
-// differential-test escape hatch; "" and "0" leave the SoA engine on).
-bool legacy_replay_env() {
-  const char* v = std::getenv("GPUHMS_LEGACY_REPLAY");
-  return v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-}  // namespace
 
 TraceAnalyzer::TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
                              const AnalysisOptions& opts)
@@ -28,8 +16,6 @@ TraceAnalyzer::TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
   const_caches_.assign(num_sms, SetAssocCache(const_cache_config(arch)));
   tex_caches_.assign(num_sms, SetAssocCache(tex_cache_config(arch)));
   rows_.resize(static_cast<std::size_t>(mapping_.num_banks()));
-  use_soa_ = !opts.legacy_replay && !legacy_replay_env() &&
-             SoaLowering::supports(arch);
 }
 
 void TraceAnalyzer::reset() {
@@ -84,14 +70,14 @@ void TraceAnalyzer::dram_request(std::uint64_t line_addr, bool is_store) {
   ++s.count;
 }
 
-void TraceAnalyzer::mem_op(const OpView& op, int sm) {
+void TraceAnalyzer::mem_op(const TraceOp& op, int sm) {
   ++ev_.mem_insts;
   const bool is_store = op.cls == OpClass::Store;
   if (!is_store) ++ev_.load_insts;
   if (op.active_mask == 0) return;  // predicated off: issues, touches nothing
   switch (op.space) {
     case MemSpace::Global: {
-      coalesce_lines(op.active_mask, op.addr, arch_->cache_line, lines_);
+      coalesce_lines(op.active_mask, op.addr.data(), arch_->cache_line, lines_);
       ++ev_.global_requests;
       ev_.global_transactions += lines_.size();
       ev_.replay_global_divergence += lines_.size() - 1;
@@ -107,7 +93,7 @@ void TraceAnalyzer::mem_op(const OpView& op, int sm) {
     }
     case MemSpace::Texture1D:
     case MemSpace::Texture2D: {
-      coalesce_lines(op.active_mask, op.addr, arch_->cache_line, lines_);
+      coalesce_lines(op.active_mask, op.addr.data(), arch_->cache_line, lines_);
       ++ev_.tex_requests;
       ev_.tex_transactions += lines_.size();
       ev_.offchip_load_transactions += lines_.size();
@@ -124,8 +110,8 @@ void TraceAnalyzer::mem_op(const OpView& op, int sm) {
       break;
     }
     case MemSpace::Constant: {
-      coalesce_lines(op.active_mask, op.addr, arch_->cache_line, lines_);
-      const int div = distinct_words(op.active_mask, op.addr);
+      coalesce_lines(op.active_mask, op.addr.data(), arch_->cache_line, lines_);
+      const int div = distinct_words(op.active_mask, op.addr.data());
       ++ev_.const_requests;
       ev_.replay_const_divergence += static_cast<std::uint64_t>(div - 1);
       ev_.offchip_load_transactions += lines_.size();
@@ -143,8 +129,8 @@ void TraceAnalyzer::mem_op(const OpView& op, int sm) {
       break;
     }
     case MemSpace::Shared: {
-      const int degree =
-          shared_conflict_degree(op.active_mask, op.addr, arch_->shared_banks);
+      const int degree = shared_conflict_degree(
+          op.active_mask, op.addr.data(), arch_->shared_banks);
       ++ev_.shared_requests;
       if (!is_store) ++ev_.shared_load_requests;
       ev_.shared_conflicts += static_cast<std::uint64_t>(degree - 1);
@@ -154,97 +140,27 @@ void TraceAnalyzer::mem_op(const OpView& op, int sm) {
   }
 }
 
-namespace {
-
-// Adapters giving rr_schedule a uniform warp/op view over the two lowered
-// representations. Both must present the identical op stream — the memoized
-// path is required to be bit-identical to the plain one.
-struct PlainWave {
-  const std::vector<WarpTrace>* traces;
-  std::size_t warp_count() const { return traces->size(); }
-  std::size_t op_count(std::size_t w) const { return (*traces)[w].ops.size(); }
-  std::int64_t block(std::size_t w) const { return (*traces)[w].ctx.block; }
-  TraceAnalyzer::OpView op(std::size_t w, std::size_t pc) const {
-    const TraceOp& t = (*traces)[w].ops[pc];
-    return {t.cls,       t.space,       t.array,          t.uses_prev,
-            t.is_addr_calc, t.active_mask, t.addr.data()};
-  }
-  bool next_uses_prev(std::size_t w, std::size_t pc) const {
-    return (*traces)[w].ops[pc].uses_prev;
-  }
-};
-
-struct CompactWave {
-  const CompactTrace* ct;
-  const TraceSkeleton* skeleton;
-  const MemoryLayout* layout;
-  // Device pool bases, resolved once per (array, kind) instead of per op
-  // (generate_compact already ensured every pool this wave references).
-  mutable std::vector<const AddrBlock*> pool_base;
-  std::size_t warp_count() const { return ct->warps.size(); }
-  std::size_t op_count(std::size_t w) const {
-    return ct->warps[w].end - ct->warps[w].begin;
-  }
-  std::int64_t block(std::size_t w) const { return ct->warps[w].ctx.block; }
-  const AddrBlock* device_pool(int array, bool block_linear) const {
-    if (pool_base.empty())
-      pool_base.assign(skeleton->kernel().arrays.size() * 2, nullptr);
-    const std::size_t slot =
-        static_cast<std::size_t>(array) * 2 + (block_linear ? 1 : 0);
-    if (pool_base[slot] == nullptr)
-      pool_base[slot] =
-          skeleton->device_addr_pool(array, block_linear, *layout).data();
-    return pool_base[slot];
-  }
-  TraceAnalyzer::OpView op(std::size_t w, std::size_t pc) const {
-    const CompactOp& c = ct->ops[ct->warps[w].begin + pc];
-    const std::int64_t* addr = nullptr;
-    if (is_memory(c.cls)) {
-      switch (c.pool) {
-        case kPoolLocal:
-          addr = ct->local_addrs[c.addr_index].data();
-          break;
-        case kPoolDeviceBlockLinear:
-          addr = device_pool(c.array, true)[c.addr_index].data();
-          break;
-        default:
-          addr = device_pool(c.array, false)[c.addr_index].data();
-          break;
-      }
-    }
-    return {c.cls,       c.space,       c.array, c.uses_prev,
-            c.is_addr_calc, c.active_mask, addr};
-  }
-  bool next_uses_prev(std::size_t w, std::size_t pc) const {
-    return ct->ops[ct->warps[w].begin + pc].uses_prev;
-  }
-};
-
-}  // namespace
-
 // Round-robin, one op per warp per turn, mirroring the schedulers. The ILP /
 // MLP dependency counters accumulate across waves through the members the
 // callers zero in reset().
-template <class WaveTraces>
-void TraceAnalyzer::rr_schedule(const WaveTraces& traces) {
-  const std::size_t warp_count = traces.warp_count();
+void TraceAnalyzer::rr_schedule(const std::vector<WarpTrace>& traces) {
+  const std::size_t warp_count = traces.size();
   std::vector<std::size_t> pcs(warp_count, 0);
-  std::vector<std::size_t> ns(warp_count);
   std::vector<int> warp_sm(warp_count);
   for (std::size_t w = 0; w < warp_count; ++w) {
-    ns[w] = traces.op_count(w);
-    warp_sm[w] = static_cast<int>(traces.block(w) %
+    warp_sm[w] = static_cast<int>(traces[w].ctx.block %
                                   static_cast<std::int64_t>(arch_->num_sms));
   }
   bool progress = true;
   while (progress) {
     progress = false;
     for (std::size_t w = 0; w < warp_count; ++w) {
-      const std::size_t n = ns[w];
+      const std::vector<TraceOp>& ops = traces[w].ops;
+      const std::size_t n = ops.size();
       std::size_t& pc = pcs[w];
       if (pc >= n) continue;
       progress = true;
-      const OpView op = traces.op(w, pc);
+      const TraceOp& op = ops[pc];
       const int sm = warp_sm[w];
       ++tick_;
       ++ev_.insts_executed;
@@ -253,8 +169,7 @@ void TraceAnalyzer::rr_schedule(const WaveTraces& traces) {
         case OpClass::Load:
         case OpClass::Store:
           mem_op(op, sm);
-          if (pc + 1 < n && traces.next_uses_prev(w, pc + 1))
-            ++mem_chain_breaks_;
+          if (pc + 1 < n && ops[pc + 1].uses_prev) ++mem_chain_breaks_;
           break;
         case OpClass::Sync:
           ++ev_.sync_insts;
@@ -277,28 +192,12 @@ void TraceAnalyzer::run(const TraceMaterializer& mat) {
   for (std::int64_t wave = 0; wave * wave_blocks < k.num_blocks; ++wave) {
     const std::int64_t b0 = wave * wave_blocks;
     const std::int64_t b1 = std::min(k.num_blocks, b0 + wave_blocks);
-    const auto traces = mat.generate(b0, b1);
-    rr_schedule(PlainWave{&traces});
-  }
-}
-
-void TraceAnalyzer::run_compact(const TraceMaterializer& mat,
-                                const TraceSkeleton& skeleton) {
-  const KernelInfo& k = mat.kernel();
-  const int blocks_per_sm = mat.layout().blocks_per_sm(*arch_);
-  ev_.warps_per_sm = mat.layout().warps_per_sm(*arch_);
-  const std::int64_t wave_blocks =
-      static_cast<std::int64_t>(arch_->num_sms) * blocks_per_sm;
-  for (std::int64_t wave = 0; wave * wave_blocks < k.num_blocks; ++wave) {
-    const std::int64_t b0 = wave * wave_blocks;
-    const std::int64_t b1 = std::min(k.num_blocks, b0 + wave_blocks);
-    mat.generate_compact(b0, b1, skeleton, compact_scratch_);
-    rr_schedule(CompactWave{&compact_scratch_, &skeleton, &mat.layout()});
+    rr_schedule(mat.generate(b0, b1));
   }
 }
 
 // Replays the SoA-lowered waves through the same stateful cache/row-buffer
-// models the scalar paths use. Stage 1 (lower_wave) pre-resolved coalescing,
+// models the full walk uses. Stage 1 (lower_wave) pre-resolved coalescing,
 // scheduling and every order-free counter; only the order-sensitive walk —
 // cache lookups and DRAM bank streams, driven by the precomputed issue
 // ticks — remains, over the off-chip records alone.
@@ -394,22 +293,15 @@ PlacementEvents TraceAnalyzer::analyze(const DataPlacement& placement,
   GPUHMS_SCOPED_PHASE("trace.analyze_ns");
   reset();
   TraceMaterializer mat(*kernel_, placement, *arch_);
-  if (skeleton != nullptr && use_soa_) {
+  if (skeleton != nullptr) {
     run_soa(mat, *skeleton);
-  } else if (skeleton != nullptr) {
-    run_compact(mat, *skeleton);
+    GPUHMS_COUNTER_ADD("trace.analyses_soa", 1);
   } else {
     run(mat);
+    GPUHMS_COUNTER_ADD("trace.analyses_full", 1);
   }
   ev_.trace_ticks = tick_;
   GPUHMS_COUNTER_ADD("trace.analyses", 1);
-  if (skeleton != nullptr && use_soa_) {
-    GPUHMS_COUNTER_ADD("trace.analyses_soa", 1);
-  } else if (skeleton != nullptr) {
-    GPUHMS_COUNTER_ADD("trace.analyses_compact", 1);
-  } else {
-    GPUHMS_COUNTER_ADD("trace.analyses_full", 1);
-  }
   GPUHMS_COUNTER_ADD("trace.insts_lowered", ev_.insts_executed);
   GPUHMS_COUNTER_ADD("trace.mem_insts", ev_.mem_insts);
   // Coalescing profile: warp-level requests vs the cache-line transactions

@@ -32,11 +32,6 @@ struct AnalysisOptions {
   // Ablation (Fig. 8): ignore the detected address mapping and spread DRAM
   // requests round-robin over banks.
   bool even_bank_distribution = false;
-  // Force the legacy scalar replay instead of the data-oriented SoA engine
-  // on skeleton-backed analyses (differential testing; the results are
-  // required to be bit-identical). The GPUHMS_LEGACY_REPLAY environment
-  // variable forces this process-wide.
-  bool legacy_replay = false;
 };
 
 struct BankStream {
@@ -113,26 +108,15 @@ class TraceAnalyzer {
   TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
                 const AnalysisOptions& opts = {});
 
-  // Replays the (kernel, placement) trace in analysis order. The skeleton,
-  // when given, must be recorded from this analyzer's kernel; it skips the
-  // kernel-function re-run inside trace materialization.
+  // Replays the (kernel, placement) trace in analysis order. With a
+  // skeleton (recorded from this analyzer's kernel) the data-oriented SoA
+  // engine answers; without one, the kernel function is re-run and every
+  // lowered op is walked — the reference the SoA engine is tested against,
+  // bit for bit.
   PlacementEvents analyze(const DataPlacement& placement,
                           const TraceSkeleton* skeleton = nullptr);
 
   const KernelInfo& kernel() const { return *kernel_; }
-
-  // Uniform view of one lowered op, so the replay loop is shared between the
-  // plain TraceOp path and the compact memoized path (`addr` is only
-  // dereferenced for memory ops). Public for the internal wave adapters.
-  struct OpView {
-    OpClass cls;
-    MemSpace space;
-    std::int16_t array;
-    bool uses_prev;
-    bool is_addr_calc;
-    std::uint32_t active_mask;
-    const std::int64_t* addr;
-  };
 
  private:
   struct BankRow {
@@ -144,12 +128,9 @@ class TraceAnalyzer {
 
   void reset();
   void dram_request(std::uint64_t line_addr, bool is_store);
-  void mem_op(const OpView& op, int sm);
-  template <class WaveTraces>
-  void rr_schedule(const WaveTraces& traces);
+  void mem_op(const TraceOp& op, int sm);
+  void rr_schedule(const std::vector<WarpTrace>& traces);
   void run(const TraceMaterializer& mat);
-  void run_compact(const TraceMaterializer& mat,
-                   const TraceSkeleton& skeleton);
   void run_soa(const TraceMaterializer& mat, const TraceSkeleton& skeleton);
 
   const KernelInfo* kernel_;
@@ -161,9 +142,7 @@ class TraceAnalyzer {
   std::vector<SetAssocCache> tex_caches_;
   std::vector<BankRow> rows_;
   std::vector<std::uint64_t> lines_;  // coalescing scratch
-  CompactTrace compact_scratch_;      // memoized-path wave buffer, reused
   SoaLowering soa_;                   // data-oriented replay engine
-  bool use_soa_ = false;
   PlacementEvents ev_;
   std::uint64_t tick_ = 0;
   std::uint64_t rr_bank_ = 0;

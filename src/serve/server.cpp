@@ -4,13 +4,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <thread>
 #include <utility>
 
-#include <poll.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -24,32 +21,6 @@ namespace {
 
 Status errno_status(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
-}
-
-// Full write with EINTR handling; false means the peer is gone and the
-// responses cannot be delivered (the legacy backend drops the connection).
-// MSG_NOSIGNAL so a hung-up peer is an EPIPE errno, not a SIGPIPE.
-bool write_all(int fd, const std::string& out) {
-  std::size_t written = 0;
-  while (written < out.size()) {
-    const ssize_t w =
-        ::send(fd, out.data() + written, out.size() - written, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-std::string join_responses(const std::vector<std::string>& responses) {
-  std::string out;
-  for (const std::string& response : responses) {
-    out += response;
-    out += '\n';
-  }
-  return out;
 }
 
 int default_executor_threads() {
@@ -101,16 +72,6 @@ void Executor::worker_loop() {
 
 // --- SocketServer ------------------------------------------------------------
 
-std::string_view to_string(ServerBackend backend) {
-  switch (backend) {
-    case ServerBackend::kEventLoop:
-      return "event_loop";
-    case ServerBackend::kThreadPerConnection:
-      return "thread_per_connection";
-  }
-  return "unknown";
-}
-
 SocketServer::SocketServer(PredictionService& service, ServerOptions options)
     : service_(service), options_(std::move(options)) {}
 
@@ -119,12 +80,6 @@ SocketServer::~SocketServer() {
     ::close(listener_);
     ::unlink(options_.socket_path.c_str());
   }
-  // Joins any legacy handler still running (a clean run() already joined
-  // them). After a drain timeout (run() == 3) the caller must _Exit instead
-  // of destroying the server: stuck handlers would block this join.
-  for (std::thread& t : legacy_handlers_)
-    if (t.joinable()) t.join();
-  if (legacy_wake_fd_ >= 0) ::close(legacy_wake_fd_);
 }
 
 Status SocketServer::listen() {
@@ -147,34 +102,14 @@ Status SocketServer::listen() {
   return OkStatus();
 }
 
-int SocketServer::run() {
-  if (listener_ < 0) return 1;  // listen() not called or failed
-  if (options_.backend == ServerBackend::kThreadPerConnection)
-    return run_thread_per_connection();
-  return run_event_loop();
-}
-
 void SocketServer::begin_drain() {
-  const bool first = !drain_requested_.exchange(true);
-  if (options_.backend == ServerBackend::kEventLoop) {
-    if (first) loop_.post([this] { initiate_shutdown(/*graceful=*/true); });
-  } else if (legacy_wake_fd_ >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t w =
-        ::write(legacy_wake_fd_, &one, sizeof one);
-  }
+  if (!drain_requested_.exchange(true))
+    loop_.post([this] { initiate_shutdown(/*graceful=*/true); });
 }
 
 void SocketServer::stop() {
-  hard_stop_.store(true);
   drain_requested_.store(true);
-  if (options_.backend == ServerBackend::kEventLoop) {
-    loop_.post([this] { initiate_shutdown(/*graceful=*/false); });
-  } else if (legacy_wake_fd_ >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t w =
-        ::write(legacy_wake_fd_, &one, sizeof one);
-  }
+  loop_.post([this] { initiate_shutdown(/*graceful=*/false); });
 }
 
 ServerStats SocketServer::stats() const {
@@ -186,9 +121,10 @@ ServerStats SocketServer::stats() const {
   return s;
 }
 
-// --- event-loop backend ------------------------------------------------------
+// --- event loop --------------------------------------------------------------
 
-int SocketServer::run_event_loop() {
+int SocketServer::run() {
+  if (listener_ < 0) return 1;  // listen() not called or failed
   if (!loop_.status().ok()) return 1;
   session_batch_lines_ = options_.max_batch_lines != 0
                              ? options_.max_batch_lines
@@ -286,9 +222,9 @@ void SocketServer::initiate_shutdown(bool graceful) {
   live.reserve(sessions_.size());
   for (auto& [_, s] : sessions_) live.push_back(s);
   if (graceful) {
-    // After a shutdown request the service is already stopped (trailing
-    // lines answer FAILED_PRECONDITION); flipping draining on top would be
-    // a different refusal code than the legacy backend emits.
+    // After a shutdown request the service is already stopped: trailing
+    // lines keep answering FAILED_PRECONDITION rather than switching to the
+    // draining refusal.
     if (!service_.stopped()) service_.begin_drain();
     for (auto& s : live) s->begin_drain();
     loop_.add_timer(std::chrono::steady_clock::now() +
@@ -309,98 +245,6 @@ void SocketServer::close_listener() {
   ::close(listener_);
   ::unlink(options_.socket_path.c_str());
   listener_ = -1;
-}
-
-// --- legacy thread-per-connection backend ------------------------------------
-
-int SocketServer::run_thread_per_connection() {
-  legacy_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (legacy_wake_fd_ < 0) return 1;
-  while (!service_.stopped() && !drain_requested_.load()) {
-    pollfd pfds[2] = {{listener_, POLLIN, 0}, {legacy_wake_fd_, POLLIN, 0}};
-    // Finite timeout so a shutdown answered on a handler thread unblocks
-    // this loop within a second even without a wakeup write.
-    const int ready = ::poll(pfds, 2, 1000);
-    if (ready < 0 && errno != EINTR) return 1;
-    if (drain_requested_.load() || pfds[1].revents != 0) break;
-    if (ready <= 0 || (pfds[0].revents & POLLIN) == 0) continue;
-    // The accepted fd does not inherit the listener's O_NONBLOCK: handler
-    // threads use plain blocking reads.
-    const int fd = ::accept4(listener_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    {
-      std::lock_guard<std::mutex> lock(legacy_mu_);
-      legacy_fds_.push_back(fd);
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    open_.fetch_add(1, std::memory_order_relaxed);
-    legacy_handlers_.emplace_back([this, fd] {
-      legacy_serve_connection(fd);
-      {
-        std::lock_guard<std::mutex> lock(legacy_mu_);
-        std::erase(legacy_fds_, fd);
-      }
-      open_.fetch_sub(1, std::memory_order_relaxed);
-      ::close(fd);
-    });
-  }
-  // Stop accepting first: close the listener and unlink the path so new
-  // clients fail fast instead of queueing behind a drain.
-  ::close(listener_);
-  ::unlink(options_.socket_path.c_str());
-  listener_ = -1;
-
-  const bool graceful_drain = drain_requested_.load() && !hard_stop_.load();
-  if (graceful_drain && !service_.stopped()) service_.begin_drain();
-  // Unblock every handler parked in read(): they answer whatever is already
-  // framed (shed with UNAVAILABLE while draining, FAILED_PRECONDITION once
-  // stopped), flush, and exit. Also covers the shutdown-request path, where
-  // OTHER connections' handlers would otherwise block in read() until their
-  // client hung up.
-  {
-    std::lock_guard<std::mutex> lock(legacy_mu_);
-    for (const int fd : legacy_fds_) ::shutdown(fd, SHUT_RD);
-  }
-  if (graceful_drain) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.drain_timeout_ms);
-    while (open_.load(std::memory_order_acquire) > 0 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    if (open_.load(std::memory_order_acquire) > 0) return 3;
-  }
-  for (std::thread& t : legacy_handlers_) t.join();
-  legacy_handlers_.clear();
-  return 0;
-}
-
-void SocketServer::legacy_serve_connection(int fd) {
-  LineFramer framer;
-  char chunk[4096];
-  bool stopped_seen = false;
-  while (!stopped_seen) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
-    // Handle every complete line received so far as one pipelined batch
-    // (same-kernel predicts coalesce into one batch prediction).
-    const std::vector<std::string> lines =
-        framer.take_lines(std::numeric_limits<std::size_t>::max());
-    if (lines.empty()) continue;
-    if (!write_all(fd, join_responses(service_.handle_pipeline(lines))))
-      return;  // peer gone: responses undeliverable
-    stopped_seen = service_.stopped();
-  }
-  // EOF (or a shutdown answered above): complete lines still framed are owed
-  // a response each — the stopped/draining service sheds them with the same
-  // structured refusals the event-loop backend produces. A partial trailing
-  // line was never a complete request and is dropped by construction.
-  const std::vector<std::string> lines =
-      framer.take_lines(std::numeric_limits<std::size_t>::max());
-  if (!lines.empty())
-    write_all(fd, join_responses(service_.handle_pipeline(lines)));
 }
 
 // --- client-side helper ------------------------------------------------------

@@ -1,24 +1,18 @@
 // Unix-domain-socket front end for PredictionService (DESIGN §15).
 //
-// Two interchangeable backends answer the same newline-delimited JSON
-// protocol with byte-identical responses (both feed complete request lines
-// through the one shared PredictionService::handle_pipeline):
-//
-//   * kEventLoop (default): one epoll reactor thread (event_loop.hpp) holds
-//     every connection as a non-blocking Session (session.hpp); request
-//     batches execute on a small worker Executor and complete back onto the
-//     loop. Idle connections cost one fd + one Session, not a thread, so a
-//     single instance holds thousands of mostly-idle clients.
-//   * kThreadPerConnection (--legacy-threaded): the PR 5 blocking loop —
-//     one handler thread per accepted connection — kept for differential
-//     testing and as the reference semantics for drains and shutdown.
+// One epoll reactor thread (event_loop.hpp) holds every connection as a
+// non-blocking Session (session.hpp); complete request lines go through the
+// shared PredictionService::handle_pipeline as batches on a small worker
+// Executor and complete back onto the loop. Idle connections cost one fd +
+// one Session, not a thread, so a single instance holds thousands of
+// mostly-idle clients.
 //
 // Lifecycle: listen() binds the socket synchronously (clients may connect
 // the moment it returns), run() blocks serving until a drain completes or a
 // shutdown request is answered, begin_drain() (any thread; the daemon's
 // signal path) starts the graceful drain of DESIGN §13. run() returns 0 on
 // a clean exit and 3 when the drain timeout forced it — in which case
-// worker/handler threads may still be running and the caller should _Exit.
+// worker threads may still be running and the caller should _Exit.
 #pragma once
 
 #include <atomic>
@@ -66,19 +60,11 @@ class Executor {
   std::vector<std::thread> workers_;
 };
 
-enum class ServerBackend {
-  kEventLoop,            // epoll reactor (default)
-  kThreadPerConnection,  // legacy blocking loop (--legacy-threaded)
-};
-
-std::string_view to_string(ServerBackend backend);
-
 struct ServerOptions {
   std::string socket_path;
-  ServerBackend backend = ServerBackend::kEventLoop;
-  // Worker threads executing handle_pipeline batches for the event-loop
-  // backend; 0 picks a small default (hardware_concurrency clamped to
-  // [1, 4] — the service serializes shared-pool work internally anyway).
+  // Worker threads executing handle_pipeline batches off the loop thread;
+  // 0 picks a small default (hardware_concurrency clamped to [1, 4] — the
+  // service serializes shared-pool work internally anyway).
   int executor_threads = 0;
   // Session write-buffer bound before dispatch stalls on a slow reader.
   std::size_t max_write_buffer_bytes = 256 * 1024;
@@ -128,8 +114,7 @@ class SocketServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  // --- event-loop backend (loop thread unless noted) -------------------------
-  int run_event_loop();
+  // --- loop thread -----------------------------------------------------------
   void on_acceptable();
   void accept_one(int fd);
   void on_session_closed(Session* session);
@@ -138,30 +123,17 @@ class SocketServer {
   void initiate_shutdown(bool graceful);
   void close_listener();
 
-  // --- legacy thread-per-connection backend ----------------------------------
-  int run_thread_per_connection();
-  void legacy_serve_connection(int fd);
-
   PredictionService& service_;
   const ServerOptions options_;
 
   int listener_ = -1;
   std::atomic<bool> drain_requested_{false};
-  std::atomic<bool> hard_stop_{false};
 
-  // Event-loop backend state.
   EventLoop loop_;
   std::unordered_map<Session*, std::shared_ptr<Session>> sessions_;
   bool closing_ = false;    // loop thread: listener closed, draining sessions
   bool timed_out_ = false;  // loop thread: drain deadline fired
   std::size_t session_batch_lines_ = 0;
-
-  // Legacy backend state: self-wake eventfd so begin_drain()/stop() unblock
-  // the accept poll, and the open-connection registry for SHUT_RD drains.
-  int legacy_wake_fd_ = -1;
-  std::mutex legacy_mu_;
-  std::vector<int> legacy_fds_;
-  std::vector<std::thread> legacy_handlers_;
 
   std::atomic<std::uint64_t> accepted_{0}, open_{0}, stalls_{0},
       high_water_{0};

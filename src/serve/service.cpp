@@ -218,11 +218,10 @@ struct PredictionService::WatchdogEntry {
 PredictionService::PredictionService(ServeOptions options, const GpuArch& arch)
     : options_(options),
       arch_(arch),
-      kernel_cache_(options.kernel_cache_capacity, options.cache_backend),
-      prediction_cache_(options.prediction_cache_capacity,
-                        options.cache_backend),
+      kernel_cache_(options.kernel_cache_capacity),
+      prediction_cache_(options.prediction_cache_capacity),
       pool_(options.num_threads),
-      idem_cache_(options.idem_cache_capacity, options.cache_backend) {
+      idem_cache_(options.idem_cache_capacity) {
   if (options_.watchdog_ms > 0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
   if (options_.train_overlap) {
@@ -674,7 +673,6 @@ Json PredictionService::handle_metrics() const {
   r.set("shed_draining", s.shed_draining);
   r.set("watchdog_cancels", s.watchdog_cancels);
   r.set("idem_hits", s.idem_hits);
-  r.set("cache_backend", s.cache_backend);
   r.set("kernel_cache", cache_json(s.kernel_cache));
   r.set("prediction_cache", cache_json(s.prediction_cache));
   r.set("idem_cache", cache_json(s.idem_cache));
@@ -819,10 +817,9 @@ std::vector<std::string> PredictionService::handle_pipeline(
     // Checked at dispatch (not parse) time so a shutdown earlier in this
     // very pipeline already refuses the lines behind it. This check MUST
     // precede the idempotency replay: whether a replay hits depends on the
-    // cache backend's eviction choices (CLOCK vs strict LRU), so a trailing
-    // line after shutdown would otherwise answer different bytes under
-    // --legacy-cache than under the sharded default. Stopped is stopped —
-    // every backend sheds the same FAILED_PRECONDITION.
+    // cache's eviction choices, so a trailing line after shutdown would
+    // otherwise answer bytes that depend on cache history. Stopped is
+    // stopped — the same FAILED_PRECONDITION whatever the cache holds.
     if (stopped_.load(std::memory_order_acquire)) {
       pl.response = error_response(
           &pl.id, pl.op, FailedPreconditionError("service is shut down"));
@@ -1030,7 +1027,6 @@ ServeStats PredictionService::stats() const {
   s.kernel_cache = cache_stats(kernel_cache_);
   s.prediction_cache = cache_stats(prediction_cache_);
   s.idem_cache = cache_stats(idem_cache_);
-  s.cache_backend = to_string(options_.cache_backend);
   return s;
 }
 

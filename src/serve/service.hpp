@@ -16,9 +16,8 @@
 //   * a bounded cache of memoized Predictions keyed by
 //     (kernel fingerprint, arch fingerprint, placement) so repeated predicts
 //     are a map lookup, not a trace replay. Both caches (and the idem-replay
-//     cache) default to the sharded wait-free implementation of DESIGN §14,
-//     so warm hits from concurrent clients never serialize on a cache lock;
-//     GPUHMS_LEGACY_CACHE=1 restores the PR 5 mutex LruCache byte-for-byte;
+//     cache) are the sharded wait-free ConcurrentCache of DESIGN §14, so
+//     warm hits from concurrent clients never serialize on a cache lock;
 //   * request batching: predict_batch requests (and pipelined runs of
 //     same-kernel predicts, see handle_pipeline) coalesce their cache misses
 //     into ONE Predictor::predict_batch call on the shared ThreadPool;
@@ -89,12 +88,8 @@ struct ServeOptions {
   // retry (serve/client.hpp) returns the original bytes without re-executing.
   // 0 disables.
   std::size_t idem_cache_capacity = 1024;
-  // Cache implementation for all three serve caches (kernel entries,
-  // predictions, idempotency replays): the sharded wait-free cache (DESIGN
-  // §14) by default, or the PR 5 mutex LruCache when GPUHMS_LEGACY_CACHE=1
-  // is set / --legacy-cache is passed. Responses are byte-identical across
-  // backends — only warm-hit scalability differs (BENCH_cache.json).
-  CacheBackend cache_backend = cache_backend_from_env();
+  // Unused, one value: kept only because hmsbench/drive.cpp assigns it.
+  CacheBackend cache_backend = CacheBackend::kSharded;
 };
 
 // Point-in-time service counters (exact, independent of GPUHMS_METRICS; the
@@ -126,8 +121,6 @@ struct ServeStats {
   CacheStats kernel_cache;
   CacheStats prediction_cache;
   CacheStats idem_cache;
-  // Which cache implementation the service runs ("sharded"/"legacy_lru").
-  std::string cache_backend;
 };
 
 // Thread-safe: any number of client threads may call handle_line /
@@ -217,12 +210,12 @@ class PredictionService {
   const GpuArch arch_;  // copied: cached entries must outlive the caller's ref
   ToverlapModel overlap_;
 
-  BoundedCache<std::string, KernelEntryPtr> kernel_cache_;
+  ConcurrentCache<std::string, KernelEntryPtr> kernel_cache_;
   struct PredictionKeyHash {
     std::size_t operator()(const std::string& k) const;
   };
   // Key: "<kernel fp hex>|<arch fp hex>|<model fp hex>|<placement>".
-  BoundedCache<std::string, Prediction, PredictionKeyHash> prediction_cache_;
+  ConcurrentCache<std::string, Prediction, PredictionKeyHash> prediction_cache_;
 
   ThreadPool pool_;
   std::mutex pool_mu_;   // parallel_for admits one job at a time
@@ -239,7 +232,7 @@ class PredictionService {
       std::chrono::steady_clock::now();
 
   // Idempotency replay: idem fingerprint -> the exact response bytes served.
-  BoundedCache<std::string, std::string> idem_cache_;
+  ConcurrentCache<std::string, std::string> idem_cache_;
 
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

@@ -61,8 +61,7 @@ void Session::begin_drain() {
   // Read-side shutdown: bytes the peer already sent still frame out and get
   // their responses (the draining service sheds NEW work with a structured
   // UNAVAILABLE — one response per complete line, never a dropped one), then
-  // read() reports EOF and the session closes once flushed. Identical
-  // mechanism to the legacy backend's ConnectionRegistry::shutdown_all.
+  // read() reports EOF and the session closes once flushed.
   ::shutdown(fd_, SHUT_RD);
 }
 
@@ -168,7 +167,7 @@ void Session::flush_writes() {
     if (w < 0 && errno == EINTR) continue;
     if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // Peer gone (EPIPE/ECONNRESET): responses are undeliverable; drop the
-    // connection like the legacy backend's failed write_all.
+    // connection.
     close();
     return;
   }

@@ -10,7 +10,8 @@ namespace {
 
 constexpr std::uint64_t kDeviceHeapStart = 1ull << 16;  // skip the null page
 constexpr std::uint64_t kDeviceAlign = 512;
-// kSharedAlign lives in the header (the SoA fold validity check needs it).
+// kSharedAlign lives in arch/gpu_arch.hpp, next to the bank-count rule that
+// depends on it.
 
 std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;

@@ -25,13 +25,6 @@
 
 namespace gpuhms {
 
-// Alignment of each array's per-block shared-memory segment. Exported
-// because the SoA shared-conflict fold is only exact when this alignment
-// shifts words by whole bank rotations — SoaLowering::supports() and the
-// fold validity check both test `kSharedAlign % (word * banks) == 0`
-// against the *active* arch's bank count.
-inline constexpr std::uint64_t kSharedAlign = 128;
-
 class MemoryLayout {
  public:
   MemoryLayout(const KernelInfo& kernel, const DataPlacement& placement,

@@ -28,42 +28,6 @@ struct WarpTrace {
 // 32 lane byte addresses of one warp-level memory op (inactive lanes: -1).
 using AddrBlock = std::array<std::int64_t, kWarpSize>;
 
-// Compact lowered op for the memoized analysis fast path: carries the same
-// information the trace analysis consumes, at ~1/17th of sizeof(TraceOp).
-// Memory ops reference their AddrBlock through (pool, addr_index) instead of
-// embedding it, so the placement-invariant device addresses are shared by
-// every candidate of a search instead of being recomputed and copied.
-struct CompactOp {
-  OpClass cls = OpClass::IAlu;
-  MemSpace space = MemSpace::Global;  // memory ops only
-  std::uint8_t pool = 0;              // CompactTrace pool selector
-  bool uses_prev = false;
-  bool is_addr_calc = false;
-  std::int16_t array = -1;
-  std::uint32_t active_mask = 0;
-  std::uint32_t addr_index = 0;  // AddrBlock index within the pool
-};
-
-// Pool selectors for CompactOp::pool.
-inline constexpr std::uint8_t kPoolDeviceLinear = 0;       // skeleton-owned
-inline constexpr std::uint8_t kPoolDeviceBlockLinear = 1;  // skeleton-owned
-inline constexpr std::uint8_t kPoolLocal = 2;  // per-placement (shared/staging)
-
-// Reusable compact lowering of one resident wave; all vectors keep their
-// capacity across generate_compact calls, so the per-candidate hot path of a
-// search allocates nothing in steady state.
-struct CompactTrace {
-  struct Warp {
-    WarpCtx ctx;
-    std::uint32_t begin = 0, end = 0;  // range in `ops`
-  };
-  std::vector<CompactOp> ops;  // all warps, concatenated
-  std::vector<Warp> warps;
-  // Placement-dependent addresses (shared space and staging preambles).
-  std::vector<AddrBlock> local_addrs;
-  std::vector<TraceOp> staging_scratch;  // generate_compact internal reuse
-};
-
 // Placement-independent recording of every warp's DSL stream. A placement
 // only changes the space-dependent decoration of a trace (addressing-mode
 // instructions, byte addresses, staging preambles) — the access *skeleton*
@@ -80,10 +44,9 @@ class TraceSkeleton {
     std::vector<DslOp> ops;
   };
 
-  // Pre-digested DSL op for the compact lowering path: the active mask and
-  // the per-array memory-op ordinal (the index into the device address
-  // pools) are placement-invariant, so they are computed once here instead
-  // of per candidate.
+  // Pre-digested DSL op: the active mask and the per-array memory-op ordinal
+  // (the index into the device address pools) are placement-invariant, so
+  // they are computed once here instead of per candidate.
   struct ProtoOp {
     OpClass cls = OpClass::IAlu;
     bool uses_prev = false;
@@ -154,7 +117,7 @@ class TraceSkeleton {
 
   // Placement-invariant totals the SoA path folds analytically instead of
   // walking expanded ops. The dependency fields mirror the lowering rules of
-  // generate_compact: a memory op consumes its predecessor when addressing
+  // TraceMaterializer::lower: a memory op consumes its predecessor when addressing
   // instructions were inserted (ai > 0) and keeps its DSL dependency
   // otherwise; only the first op of a compute run carries the run's
   // dependency; syncs never depend.
@@ -195,7 +158,7 @@ class TraceSkeleton {
   // Shared-memory bank-conflict degrees per ordinal plus their fold. The
   // slice-local byte offset of an element is placement-invariant and the
   // placement-dependent base offset is kSharedAlign-byte aligned, so when
-  // kSharedAlign % (4 * num_banks) == 0 the degrees match
+  // shared_banks_foldable(num_banks) holds the degrees match
   // shared_conflict_degree on the real addresses of ANY placement that puts
   // the array in shared memory (the offset shifts every word by a multiple
   // of num_banks). Memoized per (array, num_banks) — each bank geometry gets
@@ -290,14 +253,6 @@ class TraceMaterializer {
   std::vector<WarpTrace> generate(std::int64_t block_begin,
                                   std::int64_t block_end,
                                   const TraceSkeleton* skeleton = nullptr) const;
-
-  // Compact lowering of the block range, replayed from the skeleton into
-  // `out` (buffers reused across calls). Produces the exact op stream
-  // generate() would — same ops, masks and addresses — in the compact
-  // representation the memoized analysis path consumes.
-  void generate_compact(std::int64_t block_begin, std::int64_t block_end,
-                        const TraceSkeleton& skeleton,
-                        CompactTrace& out) const;
 
  private:
   void lower_mem(const WarpCtx& ctx, const DslOp& op,

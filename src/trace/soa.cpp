@@ -11,7 +11,8 @@ namespace gpuhms {
 
 void SoaLowering::bind(const TraceMaterializer& mat,
                        const TraceSkeleton& skeleton, const GpuArch& arch) {
-  GPUHMS_CHECK_MSG(supports(arch), "SoA replay unsupported for this arch");
+  GPUHMS_CHECK_MSG(shared_banks_foldable(arch.shared_banks),
+                   "SoA replay: shared bank count not foldable");
   mat_ = &mat;
   skeleton_ = &skeleton;
   arch_ = &arch;
@@ -272,8 +273,8 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   tick_base_ += cum[rounds];
 
   // Counting sort by pc (stable, warp-major input): emission order becomes
-  // ascending (round, warp) — exactly the legacy interleaving, and strictly
-  // increasing in tick.
+  // ascending (round, warp) — exactly the full walk's interleaving, and
+  // strictly increasing in tick.
   std::uint32_t* start = arena_.alloc<std::uint32_t>(rounds + 1);
   std::fill(start, start + rounds + 1, 0u);
   for (std::size_t j = 0; j < n; ++j) ++start[pc[j]];

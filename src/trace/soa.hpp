@@ -1,9 +1,8 @@
 // Data-oriented (struct-of-arrays) lowering of the memoized trace skeleton.
 //
-// The per-candidate replay cost of the compact path is dominated by walking
-// every expanded warp instruction through a virtual-ish per-op dispatch, even
-// though almost all of that stream is placement-invariant. This engine
-// exploits the invariance structure instead:
+// Walking every expanded warp instruction of a candidate's trace costs far
+// more than the model needs, because almost all of that stream is
+// placement-invariant. This engine exploits the invariance structure instead:
 //
 //   * compute runs, syncs and addressing inserts never materialize — their
 //     counts fold into per-warp totals and the pc arithmetic of the few ops
@@ -22,8 +21,9 @@
 // What remains per candidate is a flat, branch-light pass over the off-chip
 // memory records only; the stateful cache/row-buffer walk consumes the
 // resulting SoaWave in issue order and is guaranteed to observe the same
-// (line, tick, sm, is_store) sequence the legacy scalar path produces, which
-// is what makes the two paths bit-identical.
+// (line, tick, sm, is_store) sequence the full walk over the lowered trace
+// produces (TraceAnalyzer::analyze without a skeleton), which is what makes
+// the two bit-identical.
 //
 // All scratch lives in an Arena that is reset per wave: after the first wave
 // of the first candidate, lowering performs zero heap allocations.
@@ -53,7 +53,7 @@ struct SoaWave {
 };
 
 // Candidate-level counters accumulated analytically by bind()/lower_wave(),
-// mirroring what the legacy rr_schedule/mem_op pair tallies op by op.
+// mirroring what the full walk's rr_schedule/mem_op pair tallies op by op.
 struct SoaTallies {
   std::uint64_t insts_executed = 0;
   std::uint64_t addr_calc_insts = 0;
@@ -77,21 +77,10 @@ struct SoaTallies {
 
 class SoaLowering {
  public:
-  // The shared-conflict fold is exact only when the kSharedAlign-byte shared
-  // base alignment shifts words by whole bank rotations (true for every
-  // registered backend: 32- and 16-bank archs). Consults the *active* arch's
-  // bank count against the allocator's actual alignment — not a compiled-in
-  // 128 — so a backend with an alignment-incompatible bank count falls back
-  // to the legacy path instead of mis-folding. Callers fall back otherwise.
-  static bool supports(const GpuArch& arch) {
-    return arch.shared_banks > 0 && arch.shared_banks <= 64 &&
-           kSharedAlign % (4ull * static_cast<unsigned>(arch.shared_banks)) ==
-               0;
-  }
-
   // Resolves the placement into per-array dispatch tables and folds every
   // placement-dependent-but-order-free counter. Call once per candidate,
-  // before the first lower_wave.
+  // before the first lower_wave. CHECKs shared_banks_foldable(arch), which
+  // every validated arch satisfies.
   void bind(const TraceMaterializer& mat, const TraceSkeleton& skeleton,
             const GpuArch& arch);
 

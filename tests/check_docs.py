@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Five guarantees:
+Seven guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -20,6 +20,12 @@ Five guarantees:
   5. Every `GPUHMS_*` environment variable read via getenv in src/ or
      examples/ is documented in README.md or docs/SERVING.md, so an
      operator knob cannot ship undocumented.
+  6. The reverse: every `GPUHMS_*` row of docs/SERVING.md's "Environment
+     variables" table is read via getenv in src/ or examples/, so a
+     deleted knob cannot leave a stale row behind.
+  7. docs/SERVING.md's "Command-line flags" table and the flags
+     examples/gpuhms_serve.cpp parses are the same set, in both
+     directions.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -166,12 +172,11 @@ def check_readme_labels(root):
 
 
 GETENV_RE = re.compile(r'getenv\(\s*"(GPUHMS_[A-Z0-9_]+)"')
+SERVING_MD = os.path.join("docs", "SERVING.md")
 
 
-def check_env_vars(root):
-    """Every GPUHMS_* variable read in src/ or examples/ must be documented
-    in README.md or docs/SERVING.md."""
-    problems = []
+def getenv_vars(root):
+    """The GPUHMS_* variables read via getenv in src/ or examples/."""
     read_vars = set()
     for subdir in ("src", "examples"):
         base = os.path.join(root, subdir)
@@ -182,11 +187,19 @@ def check_env_vars(root):
                 with open(os.path.join(dirpath, name),
                           encoding="utf-8", errors="replace") as f:
                     read_vars.update(GETENV_RE.findall(f.read()))
+    return read_vars
+
+
+def check_env_vars(root):
+    """Every GPUHMS_* variable read in src/ or examples/ must be documented
+    in README.md or docs/SERVING.md."""
+    problems = []
+    read_vars = getenv_vars(root)
     if not read_vars:
         return ["no getenv(\"GPUHMS_...\") found in src/ or examples/ "
                 "(regex rot?)"]
     docs = ""
-    for doc in ("README.md", os.path.join("docs", "SERVING.md")):
+    for doc in ("README.md", SERVING_MD):
         path = os.path.join(root, doc)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as f:
@@ -197,6 +210,69 @@ def check_env_vars(root):
                 f"environment variable '{var}' is read in src/ or "
                 f"examples/ but documented in neither README.md nor "
                 f"docs/SERVING.md")
+    return problems
+
+
+def table_rows(md_path, heading):
+    """First-cell texts of the table rows under `## heading` (up to the
+    next `## ` heading), header and separator rows excluded."""
+    rows = []
+    in_section = False
+    with open(md_path, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("## "):
+                in_section = line[3:].strip() == heading
+                continue
+            if in_section and line.startswith("|"):
+                rows.append(line.split("|")[1].strip())
+    return rows[2:]  # drop the header row and the |---| separator
+
+
+def check_serving_env_rows(root):
+    """Every GPUHMS_* row of SERVING.md's environment table must still be
+    read by getenv somewhere in src/ or examples/."""
+    path = os.path.join(root, SERVING_MD)
+    read_vars = getenv_vars(root)
+    rows = table_rows(path, "Environment variables")
+    if not rows:
+        return [f"{SERVING_MD}: no 'Environment variables' table found"]
+    problems = []
+    for cell in rows:
+        for var in re.findall(r"GPUHMS_[A-Z0-9_]+", cell):
+            if var not in read_vars:
+                problems.append(
+                    f"{SERVING_MD}: environment table documents '{var}', "
+                    f"but nothing in src/ or examples/ reads it via getenv")
+    return problems
+
+
+# `std::strcmp(arg, "--help")` and `flag_value(arg, "--socket", ...)`.
+PARSED_FLAG_RE = re.compile(
+    r'(?:strcmp\(\s*arg\s*,|flag_value\(\s*arg\s*,)\s*"(--[a-z][a-z0-9-]*)"')
+
+
+def check_serving_flags(root):
+    """SERVING.md's flag table and gpuhms_serve's parsed flags must be the
+    same set."""
+    path = os.path.join(root, SERVING_MD)
+    daemon = os.path.join(root, "examples", "gpuhms_serve.cpp")
+    with open(daemon, encoding="utf-8") as f:
+        parsed = set(PARSED_FLAG_RE.findall(f.read()))
+    documented = set()
+    for cell in table_rows(path, "Command-line flags"):
+        documented.update(re.findall(r"`(--[a-z][a-z0-9-]*)", cell))
+    if not parsed or not documented:
+        return [f"{SERVING_MD} flag table or examples/gpuhms_serve.cpp "
+                "flag parsing not found (regex rot?)"]
+    problems = []
+    for flag in sorted(documented - parsed):
+        problems.append(
+            f"{SERVING_MD}: flag table documents '{flag}', but "
+            f"examples/gpuhms_serve.cpp does not parse it")
+    for flag in sorted(parsed - documented):
+        problems.append(
+            f"examples/gpuhms_serve.cpp parses '{flag}', but the "
+            f"{SERVING_MD} flag table has no row for it")
     return problems
 
 
@@ -212,6 +288,8 @@ def main():
     problems.extend(check_model_map(root))
     problems.extend(check_readme_labels(root))
     problems.extend(check_env_vars(root))
+    problems.extend(check_serving_env_rows(root))
+    problems.extend(check_serving_flags(root))
 
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -220,7 +298,8 @@ def main():
         return 1
     print(f"docs check OK: {len(md_files)} markdown files, all relative "
           "links and anchors resolve, MODEL_MAP references exist, every "
-          "ctest label and GPUHMS_* env var is documented")
+          "ctest label and GPUHMS_* env var is documented, and SERVING.md's "
+          "env and flag tables match the code")
     return 0
 
 

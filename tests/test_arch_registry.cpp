@@ -1,7 +1,8 @@
 // ArchRegistry battery (DESIGN §16): registry semantics, the differential
 // golden lock-in of the default backend against the historical hardwired
 // Kepler path, the per-arch memoization keying of shared TraceSkeletons, and
-// the SoA supports()/fold fix that consults the active arch's bank count.
+// the registry's rejection of shared-bank geometries the SoA fold cannot
+// handle.
 //
 // Naming note: the exhaustive differential sweeps carry "EveryWorkload" in
 // their test names so the sanitizer rebuilds (which filter -*EveryWorkload*)
@@ -18,7 +19,6 @@
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
 #include "trace/generator.hpp"
-#include "trace/soa.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -213,28 +213,40 @@ TEST(TraceSkeletonMemo, TwoArchsShareOneSkeletonWithoutAliasing) {
   EXPECT_EQ(static_cast<int>(first.banks.size()), kepler.total_banks());
 }
 
-// --- SoA supports() / fold-validity fix --------------------------------------
+// --- shared-bank fold validity ----------------------------------------------
 
-TEST(SoaLowering, SupportsConsultsActiveArchBankCount) {
-  EXPECT_TRUE(SoaLowering::supports(kepler_arch()));  // 128 % (4*32) == 0
-  GpuArch a;
-  a.shared_banks = 16;  // the hbm2 geometry: 128 % 64 == 0
-  EXPECT_TRUE(SoaLowering::supports(a));
-  a.shared_banks = 8;
-  EXPECT_TRUE(SoaLowering::supports(a));
-  a.shared_banks = 24;  // 128 % 96 != 0: the fold would misattribute words
-  EXPECT_FALSE(SoaLowering::supports(a));
-  a.shared_banks = 64;  // 128 % 256 != 0: alignment below a full rotation
-  EXPECT_FALSE(SoaLowering::supports(a));
-  a.shared_banks = 0;
-  EXPECT_FALSE(SoaLowering::supports(a));
+// The SoA engine folds shared-memory bank conflicts once per kernel, which is
+// exact only when the 128-byte shared slice alignment is a whole number of
+// bank rotations. The registry must refuse any other geometry up front
+// rather than let an analysis CHECK-fail (or silently take a slower path).
+TEST(ArchRegistry, AddRejectsUnfoldableSharedBankCounts) {
+  for (const int banks : {8, 16, 32}) {  // 128 % (4 * banks) == 0
+    SCOPED_TRACE(banks);
+    GpuArch a;
+    a.shared_banks = banks;
+    ArchRegistry r;
+    EXPECT_TRUE(r.add({"ok", "foldable", a}).ok());
+    EXPECT_EQ(r.size(), 1u);
+  }
+  // 24: 128 % 96 != 0, the fold would misattribute words. 64: 128 % 256 !=
+  // 0, alignment below a full rotation. 0: no banks at all.
+  for (const int banks : {24, 64, 0}) {
+    SCOPED_TRACE(banks);
+    GpuArch a;
+    a.shared_banks = banks;
+    ArchRegistry r;
+    const Status st = r.add({"bad", "unfoldable", a});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("shared_banks"), std::string::npos)
+        << st.message();
+    EXPECT_EQ(r.size(), 0u);
+  }
 }
 
-// The SoA replay must stay bit-identical to the legacy scalar path on every
-// registered backend it claims to support — including the 16-bank hbm2
-// profile whose fold the old compiled-in `banks == 32` check would have
-// refused (and whose degrees differ from the 32-bank fold, see above).
-TEST(SoaReplay, MatchesLegacyOnEveryRegisteredBackend) {
+// The SoA replay must stay bit-identical to the full walk over the lowered
+// trace on every registered backend — including the 16-bank hbm2 profile
+// whose fold differs from the 32-bank one (see above).
+TEST(SoaReplay, MatchesFullWalkOnEveryRegisteredBackend) {
   const KernelInfo kernel = workloads::make_transpose(64);
   const TraceSkeleton skeleton(kernel);
   const DataPlacement base = DataPlacement::defaults(kernel);
@@ -249,36 +261,32 @@ TEST(SoaReplay, MatchesLegacyOnEveryRegisteredBackend) {
   }
   for (const std::string& name : ArchRegistry::builtin().names()) {
     const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
-    if (!SoaLowering::supports(arch)) continue;
     SCOPED_TRACE(name);
     for (const DataPlacement* placement :
          std::initializer_list<const DataPlacement*>{&base, &staged}) {
-      AnalysisOptions soa_opts;
-      AnalysisOptions legacy_opts;
-      legacy_opts.legacy_replay = true;
       const PlacementEvents soa =
-          analyze_trace(kernel, *placement, arch, soa_opts, &skeleton);
-      const PlacementEvents legacy =
-          analyze_trace(kernel, *placement, arch, legacy_opts, &skeleton);
-      EXPECT_EQ(soa.insts_executed, legacy.insts_executed);
-      EXPECT_EQ(soa.addr_calc_insts, legacy.addr_calc_insts);
-      EXPECT_EQ(soa.mem_insts, legacy.mem_insts);
-      EXPECT_EQ(soa.load_insts, legacy.load_insts);
-      EXPECT_EQ(soa.sync_insts, legacy.sync_insts);
-      EXPECT_EQ(soa.replay_global_divergence, legacy.replay_global_divergence);
-      EXPECT_EQ(soa.replay_const_miss, legacy.replay_const_miss);
-      EXPECT_EQ(soa.replay_const_divergence, legacy.replay_const_divergence);
-      EXPECT_EQ(soa.replay_shared_conflict, legacy.replay_shared_conflict);
-      EXPECT_EQ(soa.global_requests, legacy.global_requests);
-      EXPECT_EQ(soa.global_transactions, legacy.global_transactions);
-      EXPECT_EQ(soa.l2_transactions, legacy.l2_transactions);
-      EXPECT_EQ(soa.l2_misses, legacy.l2_misses);
-      EXPECT_EQ(soa.shared_requests, legacy.shared_requests);
-      EXPECT_EQ(soa.shared_conflicts, legacy.shared_conflicts);
-      EXPECT_EQ(soa.row_hits, legacy.row_hits);
-      EXPECT_EQ(soa.row_misses, legacy.row_misses);
-      EXPECT_EQ(soa.row_conflicts, legacy.row_conflicts);
-      EXPECT_EQ(soa.trace_ticks, legacy.trace_ticks);
+          analyze_trace(kernel, *placement, arch, {}, &skeleton);
+      const PlacementEvents full =
+          analyze_trace(kernel, *placement, arch, {}, nullptr);
+      EXPECT_EQ(soa.insts_executed, full.insts_executed);
+      EXPECT_EQ(soa.addr_calc_insts, full.addr_calc_insts);
+      EXPECT_EQ(soa.mem_insts, full.mem_insts);
+      EXPECT_EQ(soa.load_insts, full.load_insts);
+      EXPECT_EQ(soa.sync_insts, full.sync_insts);
+      EXPECT_EQ(soa.replay_global_divergence, full.replay_global_divergence);
+      EXPECT_EQ(soa.replay_const_miss, full.replay_const_miss);
+      EXPECT_EQ(soa.replay_const_divergence, full.replay_const_divergence);
+      EXPECT_EQ(soa.replay_shared_conflict, full.replay_shared_conflict);
+      EXPECT_EQ(soa.global_requests, full.global_requests);
+      EXPECT_EQ(soa.global_transactions, full.global_transactions);
+      EXPECT_EQ(soa.l2_transactions, full.l2_transactions);
+      EXPECT_EQ(soa.l2_misses, full.l2_misses);
+      EXPECT_EQ(soa.shared_requests, full.shared_requests);
+      EXPECT_EQ(soa.shared_conflicts, full.shared_conflicts);
+      EXPECT_EQ(soa.row_hits, full.row_hits);
+      EXPECT_EQ(soa.row_misses, full.row_misses);
+      EXPECT_EQ(soa.row_conflicts, full.row_conflicts);
+      EXPECT_EQ(soa.trace_ticks, full.trace_ticks);
     }
   }
 }

@@ -1,17 +1,21 @@
 // The concurrency battery for the sharded epoch-reclaimed cache (DESIGN
 // §14): epoch-reclamation unit tests (no reclaim while a reader holds an
 // epoch; deferred frees drain after quiescence), a single-threaded
-// differential test against the reference LruCache, linearizability-style
-// randomized concurrent schedules (every observed value was inserted for
-// exactly that key; the capacity bound holds at every observation point), a
-// 16-thread mixed-verb soak (CacheSoak.*, also registered under `ctest -L
-// soak`), and the serve-layer contract: responses are byte-identical across
-// cache backends. The whole file also compiles into the ThreadSanitizer
+// differential test against an in-test strict-LRU reference model, the
+// bound on evicted values kept alive awaiting reclamation,
+// linearizability-style randomized concurrent schedules (every observed
+// value was inserted for exactly that key; the capacity bound holds at every
+// observation point), a 16-thread mixed-verb soak (CacheSoak.*, also
+// registered under `ctest -L soak`), and the serve-layer contract: warm
+// cache hits answer the same bytes as cold misses, from any number of
+// threads. The whole file also compiles into the ThreadSanitizer
 // binary (tests/CMakeLists.txt), where the epoch protocol's happens-before
 // edges are checked for real.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <list>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -24,9 +28,7 @@
 #include "arch/arch_registry.hpp"
 #include "common/concurrent_cache.hpp"
 #include "common/epoch.hpp"
-#include "common/lru_cache.hpp"
 #include "serve/service.hpp"
-#include "test_util.hpp"
 
 namespace gpuhms {
 namespace {
@@ -155,14 +157,53 @@ TEST(ConcurrentCache, CapacityZeroDisablesCaching) {
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-// --- single-threaded differential vs the LruCache reference ------------------
+// --- single-threaded differential vs a strict-LRU reference model ------------
+
+// Strict LRU over a list (MRU first), counting exactly what
+// ConcurrentCache::stats() counts. Slow and obviously correct.
+struct ReferenceLru {
+  explicit ReferenceLru(std::size_t cap) : cap(cap) {}
+  std::size_t cap;
+  std::list<std::pair<int, int>> entries;  // MRU first
+  CacheCounters stats;
+
+  std::size_t size() const { return entries.size(); }
+  std::optional<int> get(int k) {
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->first == k) {
+        ++stats.hits;
+        entries.splice(entries.begin(), entries, it);
+        return it->second;
+      }
+    }
+    ++stats.misses;
+    return std::nullopt;
+  }
+  void put(int k, int v) {
+    if (cap == 0) return;
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->first == k) {
+        ++stats.updates;
+        it->second = v;
+        entries.splice(entries.begin(), entries, it);
+        return;
+      }
+    }
+    if (entries.size() >= cap) {
+      ++stats.evictions;
+      entries.pop_back();
+    }
+    ++stats.inserts;
+    entries.emplace_front(k, v);
+  }
+};
 
 // Below capacity the two designs must be indistinguishable: no evictions
 // ever fire, so CLOCK-vs-LRU cannot diverge and every counter matches.
 TEST(ConcurrentCache, MatchesLruReferenceModelWhileUnderCapacity) {
   std::mt19937 rng(20260809);
   ConcurrentCache<int, int> cache(128);
-  LruCache<int, int> ref(128);
+  ReferenceLru ref(128);
   std::uniform_int_distribution<int> key(0, 63);  // keys << capacity
   for (int step = 0; step < 10000; ++step) {
     const int k = key(rng);
@@ -176,7 +217,7 @@ TEST(ConcurrentCache, MatchesLruReferenceModelWhileUnderCapacity) {
     ASSERT_LE(cache.size(), 128u);
   }
   const CacheCounters a = cache.stats();
-  const LruCache<int, int>::Stats b = ref.stats();
+  const CacheCounters b = ref.stats;
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.inserts, b.inserts);
@@ -221,6 +262,40 @@ TEST(ConcurrentCache, EvictionsPreserveSemanticsAndCapacityBound) {
   EXPECT_EQ(s.misses, gets - hits);
   EXPECT_GT(s.evictions, 0u);  // the schedule really churned
   EXPECT_EQ(s.inserts - s.evictions, cache.size());
+}
+
+// Evicted values wait in the epoch limbo until a collect frees them. A small
+// cache of large values (the serve kernel cache: 16 profiled predictors)
+// must not keep a fixed 64-node batch of evicted values alive on top of its
+// capacity: the collect threshold scales with capacity, so churning 68 keys
+// through 16 slots keeps at most capacity + capacity/8 + a few values
+// alive at any point.
+struct Tracked {
+  static inline int alive = 0;
+  Tracked() { ++alive; }
+  ~Tracked() { --alive; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+};
+
+TEST(ConcurrentCache, SmallCacheBoundsEvictedValuesAwaitingReclaim) {
+  constexpr std::size_t kCap = 16;
+  constexpr int kBound = static_cast<int>(kCap + kCap / 8 + 3);
+  Tracked::alive = 0;
+  {
+    ConcurrentCache<int, std::shared_ptr<const Tracked>> cache(kCap);
+    int peak = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (int k = 0; k < 68; ++k) {
+        cache.put(k, std::make_shared<const Tracked>());
+        peak = std::max(peak, Tracked::alive);
+        ASSERT_LE(Tracked::alive, kBound) << "round " << round << " key " << k;
+      }
+    }
+    EXPECT_GT(cache.stats().evictions, 100u);  // the cache really churned
+    EXPECT_GT(peak, static_cast<int>(kCap));   // and really filled
+  }
+  EXPECT_EQ(Tracked::alive, 0);  // nothing leaked
 }
 
 // A key that keeps getting touched survives eviction pressure: the CLOCK
@@ -370,7 +445,7 @@ TEST(CacheSoak, SixteenThreadsMixedVerbs) {
   EXPECT_EQ(cache.epoch_domain().limbo_size(), 0u);
 }
 
-// --- serve contract: byte-identical responses across backends ----------------
+// --- serve contract: warm hits answer the cold bytes -------------------------
 
 std::vector<std::string> mixed_request_lines() {
   std::vector<std::string> lines;
@@ -395,24 +470,15 @@ std::vector<std::string> mixed_request_lines() {
   return lines;
 }
 
-TEST(ConcurrentCacheServe, ResponsesByteIdenticalAcrossBackends) {
+TEST(ConcurrentCacheServe, WarmResponsesByteIdenticalToCold) {
   const std::vector<std::string> lines = mixed_request_lines();
-  auto run = [&lines](CacheBackend backend) {
-    serve::ServeOptions options;
-    options.cache_backend = backend;
-    options.prediction_cache_capacity = 8;  // tiny: force eviction traffic
-    serve::PredictionService service(options);
-    std::vector<std::string> cold = service.handle_pipeline(lines);
-    std::vector<std::string> warm = service.handle_pipeline(lines);
-    EXPECT_EQ(cold, warm) << "warm hits changed bytes under "
-                          << to_string(backend);
-    return cold;
-  };
-  const std::vector<std::string> sharded = run(CacheBackend::kSharded);
-  const std::vector<std::string> legacy = run(CacheBackend::kLegacyLru);
-  ASSERT_EQ(sharded.size(), legacy.size());
-  for (std::size_t i = 0; i < sharded.size(); ++i)
-    EXPECT_EQ(sharded[i], legacy[i]) << "line " << i;
+  serve::ServeOptions options;
+  options.prediction_cache_capacity = 8;  // tiny: force eviction traffic
+  serve::PredictionService service(options);
+  const std::vector<std::string> cold = service.handle_pipeline(lines);
+  const std::vector<std::string> warm = service.handle_pipeline(lines);
+  EXPECT_EQ(cold, warm) << "warm hits changed bytes";
+  EXPECT_GT(service.stats().prediction_cache.hits, 0u);
 }
 
 // --- cross-arch fingerprints and arch-tagged concurrency ---------------------
@@ -458,7 +524,7 @@ TEST(ConcurrentCacheServe, CrossArchFingerprintsNeverAlias) {
 // Concurrent clients mixing arch-tagged and untagged requests against ONE
 // service must each read exactly the bytes the quiet sequential service
 // produces — per-arch kernel entries and cache keys may never bleed across
-// threads. Runs under both cache backends (and inside the TSan binary).
+// threads. Also runs inside the TSan binary.
 TEST(ConcurrentCacheServe, ConcurrentArchTaggedRequestsAreByteIdentical) {
   std::vector<std::string> lines;
   for (const char* arch : {"", "kepler", "maxwell", "hbm2"}) {
@@ -471,62 +537,39 @@ TEST(ConcurrentCacheServe, ConcurrentArchTaggedRequestsAreByteIdentical) {
       lines.push_back(std::move(line));
     }
   }
-  for (const CacheBackend backend :
-       {CacheBackend::kSharded, CacheBackend::kLegacyLru}) {
-    serve::ServeOptions options;
-    options.cache_backend = backend;
-    std::vector<std::string> expected;
-    {
-      serve::PredictionService reference{options};
-      for (const std::string& line : lines)
-        expected.push_back(reference.handle_line(line));
-    }
-    serve::PredictionService service{options};
-    constexpr int kThreads = 8;
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (int rep = 0; rep < 3 && !failed.load(); ++rep) {
-          for (std::size_t i = 0; i < lines.size(); ++i) {
-            // Each thread walks the lines at its own rotation, so builds
-            // of different (benchmark, arch) entries race for real.
-            const std::size_t at = (i + static_cast<std::size_t>(t)) %
-                                   lines.size();
-            const std::string got = service.handle_line(lines[at]);
-            if (got != expected[at]) {
-              ADD_FAILURE() << "thread " << t << " line " << at
-                            << " diverged:\n got: " << got
-                            << "\nwant: " << expected[at];
-              failed.store(true);
-              return;
-            }
+  std::vector<std::string> expected;
+  {
+    serve::PredictionService reference{serve::ServeOptions{}};
+    for (const std::string& line : lines)
+      expected.push_back(reference.handle_line(line));
+  }
+  serve::PredictionService service{serve::ServeOptions{}};
+  constexpr int kThreads = 8;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3 && !failed.load(); ++rep) {
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+          // Each thread walks the lines at its own rotation, so builds of
+          // different (benchmark, arch) entries race for real.
+          const std::size_t at =
+              (i + static_cast<std::size_t>(t)) % lines.size();
+          const std::string got = service.handle_line(lines[at]);
+          if (got != expected[at]) {
+            ADD_FAILURE() << "thread " << t << " line " << at
+                          << " diverged:\n got: " << got
+                          << "\nwant: " << expected[at];
+            failed.store(true);
+            return;
           }
         }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    ASSERT_FALSE(failed.load()) << to_string(backend);
+      }
+    });
   }
-}
-
-TEST(ConcurrentCacheServe, EnvEscapeHatchSelectsLegacyBackend) {
-  {
-    testutil::ScopedEnv env("GPUHMS_LEGACY_CACHE", "1");
-    EXPECT_EQ(cache_backend_from_env(), CacheBackend::kLegacyLru);
-    serve::ServeOptions options;  // default member init reads the env
-    serve::PredictionService service(options);
-    EXPECT_EQ(service.stats().cache_backend, "legacy_lru");
-  }
-  {
-    testutil::ScopedEnv env("GPUHMS_LEGACY_CACHE", "0");
-    EXPECT_EQ(cache_backend_from_env(), CacheBackend::kSharded);
-  }
-  {
-    testutil::ScopedEnv env("GPUHMS_LEGACY_CACHE", nullptr);
-    EXPECT_EQ(cache_backend_from_env(), CacheBackend::kSharded);
-  }
+  for (std::thread& th : threads) th.join();
+  ASSERT_FALSE(failed.load());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Event-loop server core tests (DESIGN §15): incremental framing, timerfd
 // deadlines, fd-budget scaling with 1k idle connections, the slow-reader
 // backpressure bound, drain-under-load with zero lost or misrouted
-// responses, and byte-identity between the epoll backend and the legacy
-// thread-per-connection backend.
+// responses, and byte-identity between the socket server and the in-process
+// service.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -409,47 +409,42 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
             static_cast<std::uint64_t>(kConnections * kPerConnection));
 }
 
-// --- backend differential ----------------------------------------------------
+// --- socket vs in-process differential --------------------------------------
 
-// One scripted conversation (no time-dependent verbs), byte-for-byte.
-std::vector<std::string> run_script_against(serve::ServerBackend backend,
-                                            const char* tag) {
+// One scripted conversation (no time-dependent verbs), byte-for-byte: the
+// event-loop socket must answer exactly what a fresh in-process service
+// answers when handed the same lines as one pipeline.
+TEST(EventLoopServer, SocketBytesMatchInProcessPipeline) {
+  const std::vector<std::string> script = {
+      R"({"id":1,"op":"predict","benchmark":"triad","placement":"G,G,G"})",
+      R"({"id":2,"op":"predict","benchmark":"triad","placement":"bogus"})",
+      R"({"id":3,"op":"search","benchmark":"triad","algo":"exhaustive",)"
+      R"("cap":16})",
+      R"({"id":4,"op":"predict","benchmark":"triad","placement":"G,G,G",)"
+      R"("idem":"differential-idem"})",
+      R"({"id":5,"op":"shutdown"})",
+      R"({"id":6,"op":"predict","benchmark":"triad","placement":"G,G,G",)"
+      R"("idem":"differential-idem"})"};
+
   serve::ServerOptions server_options;
-  server_options.socket_path = test_socket_path(tag);
-  server_options.backend = backend;
+  server_options.socket_path = test_socket_path("diff_event");
   ServerHarness harness{serve::ServeOptions{}, server_options};
-
   const int fd = connect_or_die(server_options.socket_path);
-  EXPECT_GE(fd, 0);
-  const std::string script =
-      "{\"id\":1,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\"}\n"
-      "{\"id\":2,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"bogus\"}\n"
-      "{\"id\":3,\"op\":\"search\",\"benchmark\":\"triad\",\"algo\":"
-      "\"exhaustive\",\"cap\":16}\n"
-      "{\"id\":4,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\",\"idem\":\"differential-idem\"}\n"
-      "{\"id\":5,\"op\":\"shutdown\"}\n"
-      "{\"id\":6,\"op\":\"predict\",\"benchmark\":\"triad\",\"placement\":"
-      "\"G,G,G\",\"idem\":\"differential-idem\"}\n";
-  EXPECT_TRUE(send_all(fd, script));
-  const std::vector<std::string> lines = read_until_eof(fd, 60s);
+  ASSERT_GE(fd, 0);
+  std::string bytes;
+  for (const std::string& line : script) bytes += line + "\n";
+  EXPECT_TRUE(send_all(fd, bytes));
+  const std::vector<std::string> socket = read_until_eof(fd, 60s);
   ::close(fd);
   EXPECT_EQ(harness.join(), 0);
-  return lines;
-}
 
-TEST(EventLoopServer, ByteIdenticalResponsesAcrossServerBackends) {
-  const std::vector<std::string> event_loop =
-      run_script_against(serve::ServerBackend::kEventLoop, "diff_event");
-  const std::vector<std::string> threaded = run_script_against(
-      serve::ServerBackend::kThreadPerConnection, "diff_threaded");
-  ASSERT_EQ(event_loop.size(), 6u);
-  EXPECT_EQ(event_loop, threaded);
-  // Spot-check the interesting ones: the trailing idem retry behind the
-  // shutdown sheds FAILED_PRECONDITION (never replays) on BOTH backends.
-  StatusOr<serve::Json> last = serve::Json::parse(event_loop.back());
+  serve::PredictionService in_process{serve::ServeOptions{}};
+  const std::vector<std::string> expected = in_process.handle_pipeline(script);
+  ASSERT_EQ(socket.size(), 6u);
+  EXPECT_EQ(socket, expected);
+  // Spot-check the interesting one: the trailing idem retry behind the
+  // shutdown sheds FAILED_PRECONDITION (never replays).
+  StatusOr<serve::Json> last = serve::Json::parse(socket.back());
   ASSERT_TRUE(last.ok());
   EXPECT_FALSE(last->find("ok")->as_bool());
   EXPECT_EQ(last->find("error")->find("code")->as_string(),

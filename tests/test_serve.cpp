@@ -1,7 +1,8 @@
 // End-to-end protocol tests for the serving layer (src/serve): request
 // handling, structured error responses, admission control, deadline plumbing,
-// the shutdown handshake, response determinism across thread counts, and the
-// PR acceptance pipeline (100 mixed requests, in order, cache hit-rate > 0).
+// the shutdown handshake, response determinism across thread counts, the
+// acceptance pipeline (100 mixed requests, in order, cache hit-rate > 0), and
+// the serve.parse fault site (a poisoned line degrades to an error response).
 #include <cstdio>
 #include <optional>
 #include <set>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/arch_registry.hpp"
+#include "common/fault_injection.hpp"
 #include "kernel/placement.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
@@ -218,16 +220,13 @@ TEST(Serve, ShutdownHandshakeRefusesLaterRequests) {
 }
 
 // The stopped check must run BEFORE the idempotency replay: whether a replay
-// hits depends on the cache backend's eviction choices (CLOCK vs strict
-// LRU), so a trailing line that replayed cached bytes after a shutdown could
-// answer different bytes under --legacy-cache than under the sharded
-// default. Locked here: both backends shed the identical FAILED_PRECONDITION
-// for every line behind the shutdown — including a retry of an
-// already-executed idem-keyed request.
-std::vector<std::string> shutdown_trailing_responses(CacheBackend backend) {
-  serve::ServeOptions options;
-  options.cache_backend = backend;
-  serve::PredictionService service{options};
+// hits depends on the cache's eviction history, so a trailing line that
+// replayed cached bytes after a shutdown would answer bytes that depend on
+// that history. Locked here: every line behind the shutdown sheds
+// FAILED_PRECONDITION — including a retry of an already-executed idem-keyed
+// request whose response is still in the replay cache.
+TEST(Serve, ShutdownTrailingLinesShedBeforeIdemReplay) {
+  serve::PredictionService service{serve::ServeOptions{}};
   const std::string idem_line =
       R"({"id":1,"op":"predict","benchmark":"triad",)"
       R"("placement":"G,G,G","idem":"trailing-after-shutdown"})";
@@ -238,19 +237,13 @@ std::vector<std::string> shutdown_trailing_responses(CacheBackend backend) {
   const std::vector<std::string> lines = {R"({"id":2,"op":"shutdown"})",
                                           idem_line,
                                           R"({"id":3,"op":"metrics"})"};
-  return service.handle_pipeline(lines);
-}
-
-TEST(Serve, ShutdownTrailingLinesShedIdenticallyOnBothCacheBackends) {
-  const std::vector<std::string> sharded =
-      shutdown_trailing_responses(CacheBackend::kSharded);
-  const std::vector<std::string> legacy =
-      shutdown_trailing_responses(CacheBackend::kLegacyLru);
-  ASSERT_EQ(sharded.size(), 3u);
-  EXPECT_TRUE(parse_ok(sharded[0]).find("stopped")->as_bool()) << sharded[0];
-  expect_error(sharded[1], "FAILED_PRECONDITION");  // NOT an idem replay
-  expect_error(sharded[2], "FAILED_PRECONDITION");
-  EXPECT_EQ(sharded, legacy);  // byte-identical shed on both cache backends
+  const std::vector<std::string> responses = service.handle_pipeline(lines);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_TRUE(parse_ok(responses[0]).find("stopped")->as_bool())
+      << responses[0];
+  expect_error(responses[1], "FAILED_PRECONDITION");  // NOT an idem replay
+  expect_error(responses[2], "FAILED_PRECONDITION");
+  EXPECT_EQ(service.stats().idem_hits, 0u);
 }
 
 TEST(Serve, StdioLoopAnswersEveryLineInOrderAndStopsOnShutdown) {
@@ -656,14 +649,11 @@ TEST(Serve, BatchAndSearchHonorTheArchField) {
                "INVALID_ARGUMENT");
 }
 
-// Arch-tagged traffic must stay byte-stable across thread counts and both
-// cache backends — same bar as the un-tagged mixed pipeline above.
-std::vector<std::string> run_arch_pipeline(const char* threads,
-                                           CacheBackend backend) {
+// Arch-tagged traffic must stay byte-stable across thread counts — same bar
+// as the un-tagged mixed pipeline above.
+std::vector<std::string> run_arch_pipeline(const char* threads) {
   testutil::ScopedEnv env("GPUHMS_THREADS", threads);
-  serve::ServeOptions options;
-  options.cache_backend = backend;
-  serve::PredictionService service{options};
+  serve::PredictionService service{serve::ServeOptions{}};
   static const std::vector<std::string> triad =
       legal_placement_strings("triad", 12);
   const char* archs[] = {"", "kepler", "maxwell", "hbm2"};
@@ -687,13 +677,10 @@ std::vector<std::string> run_arch_pipeline(const char* threads,
   return responses;
 }
 
-TEST(Serve, ArchPipelineDeterministicAcrossThreadsAndCacheBackends) {
-  const std::vector<std::string> base =
-      run_arch_pipeline("1", CacheBackend::kSharded);
-  EXPECT_EQ(run_arch_pipeline("4", CacheBackend::kSharded), base);
-  EXPECT_EQ(run_arch_pipeline("16", CacheBackend::kSharded), base);
-  EXPECT_EQ(run_arch_pipeline("1", CacheBackend::kLegacyLru), base);
-  EXPECT_EQ(run_arch_pipeline("16", CacheBackend::kLegacyLru), base);
+TEST(Serve, ArchPipelineDeterministicAcrossThreads) {
+  const std::vector<std::string> base = run_arch_pipeline("1");
+  EXPECT_EQ(run_arch_pipeline("4"), base);
+  EXPECT_EQ(run_arch_pipeline("16"), base);
 }
 
 TEST(ServeClient, EndToEndReplayThroughARealService) {
@@ -720,6 +707,39 @@ TEST(ServeClient, EndToEndReplayThroughARealService) {
   const serve::ServeStats stats = service.stats();
   EXPECT_EQ(stats.requests, 2u);   // the wire saw two sends...
   EXPECT_EQ(stats.idem_hits, 1u);  // ...but the second was a byte replay
+}
+
+// --- serve.parse fault injection ---------------------------------------------
+
+TEST(ServeFaultInjection, PoisonedRequestDegradesToErrorResponse) {
+  serve::ServeOptions options;
+  serve::PredictionService service(options);
+  const std::string line =
+      R"({"id":7,"op":"predict","benchmark":"triad","placement":"G,G,G"})";
+
+  fault::arm("serve.parse");
+  const std::string poisoned = service.handle_line(line);
+  fault::disarm_all();
+
+  const StatusOr<serve::Json> parsed = serve::Json::parse(poisoned);
+  ASSERT_TRUE(parsed.ok()) << poisoned;
+  ASSERT_NE(parsed->find("ok"), nullptr);
+  EXPECT_FALSE(parsed->find("ok")->as_bool());
+  const serve::Json* error = parsed->find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->find("code")->as_string(), "INTERNAL");
+  EXPECT_NE(error->find("message")->as_string().find("serve.parse"),
+            std::string::npos);
+
+  // The service survives: the same request now succeeds, bit-identically
+  // on repetition.
+  const std::string ok1 = service.handle_line(line);
+  const std::string ok2 = service.handle_line(line);
+  const StatusOr<serve::Json> good = serve::Json::parse(ok1);
+  ASSERT_TRUE(good.ok()) << ok1;
+  EXPECT_TRUE(good->find("ok")->as_bool()) << ok1;
+  EXPECT_EQ(ok1, ok2);
+  EXPECT_EQ(service.stats().errors, 1u);
 }
 
 }  // namespace

@@ -1,21 +1,20 @@
 // Differential lock-in for the data-oriented SoA replay engine
-// (src/trace/soa.*): on every skeleton-backed analysis the SoA path must be
-// bit-for-bit identical to the legacy scalar replay — same counters, same
+// (src/trace/soa.*): on every registered backend, the skeleton-backed SoA
+// analysis must be bit-for-bit identical to the full walk over the lowered
+// trace (TraceAnalyzer::analyze without a skeleton) — same counters, same
 // per-bank arrival/service statistics (order-sensitive doubles), same
-// predictions. The legacy path is reachable two ways (AnalysisOptions::
-// legacy_replay and the GPUHMS_LEGACY_REPLAY environment variable); both are
-// exercised.
+// predictions.
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "arch/gpu_arch.hpp"
+#include "arch/arch_registry.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
-#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -75,34 +74,40 @@ void expect_events_identical(const PlacementEvents& a,
   }
 }
 
-// Runs `placement` through the SoA and the legacy scalar replay against the
-// same skeleton and requires bitwise-equal results.
-void expect_soa_matches_legacy(const KernelInfo& k, const DataPlacement& p,
-                               const TraceSkeleton& skel) {
-  const GpuArch& arch = kepler_arch();
-  TraceAnalyzer soa(k, arch);
-  AnalysisOptions legacy_opts;
-  legacy_opts.legacy_replay = true;
-  TraceAnalyzer legacy(k, arch, legacy_opts);
-  const PlacementEvents a = soa.analyze(p, &skel);
-  const PlacementEvents b = legacy.analyze(p, &skel);
-  expect_events_identical(a, b);
+// Runs `placement` through the SoA engine (against `skel`) and through the
+// full walk (no skeleton) on `arch`, and requires bitwise-equal results.
+// Placements the arch cannot hold are skipped; returns whether it ran.
+bool expect_soa_matches_full_walk(const KernelInfo& k, const DataPlacement& p,
+                                  const TraceSkeleton& skel,
+                                  const GpuArch& arch) {
+  if (validate_placement(k, p, arch).has_value()) return false;
+  TraceAnalyzer an(k, arch);
+  const PlacementEvents soa = an.analyze(p, &skel);
+  const PlacementEvents full = an.analyze(p, nullptr);
+  expect_events_identical(soa, full);
+  return true;
 }
 
 // The full seed-workload sweep: every benchmark of both suites, its sample
-// placement plus every figure placement. (Suite name carries "EveryWorkload"
-// so sanitizer binaries can filter the heavy sweep like the other sweeps.)
-TEST(SoaReplayEveryWorkload, MatchesLegacyBitForBit) {
+// placement plus every figure placement, on every registered backend. One
+// skeleton per kernel serves all backends, as in serve. (Suite name carries
+// "EveryWorkload" so sanitizer binaries can filter the heavy sweep like the
+// other sweeps.)
+TEST(SoaReplayEveryWorkload, MatchesFullWalkBitForBitOnEveryBackend) {
   std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
   for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
     cases.push_back(std::move(c));
   for (const workloads::BenchmarkCase& c : cases) {
     SCOPED_TRACE(c.name);
     const TraceSkeleton skel(c.kernel);
-    expect_soa_matches_legacy(c.kernel, c.sample, skel);
-    for (const workloads::PlacementTest& t : c.tests) {
-      SCOPED_TRACE(t.id);
-      expect_soa_matches_legacy(c.kernel, t.placement, skel);
+    for (const std::string& name : ArchRegistry::builtin().names()) {
+      SCOPED_TRACE(name);
+      const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+      EXPECT_TRUE(expect_soa_matches_full_walk(c.kernel, c.sample, skel, arch));
+      for (const workloads::PlacementTest& t : c.tests) {
+        SCOPED_TRACE(t.id);
+        expect_soa_matches_full_walk(c.kernel, t.placement, skel, arch);
+      }
     }
   }
 }
@@ -173,69 +178,53 @@ KernelInfo make_random_kernel(std::uint64_t seed) {
   return k;
 }
 
-TEST(SoaReplay, RandomizedSyntheticTracesMatchLegacy) {
-  const GpuArch& arch = kepler_arch();
+TEST(SoaReplay, RandomizedSyntheticTracesMatchFullWalkOnEveryBackend) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const KernelInfo k = make_random_kernel(seed);
     const TraceSkeleton skel(k);
-    std::mt19937_64 rng(seed * 77ull + 5ull);
-    expect_soa_matches_legacy(k, DataPlacement::defaults(k), skel);
-    int tried = 0;
-    for (int cand = 0; cand < 24 && tried < 8; ++cand) {
-      DataPlacement p = DataPlacement::defaults(k);
-      for (int a = 0; a < static_cast<int>(k.arrays.size()); ++a) {
-        const std::vector<MemSpace> spaces = legal_spaces(k, a, arch);
-        p.set(a, spaces[rng() % spaces.size()]);
+    for (const std::string& name : ArchRegistry::builtin().names()) {
+      SCOPED_TRACE(name);
+      const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+      std::mt19937_64 rng(seed * 77ull + 5ull);
+      EXPECT_TRUE(
+          expect_soa_matches_full_walk(k, DataPlacement::defaults(k), skel,
+                                       arch));
+      int tried = 0;
+      for (int cand = 0; cand < 24 && tried < 8; ++cand) {
+        DataPlacement p = DataPlacement::defaults(k);
+        for (int a = 0; a < static_cast<int>(k.arrays.size()); ++a) {
+          const std::vector<MemSpace> spaces = legal_spaces(k, a, arch);
+          p.set(a, spaces[rng() % spaces.size()]);
+        }
+        SCOPED_TRACE("candidate " + std::to_string(cand));
+        if (expect_soa_matches_full_walk(k, p, skel, arch)) ++tried;
       }
-      if (validate_placement(k, p, arch).has_value()) continue;
-      ++tried;
-      SCOPED_TRACE("candidate " + std::to_string(cand));
-      expect_soa_matches_legacy(k, p, skel);
+      EXPECT_GT(tried, 0);
     }
-    EXPECT_GT(tried, 0);
   }
-}
-
-// The environment escape hatch must select the same legacy path (and the
-// analyzer must latch it at construction, like the other GPUHMS_* knobs).
-TEST(SoaReplay, LegacyReplayEnvMatchesSoa) {
-  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
-  const TraceSkeleton skel(c.kernel);
-  const GpuArch& arch = kepler_arch();
-  TraceAnalyzer soa(c.kernel, arch);
-  const PlacementEvents a = soa.analyze(c.sample, &skel);
-  PlacementEvents b;
-  {
-    testutil::ScopedEnv env("GPUHMS_LEGACY_REPLAY", "1");
-    TraceAnalyzer legacy(c.kernel, arch);
-    b = legacy.analyze(c.sample, &skel);
-  }
-  expect_events_identical(a, b);
 }
 
 // End-to-end: predictions (the models consume the events wholesale) must be
-// bit-identical across the two replay engines.
-TEST(SoaReplay, PredictionsMatchLegacyBitForBit) {
+// bit-identical whether the predictor memoizes the trace skeleton (SoA
+// engine) or regenerates and walks the trace per call.
+TEST(SoaReplay, PredictionsMatchUnmemoizedBitForBit) {
   const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
-  Predictor pred(c.kernel, kepler_arch());
-  pred.profile_sample(c.sample);
-  pred.memoize_trace();
-  std::vector<Prediction> soa;
-  for (const workloads::PlacementTest& t : c.tests)
-    soa.push_back(pred.predict(t.placement));
-  testutil::ScopedEnv env("GPUHMS_LEGACY_REPLAY", "1");
-  Predictor legacy_pred(c.kernel, kepler_arch());
-  legacy_pred.profile_sample(c.sample);
-  legacy_pred.memoize_trace();
-  for (std::size_t i = 0; i < c.tests.size(); ++i) {
-    SCOPED_TRACE(c.tests[i].id);
-    const Prediction l = legacy_pred.predict(c.tests[i].placement);
-    EXPECT_TRUE(same_bits(soa[i].total_cycles, l.total_cycles));
-    EXPECT_TRUE(same_bits(soa[i].t_comp, l.t_comp));
-    EXPECT_TRUE(same_bits(soa[i].t_mem, l.t_mem));
-    EXPECT_TRUE(same_bits(soa[i].t_overlap, l.t_overlap));
-    EXPECT_TRUE(same_bits(soa[i].amat, l.amat));
+  Predictor memoized(c.kernel, kepler_arch());
+  memoized.profile_sample(c.sample);
+  memoized.memoize_trace();
+  Predictor plain(c.kernel, kepler_arch());
+  plain.profile_sample(c.sample);
+  ASSERT_EQ(plain.skeleton(), nullptr);
+  for (const workloads::PlacementTest& t : c.tests) {
+    SCOPED_TRACE(t.id);
+    const Prediction a = memoized.predict(t.placement);
+    const Prediction b = plain.predict(t.placement);
+    EXPECT_TRUE(same_bits(a.total_cycles, b.total_cycles));
+    EXPECT_TRUE(same_bits(a.t_comp, b.t_comp));
+    EXPECT_TRUE(same_bits(a.t_mem, b.t_mem));
+    EXPECT_TRUE(same_bits(a.t_overlap, b.t_overlap));
+    EXPECT_TRUE(same_bits(a.amat, b.amat));
   }
 }
 
