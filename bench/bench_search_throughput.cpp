@@ -1,18 +1,17 @@
 // Search-engine throughput: end-to-end exhaustive-search wall time and
-// predictions/sec, comparing the serial seed configuration (one thread, no
-// trace memoization, no pruning — the pre-engine code path) against the
-// parallel engine with each optimization layered in. The single-core
-// `soa_replay` variant isolates the data-oriented replay engine: same thread
-// as the seed, skeleton-backed, so its ratio to `serial_seed` is the engine
-// speedup. Run on the largest registered workloads (>= 4 arrays, i.e. the
-// widest placement spaces).
+// predictions/sec. The serial seed is the pre-engine code path — one thread,
+// every candidate predicted cold (the trace regenerated and walked in full).
+// The single-core `soa_replay` variant is search_exhaustive on the same
+// thread, skeleton-backed, so its ratio to `serial_seed` is the replay-engine
+// speedup; `parallel_memoized` adds the thread pool. Run on the largest
+// registered workloads (>= 4 arrays, i.e. the widest placement spaces).
 //
 // Besides timing, the bench is a correctness harness: every variant must
-// return the serial seed's winner, and a full ranked sweep re-predicts every
-// candidate through the cold (full-walk) and SoA paths and requires
-// byte-identical cycles. At the default cap it also self-asserts the >= 5x
-// single-core SoA-vs-seed target on matrixmul. A final metrics-enabled pass
-// (not timed) records the per-phase breakdown.
+// return the serial seed's winner, and every candidate's cold cycles from
+// the seed sweep must be byte-identical to its SoA-replay cycles. At the
+// default cap it also self-asserts the >= 5x single-core SoA-vs-seed target
+// on matrixmul. A final metrics-enabled pass (not timed) records the
+// per-phase breakdown.
 //
 // Emits BENCH_search.json in the working directory for the perf trajectory.
 //
@@ -61,27 +60,52 @@ Measurement run_variant(const Predictor& pred, const Variant& variant,
   return m;
 }
 
+// The serial seed: predicts every candidate cold on the calling thread
+// (`pred` holds no skeleton, so predict() regenerates and walks the trace)
+// and keeps the first minimum, exhaustive search's tie-break. `cold` gets
+// each candidate's cycles for the byte check against SoA replay.
+Measurement run_serial_seed(const Predictor& pred, const PlacementSpace& space,
+                            int repeats, std::vector<double>* cold) {
+  Measurement m;
+  m.wall_ms = 1e300;
+  for (int r = 0; r < repeats; ++r) {
+    const double t0 = now_ms();
+    cold->clear();
+    SearchResult best;
+    for (const DataPlacement& p : space.placements) {
+      cold->push_back(pred.predict(p).total_cycles);
+      if (best.evaluated++ == 0 || cold->back() < best.predicted_cycles) {
+        best.placement = p;
+        best.predicted_cycles = cold->back();
+      }
+    }
+    m.wall_ms = std::min(m.wall_ms, now_ms() - t0);  // best-of-N
+    m.result = best;
+  }
+  return m;
+}
+
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-// Re-predicts every candidate of the capped space through both replay
-// paths — cold (regenerate the trace per candidate and walk every op) and
-// SoA replay — and requires byte-identical total cycles, candidate by
-// candidate. Ranking equality follows from value equality.
+// Re-predicts every candidate of the capped space through SoA replay and
+// requires byte-identical total cycles to the seed's cold sweep, candidate
+// by candidate. Ranking equality follows from value equality.
 bool ranked_results_identical(const Predictor& pred,
                               const workloads::BenchmarkCase& c,
-                              const PlacementSpace& space) {
+                              const PlacementSpace& space,
+                              const std::vector<double>& cold) {
   const TraceSkeleton skel(c.kernel);
   TraceAnalyzer soa_analyzer = pred.make_analyzer();
-  for (const DataPlacement& p : space.placements) {
-    const double cold = pred.predict(p).total_cycles;
+  for (std::size_t i = 0; i < space.placements.size(); ++i) {
+    const DataPlacement& p = space.placements[i];
     const double soa = pred.predict_with(p, &soa_analyzer, &skel).total_cycles;
-    if (!same_bits(cold, soa)) {
+    if (!same_bits(cold[i], soa)) {
       std::fprintf(stderr,
                    "%s: ranked results diverge on %s "
                    "(cold=%.17g soa=%.17g)\n",
-                   c.name.c_str(), p.to_string().c_str(), cold, soa);
+                   c.name.c_str(), p.to_string().c_str(), cold[i], soa);
       return false;
     }
   }
@@ -130,20 +154,16 @@ int main(int argc, char** argv) {
   });
   if (picked.size() > 4) picked.resize(4);
 
-  auto opts = [&](int nthreads, bool memoize, bool prune) {
+  auto opts = [&](int nthreads) {
     SearchOptions o;
     o.cap = cap;
     o.num_threads = nthreads;
-    o.memoize_trace = memoize;
-    o.prune = prune;
     return o;
   };
+  // Timed after the serial seed, which is not a search_exhaustive variant.
   const std::vector<Variant> variants = {
-      {"serial_seed", opts(1, false, false)},
-      {"soa_replay", opts(1, true, false)},
-      {"parallel", opts(threads, false, false)},
-      {"parallel_memoized", opts(threads, true, false)},
-      {"parallel_memoized_pruned", opts(threads, true, true)},
+      {"soa_replay", opts(1)},
+      {"parallel_memoized", opts(threads)},
   };
 
   std::FILE* json = std::fopen("BENCH_search.json", "w");
@@ -177,46 +197,41 @@ int main(int argc, char** argv) {
                  "      \"variants\": {\n",
                  c.name.c_str(), c.kernel.arrays.size());
 
-    double serial_ms = 0.0;
+    std::vector<double> cold;
+    const Measurement seed = run_serial_seed(pred, space, repeats, &cold);
+    const double serial_ms = seed.wall_ms;
     double soa_ms = 0.0;
-    SearchResult serial_copy;
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      const Measurement m = run_variant(pred, variants[v], repeats);
-      if (v == 0) {
-        serial_ms = m.wall_ms;
-        serial_copy = m.result;
-      } else {
-        // The engine must agree with the seed path on the winner.
-        if (!(m.result.placement == serial_copy.placement) ||
-            m.result.predicted_cycles != serial_copy.predicted_cycles) {
-          std::fprintf(stderr, "%s: %s diverged from serial_seed\n",
-                       c.name.c_str(), variants[v].name.c_str());
-          std::fclose(json);
-          return 1;
-        }
-      }
-      if (variants[v].name == "soa_replay") soa_ms = m.wall_ms;
+    auto report = [&](const std::string& name, const Measurement& m,
+                      bool last) {
       const double preds_per_sec =
           static_cast<double>(m.result.evaluated) / (m.wall_ms / 1000.0);
       const double speedup = serial_ms / m.wall_ms;
-      std::printf("  %-26s %10.1f %12.1f %10zu %7.2fx\n",
-                  variants[v].name.c_str(), m.wall_ms, preds_per_sec,
-                  m.result.evaluated, speedup);
+      std::printf("  %-26s %10.1f %12.1f %10zu %7.2fx\n", name.c_str(),
+                  m.wall_ms, preds_per_sec, m.result.evaluated, speedup);
       std::fprintf(json,
                    "        \"%s\": {\"wall_ms\": %.3f, "
                    "\"predictions_per_sec\": %.2f, \"evaluated\": %zu, "
-                   "\"pruned\": %zu, \"prune_checks\": %zu, "
-                   "\"prune_bound_ratio\": %.4f, "
-                   "\"prune_gate_reason\": \"%s\", "
                    "\"speedup_vs_serial\": %.3f}%s\n",
-                   variants[v].name.c_str(), m.wall_ms, preds_per_sec,
-                   m.result.evaluated, m.result.pruned, m.result.prune_checks,
-                   m.result.prune_bound_ratio, m.result.prune_gate_reason,
-                   speedup, v + 1 < variants.size() ? "," : "");
+                   name.c_str(), m.wall_ms, preds_per_sec, m.result.evaluated,
+                   speedup, last ? "" : ",");
+    };
+    report("serial_seed", seed, false);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const Measurement m = run_variant(pred, variants[v], repeats);
+      // The engine must agree with the seed path on the winner.
+      if (!(m.result.placement == seed.result.placement) ||
+          m.result.predicted_cycles != seed.result.predicted_cycles) {
+        std::fprintf(stderr, "%s: %s diverged from serial_seed\n",
+                     c.name.c_str(), variants[v].name.c_str());
+        std::fclose(json);
+        return 1;
+      }
+      if (variants[v].name == "soa_replay") soa_ms = m.wall_ms;
+      report(variants[v].name, m, v + 1 == variants.size());
     }
     std::fprintf(json, "      },\n");
 
-    if (!ranked_results_identical(pred, c, space)) {
+    if (!ranked_results_identical(pred, c, space, cold)) {
       std::fclose(json);
       return 1;
     }
@@ -235,7 +250,7 @@ int main(int argc, char** argv) {
     // the timed runs so metric overhead never pollutes the numbers above.
     obs::set_enabled(true);
     obs::reset_all_metrics();
-    run_variant(pred, variants[1], 1);
+    run_variant(pred, variants[0], 1);
     obs::set_enabled(false);
     const obs::MetricsSnapshot snap = obs::snapshot();
     std::fprintf(json, "      \"soa_phase_ns\": {");

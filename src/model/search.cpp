@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -14,32 +13,13 @@ namespace gpuhms {
 
 namespace {
 
-// Candidates are scored in fixed-size chunks; the prune threshold (best
-// cycles so far) only advances between chunks, so which candidates get
-// pruned does not depend on the thread count or scheduling — a requirement
-// for bit-identical serial/parallel results. The chunk size is a constant
-// for the same reason. Deadline/cancel checks also happen only at chunk
-// boundaries, so an interrupted search's completed prefix is bit-identical
-// to the same prefix of an uninterrupted run.
+// Candidates are scored in fixed-size chunks and folded serially in
+// enumeration order, so the result does not depend on the thread count or
+// scheduling — a requirement for bit-identical serial/parallel results. The
+// chunk size is a constant for the same reason. Deadline/cancel checks also
+// happen only at chunk boundaries, so an interrupted search's completed
+// prefix is bit-identical to the same prefix of an uninterrupted run.
 constexpr std::size_t kChunk = 64;
-
-// Prune self-gating (exhaustive search). The per-candidate bound check is
-// cheap (one table lookup per array + an O(1) floor) but not free, and on
-// workloads where the bound never reaches the incumbent it is pure overhead
-// — the BENCH_search regression this fixes. The gate is deterministic: it
-// reads only serially-folded chunk data, so it closes at the same chunk
-// boundary for every thread count.
-//   kMinPruneSpace    below this many candidates the threshold barely
-//                     advances before the search ends; skip checks entirely.
-//   kPruneProbeChunks chunks of live checking granted before the gate may
-//                     conclude the bound is hopeless.
-//   kPruneRatioCutoff if after probing no candidate was pruned AND the bound
-//                     never came within this fraction of the incumbent, stop
-//                     checking (a ratio near 1 keeps probing: the bound may
-//                     start firing once the incumbent improves).
-constexpr std::size_t kMinPruneSpace = 2 * kChunk;
-constexpr std::size_t kPruneProbeChunks = 4;
-constexpr double kPruneRatioCutoff = 0.9;
 
 // Chunk-boundary stop test shared by the exhaustive search and the oracle.
 // Reads the cancel token first (a cancelled caller should see `cancelled`
@@ -69,15 +49,14 @@ struct StopWatch {
   std::optional<std::chrono::steady_clock::time_point> deadline_at;
 };
 
-// Search-outcome metrics shared by the exhaustive and oracle cores: tallies
-// plus the deadline slack (wall-clock budget left when the search returned —
-// 0 when the deadline was hit, untouched when no deadline was set).
+// Search-outcome metrics shared by every search core: tallies plus the
+// deadline slack (wall-clock budget left when the search returned — 0 when
+// the deadline was hit, untouched when no deadline was set).
 void record_search_metrics(const StopWatch& watch, std::size_t evaluated,
-                           std::size_t pruned, std::size_t not_evaluated,
-                           bool deadline_hit, bool cancelled) {
+                           std::size_t not_evaluated, bool deadline_hit,
+                           bool cancelled) {
   GPUHMS_COUNTER_ADD("search.searches", 1);
   GPUHMS_COUNTER_ADD("search.evaluated", evaluated);
-  GPUHMS_COUNTER_ADD("search.pruned", pruned);
   GPUHMS_COUNTER_ADD("search.not_evaluated", not_evaluated);
   if (deadline_hit) GPUHMS_COUNTER_ADD("search.deadline_hits", 1);
   if (cancelled) GPUHMS_COUNTER_ADD("search.cancellations", 1);
@@ -92,6 +71,37 @@ void record_search_metrics(const StopWatch& watch, std::size_t evaluated,
   }
 }
 
+// What every predictor-driven search evaluates candidates with: the pool
+// (the caller's, or a local one), the kernel's trace skeleton shared by all
+// workers (the predictor's memoized one, else recorded here once), and one
+// analyzer scratch per worker.
+struct Evaluator {
+  Evaluator(const Predictor& p, const SearchOptions& options)
+      : predictor(p),
+        local_pool(options.pool ? 1 : options.num_threads),
+        pool(options.pool ? *options.pool : local_pool),
+        skeleton(p.skeleton()) {
+    if (!skeleton) skeleton = std::make_shared<TraceSkeleton>(p.kernel());
+    scratch.reserve(static_cast<std::size_t>(pool.size()));
+    for (int t = 0; t < pool.size(); ++t)
+      scratch.push_back(predictor.make_analyzer());
+  }
+
+  // Predicted cycles of `p` on pool worker `worker`'s scratch.
+  double cycles(int worker, const DataPlacement& p) {
+    return predictor
+        .predict_with(p, &scratch[static_cast<std::size_t>(worker)],
+                      skeleton.get())
+        .total_cycles;
+  }
+
+  const Predictor& predictor;
+  ThreadPool local_pool;
+  ThreadPool& pool;
+  std::shared_ptr<const TraceSkeleton> skeleton;
+  std::vector<TraceAnalyzer> scratch;
+};
+
 // Core of the exhaustive search over an already-enumerated, non-empty space.
 // Exceptions from workers (captured and rethrown by ThreadPool) propagate to
 // the caller; the try_ wrapper converts them to INTERNAL.
@@ -99,138 +109,45 @@ SearchResult exhaustive_over(const Predictor& predictor,
                              const SearchOptions& options,
                              const PlacementSpace& space) {
   GPUHMS_SCOPED_PHASE("search.exhaustive_ns");
-  const KernelInfo& k = predictor.kernel();
   const StopWatch watch(options);
-
-  ThreadPool local_pool(options.pool ? 1 : options.num_threads);
-  ThreadPool& pool = options.pool ? *options.pool : local_pool;
-
-  // One skeleton shared by every worker; one analyzer scratch per worker.
-  std::shared_ptr<const TraceSkeleton> skeleton = predictor.skeleton();
-  if (!skeleton && options.memoize_trace)
-    skeleton = std::make_shared<TraceSkeleton>(k);
-  std::vector<TraceAnalyzer> scratch;
-  scratch.reserve(static_cast<std::size_t>(pool.size()));
-  for (int t = 0; t < pool.size(); ++t)
-    scratch.push_back(predictor.make_analyzer());
+  Evaluator eval(predictor, options);
 
   SearchResult best;
   best.space_truncated = space.truncated;
   best.space_skipped = space.skipped_combinations;
   const std::size_t n = space.placements.size();
-  constexpr double kPruned = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> cycles(std::min(n, kChunk));
-  bool have_best = false;
-
-  // Prune machinery: one immutable bounder shared by all workers; per-slot
-  // bound records folded serially so counters and the gate are thread-count
-  // independent.
-  bool prune_active = false;
-  PlacementBounder bounder;
-  if (!options.prune) {
-    best.prune_gate_reason = "off";
-  } else if (!skeleton) {
-    best.prune_gate_reason = "no-skeleton";
-  } else if (n < kMinPruneSpace) {
-    best.prune_gate_reason = "small-space";
-  } else {
-    bounder = predictor.make_bounder(*skeleton);
-    best.prune_gate_reason = "active";
-    prune_active = true;
-  }
-  const std::size_t num_arrays = k.arrays.size();
-  constexpr double kNoCheck = std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> bounds(cycles.size(), kNoCheck);
-  double max_bound_seen = 0.0;
-  std::size_t probed_chunks = 0;
 
   for (std::size_t c0 = 0; c0 < n; c0 += kChunk) {
     if (watch.should_stop(&best.deadline_hit, &best.cancelled)) {
-      if (!have_best) {
+      if (best.evaluated == 0) {
         // Even an already-expired deadline returns a *scored* placement so
         // the caller can always compare or apply the result.
         best.placement = space.placements[0];
-        best.predicted_cycles =
-            predictor.predict_with(space.placements[0], &scratch[0],
-                                   skeleton.get())
-                .total_cycles;
+        best.predicted_cycles = eval.cycles(0, space.placements[0]);
         best.evaluated = 1;
-        best.not_evaluated = n - 1;
-      } else {
-        best.not_evaluated = n - c0;
       }
-      record_search_metrics(watch, best.evaluated, best.pruned,
-                            best.not_evaluated, best.deadline_hit,
-                            best.cancelled);
-      return best;
+      best.not_evaluated = n - best.evaluated;
+      break;
     }
     const std::size_t c1 = std::min(n, c0 + kChunk);
     {
       GPUHMS_SCOPED_PHASE("search.chunk_ns");
-      pool.parallel_for(c1 - c0, [&](int worker, std::size_t j) {
-        const DataPlacement& p = space.placements[c0 + j];
-        bounds[j] = kNoCheck;
-        if (prune_active && have_best) {
-          // O(arrays) table walk + O(1) floor — the whole point of building
-          // the bounder once instead of re-deriving the bound per candidate.
-          double addr = 0.0;
-          for (std::size_t a = 0; a < num_arrays; ++a)
-            addr += bounder.addr_insts(a, p.of(static_cast<int>(a)));
-          const double bound = bounder.bound_cycles(addr);
-          bounds[j] = bound;
-          if (bound > best.predicted_cycles) {
-            cycles[j] = kPruned;
-            return;
-          }
-        }
-        cycles[j] =
-            predictor
-                .predict_with(p, &scratch[static_cast<std::size_t>(worker)],
-                              skeleton.get())
-                .total_cycles;
+      eval.pool.parallel_for(c1 - c0, [&](int worker, std::size_t j) {
+        cycles[j] = eval.cycles(worker, space.placements[c0 + j]);
       });
     }
     GPUHMS_COUNTER_ADD("search.chunks", 1);
     GPUHMS_HISTOGRAM_RECORD("search.chunk_candidates", c1 - c0);
-    const bool chunk_checked = prune_active && have_best;
     for (std::size_t j = 0; j < c1 - c0; ++j) {
-      if (!std::isnan(bounds[j])) {
-        ++best.prune_checks;
-        max_bound_seen = std::max(max_bound_seen, bounds[j]);
-      }
-      if (std::isnan(cycles[j])) {
-        ++best.pruned;
-        continue;
-      }
-      ++best.evaluated;
-      if (!have_best || cycles[j] < best.predicted_cycles) {
+      if (best.evaluated++ == 0 || cycles[j] < best.predicted_cycles) {
         best.placement = space.placements[c0 + j];
         best.predicted_cycles = cycles[j];
-        have_best = true;
-      }
-    }
-    if (chunk_checked) {
-      ++probed_chunks;
-      best.prune_bound_ratio =
-          best.predicted_cycles > 0.0 ? max_bound_seen / best.predicted_cycles
-                                      : 0.0;
-      if (best.pruned == 0 && probed_chunks >= kPruneProbeChunks &&
-          best.prune_bound_ratio < kPruneRatioCutoff) {
-        // The bound never came close; stop paying for checks that cannot
-        // fire. (Deterministic: decided from serially-folded data at a chunk
-        // boundary, identical for every thread count.)
-        prune_active = false;
-        best.prune_gate_reason = "gated-ineffective";
-        GPUHMS_COUNTER_ADD("search.prune_gated", 1);
       }
     }
   }
-  GPUHMS_COUNTER_ADD("search.prune_checks", best.prune_checks);
-  GPUHMS_GAUGE_SET("search.prune_bound_ratio_bp",
-                   static_cast<std::int64_t>(best.prune_bound_ratio * 1e4));
-  record_search_metrics(watch, best.evaluated, best.pruned,
-                        best.not_evaluated, best.deadline_hit,
-                        best.cancelled);
+  record_search_metrics(watch, best.evaluated, best.not_evaluated,
+                        best.deadline_hit, best.cancelled);
   return best;
 }
 
@@ -261,7 +178,7 @@ OracleResult oracle_over(const KernelInfo& kernel, const GpuArch& arch,
       } else {
         r.not_simulated = n - c0;
       }
-      record_search_metrics(watch, r.simulated, 0, r.not_simulated,
+      record_search_metrics(watch, r.simulated, r.not_simulated,
                             r.deadline_hit, r.cancelled);
       return r;
     }
@@ -282,7 +199,7 @@ OracleResult oracle_over(const KernelInfo& kernel, const GpuArch& arch,
       }
     }
   }
-  record_search_metrics(watch, r.simulated, 0, r.not_simulated,
+  record_search_metrics(watch, r.simulated, r.not_simulated,
                         r.deadline_hit, r.cancelled);
   return r;
 }
@@ -331,26 +248,22 @@ struct Incumbent {
 struct BnbContext {
   const Predictor* predictor = nullptr;
   const GpuArch* arch = nullptr;
-  std::shared_ptr<const TraceSkeleton> skeleton;
+  Evaluator* eval = nullptr;
   PlacementBounder bounder;
-  ThreadPool* pool = nullptr;
-  std::vector<TraceAnalyzer>* scratch = nullptr;
   // Tree level -> array index: arrays with the widest addressing-cost spread
   // are assigned first so wrong choices raise the bound as early as possible.
   std::vector<int> order;
 };
 
-BnbContext make_bnb_context(const Predictor& predictor, ThreadPool& pool,
-                            std::vector<TraceAnalyzer>* scratch) {
+BnbContext make_bnb_context(Evaluator* eval) {
+  const Predictor& predictor = eval->predictor;
   BnbContext ctx;
   ctx.predictor = &predictor;
   ctx.arch = &predictor.arch();
-  ctx.skeleton = predictor.skeleton();
-  if (!ctx.skeleton)
-    ctx.skeleton = std::make_shared<TraceSkeleton>(predictor.kernel());
-  ctx.bounder = predictor.make_bounder(*ctx.skeleton);
-  ctx.pool = &pool;
-  ctx.scratch = scratch;
+  ctx.eval = eval;
+  ctx.bounder = predictor.make_bounder(*eval->skeleton);
+  GPUHMS_CHECK_MSG(!ctx.bounder.infeasible(),
+                   "kernel admits no legal placement");
   const std::size_t n = predictor.kernel().arrays.size();
   ctx.order.resize(n);
   std::vector<double> spread(n, 0.0);
@@ -367,12 +280,6 @@ BnbContext make_bnb_context(const Predictor& predictor, ThreadPool& pool,
   return ctx;
 }
 
-double eval_one(const BnbContext& ctx, const DataPlacement& p) {
-  return ctx.predictor
-      ->predict_with(p, &(*ctx.scratch)[0], ctx.skeleton.get())
-      .total_cycles;
-}
-
 // Seeds the incumbent with one greedy coordinate-descent pass from the
 // sample placement — the cheap feasible solution branch-and-bound prunes
 // against from the very first node.
@@ -380,7 +287,7 @@ void greedy_seed(const BnbContext& ctx, Incumbent* inc,
                  std::size_t* evaluated) {
   const KernelInfo& k = ctx.predictor->kernel();
   DataPlacement cur = ctx.predictor->sample_placement();
-  double cur_cycles = eval_one(ctx, cur);
+  double cur_cycles = ctx.eval->cycles(0, cur);
   ++*evaluated;
   inc->offer(cur, cur_cycles);
   for (int array : ctx.order) {
@@ -389,7 +296,7 @@ void greedy_seed(const BnbContext& ctx, Incumbent* inc,
       if (s == cur.of(array)) continue;
       const DataPlacement candidate = cur.with(array, s);
       if (validate_placement(k, candidate, *ctx.arch)) continue;
-      const double c = eval_one(ctx, candidate);
+      const double c = ctx.eval->cycles(0, candidate);
       ++*evaluated;
       if (c < cur_cycles ||
           (c == cur_cycles && enum_order_less(candidate, cur))) {
@@ -593,14 +500,9 @@ void flush_leaves(const BnbContext& ctx,
   if (pending_placements->empty()) return;
   GPUHMS_SCOPED_PHASE("search.chunk_ns");
   std::vector<double> cycles(pending_placements->size());
-  ctx.pool->parallel_for(
+  ctx.eval->pool.parallel_for(
       pending_placements->size(), [&](int worker, std::size_t j) {
-        cycles[j] = ctx.predictor
-                        ->predict_with(
-                            (*pending_placements)[j],
-                            &(*ctx.scratch)[static_cast<std::size_t>(worker)],
-                            ctx.skeleton.get())
-                        .total_cycles;
+        cycles[j] = ctx.eval->cycles(worker, (*pending_placements)[j]);
       });
   GPUHMS_COUNTER_ADD("search.chunks", 1);
   GPUHMS_HISTOGRAM_RECORD("search.chunk_candidates",
@@ -656,14 +558,11 @@ std::size_t beam_core(const BnbContext& ctx, const SearchOptions& options,
         candidates.push_back(std::move(c));
       }
     }
-    ctx.pool->parallel_for(candidates.size(), [&](int worker, std::size_t j) {
-      candidates[j].cycles =
-          ctx.predictor
-              ->predict_with(candidates[j].completion,
-                             &(*ctx.scratch)[static_cast<std::size_t>(worker)],
-                             ctx.skeleton.get())
-              .total_cycles;
-    });
+    ctx.eval->pool.parallel_for(
+        candidates.size(), [&](int worker, std::size_t j) {
+          candidates[j].cycles =
+              ctx.eval->cycles(worker, candidates[j].completion);
+        });
     evaluated += candidates.size();
     for (const BeamNode& c : candidates) inc->offer(c.completion, c.cycles);
     std::sort(candidates.begin(), candidates.end(),
@@ -688,17 +587,8 @@ SearchResult bnb_over(const Predictor& predictor,
   GPUHMS_SCOPED_PHASE("search.bnb_ns");
   const KernelInfo& k = predictor.kernel();
   const StopWatch watch(options);
-
-  ThreadPool local_pool(options.pool ? 1 : options.num_threads);
-  ThreadPool& pool = options.pool ? *options.pool : local_pool;
-  std::vector<TraceAnalyzer> scratch;
-  scratch.reserve(static_cast<std::size_t>(pool.size()));
-  for (int t = 0; t < pool.size(); ++t)
-    scratch.push_back(predictor.make_analyzer());
-
-  BnbContext ctx = make_bnb_context(predictor, pool, &scratch);
-  GPUHMS_CHECK_MSG(!ctx.bounder.infeasible(),
-                   "kernel admits no legal placement");
+  Evaluator eval(predictor, options);
+  const BnbContext ctx = make_bnb_context(&eval);
   const std::size_t n = k.arrays.size();
 
   SearchResult res;
@@ -840,9 +730,36 @@ SearchResult bnb_over(const Predictor& predictor,
   if (res.beam_fallback) GPUHMS_COUNTER_ADD("search.bnb_beam_fallbacks", 1);
   GPUHMS_GAUGE_SET("search.bnb_gap_bp",
                    static_cast<std::int64_t>(res.optimality_gap * 1e4));
-  record_search_metrics(watch, res.evaluated, res.pruned_subtrees, 0,
-                        res.deadline_hit, res.cancelled);
+  record_search_metrics(watch, res.evaluated, 0, res.deadline_hit,
+                        res.cancelled);
   return res;
+}
+
+// The error contract of every try_ search entry point, annotated with
+// "<verb> placements of kernel '<name>'": a predictor without a profiled
+// sample is FAILED_PRECONDITION before any work starts; an error `run`
+// returns is passed through; a checkpoint that does not fit the search is
+// INVALID_ARGUMENT; any other escaping exception (a worker fault rethrown by
+// the pool) is INTERNAL.
+template <class Run>
+StatusOr<SearchResult> guarded_search(const Predictor& predictor,
+                                      std::string_view verb, Run&& run) {
+  const std::string ctx = std::string(verb) + " placements of kernel '" +
+                          predictor.kernel().name + "'";
+  if (!predictor.has_sample())
+    return FailedPreconditionError(
+               "predictor has no profiled sample; call try_profile_sample or "
+               "try_set_sample first")
+        .annotate(ctx);
+  try {
+    StatusOr<SearchResult> result = run();
+    if (!result.ok()) return result.status().annotate(ctx);
+    return result;
+  } catch (const CheckpointMismatch& e) {
+    return InvalidArgumentError(e.what()).annotate(ctx);
+  } catch (const std::exception& e) {
+    return InternalError(e.what()).annotate(ctx);
+  }
 }
 
 }  // namespace
@@ -864,25 +781,17 @@ SearchResult search_exhaustive(const Predictor& predictor,
 
 StatusOr<SearchResult> try_search_exhaustive(const Predictor& predictor,
                                              const SearchOptions& options) {
-  const KernelInfo& k = predictor.kernel();
-  const std::string ctx = "searching placements of kernel '" + k.name + "'";
-  if (!predictor.has_sample())
-    return FailedPreconditionError(
-               "predictor has no profiled sample; call try_profile_sample or "
-               "try_set_sample first")
-        .annotate(ctx);
-  const GpuArch& arch = predictor.arch();
-  const PlacementSpace space = enumerate_placement_space(k, arch, options.cap);
-  if (space.placements.empty())
-    return InvalidArgumentError(
-               "kernel '" + k.name + "' admits no legal placement under cap " +
-               std::to_string(options.cap))
-        .annotate(ctx);
-  try {
-    return exhaustive_over(predictor, options, space);
-  } catch (const std::exception& e) {
-    return InternalError(e.what()).annotate(ctx);
-  }
+  return guarded_search(
+      predictor, "searching", [&]() -> StatusOr<SearchResult> {
+        const KernelInfo& k = predictor.kernel();
+        const PlacementSpace space =
+            enumerate_placement_space(k, predictor.arch(), options.cap);
+        if (space.placements.empty())
+          return InvalidArgumentError(
+              "kernel '" + k.name + "' admits no legal placement under cap " +
+              std::to_string(options.cap));
+        return exhaustive_over(predictor, options, space);
+      });
 }
 
 SearchResult search_greedy(const Predictor& predictor, int max_sweeps) {
@@ -921,37 +830,18 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
 
 StatusOr<SearchResult> try_search_branch_and_bound(
     const Predictor& predictor, const SearchOptions& options) {
-  const KernelInfo& k = predictor.kernel();
-  const std::string ctx =
-      "branch-and-bound searching placements of kernel '" + k.name + "'";
-  if (!predictor.has_sample())
-    return FailedPreconditionError(
-               "predictor has no profiled sample; call try_profile_sample or "
-               "try_set_sample first")
-        .annotate(ctx);
-  try {
-    return bnb_over(predictor, options);
-  } catch (const CheckpointMismatch& e) {
-    return InvalidArgumentError(e.what()).annotate(ctx);
-  } catch (const std::exception& e) {
-    return InternalError(e.what()).annotate(ctx);
-  }
+  return guarded_search(predictor, "branch-and-bound searching",
+                        [&]() -> StatusOr<SearchResult> {
+                          return bnb_over(predictor, options);
+                        });
 }
 
 SearchResult search_beam(const Predictor& predictor,
                          const SearchOptions& options) {
   GPUHMS_SCOPED_PHASE("search.beam_ns");
   const StopWatch watch(options);
-  ThreadPool local_pool(options.pool ? 1 : options.num_threads);
-  ThreadPool& pool = options.pool ? *options.pool : local_pool;
-  std::vector<TraceAnalyzer> scratch;
-  scratch.reserve(static_cast<std::size_t>(pool.size()));
-  for (int t = 0; t < pool.size(); ++t)
-    scratch.push_back(predictor.make_analyzer());
-
-  BnbContext ctx = make_bnb_context(predictor, pool, &scratch);
-  GPUHMS_CHECK_MSG(!ctx.bounder.infeasible(),
-                   "kernel admits no legal placement");
+  Evaluator eval(predictor, options);
+  const BnbContext ctx = make_bnb_context(&eval);
 
   SearchResult res;
   Incumbent inc;
@@ -968,7 +858,7 @@ SearchResult search_beam(const Predictor& predictor,
       ctx.bounder.bound_cycles(ctx.bounder.root_addr_insts());
   res.optimality_gap =
       inc.cycles > 0.0 ? (inc.cycles - res.lower_bound) / inc.cycles : 0.0;
-  record_search_metrics(watch, res.evaluated, 0, 0, res.deadline_hit,
+  record_search_metrics(watch, res.evaluated, 0, res.deadline_hit,
                         res.cancelled);
   return res;
 }
@@ -998,20 +888,11 @@ StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
       return try_search_exhaustive(predictor, options);
     case SearchAlgo::kBnb:
       return try_search_branch_and_bound(predictor, options);
-    case SearchAlgo::kBeam: {
-      const std::string ctx = "beam-searching placements of kernel '" +
-                              predictor.kernel().name + "'";
-      if (!predictor.has_sample())
-        return FailedPreconditionError(
-                   "predictor has no profiled sample; call try_profile_sample "
-                   "or try_set_sample first")
-            .annotate(ctx);
-      try {
-        return search_beam(predictor, options);
-      } catch (const std::exception& e) {
-        return InternalError(e.what()).annotate(ctx);
-      }
-    }
+    case SearchAlgo::kBeam:
+      return guarded_search(predictor, "beam-searching",
+                            [&]() -> StatusOr<SearchResult> {
+                              return search_beam(predictor, options);
+                            });
   }
   return InvalidArgumentError("unknown SearchAlgo value " +
                               std::to_string(static_cast<int>(algo)));

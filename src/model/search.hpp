@@ -1,20 +1,16 @@
 // Placement search: the optimization layer the paper motivates — the m^n
 // placement space is too large to implement-and-measure, so search it with
 // the predictor instead. Exhaustive search scores every legal placement;
-// greedy coordinate descent handles kernels whose space is too large even to
-// *predict* exhaustively. An oracle (simulate everything) provides ground
-// truth for evaluating search quality.
+// branch-and-bound finds the same optimum over the full space by cutting
+// subtrees with the admissible PlacementBounder lower bound; greedy
+// coordinate descent and beam search are the heuristics. An oracle (simulate
+// everything) provides ground truth for evaluating search quality.
 //
-// Exhaustive search and the oracle fan candidates out over a thread pool,
-// record the kernel's placement-independent trace skeleton once and share it
-// across all candidates, and (exhaustive only) skip candidates whose
-// admissible PlacementBounder lower bound already exceeds the best placement
-// found so far — with a self-gate that turns the check off when it cannot
-// pay for itself (see SearchResult::prune_gate_reason). All of it is
-// deterministic: candidates are folded in enumeration order with
-// lowest-index-wins tie-breaking, and both the prune threshold and the gate
-// only advance at fixed chunk boundaries, so any thread count returns
-// bit-identical results.
+// The searches fan candidates out over a thread pool and share the kernel's
+// placement-independent trace skeleton across all candidates. All of it is
+// deterministic: candidates are scored in fixed-size chunks and folded in a
+// fixed order with lowest-enumeration-index tie-breaking, so any thread
+// count returns bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -84,17 +80,6 @@ struct SearchOptions {
   // hardware concurrency). Ignored when `pool` is set.
   int num_threads = 0;
   ThreadPool* pool = nullptr;  // reuse an external pool across searches
-  // Record the kernel's DSL skeleton once and replay it per candidate
-  // instead of re-running the kernel function m^n times.
-  bool memoize_trace = true;
-  // Skip candidates whose admissible lower bound (PlacementBounder: T_comp
-  // addressing floor maxed with the T_mem floor) exceeds the current best
-  // (exhaustive search only; never changes the returned placement). The
-  // search self-gates the check: spaces too small to amortize it, and
-  // searches where probing shows the bound too loose to ever fire, run
-  // without the per-candidate test — SearchResult::prune_gate_reason says
-  // which case applied.
-  bool prune = true;
   // Wall-clock budget, measured from search entry. When it expires the
   // search stops at the next chunk boundary and returns the best among the
   // candidates already scored, with deadline_hit set. The completed prefix
@@ -136,27 +121,12 @@ struct SearchResult {
   DataPlacement placement;
   double predicted_cycles = 0.0;
   std::size_t evaluated = 0;  // placements scored by the full predictor
-  std::size_t pruned = 0;     // skipped via the admissible lower bound
-  // Prune observability (exhaustive search): when `pruned` is 0 these say
-  // why, instead of leaving a dead knob in the benchmark output.
-  //   prune_checks       bound evaluations actually performed
-  //   prune_bound_ratio  max(bound seen) / best cycles so far — how close
-  //                      the bound ever came to the prune threshold (a value
-  //                      well under 1 means the bound is too loose to fire)
-  //   prune_gate_reason  "off" (options.prune false / non-exhaustive),
-  //                      "no-skeleton" (no memoized trace to bound against),
-  //                      "small-space" (space too small to amortize checks),
-  //                      "gated-ineffective" (probing showed a hopeless
-  //                      bound; checks stopped mid-search), or "active".
-  std::size_t prune_checks = 0;
-  double prune_bound_ratio = 0.0;
-  const char* prune_gate_reason = "off";
   // Enumeration cap observability: a capped search is NOT a full search.
   bool space_truncated = false;
   std::uint64_t space_skipped = 0;  // placement combinations never examined
   // Early-stop observability: the search returned best-so-far because the
   // deadline expired / the cancel token fired. `not_evaluated` counts
-  // enumerated candidates that were never scored or pruned.
+  // enumerated candidates that were never scored.
   bool deadline_hit = false;
   bool cancelled = false;
   std::size_t not_evaluated = 0;
@@ -177,9 +147,10 @@ struct SearchResult {
   bool beam_fallback = false;  // node_budget exhausted -> beam refinement ran
 };
 
-// Scores every legal placement (up to options.cap) with the predictor.
-// The predictor must already have a profiled sample (aborts otherwise;
-// prefer try_search_exhaustive at API boundaries).
+// Scores every legal placement (up to options.cap) with the predictor —
+// no bound, no pruning: the plain enumerator branch-and-bound is checked
+// against. The predictor must already have a profiled sample (aborts
+// otherwise; prefer try_search_exhaustive at API boundaries).
 SearchResult search_exhaustive(const Predictor& predictor,
                                const SearchOptions& options = {});
 SearchResult search_exhaustive(const Predictor& predictor, std::size_t cap);

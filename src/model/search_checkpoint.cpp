@@ -14,7 +14,7 @@ namespace gpuhms {
 
 namespace {
 
-constexpr std::uint32_t kJournalVersion = 1;
+constexpr std::uint32_t kJournalVersion = 2;
 constexpr char kRecHeader = 'H';
 constexpr char kRecCheckpoint = 'C';
 constexpr char kRecFinal = 'F';
@@ -40,10 +40,6 @@ struct Enc {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
     u64(bits);
-  }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf.append(s.data(), s.size());
   }
   void spaces(const std::vector<MemSpace>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
@@ -93,13 +89,6 @@ struct Dec {
     double v;
     std::memcpy(&v, &bits, sizeof v);
     return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!need(n)) return {};
-    std::string s(buf.substr(off, n));
-    off += n;
-    return s;
   }
   std::vector<MemSpace> spaces() {
     const std::uint32_t n = u32();
@@ -161,15 +150,6 @@ std::optional<BnbCheckpoint> decode_checkpoint(std::string_view payload) {
   return cp;
 }
 
-// The five interned prune_gate_reason literals of SearchResult; decoding
-// maps back onto them so the field stays a static-lifetime const char*.
-const char* intern_gate_reason(const std::string& s) {
-  for (const char* known :
-       {"off", "no-skeleton", "small-space", "gated-ineffective", "active"})
-    if (s == known) return known;
-  return "off";
-}
-
 std::string encode_result(const SearchResult& r) {
   Enc e;
   e.u8(static_cast<std::uint8_t>(kRecFinal));
@@ -180,10 +160,6 @@ std::string encode_result(const SearchResult& r) {
   e.spaces(placement);
   e.f64(r.predicted_cycles);
   e.u64(r.evaluated);
-  e.u64(r.pruned);
-  e.u64(r.prune_checks);
-  e.f64(r.prune_bound_ratio);
-  e.str(r.prune_gate_reason);
   e.u8(r.space_truncated ? 1 : 0);
   e.u64(r.space_skipped);
   e.u8(r.deadline_hit ? 1 : 0);
@@ -209,10 +185,6 @@ std::optional<SearchResult> decode_result(std::string_view payload,
   r.placement = DataPlacement(placement);
   r.predicted_cycles = d.f64();
   r.evaluated = static_cast<std::size_t>(d.u64());
-  r.pruned = static_cast<std::size_t>(d.u64());
-  r.prune_checks = static_cast<std::size_t>(d.u64());
-  r.prune_bound_ratio = d.f64();
-  r.prune_gate_reason = intern_gate_reason(d.str());
   r.space_truncated = d.u8() != 0;
   r.space_skipped = d.u64();
   r.deadline_hit = d.u8() != 0;

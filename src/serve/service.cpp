@@ -636,7 +636,7 @@ Json PredictionService::handle_search(const Json& request) {
   r.set("placement", sr.placement.to_string());
   r.set("predicted_cycles", sr.predicted_cycles);
   r.set("evaluated", sr.evaluated);
-  r.set("pruned", sr.pruned);
+  r.set("pruned", sr.pruned_subtrees);
   r.set("space_truncated", sr.space_truncated);
   r.set("deadline_hit", sr.deadline_hit);
   r.set("cancelled", sr.cancelled);

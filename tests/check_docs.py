@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Seven guarantees:
+Eight guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -26,6 +26,11 @@ Seven guarantees:
   7. docs/SERVING.md's "Command-line flags" table and the flags
      examples/gpuhms_serve.cpp parses are the same set, in both
      directions.
+  8. docs/MODEL_MAP.md only names symbols that exist: in every
+     "Implementation" cell, each backticked symbol that follows a file
+     path must occur in that file or its .hpp/.cpp sibling (the last `::`
+     component is matched, call arguments dropped), so a deleted function
+     cannot leave a stale row behind.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -138,6 +143,67 @@ def check_model_map(root):
                     problems.append(
                         f"docs/MODEL_MAP.md:{lineno}: "
                         f"references nonexistent file '{ref}'")
+    return problems
+
+
+BACKTICK_RE = re.compile(r"`([^`]+)`")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def model_map_symbols(root):
+    """(lineno, file, symbol) for every backticked symbol that follows a
+    file path in a docs/MODEL_MAP.md "Implementation" cell. The symbol is
+    the last `::` component with any call arguments dropped; tokens that do
+    not reduce to an identifier (flags, expressions) are not symbols."""
+    path = os.path.join(root, "docs", "MODEL_MAP.md")
+    out = []
+    column = None
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.startswith("|"):
+                column = None  # a table ended
+                continue
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if column is None:  # header row of a new table
+                column = (cells.index("Implementation")
+                          if "Implementation" in cells else -1)
+                continue
+            if column < 0 or column >= len(cells):
+                continue
+            current = None
+            for token in BACKTICK_RE.findall(cells[column]):
+                if CODE_PATH_RE.fullmatch(f"`{token}`"):
+                    current = token
+                    continue
+                name = token.split("(")[0].strip().split("::")[-1]
+                if current and IDENT_RE.fullmatch(name):
+                    out.append((lineno, current, name))
+    return out
+
+
+def check_model_map_symbols(root):
+    problems = []
+    texts = {}
+
+    def text_of(rel):
+        if rel not in texts:
+            full = os.path.join(root, rel)
+            texts[rel] = ""
+            if os.path.isfile(full):
+                with open(full, encoding="utf-8", errors="replace") as f:
+                    texts[rel] = f.read()
+        return texts[rel]
+
+    for lineno, rel, name in model_map_symbols(root):
+        stem, ext = os.path.splitext(rel)
+        candidates = [rel]
+        if ext in (".cpp", ".hpp"):
+            candidates.append(stem + (".hpp" if ext == ".cpp" else ".cpp"))
+        pattern = re.compile(r"\b" + re.escape(name) + r"\b")
+        if not any(pattern.search(text_of(c)) for c in candidates):
+            problems.append(
+                f"docs/MODEL_MAP.md:{lineno}: names '{name}', which occurs "
+                f"in neither {' nor '.join(candidates)}")
     return problems
 
 
@@ -286,6 +352,7 @@ def main():
     for md in md_files:
         problems.extend(check_links(md, root, anchor_cache))
     problems.extend(check_model_map(root))
+    problems.extend(check_model_map_symbols(root))
     problems.extend(check_readme_labels(root))
     problems.extend(check_env_vars(root))
     problems.extend(check_serving_env_rows(root))
@@ -297,7 +364,7 @@ def main():
             print("  " + p)
         return 1
     print(f"docs check OK: {len(md_files)} markdown files, all relative "
-          "links and anchors resolve, MODEL_MAP references exist, every "
+          "links and anchors resolve, MODEL_MAP files and symbols exist, every "
           "ctest label and GPUHMS_* env var is documented, and SERVING.md's "
           "env and flag tables match the code")
     return 0

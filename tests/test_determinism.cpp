@@ -54,7 +54,6 @@ void expect_identical(const SearchResult& a, const SearchResult& b,
   EXPECT_EQ(a.placement, b.placement);
   EXPECT_TRUE(same_bits(a.predicted_cycles, b.predicted_cycles));
   EXPECT_EQ(a.evaluated, b.evaluated);
-  EXPECT_EQ(a.pruned, b.pruned);
   EXPECT_EQ(a.space_truncated, b.space_truncated);
   EXPECT_EQ(a.space_skipped, b.space_skipped);
   EXPECT_EQ(a.not_evaluated, b.not_evaluated);

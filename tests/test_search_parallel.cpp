@@ -23,14 +23,10 @@ Predictor profiled_predictor(const KernelInfo& k) {
   return pred;
 }
 
-SearchOptions options_with_threads(int threads, bool memoize = true,
-                                   bool prune = true,
-                                   std::size_t cap = 4096) {
+SearchOptions options_with_threads(int threads, std::size_t cap = 4096) {
   SearchOptions o;
   o.cap = cap;
   o.num_threads = threads;
-  o.memoize_trace = memoize;
-  o.prune = prune;
   return o;
 }
 
@@ -38,7 +34,6 @@ void expect_identical(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.placement, b.placement);
   EXPECT_EQ(a.predicted_cycles, b.predicted_cycles);  // bit-identical
   EXPECT_EQ(a.evaluated, b.evaluated);
-  EXPECT_EQ(a.pruned, b.pruned);
   EXPECT_EQ(a.space_truncated, b.space_truncated);
   EXPECT_EQ(a.space_skipped, b.space_skipped);
 }
@@ -79,28 +74,10 @@ TEST(SearchParallel, BitIdenticalToSerialOnEveryWorkload) {
     SCOPED_TRACE(c.name);
     const Predictor pred = profiled_predictor(c.kernel);
     // Small cap keeps the sweep tractable while still covering every kernel.
-    const auto serial = search_exhaustive(pred, options_with_threads(1, true,
-                                                                     true, 12));
-    const auto parallel = search_exhaustive(
-        pred, options_with_threads(4, true, true, 12));
+    const auto serial = search_exhaustive(pred, options_with_threads(1, 12));
+    const auto parallel = search_exhaustive(pred, options_with_threads(4, 12));
     expect_identical(serial, parallel);
   }
-}
-
-// Memoizing the trace skeleton must not change predictions, and pruning must
-// never change the returned placement or its predicted cycles.
-TEST(SearchParallel, MemoizationAndPruningPreserveTheWinner) {
-  const KernelInfo k = workloads::make_stencil2d(128, 64);
-  const Predictor pred = profiled_predictor(k);
-  const auto plain =
-      search_exhaustive(pred, options_with_threads(1, false, false));
-  const auto memoized =
-      search_exhaustive(pred, options_with_threads(1, true, false));
-  const auto pruned = search_exhaustive(pred, options_with_threads(2));
-  expect_identical(plain, memoized);
-  EXPECT_EQ(plain.placement, pruned.placement);
-  EXPECT_EQ(plain.predicted_cycles, pruned.predicted_cycles);
-  EXPECT_EQ(plain.evaluated, pruned.evaluated + pruned.pruned);
 }
 
 // (b) Deterministic winner under ties: an array the kernel never touches
@@ -197,10 +174,10 @@ TEST(SearchParallel, TruncationIsObservable) {
   EXPECT_GT(full.placements.size(), 5u);
 
   const Predictor pred = profiled_predictor(k);
-  const auto r = search_exhaustive(pred, options_with_threads(2, true, true, 5));
+  const auto r = search_exhaustive(pred, options_with_threads(2, 5));
   EXPECT_TRUE(r.space_truncated);
   EXPECT_EQ(r.space_skipped, capped.skipped_combinations);
-  EXPECT_EQ(r.evaluated + r.pruned, 5u);
+  EXPECT_EQ(r.evaluated, 5u);
 }
 
 // --- deadlines and cancellation ---------------------------------------------
@@ -260,7 +237,7 @@ TEST(SearchDeadline, PreSetCancelTokenStopsImmediately) {
 
 TEST(SearchDeadline, OracleHonorsDeadlineWithBestSoFar) {
   const KernelInfo k = workloads::make_vecadd(1 << 10);
-  SearchOptions o = options_with_threads(2, true, true, 16);
+  SearchOptions o = options_with_threads(2, 16);
   o.deadline = std::chrono::milliseconds(0);
   const OracleResult r = search_oracle(k, kepler_arch(), o);
   EXPECT_TRUE(r.deadline_hit);

@@ -15,6 +15,7 @@
 #include "arch/arch_registry.hpp"
 #include "common/fault_injection.hpp"
 #include "kernel/placement.hpp"
+#include "model/search.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
@@ -188,6 +189,30 @@ TEST(Serve, SearchDispatchesEveryAlgoAndRejectsUnknownOnes) {
                 "simulated_annealing"),
             std::string::npos);
   EXPECT_EQ(service.stats().searches, 3u);
+}
+
+// The wire key `pruned` carries branch-and-bound's pruned_subtrees: a bnb
+// search on neuralnet (where the bound does cut subtrees) must report
+// exactly what an in-process try_search on the same kernel entry — the
+// benchmark's kernel and sample on kepler, with the trace memoized — does.
+TEST(Serve, BnbSearchReportsPrunedSubtrees) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  const serve::Json r = parse_ok(service.handle_line(
+      R"({"op":"search","benchmark":"neuralnet","algo":"bnb"})"));
+  ASSERT_TRUE(r.find("ok")->as_bool());
+
+  const workloads::BenchmarkCase bench = workloads::get_benchmark("neuralnet");
+  Predictor pred(bench.kernel, kepler_arch());
+  ASSERT_TRUE(pred.try_profile_sample(bench.sample).ok());
+  pred.memoize_trace();
+  const StatusOr<SearchResult> want = try_search(pred, SearchAlgo::kBnb);
+  ASSERT_TRUE(want.ok()) << want.status().to_string();
+  EXPECT_GT(want->pruned_subtrees, 0u);
+  EXPECT_EQ(r.find("pruned")->as_number(),
+            static_cast<double>(want->pruned_subtrees));
+  EXPECT_EQ(r.find("evaluated")->as_number(),
+            static_cast<double>(want->evaluated));
+  EXPECT_EQ(r.find("placement")->as_string(), want->placement.to_string());
 }
 
 TEST(Serve, SearchDeadlineExpiryReturnsBestSoFarNotAnError) {

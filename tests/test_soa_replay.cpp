@@ -208,24 +208,40 @@ TEST(SoaReplay, RandomizedSyntheticTracesMatchFullWalkOnEveryBackend) {
 // End-to-end: predictions (the models consume the events wholesale) must be
 // bit-identical whether the predictor memoizes the trace skeleton (SoA
 // engine) or regenerates and walks the trace per call.
-TEST(SoaReplay, PredictionsMatchUnmemoizedBitForBit) {
-  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
-  Predictor memoized(c.kernel, kepler_arch());
-  memoized.profile_sample(c.sample);
+void expect_predictions_match_unmemoized(
+    const KernelInfo& k, const DataPlacement& sample,
+    const std::vector<DataPlacement>& placements) {
+  Predictor memoized(k, kepler_arch());
+  memoized.profile_sample(sample);
   memoized.memoize_trace();
-  Predictor plain(c.kernel, kepler_arch());
-  plain.profile_sample(c.sample);
+  Predictor plain(k, kepler_arch());
+  plain.profile_sample(sample);
   ASSERT_EQ(plain.skeleton(), nullptr);
-  for (const workloads::PlacementTest& t : c.tests) {
-    SCOPED_TRACE(t.id);
-    const Prediction a = memoized.predict(t.placement);
-    const Prediction b = plain.predict(t.placement);
+  for (const DataPlacement& p : placements) {
+    SCOPED_TRACE(k.name + " " + p.to_string());
+    const Prediction a = memoized.predict(p);
+    const Prediction b = plain.predict(p);
     EXPECT_TRUE(same_bits(a.total_cycles, b.total_cycles));
     EXPECT_TRUE(same_bits(a.t_comp, b.t_comp));
     EXPECT_TRUE(same_bits(a.t_mem, b.t_mem));
     EXPECT_TRUE(same_bits(a.t_overlap, b.t_overlap));
     EXPECT_TRUE(same_bits(a.amat, b.amat));
   }
+}
+
+// Inputs: matrixmul's Table IV placements, and every candidate of a whole
+// placement space — each placement a search could score and return.
+TEST(SoaReplay, PredictionsMatchUnmemoizedBitForBit) {
+  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
+  std::vector<DataPlacement> tests;
+  for (const workloads::PlacementTest& t : c.tests)
+    tests.push_back(t.placement);
+  expect_predictions_match_unmemoized(c.kernel, c.sample, tests);
+
+  const KernelInfo stencil = workloads::make_stencil2d(128, 64);
+  expect_predictions_match_unmemoized(
+      stencil, DataPlacement::defaults(stencil),
+      enumerate_placements(stencil, kepler_arch()));
 }
 
 }  // namespace
