@@ -20,16 +20,12 @@
 // within --drain-timeout-ms forces exit code 3.
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <poll.h>
 #include <signal.h>
@@ -102,9 +98,9 @@ void print_help() {
       "  --kernel-cache=N     profiled-kernel cache capacity (default 16)\n"
       "  --prediction-cache=N memoized-prediction cache capacity (default 4096)\n"
       "  --max-inflight=N     concurrent requests admitted (default 64)\n"
-      "  --watchdog-ms=N      cancel searches running longer than N ms via\n"
-      "                       their cooperative token (anytime best-so-far\n"
-      "                       response, never a hung request; default off)\n"
+      "  --watchdog-ms=N      stop searches running longer than N ms from\n"
+      "                       dispatch (a deadline; anytime best-so-far\n"
+      "                       response with cancelled set; default off)\n"
       "  --idem-cache=N       idempotency-replay cache capacity: retried\n"
       "                       requests carrying an 'idem' fingerprint replay\n"
       "                       their original response bytes (default 1024)\n"
@@ -145,21 +141,6 @@ void install_signal_handlers() {
     die("sigaction(): " + std::string(std::strerror(errno)));
 }
 
-// Full write with EINTR handling; false means the peer is gone and the
-// responses cannot be delivered.
-bool write_all(int fd, const std::string& out) {
-  std::size_t written = 0;
-  while (written < out.size()) {
-    const ssize_t w = ::write(fd, out.data() + written, out.size() - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 void log_drain_stats(const serve::PredictionService& service, int sig) {
   const serve::ServeStats s = service.stats();
   std::fprintf(stderr,
@@ -175,73 +156,27 @@ void log_drain_stats(const serve::PredictionService& service, int sig) {
 }
 
 // --- stdio mode --------------------------------------------------------------
-// Single-threaded fd loop (instead of run_stdio_loop) so a signal can wake
-// the blocking read via the self-pipe. A signal drains: every COMPLETE line
-// already received still gets its response (shed with UNAVAILABLE once
-// draining flips), then one structured shutdown line is emitted and the
-// process exits 0. A partial trailing line was never a complete request and
-// is dropped by construction.
+// The library loop serves stdin/stdout and wakes on the self-pipe: a signal
+// drains (every complete line already read is answered, shed with
+// UNAVAILABLE; a partial trailing line is dropped). The daemon adds one
+// structured shutdown line and the drain-stats summary, then exits 0 —
+// also when the signal lands just as the loop returned on EOF.
 int run_stdio_server(serve::PredictionService& service) {
-  serve::LineFramer framer;
-  char chunk[1 << 16];
-  bool eof = false;
-  while (!eof && !service.stopped() && g_signal.load() == 0) {
-    pollfd pfds[2] = {{STDIN_FILENO, POLLIN, 0},
-                      {g_signal_pipe[0], POLLIN, 0}};
-    const int ready = ::poll(pfds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      die("poll(): " + std::string(std::strerror(errno)));
-    }
-    if (pfds[1].revents != 0) break;  // signal: drain below
-    if ((pfds[0].revents & (POLLIN | POLLHUP)) == 0) continue;
-    const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      die("read(stdin): " + std::string(std::strerror(errno)));
-    }
-    if (n == 0)
-      eof = true;
-    else
-      framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
-    const std::vector<std::string> lines =
-        framer.take_lines(std::numeric_limits<std::size_t>::max());
-    if (lines.empty()) continue;
-    std::string out;
-    for (const std::string& response : service.handle_pipeline(lines)) {
-      out += response;
-      out += '\n';
-    }
-    // A failed response write is data loss, not a shrug: exit nonzero with
-    // the errno so callers piping responses to a file notice.
-    if (!write_all(STDOUT_FILENO, out))
-      die("writing responses to stdout failed: " +
-          std::string(std::strerror(errno)));
-  }
-
+  const Status st = serve::run_stdio_loop(STDIN_FILENO, STDOUT_FILENO,
+                                          g_signal_pipe[0], service);
+  if (!st.ok()) die(st.to_string());
   const int sig = g_signal.load();
   if (sig != 0) {
-    service.begin_drain();
-    // Buffered complete lines arrived before the signal; they are owed a
-    // response each (the service sheds them with retryable UNAVAILABLE).
-    const std::vector<std::string> lines =
-        framer.take_lines(std::numeric_limits<std::size_t>::max());
-    std::string out;
-    if (!lines.empty())
-      for (const std::string& response : service.handle_pipeline(lines)) {
-        out += response;
-        out += '\n';
-      }
+    if (!service.draining()) service.begin_drain();
     serve::Json bye = serve::Json::object();
     bye.set("op", "shutdown");
     bye.set("ok", true);
     bye.set("signal", sig);
     bye.set("draining", true);
     bye.set("drained", service.drained());
-    out += bye.dump();
-    out += '\n';
-    if (!write_all(STDOUT_FILENO, out))
-      die("writing drain responses to stdout failed: " +
+    if (std::printf("%s\n", bye.dump().c_str()) < 0 ||
+        std::fflush(stdout) != 0)
+      die("writing the shutdown line to stdout failed: " +
           std::string(std::strerror(errno)));
     log_drain_stats(service, sig);
   }

@@ -126,9 +126,6 @@ ServerStats SocketServer::stats() const {
 int SocketServer::run() {
   if (listener_ < 0) return 1;  // listen() not called or failed
   if (!loop_.status().ok()) return 1;
-  session_batch_lines_ = options_.max_batch_lines != 0
-                             ? options_.max_batch_lines
-                             : service_.options().max_batch;
   executor_ = std::make_unique<Executor>(options_.executor_threads);
   const Status st =
       loop_.add_fd(listener_, EPOLLIN, [this](std::uint32_t) {
@@ -158,9 +155,6 @@ void SocketServer::on_acceptable() {
 }
 
 void SocketServer::accept_one(int fd) {
-  SessionOptions session_options;
-  session_options.max_batch_lines = session_batch_lines_;
-  session_options.max_write_buffer_bytes = options_.max_write_buffer_bytes;
   auto execute = [this](std::vector<std::string> lines,
                         std::function<void(std::vector<std::string>)> done) {
     executor_->submit(
@@ -175,7 +169,7 @@ void SocketServer::accept_one(int fd) {
         });
   };
   auto session = std::make_shared<Session>(
-      loop_, fd, session_options, service_, std::move(execute),
+      loop_, fd, options_.max_write_buffer_bytes, service_, std::move(execute),
       [this](Session* s) { on_session_closed(s); });
   sessions_.emplace(session.get(), session);
   accepted_.fetch_add(1, std::memory_order_relaxed);

@@ -68,8 +68,6 @@ struct ServerOptions {
   int executor_threads = 0;
   // Session write-buffer bound before dispatch stalls on a slow reader.
   std::size_t max_write_buffer_bytes = 256 * 1024;
-  // Complete lines per dispatched batch; 0 mirrors the service's max_batch.
-  std::size_t max_batch_lines = 0;
   int listen_backlog = 128;
   // Bound on the graceful drain; exceeded -> run() returns 3.
   std::size_t drain_timeout_ms = 5000;
@@ -133,7 +131,6 @@ class SocketServer {
   std::unordered_map<Session*, std::shared_ptr<Session>> sessions_;
   bool closing_ = false;    // loop thread: listener closed, draining sessions
   bool timed_out_ = false;  // loop thread: drain deadline fired
-  std::size_t session_batch_lines_ = 0;
 
   std::atomic<std::uint64_t> accepted_{0}, open_{0}, stalls_{0},
       high_water_{0};

@@ -1,17 +1,21 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <istream>
-#include <ostream>
+#include <cstring>
 #include <unordered_map>
+
+#include <poll.h>
+#include <unistd.h>
 
 #include "arch/arch_registry.hpp"
 #include "common/fault_injection.hpp"
 #include "common/hashing.hpp"
 #include "common/obs.hpp"
+#include "serve/session.hpp"
 
 namespace gpuhms::serve {
 
@@ -207,14 +211,6 @@ std::size_t PredictionService::PredictionKeyHash::operator()(
 PredictionService::PredictionService(ServeOptions options)
     : PredictionService(std::move(options), kepler_arch()) {}
 
-// One running watched search: the cancel token the watchdog fires when the
-// deadline passes. shared_ptr-owned so a fire racing a release stays safe.
-struct PredictionService::WatchdogEntry {
-  std::chrono::steady_clock::time_point deadline;
-  std::atomic<bool> cancel{false};
-  bool active = true;
-};
-
 PredictionService::PredictionService(ServeOptions options, const GpuArch& arch)
     : options_(options),
       arch_(arch),
@@ -222,8 +218,6 @@ PredictionService::PredictionService(ServeOptions options, const GpuArch& arch)
       prediction_cache_(options.prediction_cache_capacity),
       pool_(options.num_threads),
       idem_cache_(options.idem_cache_capacity) {
-  if (options_.watchdog_ms > 0)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
   if (options_.train_overlap) {
     std::vector<TrainingCase> cases;
     const std::vector<workloads::BenchmarkCase> training =
@@ -239,64 +233,11 @@ PredictionService::PredictionService(ServeOptions options, const GpuArch& arch)
   }
 }
 
-PredictionService::~PredictionService() {
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mu_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
-}
+PredictionService::~PredictionService() = default;
 
 void PredictionService::begin_drain() {
   draining_.store(true, std::memory_order_release);
   GPUHMS_COUNTER_ADD("serve.drains", 1);
-}
-
-std::shared_ptr<PredictionService::WatchdogEntry>
-PredictionService::watchdog_register() {
-  auto entry = std::make_shared<WatchdogEntry>();
-  entry->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(options_.watchdog_ms);
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_entries_.push_back(entry);
-  }
-  watchdog_cv_.notify_all();
-  return entry;
-}
-
-void PredictionService::watchdog_release(
-    const std::shared_ptr<WatchdogEntry>& entry) {
-  std::lock_guard<std::mutex> lock(watchdog_mu_);
-  entry->active = false;
-  std::erase(watchdog_entries_, entry);
-}
-
-void PredictionService::watchdog_loop() {
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  while (!watchdog_stop_) {
-    // Sleep until the earliest registered deadline (or a registration /
-    // shutdown notification when the list is empty).
-    auto next = std::chrono::steady_clock::time_point::max();
-    for (const auto& e : watchdog_entries_) next = std::min(next, e->deadline);
-    if (next == std::chrono::steady_clock::time_point::max()) {
-      watchdog_cv_.wait(lock);
-      continue;
-    }
-    watchdog_cv_.wait_until(lock, next);
-    if (watchdog_stop_) break;
-    const auto now = std::chrono::steady_clock::now();
-    for (const auto& e : watchdog_entries_) {
-      if (e->active && e->deadline <= now &&
-          !e->cancel.exchange(true, std::memory_order_acq_rel)) {
-        watchdog_cancels_.fetch_add(1, std::memory_order_relaxed);
-        GPUHMS_COUNTER_ADD("serve.watchdog_cancels", 1);
-      }
-    }
-  }
 }
 
 StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
@@ -422,10 +363,8 @@ Status PredictionService::predict_many(std::span<PendingPredict> pending) {
   return OkStatus();
 }
 
-Json PredictionService::prediction_json(const KernelEntry& entry,
-                                        const DataPlacement& placement,
-                                        const Prediction& prediction) const {
-  (void)entry;
+Json PredictionService::prediction_json(const DataPlacement& placement,
+                                        const Prediction& prediction) {
   Json o = Json::object();
   o.set("placement", placement.to_string());
   o.set("predicted_cycles", prediction.total_cycles);
@@ -468,41 +407,32 @@ Json error_response(const Json* id, std::string_view op, const Status& st) {
   if (!tmp.ok()) return error_response(nullptr, "", tmp.status());     \
   lhs = std::move(tmp).value()
 
-Json PredictionService::handle_predict(const Json& request) {
-  GPUHMS_ASSIGN_OR_RETURN_JSON(std::string benchmark,
-                               get_string(request, "benchmark"));
-  GPUHMS_ASSIGN_OR_RETURN_JSON(std::string arch_name, get_arch_name(request));
-  GPUHMS_ASSIGN_OR_RETURN_JSON(std::string placement_str,
-                               get_string(request, "placement"));
-  GPUHMS_ASSIGN_OR_RETURN_JSON(KernelEntryPtr entry,
-                               kernel_entry(benchmark, arch_name));
+StatusOr<PredictionService::PendingPredict>
+PredictionService::parse_placement(const KernelEntryPtr& entry,
+                                   const std::string& placement) {
+  const KernelInfo& kernel = entry->bench.kernel;
+  const std::optional<DataPlacement> p =
+      DataPlacement::from_string(kernel, placement);
+  if (!p)
+    return InvalidArgumentError(
+        "cannot parse placement '" + placement + "' for benchmark '" +
+        entry->bench.name + "' (" + std::to_string(kernel.arrays.size()) +
+        " arrays; codes G,S,C,T,2T)");
+  GPUHMS_RETURN_IF_ERROR(validate(kernel, *p, entry->arch));
+  return PendingPredict{entry, *p, {}, {}, false};
+}
 
-  const std::optional<DataPlacement> placement =
-      DataPlacement::from_string(entry->bench.kernel, placement_str);
-  if (!placement)
-    return error_response(
-        nullptr, "",
-        InvalidArgumentError("cannot parse placement '" + placement_str +
-                             "' for benchmark '" + benchmark + "' (" +
-                             std::to_string(entry->bench.kernel.arrays.size()) +
-                             " arrays; codes G,S,C,T,2T)"));
-  if (Status st = validate(entry->bench.kernel, *placement, entry->arch);
-      !st.ok())
-    return error_response(nullptr, "", st);
-
-  PendingPredict pending[1] = {{entry, *placement, {}, {}, false}};
-  if (Status st = predict_many(pending); !st.ok())
-    return error_response(nullptr, "", st);
-
-  Json r = Json::object();
-  r.set("ok", true);
-  r.set("benchmark", benchmark);
-  // Echoed only when the request named a backend: default-arch responses
-  // stay byte-identical to the pre-registry protocol.
-  if (!arch_name.empty()) r.set("arch", arch_name);
-  const Json fields = prediction_json(*entry, *placement, pending[0].result);
-  for (const auto& [k, v] : fields.members()) r.set(k, v);
-  return r;
+StatusOr<PredictionService::PendingPredict> PredictionService::parse_predict(
+    const Json& request, std::optional<StatusOr<KernelEntryPtr>>* entry) {
+  GPUHMS_ASSIGN_OR_RETURN(std::string benchmark,
+                          get_string(request, "benchmark"));
+  GPUHMS_ASSIGN_OR_RETURN(std::string arch_name, get_arch_name(request));
+  GPUHMS_ASSIGN_OR_RETURN(std::string placement,
+                          get_string(request, "placement"));
+  std::optional<StatusOr<KernelEntryPtr>>& memo = *entry;
+  if (!memo) memo = kernel_entry(benchmark, arch_name);
+  if (!memo->ok()) return memo->status();
+  return parse_placement(**memo, placement);
 }
 
 Json PredictionService::handle_predict_batch(const Json& request) {
@@ -537,19 +467,12 @@ Json PredictionService::handle_predict_batch(const Json& request) {
                             InvalidArgumentError("placements[" +
                                                  std::to_string(i) +
                                                  "] is not a string"));
-    const std::optional<DataPlacement> p =
-        DataPlacement::from_string(entry->bench.kernel, s.as_string());
-    if (!p)
+    StatusOr<PendingPredict> p = parse_placement(entry, s.as_string());
+    if (!p.ok())
       return error_response(
           nullptr, "",
-          InvalidArgumentError("cannot parse placements[" +
-                               std::to_string(i) + "] = '" + s.as_string() +
-                               "' for benchmark '" + benchmark + "'"));
-    if (Status st = validate(entry->bench.kernel, *p, entry->arch); !st.ok())
-      return error_response(
-          nullptr, "",
-          st.annotate("placements[" + std::to_string(i) + "]"));
-    pending.push_back({entry, *p, {}, {}, false});
+          p.status().annotate("placements[" + std::to_string(i) + "]"));
+    pending.push_back(*std::move(p));
   }
   if (Status st = predict_many(pending); !st.ok())
     return error_response(nullptr, "", st);
@@ -560,7 +483,7 @@ Json PredictionService::handle_predict_batch(const Json& request) {
   if (!arch_name.empty()) r.set("arch", arch_name);
   Json results = Json::array();
   for (const PendingPredict& p : pending)
-    results.push_back(prediction_json(*entry, p.placement, p.result));
+    results.push_back(prediction_json(p.placement, p.result));
   r.set("results", std::move(results));
   return r;
 }
@@ -609,25 +532,40 @@ Json PredictionService::handle_search(const Json& request) {
   // returns its best-so-far placement with deadline_hit set, never an error.
   if (deadline_ms != ~std::uint64_t{0})
     so.deadline = std::chrono::milliseconds(deadline_ms);
-  // Per-request watchdog: register a cancel token for the duration of the
-  // search; a deadline overrun flips it and the anytime contract returns the
-  // best-so-far placement with `cancelled` set — never a hung request.
-  std::shared_ptr<WatchdogEntry> watch;
-  if (options_.watchdog_ms > 0) watch = watchdog_register();
+  // Per-request watchdog: its clock starts before the wait for the shared
+  // pool, so time spent queued counts against it. When it leaves less time
+  // than the request's own deadline it becomes the search deadline, and a
+  // search it stops reads as `cancelled` (not `deadline_hit`) — the anytime
+  // best-so-far either way, never a hung request.
+  const auto watchdog_end = std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(options_.watchdog_ms);
+  bool watchdog_deadline = false;
   const StatusOr<SearchResult> result = [&] {
     GPUHMS_SCOPED_PHASE("serve.search_ns");
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
     SearchOptions pooled = so;
     pooled.pool = &pool_;
-    if (watch) pooled.cancel = &watch->cancel;
+    if (options_.watchdog_ms > 0) {
+      const auto left =
+          std::max(watchdog_end - std::chrono::steady_clock::now(),
+                   std::chrono::steady_clock::duration::zero());
+      if (!pooled.deadline || left < *pooled.deadline) {
+        pooled.deadline = left;
+        watchdog_deadline = true;
+      }
+    }
     return try_search(*entry->predictor, *algo, pooled);
   }();
-  if (watch) watchdog_release(watch);
   if (!result.ok()) return error_response(nullptr, "", result.status());
   searches_.fetch_add(1, std::memory_order_relaxed);
   GPUHMS_COUNTER_ADD("serve.searches", 1);
 
   const SearchResult& sr = *result;
+  const bool watchdog_stop = watchdog_deadline && sr.deadline_hit;
+  if (watchdog_stop) {
+    watchdog_cancels_.fetch_add(1, std::memory_order_relaxed);
+    GPUHMS_COUNTER_ADD("serve.watchdog_cancels", 1);
+  }
   Json r = Json::object();
   r.set("ok", true);
   r.set("benchmark", benchmark);
@@ -638,8 +576,8 @@ Json PredictionService::handle_search(const Json& request) {
   r.set("evaluated", sr.evaluated);
   r.set("pruned", sr.pruned_subtrees);
   r.set("space_truncated", sr.space_truncated);
-  r.set("deadline_hit", sr.deadline_hit);
-  r.set("cancelled", sr.cancelled);
+  r.set("deadline_hit", sr.deadline_hit && !watchdog_stop);
+  r.set("cancelled", sr.cancelled || watchdog_stop);
   r.set("lower_bound", sr.lower_bound);
   r.set("optimality_gap", sr.optimality_gap);
   r.set("proven_optimal", sr.proven_optimal);
@@ -704,7 +642,6 @@ Json PredictionService::handle_health() const {
 
 Json PredictionService::handle_request(const Json& request,
                                        std::string_view op) {
-  if (op == "predict") return handle_predict(request);
   if (op == "predict_batch") return handle_predict_batch(request);
   if (op == "search") return handle_search(request);
   if (op == "metrics") return handle_metrics();
@@ -736,8 +673,11 @@ std::vector<std::string> PredictionService::handle_pipeline(
     Json request;
     Json id;            // echoed verbatim (null when absent/unparseable)
     std::string op;
-    std::string benchmark;  // predict ops only, for coalescing
-    std::string arch_name;  // predict ops only ("" = service default)
+    // Predict run key: adjacent predicts naming the same benchmark and arch
+    // (both strings) share one kernel lookup and one predict_many call.
+    bool coalescable = false;
+    std::string benchmark;
+    std::string arch_name;  // "" = service default
     std::string idem;       // idempotency fingerprint ("" when absent)
     std::string raw;        // replayed response bytes (wins over `response`)
     std::optional<Json> response;
@@ -791,16 +731,13 @@ std::vector<std::string> PredictionService::handle_pipeline(
         idem != nullptr && idem->is_string())
       pl.idem = idem->as_string();
     if (pl.op == "predict") {
-      if (const Json* b = pl.request.find("benchmark");
-          b != nullptr && b->is_string())
-        pl.benchmark = b->as_string();
-      if (const Json* a = pl.request.find("arch")) {
-        if (a->is_string())
-          pl.arch_name = a->as_string();
-        else
-          // Malformed arch field: leave the line un-coalescable so the
-          // single-request path reports the structured INVALID_ARGUMENT.
-          pl.benchmark.clear();
+      const StatusOr<std::string> benchmark =
+          get_string(pl.request, "benchmark");
+      const StatusOr<std::string> arch_name = get_arch_name(pl.request);
+      pl.coalescable = benchmark.ok() && arch_name.ok();
+      if (pl.coalescable) {
+        pl.benchmark = *benchmark;
+        pl.arch_name = *arch_name;
       }
     }
   }
@@ -866,105 +803,72 @@ std::vector<std::string> PredictionService::handle_pipeline(
     // Supervision verbs bypass admission control: they are cheap in-memory
     // introspection, and a health poll holding an inflight slot would keep
     // drained() false for exactly the operator watching the drain finish.
-    if (pl.op == "health" || pl.op == "metrics" || pl.op == "shutdown") {
-      const Json body = handle_request(pl.request, pl.op);
-      Json r = make_response_shell(&pl.id, pl.op);
-      for (const auto& [key, value] : body.members())
-        if (key != "id" && key != "op") r.set(key, value);
-      pl.response = std::move(r);
-      ++i;
-      continue;
-    }
-    InflightSlot slot(inflight_, options_.max_inflight);
-    if (!slot.admitted()) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      GPUHMS_COUNTER_ADD("serve.rejected", 1);
-      pl.response = error_response(
-          &pl.id, pl.op,
-          ResourceExhaustedError(
-              "service over capacity (" +
-              std::to_string(options_.max_inflight) +
-              " requests in flight); retry later"));
-      ++i;
-      continue;
-    }
-    if (pl.op == "predict" && !pl.benchmark.empty()) {
-      std::size_t j = i + 1;
-      while (j < lines.size() && !parsed[j].response.has_value() &&
-             parsed[j].op == "predict" &&
-             parsed[j].benchmark == pl.benchmark &&
-             parsed[j].arch_name == pl.arch_name)
-        ++j;
-      if (j > i + 1) {
-        // One shared kernel lookup + one coalesced predict_many for the run.
-        const StatusOr<KernelEntryPtr> entry =
-            kernel_entry(pl.benchmark, pl.arch_name);
-        std::vector<PendingPredict> pending;
-        std::vector<std::size_t> owners;
-        for (std::size_t k = i; k < j; ++k) {
-          ParsedLine& run = parsed[k];
-          if (!entry.ok()) {
-            run.response = error_response(&run.id, run.op, entry.status());
-            continue;
-          }
-          const StatusOr<std::string> pstr =
-              get_string(run.request, "placement");
-          if (!pstr.ok()) {
-            run.response = error_response(&run.id, run.op, pstr.status());
-            continue;
-          }
-          const std::optional<DataPlacement> p =
-              DataPlacement::from_string((*entry)->bench.kernel, *pstr);
-          if (!p) {
-            run.response = error_response(
-                &run.id, run.op,
-                InvalidArgumentError("cannot parse placement '" + *pstr +
-                                     "' for benchmark '" + pl.benchmark +
-                                     "'"));
-            continue;
-          }
-          if (Status st = validate((*entry)->bench.kernel, *p, (*entry)->arch);
-              !st.ok()) {
-            run.response = error_response(&run.id, run.op, st);
-            continue;
-          }
-          pending.push_back({*entry, *p, {}, {}, false});
-          owners.push_back(k);
-        }
-        if (!pending.empty()) {
-          if (Status st = predict_many(pending); !st.ok()) {
-            for (const std::size_t k : owners)
-              parsed[k].response =
-                  error_response(&parsed[k].id, parsed[k].op, st);
-          } else {
-            for (std::size_t t = 0; t < owners.size(); ++t) {
-              ParsedLine& run = parsed[owners[t]];
-              Json r = make_response_shell(&run.id, run.op);
-              r.set("ok", true);
-              r.set("benchmark", pl.benchmark);
-              // Mirrors handle_predict: echoed only when the request named
-              // a backend, keeping default responses byte-identical.
-              if (!pl.arch_name.empty()) r.set("arch", pl.arch_name);
-              const Json fields =
-                  prediction_json(*pending[t].entry, pending[t].placement,
-                                  pending[t].result);
-              for (const auto& [key, value] : fields.members())
-                r.set(key, value);
-              run.response = std::move(r);
-            }
-          }
-        }
-        i = j;
+    std::optional<InflightSlot> slot;
+    if (pl.op != "health" && pl.op != "metrics" && pl.op != "shutdown") {
+      slot.emplace(inflight_, options_.max_inflight);
+      if (!slot->admitted()) {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        GPUHMS_COUNTER_ADD("serve.rejected", 1);
+        pl.response = error_response(
+            &pl.id, pl.op,
+            ResourceExhaustedError(
+                "service over capacity (" +
+                std::to_string(options_.max_inflight) +
+                " requests in flight); retry later"));
+        ++i;
         continue;
       }
     }
-    // Single request: handlers return either a success body (ok:true, no
-    // id/op yet) or a complete error_response; normalize both to carry the
-    // line's id and op at the front.
+    if (pl.op == "predict") {
+      // A run of adjacent same-(benchmark, arch) predicts — a lone predict
+      // is a run of one — shares one kernel lookup and one coalesced
+      // predict_many; every line still gets its own parse and its own error.
+      std::size_t j = i + 1;
+      while (pl.coalescable && j < lines.size() &&
+             !parsed[j].response.has_value() && parsed[j].op == "predict" &&
+             parsed[j].coalescable && parsed[j].benchmark == pl.benchmark &&
+             parsed[j].arch_name == pl.arch_name)
+        ++j;
+      std::optional<StatusOr<KernelEntryPtr>> entry;
+      std::vector<PendingPredict> pending;
+      std::vector<std::size_t> owners;
+      for (std::size_t k = i; k < j; ++k) {
+        StatusOr<PendingPredict> p = parse_predict(parsed[k].request, &entry);
+        if (!p.ok()) {
+          parsed[k].response =
+              error_response(&parsed[k].id, parsed[k].op, p.status());
+          continue;
+        }
+        pending.push_back(*std::move(p));
+        owners.push_back(k);
+      }
+      const Status st = pending.empty() ? OkStatus() : predict_many(pending);
+      for (std::size_t t = 0; t < owners.size(); ++t) {
+        ParsedLine& run = parsed[owners[t]];
+        if (!st.ok()) {
+          run.response = error_response(&run.id, run.op, st);
+          continue;
+        }
+        const KernelEntry& e = *pending[t].entry;
+        Json r = make_response_shell(&run.id, run.op);
+        r.set("ok", true);
+        r.set("benchmark", e.bench.name);
+        // Echoed only when the request named a backend: default-arch
+        // responses stay byte-identical to the pre-registry protocol.
+        if (!e.arch_name.empty()) r.set("arch", e.arch_name);
+        const Json fields =
+            prediction_json(pending[t].placement, pending[t].result);
+        for (const auto& [key, value] : fields.members()) r.set(key, value);
+        run.response = std::move(r);
+      }
+      i = j;
+      continue;
+    }
+    // Other verbs: handlers return either a success body (ok:true, no id/op
+    // yet) or a complete error_response carrying a placeholder null id; the
+    // shell's id/op (from the request) are authoritative and go first.
     const Json body = handle_request(pl.request, pl.op);
     Json r = make_response_shell(&pl.id, pl.op);
-    // Handler error bodies carry a placeholder null id; the shell's id/op
-    // (from the request) are authoritative.
     for (const auto& [key, value] : body.members())
       if (key != "id" && key != "op") r.set(key, value);
     pl.response = std::move(r);
@@ -1030,25 +934,60 @@ ServeStats PredictionService::stats() const {
   return s;
 }
 
-void run_stdio_loop(std::istream& in, std::ostream& out,
-                    PredictionService& service) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (!service.stopped() && std::getline(in, line)) {
-    lines.clear();
-    lines.push_back(std::move(line));
-    // Greedy pipelining: drain whatever the client already wrote so runs of
-    // same-kernel predicts coalesce. in_avail() only reports bytes already
-    // buffered, so an interactive client still gets per-line responses.
-    while (lines.size() < service.options().max_batch &&
-           in.rdbuf()->in_avail() > 0 && std::getline(in, line))
-      lines.push_back(std::move(line));
-    for (const std::string& response : service.handle_pipeline(lines))
-      out << response << '\n';
-    out.flush();
-    // A broken output stream means responses are being lost — stop reading
-    // rather than silently executing requests nobody can hear answered.
-    if (!out) break;
+Status run_stdio_loop(int in_fd, int out_fd, int wake_fd,
+                      PredictionService& service) {
+  LineFramer framer;
+  // Answers every complete line read so far, max_batch lines per pipeline.
+  auto answer_buffered = [&]() -> Status {
+    for (std::vector<std::string> lines =
+             framer.take_lines(service.options().max_batch);
+         !lines.empty();
+         lines = framer.take_lines(service.options().max_batch)) {
+      std::string out;
+      for (const std::string& response : service.handle_pipeline(lines)) {
+        out += response;
+        out += '\n';
+      }
+      // A failed response write is data loss: stop rather than execute
+      // requests nobody can hear answered.
+      for (std::size_t written = 0; written < out.size();) {
+        const ssize_t w =
+            ::write(out_fd, out.data() + written, out.size() - written);
+        if (w < 0 && errno == EINTR) continue;
+        if (w < 0)
+          return DataLossError(std::string("writing responses: ") +
+                               std::strerror(errno));
+        written += static_cast<std::size_t>(w);
+      }
+    }
+    return OkStatus();
+  };
+
+  char chunk[1 << 16];
+  for (;;) {
+    pollfd pfds[2] = {{in_fd, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+    if (::poll(pfds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      return InternalError(std::string("poll(): ") + std::strerror(errno));
+    }
+    bool eof = false;
+    if (pfds[0].revents != 0) {
+      const ssize_t n = ::read(in_fd, chunk, sizeof chunk);
+      if (n < 0 && errno != EINTR)
+        return InternalError(std::string("read(): ") + std::strerror(errno));
+      eof = n == 0;
+      if (n > 0)
+        framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
+    }
+    // Woken: every complete line read so far is owed a response (the
+    // draining service sheds them with a retryable UNAVAILABLE); the
+    // partial tail was never a complete request and is dropped.
+    if (pfds[1].revents != 0) {
+      service.begin_drain();
+      return answer_buffered();
+    }
+    GPUHMS_RETURN_IF_ERROR(answer_buffered());
+    if (eof || service.stopped()) return OkStatus();
   }
 }
 

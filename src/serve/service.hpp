@@ -33,15 +33,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/concurrent_cache.hpp"
@@ -78,10 +76,11 @@ struct ServeOptions {
   // construction (seconds of startup; the daemon flag --train-overlap).
   // Off by default so tests and short-lived services start instantly.
   bool train_overlap = false;
-  // Per-request watchdog: searches running longer than this are cancelled
-  // via their cooperative cancel token (the anytime contract turns that into
-  // an OK best-so-far response with `cancelled` set, never a lost response).
-  // 0 disables the watchdog thread entirely.
+  // Per-request watchdog: a search may run at most this long, counted from
+  // dispatch (time queued for the shared pool included). It is passed to the
+  // search as its deadline when tighter than the request's own deadline_ms;
+  // a search it stops answers the anytime best-so-far with `cancelled` set,
+  // never a lost response. 0 disables the watchdog.
   std::size_t watchdog_ms = 0;
   // Idempotency-replay cache: responses of successful predict/predict_batch/
   // search requests carrying an "idem" fingerprint are memoized, so a client
@@ -107,7 +106,7 @@ struct ServeStats {
   bool draining = false;
   std::uint64_t inflight = 0;
   std::uint64_t shed_draining = 0;    // requests refused while draining
-  std::uint64_t watchdog_cancels = 0; // searches cancelled by the watchdog
+  std::uint64_t watchdog_cancels = 0; // searches stopped by the watchdog
   std::uint64_t idem_hits = 0;        // responses replayed from the idem cache
   struct CacheStats {
     std::size_t size = 0;
@@ -143,9 +142,10 @@ class PredictionService {
   std::string handle_line(std::string_view line);
 
   // Pipelined handling: responses in request order, one per line. Runs of
-  // adjacent predict requests naming the same benchmark are coalesced so
-  // their cache misses share one predict_batch call — the daemon feeds every
-  // already-buffered line of input through this.
+  // adjacent predict requests naming the same benchmark and arch are
+  // coalesced so their cache misses share one predict_batch call (a lone
+  // predict is a run of one) — the daemon feeds every already-buffered line
+  // of input through this.
   std::vector<std::string> handle_pipeline(
       std::span<const std::string> lines);
 
@@ -179,17 +179,10 @@ class PredictionService {
   struct PendingPredict;
 
   Json handle_request(const Json& request, std::string_view op);
-  Json handle_predict(const Json& request);
   Json handle_predict_batch(const Json& request);
   Json handle_search(const Json& request);
   Json handle_metrics() const;
   Json handle_health() const;
-
-  // Watchdog bookkeeping: one registered cancel token per running search.
-  struct WatchdogEntry;
-  std::shared_ptr<WatchdogEntry> watchdog_register();
-  void watchdog_release(const std::shared_ptr<WatchdogEntry>& entry);
-  void watchdog_loop();
 
   // Builds (or returns the cached) per-kernel state for `benchmark` under
   // the named architecture backend: "" selects the service's construction
@@ -199,12 +192,22 @@ class PredictionService {
   // predictor, skeleton and cache-key prefix are all arch-specific.
   StatusOr<KernelEntryPtr> kernel_entry(const std::string& benchmark,
                                         const std::string& arch_name);
+  // Every predict placement becomes a PendingPredict here — lone and
+  // pipelined predicts and each predict_batch element — so they all fail in
+  // one order with one message: parse, then validate against the entry's
+  // kernel and arch.
+  static StatusOr<PendingPredict> parse_placement(
+      const KernelEntryPtr& entry, const std::string& placement);
+  // A predict request's fields in order — benchmark, arch, placement — then
+  // the kernel lookup, then parse_placement. `entry` memoizes the lookup
+  // across a run of requests naming the same benchmark and arch.
+  StatusOr<PendingPredict> parse_predict(
+      const Json& request, std::optional<StatusOr<KernelEntryPtr>>* entry);
   // Answers each (entry, placement) pair, coalescing cache misses into one
   // predict_batch call per distinct kernel. Results align with `pending`.
   Status predict_many(std::span<PendingPredict> pending);
-  Json prediction_json(const KernelEntry& entry,
-                       const DataPlacement& placement,
-                       const Prediction& prediction) const;
+  static Json prediction_json(const DataPlacement& placement,
+                              const Prediction& prediction);
 
   const ServeOptions options_;
   const GpuArch arch_;  // copied: cached entries must outlive the caller's ref
@@ -233,20 +236,18 @@ class PredictionService {
 
   // Idempotency replay: idem fingerprint -> the exact response bytes served.
   ConcurrentCache<std::string, std::string> idem_cache_;
-
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  std::vector<std::shared_ptr<WatchdogEntry>> watchdog_entries_;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
 };
 
-// Drives a PredictionService over std::istream/std::ostream: reads
-// newline-delimited requests, writes one response line per request in order,
-// flushing per pipelined chunk. Greedily drains already-buffered input (up
-// to ServeOptions::max_batch lines) into handle_pipeline so piped clients
-// get coalesced batching for free. Returns after EOF or a shutdown request.
-void run_stdio_loop(std::istream& in, std::ostream& out,
-                    PredictionService& service);
+// Serves newline-delimited requests read from `in_fd`, writing one response
+// line per request to `out_fd`, in order. Every complete line already read
+// goes through handle_pipeline in batches of at most ServeOptions::max_batch
+// lines, so piped same-kernel predicts coalesce. Returns OK after EOF or a
+// shutdown request (a partial trailing line was never a request and gets no
+// response). When `wake_fd` (-1: none) turns readable the loop drains
+// instead: begin_drain(), one response for every complete line read so far
+// (shed with UNAVAILABLE), the partial tail dropped, return OK — the daemon's
+// signal path. A failed read, poll or response write is an error status.
+Status run_stdio_loop(int in_fd, int out_fd, int wake_fd,
+                      PredictionService& service);
 
 }  // namespace gpuhms::serve

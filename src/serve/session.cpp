@@ -12,6 +12,11 @@
 
 namespace gpuhms::serve {
 
+namespace {
+// read() chunk size per EPOLLIN drain iteration.
+constexpr std::size_t kReadChunkBytes = 16 * 1024;
+}  // namespace
+
 std::vector<std::string> LineFramer::take_lines(std::size_t max_lines) {
   std::vector<std::string> lines;
   std::size_t start = 0;
@@ -25,12 +30,12 @@ std::vector<std::string> LineFramer::take_lines(std::size_t max_lines) {
   return lines;
 }
 
-Session::Session(EventLoop& loop, int fd, const SessionOptions& options,
+Session::Session(EventLoop& loop, int fd, std::size_t max_write_buffer_bytes,
                  PredictionService& service, ExecuteFn execute,
                  ClosedFn on_closed)
     : loop_(loop),
       fd_(fd),
-      options_(options),
+      max_write_buffer_bytes_(max_write_buffer_bytes),
       service_(service),
       execute_(std::move(execute)),
       on_closed_(std::move(on_closed)) {}
@@ -82,7 +87,7 @@ void Session::on_event(std::uint32_t events) {
 
 void Session::on_readable() {
   if (closed_ || eof_) return;
-  std::string chunk(options_.read_chunk_bytes, '\0');
+  std::string chunk(kReadChunkBytes, '\0');
   for (;;) {
     const ssize_t n = ::read(fd_, chunk.data(), chunk.size());
     if (n > 0) {
@@ -105,7 +110,7 @@ void Session::on_readable() {
 void Session::maybe_dispatch() {
   if (closed_ || executing_) return;
   const std::size_t pending = write_buf_.size() - write_off_;
-  if (pending > options_.max_write_buffer_bytes) {
+  if (pending > max_write_buffer_bytes_) {
     // Slow reader: hold the next batch until the backlog fully flushes
     // (on_writable re-enters here at zero pending). Bounded buffer: at most
     // the limit plus one batch of responses.
@@ -114,7 +119,8 @@ void Session::maybe_dispatch() {
     update_interest(EPOLLOUT);
     return;
   }
-  std::vector<std::string> lines = framer_.take_lines(options_.max_batch_lines);
+  std::vector<std::string> lines =
+      framer_.take_lines(service_.options().max_batch);
   if (lines.empty()) {
     if (finished() && pending == 0) {
       close();
@@ -179,7 +185,7 @@ void Session::flush_writes() {
     write_off_ = 0;
   }
   const std::size_t pending = write_buf_.size() - write_off_;
-  const bool stalled = pending > options_.max_write_buffer_bytes;
+  const bool stalled = pending > max_write_buffer_bytes_;
   update_interest(((finished() || executing_ || stalled) ? 0u : EPOLLIN) |
                   (pending ? EPOLLOUT : 0u));
 }

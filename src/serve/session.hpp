@@ -55,17 +55,6 @@ class LineFramer {
   std::string buf_;
 };
 
-struct SessionOptions {
-  // Max complete lines dispatched per handle_pipeline batch (the daemon
-  // mirrors ServeOptions::max_batch so coalescing opportunities match the
-  // stdio loop).
-  std::size_t max_batch_lines = 1024;
-  // Dispatch stalls while more response bytes than this await a slow reader.
-  std::size_t max_write_buffer_bytes = 256 * 1024;
-  // read() chunk size per EPOLLIN drain iteration.
-  std::size_t read_chunk_bytes = 16 * 1024;
-};
-
 // Created by the server's accept handler; lifetime is shared between the
 // server's session set and any in-flight executor completion closure, so a
 // batch finishing after a forced close cannot touch a dead session.
@@ -75,13 +64,15 @@ class Session : public std::enable_shared_from_this<Session> {
   // completion with one response per line (any thread; the session re-posts
   // onto the loop). `on_closed` fires exactly once, on the loop thread, when
   // the fd has been closed — the server uses it to drop its reference and
-  // finish a drain.
+  // finish a drain. Each batch carries at most ServeOptions::max_batch
+  // complete lines, as in the stdio loop; dispatch stalls while more than
+  // `max_write_buffer_bytes` of responses await a slow reader.
   using ExecuteFn = std::function<void(
       std::vector<std::string> lines,
       std::function<void(std::vector<std::string>)> done)>;
   using ClosedFn = std::function<void(Session*)>;
 
-  Session(EventLoop& loop, int fd, const SessionOptions& options,
+  Session(EventLoop& loop, int fd, std::size_t max_write_buffer_bytes,
           PredictionService& service, ExecuteFn execute, ClosedFn on_closed);
   ~Session();
 
@@ -129,7 +120,7 @@ class Session : public std::enable_shared_from_this<Session> {
 
   EventLoop& loop_;
   int fd_;
-  const SessionOptions options_;
+  const std::size_t max_write_buffer_bytes_;
   PredictionService& service_;
   ExecuteFn execute_;
   ClosedFn on_closed_;

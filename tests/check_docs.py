@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Eight guarantees:
+Nine guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -31,6 +31,10 @@ Eight guarantees:
      path must occur in that file or its .hpp/.cpp sibling (the last `::`
      component is matched, call arguments dropped), so a deleted function
      cannot leave a stale row behind.
+  9. Every code in docs/SERVING.md's "Error responses and error codes"
+     table is a `to_string(StatusCode)` spelling from
+     src/common/status.cpp, so the table cannot promise a code the
+     service can never send.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -280,14 +284,16 @@ def check_env_vars(root):
 
 
 def table_rows(md_path, heading):
-    """First-cell texts of the table rows under `## heading` (up to the
-    next `## ` heading), header and separator rows excluded."""
+    """First-cell texts of the table rows under the heading titled
+    `heading`, at any level (up to the next heading), header and separator
+    rows excluded."""
     rows = []
     in_section = False
     with open(md_path, encoding="utf-8") as f:
         for line in f:
-            if line.startswith("## "):
-                in_section = line[3:].strip() == heading
+            m = re.match(r"#{1,6}\s+(.*)", line)
+            if m:
+                in_section = m.group(1).strip() == heading
                 continue
             if in_section and line.startswith("|"):
                 rows.append(line.split("|")[1].strip())
@@ -342,6 +348,33 @@ def check_serving_flags(root):
     return problems
 
 
+# `case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";`
+STATUS_SPELLING_RE = re.compile(
+    r'case\s+StatusCode::k\w+:\s*return\s+"([A-Z_]+)"')
+
+
+def check_serving_error_codes(root):
+    """Every code in SERVING.md's error-code table must be a spelling
+    `to_string(StatusCode)` returns."""
+    path = os.path.join(root, SERVING_MD)
+    status_cpp = os.path.join(root, "src", "common", "status.cpp")
+    with open(status_cpp, encoding="utf-8") as f:
+        spellings = set(STATUS_SPELLING_RE.findall(f.read()))
+    rows = table_rows(path, "Error responses and error codes")
+    if not spellings or not rows:
+        return [f"{SERVING_MD} error-code table or the to_string(StatusCode) "
+                "spellings in src/common/status.cpp not found (regex rot?)"]
+    problems = []
+    for cell in rows:
+        for code in re.findall(r"`([A-Za-z_]+)`", cell):
+            if code not in spellings:
+                problems.append(
+                    f"{SERVING_MD}: error table lists code '{code}', which "
+                    f"to_string(StatusCode) in src/common/status.cpp never "
+                    f"returns")
+    return problems
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -357,6 +390,7 @@ def main():
     problems.extend(check_env_vars(root))
     problems.extend(check_serving_env_rows(root))
     problems.extend(check_serving_flags(root))
+    problems.extend(check_serving_error_codes(root))
 
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -366,7 +400,7 @@ def main():
     print(f"docs check OK: {len(md_files)} markdown files, all relative "
           "links and anchors resolve, MODEL_MAP files and symbols exist, every "
           "ctest label and GPUHMS_* env var is documented, and SERVING.md's "
-          "env and flag tables match the code")
+          "env, flag and error-code tables match the code")
     return 0
 
 

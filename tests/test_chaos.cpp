@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/arena.hpp"
 #include "common/fault_injection.hpp"
 #include "common/journal.hpp"
@@ -49,8 +51,11 @@ Predictor profiled_predictor(const KernelInfo& k) {
   return pred;
 }
 
+// Per process: the sanitizer binaries compile this file too, and ctest runs
+// them side by side.
 std::string temp_path(const std::string& tag) {
-  return ::testing::TempDir() + "chaos_" + tag + ".jnl";
+  return ::testing::TempDir() + "chaos_" + std::to_string(::getpid()) + "_" +
+         tag + ".jnl";
 }
 
 serve::Json parse_ok(const std::string& line) {

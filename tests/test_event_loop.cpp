@@ -19,6 +19,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/obs.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/json.hpp"
 #include "serve/server.hpp"
@@ -306,12 +307,27 @@ TEST(EventLoopServer, SlowReaderStallsDispatchWithinTheWriteBufferBound) {
   // buffer actually backs up against the bound.
   constexpr int kRequests = 1000;
 
+  // The stall is observed through the obs counter, so metrics are on (and
+  // zeroed) for the duration of this test.
+  struct MetricsOn {
+    const bool was = obs::metrics_active();
+    MetricsOn() {
+      obs::set_enabled(true);
+      obs::reset_all_metrics();
+    }
+    ~MetricsOn() {
+      obs::set_enabled(was);
+      obs::reset_all_metrics();
+    }
+  } metrics_on;
+
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = kBatchLines;
   serve::ServerOptions server_options;
   server_options.socket_path = test_socket_path("slow");
   server_options.max_write_buffer_bytes = kWriteBound;
-  server_options.max_batch_lines = kBatchLines;
   server_options.executor_threads = 1;
-  ServerHarness harness{serve::ServeOptions{}, server_options};
+  ServerHarness harness{serve_options, server_options};
 
   const int fd = connect_or_die(server_options.socket_path);
   ASSERT_GE(fd, 0);
@@ -322,7 +338,15 @@ TEST(EventLoopServer, SlowReaderStallsDispatchWithinTheWriteBufferBound) {
   // Send everything without reading a byte: the session must stall dispatch
   // once kWriteBound of responses back up, not buffer all of them.
   ASSERT_TRUE(send_all(fd, burst));
-  std::this_thread::sleep_for(200ms);  // let it stall, then start reading
+  // Start reading only once dispatch has stalled: on a slow (sanitizer)
+  // build a reader started after a fixed sleep can drain the socket before
+  // any backlog forms, and then nothing ever stalls.
+  ASSERT_TRUE(wait_until(
+      [] {
+        return obs::counter("serve.loop.backpressure_stalls").value() > 0;
+      },
+      30s))
+      << "dispatch never stalled against the write-buffer bound";
 
   const std::vector<std::string> lines =
       read_lines(fd, kRequests, 60s);

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/fault_injection.hpp"
 
 namespace gpuhms {
@@ -19,7 +21,10 @@ namespace {
 class Journal : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Per process: the sanitizer binaries compile this file too, and ctest
+    // runs them side by side.
     path_ = ::testing::TempDir() + "journal_test_" +
+            std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
             ".jnl";
     std::remove(path_.c_str());

@@ -1,16 +1,21 @@
 // End-to-end protocol tests for the serving layer (src/serve): request
-// handling, structured error responses, admission control, deadline plumbing,
-// the shutdown handshake, response determinism across thread counts, the
-// acceptance pipeline (100 mixed requests, in order, cache hit-rate > 0), and
-// the serve.parse fault site (a poisoned line degrades to an error response).
+// handling, structured error responses, lone-vs-pipelined predict identity,
+// admission control, deadline and watchdog plumbing, the shutdown handshake,
+// the stdio loop over pipes (including its wake-and-drain contract),
+// response determinism across thread counts, the acceptance pipeline (100
+// mixed requests, in order, cache hit-rate > 0), and the serve.parse fault
+// site (a poisoned line degrades to an error response).
 #include <cstdio>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include "arch/arch_registry.hpp"
 #include "common/fault_injection.hpp"
@@ -138,6 +143,42 @@ TEST(Serve, MalformedRequestsGetStructuredErrors) {
   const serve::Json r =
       parse_ok(service.handle_line(predict_line(2, "triad", "G,G,G")));
   EXPECT_TRUE(r.find("ok")->as_bool());
+}
+
+// A predict answers the same bytes whether it arrives alone or heads a
+// pipelined run of same-benchmark predicts: one parse path, one error order
+// (benchmark, arch, placement field, kernel lookup, parse, validate).
+TEST(Serve, PipelinedPredictAnswersLikeALonePredict) {
+  serve::PredictionService lone{serve::ServeOptions{}};
+  serve::PredictionService piped{serve::ServeOptions{}};
+  // Each request, and a second predict on the same benchmark that makes the
+  // pipeline a run of two.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {predict_line(1, "triad", "BOGUS"), predict_line(9, "triad", "G,G,G")},
+      {predict_line(2, "triad", "G,G"),  // wrong arity
+       predict_line(9, "triad", "G,G,G")},
+      {predict_line(3, "triad", "T,T,G"),  // written array in texture
+       predict_line(9, "triad", "G,G,G")},
+      {R"({"id":4,"op":"predict","benchmark":"triad"})",
+       predict_line(9, "triad", "G,G,G")},
+      {predict_line(5, "triad", "G,G,G"), predict_line(9, "triad", "G,G,G")},
+      {R"({"id":6,"op":"predict","benchmark":"nope"})",
+       predict_line(9, "nope", "G,G,G")},
+  };
+  for (const auto& [x, companion] : cases) {
+    const std::string alone = lone.handle_line(x);
+    const std::vector<std::string> lines = {x, companion};
+    const std::vector<std::string> responses = piped.handle_pipeline(lines);
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses[0], alone) << x;
+    EXPECT_EQ(responses[1], lone.handle_line(companion)) << companion;
+  }
+  // The parse hint and the missing-field message, which a run shares.
+  EXPECT_NE(lone.handle_line(cases[0].first).find("codes G,S,C,T,2T"),
+            std::string::npos);
+  EXPECT_NE(lone.handle_line(cases[5].first)
+                .find("missing required field 'placement'"),
+            std::string::npos);
 }
 
 TEST(Serve, AdmissionControlRejectsOversizedInputs) {
@@ -271,30 +312,96 @@ TEST(Serve, ShutdownTrailingLinesShedBeforeIdemReplay) {
   EXPECT_EQ(service.stats().idem_hits, 0u);
 }
 
+// Pipes standing in for the daemon's stdin, stdout and signal self-pipe.
+struct StdioPipes {
+  int in[2] = {-1, -1}, out[2] = {-1, -1}, wake[2] = {-1, -1};
+  StdioPipes() {
+    EXPECT_EQ(::pipe(in), 0);
+    EXPECT_EQ(::pipe(out), 0);
+    EXPECT_EQ(::pipe(wake), 0);
+  }
+  ~StdioPipes() {
+    for (int fd : {in[0], in[1], out[0], out[1], wake[0], wake[1]})
+      if (fd >= 0) ::close(fd);
+  }
+  static void close_fd(int& fd) {
+    ::close(fd);
+    fd = -1;
+  }
+  // Everything written to `out` so far, split into lines. Closes the write
+  // end first, so it reads to EOF.
+  std::vector<std::string> output_lines() {
+    close_fd(out[1]);
+    std::string bytes;
+    char chunk[4096];
+    for (ssize_t n; (n = ::read(out[0], chunk, sizeof chunk)) > 0;)
+      bytes.append(chunk, static_cast<std::size_t>(n));
+    std::vector<std::string> lines;
+    std::istringstream split(bytes);
+    for (std::string l; std::getline(split, l);) lines.push_back(l);
+    return lines;
+  }
+};
+
+void write_fd(int fd, const std::string& bytes) {
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
 TEST(Serve, StdioLoopAnswersEveryLineInOrderAndStopsOnShutdown) {
   serve::PredictionService service{serve::ServeOptions{}};
-  std::istringstream in(predict_line(1, "triad", "G,G,G") + "\n" +
-                        predict_line(2, "triad", "G,G,G") + "\n" +
-                        R"({"id":3,"op":"shutdown"})" + "\n" +
-                        R"({"id":4,"op":"metrics"})" + "\n");
-  std::ostringstream out;
-  serve::run_stdio_loop(in, out, service);
+  StdioPipes pipes;
+  write_fd(pipes.in[1], predict_line(1, "triad", "G,G,G") + "\n" +
+                            predict_line(2, "triad", "G,G,G") + "\n" +
+                            R"({"id":3,"op":"shutdown"})" + "\n" +
+                            R"({"id":4,"op":"metrics"})" + "\n");
+  StdioPipes::close_fd(pipes.in[1]);
+  const Status st =
+      serve::run_stdio_loop(pipes.in[0], pipes.out[1], pipes.wake[0], service);
+  EXPECT_TRUE(st.ok()) << st.to_string();
   EXPECT_TRUE(service.stopped());
+  EXPECT_FALSE(service.draining());
 
-  std::vector<std::string> lines;
-  std::istringstream split(out.str());
-  for (std::string l; std::getline(split, l);) lines.push_back(l);
+  const std::vector<std::string> lines = pipes.output_lines();
   // All four lines were already buffered, so they rode one pipeline; the
   // line behind the shutdown is answered — with a refusal.
-  ASSERT_EQ(lines.size(), 4u) << out.str();
+  ASSERT_EQ(lines.size(), 4u);
   EXPECT_EQ(parse_ok(lines[0]).find("id")->as_number(), 1.0);
   EXPECT_EQ(parse_ok(lines[1]).find("id")->as_number(), 2.0);
   EXPECT_TRUE(parse_ok(lines[2]).find("stopped")->as_bool());
   expect_error(lines[3], "FAILED_PRECONDITION");
-  // The stringstream had everything buffered: the loop coalesced the two
-  // identical predicts, so the cache saw one miss and one alias, not two
-  // misses.
+  // The pipe had everything buffered: the loop coalesced the two identical
+  // predicts, so the cache saw one miss and one alias, not two misses.
   EXPECT_EQ(service.stats().batched_predicts, 1u);
+}
+
+// The daemon's SIGTERM drain contract: a wake byte drains — each complete
+// line read before it gets exactly one retryable UNAVAILABLE, in order, and
+// a partial trailing line (never a complete request) gets none.
+TEST(Serve, StdioLoopWakeShedsBufferedLinesAndDropsThePartialTail) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  StdioPipes pipes;
+  write_fd(pipes.in[1], predict_line(1, "triad", "G,G,G") + "\n" +
+                            R"({"id":2,"op":"search","benchmark":"triad"})" +
+                            "\n" + predict_line(3, "spmv", "G,G,G,G") +
+                            "\n" + R"({"id":4,"op":"pred)");
+  write_fd(pipes.wake[1], "x");
+  // The input's write end stays open: only the wake ends the loop.
+  const Status st =
+      serve::run_stdio_loop(pipes.in[0], pipes.out[1], pipes.wake[0], service);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  EXPECT_TRUE(service.draining());
+  EXPECT_TRUE(service.drained());
+
+  const std::vector<std::string> lines = pipes.output_lines();
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    expect_error(lines[i], "UNAVAILABLE");
+    EXPECT_EQ(parse_ok(lines[i]).find("id")->as_number(),
+              static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(service.stats().shed_draining, 3u);
+  EXPECT_EQ(service.stats().predictions, 0u);
 }
 
 // --- the PR acceptance criterion ---------------------------------------------
@@ -426,20 +533,38 @@ TEST(Serve, WatchdogCancelsRunawaySearchesAndSparesFastOnes) {
     ASSERT_TRUE(r.find("ok")->as_bool());
     EXPECT_FALSE(r.find("cancelled")->as_bool());
     EXPECT_EQ(service.stats().watchdog_cancels, 0u);
+    // The tighter budget decides who stopped the search: an expired request
+    // deadline under a generous watchdog reads as the request's own
+    // deadline_hit, not a watchdog cancel.
+    const serve::Json expired = parse_ok(service.handle_line(
+        R"({"op":"search","benchmark":"spmv","algo":"exhaustive",)"
+        R"("cap":512,"deadline_ms":0})"));
+    ASSERT_TRUE(expired.find("ok")->as_bool());
+    EXPECT_TRUE(expired.find("deadline_hit")->as_bool());
+    EXPECT_FALSE(expired.find("cancelled")->as_bool());
+    EXPECT_EQ(service.stats().watchdog_cancels, 0u);
   }
-  // A 1 ms watchdog against full-cap searches: the runaway is cancelled via
-  // the cancel token and still answers with the anytime best-so-far. A few
-  // attempts absorb scheduler jitter without ever making the test flaky.
+  // A 1 ms watchdog against full-cap searches: the runaway is stopped at its
+  // deadline and still answers with the anytime best-so-far, reading as
+  // cancelled. spmv's 360 candidates span six 64-candidate chunks, so the
+  // search has chunk boundaries to stop at. A few attempts absorb scheduler
+  // jitter without ever making the test flaky.
   serve::ServeOptions options;
   options.watchdog_ms = 1;
   serve::PredictionService service{options};
   for (int attempt = 0; attempt < 20; ++attempt) {
     const serve::Json r = parse_ok(service.handle_line(
-        R"({"op":"search","benchmark":"cfd","algo":"exhaustive",)"
+        R"({"op":"search","benchmark":"spmv","algo":"exhaustive",)"
         R"("cap":65536})"));
     ASSERT_TRUE(r.find("ok")->as_bool());  // cancelled or not: a real answer
     EXPECT_FALSE(r.find("placement")->as_string().empty());
-    if (service.stats().watchdog_cancels > 0) break;
+    if (service.stats().watchdog_cancels > 0) {
+      EXPECT_TRUE(r.find("cancelled")->as_bool());
+      EXPECT_FALSE(r.find("deadline_hit")->as_bool());
+      EXPECT_LE(r.find("lower_bound")->as_number(),
+                r.find("predicted_cycles")->as_number());
+      break;
+    }
   }
   EXPECT_GT(service.stats().watchdog_cancels, 0u)
       << "no search ever outlived the 1 ms watchdog";
