@@ -47,16 +47,18 @@ int main() {
               "space", "default", "best", "worst", "spread",
               "model-pick", "regret", "evaluated");
 
+  SearchOptions capped;
+  capped.cap = 256;
   double spread_sum = 0.0, regret_sum = 0.0;
   for (auto& [name, kernel] : kernels) {
     const DataPlacement sample = DataPlacement::defaults(kernel);
-    const auto oracle = search_oracle(kernel, arch, 256);
+    const auto oracle = search_oracle(kernel, arch, capped);
     const double dflt =
         static_cast<double>(simulate(kernel, sample, arch).cycles);
 
     Predictor pred(kernel, arch, ModelOptions{}, overlap);
     pred.profile_sample(sample);
-    const SearchResult pick = search_exhaustive(pred, 256);
+    const SearchResult pick = search_exhaustive(pred, capped);
     const double pick_measured =
         static_cast<double>(simulate(kernel, pick.placement, arch).cycles);
 
@@ -86,7 +88,7 @@ int main() {
     auto& kus = kernels.back();
     Predictor pred(kus.kernel, arch, ModelOptions{}, overlap);
     pred.profile_sample(DataPlacement::defaults(kus.kernel));
-    const SearchResult ex = search_exhaustive(pred, 256);
+    const SearchResult ex = search_exhaustive(pred, capped);
     const SearchResult gr = search_greedy(pred);
     std::printf("\ngreedy coordinate descent on %s: %zu evaluations vs %zu "
                 "exhaustive; picked %s (exhaustive: %s)\n", kus.name,

@@ -9,14 +9,12 @@
 // the site's executions.
 //
 // Two ways to arm:
-//   * programmatic: fault::arm("serialize.read", 2); ... fault::disarm_all();
-//   * environment:  GPUHMS_FAULT=serialize.read:2 (comma-separated list;
+//   * programmatic: fault::arm("journal.read", 2); ... fault::disarm_all();
+//   * environment:  GPUHMS_FAULT=journal.read:2 (comma-separated list;
 //     parsed once on first use — intended for driving examples/benches).
 //
 // Registered sites:
 //   trace.lower      — throws InjectedFault while lowering a warp trace
-//   serialize.read   — read_trace reports an injected DATA_LOSS parse error
-//   serialize.write  — write_trace sets failbit on the output stream
 //   queuing.nan      — poisons one bank's inter-arrival stddev with NaN
 //   queuing.saturate — poisons one bank to rho >= 1 (zero inter-arrival)
 //   pool.task        — throws InjectedFault inside a ThreadPool task body

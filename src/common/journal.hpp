@@ -71,7 +71,6 @@ class Writer {
   // on failure as far as read_records is concerned.
   Status append(std::string_view payload);
 
-  bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
   void close();
 

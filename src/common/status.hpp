@@ -41,8 +41,6 @@ class [[nodiscard]] Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
-  static Status ok_status() { return Status(); }
-
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   // The root-cause message, without the annotation chain.

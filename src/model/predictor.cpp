@@ -301,50 +301,15 @@ StatusOr<std::vector<Prediction>> Predictor::try_predict_batch(
   return out;
 }
 
-double Predictor::lower_bound_cycles(const DataPlacement& target,
-                                     const TraceSkeleton& skeleton) const {
-  GPUHMS_CHECK_MSG(sample_result_.has_value(),
-                   "profile_sample/set_sample must be called first");
-  const ProfileCounters& sc = sample_result_->counters;
-  const double exec_sample = static_cast<double>(sc.inst_executed);
-  const double replays_sample = static_cast<double>(sc.replays_total());
-  const int active_sms = std::max(1, sc.active_sms);
-
-  double issued_lb;
-  if (!options_.detailed_instruction_counting) {
-    // Targets are assumed to issue exactly what the sample issued.
-    issued_lb = exec_sample + replays_sample;
-  } else {
-    // Executed instructions cannot fall below the placement-invariant
-    // skeleton plus this placement's addressing-mode inserts (shared-staging
-    // preambles only add more); replays (1)-(4) cannot fall below zero.
-    double target_insts = static_cast<double>(skeleton.base_insts());
-    const auto mem_ops = skeleton.mem_ops_per_array();
-    for (std::size_t a = 0; a < kernel_->arrays.size(); ++a) {
-      target_insts +=
-          static_cast<double>(mem_ops[a]) *
-          addr_calc_instructions(target.of(static_cast<int>(a)),
-                                 kernel_->arrays[a].dtype);
-    }
-    const double executed_lb =
-        std::max(0.0, exec_sample + target_insts -
-                          static_cast<double>(sample_ev_->insts_executed));
-    const double replays_lb = std::max(
-        0.0, replays_sample - static_cast<double>(sample_ev_->replays_1_4()));
-    issued_lb = executed_lb + replays_lb;
-  }
-
-  // T_comp >= issued / active_SMs (throughput >= 1 cycle per issued
-  // instruction, W_serial = 0), and the Eq. 12 clamp keeps
-  // T = T_comp + T_mem - T_overlap >= max(T_comp, T_mem).
-  const double raw_lb = std::max(1.0, tcomp_floor(issued_lb, active_sms));
-  return options_.anchor_to_sample ? raw_lb * anchor_scale_ : raw_lb;
-}
-
 double PlacementBounder::bound_cycles(double addr_insts_total) const {
-  // Mirrors lower_bound_cycles below, with the addressing total supplied by
-  // the search's running sum and the T_mem floor folded in: the Eq. 12
-  // overlap clamp keeps T >= max(T_comp, T_mem), so both floors apply.
+  // Issued instructions cannot fall below the sample's executed count
+  // rebased onto the placement-invariant skeleton plus the node's
+  // addressing-mode inserts (shared-staging preambles only add more), and
+  // replays (1)-(4) cannot fall below zero; without detailed counting a
+  // target issues exactly what the sample issued. T_comp >= issued /
+  // active_SMs (one cycle per issued instruction, W_serial = 0), T_mem >=
+  // tmem_floor_, and the Eq. 12 overlap clamp keeps T = T_comp + T_mem -
+  // T_overlap >= max(T_comp, T_mem), so both floors apply.
   double issued_lb;
   if (!detailed_) {
     issued_lb = issued_const_;

@@ -35,8 +35,7 @@ class Predictor;
 // any legal completion could use, and T_mem enters as the placement-
 // independent tmem_floor (Eq. 4-8 with zero queuing wait). The bound of a
 // node never exceeds predict(completion).total_cycles for any legal
-// completion of that node; on a full placement it equals
-// Predictor::lower_bound_cycles maxed with the T_mem floor.
+// completion of that node.
 //
 // All per-array tables are precomputed at construction, so descending one
 // tree level costs one add and bound_cycles() is O(1). Immutable after
@@ -190,15 +189,6 @@ class Predictor {
   StatusOr<Prediction> try_predict(const DataPlacement& target) const;
   StatusOr<std::vector<Prediction>> try_predict_batch(
       std::span<const DataPlacement> targets, ThreadPool* pool = nullptr) const;
-
-  // Cheap lower bound on predict(target).total_cycles from skeleton
-  // statistics alone (no trace replay): issued instructions can't fall below
-  // the skeleton plus the placement's addressing-mode inserts, replays (1)-(4)
-  // can't fall below zero, and T = T_comp + T_mem - T_overlap >= T_comp under
-  // the physical overlap clamp. Used by exhaustive search to skip dominated
-  // candidates.
-  double lower_bound_cycles(const DataPlacement& target,
-                            const TraceSkeleton& skeleton) const;
 
   // Builds the partial-placement bound tables for branch-and-bound search
   // (requires a profiled sample). The skeleton must be this kernel's.

@@ -104,7 +104,7 @@ struct Evaluator {
 
 // Core of the exhaustive search over an already-enumerated, non-empty space.
 // Exceptions from workers (captured and rethrown by ThreadPool) propagate to
-// the caller; the try_ wrapper converts them to INTERNAL.
+// the caller; try_search converts them to INTERNAL.
 SearchResult exhaustive_over(const Predictor& predictor,
                              const SearchOptions& options,
                              const PlacementSpace& space) {
@@ -149,59 +149,6 @@ SearchResult exhaustive_over(const Predictor& predictor,
   record_search_metrics(watch, best.evaluated, best.not_evaluated,
                         best.deadline_hit, best.cancelled);
   return best;
-}
-
-// Core of the oracle over an already-enumerated, non-empty space.
-OracleResult oracle_over(const KernelInfo& kernel, const GpuArch& arch,
-                         const SearchOptions& options,
-                         const PlacementSpace& space) {
-  GPUHMS_SCOPED_PHASE("search.oracle_ns");
-  const StopWatch watch(options);
-
-  ThreadPool local_pool(options.pool ? 1 : options.num_threads);
-  ThreadPool& pool = options.pool ? *options.pool : local_pool;
-
-  OracleResult r;
-  r.space_truncated = space.truncated;
-  r.space_skipped = space.skipped_combinations;
-  const std::size_t n = space.placements.size();
-  std::vector<std::uint64_t> cycles(std::min(n, kChunk));
-
-  for (std::size_t c0 = 0; c0 < n; c0 += kChunk) {
-    if (watch.should_stop(&r.deadline_hit, &r.cancelled)) {
-      if (r.simulated == 0) {
-        const std::uint64_t c = simulate(kernel, space.placements[0], arch).cycles;
-        r.best = r.worst = space.placements[0];
-        r.best_cycles = r.worst_cycles = c;
-        r.simulated = 1;
-        r.not_simulated = n - 1;
-      } else {
-        r.not_simulated = n - c0;
-      }
-      record_search_metrics(watch, r.simulated, r.not_simulated,
-                            r.deadline_hit, r.cancelled);
-      return r;
-    }
-    const std::size_t c1 = std::min(n, c0 + kChunk);
-    pool.parallel_for(c1 - c0, [&](int, std::size_t j) {
-      cycles[j] = simulate(kernel, space.placements[c0 + j], arch).cycles;
-    });
-    for (std::size_t j = 0; j < c1 - c0; ++j) {
-      const std::size_t i = c0 + j;
-      ++r.simulated;
-      if (i == 0 || cycles[j] < r.best_cycles) {
-        r.best = space.placements[i];
-        r.best_cycles = cycles[j];
-      }
-      if (i == 0 || cycles[j] > r.worst_cycles) {
-        r.worst = space.placements[i];
-        r.worst_cycles = cycles[j];
-      }
-    }
-  }
-  record_search_metrics(watch, r.simulated, r.not_simulated,
-                        r.deadline_hit, r.cancelled);
-  return r;
 }
 
 // --- Branch-and-bound / beam ------------------------------------------------
@@ -735,7 +682,7 @@ SearchResult bnb_over(const Predictor& predictor,
   return res;
 }
 
-// The error contract of every try_ search entry point, annotated with
+// The error contract of try_search, annotated with the algorithm's
 // "<verb> placements of kernel '<name>'": a predictor without a profiled
 // sample is FAILED_PRECONDITION before any work starts; an error `run`
 // returns is passed through; a checkpoint that does not fit the search is
@@ -764,12 +711,6 @@ StatusOr<SearchResult> guarded_search(const Predictor& predictor,
 
 }  // namespace
 
-SearchResult search_exhaustive(const Predictor& predictor, std::size_t cap) {
-  SearchOptions o;
-  o.cap = cap;
-  return search_exhaustive(predictor, o);
-}
-
 SearchResult search_exhaustive(const Predictor& predictor,
                                const SearchOptions& options) {
   const KernelInfo& k = predictor.kernel();
@@ -777,21 +718,6 @@ SearchResult search_exhaustive(const Predictor& predictor,
   const PlacementSpace space = enumerate_placement_space(k, arch, options.cap);
   GPUHMS_CHECK(!space.placements.empty());
   return exhaustive_over(predictor, options, space);
-}
-
-StatusOr<SearchResult> try_search_exhaustive(const Predictor& predictor,
-                                             const SearchOptions& options) {
-  return guarded_search(
-      predictor, "searching", [&]() -> StatusOr<SearchResult> {
-        const KernelInfo& k = predictor.kernel();
-        const PlacementSpace space =
-            enumerate_placement_space(k, predictor.arch(), options.cap);
-        if (space.placements.empty())
-          return InvalidArgumentError(
-              "kernel '" + k.name + "' admits no legal placement under cap " +
-              std::to_string(options.cap));
-        return exhaustive_over(predictor, options, space);
-      });
 }
 
 SearchResult search_greedy(const Predictor& predictor, int max_sweeps) {
@@ -826,14 +752,6 @@ SearchResult search_greedy(const Predictor& predictor, int max_sweeps) {
 SearchResult search_branch_and_bound(const Predictor& predictor,
                                      const SearchOptions& options) {
   return bnb_over(predictor, options);
-}
-
-StatusOr<SearchResult> try_search_branch_and_bound(
-    const Predictor& predictor, const SearchOptions& options) {
-  return guarded_search(predictor, "branch-and-bound searching",
-                        [&]() -> StatusOr<SearchResult> {
-                          return bnb_over(predictor, options);
-                        });
 }
 
 SearchResult search_beam(const Predictor& predictor,
@@ -885,9 +803,23 @@ StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
                                   const SearchOptions& options) {
   switch (algo) {
     case SearchAlgo::kExhaustive:
-      return try_search_exhaustive(predictor, options);
+      return guarded_search(
+          predictor, "searching", [&]() -> StatusOr<SearchResult> {
+            const KernelInfo& k = predictor.kernel();
+            const PlacementSpace space =
+                enumerate_placement_space(k, predictor.arch(), options.cap);
+            if (space.placements.empty())
+              return InvalidArgumentError(
+                  "kernel '" + k.name +
+                  "' admits no legal placement under cap " +
+                  std::to_string(options.cap));
+            return exhaustive_over(predictor, options, space);
+          });
     case SearchAlgo::kBnb:
-      return try_search_branch_and_bound(predictor, options);
+      return guarded_search(predictor, "branch-and-bound searching",
+                            [&]() -> StatusOr<SearchResult> {
+                              return bnb_over(predictor, options);
+                            });
     case SearchAlgo::kBeam:
       return guarded_search(predictor, "beam-searching",
                             [&]() -> StatusOr<SearchResult> {
@@ -899,40 +831,57 @@ StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
 }
 
 OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
-                           std::size_t cap) {
-  SearchOptions o;
-  o.cap = cap;
-  return search_oracle(kernel, arch, o);
-}
-
-OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
                            const SearchOptions& options) {
   const PlacementSpace space =
       enumerate_placement_space(kernel, arch, options.cap);
   GPUHMS_CHECK(!space.placements.empty());
-  return oracle_over(kernel, arch, options, space);
-}
+  GPUHMS_SCOPED_PHASE("search.oracle_ns");
+  const StopWatch watch(options);
 
-StatusOr<OracleResult> try_search_oracle(const KernelInfo& kernel,
-                                         const GpuArch& arch,
-                                         const SearchOptions& options) {
-  const std::string ctx =
-      "oracle-searching placements of kernel '" + kernel.name + "'";
-  GPUHMS_RETURN_IF_ERROR(validate(kernel).annotate(ctx));
-  GPUHMS_RETURN_IF_ERROR(validate(arch).annotate(ctx));
-  const PlacementSpace space =
-      enumerate_placement_space(kernel, arch, options.cap);
-  if (space.placements.empty())
-    return InvalidArgumentError(
-               "kernel '" + kernel.name +
-               "' admits no legal placement under cap " +
-               std::to_string(options.cap))
-        .annotate(ctx);
-  try {
-    return oracle_over(kernel, arch, options, space);
-  } catch (const std::exception& e) {
-    return InternalError(e.what()).annotate(ctx);
+  ThreadPool local_pool(options.pool ? 1 : options.num_threads);
+  ThreadPool& pool = options.pool ? *options.pool : local_pool;
+
+  OracleResult r;
+  r.space_truncated = space.truncated;
+  r.space_skipped = space.skipped_combinations;
+  const std::size_t n = space.placements.size();
+  std::vector<std::uint64_t> cycles(std::min(n, kChunk));
+
+  for (std::size_t c0 = 0; c0 < n; c0 += kChunk) {
+    if (watch.should_stop(&r.deadline_hit, &r.cancelled)) {
+      if (r.simulated == 0) {
+        const std::uint64_t c = simulate(kernel, space.placements[0], arch).cycles;
+        r.best = r.worst = space.placements[0];
+        r.best_cycles = r.worst_cycles = c;
+        r.simulated = 1;
+        r.not_simulated = n - 1;
+      } else {
+        r.not_simulated = n - c0;
+      }
+      record_search_metrics(watch, r.simulated, r.not_simulated,
+                            r.deadline_hit, r.cancelled);
+      return r;
+    }
+    const std::size_t c1 = std::min(n, c0 + kChunk);
+    pool.parallel_for(c1 - c0, [&](int, std::size_t j) {
+      cycles[j] = simulate(kernel, space.placements[c0 + j], arch).cycles;
+    });
+    for (std::size_t j = 0; j < c1 - c0; ++j) {
+      const std::size_t i = c0 + j;
+      ++r.simulated;
+      if (i == 0 || cycles[j] < r.best_cycles) {
+        r.best = space.placements[i];
+        r.best_cycles = cycles[j];
+      }
+      if (i == 0 || cycles[j] > r.worst_cycles) {
+        r.worst = space.placements[i];
+        r.worst_cycles = cycles[j];
+      }
+    }
   }
+  record_search_metrics(watch, r.simulated, r.not_simulated,
+                        r.deadline_hit, r.cancelled);
+  return r;
 }
 
 }  // namespace gpuhms

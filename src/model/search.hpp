@@ -67,7 +67,7 @@ class BnbCheckpointSink {
 
 // Thrown by search_branch_and_bound when SearchOptions::resume_from does not
 // structurally match the search (different kernel/arch, corrupted snapshot);
-// try_search_branch_and_bound converts it to INVALID_ARGUMENT.
+// try_search converts it to INVALID_ARGUMENT.
 class CheckpointMismatch : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -147,25 +147,15 @@ struct SearchResult {
   bool beam_fallback = false;  // node_budget exhausted -> beam refinement ran
 };
 
+// The per-algorithm search cores below abort on misuse (a predictor without
+// a profiled sample, a kernel with no legal placement); try_search is the one
+// Status-returning boundary over them.
+
 // Scores every legal placement (up to options.cap) with the predictor —
 // no bound, no pruning: the plain enumerator branch-and-bound is checked
-// against. The predictor must already have a profiled sample (aborts
-// otherwise; prefer try_search_exhaustive at API boundaries).
+// against.
 SearchResult search_exhaustive(const Predictor& predictor,
                                const SearchOptions& options = {});
-SearchResult search_exhaustive(const Predictor& predictor, std::size_t cap);
-
-// Non-aborting variant:
-//   * FAILED_PRECONDITION when the predictor has no profiled sample,
-//   * INVALID_ARGUMENT when the kernel admits no legal placement under the
-//     cap (the aborting variant GPUHMS_CHECKs this),
-//   * INTERNAL when a worker exception (e.g. an injected trace.lower or
-//     pool.task fault) is captured by the thread pool and rethrown — the
-//     pool remains usable afterwards.
-// Deadline expiry / cancellation are NOT errors: they return OK with
-// deadline_hit / cancelled set on the result.
-StatusOr<SearchResult> try_search_exhaustive(const Predictor& predictor,
-                                             const SearchOptions& options = {});
 
 // Coordinate descent: sweep the arrays repeatedly, moving each to its best
 // space with the others fixed, until a full sweep changes nothing (or
@@ -186,10 +176,6 @@ SearchResult search_greedy(const Predictor& predictor, int max_sweeps = 4);
 // back to one beam pass (beam_fallback). Deterministic for any num_threads.
 SearchResult search_branch_and_bound(const Predictor& predictor,
                                      const SearchOptions& options = {});
-
-// Non-aborting variant; same error contract as try_search_exhaustive.
-StatusOr<SearchResult> try_search_branch_and_bound(
-    const Predictor& predictor, const SearchOptions& options = {});
 
 // Deterministic beam search: assigns arrays level by level keeping the
 // options.beam_width best partial assignments, each scored by a full
@@ -215,9 +201,18 @@ std::string_view to_string(SearchAlgo algo);
 // valid spellings on anything else.
 StatusOr<SearchAlgo> parse_search_algo(std::string_view name);
 
-// Dispatches to try_search_exhaustive / try_search_branch_and_bound /
-// search_beam (the latter wrapped with the same error contract: a missing
-// sample is FAILED_PRECONDITION, an escaping exception INTERNAL).
+// Runs search_exhaustive / search_branch_and_bound / search_beam without
+// aborting; errors are annotated "searching" / "branch-and-bound searching" /
+// "beam-searching placements of kernel '<name>'":
+//   * FAILED_PRECONDITION when the predictor has no profiled sample,
+//   * INVALID_ARGUMENT when the kernel admits no legal placement under the
+//     cap (exhaustive; the aborting core GPUHMS_CHECKs this) or a
+//     SearchOptions::resume_from checkpoint does not fit the search,
+//   * INTERNAL when a worker exception (e.g. an injected trace.lower or
+//     pool.task fault) is captured by the thread pool and rethrown — the
+//     pool remains usable afterwards.
+// Deadline expiry / cancellation are NOT errors: they return OK with
+// deadline_hit / cancelled set on the result.
 StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
                                   const SearchOptions& options = {});
 
@@ -240,14 +235,5 @@ struct OracleResult {
 // Honors SearchOptions::deadline / cancel with best-so-far semantics.
 OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
                            const SearchOptions& options = {});
-OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
-                           std::size_t cap);
-
-// Non-aborting variant: INVALID_ARGUMENT when the kernel/arch are malformed
-// or admit no legal placement, INTERNAL when a worker exception escapes the
-// simulator. Deadline/cancel return OK with the flags set.
-StatusOr<OracleResult> try_search_oracle(const KernelInfo& kernel,
-                                         const GpuArch& arch,
-                                         const SearchOptions& options = {});
 
 }  // namespace gpuhms

@@ -409,7 +409,7 @@ StatusOr<SearchResult> try_resume_branch_and_bound(
   }
 
   GPUHMS_ASSIGN_OR_RETURN(SearchResult result,
-                          try_search_branch_and_bound(predictor, run));
+                          try_search(predictor, SearchAlgo::kBnb, run));
 
   // A finished walk is terminal: seal the journal with the full result so
   // the next resume returns it verbatim. Deadline/cancel stops stay open —

@@ -74,7 +74,7 @@ std::uint64_t search_journal_fingerprint(const Predictor& predictor,
 // A torn/corrupted tail is truncated (one-line stderr log, never an error);
 // checkpoint-append failures degrade to an un-journaled search (see
 // ResumeInfo::journal_write_failed). Error contract on top of
-// try_search_branch_and_bound:
+// try_search(..., SearchAlgo::kBnb, ...):
 //   * FAILED_PRECONDITION  — the journal belongs to a different search or
 //                            format version;
 //   * DATA_LOSS            — the file is not a journal, is unreadable, or

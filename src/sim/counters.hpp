@@ -71,9 +71,6 @@ struct SimResult {
   std::uint64_t cycles = 0;  // kernel execution time
   ProfileCounters counters;
   DramStats dram;
-
-  // Measured average DRAM latency (cycles) and AMAT ingredients.
-  double measured_dram_latency() const { return dram.avg_latency(); }
 };
 
 // Checks a (possibly externally supplied) sample measurement before the

@@ -89,9 +89,6 @@ class SoaLowering {
   SoaWave lower_wave(std::int64_t block_begin, std::int64_t block_end);
 
   const SoaTallies& tallies() const { return tallies_; }
-  std::size_t arena_high_water_bytes() const {
-    return arena_.high_water_bytes();
-  }
 
  private:
   const TraceMaterializer* mat_ = nullptr;

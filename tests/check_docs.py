@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Nine guarantees:
+Eleven guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -35,6 +35,13 @@ Nine guarantees:
      table is a `to_string(StatusCode)` spelling from
      src/common/status.cpp, so the table cannot promise a code the
      service can never send.
+ 10. Every `BENCH_*.json` named in README.md, DESIGN.md, EXPERIMENTS.md
+     or docs/*.md exists at the repo root, so the docs cannot cite a
+     bench record nobody checked in.
+ 11. The fault-site list in README.md's "Fault injection" bullet and the
+     "Registered sites" comment in src/common/fault_injection.hpp each
+     equal the kSites array in src/common/fault_injection.cpp, so a site
+     cannot be added or removed without the docs following.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -375,6 +382,99 @@ def check_serving_error_codes(root):
     return problems
 
 
+BENCH_FILE_RE = re.compile(r"BENCH_[A-Za-z0-9_]+\.json")
+
+
+def check_bench_files(root):
+    """Every BENCH_*.json the docs cite must exist at the repo root."""
+    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+    docs_dir = os.path.join(root, "docs")
+    if os.path.isdir(docs_dir):
+        docs += sorted(os.path.join("docs", n) for n in os.listdir(docs_dir)
+                       if n.endswith(".md"))
+    problems = []
+    for doc in docs:
+        path = os.path.join(root, doc)
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as f:
+            cited = set(BENCH_FILE_RE.findall(f.read()))
+        for name in sorted(cited):
+            if not os.path.exists(os.path.join(root, name)):
+                problems.append(
+                    f"{doc}: cites {name}, which is not checked in at the "
+                    f"repo root")
+    return problems
+
+
+FAULT_HPP = os.path.join("src", "common", "fault_injection.hpp")
+FAULT_CPP = os.path.join("src", "common", "fault_injection.cpp")
+
+
+def registered_fault_sites(root):
+    """The names in fault_injection.cpp's kSites array, in order."""
+    with open(os.path.join(root, FAULT_CPP), encoding="utf-8") as f:
+        m = re.search(r"kSites\[\]\s*=\s*\{(.*?)\};", f.read(), re.S)
+    return re.findall(r'"([^"]+)"', m.group(1)) if m else []
+
+
+def readme_fault_sites(root):
+    """The backticked site list in parentheses in README's "Fault
+    injection" bullet, or None when the bullet or list is not found."""
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        m = re.search(r"^\* \*\*Fault injection\*\*(.*?)(?=^\* |^$)",
+                      f.read(), re.S | re.M)
+    if not m:
+        return None
+    lst = re.search(r"\(((?:\s*`[^`]+`\s*,?)+)\)", m.group(1))
+    return re.findall(r"`([^`]+)`", lst.group(1)) if lst else None
+
+
+def header_fault_sites(root):
+    """The site names of the "Registered sites" comment block in
+    fault_injection.hpp (one `//   name — description` line each), or
+    None when the block is not found."""
+    with open(os.path.join(root, FAULT_HPP), encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    try:
+        start = lines.index("// Registered sites:") + 1
+    except ValueError:
+        return None
+    sites = []
+    for line in lines[start:]:
+        if line.strip() == "//":
+            break
+        m = re.match(r"//\s+([a-z]+\.[a-z_]+)\s+—", line)
+        if m:
+            sites.append(m.group(1))
+    return sites
+
+
+def check_fault_sites(root):
+    """README's and the header comment's fault-site lists must both equal
+    the kSites registry."""
+    registry = registered_fault_sites(root)
+    if not registry:
+        return [f"{FAULT_CPP}: no kSites array found (regex rot?)"]
+    problems = []
+    for where, listed in (
+            ("README.md 'Fault injection' bullet", readme_fault_sites(root)),
+            (f"{FAULT_HPP} 'Registered sites' comment",
+             header_fault_sites(root))):
+        if not listed:
+            problems.append(f"{where}: no fault-site list found (regex rot?)")
+            continue
+        for site in sorted(set(listed) - set(registry)):
+            problems.append(
+                f"{where} lists fault site '{site}', which is not in "
+                f"kSites in {FAULT_CPP}")
+        for site in sorted(set(registry) - set(listed)):
+            problems.append(
+                f"{where} omits fault site '{site}', which is registered "
+                f"in kSites in {FAULT_CPP}")
+    return problems
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -391,6 +491,8 @@ def main():
     problems.extend(check_serving_env_rows(root))
     problems.extend(check_serving_flags(root))
     problems.extend(check_serving_error_codes(root))
+    problems.extend(check_bench_files(root))
+    problems.extend(check_fault_sites(root))
 
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -399,8 +501,10 @@ def main():
         return 1
     print(f"docs check OK: {len(md_files)} markdown files, all relative "
           "links and anchors resolve, MODEL_MAP files and symbols exist, every "
-          "ctest label and GPUHMS_* env var is documented, and SERVING.md's "
-          "env, flag and error-code tables match the code")
+          "ctest label and GPUHMS_* env var is documented, SERVING.md's "
+          "env, flag and error-code tables match the code, every cited "
+          "BENCH_*.json is checked in, and the fault-site lists match the "
+          "registry")
     return 0
 
 

@@ -16,7 +16,6 @@
 #include <map>
 #include <random>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -34,7 +33,6 @@
 #include "serve/json.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
-#include "trace/serialize.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -77,42 +75,11 @@ void scenario_trace_lower(bool fire) {
   SearchOptions o;
   o.cap = 16;
   if (fire) fault::arm("trace.lower", 1);
-  const auto r = try_search_exhaustive(pred, o);
+  const auto r = try_search(pred, SearchAlgo::kExhaustive, o);
   if (fire) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInternal);
     EXPECT_NE(r.status().message().find("trace.lower"), std::string::npos);
-  } else {
-    EXPECT_TRUE(r.ok()) << r.status().to_string();
-  }
-}
-
-void scenario_serialize_write(bool fire) {
-  const KernelInfo k = workloads::make_vecadd(1 << 8);
-  TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  const auto warps = mat.generate(0, 1);
-  if (fire) fault::arm("serialize.write", 1);
-  std::ostringstream os;
-  const Status st = try_write_trace(os, k, warps);
-  if (fire) {
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  } else {
-    EXPECT_TRUE(st.ok()) << st.to_string();
-  }
-}
-
-void scenario_serialize_read(bool fire) {
-  const KernelInfo k = workloads::make_vecadd(1 << 8);
-  TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  std::ostringstream os;
-  ASSERT_TRUE(try_write_trace(os, k, mat.generate(0, 1)).ok());
-  if (fire) fault::arm("serialize.read", 1);
-  std::istringstream is(os.str());
-  const auto r = try_read_trace(is);
-  if (fire) {
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
   } else {
     EXPECT_TRUE(r.ok()) << r.status().to_string();
   }
@@ -216,8 +183,6 @@ void scenario_journal_read(bool fire) {
 const std::map<std::string, Scenario>& scenario_table() {
   static const std::map<std::string, Scenario> table = {
       {"trace.lower", scenario_trace_lower},
-      {"serialize.write", scenario_serialize_write},
-      {"serialize.read", scenario_serialize_read},
       {"queuing.nan", [](bool f) { scenario_queuing("queuing.nan", f); }},
       {"queuing.saturate",
        [](bool f) { scenario_queuing("queuing.saturate", f); }},

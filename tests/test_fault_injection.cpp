@@ -1,19 +1,17 @@
 // Deterministic fault injection: Nth-hit arming fires exactly once at the
 // same execution regardless of thread count, injected worker exceptions
 // surface as INTERNAL from the try_* APIs with the pool still usable, and
-// the queuing/serialization sites drive their degraded-mode paths end to
-// end (finite predictions with `saturated` set, DATA_LOSS statuses).
+// the queuing sites drive their degraded-mode path end to end (finite
+// predictions with `saturated` set).
 #include "common/fault_injection.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "model/search.hpp"
-#include "trace/serialize.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -124,7 +122,7 @@ TEST_F(FaultInjection, SearchUnderInjectedLoweringFaultReturnsInternal) {
   const SearchResult clean = search_exhaustive(pred, o);
 
   fault::arm("trace.lower", 1);
-  const auto faulted = try_search_exhaustive(pred, o);
+  const auto faulted = try_search(pred, SearchAlgo::kExhaustive, o);
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kInternal);
   EXPECT_NE(faulted.status().message().find("trace.lower"), std::string::npos)
@@ -134,7 +132,7 @@ TEST_F(FaultInjection, SearchUnderInjectedLoweringFaultReturnsInternal) {
   EXPECT_GT(fault::hits("trace.lower"), 0u);
 
   // One-shot: the very next search succeeds and matches the clean run.
-  const auto retried = try_search_exhaustive(pred, o);
+  const auto retried = try_search(pred, SearchAlgo::kExhaustive, o);
   ASSERT_TRUE(retried.ok()) << retried.status().to_string();
   EXPECT_EQ(retried->placement, clean.placement);
   EXPECT_EQ(retried->predicted_cycles, clean.predicted_cycles);
@@ -183,39 +181,6 @@ TEST_F(FaultInjection, QueuingSaturateFaultKeepsPredictionFiniteAndFlagged) {
   EXPECT_TRUE(std::isfinite(r->total_cycles));
   EXPECT_GT(r->total_cycles, 0.0);
   EXPECT_TRUE(r->queue_saturated);
-}
-
-// --- serialization faults ----------------------------------------------------
-
-TEST_F(FaultInjection, SerializeWriteFaultIsDataLoss) {
-  const KernelInfo k = workloads::make_vecadd(1 << 8);
-  TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  const auto warps = mat.generate(0, 1);
-  fault::arm("serialize.write", 1);
-  std::ostringstream os;
-  const Status st = try_write_trace(os, k, warps);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  EXPECT_NE(st.context().find(k.name), std::string::npos) << st.to_string();
-}
-
-TEST_F(FaultInjection, SerializeReadFaultIsDataLossWithLineNumber) {
-  const KernelInfo k = workloads::make_vecadd(1 << 8);
-  TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  std::ostringstream os;
-  ASSERT_TRUE(try_write_trace(os, k, mat.generate(0, 1)).ok());
-
-  fault::arm("serialize.read", 2);
-  std::istringstream is(os.str());
-  const auto r = try_read_trace(is);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(r.status().message().find("line 2"), std::string::npos)
-      << r.status().to_string();
-
-  // Clean reread parses fine (one-shot fault).
-  std::istringstream again(os.str());
-  EXPECT_TRUE(try_read_trace(again).ok());
 }
 
 }  // namespace

@@ -5,14 +5,11 @@
 // trace analysis agrees with it on order-insensitive counts, and the
 // predictor returns finite positive predictions.
 #include <cmath>
-#include <sstream>
-#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "model/predictor.hpp"
-#include "trace/serialize.hpp"
 
 namespace gpuhms {
 namespace {
@@ -157,144 +154,6 @@ TEST_P(FuzzPipeline, InvariantsHoldForRandomKernels) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<std::uint64_t>(1, 33));
-
-// --- serialization mutation corpus -------------------------------------------
-// Mutate a valid trace file in ways real corruption produces — truncation,
-// swapped fields, huge integers, NUL bytes, deleted/duplicated tokens — and
-// assert the parser NEVER crashes: it either parses (benign mutation) or
-// returns a non-empty diagnostic naming a line number.
-
-std::string reference_trace(std::uint64_t seed) {
-  const KernelInfo k = random_kernel(seed);
-  TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  std::ostringstream os;
-  write_trace(os, mat, 0, 1);
-  return os.str();
-}
-
-void expect_parse_or_diagnose(const std::string& text) {
-  std::istringstream is(text);
-  std::string error;
-  const auto parsed = read_trace(is, &error);
-  if (!parsed) {
-    EXPECT_FALSE(error.empty()) << "rejection must carry a diagnostic";
-    EXPECT_NE(error.find("line"), std::string::npos)
-        << "diagnostic must name a line: " << error;
-  }
-  // Either way: no crash, and the Status variant agrees with the optional.
-  std::istringstream is2(text);
-  const auto st = try_read_trace(is2);
-  EXPECT_EQ(st.ok(), parsed.has_value());
-  if (!st.ok()) {
-    EXPECT_EQ(st.status().code(), StatusCode::kDataLoss);
-  }
-}
-
-class FuzzSerialize : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FuzzSerialize, MutatedTracesNeverCrashTheParser) {
-  const std::uint64_t seed = GetParam();
-  const std::string base = reference_trace(seed);
-  ASSERT_FALSE(base.empty());
-  Rng rng(seed ^ 0x5e11a11);
-
-  for (int round = 0; round < 24; ++round) {
-    std::string m = base;
-    switch (rng.next_below(6)) {
-      case 0:  // truncate mid-file (often mid-record)
-        m.resize(rng.next_below(m.size()));
-        break;
-      case 1: {  // swap two whitespace-separated fields on one line
-        const std::size_t at = rng.next_below(m.size());
-        const std::size_t sp1 = m.find(' ', at);
-        if (sp1 == std::string::npos || sp1 + 1 >= m.size()) break;
-        const std::size_t sp2 = m.find(' ', sp1 + 1);
-        if (sp2 == std::string::npos) break;
-        const std::size_t end = m.find_first_of(" \n", sp2 + 1);
-        const std::string a = m.substr(at, sp1 - at);
-        const std::string b = m.substr(
-            sp2 + 1, (end == std::string::npos ? m.size() : end) - sp2 - 1);
-        m = m.substr(0, at) + b + m.substr(sp1, sp2 + 1 - sp1) + a +
-            (end == std::string::npos ? "" : m.substr(end));
-        break;
-      }
-      case 2: {  // splice in a huge integer (overflow probe)
-        const std::size_t at = rng.next_below(m.size());
-        m.insert(at, "999999999999999999999999999");
-        break;
-      }
-      case 3: {  // NUL and control bytes
-        for (int i = 0; i < 4 && !m.empty(); ++i)
-          m[rng.next_below(m.size())] = static_cast<char>(
-              rng.next_below(2) ? '\0' : 0x1f);
-        break;
-      }
-      case 4: {  // delete a random span
-        const std::size_t at = rng.next_below(m.size());
-        m.erase(at, rng.next_range(1, 16));
-        break;
-      }
-      default: {  // duplicate a random line
-        const std::size_t at = rng.next_below(m.size());
-        const std::size_t bol = m.rfind('\n', at);
-        const std::size_t eol = m.find('\n', at);
-        const std::size_t b = bol == std::string::npos ? 0 : bol + 1;
-        const std::size_t e = eol == std::string::npos ? m.size() : eol + 1;
-        m.insert(e, m.substr(b, e - b));
-        break;
-      }
-    }
-    SCOPED_TRACE("round " + std::to_string(round));
-    expect_parse_or_diagnose(m);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSerialize,
-                         ::testing::Range<std::uint64_t>(1, 9));
-
-// Hand-picked corpus of historically nasty shapes.
-TEST(FuzzSerialize, DirectedCorpus) {
-  const char* corpus[] = {
-      "",                                   // empty file
-      "\n\n\n",                             // only blank lines
-      "# just a comment\n",                 // no kernel header
-      "kernel\n",                           // header with no fields
-      "kernel k -1 32\n",                   // negative block count
-      "kernel k 1 32\nwarp 0 0 33\n",       // lanes_active > warp size
-      "kernel k 1 32\nwarp 0 0 32\nop load global 0 0 0 zz\n",  // bad hex
-      "kernel k 1 32\nop load global 0 0 0 ffffffff\n",  // op before warp
-      "kernel k 1 32\nwarp 0 0 32\nop ld 0 0\n",         // short op record
-      "kernel k 99999999999999999999 32\n",              // overflow
-      "kernel k 1 32\nkernel k2 1 32\n",                 // duplicate header
-      "warp 0 0 32\n",                                   // warp before kernel
-  };
-  for (const char* text : corpus) {
-    SCOPED_TRACE(std::string("corpus: ") + text);
-    std::istringstream is(text);
-    std::string error;
-    const auto parsed = read_trace(is, &error);
-    EXPECT_FALSE(parsed.has_value());
-    EXPECT_FALSE(error.empty());
-  }
-}
-
-// A memory op must carry exactly 32 lane addresses — short and long lists
-// are both rejected with the token named.
-TEST(FuzzSerialize, WrongLaneCountRejected) {
-  const std::string head = "kernel k 1 32\nwarp 0 0 32\n";
-  std::string short_op = head + "op load global 0 0 0 ffffffff";
-  for (int i = 0; i < 31; ++i) short_op += " " + std::to_string(i);
-  short_op += "\n";
-  std::string long_op = head + "op load global 0 0 0 ffffffff";
-  for (int i = 0; i < 33; ++i) long_op += " " + std::to_string(i);
-  long_op += "\n";
-  for (const std::string& text : {short_op, long_op}) {
-    std::istringstream is(text);
-    std::string error;
-    EXPECT_FALSE(read_trace(is, &error).has_value());
-    EXPECT_NE(error.find("line 3"), std::string::npos) << error;
-  }
-}
 
 }  // namespace
 }  // namespace gpuhms

@@ -40,7 +40,9 @@ TEST(SearchExhaustive, FindsMinimumOfPredictedSpace) {
 TEST(SearchExhaustive, RespectsCap) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   const Predictor pred = profiled_predictor(k);
-  const auto r = search_exhaustive(pred, 5);
+  SearchOptions o;
+  o.cap = 5;
+  const auto r = search_exhaustive(pred, o);
   EXPECT_EQ(r.evaluated, 5u);
   EXPECT_TRUE(r.space_truncated);
   EXPECT_GT(r.space_skipped, 0u);

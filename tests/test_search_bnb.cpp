@@ -256,7 +256,7 @@ TEST(SearchBeam, NearExhaustiveOnSmallSpace) {
 TEST(SearchBnb, TryVariantRejectsUnprofiledPredictor) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   const Predictor pred(k, kepler_arch());
-  const auto r = try_search_branch_and_bound(pred);
+  const auto r = try_search(pred, SearchAlgo::kBnb);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }

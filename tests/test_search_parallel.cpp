@@ -253,7 +253,7 @@ TEST(SearchDeadline, TrySearchTreatsDeadlineAsOk) {
   const Predictor pred = profiled_predictor(k);
   SearchOptions o = options_with_threads(2);
   o.deadline = std::chrono::milliseconds(0);
-  const auto r = try_search_exhaustive(pred, o);
+  const auto r = try_search(pred, SearchAlgo::kExhaustive, o);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_TRUE(r->deadline_hit);
 }

@@ -1,17 +1,14 @@
 // Status/StatusOr core and the non-aborting validate()/try_* API surface:
-// malformed kernels, placements, arch configs, measurements and traces must
-// come back as descriptive Status values (never aborts), with the offending
+// malformed kernels, placements, arch configs and measurements must come
+// back as descriptive Status values (never aborts), with the offending
 // entity named in the message and call-site context attached via annotate().
 #include "common/status.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "arch/gpu_arch.hpp"
 #include "model/search.hpp"
 #include "sim/counters.hpp"
-#include "trace/serialize.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -247,72 +244,59 @@ TEST(TryApi, IllegalTargetPlacementIsInvalidArgument) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- search try_* surface ----------------------------------------------------
+// --- try_search: the one Status boundary over the search cores -------------
+
+// The aborting per-algorithm core try_search wraps, and the verb its errors
+// are annotated with.
+struct AlgoCase {
+  SearchAlgo algo;
+  SearchResult (*core)(const Predictor&, const SearchOptions&);
+  const char* verb;
+};
+
+const AlgoCase kAlgoCases[] = {
+    {SearchAlgo::kExhaustive, search_exhaustive, "searching"},
+    {SearchAlgo::kBnb, search_branch_and_bound, "branch-and-bound searching"},
+    {SearchAlgo::kBeam, search_beam, "beam-searching"},
+};
 
 TEST(TryApi, SearchWithoutSampleIsFailedPrecondition) {
   const KernelInfo k = workloads::make_vecadd(1 << 10);
   const Predictor pred(k, kepler_arch());
-  const auto r = try_search_exhaustive(pred);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  for (const AlgoCase& c : kAlgoCases) {
+    SCOPED_TRACE(std::string(to_string(c.algo)));
+    const auto r = try_search(pred, c.algo);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(r.status().context(),
+              std::string(c.verb) + " placements of kernel '" + k.name + "'");
+  }
 }
 
 TEST(TryApi, TrySearchMatchesAbortingSearch) {
-  const KernelInfo k = workloads::make_triad(1 << 12);
-  Predictor pred(k, kepler_arch());
-  pred.profile_sample(DataPlacement::defaults(k));
+  // neuralnet, because branch-and-bound cuts subtrees there: the pruning
+  // tally is compared on a non-zero value.
+  const workloads::BenchmarkCase bench = workloads::get_benchmark("neuralnet");
+  Predictor pred(bench.kernel, kepler_arch());
+  pred.profile_sample(bench.sample);
   SearchOptions o;
   o.cap = 16;
   o.num_threads = 2;
-  const SearchResult plain = search_exhaustive(pred, o);
-  const auto tried = try_search_exhaustive(pred, o);
-  ASSERT_TRUE(tried.ok()) << tried.status().to_string();
-  EXPECT_EQ(tried->placement, plain.placement);
-  EXPECT_EQ(tried->predicted_cycles, plain.predicted_cycles);
-  EXPECT_EQ(tried->evaluated, plain.evaluated);
-}
-
-TEST(TryApi, TrySearchOracleValidatesArch) {
-  const KernelInfo k = workloads::make_vecadd(1 << 10);
-  GpuArch broken = kepler_arch();
-  broken.num_sms = -1;
-  SearchOptions o;
-  o.cap = 4;
-  const auto r = try_search_oracle(k, broken, o);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-// --- serialization try_* surface --------------------------------------------
-
-TEST(TryApi, TryReadTraceReportsDataLossWithLineNumber) {
-  std::istringstream is("kernel k 1 32\nwarp 0 0 32\nop bogus_class\n");
-  const auto r = try_read_trace(is);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(r.status().message().find("line 3"), std::string::npos)
-      << r.status().to_string();
-}
-
-TEST(TryApi, TryWriteTraceRoundTrips) {
-  const KernelInfo k = workloads::make_vecadd(1 << 8);
-  TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  const auto warps = mat.generate(0, 1);
-  std::ostringstream os;
-  ASSERT_TRUE(try_write_trace(os, k, warps).ok());
-  std::istringstream is(os.str());
-  const auto parsed = try_read_trace(is);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed->warps.size(), warps.size());
-  EXPECT_TRUE(validate(*parsed).ok());
-}
-
-TEST(TryApi, SerializedTraceValidateCatchesBadGeometry) {
-  SerializedTrace t;
-  t.kernel_name = "k";
-  t.num_blocks = 0;  // must be >= 1
-  t.threads_per_block = 32;
-  EXPECT_EQ(validate(t).code(), StatusCode::kInvalidArgument);
+  for (const AlgoCase& c : kAlgoCases) {
+    SCOPED_TRACE(std::string(to_string(c.algo)));
+    const SearchResult plain = c.core(pred, o);
+    const auto tried = try_search(pred, c.algo, o);
+    ASSERT_TRUE(tried.ok()) << tried.status().to_string();
+    EXPECT_EQ(tried->placement, plain.placement);
+    EXPECT_EQ(tried->predicted_cycles, plain.predicted_cycles);
+    EXPECT_EQ(tried->evaluated, plain.evaluated);
+    EXPECT_EQ(tried->lower_bound, plain.lower_bound);
+    EXPECT_EQ(tried->nodes_expanded, plain.nodes_expanded);
+    EXPECT_EQ(tried->pruned_subtrees, plain.pruned_subtrees);
+    if (c.algo == SearchAlgo::kBnb) {
+      EXPECT_GT(plain.pruned_subtrees, 0u);
+    }
+  }
 }
 
 }  // namespace
