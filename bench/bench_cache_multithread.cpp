@@ -1,19 +1,19 @@
 // Multithreaded warm-hit cache throughput: gets/sec through the sharded
-// wait-free ConcurrentCache (DESIGN §14) at 1/2/4/8/16 threads. This is the
+// ConcurrentCache (DESIGN §14) at 1/2/4/8/16 threads. This is the
 // microbenchmark behind the serve hot path:
 // at high hit rates the cache, not the model, decides how the daemon scales
 // with client threads.
 //
 // Self-asserting on two axes:
 //   * Correctness: every get must hit and return byte-identical bytes to
-//     what was inserted — a wait-free read that returns torn or stale data
-//     would "win" any throughput race, so the checksum guards the numbers.
+//     what was inserted — a read that returns torn or stale data would
+//     "win" any throughput race, so the checksum guards the numbers.
 //   * Scaling: sharded 1->16-thread throughput must not fall below a
 //     hardware-aware floor. On >=16 cores the floor is the ISSUE's 4x; with
 //     fewer cores the achievable parallelism is min(16, cores), so the
 //     floor degrades to max(0.3, min(16, cores)/4) — on the single-core CI
 //     container that means "16 threads must not collapse below 0.3x of one
-//     thread" (the wait-free design's whole point is no collapse), and the
+//     thread" (per-shard locks exist so that it does not collapse), and the
 //     real 4x assertion arms itself automatically on real multicore
 //     hardware. The floor actually applied is recorded in BENCH_cache.json
 //     next to hardware_concurrency, so a reader can tell which contract a
@@ -45,8 +45,8 @@ double now_ms() {
 }
 
 // Serve-shaped keys and values: fingerprint-style hex keys, JSON-ish values
-// big enough that the value copy-out (the part the epoch guard protects) is
-// a real fraction of the probe.
+// big enough that the value copy-out (made under the shard lock) is a real
+// fraction of the lookup.
 std::string key_for(std::size_t i) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016zx|G,T,S", i * 0x9e3779b97f4a7c15ULL);
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       keys, total_gets, hw);
 
   const std::vector<Point> sharded_points = sweep(sharded, keys, total_gets);
-  print_points("sharded (wait-free reads)", sharded_points);
+  print_points("sharded", sharded_points);
 
   const double sharded_scaling =
       sharded_points.back().gets_per_sec / sharded_points.front().gets_per_sec;

@@ -5,9 +5,9 @@
 // Self-asserting: the warm phase must beat the cold phase by at least
 // kMinWarmSpeedup, every multithreaded warm response must be byte-identical
 // to the single-threaded reference, and the 1->16-thread scaling of the
-// default (sharded, DESIGN §14) cache must clear a hardware-aware floor —
-// 4x on >=16 cores, pro-rated by min(16, cores) below that, never under the
-// no-collapse 0.3x (this container is single-core; the floor applied is
+// service over its per-shard-locked caches (DESIGN §14) must clear a
+// hardware-aware floor — 4x on >=16 cores, pro-rated by min(16, cores)
+// below that, never under the no-collapse 0.3x (the floor applied is
 // recorded in the JSON). Emits BENCH_serve.json in the working directory
 // for the perf trajectory.
 //

@@ -6,11 +6,10 @@ namespace gpuhms {
 
 // Largest power of two <= min(kMaxShards, capacity / kMinShardCap), floor 1:
 // every shard owns at least kMinShardCap entries before the cache fans out
-// to another shard, so the CLOCK approximation never degenerates into
-// per-shard capacity 1 (where a hash collision would evict a hot entry even
-// with the rest of the cache empty). 16 shards saturate the design point —
-// the serve prediction cache (4096) gets 16 x 256, the kernel cache (16)
-// gets 2 x 8.
+// to another shard, so per-shard LRU never degenerates into per-shard
+// capacity 1 (where a hash collision would evict a hot entry even with the
+// rest of the cache empty). 16 shards saturate the design point — the serve
+// prediction cache (4096) gets 16 x 256, the kernel cache (16) gets 2 x 8.
 std::size_t concurrent_cache_shards(std::size_t capacity) {
   constexpr std::size_t kMaxShards = 16;
   constexpr std::size_t kMinShardCap = 8;
@@ -22,7 +21,7 @@ std::size_t concurrent_cache_shards(std::size_t capacity) {
 }
 
 // splitmix64 finalizer: full-avalanche mix so shard selection (high bits)
-// and probe start (low bits) are independent even for identity std::hash.
+// spreads keys even for identity std::hash.
 std::uint64_t concurrent_cache_mix(std::uint64_t h) {
   h += 0x9e3779b97f4a7c15ull;
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;

@@ -6,8 +6,8 @@
 // again", and the idempotency fingerprint the client stamps on every request
 // makes retries safe — a request that already executed replays its original
 // response bytes instead of running twice. This header packages that retry
-// loop once so tests, the soak harness and bench_serve_throughput all speak
-// the same discipline instead of re-implementing it.
+// loop once; its callers are the protocol tests (test_serve) and the chaos
+// harness (test_chaos).
 //
 // The transport is a plain callable (one request line in, one response line
 // out) so the client works over any byte stream — an in-process

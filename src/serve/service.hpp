@@ -16,8 +16,9 @@
 //   * a bounded cache of memoized Predictions keyed by
 //     (kernel fingerprint, arch fingerprint, placement) so repeated predicts
 //     are a map lookup, not a trace replay. Both caches (and the idem-replay
-//     cache) are the sharded wait-free ConcurrentCache of DESIGN §14, so
-//     warm hits from concurrent clients never serialize on a cache lock;
+//     cache) are the sharded LRU ConcurrentCache of DESIGN §14: one mutex
+//     per shard, so warm hits from concurrent clients contend only when
+//     their keys share a shard;
 //   * request batching: predict_batch requests (and pipelined runs of
 //     same-kernel predicts, see handle_pipeline) coalesce their cache misses
 //     into ONE Predictor::predict_batch call on the shared ThreadPool;

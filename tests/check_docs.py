@@ -9,10 +9,13 @@ Eleven guarantees:
      cross-file (`FILE.md#section`) — names a real heading in the target
      file, GitHub-slugged, so a renamed section cannot leave dangling
      anchors.
-  3. docs/MODEL_MAP.md only references files that exist: every backtick
-     token that looks like a repo path (src/..., tests/..., bench/...,
-     examples/..., docs/...) must name a real file, so the equation-to-code
-     map cannot silently rot as code moves.
+  3. README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md only reference
+     files that exist: every backtick token that looks like a repo path
+     (src/..., tests/..., bench/..., examples/..., docs/...) must name a
+     real file or directory, so the docs cannot silently rot as code
+     moves. Two shorthands are accepted: `x.hpp/.cpp` names both files,
+     and `bench/<name>` or `examples/<name>` names the binary built from
+     `<name>.cpp`.
   4. README.md's "Test labels & coverage" list is complete: every ctest
      label registered via LABELS in tests/CMakeLists.txt must appear in
      README.md spelled `-L <label>`, so a new label cannot ship
@@ -142,18 +145,47 @@ def check_links(md_path, root, anchor_cache):
     return problems
 
 
-def check_model_map(root):
+def prose_docs(root):
+    """README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md, repo-relative."""
+    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+    docs_dir = os.path.join(root, "docs")
+    if os.path.isdir(docs_dir):
+        docs += sorted(os.path.join("docs", n) for n in os.listdir(docs_dir)
+                       if n.endswith(".md"))
+    return [d for d in docs if os.path.exists(os.path.join(root, d))]
+
+
+# `src/common/concurrent_cache.hpp/.cpp`: one token naming both files.
+SIBLING_PAIR_RE = re.compile(r"(.+)\.(hpp|cpp)/\.(hpp|cpp)")
+
+
+def missing_files(root, ref):
+    """The files a backticked repo path names that do not exist."""
+    pair = SIBLING_PAIR_RE.fullmatch(ref)
+    if pair:
+        files = [f"{pair.group(1)}.{pair.group(2)}",
+                 f"{pair.group(1)}.{pair.group(3)}"]
+        return [f for f in files if not os.path.exists(os.path.join(root, f))]
+    if os.path.exists(os.path.join(root, ref)):
+        return []
+    if (ref.startswith(("bench/", "examples/"))
+            and os.path.exists(os.path.join(root, ref + ".cpp"))):
+        return []  # a binary name: bench/bench_bnb_scaling
+    return [ref]
+
+
+def check_repo_paths(root):
+    if not os.path.exists(os.path.join(root, "docs", "MODEL_MAP.md")):
+        return ["docs/MODEL_MAP.md is missing"]
     problems = []
-    path = os.path.join(root, "docs", "MODEL_MAP.md")
-    if not os.path.exists(path):
-        return [f"docs/MODEL_MAP.md is missing (expected at {path})"]
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            for ref in CODE_PATH_RE.findall(line):
-                if not os.path.exists(os.path.join(root, ref)):
-                    problems.append(
-                        f"docs/MODEL_MAP.md:{lineno}: "
-                        f"references nonexistent file '{ref}'")
+    for doc in prose_docs(root):
+        with open(os.path.join(root, doc), encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                for ref in CODE_PATH_RE.findall(line):
+                    for missing in missing_files(root, ref):
+                        problems.append(
+                            f"{doc}:{lineno}: references nonexistent file "
+                            f"'{missing}'")
     return problems
 
 
@@ -387,17 +419,9 @@ BENCH_FILE_RE = re.compile(r"BENCH_[A-Za-z0-9_]+\.json")
 
 def check_bench_files(root):
     """Every BENCH_*.json the docs cite must exist at the repo root."""
-    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
-    docs_dir = os.path.join(root, "docs")
-    if os.path.isdir(docs_dir):
-        docs += sorted(os.path.join("docs", n) for n in os.listdir(docs_dir)
-                       if n.endswith(".md"))
     problems = []
-    for doc in docs:
-        path = os.path.join(root, doc)
-        if not os.path.exists(path):
-            continue
-        with open(path, encoding="utf-8") as f:
+    for doc in prose_docs(root):
+        with open(os.path.join(root, doc), encoding="utf-8") as f:
             cited = set(BENCH_FILE_RE.findall(f.read()))
         for name in sorted(cited):
             if not os.path.exists(os.path.join(root, name)):
@@ -484,7 +508,7 @@ def main():
     anchor_cache = {}
     for md in md_files:
         problems.extend(check_links(md, root, anchor_cache))
-    problems.extend(check_model_map(root))
+    problems.extend(check_repo_paths(root))
     problems.extend(check_model_map_symbols(root))
     problems.extend(check_readme_labels(root))
     problems.extend(check_env_vars(root))
@@ -500,7 +524,8 @@ def main():
             print("  " + p)
         return 1
     print(f"docs check OK: {len(md_files)} markdown files, all relative "
-          "links and anchors resolve, MODEL_MAP files and symbols exist, every "
+          "links and anchors resolve, repo paths in the docs and MODEL_MAP "
+          "symbols exist, every "
           "ctest label and GPUHMS_* env var is documented, SERVING.md's "
           "env, flag and error-code tables match the code, every cited "
           "BENCH_*.json is checked in, and the fault-site lists match the "

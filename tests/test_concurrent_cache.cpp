@@ -1,16 +1,15 @@
-// The concurrency battery for the sharded epoch-reclaimed cache (DESIGN
-// §14): epoch-reclamation unit tests (no reclaim while a reader holds an
-// epoch; deferred frees drain after quiescence), a single-threaded
-// differential test against an in-test strict-LRU reference model, the
-// bound on evicted values kept alive awaiting reclamation,
-// linearizability-style randomized concurrent schedules (every observed
-// value was inserted for exactly that key; the capacity bound holds at every
-// observation point), a 16-thread mixed-verb soak (CacheSoak.*, also
+// The concurrency battery for the sharded LRU cache (DESIGN §14): a
+// single-threaded differential test against an in-test strict-LRU
+// reference model (exact below capacity, and exact over capacity on one
+// shard), recency-based eviction, evicted values freed at eviction and
+// outside the shard lock, linearizability-style randomized concurrent
+// schedules (every observed value was inserted for exactly that key; the
+// capacity bound holds at every observation point), a 16-thread mixed-verb soak (CacheSoak.*, also
 // registered under `ctest -L soak`), and the serve-layer contract: warm
 // cache hits answer the same bytes as cold misses, from any number of
 // threads. The whole file also compiles into the ThreadSanitizer
-// binary (tests/CMakeLists.txt), where the epoch protocol's happens-before
-// edges are checked for real.
+// binary (tests/CMakeLists.txt), which checks that every access is
+// synchronized by the shard locks.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -27,7 +26,6 @@
 
 #include "arch/arch_registry.hpp"
 #include "common/concurrent_cache.hpp"
-#include "common/epoch.hpp"
 #include "serve/service.hpp"
 
 namespace gpuhms {
@@ -49,83 +47,6 @@ constexpr int kScheduleOps = 20000;
 constexpr int kSoakOpsPerThread = 20000;
 constexpr int kScheduleOps = 20000;
 #endif
-
-// --- epoch reclamation -------------------------------------------------------
-
-void count_free(void* p) {
-  static_cast<std::atomic<int>*>(p)->fetch_add(1, std::memory_order_relaxed);
-}
-
-TEST(Epoch, NoReclaimWhileReaderHoldsAnEpoch) {
-  epoch::Domain domain;
-  std::atomic<int> freed{0};
-  {
-    epoch::Domain::Guard guard = domain.pin();
-    domain.retire(&freed, count_free);
-    EXPECT_EQ(domain.limbo_size(), 1u);
-    // However hard the collector tries, a node retired while this guard is
-    // pinned must not be freed: the guard caps the global epoch at pin + 1
-    // and the node needs its tag + 3.
-    for (int i = 0; i < 10; ++i) domain.collect();
-    EXPECT_EQ(freed.load(), 0);
-    EXPECT_EQ(domain.limbo_size(), 1u);
-  }
-  // Quiescent: three collects are always enough (one advance each).
-  domain.collect();
-  domain.collect();
-  domain.collect();
-  EXPECT_EQ(freed.load(), 1);
-  EXPECT_EQ(domain.limbo_size(), 0u);
-}
-
-TEST(Epoch, DeferredFreesDrainAfterQuiescence) {
-  epoch::Domain domain;
-  std::atomic<int> freed{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) domain.retire(&freed, count_free);
-    { epoch::Domain::Guard guard = domain.pin(); }  // pin/unpin churn
-    domain.collect();
-    domain.collect();
-    domain.collect();
-    EXPECT_EQ(freed.load(), (round + 1) * 100);
-    EXPECT_EQ(domain.limbo_size(), 0u);
-  }
-}
-
-TEST(Epoch, ReaderPinnedAtRetireTimeBlocksOnlyItsGeneration) {
-  epoch::Domain domain;
-  std::atomic<int> freed_old{0}, freed_new{0};
-  // Retire A with no reader; advance until A is one epoch from freeable.
-  domain.retire(&freed_old, count_free);
-  domain.collect();  // advance once
-  domain.collect();  // advance twice; A one epoch from freeable
-  {
-    epoch::Domain::Guard guard = domain.pin();  // pinned at current epoch
-    domain.retire(&freed_new, count_free);      // B retired under the pin
-    // A predates the pin by two full epochs: the advance chain that let
-    // the epoch get here already published A's unlink to this reader, so
-    // the collector may free A (the pin allows one advance, to pin + 1)...
-    domain.collect();
-    EXPECT_EQ(freed_old.load(), 1);
-    // ...but B, retired at (or just after) the pinned epoch, must survive:
-    // the guard caps the global epoch at pin + 1 and B needs pin + 3.
-    for (int i = 0; i < 5; ++i) domain.collect();
-    EXPECT_EQ(freed_new.load(), 0);
-  }
-  domain.collect();
-  domain.collect();
-  domain.collect();
-  EXPECT_EQ(freed_new.load(), 1);
-}
-
-TEST(Epoch, DestructorDrainsLimbo) {
-  std::atomic<int> freed{0};
-  {
-    epoch::Domain domain;
-    for (int i = 0; i < 7; ++i) domain.retire(&freed, count_free);
-  }
-  EXPECT_EQ(freed.load(), 7);
-}
 
 // --- sharding policy ---------------------------------------------------------
 
@@ -198,39 +119,53 @@ struct ReferenceLru {
   }
 };
 
-// Below capacity the two designs must be indistinguishable: no evictions
-// ever fire, so CLOCK-vs-LRU cannot diverge and every counter matches.
+// Below capacity a sharded cache must be indistinguishable from the model:
+// no evictions ever fire, so every get and every counter matches. A
+// single-shard cache is strict LRU, so it matches the model exactly over
+// capacity too, eviction victims included.
 TEST(ConcurrentCache, MatchesLruReferenceModelWhileUnderCapacity) {
-  std::mt19937 rng(20260809);
-  ConcurrentCache<int, int> cache(128);
-  ReferenceLru ref(128);
-  std::uniform_int_distribution<int> key(0, 63);  // keys << capacity
-  for (int step = 0; step < 10000; ++step) {
-    const int k = key(rng);
-    if (rng() % 2 == 0) {
-      EXPECT_EQ(cache.get(k), ref.get(k)) << "step " << step;
-    } else {
-      const int v = static_cast<int>(rng() % 1000);
-      cache.put(k, v);
-      ref.put(k, v);
+  struct Case {
+    std::size_t cap;
+    int max_key;
+  };
+  ASSERT_EQ(concurrent_cache_shards(7), 1u);
+  for (const Case c : {Case{128, 63}, Case{7, 15}}) {
+    std::mt19937 rng(20260809);
+    ConcurrentCache<int, int> cache(c.cap);
+    ReferenceLru ref(c.cap);
+    std::uniform_int_distribution<int> key(0, c.max_key);
+    for (int step = 0; step < 10000; ++step) {
+      const int k = key(rng);
+      if (rng() % 2 == 0) {
+        EXPECT_EQ(cache.get(k), ref.get(k))
+            << "cap " << c.cap << " step " << step;
+      } else {
+        const int v = static_cast<int>(rng() % 1000);
+        cache.put(k, v);
+        ref.put(k, v);
+      }
+      ASSERT_LE(cache.size(), c.cap);
     }
-    ASSERT_LE(cache.size(), 128u);
+    const CacheCounters a = cache.stats();
+    const CacheCounters b = ref.stats;
+    EXPECT_EQ(a.hits, b.hits) << "cap " << c.cap;
+    EXPECT_EQ(a.misses, b.misses) << "cap " << c.cap;
+    EXPECT_EQ(a.inserts, b.inserts) << "cap " << c.cap;
+    EXPECT_EQ(a.updates, b.updates) << "cap " << c.cap;
+    EXPECT_EQ(a.evictions, b.evictions) << "cap " << c.cap;
+    if (static_cast<std::size_t>(c.max_key) < c.cap)
+      EXPECT_EQ(b.evictions, 0u);  // keys fit: no eviction ever fires
+    else
+      EXPECT_GT(b.evictions, 0u);  // the over-capacity run really evicted
+    EXPECT_EQ(cache.size(), ref.size()) << "cap " << c.cap;
   }
-  const CacheCounters a = cache.stats();
-  const CacheCounters b = ref.stats;
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.inserts, b.inserts);
-  EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.evictions, 0u);
-  EXPECT_EQ(b.evictions, 0u);
-  EXPECT_EQ(cache.size(), ref.size());
 }
 
-// With evictions the eviction *choice* may differ (CLOCK approximates LRU)
-// but the semantics may not: a single-threaded observer must read exactly
-// the last value it put for a key (or a miss), the capacity bound holds at
-// every step, and the stats identity inserts - evictions == size survives.
+// With several shards the eviction *choice* differs from a global LRU (each
+// shard evicts its own least recently used entry) but the semantics may
+// not: a single-threaded observer must read exactly the last value it put
+// for a key (or a miss), the capacity bound holds at every step, and the
+// stats identity inserts - evictions == size survives.
 TEST(ConcurrentCache, EvictionsPreserveSemanticsAndCapacityBound) {
   std::mt19937 rng(7);
   constexpr std::size_t kCap = 32;
@@ -264,12 +199,9 @@ TEST(ConcurrentCache, EvictionsPreserveSemanticsAndCapacityBound) {
   EXPECT_EQ(s.inserts - s.evictions, cache.size());
 }
 
-// Evicted values wait in the epoch limbo until a collect frees them. A small
-// cache of large values (the serve kernel cache: 16 profiled predictors)
-// must not keep a fixed 64-node batch of evicted values alive on top of its
-// capacity: the collect threshold scales with capacity, so churning 68 keys
-// through 16 slots keeps at most capacity + capacity/8 + a few values
-// alive at any point.
+// An evicted value is freed by the put() that evicts it: a small cache of
+// large values (the serve kernel cache: 16 profiled predictors) keeps at
+// most its capacity alive, never a backlog of evicted values on top.
 struct Tracked {
   static inline int alive = 0;
   Tracked() { ++alive; }
@@ -278,9 +210,8 @@ struct Tracked {
   Tracked& operator=(const Tracked&) = delete;
 };
 
-TEST(ConcurrentCache, SmallCacheBoundsEvictedValuesAwaitingReclaim) {
+TEST(ConcurrentCache, EvictedValuesAreFreedAtEviction) {
   constexpr std::size_t kCap = 16;
-  constexpr int kBound = static_cast<int>(kCap + kCap / 8 + 3);
   Tracked::alive = 0;
   {
     ConcurrentCache<int, std::shared_ptr<const Tracked>> cache(kCap);
@@ -289,35 +220,62 @@ TEST(ConcurrentCache, SmallCacheBoundsEvictedValuesAwaitingReclaim) {
       for (int k = 0; k < 68; ++k) {
         cache.put(k, std::make_shared<const Tracked>());
         peak = std::max(peak, Tracked::alive);
-        ASSERT_LE(Tracked::alive, kBound) << "round " << round << " key " << k;
+        ASSERT_LE(Tracked::alive, static_cast<int>(kCap))
+            << "round " << round << " key " << k;
       }
     }
     EXPECT_GT(cache.stats().evictions, 100u);  // the cache really churned
-    EXPECT_GT(peak, static_cast<int>(kCap));   // and really filled
+    EXPECT_EQ(peak, static_cast<int>(kCap));   // and really filled
   }
   EXPECT_EQ(Tracked::alive, 0);  // nothing leaked
 }
 
-// A key that keeps getting touched survives eviction pressure: the CLOCK
-// reference bit is the second chance that approximates LRU recency.
-TEST(ConcurrentCache, ClockGivesHotKeysASecondChance) {
+// Evicted and replaced values are destroyed after the shard lock is
+// released. A value whose destructor calls back into the same (single-shard)
+// cache proves it: were it destroyed under the lock, the callback would
+// self-deadlock.
+struct CallsBack;
+using CallbackCache = ConcurrentCache<int, std::shared_ptr<const CallsBack>>;
+struct CallsBack {
+  static inline CallbackCache* cache = nullptr;
+  static inline int callbacks = 0;
+  ~CallsBack() {
+    if (cache == nullptr) return;
+    EXPECT_EQ(cache->get(-1), std::nullopt);
+    cache->put(-2, nullptr);
+    ++callbacks;
+  }
+};
+
+TEST(ConcurrentCache, ValueDestructorMayCallBackIntoTheCache) {
+  CallbackCache cache(7);
+  ASSERT_EQ(cache.num_shards(), 1u);
+  CallsBack::cache = &cache;
+  CallsBack::callbacks = 0;
+  for (int k = 0; k < 20; ++k)
+    cache.put(k, std::make_shared<const CallsBack>());
+  cache.put(19, std::make_shared<const CallsBack>());  // replaces a value
+  const int callbacks = CallsBack::callbacks;
+  CallsBack::cache = nullptr;  // the cache's own destructor must not call back
+  // Every eviction and the replacement ran a destructor that re-entered the
+  // cache. The callbacks' own put(-2) evicted more CallsBack values, whose
+  // destructors re-entered again.
+  EXPECT_GE(callbacks, 14);
+  EXPECT_LE(cache.size(), 7u);
+}
+
+// A key read before each evicting put is never the least recently used
+// entry, so strict LRU keeps it however long the churn runs.
+TEST(ConcurrentCache, RecentlyReadKeySurvivesEviction) {
   ConcurrentCache<int, int> cache(7);  // single shard (policy floor is 8)
   ASSERT_EQ(cache.num_shards(), 1u);
   for (int k = 0; k < 7; ++k) cache.put(k, k);
-  // Prime the clock: the very first eviction sweep finds every reference
-  // bit set (fresh inserts), clears them all, and evicts by hand position —
-  // the one sweep where recency cannot protect anything. Sacrifice a key to
-  // it, then make sure the hot key is (re)inserted with its bit set.
-  cache.put(100, 100);
-  cache.put(0, 0);
   for (int k = 7; k < 40; ++k) {
-    // From here on, touching key 0 before every eviction keeps its bit set,
-    // and each sweep always finds some other node with a clear bit first.
-    ASSERT_EQ(cache.get(0), 0) << "hot key evicted at k=" << k;
+    ASSERT_EQ(cache.get(0), 0) << "recently read key evicted at k=" << k;
     cache.put(k, k);  // forces one eviction per put
   }
   EXPECT_EQ(cache.get(0), 0);
-  EXPECT_GT(cache.stats().evictions, 30u);
+  EXPECT_EQ(cache.stats().evictions, 33u);
 }
 
 // --- randomized concurrent schedules (linearizability-style) -----------------
@@ -375,12 +333,6 @@ TEST(ConcurrentCache, RandomConcurrentSchedulesKeepInvariants) {
     const CacheCounters s = cache.stats();
     EXPECT_EQ(s.inserts - s.evictions, cache.size()) << "seed " << seed;
     EXPECT_GT(s.hits, 0u);
-    // Quiescent drain: everything retired during the run frees within
-    // three collects once no reader is pinned.
-    cache.epoch_domain().collect();
-    cache.epoch_domain().collect();
-    cache.epoch_domain().collect();
-    EXPECT_EQ(cache.epoch_domain().limbo_size(), 0u) << "seed " << seed;
   }
 }
 
@@ -439,10 +391,6 @@ TEST(CacheSoak, SixteenThreadsMixedVerbs) {
   const CacheCounters s = cache.stats();
   EXPECT_EQ(s.inserts - s.evictions, cache.size());
   EXPECT_GT(s.evictions, 0u);  // 512 keys over 256 slots: churn happened
-  cache.epoch_domain().collect();
-  cache.epoch_domain().collect();
-  cache.epoch_domain().collect();
-  EXPECT_EQ(cache.epoch_domain().limbo_size(), 0u);
 }
 
 // --- serve contract: warm hits answer the cold bytes -------------------------

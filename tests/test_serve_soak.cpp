@@ -292,7 +292,7 @@ TEST(ServeSoak, DrainMidSoakLosesNoResponses) {
 // serve.cache.* total must be monotone non-decreasing across successive
 // snapshots taken WHILE traffic runs. Before the sharded cache, a snapshot
 // could interleave with an update and read a mix of old and new counters;
-// per-counter atomic reads (and LruCache's lock) now guarantee each counter
+// reading each shard's counters under its lock now guarantees each counter
 // never appears to go backwards. Observer threads hammer both the stats()
 // accessor and the metrics verb against concurrent predict traffic.
 TEST(ServeSoak, MetricsTotalsMonotoneDuringSoak) {
