@@ -57,6 +57,22 @@ const ArrayDecl& KernelInfo::array(std::string_view name_) const {
   return arrays[static_cast<std::size_t>(array_index(name_))];
 }
 
+WarpCtx record_warp(const KernelInfo& k, std::int64_t block,
+                    int warp_in_block, std::vector<DslOp>& ops) {
+  GPUHMS_CHECK(k.fn != nullptr);
+  WarpCtx ctx;
+  ctx.block = block;
+  ctx.warp_in_block = warp_in_block;
+  ctx.threads_per_block = k.threads_per_block;
+  ctx.num_blocks = k.num_blocks;
+  const int remaining = k.threads_per_block - warp_in_block * kWarpSize;
+  ctx.lanes_active = remaining >= kWarpSize ? kWarpSize : remaining;
+  WarpEmitter em(ctx, std::move(ops));
+  k.fn(em, ctx);
+  ops = em.take();
+  return ctx;
+}
+
 void for_each_warp(
     const KernelInfo& k, std::int64_t block_begin, std::int64_t block_end,
     const std::function<void(const WarpCtx&, std::vector<DslOp>&&)>& sink) {
@@ -66,16 +82,9 @@ void for_each_warp(
   const int wpb = k.warps_per_block();
   for (std::int64_t b = block_begin; b < block_end; ++b) {
     for (int w = 0; w < wpb; ++w) {
-      WarpCtx ctx;
-      ctx.block = b;
-      ctx.warp_in_block = w;
-      ctx.threads_per_block = k.threads_per_block;
-      ctx.num_blocks = k.num_blocks;
-      const int remaining = k.threads_per_block - w * kWarpSize;
-      ctx.lanes_active = remaining >= kWarpSize ? kWarpSize : remaining;
-      WarpEmitter em(ctx);
-      k.fn(em, ctx);
-      sink(ctx, em.take());
+      std::vector<DslOp> ops;
+      const WarpCtx ctx = record_warp(k, b, w, ops);
+      sink(ctx, std::move(ops));
     }
   }
 }

@@ -43,6 +43,11 @@ struct WarpCtx {
 class WarpEmitter {
  public:
   explicit WarpEmitter(const WarpCtx& ctx) : ctx_(&ctx) {}
+  // Records into `buffer`'s storage: cleared, its capacity kept.
+  WarpEmitter(const WarpCtx& ctx, std::vector<DslOp>&& buffer)
+      : ctx_(&ctx), ops_(std::move(buffer)) {
+    ops_.clear();
+  }
 
   void load(int array, const LaneIdx& idx, bool uses_prev = false) {
     mem(OpClass::Load, array, idx, uses_prev);
@@ -138,6 +143,13 @@ struct KernelInfo {
 // unique nonempty name, slice/width within bounds). Returns
 // INVALID_ARGUMENT naming the kernel and the offending field.
 Status validate(const KernelInfo& k);
+
+// Runs `fn` for warp `warp_in_block` of block `block`, recording its stream
+// into `ops` (cleared first; its capacity is reused, so a caller recording
+// block after block into the same buffers stops reallocating). Returns the
+// warp's context.
+WarpCtx record_warp(const KernelInfo& k, std::int64_t block,
+                    int warp_in_block, std::vector<DslOp>& ops);
 
 // Runs `fn` for every warp of the blocks [block_begin, block_end) and hands
 // each recorded stream to `sink(ctx, ops)`.

@@ -43,7 +43,7 @@ Predictor::Predictor(const KernelInfo& kernel, const GpuArch& arch,
       overlap_(std::move(overlap)) {}
 
 void Predictor::profile_sample(const DataPlacement& sample) {
-  set_sample(sample, simulate(*kernel_, sample, *arch_));
+  set_sample(sample, simulate(*kernel_, sample, *arch_, skeleton_.get()));
 }
 
 void Predictor::set_sample(const DataPlacement& sample,
@@ -371,93 +371,136 @@ PlacementBounder Predictor::make_bounder(const TraceSkeleton& skeleton) const {
   return b;
 }
 
-ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
-                                           const GpuArch& arch,
-                                           const ModelOptions& options,
-                                           double ridge, ThreadPool* pool) {
-  // Analyze the cases in parallel into per-case slots; the fold below visits
-  // the slots in case order so the regression input — and hence the model —
-  // is identical for every thread count.
-  struct Slot {
-    std::vector<double> x;
-    double y = 0.0;
-    bool valid = false;
-  };
-  std::vector<Slot> slots(cases.size());
+namespace {
+
+// One training case's Eq. 11 regression row.
+struct TrainingRow {
+  std::vector<double> x;
+  double y = 0.0;
+  bool valid = false;
+};
+
+// The measured overlap ratio of one case against its analytical T_comp and
+// T_mem; the case is its own sample, so issued instructions are measured.
+TrainingRow training_row(const SimResult& measured, const PlacementEvents& ev,
+                         const GpuArch& arch, const ModelOptions& options) {
+  const ProfileCounters& sc = measured.counters;
+  const double total_warps =
+      static_cast<double>(std::max<std::uint64_t>(1, sc.total_warps));
+  const int active_sms = std::max(1, sc.active_sms);
+  const double n_warps = std::max(1.0, ev.warps_per_sm);
+  const double tick_to_cycles =
+      static_cast<double>(measured.cycles) /
+      std::max(1.0, static_cast<double>(ev.trace_ticks));
+
+  InstructionEstimate inst;
+  inst.executed_total = static_cast<double>(sc.inst_executed);
+  inst.replays_total = static_cast<double>(sc.replays_total());
+  inst.issued_total = inst.executed_total + inst.replays_total;
+  inst.issued_per_warp = inst.issued_total / total_warps;
+
+  TmemInputs tin;
+  tin.events = &ev;
+  tin.total_warps = total_warps;
+  tin.active_sms = active_sms;
+  tin.n_warps_per_sm = n_warps;
+  tin.issued_per_warp = inst.issued_per_warp;
+  tin.tick_to_cycles = tick_to_cycles;
+  const TmemResult tm = tmem(tin, arch, tmem_options(options));
+
+  TcompInputs cin;
+  cin.inst = inst;
+  cin.total_warps = total_warps;
+  cin.active_sms = active_sms;
+  cin.itilp = compute_itilp(ev, n_warps, arch);
+  const double tc = tcomp(cin, arch);
+
+  TrainingRow row;
+  if (tm.t_mem <= 0.0) return row;
+  row.y = std::clamp(
+      (tc + tm.t_mem - static_cast<double>(measured.cycles)) / tm.t_mem,
+      -1.0, 1.5);
+  row.x = ToverlapModel::features(ev, n_warps);
+  row.valid = true;
+  return row;
+}
+
+// rows[i] = row_of(cases[i], skeleton of its kernel), one kernel at a time:
+// the kernel's skeleton is recorded once, shared by its cases across the
+// pool, and freed before the next kernel's, so at most one skeleton is
+// alive. Cases of one kernel need not be adjacent.
+template <class Case, class RowOf>
+std::vector<TrainingRow> rows_by_kernel(std::span<const Case> cases,
+                                        ThreadPool* pool, RowOf&& row_of) {
+  std::vector<TrainingRow> rows(cases.size());
   ThreadPool local_pool(pool ? 1 : 0);
   ThreadPool& tp = pool ? *pool : local_pool;
-  tp.parallel_for(cases.size(), [&](int, std::size_t ci) {
-    const MeasuredCase& c = cases[ci];
-    GPUHMS_CHECK(c.kernel != nullptr);
-    const SimResult& measured = c.measured;
-    const PlacementEvents ev = analyze_trace(*c.kernel, c.placement, arch,
-                                             analysis_options(options));
-    const ProfileCounters& sc = measured.counters;
-    const double total_warps =
-        static_cast<double>(std::max<std::uint64_t>(1, sc.total_warps));
-    const int active_sms = std::max(1, sc.active_sms);
-    const double n_warps = std::max(1.0, ev.warps_per_sm);
-    const double tick_to_cycles =
-        static_cast<double>(measured.cycles) /
-        std::max(1.0, static_cast<double>(ev.trace_ticks));
+  std::vector<bool> seen(cases.size(), false);
+  std::vector<std::size_t> group;
+  for (std::size_t first = 0; first < cases.size(); ++first) {
+    if (seen[first]) continue;
+    const KernelInfo* kernel = cases[first].kernel;
+    GPUHMS_CHECK(kernel != nullptr);
+    group.clear();
+    for (std::size_t i = first; i < cases.size(); ++i) {
+      if (cases[i].kernel != kernel) continue;
+      seen[i] = true;
+      group.push_back(i);
+    }
+    const TraceSkeleton skeleton(*kernel);
+    tp.parallel_for(group.size(), [&](int, std::size_t g) {
+      rows[group[g]] = row_of(cases[group[g]], skeleton);
+    });
+  }
+  return rows;
+}
 
-    // The training case is its own sample: issued instructions are measured.
-    InstructionEstimate inst;
-    inst.executed_total = static_cast<double>(sc.inst_executed);
-    inst.replays_total = static_cast<double>(sc.replays_total());
-    inst.issued_total = inst.executed_total + inst.replays_total;
-    inst.issued_per_warp = inst.issued_total / total_warps;
-
-    TmemInputs tin;
-    tin.events = &ev;
-    tin.total_warps = total_warps;
-    tin.active_sms = active_sms;
-    tin.n_warps_per_sm = n_warps;
-    tin.issued_per_warp = inst.issued_per_warp;
-    tin.tick_to_cycles = tick_to_cycles;
-    const TmemResult tm = tmem(tin, arch, tmem_options(options));
-
-    TcompInputs cin;
-    cin.inst = inst;
-    cin.total_warps = total_warps;
-    cin.active_sms = active_sms;
-    cin.itilp = compute_itilp(ev, n_warps, arch);
-    const double tc = tcomp(cin, arch);
-
-    if (tm.t_mem <= 0.0) return;
-    Slot& s = slots[ci];
-    s.y = std::clamp(
-        (tc + tm.t_mem - static_cast<double>(measured.cycles)) / tm.t_mem,
-        -1.0, 1.5);
-    s.x = ToverlapModel::features(ev, n_warps);
-    s.valid = true;
-  });
-
+// Fits Eq. 11 on the valid rows, in case order: the regression input — and
+// hence the model — is independent of the thread count.
+ToverlapModel fit_rows(std::vector<TrainingRow>& rows, double ridge) {
   std::vector<std::vector<double>> xs;
   std::vector<double> ys;
-  for (Slot& s : slots) {
-    if (!s.valid) continue;
-    xs.push_back(std::move(s.x));
-    ys.push_back(s.y);
+  for (TrainingRow& r : rows) {
+    if (!r.valid) continue;
+    xs.push_back(std::move(r.x));
+    ys.push_back(r.y);
   }
   ToverlapModel model;
   if (!xs.empty()) model.train(xs, ys, ridge);
   return model;
 }
 
+}  // namespace
+
+ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
+                                           const GpuArch& arch,
+                                           const ModelOptions& options,
+                                           double ridge, ThreadPool* pool) {
+  GPUHMS_SCOPED_PHASE("predictor.train_overlap_ns");
+  std::vector<TrainingRow> rows = rows_by_kernel(
+      cases, pool, [&](const MeasuredCase& c, const TraceSkeleton& skeleton) {
+        return training_row(c.measured,
+                            analyze_trace(*c.kernel, c.placement, arch,
+                                          analysis_options(options), &skeleton),
+                            arch, options);
+      });
+  return fit_rows(rows, ridge);
+}
+
 ToverlapModel train_overlap_model(std::span<const TrainingCase> cases,
                                   const GpuArch& arch,
                                   const ModelOptions& options, double ridge,
                                   ThreadPool* pool) {
-  std::vector<MeasuredCase> measured(cases.size());
-  ThreadPool local_pool(pool ? 1 : 0);
-  ThreadPool& tp = pool ? *pool : local_pool;
-  tp.parallel_for(cases.size(), [&](int, std::size_t i) {
-    const TrainingCase& c = cases[i];
-    GPUHMS_CHECK(c.kernel != nullptr);
-    measured[i] = {c.kernel, c.placement, simulate(*c.kernel, c.placement, arch)};
-  });
-  return train_overlap_model_measured(measured, arch, options, ridge, &tp);
+  GPUHMS_SCOPED_PHASE("predictor.train_overlap_ns");
+  std::vector<TrainingRow> rows = rows_by_kernel(
+      cases, pool, [&](const TrainingCase& c, const TraceSkeleton& skeleton) {
+        return training_row(
+            simulate(*c.kernel, c.placement, arch, &skeleton),
+            analyze_trace(*c.kernel, c.placement, arch,
+                          analysis_options(options), &skeleton),
+            arch, options);
+      });
+  return fit_rows(rows, ridge);
 }
 
 }  // namespace gpuhms

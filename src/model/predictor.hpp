@@ -141,7 +141,8 @@ class Predictor {
   Predictor(const KernelInfo& kernel, const GpuArch& arch,
             ModelOptions options = {}, ToverlapModel overlap = {});
 
-  // Run the simulator substrate on the sample placement ("measure" it).
+  // Run the simulator substrate on the sample placement ("measure" it),
+  // from the memoized skeleton when memoize_trace() was called first.
   // Aborts on malformed input; prefer try_profile_sample at API boundaries.
   void profile_sample(const DataPlacement& sample);
   // Inject an existing measurement instead. Aborts on malformed input.
@@ -235,17 +236,19 @@ struct MeasuredCase {
 
 // Computes the measured overlap ratio y = (T_comp + T_mem - T_measured) /
 // T_mem against the analytical T_comp/T_mem of each placement and fits
-// Eq. 11 by ridge regression. Cases are analyzed in parallel over `pool`
-// (a local default-size pool when null); the regression consumes them in
-// case order, so the fit is independent of the thread count.
+// Eq. 11 by ridge regression. Cases are taken one kernel at a time: the
+// kernel's TraceSkeleton is recorded once, its cases are analyzed from it in
+// parallel over `pool` (a local default-size pool when null), and it is
+// freed before the next kernel's. The regression consumes the cases in case
+// order, so the fit is independent of the thread count.
 ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
                                            const GpuArch& arch,
                                            const ModelOptions& options = {},
                                            double ridge = 1e-3,
                                            ThreadPool* pool = nullptr);
 
-// Convenience: runs every training case on the simulator substrate first
-// (simulations spread over the pool as well).
+// Convenience: runs every training case on the simulator substrate first,
+// fed from the same per-kernel skeleton that analyzes it.
 ToverlapModel train_overlap_model(std::span<const TrainingCase> cases,
                                   const GpuArch& arch,
                                   const ModelOptions& options = {},

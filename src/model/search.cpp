@@ -840,6 +840,8 @@ OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
 
   ThreadPool local_pool(options.pool ? 1 : options.num_threads);
   ThreadPool& pool = options.pool ? *options.pool : local_pool;
+  // Every candidate is simulated from one recording of the kernel function.
+  const TraceSkeleton skeleton(kernel);
 
   OracleResult r;
   r.space_truncated = space.truncated;
@@ -850,7 +852,8 @@ OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
   for (std::size_t c0 = 0; c0 < n; c0 += kChunk) {
     if (watch.should_stop(&r.deadline_hit, &r.cancelled)) {
       if (r.simulated == 0) {
-        const std::uint64_t c = simulate(kernel, space.placements[0], arch).cycles;
+        const std::uint64_t c =
+            simulate(kernel, space.placements[0], arch, &skeleton).cycles;
         r.best = r.worst = space.placements[0];
         r.best_cycles = r.worst_cycles = c;
         r.simulated = 1;
@@ -864,7 +867,8 @@ OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
     }
     const std::size_t c1 = std::min(n, c0 + kChunk);
     pool.parallel_for(c1 - c0, [&](int, std::size_t j) {
-      cycles[j] = simulate(kernel, space.placements[c0 + j], arch).cycles;
+      cycles[j] =
+          simulate(kernel, space.placements[c0 + j], arch, &skeleton).cycles;
     });
     for (std::size_t j = 0; j < c1 - c0; ++j) {
       const std::size_t i = c0 + j;

@@ -291,11 +291,13 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
   const ModelOptions model_options{};
   entry->predictor = std::make_unique<Predictor>(
       entry->bench.kernel, entry->arch, model_options, overlap_);
+  // Record the skeleton first: profiling then simulates and analyzes the
+  // sample from it, so the kernel function runs once per entry.
+  entry->skeleton = entry->predictor->memoize_trace();
   GPUHMS_RETURN_IF_ERROR(
       entry->predictor->try_profile_sample(entry->bench.sample)
           .annotate("profiling the sample placement of benchmark '" +
                     benchmark + "'"));
-  entry->skeleton = entry->predictor->memoize_trace();
   entry->key_prefix = hex64(fingerprint(entry->bench.kernel)) + "|" +
                       hex64(fingerprint(entry->arch)) + "|" +
                       hex64(fingerprint(model_options)) + "|";

@@ -79,7 +79,7 @@ inline int coalesce_lines_buf(std::uint32_t active_mask,
       [line_size](std::uint64_t a) { return a / line_size * line_size; });
 }
 
-// Vector-output form kept for the existing simulator/test call sites.
+// Vector-output form kept for the analysis full walk and the tests.
 inline void coalesce_lines(std::uint32_t active_mask,
                            const std::int64_t* addr, std::size_t line_size,
                            std::vector<std::uint64_t>& out) {

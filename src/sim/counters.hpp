@@ -57,7 +57,6 @@ struct ProfileCounters {
   // --- stalls / occupancy ---------------------------------------------------
   std::uint64_t mem_stall_cycles = 0;   // summed over SMs
   std::uint64_t comp_stall_cycles = 0;
-  std::uint64_t sync_stall_cycles = 0;
   std::uint64_t busy_issue_cycles = 0;  // slots actually used, summed over SMs
   double warps_per_sm = 0.0;            // resident occupancy
   std::uint64_t total_warps = 0;

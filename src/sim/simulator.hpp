@@ -1,7 +1,7 @@
 // Event-driven Kepler-class GPU timing simulator.
 //
 // This is the substitution for the paper's Tesla K80 testbed: it executes a
-// kernel's materialized trace on a model with
+// kernel's trace on a model with
 //   * per-SM single-issue warp schedulers where instruction replays consume
 //     issue slots (the paper's key T_comp observation),
 //   * scoreboard-lite RAW stalls driven by the trace's uses_prev bits,
@@ -10,6 +10,13 @@
 // It produces the kernel time and nvprof-like counters the analytical models
 // take as the "sample placement" profile — and the measured times the
 // evaluation compares predictions against.
+//
+// No trace is materialized: every resident warp is a LoweringCursor over
+// its recorded DSL stream (from a TraceSkeleton when one is passed,
+// otherwise from its block re-run through the kernel function when the
+// block is loaded), which yields the ops TraceMaterializer::generate would
+// build, one at a time, with lane addresses computed at issue. Memory stays
+// at one block's DSL streams per block slot however large the kernel is.
 #pragma once
 
 #include <memory>
@@ -35,7 +42,10 @@ class GpuSimulator {
  public:
   explicit GpuSimulator(const GpuArch& arch, SimOptions opts = {});
 
-  SimResult run(const KernelInfo& kernel, const DataPlacement& placement);
+  // `skeleton`, when non-null, must have been recorded from `kernel`; the
+  // result is identical with and without it.
+  SimResult run(const KernelInfo& kernel, const DataPlacement& placement,
+                const TraceSkeleton* skeleton = nullptr);
 
   // Raw inter-arrival samples per bank from the last run (empty unless
   // SimOptions::record_interarrivals was set).
@@ -47,8 +57,9 @@ class GpuSimulator {
   std::vector<std::vector<std::uint64_t>> last_samples_;
 };
 
-// Convenience: simulate a kernel under its default placement.
+// Convenience: one run with default SimOptions.
 SimResult simulate(const KernelInfo& kernel, const DataPlacement& placement,
-                   const GpuArch& arch = kepler_arch());
+                   const GpuArch& arch = kepler_arch(),
+                   const TraceSkeleton* skeleton = nullptr);
 
 }  // namespace gpuhms

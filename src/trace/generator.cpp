@@ -314,181 +314,215 @@ TraceMaterializer::TraceMaterializer(const KernelInfo& kernel,
   const auto err = validate_placement(kernel, placement_, arch);
   GPUHMS_CHECK_MSG(!err.has_value(), err ? err->c_str() : "");
   for (std::size_t i = 0; i < kernel.arrays.size(); ++i) {
-    if (placement_.of(static_cast<int>(i)) == MemSpace::Shared &&
-        kernel.arrays[i].default_space != MemSpace::Shared) {
-      staged_arrays_.push_back(static_cast<int>(i));
-    }
+    const int a = static_cast<int>(i);
+    const ArrayDecl& arr = kernel.arrays[i];
+    const MemSpace space = placement_.of(a);
+    addr_insts_.push_back(
+        static_cast<std::uint32_t>(addr_calc_instructions(space, arr.dtype)));
+    if (space == MemSpace::Shared && arr.default_space != MemSpace::Shared)
+      staged_arrays_.push_back(a);
   }
 }
 
-void TraceMaterializer::lower_mem(const WarpCtx& ctx, const DslOp& op,
-                                  std::vector<TraceOp>& out) const {
-  const int array = op.array;
-  GPUHMS_CHECK(array >= 0 &&
-               static_cast<std::size_t>(array) < kernel_->arrays.size());
-  const ArrayDecl& arr = kernel_->arrays[static_cast<std::size_t>(array)];
-  const MemSpace space = placement_.of(array);
-
-  // Addressing-mode instructions (Fig. 2 of the paper).
-  const int addr_insts = addr_calc_instructions(space, arr.dtype);
-  for (int i = 0; i < addr_insts; ++i) {
-    TraceOp a;
-    a.cls = OpClass::IAlu;
-    a.is_addr_calc = true;
-    a.uses_prev = false;
-    a.active_mask = active_mask_of(op.idx);
-    out.push_back(a);
-  }
-
-  TraceOp m;
-  m.cls = op.cls;
-  m.space = space;
-  m.array = static_cast<std::int16_t>(array);
-  // The load consumes the computed address when one was materialized;
-  // otherwise it keeps the DSL dependency.
-  m.uses_prev = addr_insts > 0 ? true : op.uses_prev;
-  m.active_mask = active_mask_of(op.idx);
-  for (int l = 0; l < kWarpSize; ++l) {
-    const std::int64_t e = op.idx[static_cast<std::size_t>(l)];
-    if (e == kInactiveLane) {
-      m.addr[static_cast<std::size_t>(l)] = -1;
-      continue;
-    }
-    const std::uint64_t addr = space == MemSpace::Shared
-                                   ? layout_.shared_addr(array, e)
-                                   : layout_.device_addr(array, e);
-    m.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(addr);
-  }
-  (void)ctx;
-  out.push_back(m);
+LoweringCursor::LoweringCursor(const TraceMaterializer& mat,
+                               const WarpCtx& ctx, std::span<const DslOp> ops)
+    : mat_(&mat), op_(ops.data()), end_(ops.data() + ops.size()),
+      stage_(mat.staged_arrays_.empty() ? -1 : 0),
+      chunk_(static_cast<std::int64_t>(ctx.warp_in_block) * kWarpSize),
+      block_(ctx.block), warp_in_block_(ctx.warp_in_block), done_(false) {
+  settle();
 }
 
-void TraceMaterializer::lower(const WarpCtx& ctx,
-                              const std::vector<DslOp>& ops,
-                              std::vector<TraceOp>& out) const {
-  if (GPUHMS_FAULT_POINT("trace.lower"))
-    throw InjectedFault("trace.lower: injected failure lowering warp trace");
-  for (const DslOp& op : ops) {
+void LoweringCursor::settle() {
+  const int num_staged = static_cast<int>(mat_->staged_arrays_.size());
+  while (stage_ >= 0) {
+    if (stage_ == num_staged) {  // the preamble's closing barrier
+      if (step_ == 0) {
+        cls_ = OpClass::Sync;
+        uses_prev_ = false;
+        addr_calc_ = false;
+        return;
+      }
+      stage_ = -1;
+      step_ = 0;
+      break;
+    }
+    const int array = mat_->staged_arrays_[static_cast<std::size_t>(stage_)];
+    // The copy-in load uses Global addressing (register indirect).
+    const std::uint32_t ai = static_cast<std::uint32_t>(addr_calc_instructions(
+        MemSpace::Global,
+        mat_->kernel_->arrays[static_cast<std::size_t>(array)].dtype));
+    if (step_ > ai + 1) {  // chunk copied: on to the warp's next one
+      chunk_ += static_cast<std::int64_t>(mat_->kernel_->warps_per_block()) *
+                kWarpSize;
+      step_ = 0;
+    }
+    if (chunk_ < mat_->layout_.shared_slice_elems(array)) {
+      cls_ = step_ < ai ? OpClass::IAlu
+             : step_ == ai ? OpClass::Load
+                           : OpClass::Store;
+      // The load consumes its address; the store, the loaded value.
+      uses_prev_ = step_ >= ai;
+      addr_calc_ = step_ < ai;
+      return;
+    }
+    ++stage_;  // this warp's chunks of the slice are all copied
+    chunk_ = static_cast<std::int64_t>(warp_in_block_) * kWarpSize;
+    step_ = 0;
+  }
+  for (; op_ != end_; ++op_, step_ = 0) {
+    const DslOp& op = *op_;
     switch (op.cls) {
       case OpClass::Load:
-      case OpClass::Store:
-        lower_mem(ctx, op, out);
-        break;
-      case OpClass::Sync: {
-        TraceOp t;
-        t.cls = OpClass::Sync;
-        t.active_mask = 0xffffffffu;
-        out.push_back(t);
-        break;
-      }
-      default: {
-        for (int i = 0; i < op.count; ++i) {
-          TraceOp t;
-          t.cls = op.cls;
-          t.uses_prev = i == 0 && op.uses_prev;
-          t.active_mask = 0xffffffffu;
-          out.push_back(t);
+      case OpClass::Store: {
+        GPUHMS_CHECK(op.array >= 0 && static_cast<std::size_t>(op.array) <
+                                          mat_->addr_insts_.size());
+        const std::uint32_t ai =
+            mat_->addr_insts_[static_cast<std::size_t>(op.array)];
+        if (step_ < ai) {
+          cls_ = OpClass::IAlu;
+          uses_prev_ = false;
+          addr_calc_ = true;
+          return;
         }
+        if (step_ == ai) {
+          cls_ = op.cls;
+          // The access consumes the computed address when one was
+          // materialized; otherwise it keeps the DSL dependency.
+          uses_prev_ = ai > 0 || op.uses_prev;
+          addr_calc_ = false;
+          return;
+        }
+        break;
       }
+      case OpClass::Sync:
+        if (step_ == 0) {
+          cls_ = OpClass::Sync;
+          uses_prev_ = false;
+          addr_calc_ = false;
+          return;
+        }
+        break;
+      default:
+        if (step_ < op.count) {
+          cls_ = op.cls;
+          uses_prev_ = step_ == 0 && op.uses_prev;
+          addr_calc_ = false;
+          return;
+        }
+        break;
     }
+  }
+  done_ = true;
+}
+
+MemSpace LoweringCursor::space() const {
+  if (stage_ >= 0) return cls_ == OpClass::Store ? MemSpace::Shared
+                                                 : MemSpace::Global;
+  return mat_->placement_.of(op_->array);
+}
+
+int LoweringCursor::array() const {
+  return stage_ >= 0 ? mat_->staged_arrays_[static_cast<std::size_t>(stage_)]
+                     : op_->array;
+}
+
+std::uint32_t LoweringCursor::active_mask() const {
+  if (stage_ >= 0 &&
+      stage_ < static_cast<int>(mat_->staged_arrays_.size())) {
+    // A copy-in chunk's lanes: those still inside the slice.
+    const std::int64_t left =
+        mat_->layout_.shared_slice_elems(array()) - chunk_;
+    return left >= kWarpSize ? 0xffffffffu
+                             : (1u << static_cast<unsigned>(left)) - 1;
+  }
+  if (stage_ < 0 && (is_memory(cls_) || addr_calc_))
+    return active_mask_of(op_->idx);
+  return 0xffffffffu;
+}
+
+std::uint32_t LoweringCursor::lane_addresses(std::int64_t* addr) const {
+  const MemoryLayout& layout = mat_->layout_;
+  const int array = this->array();
+  std::uint32_t mask = 0;
+  if (stage_ >= 0) {
+    // Copy-in chunk: the Global load reads the block's slice (pitch-linear,
+    // wrapping around the array), the Shared store writes it.
+    const ArrayDecl& arr =
+        mat_->kernel_->arrays[static_cast<std::size_t>(array)];
+    const std::int64_t slice = layout.shared_slice_elems(array);
+    const std::int64_t start = layout.shared_slice_start(array, block_);
+    const bool store = cls_ == OpClass::Store;
+    for (int l = 0; l < kWarpSize; ++l) {
+      const std::int64_t local = chunk_ + l;
+      if (local >= slice) {
+        addr[l] = -1;
+        continue;
+      }
+      mask |= 1u << l;
+      addr[l] = static_cast<std::int64_t>(
+          store ? layout.shared_offset(array) +
+                      static_cast<std::uint64_t>(local) * arr.elem_size()
+                : layout.device_base(array) +
+                      pitch_linear_offset(
+                          arr, (start + local) %
+                                   static_cast<std::int64_t>(arr.elems)));
+    }
+    return mask;
+  }
+  const bool shared = space() == MemSpace::Shared;
+  for (int l = 0; l < kWarpSize; ++l) {
+    const std::int64_t e = op_->idx[static_cast<std::size_t>(l)];
+    if (e == kInactiveLane) {
+      addr[l] = -1;
+      continue;
+    }
+    mask |= 1u << l;
+    addr[l] = static_cast<std::int64_t>(shared ? layout.shared_addr(array, e)
+                                               : layout.device_addr(array, e));
+  }
+  return mask;
+}
+
+void TraceMaterializer::emit(LoweringCursor cursor,
+                             std::vector<TraceOp>& out) {
+  for (; !cursor.done(); cursor.next()) {
+    TraceOp t;
+    t.cls = cursor.cls();
+    t.uses_prev = cursor.uses_prev();
+    t.is_addr_calc = cursor.is_addr_calc();
+    if (is_memory(t.cls)) {
+      t.space = cursor.space();
+      t.array = static_cast<std::int16_t>(cursor.array());
+      t.active_mask = cursor.lane_addresses(t.addr.data());
+    } else {
+      t.active_mask = cursor.active_mask();
+    }
+    out.push_back(t);
   }
 }
 
 void TraceMaterializer::staging_preamble(const WarpCtx& ctx,
                                          std::vector<TraceOp>& out) const {
-  if (staged_arrays_.empty()) return;
-  const int wpb = kernel_->warps_per_block();
-  const std::int64_t lanes_per_block =
-      static_cast<std::int64_t>(wpb) * kWarpSize;
-  for (int array : staged_arrays_) {
-    const ArrayDecl& arr = kernel_->arrays[static_cast<std::size_t>(array)];
-    const std::int64_t slice = layout_.shared_slice_elems(array);
-    const std::int64_t start = layout_.shared_slice_start(array, ctx.block);
-    const std::int64_t iters =
-        (slice + lanes_per_block - 1) / lanes_per_block;
-    for (std::int64_t it = 0; it < iters; ++it) {
-      const std::int64_t base =
-          it * lanes_per_block + ctx.warp_in_block * kWarpSize;
-      // Global load of the chunk (coalesced) ...
-      TraceOp ld;
-      ld.cls = OpClass::Load;
-      ld.space = MemSpace::Global;
-      ld.array = static_cast<std::int16_t>(array);
-      ld.uses_prev = false;
-      TraceOp st;
-      st.cls = OpClass::Store;
-      st.space = MemSpace::Shared;
-      st.array = static_cast<std::int16_t>(array);
-      st.uses_prev = true;  // stores the just-loaded value
-      std::uint32_t mask = 0;
-      for (int l = 0; l < kWarpSize; ++l) {
-        const std::int64_t local = base + l;
-        if (local >= slice) {
-          ld.addr[static_cast<std::size_t>(l)] = -1;
-          st.addr[static_cast<std::size_t>(l)] = -1;
-          continue;
-        }
-        mask |= 1u << l;
-        const std::int64_t global_elem =
-            (start + local) % static_cast<std::int64_t>(arr.elems);
-        ld.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(
-            layout_.device_base(array) +
-            pitch_linear_offset(arr, global_elem));
-        st.addr[static_cast<std::size_t>(l)] = static_cast<std::int64_t>(
-            layout_.shared_offset(array) +
-            static_cast<std::uint64_t>(local) * arr.elem_size());
-      }
-      if (mask == 0) continue;
-      ld.active_mask = mask;
-      st.active_mask = mask;
-      // Global addressing for the load (register indirect, 2 IMADs).
-      for (int i = 0; i < addr_calc_instructions(MemSpace::Global, arr.dtype);
-           ++i) {
-        TraceOp a;
-        a.cls = OpClass::IAlu;
-        a.is_addr_calc = true;
-        a.active_mask = mask;
-        out.push_back(a);
-      }
-      ld.uses_prev = true;
-      out.push_back(ld);
-      out.push_back(st);
-    }
-  }
-  TraceOp sync;
-  sync.cls = OpClass::Sync;
-  sync.active_mask = 0xffffffffu;
-  out.push_back(sync);
+  emit(LoweringCursor(*this, ctx, {}), out);
 }
 
 std::vector<WarpTrace> TraceMaterializer::generate(
-    std::int64_t block_begin, std::int64_t block_end,
-    const TraceSkeleton* skeleton) const {
+    std::int64_t block_begin, std::int64_t block_end) const {
   GPUHMS_COUNTER_ADD("trace.waves_lowered", 1);
   GPUHMS_COUNTER_ADD("trace.warps_lowered",
                      (block_end - block_begin) * kernel_->warps_per_block());
   std::vector<WarpTrace> traces;
   traces.reserve(static_cast<std::size_t>(
       (block_end - block_begin) * kernel_->warps_per_block()));
-  if (skeleton != nullptr) {
-    GPUHMS_CHECK_MSG(&skeleton->kernel() == kernel_,
-                     "skeleton recorded from a different kernel");
-    for (const TraceSkeleton::WarpRecord& rec :
-         skeleton->warps(block_begin, block_end)) {
-      WarpTrace wt;
-      wt.ctx = rec.ctx;
-      staging_preamble(rec.ctx, wt.ops);
-      lower(rec.ctx, rec.ops, wt.ops);
-      traces.push_back(std::move(wt));
-    }
-    return traces;
-  }
   for_each_warp(*kernel_, block_begin, block_end,
                 [&](const WarpCtx& ctx, std::vector<DslOp>&& ops) {
+                  if (GPUHMS_FAULT_POINT("trace.lower"))
+                    throw InjectedFault(
+                        "trace.lower: injected failure lowering warp trace");
                   WarpTrace wt;
                   wt.ctx = ctx;
-                  staging_preamble(ctx, wt.ops);
-                  lower(ctx, ops, wt.ops);
+                  emit(LoweringCursor(*this, ctx, ops), wt.ops);
                   traces.push_back(std::move(wt));
                 });
   return traces;

@@ -227,6 +227,8 @@ class TraceSkeleton {
   mutable std::unique_ptr<std::once_flag[]> const_once_;
 };
 
+class LoweringCursor;
+
 class TraceMaterializer {
  public:
   TraceMaterializer(const KernelInfo& kernel, const DataPlacement& placement,
@@ -238,32 +240,85 @@ class TraceMaterializer {
   // Arrays needing the copy-in preamble (placed shared, default off-chip).
   std::span<const int> staged_arrays() const { return staged_arrays_; }
 
-  // Lower one warp's recorded DSL stream. Appends to `out`.
-  void lower(const WarpCtx& ctx, const std::vector<DslOp>& ops,
-             std::vector<TraceOp>& out) const;
-
   // Copy-in preamble executed by warp `ctx.warp_in_block` of its block for
   // every array moved into shared memory; ends with a Sync when nonempty.
   void staging_preamble(const WarpCtx& ctx, std::vector<TraceOp>& out) const;
 
-  // Full trace (staging + lowered body) for every warp of the block range.
-  // When `skeleton` is non-null it must have been recorded from this
-  // materializer's kernel; the DSL streams are replayed from it instead of
-  // re-running the kernel function (identical output, much cheaper).
+  // Full trace (staging + lowered body) for every warp of the block range:
+  // the analysis full walk's input. The simulator walks the same sequence
+  // lazily, one LoweringCursor per resident warp, instead.
   std::vector<WarpTrace> generate(std::int64_t block_begin,
-                                  std::int64_t block_end,
-                                  const TraceSkeleton* skeleton = nullptr) const;
+                                  std::int64_t block_end) const;
 
  private:
-  void lower_mem(const WarpCtx& ctx, const DslOp& op,
-                 std::vector<TraceOp>& out) const;
+  friend class LoweringCursor;
+
+  // Appends every op the cursor has left to `out`.
+  static void emit(LoweringCursor cursor, std::vector<TraceOp>& out);
 
   const KernelInfo* kernel_;
   DataPlacement placement_;
   const GpuArch* arch_;
   MemoryLayout layout_;
-  // Arrays needing the copy-in preamble (placed shared, default off-chip).
+  // Addressing-mode IAlus before each access, per array (Fig. 2).
+  std::vector<std::uint32_t> addr_insts_;
   std::vector<int> staged_arrays_;
+};
+
+// Lazy lowering of one warp's DSL stream under a materializer's placement.
+// It walks exactly the expanded op sequence generate() emits for the warp,
+// one op at a time: the staging preamble (per staged array and nonempty
+// copy-in chunk, the Global addressing inserts, a Global load and a Shared
+// store; then a Sync), then the body (per DSL op, a compute run of `count`
+// ops, the array's addressing inserts followed by the access, or a Sync).
+// A memory op's lane addresses are computed only when asked for, so the
+// simulator issues from cursors without materializing anything; generate()
+// drains them. The materializer and the DSL ops must outlive the cursor.
+class LoweringCursor {
+ public:
+  LoweringCursor() = default;  // done()
+  LoweringCursor(const TraceMaterializer& mat, const WarpCtx& ctx,
+                 std::span<const DslOp> ops);
+
+  bool done() const { return done_; }
+  // The op at the cursor (meaningless once done()).
+  OpClass cls() const { return cls_; }
+  bool uses_prev() const { return uses_prev_; }
+  bool is_addr_calc() const { return addr_calc_; }
+  // Memory ops: the access's placed space and array.
+  MemSpace space() const;
+  int array() const;
+  // The access's lanes for a memory op and its addressing inserts; every
+  // lane for compute ops and Syncs.
+  std::uint32_t active_mask() const;
+  // Memory ops: writes the kWarpSize lane byte addresses (inactive lanes:
+  // -1) and returns the active mask.
+  std::uint32_t lane_addresses(std::int64_t* addr) const;
+
+  void next() {
+    ++step_;
+    settle();
+  }
+
+ private:
+  // Moves onto the next expanded op at or after the position and decodes
+  // it; sets done_ past the end of the stream.
+  void settle();
+
+  const TraceMaterializer* mat_ = nullptr;
+  const DslOp* op_ = nullptr;  // current body op
+  const DslOp* end_ = nullptr;
+  std::uint32_t step_ = 0;     // expanded op within the current group
+  int stage_ = -1;             // preamble: staged-array index (== count:
+                               // the closing Sync); -1 in the body
+  std::int64_t chunk_ = 0;     // preamble: first slice-local element of the
+                               // warp's current copy-in chunk
+  std::int64_t block_ = 0;
+  int warp_in_block_ = 0;
+  OpClass cls_ = OpClass::IAlu;
+  bool uses_prev_ = false;
+  bool addr_calc_ = false;
+  bool done_ = true;
 };
 
 // Active-lane mask for a LaneIdx.

@@ -1,5 +1,7 @@
 #include "model/predictor.hpp"
 
+#include <bit>
+
 #include <gtest/gtest.h>
 
 #include "workloads/workloads.hpp"
@@ -147,6 +149,47 @@ TEST(TrainOverlap, TrainedModelImprovesTrainingFit) {
     err_trained += std::abs(p1.predict(c.placement).total_cycles - m) / m;
   }
   EXPECT_LE(err_trained, err_untrained + 1e-9);
+}
+
+// Eq. 11 coefficients trained on the Table IV training suite at kepler, as
+// bit patterns. Pinned from the engine that materialized every TraceOp and
+// analyzed each training case with the full walk; training now simulates
+// and SoA-analyzes one kernel at a time from a shared skeleton and must
+// reproduce them exactly, at any thread count.
+constexpr std::uint64_t kKeplerCoefBits[ToverlapModel::kNumFeatures] = {
+    0xbff61945e1bf18faull, 0xbfd42083eb0234d3ull, 0xbfe3044dfd3dd57dull,
+    0xbfe74a5e853b04b9ull, 0x4002c8c5d38aa352ull, 0x3fe34717a016c3d1ull,
+    0x3fe34717a016c3d0ull};
+
+void expect_pinned(const ToverlapModel& m, const char* what) {
+  ASSERT_TRUE(m.trained()) << what;
+  ASSERT_EQ(m.coefficients().size(), ToverlapModel::kNumFeatures) << what;
+  for (std::size_t i = 0; i < ToverlapModel::kNumFeatures; ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(m.coefficients()[i]);
+    EXPECT_EQ(bits, kKeplerCoefBits[i]) << what << " coefficient " << i;
+  }
+}
+
+TEST(TrainOverlap, KeplerCoefficientsPinnedAtAnyThreadCount) {
+  const auto training = workloads::training_suite();
+  std::vector<TrainingCase> cases;
+  for (const auto& c : training) {
+    cases.push_back({&c.kernel, c.sample});
+    for (const auto& t : c.tests) cases.push_back({&c.kernel, t.placement});
+  }
+  std::vector<MeasuredCase> measured;
+  for (const TrainingCase& c : cases)
+    measured.push_back(
+        {c.kernel, c.placement, simulate(*c.kernel, c.placement)});
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    expect_pinned(
+        train_overlap_model(cases, kepler_arch(), {}, 1e-3, &pool),
+        threads == 1 ? "simulated, 1 thread" : "simulated, 4 threads");
+    expect_pinned(
+        train_overlap_model_measured(measured, kepler_arch(), {}, 1e-3, &pool),
+        threads == 1 ? "measured, 1 thread" : "measured, 4 threads");
+  }
 }
 
 }  // namespace

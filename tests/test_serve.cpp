@@ -19,6 +19,7 @@
 
 #include "arch/arch_registry.hpp"
 #include "common/fault_injection.hpp"
+#include "common/obs.hpp"
 #include "kernel/placement.hpp"
 #include "model/search.hpp"
 #include "serve/client.hpp"
@@ -86,6 +87,30 @@ TEST(Serve, PredictHappyPathIsBitIdenticalOnRepeat) {
   EXPECT_EQ(stats.predictions, 2u);
   EXPECT_EQ(stats.prediction_cache.hits, 1u);
   EXPECT_EQ(stats.prediction_cache.misses, 1u);
+}
+
+TEST(Serve, ColdPredictRunsTheKernelFromOneSkeleton) {
+  // A cold kernel entry records the skeleton before profiling the sample,
+  // so the sample's simulation and analysis, and the target's analysis, all
+  // read it: one recording, and never the full trace walk.
+  const bool was = obs::metrics_active();
+  obs::set_enabled(true);
+  obs::reset_all_metrics();
+  serve::PredictionService service{serve::ServeOptions{}};
+  const serve::Json r =
+      parse_ok(service.handle_line(predict_line(1, "spmv", "G,G,G,G,G")));
+  const obs::MetricsSnapshot s = obs::snapshot();
+  obs::reset_all_metrics();
+  obs::set_enabled(was);
+  EXPECT_TRUE(r.find("ok")->as_bool());
+  const auto* full = s.find_counter("trace.analyses_full");
+  EXPECT_EQ(full == nullptr ? 0u : full->value, 0u);
+  const auto* soa = s.find_counter("trace.analyses_soa");
+  ASSERT_NE(soa, nullptr);
+  EXPECT_EQ(soa->value, 2u);  // the sample and the target
+  const auto* recorded = s.find_counter("trace.skeletons_recorded");
+  ASSERT_NE(recorded, nullptr);
+  EXPECT_EQ(recorded->value, 1u);
 }
 
 TEST(Serve, PredictBatchMatchesSinglePredicts) {

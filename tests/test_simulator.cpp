@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_registry.hpp"
+#include "common/hashing.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -132,6 +134,20 @@ TEST(Simulator, SyncBarriersEnforced) {
   EXPECT_EQ(r.counters.inst_executed, 4u * 29u);
 }
 
+TEST(Simulator, BlocksWithoutWorkDoNotIdleTheirSlot) {
+  // 32-warp blocks fill both slots of every kepler SM, and the first two
+  // blocks each SM is dealt record no ops. The SM must move on to its next
+  // blocks rather than drain with them unsimulated.
+  KernelInfo k = compute_only(39, 1);
+  k.threads_per_block = 1024;
+  k.fn = [](WarpEmitter& em, const WarpCtx& ctx) {
+    if (ctx.block >= 26) em.ialu(3);
+  };
+  const auto r = simulate(k, DataPlacement::defaults(k));
+  EXPECT_EQ(r.counters.inst_executed, 13u * 32u * 3u);
+  EXPECT_GT(r.cycles, 0u);
+}
+
 TEST(Simulator, L2SharedAcrossSms) {
   // All blocks read the same small array: after the cold misses, L2 serves
   // everything, so DRAM requests stay equal to the distinct line count.
@@ -183,6 +199,125 @@ TEST(Simulator, PartialTailBlockHandled) {
   const KernelInfo k = workloads::make_vecadd((1 << 12) + 17);
   const auto r = simulate(k, DataPlacement::defaults(k));
   EXPECT_GT(r.cycles, 0u);
+}
+
+// --- SimResult golden ---------------------------------------------------------
+// FNV-1a over every SimResult field (the cycle count, every ProfileCounters
+// field, every per-bank DramStats field) plus the raw per-bank inter-arrival
+// samples, for every Table IV placement (training and evaluation suites,
+// samples and tests) legal on every registered arch, under both warp
+// schedulers. The pinned digests were computed with the engine that lowered
+// every block into materialized TraceOp vectors; the skeleton-fed cursor
+// engine must reproduce them bit for bit.
+
+void mix_result(Fnv1a& h, const SimResult& r,
+                const std::vector<std::vector<std::uint64_t>>& samples) {
+  const ProfileCounters& c = r.counters;
+  h.mix(r.cycles);
+  for (std::uint64_t v :
+       {c.inst_executed, c.inst_issued, c.issue_slots, c.inst_integer,
+        c.inst_fp32, c.inst_fp64, c.inst_sfu, c.ldst_executed, c.ldst_issued,
+        c.replay_global_divergence, c.replay_const_miss,
+        c.replay_const_divergence, c.replay_shared_conflict,
+        c.replay_double_issue, c.global_requests, c.global_transactions,
+        c.l2_transactions, c.l2_misses, c.const_requests,
+        c.const_cache_misses, c.tex_requests, c.tex_transactions,
+        c.tex_cache_misses, c.shared_requests, c.shared_bank_conflicts,
+        c.dram_requests, c.mem_stall_cycles, c.comp_stall_cycles,
+        c.busy_issue_cycles, c.total_warps})
+    h.mix(v);
+  h.mix(c.warps_per_sm);
+  h.mix(c.active_sms);
+  h.mix(r.dram.banks.size());
+  for (const BankStats& b : r.dram.banks) {
+    h.mix(b.arrivals).mix(b.row_hits).mix(b.row_misses).mix(b.row_conflicts);
+    h.mix(b.queue_delay_sum).mix(b.busy_cycles);
+    h.mix(b.interarrival.count()).mix(b.interarrival.mean());
+    h.mix(b.interarrival.variance());
+  }
+  h.mix(r.dram.total_requests).mix(r.dram.latency_sum);
+  h.mix(samples.size());
+  for (const auto& bank : samples) {
+    h.mix(bank.size());
+    for (std::uint64_t v : bank) h.mix(v);
+  }
+}
+
+struct GoldenCase {
+  const KernelInfo* kernel;
+  DataPlacement placement;
+};
+
+std::vector<GoldenCase> table_iv_cases(
+    const std::vector<workloads::BenchmarkCase>& suite) {
+  std::vector<GoldenCase> out;
+  for (const auto& c : suite) {
+    out.push_back({&c.kernel, c.sample});
+    for (const auto& t : c.tests) out.push_back({&c.kernel, t.placement});
+  }
+  return out;
+}
+
+// Folds the per-run digests arch-major, in suite order. Each case also runs
+// from a skeleton recorded once per kernel, which must give the same result.
+std::uint64_t sweep_digest(WarpScheduler scheduler, std::size_t* runs) {
+  const auto training = workloads::training_suite();
+  const auto evaluation = workloads::evaluation_suite();
+  std::vector<GoldenCase> cases = table_iv_cases(training);
+  for (GoldenCase& c : table_iv_cases(evaluation)) cases.push_back(c);
+  const ArchRegistry& reg = ArchRegistry::builtin();
+  const std::vector<std::string> archs = reg.names();
+  const SimOptions opts{.record_interarrivals = true, .scheduler = scheduler};
+  // digests[arch][case]; 0 marks a placement illegal on that arch.
+  std::vector<std::vector<std::uint64_t>> digests(
+      archs.size(), std::vector<std::uint64_t>(cases.size(), 0));
+  for (std::size_t first = 0; first < cases.size();) {
+    const KernelInfo& kernel = *cases[first].kernel;
+    std::size_t last = first;
+    while (last < cases.size() && cases[last].kernel == &kernel) ++last;
+    const TraceSkeleton skeleton(kernel);
+    for (std::size_t a = 0; a < archs.size(); ++a) {
+      const GpuArch& arch = reg.find(archs[a])->arch;
+      for (std::size_t i = first; i < last; ++i) {
+        if (validate_placement(kernel, cases[i].placement, arch)) continue;
+        GpuSimulator sim(arch, opts);
+        Fnv1a plain;
+        mix_result(plain, sim.run(kernel, cases[i].placement),
+                   sim.interarrival_samples());
+        Fnv1a fed;
+        mix_result(fed, sim.run(kernel, cases[i].placement, &skeleton),
+                   sim.interarrival_samples());
+        EXPECT_EQ(plain.digest(), fed.digest())
+            << kernel.name << " " << cases[i].placement.to_string() << " on "
+            << archs[a];
+        digests[a][i] = plain.digest();
+      }
+    }
+    first = last;
+  }
+  Fnv1a h;
+  for (const auto& per_arch : digests) {
+    for (std::uint64_t d : per_arch) {
+      if (d == 0) continue;
+      h.mix(d);
+      ++*runs;
+    }
+  }
+  return h.digest();
+}
+
+TEST(SimGolden, TableIvEveryArchRoundRobin) {
+  std::size_t runs = 0;
+  const std::uint64_t d = sweep_digest(WarpScheduler::RoundRobin, &runs);
+  EXPECT_EQ(runs, 244u);
+  EXPECT_EQ(d, 0xf77db7d847dadc70ull);
+}
+
+TEST(SimGolden, TableIvEveryArchGto) {
+  std::size_t runs = 0;
+  const std::uint64_t d = sweep_digest(WarpScheduler::Gto, &runs);
+  EXPECT_EQ(runs, 244u);
+  EXPECT_EQ(d, 0x4469844b340c0694ull);
 }
 
 }  // namespace
