@@ -52,18 +52,20 @@ int main() {
 
   Predictor pred(c.kernel, arch, ModelOptions{}, overlap);
   pred.profile_sample(c.sample);
+  const TraceSkeleton skeleton(c.kernel);
 
   std::vector<Entry> entries;
   entries.push_back({"NN_G",
                      static_cast<double>(pred.sample_result().cycles),
                      pred.predict(c.sample).total_cycles,
-                     porple_cost(c.kernel, c.sample, arch)});
+                     porple_cost(skeleton, c.sample, arch)});
   for (const auto& t : c.tests) {
     Entry e;
     e.id = t.id;
-    e.measured = static_cast<double>(simulate(c.kernel, t.placement, arch).cycles);
+    e.measured = static_cast<double>(
+        simulate(c.kernel, t.placement, arch, &skeleton).cycles);
     e.ours = pred.predict(t.placement).total_cycles;
-    e.porple = porple_cost(c.kernel, t.placement, arch);
+    e.porple = porple_cost(skeleton, t.placement, arch);
     entries.push_back(e);
   }
   assign_ranks(entries, &Entry::measured, &Entry::rank_measured);

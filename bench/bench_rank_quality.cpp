@@ -47,18 +47,19 @@ int main() {
     const DataPlacement sample = DataPlacement::defaults(s.kernel);
     Predictor pred(s.kernel, arch, ModelOptions{}, overlap);
     pred.profile_sample(sample);
+    const TraceSkeleton skeleton(s.kernel);
 
     const auto space = enumerate_placements(s.kernel, arch, 64);
     std::vector<double> measured, ours, porple;
     double best_measured = 1e300;
     std::size_t our_top = 0;
     for (std::size_t i = 0; i < space.size(); ++i) {
-      const double m =
-          static_cast<double>(simulate(s.kernel, space[i], arch).cycles);
+      const double m = static_cast<double>(
+          simulate(s.kernel, space[i], arch, &skeleton).cycles);
       const double o = pred.predict(space[i]).total_cycles;
       measured.push_back(m);
       ours.push_back(o);
-      porple.push_back(porple_cost(s.kernel, space[i], arch));
+      porple.push_back(porple_cost(skeleton, space[i], arch));
       best_measured = std::min(best_measured, m);
       if (o < ours[our_top]) our_top = i;
     }

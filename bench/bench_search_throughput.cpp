@@ -60,10 +60,11 @@ Measurement run_variant(const Predictor& pred, const Variant& variant,
   return m;
 }
 
-// The serial seed: predicts every candidate cold on the calling thread
-// (`pred` holds no skeleton, so predict() regenerates and walks the trace)
-// and keeps the first minimum, exhaustive search's tie-break. `cold` gets
-// each candidate's cycles for the byte check against SoA replay.
+// The serial seed: predicts every candidate cold on the calling thread (a
+// fresh analyzer regenerates and walks the trace in full, and the anchored
+// events overload of predict() scores it) and keeps the first minimum,
+// exhaustive search's tie-break. `cold` gets each candidate's cycles for the
+// byte check against SoA replay.
 Measurement run_serial_seed(const Predictor& pred, const PlacementSpace& space,
                             int repeats, std::vector<double>* cold) {
   Measurement m;
@@ -73,7 +74,8 @@ Measurement run_serial_seed(const Predictor& pred, const PlacementSpace& space,
     cold->clear();
     SearchResult best;
     for (const DataPlacement& p : space.placements) {
-      cold->push_back(pred.predict(p).total_cycles);
+      cold->push_back(
+          pred.predict(pred.make_analyzer().analyze(p)).total_cycles);
       if (best.evaluated++ == 0 || cold->back() < best.predicted_cycles) {
         best.placement = p;
         best.predicted_cycles = cold->back();
@@ -96,11 +98,10 @@ bool ranked_results_identical(const Predictor& pred,
                               const workloads::BenchmarkCase& c,
                               const PlacementSpace& space,
                               const std::vector<double>& cold) {
-  const TraceSkeleton skel(c.kernel);
   TraceAnalyzer soa_analyzer = pred.make_analyzer();
   for (std::size_t i = 0; i < space.placements.size(); ++i) {
     const DataPlacement& p = space.placements[i];
-    const double soa = pred.predict_with(p, &soa_analyzer, &skel).total_cycles;
+    const double soa = pred.predict(p, &soa_analyzer).total_cycles;
     if (!same_bits(cold[i], soa)) {
       std::fprintf(stderr,
                    "%s: ranked results diverge on %s "

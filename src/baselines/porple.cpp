@@ -37,12 +37,12 @@ double porple_cost(const PlacementEvents& ev, const GpuArch& arch) {
   return global_cost + tex_cost + const_cost + shared_cost;
 }
 
-double porple_cost(const KernelInfo& kernel, const DataPlacement& placement,
-                   const GpuArch& arch) {
+double porple_cost(const TraceSkeleton& skeleton,
+                   const DataPlacement& placement, const GpuArch& arch) {
   // PORPLE has no bank-conflict or staging model; analyze with defaults and
   // score only the events its model understands.
-  const PlacementEvents ev =
-      analyze_trace(kernel, placement, arch, AnalysisOptions{});
+  const PlacementEvents ev = analyze_trace(skeleton.kernel(), placement, arch,
+                                           AnalysisOptions{}, &skeleton);
   return porple_cost(ev, arch);
 }
 

@@ -9,18 +9,22 @@ namespace gpuhms {
 
 Sim2012Predictor::Sim2012Predictor(const KernelInfo& kernel,
                                    const GpuArch& arch, bool anchor_to_sample)
-    : kernel_(&kernel), arch_(&arch), anchor_(anchor_to_sample) {}
+    : kernel_(&kernel), arch_(&arch), anchor_(anchor_to_sample),
+      skeleton_(kernel) {}
 
 void Sim2012Predictor::profile_sample(const DataPlacement& sample) {
-  set_sample(sample, simulate(*kernel_, sample, *arch_));
+  set_sample(sample, simulate(*kernel_, sample, *arch_, &skeleton_));
 }
 
 void Sim2012Predictor::set_sample(const DataPlacement& sample,
                                   const SimResult& measured) {
   sample_ = sample;
   sample_result_ = measured;
-  sample_ev_ = analyze_trace(*kernel_, sample, *arch_, AnalysisOptions{});
-  anchor_scale_.reset();
+  sample_ev_ = analyze_trace(*kernel_, sample, *arch_, AnalysisOptions{},
+                             &skeleton_);
+  const Prediction self = predict_from_events(*sample_ev_);
+  anchor_scale_ = static_cast<double>(sample_result_->cycles) /
+                  std::max(1.0, self.raw_cycles);
 }
 
 const SimResult& Sim2012Predictor::sample_result() const {
@@ -109,17 +113,10 @@ Prediction Sim2012Predictor::predict_from_events(
 }
 
 Prediction Sim2012Predictor::predict(const DataPlacement& target) const {
-  const PlacementEvents target_ev =
-      analyze_trace(*kernel_, target, *arch_, AnalysisOptions{});
+  const PlacementEvents target_ev = analyze_trace(
+      *kernel_, target, *arch_, AnalysisOptions{}, &skeleton_);
   Prediction p = predict_from_events(target_ev);
-  if (anchor_) {
-    if (!anchor_scale_.has_value()) {
-      const Prediction self = predict_from_events(*sample_ev_);
-      anchor_scale_ = static_cast<double>(sample_result_->cycles) /
-                      std::max(1.0, self.raw_cycles);
-    }
-    p.total_cycles = p.raw_cycles * *anchor_scale_;
-  }
+  if (anchor_) p.total_cycles = p.raw_cycles * anchor_scale_;
   return p;
 }
 

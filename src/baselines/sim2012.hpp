@@ -7,8 +7,9 @@
 //     no queuing, no row-buffer variation),
 //   * computes the computation/memory overlap with the MWP/CWP case analysis
 //     of Hong & Kim instead of the trained event model.
-// It shares the cache models (Sim et al. model cache effects) and the same
-// sample anchoring, so the comparison isolates the modeling differences.
+// It shares the cache models (Sim et al. model cache effects), the same
+// sample anchoring and the same skeleton replay, so the comparison isolates
+// the modeling differences.
 #pragma once
 
 #include "model/predictor.hpp"
@@ -34,7 +35,8 @@ class Sim2012Predictor {
   std::optional<DataPlacement> sample_;
   std::optional<SimResult> sample_result_;
   std::optional<PlacementEvents> sample_ev_;
-  mutable std::optional<double> anchor_scale_;
+  double anchor_scale_ = 1.0;  // computed eagerly in set_sample
+  TraceSkeleton skeleton_;     // recorded once, at construction
 };
 
 }  // namespace gpuhms

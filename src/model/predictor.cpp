@@ -43,6 +43,7 @@ Predictor::Predictor(const KernelInfo& kernel, const GpuArch& arch,
       overlap_(std::move(overlap)) {}
 
 void Predictor::profile_sample(const DataPlacement& sample) {
+  memoize_trace();
   set_sample(sample, simulate(*kernel_, sample, *arch_, skeleton_.get()));
 }
 
@@ -50,6 +51,7 @@ void Predictor::set_sample(const DataPlacement& sample,
                            const SimResult& measured) {
   GPUHMS_SCOPED_PHASE("predictor.set_sample_ns");
   GPUHMS_COUNTER_ADD("predictor.samples_set", 1);
+  memoize_trace();
   sample_ = sample;
   sample_result_ = measured;
   sample_ev_ = analyze_trace(*kernel_, sample, *arch_,
@@ -62,17 +64,18 @@ void Predictor::set_sample(const DataPlacement& sample,
 }
 
 Status Predictor::try_profile_sample(const DataPlacement& sample) {
-  GPUHMS_RETURN_IF_ERROR(
-      validate(*kernel_, sample, *arch_)
-          .annotate("profiling the sample placement of kernel '" +
-                    kernel_->name + "'"));
+  const std::string ctx =
+      "profiling the sample placement of kernel '" + kernel_->name + "'";
+  GPUHMS_RETURN_IF_ERROR(validate(*kernel_, sample, *arch_).annotate(ctx));
+  SimResult measured;
   try {
-    profile_sample(sample);
+    memoize_trace();
+    measured = simulate(*kernel_, sample, *arch_, skeleton_.get());
   } catch (const std::exception& e) {
-    return InternalError(e.what()).annotate(
-        "profiling the sample placement of kernel '" + kernel_->name + "'");
+    return InternalError(e.what()).annotate(ctx);
   }
-  return OkStatus();
+  // The simulated measurement passes the same checks as an injected one.
+  return try_set_sample(sample, measured).annotate(ctx);
 }
 
 Status Predictor::try_set_sample(const DataPlacement& sample,
@@ -189,25 +192,15 @@ Prediction Predictor::predict_from_events(
   return p;
 }
 
-Prediction Predictor::predict(const DataPlacement& target) const {
-  return predict_with(target, nullptr, skeleton_.get());
-}
-
-Prediction Predictor::predict_with(const DataPlacement& target,
-                                   TraceAnalyzer* analyzer,
-                                   const TraceSkeleton* skeleton) const {
+Prediction Predictor::predict(const DataPlacement& target,
+                              TraceAnalyzer* scratch) const {
   GPUHMS_SCOPED_PHASE("predictor.predict_ns");
-  // The skeleton replay is the predictor's memo: a hit replays pre-recorded
-  // DSL streams, a miss re-runs the kernel function per candidate.
-  if (skeleton != nullptr) {
-    GPUHMS_COUNTER_ADD("predictor.memo_hits", 1);
-  } else {
-    GPUHMS_COUNTER_ADD("predictor.memo_misses", 1);
-  }
+  GPUHMS_CHECK_MSG(has_sample(),
+                   "profile_sample/set_sample must be called first");
   const PlacementEvents target_ev =
-      analyzer ? analyzer->analyze(target, skeleton)
-               : analyze_trace(*kernel_, target, *arch_,
-                               analysis_options(options_), skeleton);
+      scratch ? scratch->analyze(target, skeleton_.get())
+              : analyze_trace(*kernel_, target, *arch_,
+                              analysis_options(options_), skeleton_.get());
   GPUHMS_COUNTER_ADD("predictor.predictions", 1);
   GPUHMS_COUNTER_ADD("predictor.replay_global_divergence",
                      target_ev.replay_global_divergence);
@@ -217,6 +210,10 @@ Prediction Predictor::predict_with(const DataPlacement& target,
                      target_ev.replay_const_divergence);
   GPUHMS_COUNTER_ADD("predictor.replay_shared_conflict",
                      target_ev.replay_shared_conflict);
+  return predict(target_ev);
+}
+
+Prediction Predictor::predict(const PlacementEvents& target_ev) const {
   Prediction p = predict_from_events(target_ev);
   if (options_.anchor_to_sample)
     p.total_cycles = p.raw_cycles * anchor_scale_;
@@ -227,19 +224,13 @@ std::vector<Prediction> Predictor::predict_batch(
     std::span<const DataPlacement> targets, ThreadPool* pool) const {
   std::vector<Prediction> out(targets.size());
   if (targets.empty()) return out;
-  // Share one skeleton across the whole batch even when the predictor has
-  // not memoized one: its recording cost amortizes after a couple targets.
-  std::shared_ptr<const TraceSkeleton> skel = skeleton_;
-  if (!skel) skel = std::make_shared<TraceSkeleton>(*kernel_);
   ThreadPool local_pool(pool ? 1 : 0);
   ThreadPool& p = pool ? *pool : local_pool;
   std::vector<TraceAnalyzer> scratch;
   scratch.reserve(static_cast<std::size_t>(p.size()));
   for (int t = 0; t < p.size(); ++t) scratch.push_back(make_analyzer());
   p.parallel_for(targets.size(), [&](int worker, std::size_t i) {
-    out[i] = predict_with(targets[i],
-                          &scratch[static_cast<std::size_t>(worker)],
-                          skel.get());
+    out[i] = predict(targets[i], &scratch[static_cast<std::size_t>(worker)]);
   });
   return out;
 }
@@ -322,9 +313,10 @@ double PlacementBounder::bound_cycles(double addr_insts_total) const {
   return raw_lb * anchor_;
 }
 
-PlacementBounder Predictor::make_bounder(const TraceSkeleton& skeleton) const {
+PlacementBounder Predictor::make_bounder() const {
   GPUHMS_CHECK_MSG(sample_result_.has_value(),
                    "profile_sample/set_sample must be called first");
+  const TraceSkeleton& skeleton = *skeleton_;
   const ProfileCounters& sc = sample_result_->counters;
   PlacementBounder b;
   b.detailed_ = options_.detailed_instruction_counting;

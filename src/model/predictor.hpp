@@ -141,18 +141,21 @@ class Predictor {
   Predictor(const KernelInfo& kernel, const GpuArch& arch,
             ModelOptions options = {}, ToverlapModel overlap = {});
 
-  // Run the simulator substrate on the sample placement ("measure" it),
-  // from the memoized skeleton when memoize_trace() was called first.
+  // Run the simulator substrate on the sample placement ("measure" it).
   // Aborts on malformed input; prefer try_profile_sample at API boundaries.
   void profile_sample(const DataPlacement& sample);
   // Inject an existing measurement instead. Aborts on malformed input.
+  // The first sample records the kernel's TraceSkeleton; the sample and
+  // every later predict and bound are analyzed from it.
   void set_sample(const DataPlacement& sample, const SimResult& measured);
 
   // Non-aborting variants: validate the placement against this predictor's
-  // kernel/arch (and, for try_set_sample, the measurement's counter
-  // identities) and return INVALID_ARGUMENT naming the offending entity
-  // instead of aborting. Exceptions escaping the substrate (including
-  // injected faults) surface as INTERNAL.
+  // kernel/arch and the measurement against its counter identities, and
+  // return INVALID_ARGUMENT naming the offending entity instead of
+  // aborting. try_profile_sample hands its simulated measurement to
+  // try_set_sample, so both reject the same measurements, and a rejected
+  // one is never adopted. Exceptions escaping the substrate (including
+  // injected faults) and a non-finite sample anchor surface as INTERNAL.
   Status try_profile_sample(const DataPlacement& sample);
   Status try_set_sample(const DataPlacement& sample, const SimResult& measured);
 
@@ -160,20 +163,20 @@ class Predictor {
   // predict entry point).
   bool has_sample() const { return sample_result_.has_value(); }
 
-  // Record (once) the placement-independent DSL skeleton of the kernel and
-  // reuse it in every subsequent predict — the access skeleton is shared by
-  // all placements, so a search pays the kernel-function replay once.
-  // Returns the skeleton so callers can share it across threads.
+  // Records (once) the placement-independent skeleton of the kernel and
+  // returns it. Setting a sample already does this; kept for callers that
+  // replay the skeleton themselves.
   std::shared_ptr<const TraceSkeleton> memoize_trace();
-  std::shared_ptr<const TraceSkeleton> skeleton() const { return skeleton_; }
 
-  Prediction predict(const DataPlacement& target) const;
-
-  // Hot-path variant: `analyzer` (one per thread) supplies reusable
-  // cache/row-buffer scratch, `skeleton` the pre-recorded DSL streams.
-  // Either may be null.
-  Prediction predict_with(const DataPlacement& target, TraceAnalyzer* analyzer,
-                          const TraceSkeleton* skeleton) const;
+  // Predicts `target` from the kernel's skeleton. `scratch` (one per
+  // thread, from make_analyzer) reuses the cache/row-buffer models across
+  // calls; without it a fresh analyzer is built.
+  Prediction predict(const DataPlacement& target,
+                     TraceAnalyzer* scratch = nullptr) const;
+  // The anchored prediction for already-analyzed target events, e.g. the
+  // full walk `make_analyzer().analyze(target)` that tests and benches
+  // check the skeleton replay against.
+  Prediction predict(const PlacementEvents& target_ev) const;
 
   // Predict many placements, optionally spread over a thread pool (a local
   // pool of default size is used when null). Results are in target order and
@@ -192,11 +195,11 @@ class Predictor {
       std::span<const DataPlacement> targets, ThreadPool* pool = nullptr) const;
 
   // Builds the partial-placement bound tables for branch-and-bound search
-  // (requires a profiled sample). The skeleton must be this kernel's.
-  PlacementBounder make_bounder(const TraceSkeleton& skeleton) const;
+  // (requires a profiled sample).
+  PlacementBounder make_bounder() const;
 
   // A trace analyzer configured like this predictor's analysis passes (one
-  // per worker thread for predict_with).
+  // per worker thread for predict).
   TraceAnalyzer make_analyzer() const;
 
   const SimResult& sample_result() const;

@@ -72,16 +72,13 @@ void record_search_metrics(const StopWatch& watch, std::size_t evaluated,
 }
 
 // What every predictor-driven search evaluates candidates with: the pool
-// (the caller's, or a local one), the kernel's trace skeleton shared by all
-// workers (the predictor's memoized one, else recorded here once), and one
-// analyzer scratch per worker.
+// (the caller's, or a local one) and one analyzer scratch per worker; the
+// predictor replays its own skeleton.
 struct Evaluator {
   Evaluator(const Predictor& p, const SearchOptions& options)
       : predictor(p),
         local_pool(options.pool ? 1 : options.num_threads),
-        pool(options.pool ? *options.pool : local_pool),
-        skeleton(p.skeleton()) {
-    if (!skeleton) skeleton = std::make_shared<TraceSkeleton>(p.kernel());
+        pool(options.pool ? *options.pool : local_pool) {
     scratch.reserve(static_cast<std::size_t>(pool.size()));
     for (int t = 0; t < pool.size(); ++t)
       scratch.push_back(predictor.make_analyzer());
@@ -89,16 +86,13 @@ struct Evaluator {
 
   // Predicted cycles of `p` on pool worker `worker`'s scratch.
   double cycles(int worker, const DataPlacement& p) {
-    return predictor
-        .predict_with(p, &scratch[static_cast<std::size_t>(worker)],
-                      skeleton.get())
+    return predictor.predict(p, &scratch[static_cast<std::size_t>(worker)])
         .total_cycles;
   }
 
   const Predictor& predictor;
   ThreadPool local_pool;
   ThreadPool& pool;
-  std::shared_ptr<const TraceSkeleton> skeleton;
   std::vector<TraceAnalyzer> scratch;
 };
 
@@ -208,7 +202,7 @@ BnbContext make_bnb_context(Evaluator* eval) {
   ctx.predictor = &predictor;
   ctx.arch = &predictor.arch();
   ctx.eval = eval;
-  ctx.bounder = predictor.make_bounder(*eval->skeleton);
+  ctx.bounder = predictor.make_bounder();
   GPUHMS_CHECK_MSG(!ctx.bounder.infeasible(),
                    "kernel admits no legal placement");
   const std::size_t n = predictor.kernel().arrays.size();

@@ -187,7 +187,6 @@ struct PredictionService::KernelEntry {
   GpuArch arch;
   std::string arch_name;  // "" for the service default
   std::unique_ptr<Predictor> predictor;
-  std::shared_ptr<const TraceSkeleton> skeleton;
   // Prediction-cache key prefix: kernel|arch|model fingerprints. The arch
   // fingerprint mixes the full address-map spec, so entries for different
   // backends (even ones differing only in their bank decode) never alias.
@@ -291,9 +290,6 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
   const ModelOptions model_options{};
   entry->predictor = std::make_unique<Predictor>(
       entry->bench.kernel, entry->arch, model_options, overlap_);
-  // Record the skeleton first: profiling then simulates and analyzes the
-  // sample from it, so the kernel function runs once per entry.
-  entry->skeleton = entry->predictor->memoize_trace();
   GPUHMS_RETURN_IF_ERROR(
       entry->predictor->try_profile_sample(entry->bench.sample)
           .annotate("profiling the sample placement of benchmark '" +

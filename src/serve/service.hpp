@@ -190,7 +190,7 @@ class PredictionService {
   // arch, any other name resolves through ArchRegistry::builtin() (unknown
   // names are a structured INVALID_ARGUMENT listing the registered
   // backends). Entries are cached per (benchmark, arch) — the profiled
-  // predictor, skeleton and cache-key prefix are all arch-specific.
+  // predictor and the cache-key prefix are arch-specific.
   StatusOr<KernelEntryPtr> kernel_entry(const std::string& benchmark,
                                         const std::string& arch_name);
   // Every predict placement becomes a PendingPredict here — lone and

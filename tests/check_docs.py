@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Eleven guarantees:
+Twelve guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -45,6 +45,11 @@ Eleven guarantees:
      "Registered sites" comment in src/common/fault_injection.hpp each
      equal the kSites array in src/common/fault_injection.cpp, so a site
      cannot be added or removed without the docs following.
+ 12. Every metric name in DESIGN.md's "Metric taxonomy" table (layer
+     prefix + backticked name) occurs as a string literal in src/, so a
+     deleted counter cannot leave a stale row behind. `name[_a/_b]`
+     stands for name, name_a and name_b; `name_*` is a prefix; backticks
+     inside parentheses are prose, not metric names.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -499,6 +504,68 @@ def check_fault_sites(root):
     return problems
 
 
+STRING_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
+def src_string_literals(root):
+    """Every double-quoted string literal in src/'s C++ sources."""
+    literals = set()
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "src")):
+        for name in filenames:
+            if not name.endswith((".cpp", ".hpp", ".h", ".cc")):
+                continue
+            with open(os.path.join(dirpath, name),
+                      encoding="utf-8", errors="replace") as f:
+                literals.update(STRING_LITERAL_RE.findall(f.read()))
+    return literals
+
+
+def taxonomy_metrics(root):
+    """(layer, name) pairs of DESIGN.md's metric taxonomy table, with
+    `name[_a/_b]` expanded; a trailing `*` marks a prefix."""
+    with open(os.path.join(root, "DESIGN.md"), encoding="utf-8") as f:
+        text = f.read()
+    m = re.search(r"^\*\*Metric taxonomy\*\*.*?\n\n((?:\|.*\n)+)", text,
+                  re.M)
+    if not m:
+        return []
+    metrics = []
+    for row in m.group(1).splitlines()[2:]:
+        cells = row.split("|")
+        if len(cells) < 3:
+            continue
+        layer = cells[1].strip().strip("`")
+        prose_free = re.sub(r"\([^()]*\)", "", cells[2])
+        for token in re.findall(r"`([^`]+)`", prose_free):
+            opt = re.fullmatch(r"([A-Za-z0-9_]+)\[([^\]]+)\]", token)
+            names = ([opt.group(1)] + [opt.group(1) + suffix
+                                       for suffix in opt.group(2).split("/")]
+                     if opt else [token])
+            metrics.extend((layer, n) for n in names)
+    return metrics
+
+
+def check_metric_taxonomy(root):
+    """Every metric the DESIGN.md taxonomy table names must be a string
+    literal somewhere in src/."""
+    metrics = taxonomy_metrics(root)
+    if not metrics:
+        return ["DESIGN.md: no 'Metric taxonomy' table found (regex rot?)"]
+    literals = src_string_literals(root)
+    problems = []
+    for layer, name in metrics:
+        full = layer + name
+        if name.endswith("*"):
+            found = any(lit.startswith(full[:-1]) for lit in literals)
+        else:
+            found = full in literals
+        if not found:
+            problems.append(
+                f"DESIGN.md: metric taxonomy names '{full}', which no "
+                f"string literal in src/ spells")
+    return problems
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -517,6 +584,7 @@ def main():
     problems.extend(check_serving_error_codes(root))
     problems.extend(check_bench_files(root))
     problems.extend(check_fault_sites(root))
+    problems.extend(check_metric_taxonomy(root))
 
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -528,8 +596,8 @@ def main():
           "symbols exist, every "
           "ctest label and GPUHMS_* env var is documented, SERVING.md's "
           "env, flag and error-code tables match the code, every cited "
-          "BENCH_*.json is checked in, and the fault-site lists match the "
-          "registry")
+          "BENCH_*.json is checked in, the fault-site lists match the "
+          "registry, and every metric in DESIGN's taxonomy exists in src/")
     return 0
 
 

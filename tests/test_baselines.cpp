@@ -102,10 +102,11 @@ TEST(Sim2012, InstructionsFrozenAcrossPlacements) {
 
 TEST(Porple, CostPositiveAndPlacementSensitive) {
   const KernelInfo k = workloads::make_vecadd(1 << 13);
+  const TraceSkeleton skel(k);
   const auto base = DataPlacement::defaults(k);
-  const double cg = porple_cost(k, base, kepler_arch());
+  const double cg = porple_cost(skel, base, kepler_arch());
   const double ct =
-      porple_cost(k, base.with(0, MemSpace::Texture1D), kepler_arch());
+      porple_cost(skel, base.with(0, MemSpace::Texture1D), kepler_arch());
   EXPECT_GT(cg, 0.0);
   EXPECT_NE(cg, ct);
 }
@@ -117,16 +118,18 @@ TEST(Porple, SharedLooksFreeToIt) {
   const KernelInfo k = workloads::make_neuralnet(32, 64, 64);
   const auto base = DataPlacement::defaults(k);
   const int iw = k.array_index("weights");
-  const double cg = porple_cost(k, base, kepler_arch());
-  const double cs = porple_cost(k, base.with(iw, MemSpace::Shared),
+  const TraceSkeleton skel(k);
+  const double cg = porple_cost(skel, base, kepler_arch());
+  const double cs = porple_cost(skel, base.with(iw, MemSpace::Shared),
                                 kepler_arch());
   EXPECT_LT(cs, cg);
 }
 
 TEST(Porple, DeterministicScores) {
   const auto bench = workloads::get_benchmark("stencil2d");
-  const double c1 = porple_cost(bench.kernel, bench.sample, kepler_arch());
-  const double c2 = porple_cost(bench.kernel, bench.sample, kepler_arch());
+  const TraceSkeleton skel(bench.kernel);
+  const double c1 = porple_cost(skel, bench.sample, kepler_arch());
+  const double c2 = porple_cost(skel, bench.sample, kepler_arch());
   EXPECT_DOUBLE_EQ(c1, c2);
 }
 

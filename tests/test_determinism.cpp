@@ -133,7 +133,6 @@ TEST(Determinism, BatchIdenticalAcrossThreadCountsAndRuns) {
   const KernelInfo k = workloads::make_triad(1 << 12);
   Predictor pred(k, kepler_arch());
   pred.profile_sample(DataPlacement::defaults(k));
-  pred.memoize_trace();
   const auto space = enumerate_placements(k, kepler_arch(), 24);
   const auto one = batch_with_env_threads(pred, space, "1");
   for (const char* t : {"4", "16"}) {

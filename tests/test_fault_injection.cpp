@@ -142,7 +142,6 @@ TEST_F(FaultInjection, PredictUnderInjectedFaultReturnsInternal) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   Predictor pred(k, kepler_arch());
   pred.profile_sample(DataPlacement::defaults(k));
-  pred.memoize_trace();
   fault::arm("trace.lower", 1);
   const auto r = pred.try_predict(DataPlacement::defaults(k));
   ASSERT_FALSE(r.ok());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/obs.hpp"
+#include "model/search.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -24,6 +26,40 @@ TEST(Predictor, RequiresSampleBeforePredict) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   Predictor pred(k, kepler_arch());
   EXPECT_DEATH(pred.predict(DataPlacement::defaults(k)), "sample");
+}
+
+// Every entry point of one predictor replays the skeleton its first sample
+// recorded: the sample, a lone predict, a batch, the three searches and the
+// bound tables never record another one and never take the full walk.
+TEST(Predictor, EveryFlowReplaysTheSampleSkeleton) {
+  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
+  std::vector<DataPlacement> tests;
+  for (const workloads::PlacementTest& t : c.tests)
+    tests.push_back(t.placement);
+  const bool was = obs::metrics_active();
+  obs::set_enabled(true);
+  obs::reset_all_metrics();
+  Predictor pred(c.kernel, kepler_arch());
+  ASSERT_TRUE(pred.try_profile_sample(c.sample).ok());
+  pred.predict(tests.front());
+  pred.predict_batch(tests);
+  SearchOptions o;
+  o.cap = 16;
+  o.num_threads = 2;
+  for (SearchAlgo algo :
+       {SearchAlgo::kExhaustive, SearchAlgo::kBnb, SearchAlgo::kBeam}) {
+    const StatusOr<SearchResult> r = try_search(pred, algo, o);
+    EXPECT_TRUE(r.ok()) << r.status().to_string();
+  }
+  EXPECT_FALSE(pred.make_bounder().infeasible());
+  const obs::MetricsSnapshot s = obs::snapshot();
+  obs::reset_all_metrics();
+  obs::set_enabled(was);
+  const auto* recorded = s.find_counter("trace.skeletons_recorded");
+  ASSERT_NE(recorded, nullptr);
+  EXPECT_EQ(recorded->value, 1u);
+  const auto* full = s.find_counter("trace.analyses_full");
+  EXPECT_EQ(full == nullptr ? 0u : full->value, 0u);
 }
 
 TEST(Predictor, ComponentsArePositiveAndConsistent) {

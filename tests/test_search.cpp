@@ -19,10 +19,8 @@ TEST(SearchExhaustive, FindsMinimumOfPredictedSpace) {
   const KernelInfo k = workloads::make_stencil2d(128, 64);
   const Predictor pred = profiled_predictor(k);
   const auto r = search_exhaustive(pred);
-  // Recompute with the uncached full walk (`pred` holds no skeleton, so
-  // predict() regenerates the trace): the search's memoized winner must be
-  // exactly the first minimum of the plain predictions, bit for bit.
-  ASSERT_EQ(pred.skeleton(), nullptr);
+  // Recompute one plain predict() per candidate: the search's winner must
+  // be exactly the first minimum of those predictions, bit for bit.
   const auto space = enumerate_placements(k, kepler_arch());
   std::size_t argmin = 0;
   std::vector<double> plain;

@@ -132,8 +132,7 @@ TEST(SearchBnb, BoundNeverExceedsFullPredictionOnRandomPlacements) {
   const KernelInfo k = workloads::make_spmv(256, 16);
   Predictor pred(k, kepler_arch());
   pred.profile_sample(DataPlacement::defaults(k));
-  const auto skeleton = pred.memoize_trace();
-  const PlacementBounder bounder = pred.make_bounder(*skeleton);
+  const PlacementBounder bounder = pred.make_bounder();
   ASSERT_FALSE(bounder.infeasible());
 
   const std::size_t n = k.arrays.size();
@@ -171,8 +170,7 @@ TEST(SearchBnb, RootBoundBelowEveryLegalPlacement) {
   const KernelInfo k = workloads::make_stencil2d(128, 64);
   Predictor pred(k, kepler_arch());
   pred.profile_sample(DataPlacement::defaults(k));
-  const auto skeleton = pred.memoize_trace();
-  const PlacementBounder bounder = pred.make_bounder(*skeleton);
+  const PlacementBounder bounder = pred.make_bounder();
   const double root = bounder.bound_cycles(bounder.root_addr_insts());
   for (const auto& p : enumerate_placements(k, kepler_arch())) {
     EXPECT_LE(root, pred.predict(p).total_cycles + 1e-6) << p.to_string();

@@ -136,7 +136,6 @@ TEST(SearchParallel, SharedPredictorIsThreadSafe) {
   const KernelInfo k = workloads::make_triad(1 << 12);
   Predictor pred(k, kepler_arch());
   pred.profile_sample(DataPlacement::defaults(k));
-  pred.memoize_trace();
   const auto space = enumerate_placements(k, kepler_arch(), 16);
   std::vector<double> expected;
   for (const auto& p : space) expected.push_back(pred.predict(p).total_cycles);

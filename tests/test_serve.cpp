@@ -90,8 +90,8 @@ TEST(Serve, PredictHappyPathIsBitIdenticalOnRepeat) {
 }
 
 TEST(Serve, ColdPredictRunsTheKernelFromOneSkeleton) {
-  // A cold kernel entry records the skeleton before profiling the sample,
-  // so the sample's simulation and analysis, and the target's analysis, all
+  // Profiling a cold kernel entry's sample records the skeleton first, so
+  // the sample's simulation and analysis, and the target's analysis, all
   // read it: one recording, and never the full trace walk.
   const bool was = obs::metrics_active();
   obs::set_enabled(true);
@@ -270,7 +270,6 @@ TEST(Serve, BnbSearchReportsPrunedSubtrees) {
   const workloads::BenchmarkCase bench = workloads::get_benchmark("neuralnet");
   Predictor pred(bench.kernel, kepler_arch());
   ASSERT_TRUE(pred.try_profile_sample(bench.sample).ok());
-  pred.memoize_trace();
   const StatusOr<SearchResult> want = try_search(pred, SearchAlgo::kBnb);
   ASSERT_TRUE(want.ok()) << want.status().to_string();
   EXPECT_GT(want->pruned_subtrees, 0u);

@@ -206,21 +206,22 @@ TEST(SoaReplay, RandomizedSyntheticTracesMatchFullWalkOnEveryBackend) {
 }
 
 // End-to-end: predictions (the models consume the events wholesale) must be
-// bit-identical whether the predictor memoizes the trace skeleton (SoA
-// engine) or regenerates and walks the trace per call.
-void expect_predictions_match_unmemoized(
+// bit-identical whether the predictor replays its skeleton (SoA engine) or
+// scores the full walk's events through the anchored events overload; the
+// events themselves are compared counter by counter first.
+void expect_predictions_match_full_walk(
     const KernelInfo& k, const DataPlacement& sample,
     const std::vector<DataPlacement>& placements) {
-  Predictor memoized(k, kepler_arch());
-  memoized.profile_sample(sample);
-  memoized.memoize_trace();
-  Predictor plain(k, kepler_arch());
-  plain.profile_sample(sample);
-  ASSERT_EQ(plain.skeleton(), nullptr);
+  Predictor pred(k, kepler_arch());
+  pred.profile_sample(sample);
+  const TraceSkeleton skel(k);
+  TraceAnalyzer an = pred.make_analyzer();
   for (const DataPlacement& p : placements) {
     SCOPED_TRACE(k.name + " " + p.to_string());
-    const Prediction a = memoized.predict(p);
-    const Prediction b = plain.predict(p);
+    const PlacementEvents full = an.analyze(p, nullptr);
+    expect_events_identical(an.analyze(p, &skel), full);
+    const Prediction a = pred.predict(p);
+    const Prediction b = pred.predict(full);
     EXPECT_TRUE(same_bits(a.total_cycles, b.total_cycles));
     EXPECT_TRUE(same_bits(a.t_comp, b.t_comp));
     EXPECT_TRUE(same_bits(a.t_mem, b.t_mem));
@@ -231,15 +232,15 @@ void expect_predictions_match_unmemoized(
 
 // Inputs: matrixmul's Table IV placements, and every candidate of a whole
 // placement space — each placement a search could score and return.
-TEST(SoaReplay, PredictionsMatchUnmemoizedBitForBit) {
+TEST(SoaReplay, PredictionsMatchFullWalkBitForBit) {
   const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
   std::vector<DataPlacement> tests;
   for (const workloads::PlacementTest& t : c.tests)
     tests.push_back(t.placement);
-  expect_predictions_match_unmemoized(c.kernel, c.sample, tests);
+  expect_predictions_match_full_walk(c.kernel, c.sample, tests);
 
   const KernelInfo stencil = workloads::make_stencil2d(128, 64);
-  expect_predictions_match_unmemoized(
+  expect_predictions_match_full_walk(
       stencil, DataPlacement::defaults(stencil),
       enumerate_placements(stencil, kepler_arch()));
 }

@@ -202,6 +202,32 @@ TEST(TryApi, SetSampleValidatesMeasurementAndPlacement) {
   EXPECT_TRUE(pred.has_sample());
 }
 
+// A kernel whose warps emit nothing simulates to zero cycles. Profiling it
+// must reject the sample exactly as injecting that measurement does, and
+// leave no sample behind: predict and search then answer
+// FAILED_PRECONDITION instead of scoring against an empty calibration.
+TEST(TryApi, ProfilingAnEmptyKernelIsRejectedLikeSettingIt) {
+  KernelInfo k = workloads::make_vecadd(1 << 10);
+  k.name = "empty";
+  k.fn = [](WarpEmitter&, const WarpCtx&) {};
+  const DataPlacement sample = DataPlacement::defaults(k);
+  Predictor pred(k, kepler_arch());
+
+  const Status profiled = pred.try_profile_sample(sample);
+  EXPECT_EQ(profiled.code(), StatusCode::kInvalidArgument)
+      << profiled.to_string();
+  EXPECT_FALSE(pred.has_sample());
+  EXPECT_EQ(pred.try_set_sample(sample, simulate(k, sample, kepler_arch()))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(pred.has_sample());
+
+  EXPECT_EQ(pred.try_predict(sample).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(try_search(pred, SearchAlgo::kBnb).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(TryApi, TryPredictMatchesPredict) {
   const KernelInfo k = workloads::make_vecadd(1 << 10);
   Predictor pred(k, kepler_arch());
