@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "arch/arch_registry.hpp"
+#include "common/deadline.hpp"
 #include "common/journal.hpp"
 #include "common/obs.hpp"
 #include "model/search.hpp"
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
   std::size_t cap = 64;
   std::string search_mode = "exhaustive";
   std::string arch_name = "kepler";
-  std::optional<std::chrono::milliseconds> deadline;
+  std::optional<std::chrono::steady_clock::duration> deadline;
   std::optional<std::string> metrics_out;
   std::optional<std::string> trace_out;
   std::optional<std::string> checkpoint_path;
@@ -161,8 +162,7 @@ int main(int argc, char** argv) {
       arch_name = v;  // validated below via ArchRegistry
     } else if (const char* v =
                    flag_value(arg, "--deadline-ms", argc, argv, &i)) {
-      deadline = std::chrono::milliseconds(
-          static_cast<long long>(parse_size(v, "deadline")));
+      deadline = deadline_from_ms(parse_size(v, "deadline"));
     } else if (std::strcmp(arg, "--resume") == 0) {
       require_resume = true;
     } else if (const char* v =
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   // Search the placement space with the selected engine.
   SearchOptions so;
   so.cap = cap;
-  if (deadline) so.deadline = *deadline;
+  so.deadline = deadline;
   ResumeInfo resume_info;
   const StatusOr<SearchResult> searched =
       checkpoint_path
@@ -282,11 +282,10 @@ int main(int argc, char** argv) {
               sr.cancelled ? "; cancelled" : "");
   if (*algo == SearchAlgo::kBnb) {
     std::printf("  certificate: lower bound %.0f cycles, optimality gap "
-                "%.2f%%%s (%zu nodes expanded, %zu subtrees pruned%s)\n",
+                "%.2f%%%s (%zu nodes expanded, %zu subtrees pruned)\n",
                 sr.lower_bound, 100.0 * sr.optimality_gap,
                 sr.proven_optimal ? " [proven optimal]" : "",
-                sr.nodes_expanded, sr.pruned_subtrees,
-                sr.beam_fallback ? "; beam fallback ran" : "");
+                sr.nodes_expanded, sr.pruned_subtrees);
   } else if (*algo == SearchAlgo::kBeam) {
     std::printf("  certificate (root bound only): lower bound %.0f cycles, "
                 "gap <= %.2f%%\n",

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "common/hashing.hpp"
 #include "common/obs.hpp"
 #include "isa/addressing.hpp"
 
@@ -493,6 +494,84 @@ ToverlapModel train_overlap_model(std::span<const TrainingCase> cases,
             arch, options);
       });
   return fit_rows(rows, ridge);
+}
+
+// --- fingerprints ------------------------------------------------------------
+
+std::uint64_t fingerprint(const KernelInfo& kernel) {
+  Fnv1a h;
+  h.mix(std::string_view(kernel.name));
+  h.mix(kernel.num_blocks);
+  h.mix(kernel.threads_per_block);
+  h.mix(kernel.arrays.size());
+  for (const ArrayDecl& a : kernel.arrays) {
+    h.mix(std::string_view(a.name));
+    h.mix(a.dtype);
+    h.mix(a.elems);
+    h.mix(a.width);
+    h.mix(a.written);
+    h.mix(a.shared_slice_elems);
+    h.mix(a.default_space);
+  }
+  return h.digest();
+}
+
+std::uint64_t fingerprint(const GpuArch& arch) {
+  Fnv1a h;
+  h.mix(arch.num_sms);
+  h.mix(arch.warp_size);
+  h.mix(arch.max_warps_per_sm);
+  h.mix(arch.max_blocks_per_sm);
+  h.mix(arch.simd_width);
+  h.mix(arch.ialu_lat);
+  h.mix(arch.falu_lat);
+  h.mix(arch.dalu_lat);
+  h.mix(arch.sfu_lat);
+  h.mix(arch.avg_inst_lat);
+  h.mix(arch.shared_lat);
+  h.mix(arch.shared_banks);
+  h.mix(arch.shared_conflict_penalty);
+  h.mix(arch.shared_capacity);
+  h.mix(arch.constant_capacity);
+  h.mix(arch.cache_line);
+  h.mix(arch.cache_hit_lat);
+  h.mix(arch.const_cache_hit_lat);
+  h.mix(arch.tex_cache_hit_lat);
+  h.mix(arch.l2_capacity);
+  h.mix(arch.l2_ways);
+  h.mix(arch.const_cache_capacity);
+  h.mix(arch.const_cache_ways);
+  h.mix(arch.tex_cache_capacity);
+  h.mix(arch.tex_cache_ways);
+  h.mix(arch.dram_channels);
+  h.mix(arch.banks_per_channel);
+  h.mix(arch.dram.page_policy);
+  h.mix(arch.dram.pipeline_lat);
+  h.mix(arch.dram.row_hit_service);
+  h.mix(arch.dram.row_miss_service);
+  h.mix(arch.dram.row_conflict_service);
+  // Address-map strategy: two archs identical in every scalar but decoding
+  // banks differently must never share a cached Prediction. Lengths are
+  // mixed before elements so {1,2}+{3} and {1}+{2,3} cannot collide.
+  h.mix(arch.addr_map.transaction_bits);
+  for (const std::vector<int>* g :
+       {&arch.addr_map.bank_bits, &arch.addr_map.column_bits,
+        &arch.addr_map.row_bits, &arch.addr_map.bank_xor_bits}) {
+    h.mix(g->size());
+    for (int b : *g) h.mix(b);
+  }
+  return h.digest();
+}
+
+std::uint64_t fingerprint(const ModelOptions& options) {
+  Fnv1a h;
+  h.mix(options.detailed_instruction_counting);
+  h.mix(options.queuing_model);
+  h.mix(options.address_mapping);
+  h.mix(options.row_buffer_model);
+  h.mix(options.queue_discipline);
+  h.mix(options.anchor_to_sample);
+  return h.digest();
 }
 
 }  // namespace gpuhms

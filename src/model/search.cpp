@@ -185,7 +185,7 @@ struct Incumbent {
   }
 };
 
-// Shared evaluation context of the branch-and-bound and beam cores.
+// Shared evaluation context of branch-and-bound and beam search.
 struct BnbContext {
   const Predictor* predictor = nullptr;
   const GpuArch* arch = nullptr;
@@ -329,8 +329,9 @@ void build_children(const BnbContext& ctx, std::size_t depth,
             });
 }
 
-// Captures the live walk state at a visit boundary — everything bnb_over
-// needs to continue from exactly this point. Inverse of restore_bnb_state.
+// Captures the live walk state at a visit boundary — everything
+// search_branch_and_bound needs to continue from exactly this point.
+// Inverse of restore_bnb_state.
 BnbCheckpoint snapshot_bnb_state(const Incumbent& inc, const SearchResult& res,
                                  const std::vector<BnbFrame>& stack,
                                  const std::vector<DataPlacement>& pending,
@@ -454,77 +455,80 @@ void flush_leaves(const BnbContext& ctx,
   pending_placements->clear();
 }
 
-// Beam core over an already-built context. Shares the incumbent with the
-// caller (the bnb fallback passes its own), honors the stop watch between
-// levels, and returns the number of full evaluations performed.
-std::size_t beam_core(const BnbContext& ctx, const SearchOptions& options,
-                      const StopWatch& watch, Incumbent* inc,
-                      bool* deadline_hit, bool* cancelled) {
-  const KernelInfo& k = ctx.predictor->kernel();
-  const std::size_t n = k.arrays.size();
-  const std::size_t width = std::max<std::size_t>(1, options.beam_width);
-  std::size_t evaluated = 0;
-
-  struct BeamNode {
-    DataPlacement partial;       // arrays order[0..depth) pinned
-    DataPlacement completion;    // scored rollout of the prefix
-    double cycles = 0.0;
-    std::size_t const_bytes = 0;
-    std::size_t shared_bytes = 0;
-  };
-  std::vector<BeamNode> beam(1);
-  beam[0].partial =
-      DataPlacement(std::vector<MemSpace>(n, MemSpace::Global));
-
-  for (std::size_t depth = 0; depth < n; ++depth) {
-    if (watch.should_stop(deadline_hit, cancelled)) return evaluated;
-    const int array = ctx.order[depth];
-    const auto a = static_cast<std::size_t>(array);
-    const ArrayDecl& decl = k.arrays[a];
-    std::vector<BeamNode> candidates;
-    for (const BeamNode& node : beam) {
-      for (MemSpace s : ctx.bounder.relaxed_spaces(a)) {
-        BeamNode c;
-        c.const_bytes = node.const_bytes +
-                        (s == MemSpace::Constant ? decl.bytes() : 0);
-        c.shared_bytes =
-            node.shared_bytes +
-            (s == MemSpace::Shared ? decl.shared_slice_bytes() : 0);
-        if (c.const_bytes > ctx.arch->constant_capacity ||
-            c.shared_bytes > ctx.arch->shared_capacity)
-          continue;
-        c.partial = node.partial.with(array, s);
-        c.completion = complete_with_sample(ctx, c.partial, depth + 1,
-                                            c.const_bytes, c.shared_bytes);
-        candidates.push_back(std::move(c));
-      }
-    }
-    ctx.eval->pool.parallel_for(
-        candidates.size(), [&](int worker, std::size_t j) {
-          candidates[j].cycles =
-              ctx.eval->cycles(worker, candidates[j].completion);
-        });
-    evaluated += candidates.size();
-    for (const BeamNode& c : candidates) inc->offer(c.completion, c.cycles);
-    std::sort(candidates.begin(), candidates.end(),
-              [](const BeamNode& x, const BeamNode& y) {
-                if (x.cycles != y.cycles) return x.cycles < y.cycles;
-                return enum_order_less(x.completion, y.completion);
-              });
-    if (candidates.size() > width) candidates.resize(width);
-    beam = std::move(candidates);
-    if (beam.empty()) break;  // unreachable: all-Global always extends
+// The error contract of try_search, annotated with the algorithm's
+// "<verb> placements of kernel '<name>'": a predictor without a profiled
+// sample is FAILED_PRECONDITION before any work starts; an error `run`
+// returns is passed through; a checkpoint that does not fit the search is
+// INVALID_ARGUMENT; any other escaping exception (a worker fault rethrown by
+// the pool) is INTERNAL.
+template <class Run>
+StatusOr<SearchResult> guarded_search(const Predictor& predictor,
+                                      std::string_view verb, Run&& run) {
+  const std::string ctx = std::string(verb) + " placements of kernel '" +
+                          predictor.kernel().name + "'";
+  if (!predictor.has_sample())
+    return FailedPreconditionError(
+               "predictor has no profiled sample; call try_profile_sample or "
+               "try_set_sample first")
+        .annotate(ctx);
+  try {
+    StatusOr<SearchResult> result = run();
+    if (!result.ok()) return result.status().annotate(ctx);
+    return result;
+  } catch (const CheckpointMismatch& e) {
+    return InvalidArgumentError(e.what()).annotate(ctx);
+  } catch (const std::exception& e) {
+    return InternalError(e.what()).annotate(ctx);
   }
-  return evaluated;
 }
 
-// Branch-and-bound core: depth-first over the assignment tree, best child
-// first, pruning on strictly-greater bounds (ties survive so the
-// enumeration-order tie-break stays exact), leaves batch-evaluated in
-// kChunk buffers. Anytime: the incumbent is feasible from the greedy seed
-// onwards, and on any early stop the frontier bounds certify the gap.
-SearchResult bnb_over(const Predictor& predictor,
-                      const SearchOptions& options) {
+}  // namespace
+
+SearchResult search_exhaustive(const Predictor& predictor,
+                               const SearchOptions& options) {
+  const KernelInfo& k = predictor.kernel();
+  const GpuArch& arch = predictor.arch();
+  const PlacementSpace space = enumerate_placement_space(k, arch, options.cap);
+  GPUHMS_CHECK(!space.placements.empty());
+  return exhaustive_over(predictor, options, space);
+}
+
+SearchResult search_greedy(const Predictor& predictor, int max_sweeps) {
+  const KernelInfo& k = predictor.kernel();
+  const GpuArch& arch = predictor.arch();
+  SearchResult r;
+  r.placement = predictor.sample_placement();
+  r.predicted_cycles = predictor.predict(r.placement).total_cycles;
+  ++r.evaluated;
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    bool changed = false;
+    for (std::size_t a = 0; a < k.arrays.size(); ++a) {
+      const int array = static_cast<int>(a);
+      for (MemSpace s : kAllMemSpaces) {
+        if (s == r.placement.of(array)) continue;
+        const DataPlacement candidate = r.placement.with(array, s);
+        if (validate_placement(k, candidate, arch)) continue;
+        const double cycles = predictor.predict(candidate).total_cycles;
+        ++r.evaluated;
+        if (cycles < r.predicted_cycles) {
+          r.placement = candidate;
+          r.predicted_cycles = cycles;
+          changed = true;
+        }
+      }
+    }
+    if (!changed) break;
+  }
+  return r;
+}
+
+// Depth-first over the assignment tree, best child first, pruning on
+// strictly-greater bounds (ties survive so the enumeration-order tie-break
+// stays exact), leaves batch-evaluated in kChunk buffers. Anytime: the
+// incumbent is feasible from the greedy seed onwards, and on a deadline or
+// cancel stop the frontier bounds certify the gap.
+SearchResult search_branch_and_bound(const Predictor& predictor,
+                                     const SearchOptions& options) {
   GPUHMS_SCOPED_PHASE("search.bnb_ns");
   const KernelInfo& k = predictor.kernel();
   const StopWatch watch(options);
@@ -598,12 +602,6 @@ SearchResult bnb_over(const Predictor& predictor,
         stopped = true;
         break;
       }
-      if (options.node_budget != 0 &&
-          res.nodes_expanded >= options.node_budget) {
-        stopped = true;
-        res.beam_fallback = true;
-        break;
-      }
       BnbFrame& frame = stack.back();
       if (frame.next >= frame.children.size()) {
         stack.pop_back();
@@ -634,14 +632,6 @@ SearchResult bnb_over(const Predictor& predictor,
   // stops at).
   flush_leaves(ctx, &pending, &inc, &res);
 
-  if (stopped && res.beam_fallback) {
-    // Bound too loose to prune within the node budget: refine the incumbent
-    // with one deterministic beam pass. The certificate below still comes
-    // from the abandoned frontier.
-    res.evaluated += beam_core(ctx, options, watch, &inc, &res.deadline_hit,
-                               &res.cancelled);
-  }
-
   // Certification: everything unexplored lives under a frontier child (or a
   // pruned subtree, whose bound exceeded an incumbent value >= the final
   // one), so min(incumbent, frontier bounds) lower-bounds the optimum over
@@ -668,7 +658,6 @@ SearchResult bnb_over(const Predictor& predictor,
   GPUHMS_COUNTER_ADD("search.bnb_nodes_expanded", res.nodes_expanded);
   GPUHMS_COUNTER_ADD("search.bnb_pruned_subtrees", res.pruned_subtrees);
   GPUHMS_COUNTER_ADD("search.bnb_incumbent_updates", res.incumbent_updates);
-  if (res.beam_fallback) GPUHMS_COUNTER_ADD("search.bnb_beam_fallbacks", 1);
   GPUHMS_GAUGE_SET("search.bnb_gap_bp",
                    static_cast<std::int64_t>(res.optimality_gap * 1e4));
   record_search_metrics(watch, res.evaluated, 0, res.deadline_hit,
@@ -676,90 +665,71 @@ SearchResult bnb_over(const Predictor& predictor,
   return res;
 }
 
-// The error contract of try_search, annotated with the algorithm's
-// "<verb> placements of kernel '<name>'": a predictor without a profiled
-// sample is FAILED_PRECONDITION before any work starts; an error `run`
-// returns is passed through; a checkpoint that does not fit the search is
-// INVALID_ARGUMENT; any other escaping exception (a worker fault rethrown by
-// the pool) is INTERNAL.
-template <class Run>
-StatusOr<SearchResult> guarded_search(const Predictor& predictor,
-                                      std::string_view verb, Run&& run) {
-  const std::string ctx = std::string(verb) + " placements of kernel '" +
-                          predictor.kernel().name + "'";
-  if (!predictor.has_sample())
-    return FailedPreconditionError(
-               "predictor has no profiled sample; call try_profile_sample or "
-               "try_set_sample first")
-        .annotate(ctx);
-  try {
-    StatusOr<SearchResult> result = run();
-    if (!result.ok()) return result.status().annotate(ctx);
-    return result;
-  } catch (const CheckpointMismatch& e) {
-    return InvalidArgumentError(e.what()).annotate(ctx);
-  } catch (const std::exception& e) {
-    return InternalError(e.what()).annotate(ctx);
-  }
-}
-
-}  // namespace
-
-SearchResult search_exhaustive(const Predictor& predictor,
-                               const SearchOptions& options) {
-  const KernelInfo& k = predictor.kernel();
-  const GpuArch& arch = predictor.arch();
-  const PlacementSpace space = enumerate_placement_space(k, arch, options.cap);
-  GPUHMS_CHECK(!space.placements.empty());
-  return exhaustive_over(predictor, options, space);
-}
-
-SearchResult search_greedy(const Predictor& predictor, int max_sweeps) {
-  const KernelInfo& k = predictor.kernel();
-  const GpuArch& arch = predictor.arch();
-  SearchResult r;
-  r.placement = predictor.sample_placement();
-  r.predicted_cycles = predictor.predict(r.placement).total_cycles;
-  ++r.evaluated;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool changed = false;
-    for (std::size_t a = 0; a < k.arrays.size(); ++a) {
-      const int array = static_cast<int>(a);
-      for (MemSpace s : kAllMemSpaces) {
-        if (s == r.placement.of(array)) continue;
-        const DataPlacement candidate = r.placement.with(array, s);
-        if (validate_placement(k, candidate, arch)) continue;
-        const double cycles = predictor.predict(candidate).total_cycles;
-        ++r.evaluated;
-        if (cycles < r.predicted_cycles) {
-          r.placement = candidate;
-          r.predicted_cycles = cycles;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return r;
-}
-
-SearchResult search_branch_and_bound(const Predictor& predictor,
-                                     const SearchOptions& options) {
-  return bnb_over(predictor, options);
-}
-
+// Assigns arrays level by level, keeping the options.beam_width best partial
+// assignments, each scored by a full prediction of its rollout; honors the
+// stop watch between levels.
 SearchResult search_beam(const Predictor& predictor,
                          const SearchOptions& options) {
   GPUHMS_SCOPED_PHASE("search.beam_ns");
   const StopWatch watch(options);
   Evaluator eval(predictor, options);
   const BnbContext ctx = make_bnb_context(&eval);
+  const KernelInfo& k = predictor.kernel();
+  const std::size_t n = k.arrays.size();
+  const std::size_t width = std::max<std::size_t>(1, options.beam_width);
 
   SearchResult res;
   Incumbent inc;
   greedy_seed(ctx, &inc, &res.evaluated);
-  res.evaluated += beam_core(ctx, options, watch, &inc, &res.deadline_hit,
-                             &res.cancelled);
+
+  struct BeamNode {
+    DataPlacement partial;       // arrays order[0..depth) pinned
+    DataPlacement completion;    // scored rollout of the prefix
+    double cycles = 0.0;
+    std::size_t const_bytes = 0;
+    std::size_t shared_bytes = 0;
+  };
+  std::vector<BeamNode> beam(1);
+  beam[0].partial =
+      DataPlacement(std::vector<MemSpace>(n, MemSpace::Global));
+
+  for (std::size_t depth = 0; depth < n; ++depth) {
+    if (watch.should_stop(&res.deadline_hit, &res.cancelled)) break;
+    const int array = ctx.order[depth];
+    const auto a = static_cast<std::size_t>(array);
+    const ArrayDecl& decl = k.arrays[a];
+    std::vector<BeamNode> candidates;
+    for (const BeamNode& node : beam) {
+      for (MemSpace s : ctx.bounder.relaxed_spaces(a)) {
+        BeamNode c;
+        c.const_bytes = node.const_bytes +
+                        (s == MemSpace::Constant ? decl.bytes() : 0);
+        c.shared_bytes =
+            node.shared_bytes +
+            (s == MemSpace::Shared ? decl.shared_slice_bytes() : 0);
+        if (c.const_bytes > ctx.arch->constant_capacity ||
+            c.shared_bytes > ctx.arch->shared_capacity)
+          continue;
+        c.partial = node.partial.with(array, s);
+        c.completion = complete_with_sample(ctx, c.partial, depth + 1,
+                                            c.const_bytes, c.shared_bytes);
+        candidates.push_back(std::move(c));
+      }
+    }
+    eval.pool.parallel_for(candidates.size(), [&](int worker, std::size_t j) {
+      candidates[j].cycles = eval.cycles(worker, candidates[j].completion);
+    });
+    res.evaluated += candidates.size();
+    for (const BeamNode& c : candidates) inc.offer(c.completion, c.cycles);
+    std::sort(candidates.begin(), candidates.end(),
+              [](const BeamNode& x, const BeamNode& y) {
+                if (x.cycles != y.cycles) return x.cycles < y.cycles;
+                return enum_order_less(x.completion, y.completion);
+              });
+    if (candidates.size() > width) candidates.resize(width);
+    beam = std::move(candidates);
+    if (beam.empty()) break;  // unreachable: all-Global always extends
+  }
 
   res.placement = inc.placement;
   res.predicted_cycles = inc.cycles;
@@ -812,7 +782,8 @@ StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
     case SearchAlgo::kBnb:
       return guarded_search(predictor, "branch-and-bound searching",
                             [&]() -> StatusOr<SearchResult> {
-                              return bnb_over(predictor, options);
+                              return search_branch_and_bound(predictor,
+                                                             options);
                             });
     case SearchAlgo::kBeam:
       return guarded_search(predictor, "beam-searching",

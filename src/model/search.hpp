@@ -93,14 +93,7 @@ struct SearchOptions {
   // semantics as the deadline. The token outlives the call; the search
   // never writes it.
   const std::atomic<bool>* cancel = nullptr;
-  // Branch-and-bound only: stop after this many tree-node expansions — the
-  // sign that the bound is too loose to prune — and refine the incumbent
-  // with one deterministic beam pass (search_beam) instead, keeping the
-  // certified gap from the abandoned frontier. Node counts are wall-clock
-  // independent, so a budgeted run stays bit-reproducible (unlike a
-  // deadline). 0 = unlimited.
-  std::size_t node_budget = 0;
-  // Beam width for search_beam and the branch-and-bound fallback pass.
+  // Beam width for search_beam.
   std::size_t beam_width = 8;
   // --- crash-safe checkpointing (branch-and-bound only) ---------------------
   // When `checkpoint_sink` is set, the tree walk emits a BnbCheckpoint every
@@ -144,7 +137,6 @@ struct SearchResult {
   std::size_t nodes_expanded = 0;     // interior nodes whose children were built
   std::size_t pruned_subtrees = 0;    // subtrees cut by the admissible bound
   std::size_t incumbent_updates = 0;  // accepted incumbent improvements
-  bool beam_fallback = false;  // node_budget exhausted -> beam refinement ran
 };
 
 // The per-algorithm search cores below abort on misuse (a predictor without
@@ -172,8 +164,7 @@ SearchResult search_greedy(const Predictor& predictor, int max_sweeps = 4);
 // incumbent before the tree walk, deadline/cancel stop the walk with
 // best-so-far semantics, and the result always carries a certified
 // lower_bound / optimality_gap (gap 0 + proven_optimal on completion).
-// node_budget bounds the tree walk deterministically; exhausting it falls
-// back to one beam pass (beam_fallback). Deterministic for any num_threads.
+// Deterministic for any num_threads.
 SearchResult search_branch_and_bound(const Predictor& predictor,
                                      const SearchOptions& options = {});
 
@@ -182,7 +173,7 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
 // prediction of the prefix completed with the sample placement (clamped to
 // capacity). No admissibility requirement on the heuristic — the certificate
 // is the (loose) root lower bound. O(n_arrays x beam_width x n_spaces)
-// predictions; the fallback for spaces where branch-and-bound cannot prune.
+// predictions; the heuristic for spaces too large to walk to a proof.
 SearchResult search_beam(const Predictor& predictor,
                          const SearchOptions& options = {});
 

@@ -14,7 +14,7 @@ namespace gpuhms {
 
 namespace {
 
-constexpr std::uint32_t kJournalVersion = 2;
+constexpr std::uint32_t kJournalVersion = 3;
 constexpr char kRecHeader = 'H';
 constexpr char kRecCheckpoint = 'C';
 constexpr char kRecFinal = 'F';
@@ -171,7 +171,6 @@ std::string encode_result(const SearchResult& r) {
   e.u64(r.nodes_expanded);
   e.u64(r.pruned_subtrees);
   e.u64(r.incumbent_updates);
-  e.u8(r.beam_fallback ? 1 : 0);
   return std::move(e.buf);
 }
 
@@ -196,7 +195,6 @@ std::optional<SearchResult> decode_result(std::string_view payload,
   r.nodes_expanded = static_cast<std::size_t>(d.u64());
   r.pruned_subtrees = static_cast<std::size_t>(d.u64());
   r.incumbent_updates = static_cast<std::size_t>(d.u64());
-  r.beam_fallback = d.u8() != 0;
   if (!d.done()) return std::nullopt;
   return r;
 }
@@ -244,46 +242,13 @@ class JournalSink : public BnbCheckpointSink {
 
 }  // namespace
 
-std::uint64_t search_journal_fingerprint(const Predictor& predictor,
-                                         const SearchOptions& options) {
+std::uint64_t search_journal_fingerprint(const Predictor& predictor) {
   Fnv1a h;
-  const KernelInfo& k = predictor.kernel();
-  h.mix(std::string_view(k.name));
-  h.mix(k.num_blocks);
-  h.mix(k.threads_per_block);
-  h.mix(k.arrays.size());
-  for (const ArrayDecl& a : k.arrays) {
-    h.mix(std::string_view(a.name));
-    h.mix(a.dtype);
-    h.mix(a.elems);
-    h.mix(a.width);
-    h.mix(a.written);
-    h.mix(a.shared_slice_elems);
-    h.mix(a.default_space);
-  }
-  const GpuArch& arch = predictor.arch();
-  h.mix(arch.num_sms);
-  h.mix(arch.warp_size);
-  h.mix(arch.max_warps_per_sm);
-  h.mix(arch.max_blocks_per_sm);
-  h.mix(arch.shared_banks);
-  h.mix(arch.shared_capacity);
-  h.mix(arch.constant_capacity);
-  h.mix(arch.cache_line);
-  h.mix(arch.l2_capacity);
-  h.mix(arch.dram_channels);
-  h.mix(arch.banks_per_channel);
-  const ModelOptions& m = predictor.options();
-  h.mix(m.detailed_instruction_counting);
-  h.mix(m.queuing_model);
-  h.mix(m.address_mapping);
-  h.mix(m.row_buffer_model);
-  h.mix(m.queue_discipline);
-  h.mix(m.anchor_to_sample);
+  h.mix(fingerprint(predictor.kernel()));
+  h.mix(fingerprint(predictor.arch()));
+  h.mix(fingerprint(predictor.options()));
   if (predictor.has_sample())
     h.mix(std::string_view(predictor.sample_placement().to_string()));
-  h.mix(options.node_budget);
-  h.mix(options.beam_width);
   return h.digest();
 }
 
@@ -303,7 +268,7 @@ StatusOr<SearchResult> try_resume_branch_and_bound(
                "try_set_sample first")
         .annotate(ctx);
 
-  const std::uint64_t fp = search_journal_fingerprint(predictor, options);
+  const std::uint64_t fp = search_journal_fingerprint(predictor);
   const std::size_t num_arrays = predictor.kernel().arrays.size();
 
   journal::Writer writer;
@@ -347,8 +312,8 @@ StatusOr<SearchResult> try_resume_branch_and_bound(
         return FailedPreconditionError(
                    "journal '" + journal_path +
                    "' belongs to a different search (binding fingerprint "
-                   "mismatch: kernel, arch, model options, sample placement, "
-                   "or node_budget/beam_width differ)")
+                   "mismatch: kernel, arch, model options or sample "
+                   "placement differ)")
             .annotate(ctx);
     }
     for (std::size_t i = 1; i < contents.records.size(); ++i) {

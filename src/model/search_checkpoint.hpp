@@ -21,9 +21,9 @@
 //   * A torn or corrupted tail record is detected by its checksum, logged,
 //     and truncated away — the search resumes from the previous checkpoint;
 //     never UB, never a lost journal.
-//   * A journal written by a DIFFERENT search (kernel, arch, model options,
-//     sample, node_budget/beam_width) is refused with FAILED_PRECONDITION
-//     via a binding fingerprint in the journal header.
+//   * A journal written by a DIFFERENT search (kernel, any arch field, model
+//     options, sample) is refused with FAILED_PRECONDITION via a binding
+//     fingerprint in the journal header.
 //
 // Record grammar (inside common/journal.hpp's checksummed framing):
 //   'H' header      — format version, binding fingerprint
@@ -56,13 +56,12 @@ struct ResumeInfo {
   std::uint64_t resumed_visits = 0;       // node-visit watermark restored
 };
 
-// The 64-bit digest binding a journal to one search: kernel structure, arch,
-// model options, sample placement, and the SearchOptions fields that change
-// what the walk computes (node_budget, beam_width). Thread count, deadline
-// and checkpoint cadence are deliberately excluded — resuming with different
-// values of those is supported and still bit-identical on completion.
-std::uint64_t search_journal_fingerprint(const Predictor& predictor,
-                                         const SearchOptions& options);
+// The 64-bit digest binding a journal to one search: the predictor's kernel,
+// arch and model-options fingerprints (model/predictor.hpp) and its sample
+// placement. No SearchOptions field changes what a finished walk computes —
+// thread count, deadline and checkpoint cadence may differ on resume and the
+// result is still bit-identical on completion.
+std::uint64_t search_journal_fingerprint(const Predictor& predictor);
 
 // Runs — or resumes — a branch-and-bound search journaled at `journal_path`:
 //   * no journal there     -> fresh search, checkpointing into a new journal

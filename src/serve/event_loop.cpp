@@ -1,12 +1,13 @@
 #include "serve/event_loop.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include "common/obs.hpp"
@@ -17,24 +18,6 @@ namespace {
 
 Status errno_status(const char* what) {
   return InternalError(std::string(what) + ": " + std::strerror(errno));
-}
-
-// std::chrono::steady_clock is CLOCK_MONOTONIC on Linux/libstdc++, so a
-// steady_clock time_point converts losslessly into an absolute itimerspec.
-itimerspec to_absolute_itimerspec(std::chrono::steady_clock::time_point tp) {
-  const auto since_epoch = tp.time_since_epoch();
-  const auto secs = std::chrono::duration_cast<std::chrono::seconds>(
-      since_epoch);
-  auto nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(since_epoch - secs);
-  itimerspec spec{};
-  spec.it_value.tv_sec = static_cast<time_t>(secs.count());
-  spec.it_value.tv_nsec = static_cast<long>(nanos.count());
-  // A zero it_value disarms the timerfd; a deadline that happens to land on
-  // an exact epoch second still must fire.
-  if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0)
-    spec.it_value.tv_nsec = 1;
-  return spec;
 }
 
 }  // namespace
@@ -50,26 +33,14 @@ EventLoop::EventLoop() {
     status_ = errno_status("eventfd()");
     return;
   }
-  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-  if (timer_fd_ < 0) {
-    status_ = errno_status("timerfd_create()");
-    return;
-  }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = wakeup_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wakeup_fd_, &ev) != 0) {
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wakeup_fd_, &ev) != 0)
     status_ = errno_status("epoll_ctl(ADD wakeup eventfd)");
-    return;
-  }
-  ev.events = EPOLLIN;
-  ev.data.fd = timer_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev) != 0)
-    status_ = errno_status("epoll_ctl(ADD timerfd)");
 }
 
 EventLoop::~EventLoop() {
-  if (timer_fd_ >= 0) ::close(timer_fd_);
   if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -112,27 +83,10 @@ void EventLoop::remove_fd(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-EventLoop::TimerId EventLoop::add_timer(
-    std::chrono::steady_clock::time_point deadline, TimerCallback callback) {
-  TimerId id = 0;
-  {
-    std::lock_guard<std::mutex> lock(timers_mu_);
-    id = next_timer_id_++;
-    timer_heap_.push(PendingTimer{deadline, id});
-    timer_callbacks_[id] = std::move(callback);
-  }
-  // The loop re-arms the timerfd from the heap after every wakeup; waking it
-  // here covers the cross-thread add while it is blocked with a later (or
-  // no) deadline armed.
-  wake();
-  return id;
-}
-
-void EventLoop::cancel_timer(TimerId id) {
-  std::lock_guard<std::mutex> lock(timers_mu_);
-  // The heap entry stays; fire_due_timers drops entries whose callback is
-  // gone. O(1) cancel without heap surgery.
-  timer_callbacks_.erase(id);
+void EventLoop::set_deadline(std::chrono::steady_clock::time_point deadline,
+                             std::function<void()> on_deadline) {
+  deadline_ = deadline;
+  on_deadline_ = std::move(on_deadline);
 }
 
 void EventLoop::post(std::function<void()> task) {
@@ -152,7 +106,6 @@ EventLoop::Counters EventLoop::counters() const {
   c.wakeups = wakeups_.load(std::memory_order_relaxed);
   c.events_dispatched = events_dispatched_.load(std::memory_order_relaxed);
   c.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  c.timers_fired = timers_fired_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -183,47 +136,24 @@ void EventLoop::run_posted_tasks() {
   }
 }
 
-void EventLoop::fire_due_timers() {
-  const auto now = std::chrono::steady_clock::now();
-  for (;;) {
-    TimerCallback callback;
-    {
-      std::lock_guard<std::mutex> lock(timers_mu_);
-      if (timer_heap_.empty() || timer_heap_.top().deadline > now) break;
-      const TimerId id = timer_heap_.top().id;
-      timer_heap_.pop();
-      auto it = timer_callbacks_.find(id);
-      if (it == timer_callbacks_.end()) continue;  // cancelled
-      callback = std::move(it->second);
-      timer_callbacks_.erase(it);
-    }
-    callback();
-    timers_fired_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void EventLoop::rearm_timerfd() {
-  itimerspec spec{};  // zero it_value: disarm
-  {
-    std::lock_guard<std::mutex> lock(timers_mu_);
-    // Skip heap entries whose callback was cancelled.
-    while (!timer_heap_.empty() &&
-           !timer_callbacks_.contains(timer_heap_.top().id))
-      timer_heap_.pop();
-    if (!timer_heap_.empty())
-      spec = to_absolute_itimerspec(timer_heap_.top().deadline);
-  }
-  ::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &spec, nullptr);
+int EventLoop::wait_timeout_ms() const {
+  if (!deadline_) return -1;
+  const auto left = *deadline_ - std::chrono::steady_clock::now();
+  if (left <= std::chrono::steady_clock::duration::zero()) return 0;
+  // A deadline past INT_MAX ms (~24 days) wakes the loop early; it re-waits.
+  return static_cast<int>(std::min<std::chrono::milliseconds::rep>(
+      std::chrono::ceil<std::chrono::milliseconds>(left).count(),
+      std::numeric_limits<int>::max()));
 }
 
 void EventLoop::run() {
   if (!status_.ok()) return;
   stop_requested_ = false;
-  rearm_timerfd();
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
   while (!stop_requested_) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const int n =
+        ::epoll_wait(epoll_fd_, events, kMaxEvents, wait_timeout_ms());
     if (n < 0) {
       if (errno == EINTR) continue;
       status_ = errno_status("epoll_wait()");
@@ -233,19 +163,11 @@ void EventLoop::run() {
     GPUHMS_HISTOGRAM_RECORD("serve.loop.ready_events",
                             static_cast<std::uint64_t>(n));
     const auto dispatch_start = std::chrono::steady_clock::now();
-    bool timers_due = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wakeup_fd_) {
         drain_wakeup_fd();
         continue;  // tasks run below, after fd dispatch
-      }
-      if (fd == timer_fd_) {
-        std::uint64_t expirations = 0;
-        while (::read(timer_fd_, &expirations, sizeof expirations) > 0) {
-        }
-        timers_due = true;
-        continue;
       }
       std::shared_ptr<FdCallback> handler;
       {
@@ -262,8 +184,11 @@ void EventLoop::run() {
       }
     }
     run_posted_tasks();
-    if (timers_due) fire_due_timers();
-    rearm_timerfd();
+    if (deadline_ && dispatch_start >= *deadline_) {
+      deadline_.reset();
+      std::function<void()> on_deadline = std::move(on_deadline_);
+      on_deadline();
+    }
     GPUHMS_HISTOGRAM_RECORD(
         "serve.loop.iteration_ns",
         static_cast<std::uint64_t>(

@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/deadline.hpp"
 #include "common/obs.hpp"
 #include "serve/service.hpp"
 
@@ -221,12 +222,12 @@ void SocketServer::initiate_shutdown(bool graceful) {
     // draining refusal.
     if (!service_.stopped()) service_.begin_drain();
     for (auto& s : live) s->begin_drain();
-    loop_.add_timer(std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.drain_timeout_ms),
-                    [this] {
-                      timed_out_ = true;
-                      loop_.stop();
-                    });
+    // A timeout too far out to represent never fires.
+    if (const auto timeout = deadline_from_ms(options_.drain_timeout_ms))
+      loop_.set_deadline(std::chrono::steady_clock::now() + *timeout, [this] {
+        timed_out_ = true;
+        loop_.stop();
+      });
   } else {
     for (auto& s : live) s->close();
   }

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "arch/arch_registry.hpp"
+#include "common/deadline.hpp"
 #include "common/fault_injection.hpp"
 #include "common/hashing.hpp"
 #include "common/obs.hpp"
@@ -93,84 +94,6 @@ StatusOr<std::uint64_t> get_uint(const Json& req, std::string_view key,
 }
 
 }  // namespace
-
-// --- fingerprints ------------------------------------------------------------
-
-std::uint64_t fingerprint(const KernelInfo& kernel) {
-  Fnv1a h;
-  h.mix(std::string_view(kernel.name));
-  h.mix(kernel.num_blocks);
-  h.mix(kernel.threads_per_block);
-  h.mix(kernel.arrays.size());
-  for (const ArrayDecl& a : kernel.arrays) {
-    h.mix(std::string_view(a.name));
-    h.mix(a.dtype);
-    h.mix(a.elems);
-    h.mix(a.width);
-    h.mix(a.written);
-    h.mix(a.shared_slice_elems);
-    h.mix(a.default_space);
-  }
-  return h.digest();
-}
-
-std::uint64_t fingerprint(const GpuArch& arch) {
-  Fnv1a h;
-  h.mix(arch.num_sms);
-  h.mix(arch.warp_size);
-  h.mix(arch.max_warps_per_sm);
-  h.mix(arch.max_blocks_per_sm);
-  h.mix(arch.simd_width);
-  h.mix(arch.ialu_lat);
-  h.mix(arch.falu_lat);
-  h.mix(arch.dalu_lat);
-  h.mix(arch.sfu_lat);
-  h.mix(arch.avg_inst_lat);
-  h.mix(arch.shared_lat);
-  h.mix(arch.shared_banks);
-  h.mix(arch.shared_conflict_penalty);
-  h.mix(arch.shared_capacity);
-  h.mix(arch.constant_capacity);
-  h.mix(arch.cache_line);
-  h.mix(arch.cache_hit_lat);
-  h.mix(arch.const_cache_hit_lat);
-  h.mix(arch.tex_cache_hit_lat);
-  h.mix(arch.l2_capacity);
-  h.mix(arch.l2_ways);
-  h.mix(arch.const_cache_capacity);
-  h.mix(arch.const_cache_ways);
-  h.mix(arch.tex_cache_capacity);
-  h.mix(arch.tex_cache_ways);
-  h.mix(arch.dram_channels);
-  h.mix(arch.banks_per_channel);
-  h.mix(arch.dram.page_policy);
-  h.mix(arch.dram.pipeline_lat);
-  h.mix(arch.dram.row_hit_service);
-  h.mix(arch.dram.row_miss_service);
-  h.mix(arch.dram.row_conflict_service);
-  // Address-map strategy: two archs identical in every scalar but decoding
-  // banks differently must never share a cached Prediction. Lengths are
-  // mixed before elements so {1,2}+{3} and {1}+{2,3} cannot collide.
-  h.mix(arch.addr_map.transaction_bits);
-  for (const std::vector<int>* g :
-       {&arch.addr_map.bank_bits, &arch.addr_map.column_bits,
-        &arch.addr_map.row_bits, &arch.addr_map.bank_xor_bits}) {
-    h.mix(g->size());
-    for (int b : *g) h.mix(b);
-  }
-  return h.digest();
-}
-
-std::uint64_t fingerprint(const ModelOptions& options) {
-  Fnv1a h;
-  h.mix(options.detailed_instruction_counting);
-  h.mix(options.queuing_model);
-  h.mix(options.address_mapping);
-  h.mix(options.row_buffer_model);
-  h.mix(options.queue_discipline);
-  h.mix(options.anchor_to_sample);
-  return h.digest();
-}
 
 // --- service -----------------------------------------------------------------
 
@@ -504,8 +427,6 @@ Json PredictionService::handle_search(const Json& request) {
       get_uint(request, "deadline_ms", ~std::uint64_t{0}));
   GPUHMS_ASSIGN_OR_RETURN_JSON(std::uint64_t beam_width,
                                get_uint(request, "beam_width", 8));
-  GPUHMS_ASSIGN_OR_RETURN_JSON(std::uint64_t node_budget,
-                               get_uint(request, "node_budget", 0));
   if (cap == 0 || cap > options_.max_search_cap) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     GPUHMS_COUNTER_ADD("serve.rejected", 1);
@@ -525,27 +446,29 @@ Json PredictionService::handle_search(const Json& request) {
   SearchOptions so;
   so.cap = static_cast<std::size_t>(cap);
   so.beam_width = static_cast<std::size_t>(beam_width);
-  so.node_budget = static_cast<std::size_t>(node_budget);
-  // Per-request deadline: the PR 2 anytime contract — on expiry the search
+  // Per-request deadline: the anytime contract — on expiry the search
   // returns its best-so-far placement with deadline_hit set, never an error.
-  if (deadline_ms != ~std::uint64_t{0})
-    so.deadline = std::chrono::milliseconds(deadline_ms);
+  // One too far out to represent is no deadline.
+  so.deadline = deadline_from_ms(deadline_ms);
   // Per-request watchdog: its clock starts before the wait for the shared
   // pool, so time spent queued counts against it. When it leaves less time
   // than the request's own deadline it becomes the search deadline, and a
   // search it stops reads as `cancelled` (not `deadline_hit`) — the anytime
   // best-so-far either way, never a hung request.
-  const auto watchdog_end = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(options_.watchdog_ms);
+  std::optional<std::chrono::steady_clock::time_point> watchdog_end;
+  if (options_.watchdog_ms > 0) {
+    if (const auto watchdog = deadline_from_ms(options_.watchdog_ms))
+      watchdog_end = std::chrono::steady_clock::now() + *watchdog;
+  }
   bool watchdog_deadline = false;
   const StatusOr<SearchResult> result = [&] {
     GPUHMS_SCOPED_PHASE("serve.search_ns");
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
     SearchOptions pooled = so;
     pooled.pool = &pool_;
-    if (options_.watchdog_ms > 0) {
+    if (watchdog_end) {
       const auto left =
-          std::max(watchdog_end - std::chrono::steady_clock::now(),
+          std::max(*watchdog_end - std::chrono::steady_clock::now(),
                    std::chrono::steady_clock::duration::zero());
       if (!pooled.deadline || left < *pooled.deadline) {
         pooled.deadline = left;

@@ -51,14 +51,6 @@
 
 namespace gpuhms::serve {
 
-// --- cache-key fingerprints --------------------------------------------------
-// Structural 64-bit digests (FNV-1a over fields, never pointers) binding a
-// cached Prediction to exactly the inputs that determine it. See DESIGN §11
-// "Cache key derivation".
-std::uint64_t fingerprint(const KernelInfo& kernel);
-std::uint64_t fingerprint(const GpuArch& arch);
-std::uint64_t fingerprint(const ModelOptions& options);
-
 struct ServeOptions {
   // LRU capacities. kernel_cache bounds profiled Predictor+TraceSkeleton
   // entries (the heavyweight state); prediction_cache bounds memoized

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Twelve guarantees:
+Thirteen guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -50,6 +50,11 @@ Twelve guarantees:
      deleted counter cannot leave a stale row behind. `name[_a/_b]`
      stands for name, name_a and name_b; `name_*` is a prefix; backticks
      inside parentheses are prose, not metric names.
+ 13. The field names in docs/SERVING.md's "Request grammar" block and the
+     request keys src/serve/service.cpp reads (`get_string`/`get_uint` on
+     the request, `find` on `request`/`req`) are the same set, in both
+     directions, so a deleted wire field cannot linger in the grammar and
+     a new one cannot ship undocumented.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -392,6 +397,61 @@ def check_serving_flags(root):
     return problems
 
 
+# `get_string(request, "benchmark")`, `get_uint(request, "cap", 4096)`,
+# `request.find("algo")`, `pl.request.find("id")`, `req.find("arch")`.
+REQUEST_KEY_RE = re.compile(
+    r'(?:\bget_(?:string|uint)\(\s*[\w.]+\s*,|\b(?:request|req)\.find\()'
+    r'\s*"(\w+)"')
+# A field name in the grammar: `'"cap":'`, `',"placements":['`.
+GRAMMAR_KEY_RE = re.compile(r'"(\w+)":')
+
+
+def grammar_block(md_path, heading):
+    """Text of the first fenced code block under the heading titled
+    `heading` (up to the next heading); "" when there is none."""
+    lines, in_section, in_fence = [], False, False
+    with open(md_path, encoding="utf-8") as f:
+        for line in f:
+            m = re.match(r"#{1,6}\s+(.*)", line)
+            if m and not in_fence:
+                in_section = m.group(1).strip() == heading
+                continue
+            if not in_section:
+                continue
+            if line.startswith("```"):
+                if in_fence:
+                    return "".join(lines)
+                in_fence = True
+                continue
+            if in_fence:
+                lines.append(line)
+    return ""
+
+
+def check_serving_request_keys(root):
+    """The field names in SERVING.md's request grammar and the request keys
+    src/serve/service.cpp reads must be the same set."""
+    path = os.path.join(root, SERVING_MD)
+    service = os.path.join(root, "src", "serve", "service.cpp")
+    with open(service, encoding="utf-8") as f:
+        read = set(REQUEST_KEY_RE.findall(f.read()))
+    documented = set(
+        GRAMMAR_KEY_RE.findall(grammar_block(path, "Request grammar")))
+    if not read or not documented:
+        return [f"{SERVING_MD} request grammar or src/serve/service.cpp "
+                "request-key reads not found (regex rot?)"]
+    problems = []
+    for key in sorted(documented - read):
+        problems.append(
+            f"{SERVING_MD}: request grammar documents field '{key}', but "
+            f"src/serve/service.cpp never reads it")
+    for key in sorted(read - documented):
+        problems.append(
+            f"src/serve/service.cpp reads request field '{key}', but the "
+            f"{SERVING_MD} request grammar does not document it")
+    return problems
+
+
 # `case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";`
 STATUS_SPELLING_RE = re.compile(
     r'case\s+StatusCode::k\w+:\s*return\s+"([A-Z_]+)"')
@@ -581,6 +641,7 @@ def main():
     problems.extend(check_env_vars(root))
     problems.extend(check_serving_env_rows(root))
     problems.extend(check_serving_flags(root))
+    problems.extend(check_serving_request_keys(root))
     problems.extend(check_serving_error_codes(root))
     problems.extend(check_bench_files(root))
     problems.extend(check_fault_sites(root))
@@ -595,7 +656,8 @@ def main():
           "links and anchors resolve, repo paths in the docs and MODEL_MAP "
           "symbols exist, every "
           "ctest label and GPUHMS_* env var is documented, SERVING.md's "
-          "env, flag and error-code tables match the code, every cited "
+          "env, flag and error-code tables and request grammar match the "
+          "code, every cited "
           "BENCH_*.json is checked in, the fault-site lists match the "
           "registry, and every metric in DESIGN's taxonomy exists in src/")
     return 0

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include <unistd.h>
 
 #include "common/arena.hpp"
+#include "common/deadline.hpp"
 #include "common/fault_injection.hpp"
 #include "common/journal.hpp"
 #include "common/thread_pool.hpp"
@@ -374,6 +376,36 @@ TEST_F(Chaos, DrainUnderInjectedShedsLosesNoRequests) {
   EXPECT_GT(stats.shed_draining, 0u);
   EXPECT_EQ(stats.inflight, 0u);
   EXPECT_TRUE(service.drained());
+}
+
+// --- far-future deadlines ----------------------------------------------------
+// A millisecond deadline too far out for steady_clock must never wrap into an
+// already-expired one: the search runs to its proof as if it had none. The
+// same holds for the service's watchdog.
+TEST_F(Chaos, FarFutureDeadlinesMeanNoDeadline) {
+  // 1e12 ms (~32 years) fits; 1e13 ms overflows int64 nanoseconds.
+  EXPECT_EQ(deadline_from_ms(1'000'000'000'000ull),
+            std::chrono::milliseconds(1'000'000'000'000));
+  EXPECT_FALSE(deadline_from_ms(10'000'000'000'000ull).has_value());
+  EXPECT_FALSE(deadline_from_ms(~std::uint64_t{0}).has_value());
+  for (const std::size_t watchdog_ms : {std::size_t{0}, ~std::size_t{0}}) {
+    serve::ServeOptions options;
+    options.watchdog_ms = watchdog_ms;
+    serve::PredictionService service{options};
+    for (const char* deadline_ms : {"1e13", "1e18"}) {
+      SCOPED_TRACE(std::string("deadline_ms ") + deadline_ms + ", watchdog " +
+                   std::to_string(watchdog_ms));
+      const std::string resp = service.handle_line(
+          std::string(R"({"id":1,"op":"search","benchmark":"triad",)") +
+          R"("algo":"bnb","deadline_ms":)" + deadline_ms + "}");
+      const serve::Json r = parse_ok(resp);
+      ASSERT_NE(r.find("ok"), nullptr) << resp;
+      ASSERT_TRUE(r.find("ok")->as_bool()) << resp;
+      EXPECT_TRUE(r.find("proven_optimal")->as_bool()) << resp;
+      EXPECT_FALSE(r.find("deadline_hit")->as_bool()) << resp;
+      EXPECT_FALSE(r.find("cancelled")->as_bool()) << resp;
+    }
+  }
 }
 
 }  // namespace

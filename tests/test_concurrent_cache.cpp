@@ -440,7 +440,7 @@ TEST(ConcurrentCacheServe, CrossArchFingerprintsNeverAlias) {
   std::vector<std::pair<std::string, std::uint64_t>> digests;
   for (const std::string& name : ArchRegistry::builtin().names()) {
     digests.emplace_back(
-        name, serve::fingerprint(ArchRegistry::builtin().find(name)->arch));
+        name, fingerprint(ArchRegistry::builtin().find(name)->arch));
   }
   for (std::size_t i = 0; i < digests.size(); ++i)
     for (std::size_t j = i + 1; j < digests.size(); ++j)
@@ -452,13 +452,13 @@ TEST(ConcurrentCacheServe, CrossArchFingerprintsNeverAlias) {
   GpuArch swizzled = base;
   swizzled.addr_map.bank_xor_bits = {18, 19, 20, 21, 22, 23, 24};
   ASSERT_TRUE(validate(swizzled).ok());
-  EXPECT_NE(serve::fingerprint(swizzled), serve::fingerprint(base));
+  EXPECT_NE(fingerprint(swizzled), fingerprint(base));
 
   GpuArch swapped = base;
   std::swap(swapped.addr_map.column_bits.front(),
             swapped.addr_map.row_bits.front());
   ASSERT_TRUE(validate(swapped).ok());
-  EXPECT_NE(serve::fingerprint(swapped), serve::fingerprint(base));
+  EXPECT_NE(fingerprint(swapped), fingerprint(base));
 
   // Same positions, different role order: extract_bits is order-sensitive,
   // so the digest must be too.
@@ -466,7 +466,7 @@ TEST(ConcurrentCacheServe, CrossArchFingerprintsNeverAlias) {
   std::reverse(reordered.addr_map.bank_bits.begin(),
                reordered.addr_map.bank_bits.end());
   ASSERT_TRUE(validate(reordered).ok());
-  EXPECT_NE(serve::fingerprint(reordered), serve::fingerprint(base));
+  EXPECT_NE(fingerprint(reordered), fingerprint(base));
 }
 
 // Concurrent clients mixing arch-tagged and untagged requests against ONE

@@ -1,8 +1,8 @@
-// Event-loop server core tests (DESIGN §15): incremental framing, timerfd
-// deadlines, fd-budget scaling with 1k idle connections, the slow-reader
+// Event-loop server core tests (DESIGN §15): incremental framing, the loop
+// deadline, fd-budget scaling with 1k idle connections, the slow-reader
 // backpressure bound, drain-under-load with zero lost or misrouted
-// responses, and byte-identity between the socket server and the in-process
-// service.
+// responses, the drain timeout, and byte-identity between the socket server
+// and the in-process service.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -80,28 +81,50 @@ TEST(LineFramer, MultiLineChunkRespectsTheBatchCap) {
   EXPECT_EQ(lines[1], "");
 }
 
-// --- reactor timers ----------------------------------------------------------
+// --- the deadline ------------------------------------------------------------
 
-TEST(EventLoop, DeadlinesFireViaTimerfdInOrderAndCancelHolds) {
+// The loop's one deadline fires once, on the loop thread, no earlier than
+// set; until then a readable fd and posted tasks keep dispatching.
+TEST(EventLoop, DeadlineFiresOnceAfterFdsAndTasksKeepDispatching) {
   serve::EventLoop loop;
   ASSERT_TRUE(loop.status().ok()) << loop.status().to_string();
-  std::vector<int> order;
-  const auto now = std::chrono::steady_clock::now();
-  loop.add_timer(now + 30ms, [&order] { order.push_back(1); });
-  const serve::EventLoop::TimerId cancelled =
-      loop.add_timer(now + 40ms, [&order] { order.push_back(99); });
-  loop.add_timer(now + 60ms, [&order, &loop] {
-    order.push_back(2);
-    loop.stop();
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  int fd_events = 0, tasks = 0, fired = 0;
+  int fd_events_at_fire = -1, tasks_at_fire = -1;
+  ASSERT_TRUE(loop.add_fd(pipe_fds[0], EPOLLIN, [&](std::uint32_t) {
+                    char byte;
+                    ASSERT_EQ(::read(pipe_fds[0], &byte, 1), 1);
+                    ++fd_events;
+                  }).ok());
+  const auto start = std::chrono::steady_clock::now();
+  loop.set_deadline(start + 60ms, [&] {
+    ++fired;
+    fd_events_at_fire = fd_events;
+    tasks_at_fire = tasks;
+    // Stop a little later, so a second firing would have a chance to show.
+    loop.post([&loop] {
+      std::this_thread::sleep_for(20ms);
+      loop.stop();
+    });
   });
-  loop.cancel_timer(cancelled);
+  std::thread feeder([&] {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
+      loop.post([&tasks] { ++tasks; });
+      std::this_thread::sleep_for(5ms);
+    }
+  });
   loop.run();
-  const auto elapsed = std::chrono::steady_clock::now() - now;
-  EXPECT_GE(elapsed, 60ms);  // the timerfd really gated the last deadline
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(loop.counters().timers_fired, 2u);
+  feeder.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, 60ms);  // epoll_wait's timeout gated the deadline
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fd_events_at_fire, 5);
+  EXPECT_EQ(tasks_at_fire, 5);
+  loop.remove_fd(pipe_fds[0]);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
 }
 
 TEST(EventLoop, CrossThreadPostRunsOnTheLoop) {
@@ -431,6 +454,40 @@ TEST(EventLoopServer, DrainUnderLoadLosesAndMisroutesNothing) {
   const serve::ServeStats stats = harness.service.stats();
   EXPECT_EQ(stats.requests,
             static_cast<std::uint64_t>(kConnections * kPerConnection));
+}
+
+// --- drain timeout -----------------------------------------------------------
+
+// A reader that never reads holds the drain open: its responses cannot
+// flush. The drain timeout must end run() with 3 instead of waiting forever.
+TEST(EventLoopServer, DrainTimeoutEndsRunWithThreeWhenAReaderNeverReads) {
+  constexpr std::size_t kDrainTimeoutMs = 200;
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = 8;
+  serve::ServerOptions server_options;
+  server_options.socket_path = test_socket_path("drain_timeout");
+  server_options.max_write_buffer_bytes = 2048;
+  server_options.executor_threads = 1;
+  server_options.drain_timeout_ms = kDrainTimeoutMs;
+  ServerHarness harness{serve_options, server_options};
+
+  const int fd = connect_or_die(server_options.socket_path);
+  ASSERT_GE(fd, 0);
+  // ~1-2 MiB of metrics responses: far more than the socket buffers hold.
+  std::string burst;
+  for (int i = 0; i < 1000; ++i)
+    burst += "{\"id\":" + std::to_string(i) + ",\"op\":\"metrics\"}\n";
+  ASSERT_TRUE(send_all(fd, burst));
+  ASSERT_TRUE(wait_until(
+      [&] { return harness.service.stats().responses >= 8; }, 30s));
+
+  const auto start = std::chrono::steady_clock::now();
+  harness.server.begin_drain();
+  EXPECT_EQ(harness.join(), 3);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(kDrainTimeoutMs));
+  EXPECT_LT(elapsed, 10s);
+  ::close(fd);
 }
 
 // --- socket vs in-process differential --------------------------------------

@@ -3,8 +3,14 @@
 // anytime certificate (lower_bound / optimality_gap / proven_optimal).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <vector>
 
+#include "arch/arch_registry.hpp"
+#include "common/hashing.hpp"
 #include "common/rng.hpp"
 #include "model/search.hpp"
 #include "test_util.hpp"
@@ -61,6 +67,58 @@ TEST(SearchBnb, MatchesExhaustiveOnSyntheticManyArrayKernels) {
   }
 }
 
+// Every SearchResult field, bit patterns for the doubles.
+void mix_result(Fnv1a& h, const SearchResult& r) {
+  h.mix(std::string_view(r.placement.to_string()));
+  h.mix(r.predicted_cycles).mix(r.evaluated);
+  h.mix(r.space_truncated).mix(r.space_skipped);
+  h.mix(r.deadline_hit).mix(r.cancelled).mix(r.not_evaluated);
+  h.mix(r.lower_bound).mix(r.optimality_gap).mix(r.proven_optimal);
+  h.mix(r.nodes_expanded).mix(r.pruned_subtrees).mix(r.incumbent_updates);
+}
+
+// The whole grid: every Table IV training and evaluation case, profiled on
+// its own sample, on every registered arch. B&B must reach the uncapped
+// enumerator's optimum bit for bit and prove it, so no suite kernel needs an
+// early stop; the B&B and beam results are pinned as one digest.
+TEST(SearchGolden, TableIvEveryArch) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
+  for (auto& c : workloads::evaluation_suite()) cases.push_back(std::move(c));
+  const ArchRegistry& reg = ArchRegistry::builtin();
+  Fnv1a h;
+  std::size_t searched = 0, max_nodes = 0;
+  for (const std::string& arch_name : reg.names()) {
+    const GpuArch& arch = reg.find(arch_name)->arch;
+    for (const workloads::BenchmarkCase& c : cases) {
+      if (validate_placement(c.kernel, c.sample, arch)) continue;
+      SCOPED_TRACE(c.name + " on " + arch_name);
+      Predictor pred(c.kernel, arch);
+      pred.profile_sample(c.sample);
+      const auto ex = search_exhaustive(pred, uncapped());
+      ASSERT_FALSE(ex.space_truncated);
+      const auto bb = search_branch_and_bound(pred);
+      EXPECT_EQ(bb.placement, ex.placement)
+          << "bnb: " << bb.placement.to_string()
+          << " exhaustive: " << ex.placement.to_string();
+      EXPECT_EQ(bb.predicted_cycles, ex.predicted_cycles);  // bit-for-bit
+      EXPECT_TRUE(bb.proven_optimal);
+      EXPECT_EQ(bb.optimality_gap, 0.0);
+      mix_result(h, bb);
+      mix_result(h, search_beam(pred));
+      max_nodes = std::max(max_nodes, bb.nodes_expanded);
+      ++searched;
+    }
+  }
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  std::printf("table iv grid: %zu searches, max nodes_expanded %zu, %.1f s\n",
+              searched, max_nodes, wall_s);
+  EXPECT_EQ(searched, 68u);
+  EXPECT_EQ(h.digest(), 0xb20b9b435a37df48ull);
+}
+
 TEST(SearchBnb, ReturnsLegalPlacement) {
   const KernelInfo k = workloads::make_bnb_synth(5);
   const Predictor pred = profiled_predictor(k);
@@ -108,22 +166,6 @@ TEST(SearchBnb, DeterministicAcrossGpuhmsThreadsEnv) {
     EXPECT_EQ(r.nodes_expanded, ref.nodes_expanded);
     EXPECT_EQ(r.pruned_subtrees, ref.pruned_subtrees);
   }
-}
-
-TEST(SearchBnb, NodeBudgetRunsAreBitReproducible) {
-  const KernelInfo k = workloads::make_bnb_synth(6);
-  const Predictor pred = profiled_predictor(k);
-  SearchOptions o;
-  o.node_budget = 50;
-  o.num_threads = 1;
-  const auto a = search_branch_and_bound(pred, o);
-  o.num_threads = 8;
-  const auto b = search_branch_and_bound(pred, o);
-  EXPECT_EQ(a.placement, b.placement);
-  EXPECT_EQ(a.predicted_cycles, b.predicted_cycles);
-  EXPECT_EQ(a.evaluated, b.evaluated);
-  EXPECT_EQ(a.lower_bound, b.lower_bound);
-  EXPECT_EQ(a.beam_fallback, b.beam_fallback);
 }
 
 // --- admissibility (the property test of the bound) --------------------------
@@ -188,11 +230,21 @@ TEST(SearchBnb, GapNonNegativeAndZeroOnCompletion) {
   EXPECT_EQ(done.optimality_gap, 0.0);
   EXPECT_EQ(done.lower_bound, done.predicted_cycles);
 
+  // Stop the walk mid-tree: the first checkpoint fires the cancel token,
+  // which the walk reads at its next stop check.
+  struct CancelOnCheckpoint : BnbCheckpointSink {
+    std::atomic<bool> cancel{false};
+    void on_checkpoint(const BnbCheckpoint&) override { cancel = true; }
+  } sink;
   SearchOptions o;
-  o.node_budget = 3;  // far too small: forces an early stop + beam fallback
+  o.checkpoint_sink = &sink;
+  o.checkpoint_interval = 1;
+  o.cancel = &sink.cancel;
   const auto stopped = search_branch_and_bound(pred, o);
+  EXPECT_TRUE(stopped.cancelled);
   EXPECT_FALSE(stopped.proven_optimal);
-  EXPECT_TRUE(stopped.beam_fallback);
+  EXPECT_GT(stopped.nodes_expanded, 0u);  // stopped inside the tree
+  EXPECT_LT(stopped.nodes_expanded, done.nodes_expanded);
   EXPECT_GE(stopped.optimality_gap, 0.0);
   EXPECT_LE(stopped.lower_bound, stopped.predicted_cycles + 1e-9);
   // The certificate is sound: the true optimum lies above the bound.
