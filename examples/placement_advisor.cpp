@@ -16,10 +16,12 @@
 // uninstrumented (GPUHMS_METRICS env also enables recording).
 //
 // Usage: ./examples/placement_advisor [benchmark] [max_placements]
+//                                     [--arch=NAME]
 //                                     [--search=bnb|exhaustive|beam]
 //                                     [--deadline-ms=N]
 //                                     [--metrics-out=PATH] [--trace-out=PATH]
-//        (default: spmv, 64, exhaustive, no deadline, no metrics/trace)
+//        (default: spmv, 64, kepler, exhaustive, no deadline, no
+//        metrics/trace)
 // Run with --help for the full flag reference.
 #include <algorithm>
 #include <cerrno>
@@ -33,10 +35,8 @@
 
 #include "arch/arch_registry.hpp"
 #include "common/deadline.hpp"
-#include "common/journal.hpp"
 #include "common/obs.hpp"
 #include "model/search.hpp"
-#include "model/search_checkpoint.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace gpuhms;
@@ -115,15 +115,6 @@ void print_help() {
       "  --deadline-ms=N  wall-clock budget for the search; on expiry the\n"
       "                   best-so-far placement is returned (bnb still\n"
       "                   reports a certified gap).\n"
-      "  --checkpoint=P   (bnb only) journal search checkpoints to P so a\n"
-      "                   killed run can resume: re-running with the same\n"
-      "                   flags continues from the last durable checkpoint\n"
-      "                   and returns the same certified result as an\n"
-      "                   uninterrupted run (bit-identical on completion).\n"
-      "  --resume         require an existing checkpoint journal at the\n"
-      "                   --checkpoint path (error if none): makes 'continue\n"
-      "                   a previous run' explicit instead of silently\n"
-      "                   starting fresh on a typo'd path.\n"
       "  --metrics-out=P  write the metrics registry snapshot as JSON to P\n"
       "                   ('-' for stdout); also enabled by GPUHMS_METRICS.\n"
       "  --trace-out=P    write a Chrome trace-event JSON of the scoped\n"
@@ -147,8 +138,6 @@ int main(int argc, char** argv) {
   std::optional<std::chrono::steady_clock::duration> deadline;
   std::optional<std::string> metrics_out;
   std::optional<std::string> trace_out;
-  std::optional<std::string> checkpoint_path;
-  bool require_resume = false;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -163,17 +152,14 @@ int main(int argc, char** argv) {
     } else if (const char* v =
                    flag_value(arg, "--deadline-ms", argc, argv, &i)) {
       deadline = deadline_from_ms(parse_size(v, "deadline"));
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      require_resume = true;
-    } else if (const char* v =
-                   flag_value(arg, "--checkpoint", argc, argv, &i)) {
-      checkpoint_path = v;
     } else if (const char* v =
                    flag_value(arg, "--metrics-out", argc, argv, &i)) {
       metrics_out = v;
     } else if (const char* v =
                    flag_value(arg, "--trace-out", argc, argv, &i)) {
       trace_out = v;
+    } else if (std::strncmp(arg, "--", 2) == 0) {
+      die(std::string("unknown flag '") + arg + "' (see --help)");
     } else if (positional == 0) {
       name = arg;
       ++positional;
@@ -190,14 +176,6 @@ int main(int argc, char** argv) {
   const StatusOr<SearchAlgo> algo = parse_search_algo(search_mode);
   if (!algo.ok()) die(algo.status().to_string());
   const std::string algo_name(to_string(*algo));
-  if (checkpoint_path && *algo != SearchAlgo::kBnb)
-    die("--checkpoint requires --search=bnb (only branch-and-bound "
-        "checkpoints its frontier)");
-  if (require_resume && !checkpoint_path)
-    die("--resume requires --checkpoint=PATH");
-  if (require_resume && !journal::exists(*checkpoint_path))
-    die("--resume: no checkpoint journal at '" + *checkpoint_path +
-        "' (drop --resume to start a fresh journaled run)");
 
   if (metrics_out) obs::set_enabled(true);
   if (trace_out) obs::start_tracing();
@@ -245,35 +223,9 @@ int main(int argc, char** argv) {
   SearchOptions so;
   so.cap = cap;
   so.deadline = deadline;
-  ResumeInfo resume_info;
-  const StatusOr<SearchResult> searched =
-      checkpoint_path
-          ? try_resume_branch_and_bound(pred, so, *checkpoint_path,
-                                        &resume_info)
-          : try_search(pred, *algo, so);
+  const StatusOr<SearchResult> searched = try_search(pred, *algo, so);
   if (!searched.ok()) die(searched.status().to_string());
   const SearchResult& sr = *searched;
-  if (checkpoint_path) {
-    if (resume_info.already_complete)
-      std::printf("checkpoint journal '%s': run already complete, result "
-                  "returned verbatim\n",
-                  checkpoint_path->c_str());
-    else if (resume_info.resumed)
-      std::printf("resumed from checkpoint journal '%s' (%llu checkpoints, "
-                  "visit watermark %llu%s); wrote %llu more\n",
-                  checkpoint_path->c_str(),
-                  static_cast<unsigned long long>(
-                      resume_info.checkpoints_read),
-                  static_cast<unsigned long long>(resume_info.resumed_visits),
-                  resume_info.tail_truncated ? "; torn tail truncated" : "",
-                  static_cast<unsigned long long>(
-                      resume_info.checkpoints_written));
-    else
-      std::printf("journaling checkpoints to '%s' (%llu written)\n",
-                  checkpoint_path->c_str(),
-                  static_cast<unsigned long long>(
-                      resume_info.checkpoints_written));
-  }
   std::printf("%s search: best %s at %.0f predicted cycles "
               "(%zu evaluated%s%s)\n",
               algo_name.c_str(), sr.placement.to_string().c_str(),
@@ -296,12 +248,6 @@ int main(int argc, char** argv) {
                 "(raise max_placements or use --search=bnb)\n",
                 cap, static_cast<unsigned long long>(sr.space_skipped));
   }
-  // A checkpoint append that failed mid-run degraded durability: the result
-  // above is still correct, but the journal the user asked for is stale —
-  // that is an error exit, not a shrug (a later crash could not resume).
-  if (resume_info.journal_write_failed)
-    die("checkpoint journal write failed (result above is correct but NOT "
-        "durable): " + resume_info.journal_write_error);
   std::printf("\n");
 
   // Explore the legal placement space analytically (batch prediction). The

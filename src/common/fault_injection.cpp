@@ -109,9 +109,8 @@ std::span<const std::string_view> known_sites() {
   // to this array; the chaos harness cross-checks it against its per-site
   // scenario table.
   static constexpr std::string_view kSites[] = {
-      "trace.lower",  "queuing.nan",   "queuing.saturate",
-      "pool.task",    "serve.parse",   "serve.accept",
-      "arena.alloc",  "journal.write", "journal.read",
+      "trace.lower", "queuing.nan",  "queuing.saturate", "pool.task",
+      "serve.parse", "serve.accept", "arena.alloc",
   };
   return kSites;
 }

@@ -3,14 +3,14 @@
 // A *site* is a named point in library code (GPUHMS_FAULT_POINT("pool.task"))
 // that normally evaluates to false at ~zero cost. Arming a site makes its
 // Nth execution return true exactly once, letting tests drive rare failure
-// paths (worker exceptions, I/O corruption, queuing saturation)
+// paths (worker exceptions, allocation failure, queuing saturation)
 // deterministically — the same arm always fires at the same hit regardless
 // of thread count, because hits are counted under a lock in program order of
 // the site's executions.
 //
 // Two ways to arm:
-//   * programmatic: fault::arm("journal.read", 2); ... fault::disarm_all();
-//   * environment:  GPUHMS_FAULT=journal.read:2 (comma-separated list;
+//   * programmatic: fault::arm("pool.task", 2); ... fault::disarm_all();
+//   * environment:  GPUHMS_FAULT=pool.task:2 (comma-separated list;
 //     parsed once on first use — intended for driving examples/benches).
 //
 // Registered sites:
@@ -24,10 +24,6 @@
 //                      an UNAVAILABLE error response (a dropped accept)
 //   arena.alloc      — Arena::grow throws std::bad_alloc instead of
 //                      allocating the next chunk (replay-scratch OOM)
-//   journal.write    — journal::Writer::append fails with DATA_LOSS before
-//                      touching the file (checkpoint write lost)
-//   journal.read     — journal::read_records miscompares one record checksum,
-//                      exercising the torn-tail truncation path
 //
 // Every site name MUST also appear in fault::known_sites() below — the chaos
 // harness (tests/test_chaos.cpp) enumerates that registry and fails if a

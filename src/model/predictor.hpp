@@ -261,9 +261,8 @@ ToverlapModel train_overlap_model(std::span<const TrainingCase> cases,
 // --- fingerprints ------------------------------------------------------------
 // Structural 64-bit digests (FNV-1a over fields, never pointers) of the
 // inputs that determine a prediction. The serve layer keys its prediction
-// cache on them (DESIGN §11 "Cache key derivation") and a search journal
-// binds to them (model/search_checkpoint.hpp). The arch digest covers every
-// GpuArch field, address map included.
+// cache on them (DESIGN §11 "Cache key derivation"). The arch digest covers
+// every GpuArch field, address map and DRAM timing included.
 std::uint64_t fingerprint(const KernelInfo& kernel);
 std::uint64_t fingerprint(const GpuArch& arch);
 std::uint64_t fingerprint(const ModelOptions& options);

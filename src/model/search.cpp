@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -23,12 +22,20 @@ constexpr std::size_t kChunk = 64;
 
 // Chunk-boundary stop test shared by the exhaustive search and the oracle.
 // Reads the cancel token first (a cancelled caller should see `cancelled`
-// even when the deadline also expired).
+// even when the deadline also expired). The deadline saturates: a duration
+// that would carry now() past time_point::max() means no deadline (as in
+// deadline_from_ms), and a negative one has already expired.
 struct StopWatch {
   explicit StopWatch(const SearchOptions& options)
       : cancel(options.cancel) {
-    if (options.deadline)
-      deadline_at = std::chrono::steady_clock::now() + *options.deadline;
+    if (!options.deadline) return;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const Clock::duration d = *options.deadline;
+    if (d <= Clock::duration::zero())
+      deadline_at = now;
+    else if (d <= Clock::time_point::max() - now)
+      deadline_at = now + d;
   }
 
   // Sets exactly one of *cancelled / *deadline_hit when stopping.
@@ -329,110 +336,6 @@ void build_children(const BnbContext& ctx, std::size_t depth,
             });
 }
 
-// Captures the live walk state at a visit boundary — everything
-// search_branch_and_bound needs to continue from exactly this point.
-// Inverse of restore_bnb_state.
-BnbCheckpoint snapshot_bnb_state(const Incumbent& inc, const SearchResult& res,
-                                 const std::vector<BnbFrame>& stack,
-                                 const std::vector<DataPlacement>& pending,
-                                 std::size_t visits) {
-  BnbCheckpoint cp;
-  cp.incumbent_valid = inc.valid;
-  if (inc.valid) {
-    cp.incumbent.reserve(inc.placement.size());
-    for (std::size_t a = 0; a < inc.placement.size(); ++a)
-      cp.incumbent.push_back(inc.placement.of(static_cast<int>(a)));
-    std::memcpy(&cp.incumbent_cycles_bits, &inc.cycles,
-                sizeof cp.incumbent_cycles_bits);
-  }
-  cp.incumbent_updates = inc.updates;
-  cp.evaluated = res.evaluated;
-  cp.nodes_expanded = res.nodes_expanded;
-  cp.pruned_subtrees = res.pruned_subtrees;
-  cp.visits = visits;
-  cp.stack_next.reserve(stack.size());
-  for (const BnbFrame& f : stack)
-    cp.stack_next.push_back(static_cast<std::uint32_t>(f.next));
-  cp.pending.reserve(pending.size());
-  for (const DataPlacement& p : pending) {
-    std::vector<MemSpace> spaces;
-    spaces.reserve(p.size());
-    for (std::size_t a = 0; a < p.size(); ++a)
-      spaces.push_back(p.of(static_cast<int>(a)));
-    cp.pending.push_back(std::move(spaces));
-  }
-  return cp;
-}
-
-// Rebuilds the DFS walk from a checkpoint. Child lists replay from
-// build_children (deterministic), so only the per-frame consumed-child
-// counts are needed: while a frame below depth d exists, stack[d] is not the
-// top of the stack and its `next` cannot have advanced since the descent —
-// hence children[next - 1] IS the child the walk descended into, giving the
-// path placement and the (addr_total, capacity) sums for the next level.
-// Throws CheckpointMismatch when the snapshot cannot belong to this search.
-void restore_bnb_state(const BnbContext& ctx, const BnbCheckpoint& cp,
-                       Incumbent* inc, SearchResult* res,
-                       std::vector<BnbFrame>* stack,
-                       std::vector<DataPlacement>* pending, DataPlacement* cur,
-                       std::size_t* visits) {
-  const std::size_t n = ctx.predictor->kernel().arrays.size();
-  if (cp.stack_next.empty() || cp.stack_next.size() > n)
-    throw CheckpointMismatch("checkpoint stack depth " +
-                             std::to_string(cp.stack_next.size()) +
-                             " does not fit a " + std::to_string(n) +
-                             "-array kernel");
-  if (cp.incumbent_valid && cp.incumbent.size() != n)
-    throw CheckpointMismatch("checkpoint incumbent has " +
-                             std::to_string(cp.incumbent.size()) +
-                             " arrays, kernel has " + std::to_string(n));
-  for (const auto& p : cp.pending)
-    if (p.size() != n)
-      throw CheckpointMismatch("checkpoint pending leaf has " +
-                               std::to_string(p.size()) +
-                               " arrays, kernel has " + std::to_string(n));
-
-  if (cp.incumbent_valid) {
-    inc->placement = DataPlacement(cp.incumbent);
-    std::memcpy(&inc->cycles, &cp.incumbent_cycles_bits, sizeof inc->cycles);
-    inc->valid = true;
-  }
-  inc->updates = cp.incumbent_updates;
-  res->evaluated = cp.evaluated;
-  res->nodes_expanded = cp.nodes_expanded;
-  res->pruned_subtrees = cp.pruned_subtrees;
-  *visits = cp.visits;
-  pending->clear();
-  pending->reserve(cp.pending.size());
-  for (const auto& spaces : cp.pending)
-    pending->push_back(DataPlacement(spaces));
-
-  stack->clear();
-  stack->resize(cp.stack_next.size());
-  double addr = ctx.bounder.root_addr_insts();
-  std::size_t const_bytes = 0, shared_bytes = 0;
-  for (std::size_t d = 0; d < cp.stack_next.size(); ++d) {
-    build_children(ctx, d, addr, const_bytes, shared_bytes, &(*stack)[d]);
-    BnbFrame& f = (*stack)[d];
-    if (cp.stack_next[d] > f.children.size())
-      throw CheckpointMismatch(
-          "checkpoint frame " + std::to_string(d) + " consumed " +
-          std::to_string(cp.stack_next[d]) + " of " +
-          std::to_string(f.children.size()) + " children");
-    f.next = cp.stack_next[d];
-    if (d + 1 < cp.stack_next.size()) {
-      if (f.next == 0)
-        throw CheckpointMismatch("checkpoint frame " + std::to_string(d) +
-                                 " has a descendant but no consumed child");
-      const BnbChild& taken = f.children[f.next - 1];
-      cur->set(ctx.order[d], taken.space);
-      addr = taken.addr_total;
-      const_bytes = taken.const_bytes;
-      shared_bytes = taken.shared_bytes;
-    }
-  }
-}
-
 // Evaluates the buffered leaves over the pool and folds them serially in
 // DFS order — per-slot writes plus an ordered fold keep the incumbent (and
 // hence all later pruning) identical for every thread count.
@@ -458,9 +361,8 @@ void flush_leaves(const BnbContext& ctx,
 // The error contract of try_search, annotated with the algorithm's
 // "<verb> placements of kernel '<name>'": a predictor without a profiled
 // sample is FAILED_PRECONDITION before any work starts; an error `run`
-// returns is passed through; a checkpoint that does not fit the search is
-// INVALID_ARGUMENT; any other escaping exception (a worker fault rethrown by
-// the pool) is INTERNAL.
+// returns is passed through; an escaping exception (a worker fault rethrown
+// by the pool) is INTERNAL.
 template <class Run>
 StatusOr<SearchResult> guarded_search(const Predictor& predictor,
                                       std::string_view verb, Run&& run) {
@@ -475,8 +377,6 @@ StatusOr<SearchResult> guarded_search(const Predictor& predictor,
     StatusOr<SearchResult> result = run();
     if (!result.ok()) return result.status().annotate(ctx);
     return result;
-  } catch (const CheckpointMismatch& e) {
-    return InvalidArgumentError(e.what()).annotate(ctx);
   } catch (const std::exception& e) {
     return InternalError(e.what()).annotate(ctx);
   }
@@ -545,60 +445,22 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
   std::size_t visits = 0;  // stop-watch cadence (every kChunk node visits)
   bool stopped = false;
 
-  // Checkpointing: snapshots are taken between node visits, where the
-  // (stack, pending, incumbent, counters) tuple fully determines the rest of
-  // the walk — emission reads state but never changes it, so a journaled run
-  // is bit-identical to a plain one.
-  BnbCheckpointSink* sink = options.checkpoint_sink;
-  const std::size_t checkpoint_interval =
-      std::max<std::size_t>(1, options.checkpoint_interval);
-  std::size_t last_checkpoint = 0;  // visits value of the last emission
-
-  const bool resumed = options.resume_from != nullptr && n > 0;
-  if (resumed) {
-    // Restore instead of seeding: the snapshot already carries the incumbent
-    // the greedy seed (and the walk so far) produced.
-    restore_bnb_state(ctx, *options.resume_from, &inc, &res, &stack, &pending,
-                      &cur, &visits);
-    last_checkpoint = visits;
-    GPUHMS_COUNTER_ADD("search.bnb_resumes", 1);
-  } else {
-    // A feasible incumbent before the first tree node: the sample placement
-    // is scored even when the deadline already expired at entry (same
-    // contract as exhaustive search's first candidate).
-    greedy_seed(ctx, &inc, &res.evaluated);
-  }
+  // A feasible incumbent before the first tree node: the sample placement is
+  // scored even when the deadline already expired at entry (same contract as
+  // exhaustive search's first candidate).
+  greedy_seed(ctx, &inc, &res.evaluated);
 
   // An already-expired deadline / pre-fired cancel token skips the walk
-  // entirely but must still read as a stop: the incumbent stands (and, on a
-  // resume, so do the restored frontier bounds), but nothing new was proven
-  // about the rest of the space.
+  // entirely but must still read as a stop: the incumbent stands, but
+  // nothing was proven about the rest of the space.
   if (n > 0 && watch.should_stop(&res.deadline_hit, &res.cancelled)) {
     stopped = true;
   } else if (n > 0) {
-    if (!resumed) {
-      stack.emplace_back();
-      build_children(ctx, 0, ctx.bounder.root_addr_insts(), 0, 0,
-                     &stack.back());
-    }
+    stack.emplace_back();
+    build_children(ctx, 0, ctx.bounder.root_addr_insts(), 0, 0, &stack.back());
     while (!stack.empty()) {
-      if (sink != nullptr && visits != last_checkpoint &&
-          visits % checkpoint_interval == 0) {
-        sink->on_checkpoint(
-            snapshot_bnb_state(inc, res, stack, pending, visits));
-        last_checkpoint = visits;
-      }
       if (++visits % kChunk == 0 &&
           watch.should_stop(&res.deadline_hit, &res.cancelled)) {
-        // One final snapshot at the stop point so a resume continues from
-        // here rather than replaying since the last periodic checkpoint.
-        // (The pending buffer is snapshotted un-flushed: the flush below
-        // only improves THIS run's returned incumbent; the resumed run
-        // re-evaluates those leaves itself, keeping its counters identical
-        // to an uninterrupted run's.)
-        if (sink != nullptr)
-          sink->on_checkpoint(
-              snapshot_bnb_state(inc, res, stack, pending, visits));
         stopped = true;
         break;
       }

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "common/status.hpp"
@@ -25,53 +24,6 @@
 #include "model/predictor.hpp"
 
 namespace gpuhms {
-
-// --- branch-and-bound checkpoint bridge --------------------------------------
-// A self-contained snapshot of the branch-and-bound tree walk, captured at a
-// node-visit boundary. Deliberately minimal: child lists are NOT stored —
-// build_children is deterministic, so the DFS stack reconstructs from the
-// per-frame consumed-child counts alone, and the path placement follows from
-// each frame's last consumed child. Including the un-flushed leaf buffer
-// means snapshots never perturb flush timing: a journaled run, and a run
-// resumed from any of its snapshots, both complete to a SearchResult
-// bit-identical to an uninterrupted search. Produced/consumed by
-// search_branch_and_bound via SearchOptions; serialized by
-// model/search_checkpoint.* — callers wanting durability should use
-// try_resume_branch_and_bound instead of wiring these directly.
-struct BnbCheckpoint {
-  // Incumbent (empty placement when !incumbent_valid).
-  std::vector<MemSpace> incumbent;
-  std::uint64_t incumbent_cycles_bits = 0;  // double bit pattern, bit-exact
-  bool incumbent_valid = false;
-  std::uint64_t incumbent_updates = 0;
-  // Counters (the evaluated-chunk watermark and tree tallies).
-  std::uint64_t evaluated = 0;
-  std::uint64_t nodes_expanded = 0;
-  std::uint64_t pruned_subtrees = 0;
-  std::uint64_t visits = 0;  // node-visit count, the checkpoint cadence clock
-  // DFS frontier: stack_next[d] = children already consumed at depth d. The
-  // frontier bounds (hence the certified lower bound) rebuild from this.
-  std::vector<std::uint32_t> stack_next;
-  // Leaves buffered but not yet batch-evaluated, in DFS order.
-  std::vector<std::vector<MemSpace>> pending;
-};
-
-// Receives snapshots during the tree walk (every
-// SearchOptions::checkpoint_interval visits and at deadline/cancel stops).
-// Called on the search thread; implementations must not re-enter the search.
-class BnbCheckpointSink {
- public:
-  virtual ~BnbCheckpointSink() = default;
-  virtual void on_checkpoint(const BnbCheckpoint& state) = 0;
-};
-
-// Thrown by search_branch_and_bound when SearchOptions::resume_from does not
-// structurally match the search (different kernel/arch, corrupted snapshot);
-// try_search converts it to INVALID_ARGUMENT.
-class CheckpointMismatch : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct SearchOptions {
   std::size_t cap = 4096;  // bound on the enumerated placement space
@@ -86,7 +38,8 @@ struct SearchOptions {
   // is bit-identical to an uninterrupted run (expiry is only checked at
   // chunk boundaries, never mid-chunk). A zero (already-expired) deadline
   // still scores the first candidate so the result is always a valid,
-  // comparable placement.
+  // comparable placement. A budget that would run past the clock's range
+  // (e.g. duration::max()) means no deadline.
   std::optional<std::chrono::steady_clock::duration> deadline;
   // Cooperative cancellation: when *cancel reads true the search stops at
   // the next chunk boundary with `cancelled` set, same best-so-far
@@ -95,19 +48,6 @@ struct SearchOptions {
   const std::atomic<bool>* cancel = nullptr;
   // Beam width for search_beam.
   std::size_t beam_width = 8;
-  // --- crash-safe checkpointing (branch-and-bound only) ---------------------
-  // When `checkpoint_sink` is set, the tree walk emits a BnbCheckpoint every
-  // `checkpoint_interval` node visits (at visit boundaries, so emission never
-  // changes what the search computes) and once more when a deadline/cancel
-  // stop interrupts the walk. When `resume_from` is set, the walk restores
-  // that snapshot instead of starting from the greedy seed, and continues
-  // exactly the interrupted computation — same prune decisions, counters,
-  // and (on completion) a bit-identical SearchResult. Most callers want
-  // try_resume_branch_and_bound (model/search_checkpoint.hpp), which wires
-  // both ends to a durable journal.
-  BnbCheckpointSink* checkpoint_sink = nullptr;
-  std::size_t checkpoint_interval = 1024;
-  const BnbCheckpoint* resume_from = nullptr;
 };
 
 struct SearchResult {
@@ -197,8 +137,7 @@ StatusOr<SearchAlgo> parse_search_algo(std::string_view name);
 // "beam-searching placements of kernel '<name>'":
 //   * FAILED_PRECONDITION when the predictor has no profiled sample,
 //   * INVALID_ARGUMENT when the kernel admits no legal placement under the
-//     cap (exhaustive; the aborting core GPUHMS_CHECKs this) or a
-//     SearchOptions::resume_from checkpoint does not fit the search,
+//     cap (exhaustive; the aborting core GPUHMS_CHECKs this),
 //   * INTERNAL when a worker exception (e.g. an injected trace.lower or
 //     pool.task fault) is captured by the thread pool and rethrown — the
 //     pool remains usable afterwards.

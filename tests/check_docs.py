@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency check (ctest -L docs).
 
-Thirteen guarantees:
+Fourteen guarantees:
   1. Every relative markdown link `[text](path)` in the repo's *.md files
      resolves to an existing file or directory (absolute URLs are
      skipped).
@@ -55,6 +55,13 @@ Thirteen guarantees:
      the request, `find` on `request`/`req`) are the same set, in both
      directions, so a deleted wire field cannot linger in the grammar and
      a new one cannot ship undocumented.
+ 14. The flags examples/placement_advisor.cpp parses and the flags its
+     print_help() text lists are the same set, in both directions; every
+     `--flag` on a placement_advisor command line in README.md, DESIGN.md,
+     EXPERIMENTS.md or docs/*.md (or in the backtick span after
+     "placement_advisor's") is in that set; and every other backticked
+     `--flag` there is spelled by some program in examples/ or bench/, so
+     a deleted flag cannot linger anywhere in the docs.
 
 Usage: check_docs.py [repo_root]   (default: parent of this script's dir)
 Exit 0 when clean, 1 with a per-problem report otherwise.
@@ -564,6 +571,74 @@ def check_fault_sites(root):
     return problems
 
 
+ADVISOR_CPP = os.path.join("examples", "placement_advisor.cpp")
+FLAG_TOKEN_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)(?![\w])")
+# The rest of a placement_advisor command: up to the closing backtick or
+# the end of the line, plus the span in "placement_advisor's `--flag`".
+ADVISOR_COMMAND_RE = re.compile(
+    r"placement_advisor(?:\.cpp)?(?:'s\s+`([^`]*)`|([^`\n]*))")
+PROGRAM_FLAG_RE = re.compile(r'"(--[a-z][a-z0-9-]*)')
+
+
+def advisor_flags(root):
+    """(parsed, listed): the flags placement_advisor parses and the flags
+    its print_help() text names."""
+    with open(os.path.join(root, ADVISOR_CPP), encoding="utf-8") as f:
+        text = f.read()
+    parsed = set(PARSED_FLAG_RE.findall(text))
+    m = re.search(r"\nvoid print_help\(\) \{\n(.*?)\n\}\n", text, re.S)
+    listed = set(FLAG_TOKEN_RE.findall(m.group(1))) if m else set()
+    return parsed, listed
+
+
+def program_flags(root):
+    """Every `"--flag` string literal in examples/ and bench/ sources."""
+    flags = set()
+    for sub in ("examples", "bench"):
+        d = os.path.join(root, sub)
+        for name in sorted(os.listdir(d)):
+            if name.endswith((".cpp", ".hpp")):
+                with open(os.path.join(d, name), encoding="utf-8") as f:
+                    flags.update(PROGRAM_FLAG_RE.findall(f.read()))
+    return flags
+
+
+def check_advisor_flags(root):
+    """placement_advisor's parsed flags equal its help text's, and the docs
+    name no flag it (or, outside its command lines, any program) lacks."""
+    parsed, listed = advisor_flags(root)
+    if not parsed or not listed:
+        return [f"{ADVISOR_CPP}: flag parsing or print_help() text not found "
+                "(regex rot?)"]
+    problems = []
+    for flag in sorted(listed - parsed):
+        problems.append(
+            f"{ADVISOR_CPP}: print_help() lists '{flag}', which the advisor "
+            "does not parse")
+    for flag in sorted(parsed - listed):
+        problems.append(
+            f"{ADVISOR_CPP}: parses '{flag}', which print_help() does not "
+            "list")
+    known = program_flags(root)
+    for doc in prose_docs(root):
+        with open(os.path.join(root, doc), encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                for m in ADVISOR_COMMAND_RE.finditer(line):
+                    for flag in FLAG_TOKEN_RE.findall(m.group(1) or
+                                                      m.group(2)):
+                        if flag not in parsed:
+                            problems.append(
+                                f"{doc}:{lineno}: placement_advisor has no "
+                                f"flag '{flag}'")
+                for span in BACKTICK_RE.findall(line):
+                    for flag in FLAG_TOKEN_RE.findall(span):
+                        if flag not in known:
+                            problems.append(
+                                f"{doc}:{lineno}: '{flag}' is not a flag of "
+                                "any program in examples/ or bench/")
+    return problems
+
+
 STRING_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
 
 
@@ -646,6 +721,7 @@ def main():
     problems.extend(check_bench_files(root))
     problems.extend(check_fault_sites(root))
     problems.extend(check_metric_taxonomy(root))
+    problems.extend(check_advisor_flags(root))
 
     if problems:
         print(f"docs check FAILED ({len(problems)} problem(s)):")
@@ -659,7 +735,8 @@ def main():
           "env, flag and error-code tables and request grammar match the "
           "code, every cited "
           "BENCH_*.json is checked in, the fault-site lists match the "
-          "registry, and every metric in DESIGN's taxonomy exists in src/")
+          "registry, every metric in DESIGN's taxonomy exists in src/, and "
+          "placement_advisor's flags match its help text and the docs")
     return 0
 
 

@@ -434,8 +434,8 @@ TEST(ConcurrentCacheServe, WarmResponsesByteIdenticalToCold) {
 // Prediction-cache keys embed fingerprint(arch); two backends (or two
 // variants of one backend) colliding there would silently serve one arch's
 // cycles for another. Every registered backend must digest distinctly, and
-// the digest must cover the address map — two archs differing ONLY in
-// addr_map are different machines to the DRAM model.
+// the digest must cover the address map and the DRAM timing — two archs
+// differing ONLY in either are different machines to the DRAM model.
 TEST(ConcurrentCacheServe, CrossArchFingerprintsNeverAlias) {
   std::vector<std::pair<std::string, std::uint64_t>> digests;
   for (const std::string& name : ArchRegistry::builtin().names()) {
@@ -467,6 +467,12 @@ TEST(ConcurrentCacheServe, CrossArchFingerprintsNeverAlias) {
                reordered.addr_map.bank_bits.end());
   ASSERT_TRUE(validate(reordered).ok());
   EXPECT_NE(fingerprint(reordered), fingerprint(base));
+
+  // Same address map, slower row misses: DRAM timing is part of the key.
+  GpuArch slow_rows = base;
+  slow_rows.dram.row_miss_service += 100;
+  ASSERT_TRUE(validate(slow_rows).ok());
+  EXPECT_NE(fingerprint(slow_rows), fingerprint(base));
 }
 
 // Concurrent clients mixing arch-tagged and untagged requests against ONE

@@ -222,7 +222,8 @@ TEST(SearchBnb, RootBoundBelowEveryLegalPlacement) {
 // --- anytime certificate -----------------------------------------------------
 
 TEST(SearchBnb, GapNonNegativeAndZeroOnCompletion) {
-  const KernelInfo k = workloads::make_bnb_synth(5);
+  // Big enough that the full walk outlasts the smallest deadline rung below.
+  const KernelInfo k = workloads::make_bnb_synth(8);
   const Predictor pred = profiled_predictor(k);
 
   const auto done = search_branch_and_bound(pred);
@@ -230,29 +231,34 @@ TEST(SearchBnb, GapNonNegativeAndZeroOnCompletion) {
   EXPECT_EQ(done.optimality_gap, 0.0);
   EXPECT_EQ(done.lower_bound, done.predicted_cycles);
 
-  // Stop the walk mid-tree: the first checkpoint fires the cancel token,
-  // which the walk reads at its next stop check.
-  struct CancelOnCheckpoint : BnbCheckpointSink {
-    std::atomic<bool> cancel{false};
-    void on_checkpoint(const BnbCheckpoint&) override { cancel = true; }
-  } sink;
-  SearchOptions o;
-  o.checkpoint_sink = &sink;
-  o.checkpoint_interval = 1;
-  o.cancel = &sink.cancel;
-  const auto stopped = search_branch_and_bound(pred, o);
-  EXPECT_TRUE(stopped.cancelled);
-  EXPECT_FALSE(stopped.proven_optimal);
-  EXPECT_GT(stopped.nodes_expanded, 0u);  // stopped inside the tree
-  EXPECT_LT(stopped.nodes_expanded, done.nodes_expanded);
-  EXPECT_GE(stopped.optimality_gap, 0.0);
-  EXPECT_LE(stopped.lower_bound, stopped.predicted_cycles + 1e-9);
-  // The certificate is sound: the true optimum lies above the bound.
-  const auto full = search_branch_and_bound(pred);
-  EXPECT_LE(stopped.lower_bound, full.predicted_cycles + 1e-9);
-  // And the anytime incumbent is a real, legal placement.
-  EXPECT_FALSE(
-      validate_placement(k, stopped.placement, kepler_arch()).has_value());
+  // Stop the walk with a doubling ladder of deadlines, up to the first rung
+  // the walk finishes inside. Every run that stops must carry a sound
+  // certificate, and some rung must stop inside the tree: the walk after
+  // the greedy seed takes several times as long as the seed, so the
+  // doubling cannot step over it whatever the machine's speed.
+  bool stopped_inside = false;
+  for (int ms = 1; ms <= 1 << 16; ms *= 2) {
+    SCOPED_TRACE(ms);
+    SearchOptions o;
+    o.deadline = std::chrono::milliseconds(ms);
+    const auto stopped = search_branch_and_bound(pred, o);
+    if (!stopped.deadline_hit) {
+      EXPECT_TRUE(stopped.proven_optimal);  // finished inside the budget
+      break;
+    }
+    if (stopped.nodes_expanded > 0 &&
+        stopped.nodes_expanded < done.nodes_expanded)
+      stopped_inside = true;
+    EXPECT_FALSE(stopped.proven_optimal);
+    EXPECT_GE(stopped.optimality_gap, 0.0);
+    EXPECT_LE(stopped.lower_bound, stopped.predicted_cycles + 1e-9);
+    // The certificate is sound: the true optimum lies above the bound.
+    EXPECT_LE(stopped.lower_bound, done.predicted_cycles + 1e-9);
+    // And the anytime incumbent is a real, legal placement.
+    EXPECT_FALSE(
+        validate_placement(k, stopped.placement, kepler_arch()).has_value());
+  }
+  EXPECT_TRUE(stopped_inside) << "no deadline rung stopped inside the tree";
 }
 
 TEST(SearchBnb, ExpiredDeadlineStillReturnsFeasibleIncumbent) {
