@@ -83,17 +83,19 @@ int main() {
               "run per kernel; oracle needed the full space)\n",
               regret_sum / static_cast<double>(kernels.size()));
 
-  // Greedy vs exhaustive on the largest space here (neuralnet).
+  // Branch-and-bound vs exhaustive on the largest space here (neuralnet).
   {
     auto& kus = kernels.back();
     Predictor pred(kus.kernel, arch, ModelOptions{}, overlap);
     pred.profile_sample(DataPlacement::defaults(kus.kernel));
     const SearchResult ex = search_exhaustive(pred, capped);
-    const SearchResult gr = search_greedy(pred);
-    std::printf("\ngreedy coordinate descent on %s: %zu evaluations vs %zu "
-                "exhaustive; picked %s (exhaustive: %s)\n", kus.name,
-                gr.evaluated, ex.evaluated,
-                gr.placement.to_string().c_str(),
+    const SearchResult bb = search_branch_and_bound(pred);
+    std::printf("\nbranch-and-bound on %s: %zu evaluations vs %zu "
+                "exhaustive%s; picked %s%s (exhaustive: %s)\n", kus.name,
+                bb.evaluated, ex.evaluated,
+                ex.space_truncated ? " (capped)" : "",
+                bb.placement.to_string().c_str(),
+                bb.proven_optimal ? " [proven optimal]" : "",
                 ex.placement.to_string().c_str());
   }
   return 0;

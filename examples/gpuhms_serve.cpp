@@ -70,7 +70,7 @@ void print_help() {
       "\n"
       "Long-running placement prediction/search daemon. Reads one JSON\n"
       "request per line, writes one JSON response per line, in order.\n"
-      "Ops: predict, predict_batch, search (algo=bnb|exhaustive|beam),\n"
+      "Ops: predict, predict_batch, search (algo=bnb|exhaustive),\n"
       "metrics, health, shutdown. Protocol grammar: DESIGN.md section 11;\n"
       "full operator and wire-protocol reference: docs/SERVING.md.\n"
       "SIGTERM/SIGINT drain gracefully: in-flight requests finish, new ones\n"

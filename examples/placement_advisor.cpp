@@ -17,7 +17,7 @@
 //
 // Usage: ./examples/placement_advisor [benchmark] [max_placements]
 //                                     [--arch=NAME]
-//                                     [--search=bnb|exhaustive|beam]
+//                                     [--search=bnb|exhaustive]
 //                                     [--deadline-ms=N]
 //                                     [--metrics-out=PATH] [--trace-out=PATH]
 //        (default: spmv, 64, kepler, exhaustive, no deadline, no
@@ -106,15 +106,15 @@ void print_help() {
       "                   an unknown name lists the registered backends).\n"
       "                   Latencies, bank geometry and the DRAM address map\n"
       "                   all follow the backend.\n"
-      "  --search=MODE    bnb | exhaustive | beam (default: exhaustive).\n"
+      "  --search=MODE    bnb | exhaustive (default: exhaustive).\n"
       "                   bnb covers the FULL m^n space with an admissible\n"
       "                   branch-and-bound (certified optimality gap);\n"
-      "                   beam is the fast heuristic with a root-bound\n"
-      "                   certificate; exhaustive scores every placement\n"
-      "                   up to max_placements.\n"
+      "                   exhaustive scores every placement up to\n"
+      "                   max_placements.\n"
       "  --deadline-ms=N  wall-clock budget for the search; on expiry the\n"
       "                   best-so-far placement is returned (bnb still\n"
-      "                   reports a certified gap).\n"
+      "                   reports a certified gap, which makes a deadline\n"
+      "                   on bnb the bounded-time heuristic).\n"
       "  --metrics-out=P  write the metrics registry snapshot as JSON to P\n"
       "                   ('-' for stdout); also enabled by GPUHMS_METRICS.\n"
       "  --trace-out=P    write a Chrome trace-event JSON of the scoped\n"
@@ -238,10 +238,6 @@ int main(int argc, char** argv) {
                 sr.lower_bound, 100.0 * sr.optimality_gap,
                 sr.proven_optimal ? " [proven optimal]" : "",
                 sr.nodes_expanded, sr.pruned_subtrees);
-  } else if (*algo == SearchAlgo::kBeam) {
-    std::printf("  certificate (root bound only): lower bound %.0f cycles, "
-                "gap <= %.2f%%\n",
-                sr.lower_bound, 100.0 * sr.optimality_gap);
   } else if (sr.space_truncated) {
     std::printf("  WARNING: enumeration capped at %zu placements; %llu "
                 "combinations never examined — result may be non-optimal "

@@ -21,9 +21,6 @@ class Fnv1a {
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
   static constexpr std::uint64_t kPrime = 0x100000001b3ull;
 
-  Fnv1a() = default;
-  explicit Fnv1a(std::uint64_t seed) : h_(kOffsetBasis ^ seed) {}
-
   Fnv1a& bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < n; ++i) {
@@ -70,10 +67,5 @@ class Fnv1a {
  private:
   std::uint64_t h_ = kOffsetBasis;
 };
-
-// Boost-style combiner for composing already-computed 64-bit hashes.
-inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 12) + (seed >> 4));
-}
 
 }  // namespace gpuhms

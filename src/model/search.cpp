@@ -20,11 +20,12 @@ namespace {
 // prefix is bit-identical to the same prefix of an uninterrupted run.
 constexpr std::size_t kChunk = 64;
 
-// Chunk-boundary stop test shared by the exhaustive search and the oracle.
-// Reads the cancel token first (a cancelled caller should see `cancelled`
-// even when the deadline also expired). The deadline saturates: a duration
-// that would carry now() past time_point::max() means no deadline (as in
-// deadline_from_ms), and a negative one has already expired.
+// Stop test shared by every search core: read at chunk boundaries, and by
+// branch-and-bound's seed before each candidate. Reads the cancel token
+// first (a cancelled caller should see `cancelled` even when the deadline
+// also expired). The deadline saturates: a duration that would carry now()
+// past time_point::max() means no deadline (as in deadline_from_ms), and a
+// negative one has already expired.
 struct StopWatch {
   explicit StopWatch(const SearchOptions& options)
       : cancel(options.cancel) {
@@ -152,7 +153,7 @@ SearchResult exhaustive_over(const Predictor& predictor,
   return best;
 }
 
-// --- Branch-and-bound / beam ------------------------------------------------
+// --- Branch-and-bound -------------------------------------------------------
 
 // enumerate_placement_space's odometer increments array 0 fastest, so the
 // enumeration index of a placement compares like a base-m number whose most
@@ -192,7 +193,7 @@ struct Incumbent {
   }
 };
 
-// Shared evaluation context of branch-and-bound and beam search.
+// Evaluation context of one branch-and-bound search.
 struct BnbContext {
   const Predictor* predictor = nullptr;
   const GpuArch* arch = nullptr;
@@ -230,13 +231,16 @@ BnbContext make_bnb_context(Evaluator* eval) {
 
 // Seeds the incumbent with one greedy coordinate-descent pass from the
 // sample placement — the cheap feasible solution branch-and-bound prunes
-// against from the very first node.
-void greedy_seed(const BnbContext& ctx, Incumbent* inc,
-                 std::size_t* evaluated) {
+// against from the very first node. The sample is always scored (even past
+// the deadline, as exhaustive search's first candidate is); the stop watch
+// is read before every further candidate. Returns false when it fired, with
+// the best placement scored so far offered to the incumbent.
+bool greedy_seed(const BnbContext& ctx, const StopWatch& watch,
+                 Incumbent* inc, SearchResult* res) {
   const KernelInfo& k = ctx.predictor->kernel();
   DataPlacement cur = ctx.predictor->sample_placement();
   double cur_cycles = ctx.eval->cycles(0, cur);
-  ++*evaluated;
+  ++res->evaluated;
   inc->offer(cur, cur_cycles);
   for (int array : ctx.order) {
     const auto a = static_cast<std::size_t>(array);
@@ -244,8 +248,12 @@ void greedy_seed(const BnbContext& ctx, Incumbent* inc,
       if (s == cur.of(array)) continue;
       const DataPlacement candidate = cur.with(array, s);
       if (validate_placement(k, candidate, *ctx.arch)) continue;
+      if (watch.should_stop(&res->deadline_hit, &res->cancelled)) {
+        inc->offer(cur, cur_cycles);
+        return false;
+      }
       const double c = ctx.eval->cycles(0, candidate);
-      ++*evaluated;
+      ++res->evaluated;
       if (c < cur_cycles ||
           (c == cur_cycles && enum_order_less(candidate, cur))) {
         cur = candidate;
@@ -254,33 +262,7 @@ void greedy_seed(const BnbContext& ctx, Incumbent* inc,
     }
   }
   inc->offer(cur, cur_cycles);
-}
-
-// Completes a prefix of assignments (arrays order[0..depth)) with the sample
-// placement where the capacity budgets allow it, Global otherwise — the
-// deterministic rollout the beam heuristic scores.
-DataPlacement complete_with_sample(const BnbContext& ctx,
-                                   const DataPlacement& partial,
-                                   std::size_t depth, std::size_t const_bytes,
-                                   std::size_t shared_bytes) {
-  const KernelInfo& k = ctx.predictor->kernel();
-  const DataPlacement& sample = ctx.predictor->sample_placement();
-  DataPlacement full = partial;
-  for (std::size_t d = depth; d < ctx.order.size(); ++d) {
-    const int array = ctx.order[d];
-    const ArrayDecl& decl = k.arrays[static_cast<std::size_t>(array)];
-    MemSpace s = sample.of(array);
-    if (s == MemSpace::Constant &&
-        const_bytes + decl.bytes() > ctx.arch->constant_capacity)
-      s = MemSpace::Global;
-    if (s == MemSpace::Shared &&
-        shared_bytes + decl.shared_slice_bytes() > ctx.arch->shared_capacity)
-      s = MemSpace::Global;
-    if (s == MemSpace::Constant) const_bytes += decl.bytes();
-    if (s == MemSpace::Shared) shared_bytes += decl.shared_slice_bytes();
-    full.set(array, s);
-  }
-  return full;
+  return true;
 }
 
 // One child of a branch-and-bound tree node: array order[depth] pinned to
@@ -393,35 +375,6 @@ SearchResult search_exhaustive(const Predictor& predictor,
   return exhaustive_over(predictor, options, space);
 }
 
-SearchResult search_greedy(const Predictor& predictor, int max_sweeps) {
-  const KernelInfo& k = predictor.kernel();
-  const GpuArch& arch = predictor.arch();
-  SearchResult r;
-  r.placement = predictor.sample_placement();
-  r.predicted_cycles = predictor.predict(r.placement).total_cycles;
-  ++r.evaluated;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool changed = false;
-    for (std::size_t a = 0; a < k.arrays.size(); ++a) {
-      const int array = static_cast<int>(a);
-      for (MemSpace s : kAllMemSpaces) {
-        if (s == r.placement.of(array)) continue;
-        const DataPlacement candidate = r.placement.with(array, s);
-        if (validate_placement(k, candidate, arch)) continue;
-        const double cycles = predictor.predict(candidate).total_cycles;
-        ++r.evaluated;
-        if (cycles < r.predicted_cycles) {
-          r.placement = candidate;
-          r.predicted_cycles = cycles;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return r;
-}
-
 // Depth-first over the assignment tree, best child first, pruning on
 // strictly-greater bounds (ties survive so the enumeration-order tie-break
 // stays exact), leaves batch-evaluated in kChunk buffers. Anytime: the
@@ -445,15 +398,12 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
   std::size_t visits = 0;  // stop-watch cadence (every kChunk node visits)
   bool stopped = false;
 
-  // A feasible incumbent before the first tree node: the sample placement is
-  // scored even when the deadline already expired at entry (same contract as
-  // exhaustive search's first candidate).
-  greedy_seed(ctx, &inc, &res.evaluated);
-
-  // An already-expired deadline / pre-fired cancel token skips the walk
-  // entirely but must still read as a stop: the incumbent stands, but
-  // nothing was proven about the rest of the space.
-  if (n > 0 && watch.should_stop(&res.deadline_hit, &res.cancelled)) {
+  // A feasible incumbent before the first tree node. A deadline or cancel
+  // that fires during the seed (or before the walk) skips the walk entirely
+  // but must still read as a stop: the incumbent stands, but nothing was
+  // proven about the rest of the space.
+  if (!greedy_seed(ctx, watch, &inc, &res) ||
+      (n > 0 && watch.should_stop(&res.deadline_hit, &res.cancelled))) {
     stopped = true;
   } else if (n > 0) {
     stack.emplace_back();
@@ -500,9 +450,9 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
   // the FULL legal space.
   double lb = inc.cycles;
   if (stopped && stack.empty()) {
-    // Stopped before the root was even expanded (pre-expired deadline or
-    // pre-fired cancel): the entire space is unexplored and the only honest
-    // certificate is the root bound.
+    // Stopped before the root was even expanded (during the seed, or on a
+    // pre-expired deadline or pre-fired cancel): the entire space is
+    // unexplored and the only honest certificate is the root bound.
     lb = std::min(lb, ctx.bounder.bound_cycles(ctx.bounder.root_addr_insts()));
   }
   for (const BnbFrame& f : stack)
@@ -527,91 +477,10 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
   return res;
 }
 
-// Assigns arrays level by level, keeping the options.beam_width best partial
-// assignments, each scored by a full prediction of its rollout; honors the
-// stop watch between levels.
-SearchResult search_beam(const Predictor& predictor,
-                         const SearchOptions& options) {
-  GPUHMS_SCOPED_PHASE("search.beam_ns");
-  const StopWatch watch(options);
-  Evaluator eval(predictor, options);
-  const BnbContext ctx = make_bnb_context(&eval);
-  const KernelInfo& k = predictor.kernel();
-  const std::size_t n = k.arrays.size();
-  const std::size_t width = std::max<std::size_t>(1, options.beam_width);
-
-  SearchResult res;
-  Incumbent inc;
-  greedy_seed(ctx, &inc, &res.evaluated);
-
-  struct BeamNode {
-    DataPlacement partial;       // arrays order[0..depth) pinned
-    DataPlacement completion;    // scored rollout of the prefix
-    double cycles = 0.0;
-    std::size_t const_bytes = 0;
-    std::size_t shared_bytes = 0;
-  };
-  std::vector<BeamNode> beam(1);
-  beam[0].partial =
-      DataPlacement(std::vector<MemSpace>(n, MemSpace::Global));
-
-  for (std::size_t depth = 0; depth < n; ++depth) {
-    if (watch.should_stop(&res.deadline_hit, &res.cancelled)) break;
-    const int array = ctx.order[depth];
-    const auto a = static_cast<std::size_t>(array);
-    const ArrayDecl& decl = k.arrays[a];
-    std::vector<BeamNode> candidates;
-    for (const BeamNode& node : beam) {
-      for (MemSpace s : ctx.bounder.relaxed_spaces(a)) {
-        BeamNode c;
-        c.const_bytes = node.const_bytes +
-                        (s == MemSpace::Constant ? decl.bytes() : 0);
-        c.shared_bytes =
-            node.shared_bytes +
-            (s == MemSpace::Shared ? decl.shared_slice_bytes() : 0);
-        if (c.const_bytes > ctx.arch->constant_capacity ||
-            c.shared_bytes > ctx.arch->shared_capacity)
-          continue;
-        c.partial = node.partial.with(array, s);
-        c.completion = complete_with_sample(ctx, c.partial, depth + 1,
-                                            c.const_bytes, c.shared_bytes);
-        candidates.push_back(std::move(c));
-      }
-    }
-    eval.pool.parallel_for(candidates.size(), [&](int worker, std::size_t j) {
-      candidates[j].cycles = eval.cycles(worker, candidates[j].completion);
-    });
-    res.evaluated += candidates.size();
-    for (const BeamNode& c : candidates) inc.offer(c.completion, c.cycles);
-    std::sort(candidates.begin(), candidates.end(),
-              [](const BeamNode& x, const BeamNode& y) {
-                if (x.cycles != y.cycles) return x.cycles < y.cycles;
-                return enum_order_less(x.completion, y.completion);
-              });
-    if (candidates.size() > width) candidates.resize(width);
-    beam = std::move(candidates);
-    if (beam.empty()) break;  // unreachable: all-Global always extends
-  }
-
-  res.placement = inc.placement;
-  res.predicted_cycles = inc.cycles;
-  res.incumbent_updates = inc.updates;
-  // The only certificate a heuristic beam can give: the root bound over the
-  // whole space. Loose, but >= 0 and sound.
-  res.lower_bound =
-      ctx.bounder.bound_cycles(ctx.bounder.root_addr_insts());
-  res.optimality_gap =
-      inc.cycles > 0.0 ? (inc.cycles - res.lower_bound) / inc.cycles : 0.0;
-  record_search_metrics(watch, res.evaluated, 0, res.deadline_hit,
-                        res.cancelled);
-  return res;
-}
-
 std::string_view to_string(SearchAlgo algo) {
   switch (algo) {
     case SearchAlgo::kExhaustive: return "exhaustive";
     case SearchAlgo::kBnb: return "bnb";
-    case SearchAlgo::kBeam: return "beam";
   }
   return "?";
 }
@@ -619,10 +488,9 @@ std::string_view to_string(SearchAlgo algo) {
 StatusOr<SearchAlgo> parse_search_algo(std::string_view name) {
   if (name == "exhaustive") return SearchAlgo::kExhaustive;
   if (name == "bnb") return SearchAlgo::kBnb;
-  if (name == "beam") return SearchAlgo::kBeam;
   return InvalidArgumentError("unknown search algorithm '" +
                               std::string(name) +
-                              "': expected bnb, exhaustive, or beam");
+                              "': expected bnb or exhaustive");
 }
 
 StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
@@ -646,11 +514,6 @@ StatusOr<SearchResult> try_search(const Predictor& predictor, SearchAlgo algo,
                             [&]() -> StatusOr<SearchResult> {
                               return search_branch_and_bound(predictor,
                                                              options);
-                            });
-    case SearchAlgo::kBeam:
-      return guarded_search(predictor, "beam-searching",
-                            [&]() -> StatusOr<SearchResult> {
-                              return search_beam(predictor, options);
                             });
   }
   return InvalidArgumentError("unknown SearchAlgo value " +

@@ -2,8 +2,8 @@
 // placement space is too large to implement-and-measure, so search it with
 // the predictor instead. Exhaustive search scores every legal placement;
 // branch-and-bound finds the same optimum over the full space by cutting
-// subtrees with the admissible PlacementBounder lower bound; greedy
-// coordinate descent and beam search are the heuristics. An oracle (simulate
+// subtrees with the admissible PlacementBounder lower bound, and under a
+// deadline returns its best-so-far with a certified gap. An oracle (simulate
 // everything) provides ground truth for evaluating search quality.
 //
 // The searches fan candidates out over a thread pool and share the kernel's
@@ -46,8 +46,6 @@ struct SearchOptions {
   // semantics as the deadline. The token outlives the call; the search
   // never writes it.
   const std::atomic<bool>* cancel = nullptr;
-  // Beam width for search_beam.
-  std::size_t beam_width = 8;
 };
 
 struct SearchResult {
@@ -63,13 +61,12 @@ struct SearchResult {
   bool deadline_hit = false;
   bool cancelled = false;
   std::size_t not_evaluated = 0;
-  // --- Branch-and-bound / beam certification -------------------------------
+  // --- Branch-and-bound certification --------------------------------------
   // Certified lower bound on the optimum over the FULL legal space (not just
   // the explored part) and the relative optimality gap
   // (predicted_cycles - lower_bound) / predicted_cycles. An exhaustive or
   // capped search leaves these 0; branch-and-bound always sets them (gap 0
-  // with proven_optimal when it ran to completion), beam search certifies
-  // against the root bound only.
+  // with proven_optimal when it ran to completion).
   double lower_bound = 0.0;
   double optimality_gap = 0.0;
   bool proven_optimal = false;
@@ -89,33 +86,21 @@ struct SearchResult {
 SearchResult search_exhaustive(const Predictor& predictor,
                                const SearchOptions& options = {});
 
-// Coordinate descent: sweep the arrays repeatedly, moving each to its best
-// space with the others fixed, until a full sweep changes nothing (or
-// max_sweeps is hit). Evaluates O(n_arrays x n_spaces x sweeps) placements.
-SearchResult search_greedy(const Predictor& predictor, int max_sweeps = 4);
-
 // Branch-and-bound over the FULL m^n legal space — `options.cap` is ignored;
 // this is the search to reach for when the space outgrows the exhaustive
 // enumeration cap. Arrays are assigned one at a time (highest addressing-
 // cost spread first) and subtrees are cut with the admissible
 // PlacementBounder lower bound, so the returned placement and score are
 // bit-identical to search_exhaustive on any space the latter can enumerate
-// uncapped — only cheaper. Anytime: a greedy per-array pass seeds a feasible
-// incumbent before the tree walk, deadline/cancel stop the walk with
-// best-so-far semantics, and the result always carries a certified
-// lower_bound / optimality_gap (gap 0 + proven_optimal on completion).
-// Deterministic for any num_threads.
+// uncapped — only cheaper. Anytime: the sample placement is always scored
+// first, a greedy per-array pass then seeds a better incumbent before the
+// tree walk, deadline/cancel stop the seed or the walk with best-so-far
+// semantics, and the result always carries a certified lower_bound /
+// optimality_gap (gap 0 + proven_optimal on completion). A deadline is how a
+// caller trades the proof for bounded time. Deterministic for any
+// num_threads.
 SearchResult search_branch_and_bound(const Predictor& predictor,
                                      const SearchOptions& options = {});
-
-// Deterministic beam search: assigns arrays level by level keeping the
-// options.beam_width best partial assignments, each scored by a full
-// prediction of the prefix completed with the sample placement (clamped to
-// capacity). No admissibility requirement on the heuristic — the certificate
-// is the (loose) root lower bound. O(n_arrays x beam_width x n_spaces)
-// predictions; the heuristic for spaces too large to walk to a proof.
-SearchResult search_beam(const Predictor& predictor,
-                         const SearchOptions& options = {});
 
 // --- algorithm selection -----------------------------------------------------
 // The search engines behind one switch, for surfaces that take the algorithm
@@ -123,18 +108,18 @@ SearchResult search_beam(const Predictor& predictor,
 // field). Parsing and dispatch both go through the Status layer so an
 // unknown algorithm is a structured INVALID_ARGUMENT, never a silent
 // fallback to some default engine.
-enum class SearchAlgo { kExhaustive = 0, kBnb, kBeam };
+enum class SearchAlgo { kExhaustive = 0, kBnb };
 
-// Stable lower-case names: "exhaustive", "bnb", "beam".
+// Stable lower-case names: "exhaustive", "bnb".
 std::string_view to_string(SearchAlgo algo);
 
 // Inverse of to_string; INVALID_ARGUMENT naming the token and listing the
 // valid spellings on anything else.
 StatusOr<SearchAlgo> parse_search_algo(std::string_view name);
 
-// Runs search_exhaustive / search_branch_and_bound / search_beam without
-// aborting; errors are annotated "searching" / "branch-and-bound searching" /
-// "beam-searching placements of kernel '<name>'":
+// Runs search_exhaustive / search_branch_and_bound without aborting; errors
+// are annotated "searching" / "branch-and-bound searching placements of
+// kernel '<name>'":
 //   * FAILED_PRECONDITION when the predictor has no profiled sample,
 //   * INVALID_ARGUMENT when the kernel admits no legal placement under the
 //     cap (exhaustive; the aborting core GPUHMS_CHECKs this),

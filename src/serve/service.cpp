@@ -6,7 +6,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include <poll.h>
 #include <unistd.h>
@@ -76,6 +79,52 @@ StatusOr<std::string> get_arch_name(const Json& req) {
   if (!v->is_string())
     return InvalidArgumentError("field 'arch' must be a string");
   return v->as_string();
+}
+
+// The request keys each verb accepts, space-separated, besides the keys
+// every verb accepts (kEveryVerbKeys). A key outside its verb's row is an
+// INVALID_ARGUMENT, so a misspelt or retired field is never silently
+// ignored. docs/SERVING.md's request grammar is checked against this table.
+constexpr std::string_view kEveryVerbKeys = "id op idem";
+constexpr std::pair<std::string_view, std::string_view> kVerbKeys[] = {
+    {"predict", "benchmark arch placement"},
+    {"predict_batch", "benchmark arch placements"},
+    {"search", "benchmark arch algo cap deadline_ms"},
+    {"metrics", ""},
+    {"health", ""},
+    {"shutdown", ""},
+};
+
+bool in_key_list(std::string_view list, std::string_view key) {
+  while (!list.empty()) {
+    const std::size_t end = std::min(list.find(' '), list.size());
+    if (list.substr(0, end) == key) return true;
+    list.remove_prefix(std::min(end + 1, list.size()));
+  }
+  return false;
+}
+
+// OK when every member of `req` is a key `op` accepts; INVALID_ARGUMENT
+// naming the first other key and listing the accepted ones. An unknown op
+// passes here and is answered by dispatch.
+Status check_request_keys(const Json& req, std::string_view op) {
+  const auto row = std::find_if(std::begin(kVerbKeys), std::end(kVerbKeys),
+                                [&](const auto& r) { return r.first == op; });
+  if (row == std::end(kVerbKeys)) return OkStatus();
+  for (const auto& [key, value] : req.members()) {
+    if (in_key_list(kEveryVerbKeys, key) || in_key_list(row->second, key))
+      continue;
+    std::string accepted(kEveryVerbKeys);
+    if (!row->second.empty()) accepted += " " + std::string(row->second);
+    std::string msg = "unknown field '" + key + "' for op '" +
+                      std::string(op) + "': expected one of ";
+    for (const char c : accepted) {
+      if (c == ' ') msg += ',';
+      msg += c;
+    }
+    return InvalidArgumentError(msg);
+  }
+  return OkStatus();
 }
 
 // Optional non-negative integer member; `fallback` when absent.
@@ -425,8 +474,6 @@ Json PredictionService::handle_search(const Json& request) {
   GPUHMS_ASSIGN_OR_RETURN_JSON(
       std::uint64_t deadline_ms,
       get_uint(request, "deadline_ms", ~std::uint64_t{0}));
-  GPUHMS_ASSIGN_OR_RETURN_JSON(std::uint64_t beam_width,
-                               get_uint(request, "beam_width", 8));
   if (cap == 0 || cap > options_.max_search_cap) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     GPUHMS_COUNTER_ADD("serve.rejected", 1);
@@ -436,16 +483,12 @@ Json PredictionService::handle_search(const Json& request) {
                                " outside [1, " +
                                std::to_string(options_.max_search_cap) + "]"));
   }
-  if (beam_width == 0)
-    return error_response(
-        nullptr, "", InvalidArgumentError("beam_width must be at least 1"));
 
   GPUHMS_ASSIGN_OR_RETURN_JSON(KernelEntryPtr entry,
                                kernel_entry(benchmark, arch_name));
 
   SearchOptions so;
   so.cap = static_cast<std::size_t>(cap);
-  so.beam_width = static_cast<std::size_t>(beam_width);
   // Per-request deadline: the anytime contract — on expiry the search
   // returns its best-so-far placement with deadline_hit set, never an error.
   // One too far out to represent is no deadline.
@@ -648,6 +691,11 @@ std::vector<std::string> PredictionService::handle_pipeline(
       continue;
     }
     pl.op = *op;
+    if (const Status keys = check_request_keys(pl.request, pl.op);
+        !keys.ok()) {
+      pl.response = error_response(&pl.id, pl.op, keys);
+      continue;
+    }
     if (const Json* idem = pl.request.find("idem");
         idem != nullptr && idem->is_string())
       pl.idem = idem->as_string();

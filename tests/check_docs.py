@@ -50,11 +50,11 @@ Fourteen guarantees:
      deleted counter cannot leave a stale row behind. `name[_a/_b]`
      stands for name, name_a and name_b; `name_*` is a prefix; backticks
      inside parentheses are prose, not metric names.
- 13. The field names in docs/SERVING.md's "Request grammar" block and the
-     request keys src/serve/service.cpp reads (`get_string`/`get_uint` on
-     the request, `find` on `request`/`req`) are the same set, in both
-     directions, so a deleted wire field cannot linger in the grammar and
-     a new one cannot ship undocumented.
+ 13. docs/SERVING.md's "Request grammar" block and the key table
+     src/serve/service.cpp checks every request against (`kEveryVerbKeys`
+     and the per-verb `kVerbKeys` rows) name the same verbs and, for each
+     verb, the same keys, so a deleted wire field cannot linger in the
+     grammar and a new one cannot ship undocumented.
  14. The flags examples/placement_advisor.cpp parses and the flags its
      print_help() text lists are the same set, in both directions; every
      `--flag` on a placement_advisor command line in README.md, DESIGN.md,
@@ -404,13 +404,18 @@ def check_serving_flags(root):
     return problems
 
 
-# `get_string(request, "benchmark")`, `get_uint(request, "cap", 4096)`,
-# `request.find("algo")`, `pl.request.find("id")`, `req.find("arch")`.
-REQUEST_KEY_RE = re.compile(
-    r'(?:\bget_(?:string|uint)\(\s*[\w.]+\s*,|\b(?:request|req)\.find\()'
-    r'\s*"(\w+)"')
+# The service's key table: `constexpr std::string_view kEveryVerbKeys =
+# "id op idem";` and the rows `{"search", "benchmark arch algo ..."},` of
+# `kVerbKeys[] = { ... };`.
+EVERY_VERB_KEYS_RE = re.compile(r'\bkEveryVerbKeys\s*=\s*"([\w ]*)"')
+VERB_KEYS_TABLE_RE = re.compile(r'\bkVerbKeys\[\]\s*=\s*\{(.*?)\n\};', re.S)
+VERB_KEYS_ROW_RE = re.compile(r'\{\s*"(\w+)"\s*,\s*"([\w ]*)"\s*\}')
 # A field name in the grammar: `'"cap":'`, `',"placements":['`.
 GRAMMAR_KEY_RE = re.compile(r'"(\w+)":')
+# A grammar production `name := body` (continuation lines are indented)
+# and the op a verb production spells, `'"op":"search"'`.
+PRODUCTION_RE = re.compile(r"^([\w-]+)\s*:=(.*)$")
+GRAMMAR_OP_RE = re.compile(r'"op":"(\w+)"')
 
 
 def grammar_block(md_path, heading):
@@ -435,27 +440,87 @@ def grammar_block(md_path, heading):
     return ""
 
 
+def grammar_request_keys(block):
+    """(keys every verb accepts, {verb: its own keys}) from the request
+    grammar. The common keys are "op" plus the keys of the productions
+    `request` marks optional (`id?`); a verb's keys are those its
+    production spells plus those of the productions it references in
+    brackets (`[arch]`). Comments (`# ...`) are dropped."""
+    productions, name = {}, None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        m = PRODUCTION_RE.match(line)
+        if m:
+            name = m.group(1)
+            productions[name] = m.group(2)
+        elif name is not None:
+            productions[name] += " " + line
+
+    def keys(production):
+        return set(GRAMMAR_KEY_RE.findall(productions.get(production, "")))
+
+    common = {"op"}
+    for ref in re.findall(r"([\w-]+)\?", productions.get("request", "")):
+        common |= keys(ref)
+    verbs = {}
+    for production, body in productions.items():
+        m = GRAMMAR_OP_RE.search(body)
+        if not m:
+            continue
+        own = keys(production) - {"op"}
+        for ref in re.findall(r"\[([\w-]+)\]", body):
+            own |= keys(ref)
+        verbs[m.group(1)] = own
+    return common, verbs
+
+
+def service_request_keys(source):
+    """(kEveryVerbKeys, {verb: its kVerbKeys row}) from service.cpp; None
+    when either is missing."""
+    every = EVERY_VERB_KEYS_RE.search(source)
+    table = VERB_KEYS_TABLE_RE.search(source)
+    if not every or not table:
+        return None
+    verbs = {verb: set(keys.split())
+             for verb, keys in VERB_KEYS_ROW_RE.findall(table.group(1))}
+    return set(every.group(1).split()), verbs
+
+
 def check_serving_request_keys(root):
-    """The field names in SERVING.md's request grammar and the request keys
-    src/serve/service.cpp reads must be the same set."""
+    """SERVING.md's request grammar and the key table src/serve/service.cpp
+    checks every request against must agree: the same keys for every verb,
+    the same verbs, and the same per-verb keys."""
     path = os.path.join(root, SERVING_MD)
     service = os.path.join(root, "src", "serve", "service.cpp")
     with open(service, encoding="utf-8") as f:
-        read = set(REQUEST_KEY_RE.findall(f.read()))
-    documented = set(
-        GRAMMAR_KEY_RE.findall(grammar_block(path, "Request grammar")))
-    if not read or not documented:
-        return [f"{SERVING_MD} request grammar or src/serve/service.cpp "
-                "request-key reads not found (regex rot?)"]
+        table = service_request_keys(f.read())
+    common, verbs = grammar_request_keys(
+        grammar_block(path, "Request grammar"))
+    if table is None or not table[1] or not verbs:
+        return [f"{SERVING_MD} request grammar or the src/serve/service.cpp "
+                "request-key table not found (regex rot?)"]
+    code_common, code_verbs = table
     problems = []
-    for key in sorted(documented - read):
+    if common != code_common:
         problems.append(
-            f"{SERVING_MD}: request grammar documents field '{key}', but "
-            f"src/serve/service.cpp never reads it")
-    for key in sorted(read - documented):
-        problems.append(
-            f"src/serve/service.cpp reads request field '{key}', but the "
-            f"{SERVING_MD} request grammar does not document it")
+            f"{SERVING_MD}: request grammar accepts {sorted(common)} on "
+            f"every verb, but src/serve/service.cpp's kEveryVerbKeys is "
+            f"{sorted(code_common)}")
+    for verb in sorted(set(verbs) | set(code_verbs)):
+        if verb not in code_verbs:
+            problems.append(
+                f"{SERVING_MD}: request grammar documents op '{verb}', but "
+                f"src/serve/service.cpp's kVerbKeys has no row for it")
+        elif verb not in verbs:
+            problems.append(
+                f"src/serve/service.cpp's kVerbKeys has a row for op "
+                f"'{verb}', but the {SERVING_MD} request grammar does not "
+                f"document it")
+        elif verbs[verb] != code_verbs[verb]:
+            problems.append(
+                f"{SERVING_MD}: request grammar gives op '{verb}' the keys "
+                f"{sorted(verbs[verb])}, but src/serve/service.cpp's "
+                f"kVerbKeys row accepts {sorted(code_verbs[verb])}")
     return problems
 
 

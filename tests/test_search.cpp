@@ -46,43 +46,6 @@ TEST(SearchExhaustive, RespectsCap) {
   EXPECT_GT(r.space_skipped, 0u);
 }
 
-TEST(SearchGreedy, NeverWorseThanStartingPoint) {
-  const KernelInfo k = workloads::make_vecadd(1 << 12);
-  const Predictor pred = profiled_predictor(k);
-  const double start = pred.predict(DataPlacement::defaults(k)).total_cycles;
-  const auto r = search_greedy(pred);
-  EXPECT_LE(r.predicted_cycles, start + 1e-9);
-}
-
-TEST(SearchGreedy, ProducesLegalPlacement) {
-  const KernelInfo k = workloads::make_triad(1 << 12);
-  const Predictor pred = profiled_predictor(k);
-  const auto r = search_greedy(pred);
-  EXPECT_FALSE(validate_placement(k, r.placement, kepler_arch()).has_value());
-}
-
-TEST(SearchGreedy, MatchesExhaustiveOnSmallSpaces) {
-  // On a small, well-behaved space the two searches should agree on the
-  // predicted optimum (greedy can in principle get stuck; these spaces are
-  // smooth enough that it should not).
-  for (auto make : {workloads::make_stencil2d}) {
-    const KernelInfo k = make(128, 64);
-    const Predictor pred = profiled_predictor(k);
-    const auto ex = search_exhaustive(pred);
-    const auto gr = search_greedy(pred);
-    EXPECT_NEAR(gr.predicted_cycles, ex.predicted_cycles,
-                ex.predicted_cycles * 0.01);
-  }
-}
-
-TEST(SearchGreedy, CheaperThanExhaustiveOnLargerSpaces) {
-  const KernelInfo k = workloads::make_spmv(256, 16);
-  const Predictor pred = profiled_predictor(k);
-  const auto ex = search_exhaustive(pred);
-  const auto gr = search_greedy(pred);
-  EXPECT_LT(gr.evaluated, ex.evaluated);
-}
-
 TEST(SearchOracle, BestNotWorseThanWorst) {
   const KernelInfo k = workloads::make_stencil2d(128, 64);
   const auto r = search_oracle(k, kepler_arch());

@@ -233,7 +233,7 @@ TEST(Serve, AdmissionControlRejectsOversizedInputs) {
 
 TEST(Serve, SearchDispatchesEveryAlgoAndRejectsUnknownOnes) {
   serve::PredictionService service{serve::ServeOptions{}};
-  for (const std::string algo : {"exhaustive", "bnb", "beam"}) {
+  for (const std::string algo : {"exhaustive", "bnb"}) {
     const serve::Json r = parse_ok(service.handle_line(
         R"({"id":"s","op":"search","benchmark":"triad","algo":")" + algo +
         R"(","cap":128})"));
@@ -254,7 +254,67 @@ TEST(Serve, SearchDispatchesEveryAlgoAndRejectsUnknownOnes) {
   EXPECT_NE(parse_ok(resp).find("error")->find("message")->as_string().find(
                 "simulated_annealing"),
             std::string::npos);
-  EXPECT_EQ(service.stats().searches, 3u);
+  // `beam` names no search: it is an unknown algorithm like any other,
+  // and the message lists the two that exist.
+  const std::string beam = service.handle_line(
+      R"({"op":"search","benchmark":"triad","algo":"beam"})");
+  expect_error(beam, "INVALID_ARGUMENT");
+  const std::string beam_message =
+      parse_ok(beam).find("error")->find("message")->as_string();
+  EXPECT_NE(beam_message.find("'beam'"), std::string::npos) << beam_message;
+  EXPECT_NE(beam_message.find("bnb"), std::string::npos) << beam_message;
+  EXPECT_NE(beam_message.find("exhaustive"), std::string::npos)
+      << beam_message;
+  EXPECT_EQ(service.stats().searches, 2u);
+}
+
+// Every verb accepts only the keys of its row in the service's key table
+// (plus id, op and idem): a retired or misspelt field is INVALID_ARGUMENT
+// naming it and listing what the verb accepts, never silently ignored.
+TEST(Serve, UnknownRequestKeysAreInvalidArgument) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  auto message_of = [](const std::string& resp) {
+    return parse_ok(resp).find("error")->find("message")->as_string();
+  };
+  const std::string beam_width = service.handle_line(
+      R"({"id":7,"op":"search","benchmark":"triad","beam_width":8})");
+  expect_error(beam_width, "INVALID_ARGUMENT");
+  EXPECT_EQ(parse_ok(beam_width).find("id")->as_number(), 7.0);
+  EXPECT_EQ(parse_ok(beam_width).find("op")->as_string(), "search");
+  EXPECT_EQ(message_of(beam_width),
+            "unknown field 'beam_width' for op 'search': expected one of "
+            "id, op, idem, benchmark, arch, algo, cap, deadline_ms");
+
+  const std::string misspelt = service.handle_line(
+      R"({"op":"search","benchmark":"triad","deadline_msec":5})");
+  expect_error(misspelt, "INVALID_ARGUMENT");
+  EXPECT_NE(message_of(misspelt).find("'deadline_msec'"), std::string::npos);
+
+  // A key another verb accepts is still unknown to this one.
+  const std::string predict_cap = service.handle_line(
+      R"({"op":"predict","benchmark":"triad","placement":"G,G,G","cap":4})");
+  expect_error(predict_cap, "INVALID_ARGUMENT");
+  EXPECT_EQ(message_of(predict_cap),
+            "unknown field 'cap' for op 'predict': expected one of id, op, "
+            "idem, benchmark, arch, placement");
+  expect_error(service.handle_line(R"({"op":"metrics","verbose":true})"),
+               "INVALID_ARGUMENT");
+  EXPECT_EQ(service.stats().searches, 0u);
+  EXPECT_EQ(service.stats().predictions, 0u);
+
+  // Every key a load generator sends (id, op, benchmark, arch, algo,
+  // placement, placements) plus idem is accepted by the verbs that take it.
+  for (const std::string line :
+       {R"({"id":"a","op":"predict","benchmark":"triad","arch":"kepler",)"
+        R"("placement":"G,G,G","idem":"k1"})",
+        R"({"id":"b","op":"predict_batch","benchmark":"triad",)"
+        R"("arch":"kepler","placements":["G,G,G"]})",
+        R"({"id":"c","op":"search","benchmark":"triad","arch":"kepler",)"
+        R"("algo":"bnb","cap":16,"deadline_ms":60000})",
+        R"({"id":"d","op":"metrics"})", R"({"id":"e","op":"health"})"}) {
+    const serve::Json r = parse_ok(service.handle_line(line));
+    EXPECT_TRUE(r.find("ok")->as_bool()) << line;
+  }
 }
 
 // The wire key `pruned` carries branch-and-bound's pruned_subtrees: a bnb

@@ -283,7 +283,6 @@ struct AlgoCase {
 const AlgoCase kAlgoCases[] = {
     {SearchAlgo::kExhaustive, search_exhaustive, "searching"},
     {SearchAlgo::kBnb, search_branch_and_bound, "branch-and-bound searching"},
-    {SearchAlgo::kBeam, search_beam, "beam-searching"},
 };
 
 TEST(TryApi, SearchWithoutSampleIsFailedPrecondition) {
