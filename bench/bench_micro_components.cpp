@@ -88,8 +88,9 @@ void BM_TraceMaterialize(benchmark::State& state) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   const auto p = DataPlacement::defaults(k);
   const TraceMaterializer mat(k, p, kepler_arch());
+  const TraceSkeleton skeleton(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mat.generate(0, 4));
+    benchmark::DoNotOptimize(mat.generate(skeleton, 0, 4));
   }
   state.SetItemsProcessed(state.iterations() * 4);
 }

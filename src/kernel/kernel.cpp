@@ -73,20 +73,4 @@ WarpCtx record_warp(const KernelInfo& k, std::int64_t block,
   return ctx;
 }
 
-void for_each_warp(
-    const KernelInfo& k, std::int64_t block_begin, std::int64_t block_end,
-    const std::function<void(const WarpCtx&, std::vector<DslOp>&&)>& sink) {
-  GPUHMS_CHECK(k.fn != nullptr);
-  GPUHMS_CHECK(0 <= block_begin && block_begin <= block_end &&
-               block_end <= k.num_blocks);
-  const int wpb = k.warps_per_block();
-  for (std::int64_t b = block_begin; b < block_end; ++b) {
-    for (int w = 0; w < wpb; ++w) {
-      std::vector<DslOp> ops;
-      const WarpCtx ctx = record_warp(k, b, w, ops);
-      sink(ctx, std::move(ops));
-    }
-  }
-}
-
 }  // namespace gpuhms

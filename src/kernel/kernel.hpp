@@ -151,10 +151,4 @@ Status validate(const KernelInfo& k);
 WarpCtx record_warp(const KernelInfo& k, std::int64_t block,
                     int warp_in_block, std::vector<DslOp>& ops);
 
-// Runs `fn` for every warp of the blocks [block_begin, block_end) and hands
-// each recorded stream to `sink(ctx, ops)`.
-void for_each_warp(
-    const KernelInfo& k, std::int64_t block_begin, std::int64_t block_end,
-    const std::function<void(const WarpCtx&, std::vector<DslOp>&&)>& sink);
-
 }  // namespace gpuhms

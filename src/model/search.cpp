@@ -394,6 +394,7 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
 
   std::vector<BnbFrame> stack;
   std::vector<DataPlacement> pending;  // leaf buffer, flushed per kChunk
+  std::vector<double> pending_bounds;  // the buffered leaves' bounds
   DataPlacement cur(std::vector<MemSpace>(n, MemSpace::Global));
   std::size_t visits = 0;  // stop-watch cadence (every kChunk node visits)
   bool stopped = false;
@@ -430,7 +431,17 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
       cur.set(ctx.order[depth], child.space);
       if (depth + 1 == n) {
         pending.push_back(cur);
-        if (pending.size() >= kChunk) flush_leaves(ctx, &pending, &inc, &res);
+        pending_bounds.push_back(child.bound);
+        if (pending.size() >= kChunk) {
+          // The watch is read before every chunk is scored, so a stop
+          // costs at most the chunk already in flight.
+          if (watch.should_stop(&res.deadline_hit, &res.cancelled)) {
+            stopped = true;
+            break;
+          }
+          flush_leaves(ctx, &pending, &inc, &res);
+          pending_bounds.clear();
+        }
         continue;
       }
       ++res.nodes_expanded;
@@ -439,16 +450,17 @@ SearchResult search_branch_and_bound(const Predictor& predictor,
                      child.shared_bytes, &stack[stack.size() - 1]);
     }
   }
-  // The final partial chunk (or, on an early stop, the buffered leaves —
-  // one chunk of work at most, the same granularity exhaustive search
-  // stops at).
-  flush_leaves(ctx, &pending, &inc, &res);
+  // The final partial chunk is scored on a completed walk; on a stop the
+  // buffered leaves are dropped unscored.
+  if (!stopped) flush_leaves(ctx, &pending, &inc, &res);
 
-  // Certification: everything unexplored lives under a frontier child (or a
-  // pruned subtree, whose bound exceeded an incumbent value >= the final
-  // one), so min(incumbent, frontier bounds) lower-bounds the optimum over
-  // the FULL legal space.
+  // Certification: everything unexplored lives under a frontier child, a
+  // dropped leaf (or a pruned subtree, whose bound exceeded an incumbent
+  // value >= the final one), so min(incumbent, frontier and dropped-leaf
+  // bounds) lower-bounds the optimum over the FULL legal space.
   double lb = inc.cycles;
+  if (stopped)
+    for (double b : pending_bounds) lb = std::min(lb, b);
   if (stopped && stack.empty()) {
     // Stopped before the root was even expanded (during the seed, or on a
     // pre-expired deadline or pre-fired cancel): the entire space is

@@ -110,9 +110,9 @@ class TraceAnalyzer {
 
   // Replays the (kernel, placement) trace in analysis order. With a
   // skeleton (recorded from this analyzer's kernel) the data-oriented SoA
-  // engine answers; without one, the kernel function is re-run and every
-  // lowered op is walked — the reference the SoA engine is tested against,
-  // bit for bit.
+  // engine answers; without one, a skeleton is recorded for the call and
+  // every lowered op is walked, coalescing from its lane addresses — the
+  // reference the SoA engine is tested against, bit for bit.
   PlacementEvents analyze(const DataPlacement& placement,
                           const TraceSkeleton* skeleton = nullptr);
 

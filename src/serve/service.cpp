@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -242,22 +243,13 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
     if (!backend.ok()) return backend.status();
     entry->arch = (*backend)->arch;
   }
-  bool found = false;
-  for (auto suite :
-       {workloads::training_suite(), workloads::evaluation_suite()}) {
-    for (auto& c : suite) {
-      if (c.name == benchmark) {
-        entry->bench = std::move(c);
-        found = true;
-        break;
-      }
-    }
-    if (found) break;
-  }
-  if (!found)
+  std::optional<workloads::BenchmarkCase> bench =
+      workloads::find_benchmark(benchmark);
+  if (!bench)
     return InvalidArgumentError("unknown benchmark '" + benchmark +
                                 "' (not in the Table IV training or "
                                 "evaluation suite)");
+  entry->bench = std::move(*bench);
 
   const ModelOptions model_options{};
   entry->predictor = std::make_unique<Predictor>(
@@ -696,9 +688,14 @@ std::vector<std::string> PredictionService::handle_pipeline(
       pl.response = error_response(&pl.id, pl.op, keys);
       continue;
     }
-    if (const Json* idem = pl.request.find("idem");
-        idem != nullptr && idem->is_string())
-      pl.idem = idem->as_string();
+    if (pl.request.find("idem") != nullptr) {
+      const StatusOr<std::string> idem = get_string(pl.request, "idem");
+      if (!idem.ok()) {
+        pl.response = error_response(&pl.id, pl.op, idem.status());
+        continue;
+      }
+      pl.idem = *idem;
+    }
     if (pl.op == "predict") {
       const StatusOr<std::string> benchmark =
           get_string(pl.request, "benchmark");

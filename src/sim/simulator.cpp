@@ -16,7 +16,7 @@ namespace {
 
 constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
 
-// One resident warp: a cursor lowering its recorded DSL stream op by op,
+// One resident warp: a cursor lowering its recorded proto stream op by op,
 // plus its scheduling state.
 struct Warp {
   LoweringCursor cursor;
@@ -37,10 +37,16 @@ struct Warp {
 struct BlockSlot {
   int warps_done = 0;
   int parked = 0;  // warps finished or waiting at the barrier
-  // This block's DSL streams when no skeleton was passed (the cursors point
-  // into them while the block runs; their capacity carries over from block
-  // to block).
-  std::vector<TraceSkeleton::WarpRecord> recorded;
+};
+
+// One array's memoized skeleton tables under the run's placement, indexed
+// by a body access's ordinal: its coalesced lines (off-chip spaces), its
+// distinct words (Constant) or its bank-conflict degree (Shared).
+struct ArrayTables {
+  const std::uint32_t* line_begin = nullptr;
+  const std::uint64_t* lines = nullptr;
+  const std::uint8_t* words = nullptr;
+  const std::uint8_t* degree = nullptr;
 };
 
 // Warps of slot b are warps[b * wpb .. (b + 1) * wpb). gate[i] caches
@@ -79,11 +85,12 @@ class Engine {
   void advance_stalled(Sm& sm);
 
   const GpuArch& arch_;
+  std::unique_ptr<const TraceSkeleton> recorded_;  // when none was passed
   const TraceSkeleton* skeleton_;
   SimOptions opts_;
   TraceMaterializer mat_;  // the placement's lowering rules and layout
   int wpb_;
-  std::size_t longest_stream_ = 0;  // DSL ops of the longest warp recorded
+  std::vector<ArrayTables> tables_;  // per array
   GddrSystem gddr_;
   SetAssocCache l2_;
   std::vector<Sm> sms_;
@@ -94,41 +101,54 @@ class Engine {
 Engine::Engine(const GpuArch& arch, const KernelInfo& kernel,
                const DataPlacement& placement, const TraceSkeleton* skeleton,
                SimOptions opts)
-    : arch_(arch), skeleton_(skeleton), opts_(opts),
-      mat_(kernel, placement, arch), wpb_(kernel.warps_per_block()),
+    : arch_(arch), opts_(opts), mat_(kernel, placement, arch),
+      wpb_(kernel.warps_per_block()),
       gddr_(arch, arch_mapping(arch), opts.record_interarrivals),
       l2_(l2_config(arch)) {
-  GPUHMS_CHECK_MSG(skeleton == nullptr || &skeleton->kernel() == &kernel,
+  if (skeleton == nullptr) {
+    recorded_ = std::make_unique<const TraceSkeleton>(kernel);
+    skeleton = recorded_.get();
+  }
+  GPUHMS_CHECK_MSG(&skeleton->kernel() == &kernel,
                    "skeleton recorded from a different kernel");
+  skeleton_ = skeleton;
+  // The tables the SoA replay reads, bound once per run: a body access
+  // reads its requests from them instead of recomputing lane addresses.
+  const std::span<const std::uint64_t> mem_ops = skeleton->mem_ops_per_array();
+  tables_.resize(kernel.arrays.size());
+  for (std::size_t a = 0; a < tables_.size(); ++a) {
+    if (mem_ops[a] == 0) continue;
+    const int array = static_cast<int>(a);
+    const MemSpace space = placement.of(array);
+    ArrayTables& t = tables_[a];
+    if (space == MemSpace::Shared) {
+      t.degree = skeleton->shared_fold(array, arch.shared_banks).degree.data();
+      continue;
+    }
+    const TraceSkeleton::LinePool& lp =
+        skeleton->line_pool(array, space == MemSpace::Texture2D,
+                            mat_.layout(), arch.cache_line);
+    t.line_begin = lp.begin.data();
+    t.lines = lp.lines.data();
+    if (space == MemSpace::Constant)
+      t.words = skeleton->const_words_pool(array, mat_.layout()).data();
+  }
 }
 
 // Returns false when every warp of the block has an empty stream: such a
 // block is finished as soon as it is loaded.
 bool Engine::load_block(Sm& sm, int slot_idx, std::int64_t block_id) {
   BlockSlot& slot = sm.slots[static_cast<std::size_t>(slot_idx)];
-  std::span<const TraceSkeleton::WarpRecord> records;
-  if (skeleton_ != nullptr) {
-    records = skeleton_->warps(block_id, block_id + 1);
-  } else {
-    for (int w = 0; w < wpb_; ++w) {
-      TraceSkeleton::WarpRecord& rec =
-          slot.recorded[static_cast<std::size_t>(w)];
-      // Warps of one kernel record streams of similar length: sizing a
-      // fresh buffer to the longest seen so far skips its regrowth.
-      rec.ops.reserve(longest_stream_);
-      rec.ctx = record_warp(mat_.kernel(), block_id, w, rec.ops);
-      longest_stream_ = std::max(longest_stream_, rec.ops.size());
-    }
-    records = slot.recorded;
-  }
+  const std::size_t wpb = static_cast<std::size_t>(wpb_);
+  const std::size_t first = static_cast<std::size_t>(block_id) * wpb;
   slot.warps_done = 0;
-  for (std::size_t w = 0; w < records.size(); ++w) {
+  for (std::size_t w = 0; w < wpb; ++w) {
     if (GPUHMS_FAULT_POINT("trace.lower"))
       throw InjectedFault("trace.lower: injected failure lowering warp trace");
-    const std::size_t wi = static_cast<std::size_t>(slot_idx * wpb_) + w;
+    const std::size_t wi = static_cast<std::size_t>(slot_idx) * wpb + w;
     Warp& ws = sm.warps[wi];
     ws = Warp{};
-    ws.cursor = LoweringCursor(mat_, records[w].ctx, records[w].ops);
+    ws.cursor = LoweringCursor(mat_, *skeleton_, first + w);
     ws.issue_free = sm.time;
     if (ws.cursor.done()) ++slot.warps_done;
     sm.gate[wi] = ws.gate();
@@ -164,9 +184,10 @@ void Engine::release_sync_if_ready(Sm& sm, int slot_idx, std::uint64_t t) {
   slot.parked = slot.warps_done;
 }
 
-// Handles the memory op at a warp's cursor, issued at t: computes its lane
-// addresses, forms transactions, walks the cache hierarchy, books
-// counters/replays, and returns the data-ready time.
+// Handles the memory op at a warp's cursor, issued at t: takes its requests
+// from the skeleton's tables (a staging copy computes its lane addresses),
+// walks the cache hierarchy, books counters/replays, and returns the
+// data-ready time.
 std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
                                 std::uint64_t t, std::uint64_t& slots) {
   const bool is_store = op.cls() == OpClass::Store;
@@ -174,24 +195,46 @@ std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
   std::uint64_t completion = t + 1;
   ++c_.ldst_executed;
 
-  std::int64_t addr[kWarpSize];
-  const std::uint32_t active_mask = op.lane_addresses(addr);
   const MemSpace space = op.space();
-
   // Fully predicated-off memory instructions still issue but touch nothing.
+  const std::uint32_t active_mask = op.active_mask();
   if (active_mask == 0) return completion;
+
+  // The access's coalesced lines (off-chip spaces), distinct words
+  // (Constant) and bank-conflict degree (Shared).
+  std::uint64_t buf[kWarpSize];
+  std::span<const std::uint64_t> lines;
+  int words = 1;
+  int degree = 1;
+  if (op.staging()) {
+    std::int64_t addr[kWarpSize];
+    op.lane_addresses(addr);
+    if (space == MemSpace::Shared) {
+      degree = shared_conflict_degree(active_mask, addr, arch_.shared_banks);
+    } else {
+      lines = std::span(buf, static_cast<std::size_t>(coalesce_lines_buf(
+                                 active_mask, addr, arch_.cache_line, buf)));
+    }
+  } else {
+    const ArrayTables& t = tables_[static_cast<std::size_t>(op.array())];
+    const std::uint32_t ord = op.ordinal();
+    if (space == MemSpace::Shared) {
+      degree = t.degree[ord];
+    } else {
+      lines = std::span(t.lines + t.line_begin[ord],
+                        t.line_begin[ord + 1] - t.line_begin[ord]);
+      if (space == MemSpace::Constant) words = t.words[ord];
+    }
+  }
 
   switch (space) {
     case MemSpace::Global: {
-      std::uint64_t lines[kWarpSize];
-      const int nl =
-          coalesce_lines_buf(active_mask, addr, arch_.cache_line, lines);
-      const auto n = static_cast<std::uint64_t>(nl);
+      const auto n = static_cast<std::uint64_t>(lines.size());
       ++c_.global_requests;
       c_.global_transactions += n;
       c_.replay_global_divergence += n - 1;
       slots += n - 1;
-      for (std::uint64_t line : std::span(lines, static_cast<std::size_t>(nl))) {
+      for (std::uint64_t line : lines) {
         ++c_.l2_transactions;
         if (!l2_.access(line, is_store)) {
           ++c_.l2_misses;
@@ -206,12 +249,9 @@ std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
     }
     case MemSpace::Texture1D:
     case MemSpace::Texture2D: {
-      std::uint64_t lines[kWarpSize];
-      const int nl =
-          coalesce_lines_buf(active_mask, addr, arch_.cache_line, lines);
       ++c_.tex_requests;
-      c_.tex_transactions += static_cast<std::uint64_t>(nl);
-      for (std::uint64_t line : std::span(lines, static_cast<std::size_t>(nl))) {
+      c_.tex_transactions += lines.size();
+      for (std::uint64_t line : lines) {
         if (sm.tex_cache->access(line, false)) {
           completion = std::max(completion, t + arch_.tex_cache_hit_lat);
           continue;
@@ -229,14 +269,10 @@ std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
       break;
     }
     case MemSpace::Constant: {
-      std::uint64_t lines[kWarpSize];
-      const int nl =
-          coalesce_lines_buf(active_mask, addr, arch_.cache_line, lines);
-      const int div = distinct_words(active_mask, addr);
       ++c_.const_requests;
-      c_.replay_const_divergence += static_cast<std::uint64_t>(div - 1);
-      slots += static_cast<std::uint64_t>(div - 1);
-      for (std::uint64_t line : std::span(lines, static_cast<std::size_t>(nl))) {
+      c_.replay_const_divergence += static_cast<std::uint64_t>(words - 1);
+      slots += static_cast<std::uint64_t>(words - 1);
+      for (std::uint64_t line : lines) {
         if (sm.const_cache->access(line, false)) {
           completion = std::max(completion, t + arch_.const_cache_hit_lat);
           continue;
@@ -256,8 +292,6 @@ std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
       break;
     }
     case MemSpace::Shared: {
-      const int degree =
-          shared_conflict_degree(active_mask, addr, arch_.shared_banks);
       ++c_.shared_requests;
       c_.shared_bank_conflicts += static_cast<std::uint64_t>(degree - 1);
       c_.replay_shared_conflict += static_cast<std::uint64_t>(degree - 1);
@@ -416,10 +450,6 @@ SimResult Engine::run() {
     sm.warps.resize(warps);
     sm.gate.assign(warps, kInf);
     sm.slots.resize(static_cast<std::size_t>(blocks_per_sm));
-    if (skeleton_ == nullptr) {
-      for (BlockSlot& slot : sm.slots)
-        slot.recorded.resize(static_cast<std::size_t>(wpb_));
-    }
     sm.next_block = static_cast<std::int64_t>(s);
     for (int b = 0; b < blocks_per_sm; ++b) refill(sm, b);
     // The initial fill leaves empty only trailing slots, and those never

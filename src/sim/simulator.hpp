@@ -12,11 +12,12 @@
 // evaluation compares predictions against.
 //
 // No trace is materialized: every resident warp is a LoweringCursor over
-// its recorded DSL stream (from a TraceSkeleton when one is passed,
-// otherwise from its block re-run through the kernel function when the
-// block is loaded), which yields the ops TraceMaterializer::generate would
-// build, one at a time, with lane addresses computed at issue. Memory stays
-// at one block's DSL streams per block slot however large the kernel is.
+// its warp of a TraceSkeleton (the one passed, or one recorded for the run),
+// which yields the ops TraceMaterializer::generate would build, one at a
+// time. A body access takes its coalesced lines, constant-space words and
+// shared bank-conflict degree from the skeleton's memoized tables — the ones
+// the model's SoA replay reads, so both see the same requests by
+// construction; only staging copies compute lane addresses at issue.
 #pragma once
 
 #include <memory>

@@ -17,67 +17,92 @@ std::uint32_t active_mask_of(const LaneIdx& idx) {
   return m;
 }
 
+namespace {
+
+// Writes the kWarpSize lane byte addresses `to(e)` of the element indices
+// `idx` into `addr` (inactive lanes: -1).
+template <class To>
+void lane_bytes(const LaneIdx& idx, To&& to, std::int64_t* addr) {
+  for (int l = 0; l < kWarpSize; ++l) {
+    const std::int64_t e = idx[static_cast<std::size_t>(l)];
+    addr[l] = e == kInactiveLane ? -1 : static_cast<std::int64_t>(to(e));
+  }
+}
+
+template <class T>
+std::size_t bytes_of(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
 TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
     : kernel_(&kernel),
+      lanes_(kernel.arrays.size()),
       mem_ops_per_array_(kernel.arrays.size(), 0) {
   GPUHMS_SCOPED_PHASE("trace.skeleton_record_ns");
   GPUHMS_COUNTER_ADD("trace.skeletons_recorded", 1);
-  warps_.reserve(static_cast<std::size_t>(kernel.total_warps()));
-  proto_begin_.reserve(static_cast<std::size_t>(kernel.total_warps()) + 1);
+  const std::size_t total_warps =
+      static_cast<std::size_t>(kernel.total_warps());
+  const int wpb = kernel.warps_per_block();
+  ctx_.reserve(total_warps);
+  proto_begin_.reserve(total_warps + 1);
   proto_begin_.push_back(0);
-  for_each_warp(kernel, 0, kernel.num_blocks,
-                [&](const WarpCtx& ctx, std::vector<DslOp>&& ops) {
-                  for (std::size_t i = 0; i < ops.size(); ++i) {
-                    const DslOp& op = ops[i];
-                    ProtoOp p;
-                    p.cls = op.cls;
-                    p.uses_prev = op.uses_prev;
-                    switch (op.cls) {
-                      case OpClass::Load:
-                      case OpClass::Store: {
-                        ++base_insts_;
-                        if (op.cls == OpClass::Load) ++base_load_insts_;
-                        const auto a = static_cast<std::size_t>(op.array);
-                        p.array = op.array;
-                        p.active_mask = active_mask_of(op.idx);
-                        p.ordinal =
-                            static_cast<std::uint32_t>(mem_ops_per_array_[a]);
-                        p.dsl_index = static_cast<std::uint32_t>(i);
-                        ++mem_ops_per_array_[a];
-                        break;
-                      }
-                      case OpClass::Sync:
-                        ++base_insts_;
-                        p.active_mask = 0xffffffffu;
-                        break;
-                      default:
-                        base_insts_ += op.count;
-                        p.count = op.count;
-                        p.active_mask = 0xffffffffu;
-                        break;
-                    }
-                    proto_.push_back(p);
-                  }
-                  proto_begin_.push_back(
-                      static_cast<std::uint32_t>(proto_.size()));
-                  warps_.push_back({ctx, std::move(ops)});
-                });
-  device_pools_.resize(kernel.arrays.size() * 2);
-  pool_once_ = std::make_unique<std::once_flag[]>(kernel.arrays.size() * 2);
+  // Every warp records into one reused buffer; only its digest is kept.
+  std::vector<DslOp> ops;
+  for (std::int64_t b = 0; b < kernel.num_blocks; ++b) {
+    for (int w = 0; w < wpb; ++w) {
+      ctx_.push_back(record_warp(kernel, b, w, ops));
+      for (const DslOp& op : ops) {
+        ProtoOp p;
+        p.cls = op.cls;
+        p.uses_prev = op.uses_prev;
+        switch (op.cls) {
+          case OpClass::Load:
+          case OpClass::Store: {
+            ++base_insts_;
+            if (op.cls == OpClass::Load) ++base_load_insts_;
+            const auto a = static_cast<std::size_t>(op.array);
+            p.array = op.array;
+            p.active_mask = active_mask_of(op.idx);
+            p.ordinal = static_cast<std::uint32_t>(mem_ops_per_array_[a]);
+            ++mem_ops_per_array_[a];
+            lanes_[a].push_back(op.idx);
+            break;
+          }
+          case OpClass::Sync:
+            ++base_insts_;
+            p.active_mask = 0xffffffffu;
+            break;
+          default:
+            base_insts_ += op.count;
+            p.count = op.count;
+            p.active_mask = 0xffffffffu;
+            break;
+        }
+        proto_.push_back(p);
+      }
+      proto_begin_.push_back(static_cast<std::uint32_t>(proto_.size()));
+    }
+  }
+  proto_.shrink_to_fit();
+  for (std::vector<LaneIdx>& pool : lanes_) pool.shrink_to_fit();
 
   // SoA replay tables: digest the proto stream into per-warp memory-record
   // ranges plus the placement-invariant tallies the data-oriented path folds
   // analytically (see the header for the dependency/chain rules mirrored
   // from TraceMaterializer::lower).
-  const std::size_t num_warps = warps_.size();
+  const std::size_t num_warps = ctx_.size();
   const std::size_t num_arrays = kernel.arrays.size();
+  std::uint64_t mem_ops = 0;
+  for (std::uint64_t n : mem_ops_per_array_) mem_ops += n;
   inv_ops_.resize(num_warps);
   mem_cnt_.assign(num_warps * num_arrays, 0);
   invariants_.mem_uses_prev.assign(num_arrays, 0);
   invariants_.chain_mem_up.assign(num_arrays, 0);
   invariants_.unmasked.assign(num_arrays, 0);
   invariants_.unmasked_loads.assign(num_arrays, 0);
-  mem_rec_.reserve(static_cast<std::size_t>(base_insts_));
+  mem_rec_.reserve(static_cast<std::size_t>(mem_ops));
   mem_rec_begin_.reserve(num_warps + 1);
   mem_rec_begin_.push_back(0);
   for (std::size_t w = 0; w < num_warps; ++w) {
@@ -175,26 +200,37 @@ const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
   const std::size_t slot =
       static_cast<std::size_t>(array) * 2 + (block_linear ? 1 : 0);
   std::call_once(table.once[slot], [&] {
-    const std::span<const AddrBlock> pool =
-        device_addr_pool(array, block_linear, layout);
+    const std::size_t a = static_cast<std::size_t>(array);
+    const ArrayDecl& arr = kernel_->arrays[a];
+    // Fixed per-array allocation base: identical under every placement, so
+    // one table serves the whole search.
+    const std::uint64_t base = layout.device_base(array);
+    const std::vector<LaneIdx>& pool = lanes_[a];
     LinePool& lp = table.pools[slot];
     lp.line_size = line_size;
     lp.begin.reserve(pool.size() + 1);
     lp.begin.push_back(0);
     lp.lines.reserve(pool.size());
+    std::int64_t addr[kWarpSize];
     std::uint64_t buf[kWarpSize];
-    // mem_rec_ is warp-major, so the records of `array` appear in ordinal
-    // order; masked-off ops keep an empty range (they form no requests).
-    for (const MemRecord& r : mem_rec_) {
-      if (r.array != array) continue;
-      const int n = r.active_mask == 0
-                        ? 0
-                        : coalesce_lines_buf(r.active_mask,
-                                             pool[r.ordinal].data(), line_size,
-                                             buf);
+    // Masked-off ops keep an empty range (they form no requests).
+    for (const LaneIdx& idx : pool) {
+      const std::uint32_t mask = active_mask_of(idx);
+      int n = 0;
+      if (mask != 0) {
+        lane_bytes(
+            idx,
+            [&](std::int64_t e) {
+              return base + (block_linear ? block_linear_offset(arr, e)
+                                          : pitch_linear_offset(arr, e));
+            },
+            addr);
+        n = coalesce_lines_buf(mask, addr, line_size, buf);
+      }
       lp.lines.insert(lp.lines.end(), buf, buf + n);
       lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
     }
+    lp.lines.shrink_to_fit();
   });
   return table.pools[slot];
 }
@@ -203,16 +239,23 @@ std::span<const std::uint8_t> TraceSkeleton::const_words_pool(
     int array, const MemoryLayout& layout) const {
   const std::size_t a = static_cast<std::size_t>(array);
   std::call_once(const_once_[a], [&] {
-    const std::span<const AddrBlock> pool =
-        device_addr_pool(array, /*block_linear=*/false, layout);
+    const ArrayDecl& arr = kernel_->arrays[a];
+    const std::uint64_t base = layout.device_base(array);
+    const std::vector<LaneIdx>& pool = lanes_[a];
     std::vector<std::uint8_t>& words = const_words_[a];
     words.reserve(pool.size());
-    for (const MemRecord& r : mem_rec_) {
-      if (r.array != array) continue;
-      words.push_back(static_cast<std::uint8_t>(
-          r.active_mask == 0
-              ? 0
-              : distinct_words(r.active_mask, pool[r.ordinal].data())));
+    std::int64_t addr[kWarpSize];
+    for (const LaneIdx& idx : pool) {
+      const std::uint32_t mask = active_mask_of(idx);
+      int n = 0;
+      if (mask != 0) {
+        lane_bytes(
+            idx,
+            [&](std::int64_t e) { return base + pitch_linear_offset(arr, e); },
+            addr);
+        n = distinct_words(mask, addr);
+      }
+      words.push_back(static_cast<std::uint8_t>(n));
     }
   });
   return const_words_[a];
@@ -239,71 +282,48 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
     const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
     SharedFold& fold = table.folds[a];
     fold.num_banks = num_banks;
-    fold.degree.reserve(mem_ops_per_array_[a]);
-    std::int64_t addrs[kWarpSize];
-    for (std::size_t w = 0; w < warps_.size(); ++w) {
-      const WarpRecord& rec = warps_[w];
-      for (const ProtoOp& p : proto(w)) {
-        if (!is_memory(p.cls) || p.array != array) continue;
-        std::uint8_t deg = 1;
-        if (p.active_mask != 0) {
-          const LaneIdx& idx = rec.ops[p.dsl_index].idx;
-          for (int l = 0; l < kWarpSize; ++l) {
-            const std::int64_t e = idx[static_cast<std::size_t>(l)];
-            addrs[l] = e == kInactiveLane ? -1 : e % slice * esize;
-          }
-          deg = static_cast<std::uint8_t>(
-              shared_conflict_degree(p.active_mask, addrs, num_banks));
-          fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
-        }
-        fold.degree.push_back(deg);
+    fold.degree.reserve(lanes_[a].size());
+    std::int64_t addr[kWarpSize];
+    for (const LaneIdx& idx : lanes_[a]) {
+      const std::uint32_t mask = active_mask_of(idx);
+      std::uint8_t deg = 1;
+      if (mask != 0) {
+        lane_bytes(idx, [&](std::int64_t e) { return e % slice * esize; },
+                   addr);
+        deg = static_cast<std::uint8_t>(
+            shared_conflict_degree(mask, addr, num_banks));
+        fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
       }
+      fold.degree.push_back(deg);
     }
   });
   return table.folds[a];
 }
 
-std::span<const AddrBlock> TraceSkeleton::device_addr_pool(
-    int array, bool block_linear, const MemoryLayout& layout) const {
-  const std::size_t slot =
-      static_cast<std::size_t>(array) * 2 + (block_linear ? 1 : 0);
-  std::call_once(pool_once_[slot], [&] {
-    const std::size_t a = static_cast<std::size_t>(array);
-    const ArrayDecl& arr = kernel_->arrays[a];
-    // Fixed per-array allocation base: identical under every placement, so
-    // one pool serves the whole search.
-    const std::uint64_t base = layout.device_base(array);
-    std::vector<AddrBlock>& pool = device_pools_[slot];
-    pool.resize(mem_ops_per_array_[a]);
-    std::size_t ord = 0;
-    for (const WarpRecord& w : warps_) {
-      for (const DslOp& op : w.ops) {
-        if (!is_memory(op.cls) || op.array != array) continue;
-        AddrBlock& blk = pool[ord++];
-        for (int l = 0; l < kWarpSize; ++l) {
-          const std::int64_t e = op.idx[static_cast<std::size_t>(l)];
-          blk[static_cast<std::size_t>(l)] =
-              e == kInactiveLane
-                  ? -1
-                  : static_cast<std::int64_t>(
-                        base + (block_linear ? block_linear_offset(arr, e)
-                                             : pitch_linear_offset(arr, e)));
-        }
-      }
-    }
-  });
-  return device_pools_[slot];
-}
-
-std::span<const TraceSkeleton::WarpRecord> TraceSkeleton::warps(
-    std::int64_t block_begin, std::int64_t block_end) const {
-  GPUHMS_CHECK(0 <= block_begin && block_begin <= block_end &&
-               block_end <= kernel_->num_blocks);
-  const std::size_t wpb =
-      static_cast<std::size_t>(kernel_->warps_per_block());
-  return std::span<const WarpRecord>(
-      warps_.data() + static_cast<std::size_t>(block_begin) * wpb,
-      static_cast<std::size_t>(block_end - block_begin) * wpb);
+std::size_t TraceSkeleton::footprint_bytes() const {
+  std::size_t n = sizeof(*this) + bytes_of(ctx_) + bytes_of(proto_) +
+                  bytes_of(proto_begin_) + bytes_of(lanes_) +
+                  bytes_of(mem_ops_per_array_) + bytes_of(mem_rec_) +
+                  bytes_of(mem_rec_begin_) + bytes_of(inv_ops_) +
+                  bytes_of(mem_cnt_) + bytes_of(invariants_.mem_uses_prev) +
+                  bytes_of(invariants_.chain_mem_up) +
+                  bytes_of(invariants_.unmasked) +
+                  bytes_of(invariants_.unmasked_loads) +
+                  bytes_of(const_words_);
+  for (const std::vector<LaneIdx>& pool : lanes_) n += bytes_of(pool);
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  for (const std::vector<std::uint8_t>& words : const_words_)
+    n += bytes_of(words);
+  for (const std::unique_ptr<LineTable>& t : line_tables_) {
+    n += sizeof(LineTable) + bytes_of(t->pools);
+    for (const LinePool& lp : t->pools)
+      n += bytes_of(lp.begin) + bytes_of(lp.lines);
+  }
+  for (const std::unique_ptr<FoldTable>& t : fold_tables_) {
+    n += sizeof(FoldTable) + bytes_of(t->folds);
+    for (const SharedFold& f : t->folds) n += bytes_of(f.degree);
+  }
+  return n;
 }
 
 TraceMaterializer::TraceMaterializer(const KernelInfo& kernel,
@@ -325,8 +345,16 @@ TraceMaterializer::TraceMaterializer(const KernelInfo& kernel,
 }
 
 LoweringCursor::LoweringCursor(const TraceMaterializer& mat,
-                               const WarpCtx& ctx, std::span<const DslOp> ops)
-    : mat_(&mat), op_(ops.data()), end_(ops.data() + ops.size()),
+                               const TraceSkeleton& skeleton, std::size_t warp)
+    : LoweringCursor(mat, skeleton.warp_ctx(warp), &skeleton,
+                     skeleton.proto(warp)) {}
+
+LoweringCursor::LoweringCursor(const TraceMaterializer& mat,
+                               const WarpCtx& ctx,
+                               const TraceSkeleton* skeleton,
+                               std::span<const ProtoOp> ops)
+    : mat_(&mat), skeleton_(skeleton), op_(ops.data()),
+      end_(ops.data() + ops.size()),
       stage_(mat.staged_arrays_.empty() ? -1 : 0),
       chunk_(static_cast<std::int64_t>(ctx.warp_in_block) * kWarpSize),
       block_(ctx.block), warp_in_block_(ctx.warp_in_block), done_(false) {
@@ -371,7 +399,7 @@ void LoweringCursor::settle() {
     step_ = 0;
   }
   for (; op_ != end_; ++op_, step_ = 0) {
-    const DslOp& op = *op_;
+    const ProtoOp& op = *op_;
     switch (op.cls) {
       case OpClass::Load:
       case OpClass::Store: {
@@ -436,8 +464,8 @@ std::uint32_t LoweringCursor::active_mask() const {
     return left >= kWarpSize ? 0xffffffffu
                              : (1u << static_cast<unsigned>(left)) - 1;
   }
-  if (stage_ < 0 && (is_memory(cls_) || addr_calc_))
-    return active_mask_of(op_->idx);
+  // Compute and sync protos carry every lane.
+  if (stage_ < 0) return op_->active_mask;
   return 0xffffffffu;
 }
 
@@ -471,8 +499,9 @@ std::uint32_t LoweringCursor::lane_addresses(std::int64_t* addr) const {
     return mask;
   }
   const bool shared = space() == MemSpace::Shared;
+  const LaneIdx& idx = skeleton_->lane_idx(array, op_->ordinal);
   for (int l = 0; l < kWarpSize; ++l) {
-    const std::int64_t e = op_->idx[static_cast<std::size_t>(l)];
+    const std::int64_t e = idx[static_cast<std::size_t>(l)];
     if (e == kInactiveLane) {
       addr[l] = -1;
       continue;
@@ -504,27 +533,31 @@ void TraceMaterializer::emit(LoweringCursor cursor,
 
 void TraceMaterializer::staging_preamble(const WarpCtx& ctx,
                                          std::vector<TraceOp>& out) const {
-  emit(LoweringCursor(*this, ctx, {}), out);
+  emit(LoweringCursor(*this, ctx, nullptr, {}), out);
 }
 
 std::vector<WarpTrace> TraceMaterializer::generate(
-    std::int64_t block_begin, std::int64_t block_end) const {
+    const TraceSkeleton& skeleton, std::int64_t block_begin,
+    std::int64_t block_end) const {
+  GPUHMS_CHECK_MSG(&skeleton.kernel() == kernel_,
+                   "skeleton recorded from a different kernel");
+  GPUHMS_CHECK(0 <= block_begin && block_begin <= block_end &&
+               block_end <= kernel_->num_blocks);
+  const std::size_t wpb = static_cast<std::size_t>(kernel_->warps_per_block());
+  const std::size_t w0 = static_cast<std::size_t>(block_begin) * wpb;
+  const std::size_t w1 = static_cast<std::size_t>(block_end) * wpb;
   GPUHMS_COUNTER_ADD("trace.waves_lowered", 1);
-  GPUHMS_COUNTER_ADD("trace.warps_lowered",
-                     (block_end - block_begin) * kernel_->warps_per_block());
+  GPUHMS_COUNTER_ADD("trace.warps_lowered", w1 - w0);
   std::vector<WarpTrace> traces;
-  traces.reserve(static_cast<std::size_t>(
-      (block_end - block_begin) * kernel_->warps_per_block()));
-  for_each_warp(*kernel_, block_begin, block_end,
-                [&](const WarpCtx& ctx, std::vector<DslOp>&& ops) {
-                  if (GPUHMS_FAULT_POINT("trace.lower"))
-                    throw InjectedFault(
-                        "trace.lower: injected failure lowering warp trace");
-                  WarpTrace wt;
-                  wt.ctx = ctx;
-                  emit(LoweringCursor(*this, ctx, ops), wt.ops);
-                  traces.push_back(std::move(wt));
-                });
+  traces.reserve(w1 - w0);
+  for (std::size_t w = w0; w < w1; ++w) {
+    if (GPUHMS_FAULT_POINT("trace.lower"))
+      throw InjectedFault("trace.lower: injected failure lowering warp trace");
+    WarpTrace wt;
+    wt.ctx = skeleton.warp_ctx(w);
+    emit(LoweringCursor(*this, skeleton, w), wt.ops);
+    traces.push_back(std::move(wt));
+  }
   return traces;
 }
 

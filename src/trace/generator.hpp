@@ -9,7 +9,6 @@
 // "initialization phase").
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -25,27 +24,21 @@ struct WarpTrace {
   std::vector<TraceOp> ops;
 };
 
-// 32 lane byte addresses of one warp-level memory op (inactive lanes: -1).
-using AddrBlock = std::array<std::int64_t, kWarpSize>;
-
 // Placement-independent recording of every warp's DSL stream. A placement
 // only changes the space-dependent decoration of a trace (addressing-mode
 // instructions, byte addresses, staging preambles) — the access *skeleton*
 // recorded here is shared by all m^n placements of a kernel, so a search
 // records it once and replays it per candidate instead of re-running the
-// kernel function. Immutable after construction; safe to share across
-// threads.
+// kernel function. It keeps only what its readers use: one ProtoOp per DSL
+// op, one WarpCtx per warp, and the lane element indices of the memory ops
+// alone (compute ops and syncs carry none). Immutable after construction;
+// safe to share across threads.
 class TraceSkeleton {
  public:
   explicit TraceSkeleton(const KernelInfo& kernel);
 
-  struct WarpRecord {
-    WarpCtx ctx;
-    std::vector<DslOp> ops;
-  };
-
   // Pre-digested DSL op: the active mask and the per-array memory-op ordinal
-  // (the index into the device address pools) are placement-invariant, so
+  // (the index into the per-array tables below) are placement-invariant, so
   // they are computed once here instead of per candidate.
   struct ProtoOp {
     OpClass cls = OpClass::IAlu;
@@ -53,31 +46,29 @@ class TraceSkeleton {
     std::int16_t array = -1;       // memory ops
     std::uint16_t count = 1;       // compute ops
     std::uint32_t active_mask = 0;
-    std::uint32_t ordinal = 0;     // memory ops: per-array pool index
-    std::uint32_t dsl_index = 0;   // memory ops: index into WarpRecord::ops
+    std::uint32_t ordinal = 0;     // memory ops: per-array table index
   };
 
   const KernelInfo& kernel() const { return *kernel_; }
-  // Records of the warps of blocks [block_begin, block_end), block-major in
-  // the same order for_each_warp visits them.
-  std::span<const WarpRecord> warps(std::int64_t block_begin,
-                                    std::int64_t block_end) const;
-  const WarpRecord& warp(std::size_t index) const { return warps_[index]; }
-  // Proto stream of warp `index` (same warp numbering as warps()).
-  std::span<const ProtoOp> proto(std::size_t index) const {
+  // Warps are numbered block-major: warp w is warp w % warps_per_block of
+  // block w / warps_per_block.
+  std::size_t num_warps() const { return ctx_.size(); }
+  const WarpCtx& warp_ctx(std::size_t warp) const { return ctx_[warp]; }
+  // Proto stream of warp `warp`.
+  std::span<const ProtoOp> proto(std::size_t warp) const {
     return std::span<const ProtoOp>(
-        proto_.data() + proto_begin_[index],
-        proto_begin_[index + 1] - proto_begin_[index]);
+        proto_.data() + proto_begin_[warp],
+        proto_begin_[warp + 1] - proto_begin_[warp]);
+  }
+  // Lane element indices of memory op `ordinal` of `array` (ProtoOp::ordinal
+  // and MemRecord::ordinal index this; inactive lanes: kInactiveLane).
+  const LaneIdx& lane_idx(int array, std::uint32_t ordinal) const {
+    return lanes_[static_cast<std::size_t>(array)][ordinal];
   }
 
-  // Device byte addresses of every memory op of `array`, in skeleton order
-  // (ProtoOp::ordinal indexes this). Placement-invariant: every array keeps
-  // a fixed device allocation, so only the intra-allocation layout — pitch-
-  // linear for Global/Constant/Texture1D, block-linear for Texture2D —
-  // distinguishes placements. Built lazily on first use, thread-safe, and
-  // shared by all analyzers replaying this skeleton.
-  std::span<const AddrBlock> device_addr_pool(int array, bool block_linear,
-                                              const MemoryLayout& layout) const;
+  // Bytes held by the skeleton's containers (their capacity), memoized
+  // tables included. Not synchronized with a table build in flight.
+  std::size_t footprint_bytes() const;
 
   // --- SoA replay support (consumed by src/trace/soa.*) ---------------------
   // Per-warp stream of the *memory* protos only, pre-digested so the
@@ -137,8 +128,9 @@ class TraceSkeleton {
   // Memoized coalescing results, per (array, layout, line_size): the device
   // addresses of an array are placement-invariant (fixed allocation,
   // Sec. III-E), so the ascending deduplicated line list of every memory op —
-  // exactly what coalesce_lines produces — is too. Built lazily like the
-  // address pools, with one table per distinct `line_size`, so a skeleton
+  // exactly what coalesce_lines produces — is too. Built lazily (the lane
+  // addresses are computed from lane_idx while building and never kept),
+  // with one table per distinct `line_size`, so a skeleton
   // shared across architectures (a cross-arch study, or serve answering for
   // a heterogeneous fleet) memoizes each cache-line geometry independently.
   struct LinePool {
@@ -151,7 +143,8 @@ class TraceSkeleton {
                             std::size_t line_size) const;
 
   // Distinct 4-byte words per ordinal over the linear device addresses
-  // (constant-space divergence replays, Eq. 3 cause 3).
+  // (constant-space divergence replays, Eq. 3 cause 3), built like the line
+  // pools.
   std::span<const std::uint8_t> const_words_pool(
       int array, const MemoryLayout& layout) const;
 
@@ -186,15 +179,13 @@ class TraceSkeleton {
 
  private:
   const KernelInfo* kernel_;
-  std::vector<WarpRecord> warps_;  // all blocks, block-major
+  std::vector<WarpCtx> ctx_;      // per warp, block-major
   std::vector<ProtoOp> proto_;    // all warps, concatenated
   std::vector<std::uint32_t> proto_begin_;  // per-warp ranges, size warps+1
+  std::vector<std::vector<LaneIdx>> lanes_;  // per array, in ordinal order
   std::uint64_t base_insts_ = 0;
   std::uint64_t base_load_insts_ = 0;
   std::vector<std::uint64_t> mem_ops_per_array_;
-  // Lazily-built device address pools, two per array (linear, block-linear).
-  mutable std::vector<std::vector<AddrBlock>> device_pools_;
-  mutable std::unique_ptr<std::once_flag[]> pool_once_;
   // SoA replay tables (built in the constructor from the proto stream).
   std::vector<MemRecord> mem_rec_;            // all warps, concatenated
   std::vector<std::uint32_t> mem_rec_begin_;  // per-warp ranges, size warps+1
@@ -244,10 +235,12 @@ class TraceMaterializer {
   // every array moved into shared memory; ends with a Sync when nonempty.
   void staging_preamble(const WarpCtx& ctx, std::vector<TraceOp>& out) const;
 
-  // Full trace (staging + lowered body) for every warp of the block range:
-  // the analysis full walk's input. The simulator walks the same sequence
+  // Full trace (staging + lowered body) for every warp of the block range,
+  // lowered from `skeleton` (recorded from this materializer's kernel): the
+  // analysis full walk's input. The simulator walks the same sequence
   // lazily, one LoweringCursor per resident warp, instead.
-  std::vector<WarpTrace> generate(std::int64_t block_begin,
+  std::vector<WarpTrace> generate(const TraceSkeleton& skeleton,
+                                  std::int64_t block_begin,
                                   std::int64_t block_end) const;
 
  private:
@@ -265,29 +258,36 @@ class TraceMaterializer {
   std::vector<int> staged_arrays_;
 };
 
-// Lazy lowering of one warp's DSL stream under a materializer's placement.
-// It walks exactly the expanded op sequence generate() emits for the warp,
-// one op at a time: the staging preamble (per staged array and nonempty
-// copy-in chunk, the Global addressing inserts, a Global load and a Shared
-// store; then a Sync), then the body (per DSL op, a compute run of `count`
-// ops, the array's addressing inserts followed by the access, or a Sync).
-// A memory op's lane addresses are computed only when asked for, so the
-// simulator issues from cursors without materializing anything; generate()
-// drains them. The materializer and the DSL ops must outlive the cursor.
+// Lazy lowering of one recorded warp under a materializer's placement. It
+// walks exactly the expanded op sequence generate() emits for the warp, one
+// op at a time: the staging preamble (per staged array and nonempty copy-in
+// chunk, the Global addressing inserts, a Global load and a Shared store;
+// then a Sync), then the body (per proto op, a compute run of `count` ops,
+// the array's addressing inserts followed by the access, or a Sync). A
+// memory op's lane addresses are computed only when asked for; the
+// simulator asks only in the preamble and reads a body access's lines,
+// words and bank-conflict degree from the skeleton's tables by ordinal().
+// generate() drains cursors. The materializer and the skeleton must outlive
+// the cursor.
 class LoweringCursor {
  public:
   LoweringCursor() = default;  // done()
-  LoweringCursor(const TraceMaterializer& mat, const WarpCtx& ctx,
-                 std::span<const DslOp> ops);
+  LoweringCursor(const TraceMaterializer& mat, const TraceSkeleton& skeleton,
+                 std::size_t warp);
 
   bool done() const { return done_; }
   // The op at the cursor (meaningless once done()).
   OpClass cls() const { return cls_; }
   bool uses_prev() const { return uses_prev_; }
   bool is_addr_calc() const { return addr_calc_; }
+  // In the staging preamble (its ops are not in the skeleton's tables).
+  bool staging() const { return stage_ >= 0; }
   // Memory ops: the access's placed space and array.
   MemSpace space() const;
   int array() const;
+  // Body memory ops: the access's index into the skeleton's per-array
+  // tables (lane_idx, line_pool, const_words_pool, shared_fold).
+  std::uint32_t ordinal() const { return op_->ordinal; }
   // The access's lanes for a memory op and its addressing inserts; every
   // lane for compute ops and Syncs.
   std::uint32_t active_mask() const;
@@ -301,13 +301,20 @@ class LoweringCursor {
   }
 
  private:
+  friend class TraceMaterializer;
+  using ProtoOp = TraceSkeleton::ProtoOp;
+
+  // `skeleton` may be null when `ops` is empty (the staging preamble alone).
+  LoweringCursor(const TraceMaterializer& mat, const WarpCtx& ctx,
+                 const TraceSkeleton* skeleton, std::span<const ProtoOp> ops);
   // Moves onto the next expanded op at or after the position and decodes
   // it; sets done_ past the end of the stream.
   void settle();
 
   const TraceMaterializer* mat_ = nullptr;
-  const DslOp* op_ = nullptr;  // current body op
-  const DslOp* end_ = nullptr;
+  const TraceSkeleton* skeleton_ = nullptr;  // null: preamble only
+  const ProtoOp* op_ = nullptr;  // current body op
+  const ProtoOp* end_ = nullptr;
   std::uint32_t step_ = 0;     // expanded op within the current group
   int stage_ = -1;             // preamble: staged-array index (== count:
                                // the closing Sync); -1 in the body

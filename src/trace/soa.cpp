@@ -114,7 +114,7 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     if (GPUHMS_FAULT_POINT("trace.lower"))
       throw InjectedFault("trace.lower: injected failure lowering warp trace");
     const std::size_t gw = w0 + wi;
-    const WarpCtx& ctx = skeleton_->warp(gw).ctx;
+    const WarpCtx& ctx = skeleton_->warp_ctx(gw);
     const std::uint16_t warp_sm =
         static_cast<std::uint16_t>(ctx.block % num_sms);
     std::uint32_t preamble_len = 0;

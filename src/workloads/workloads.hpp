@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -87,7 +88,10 @@ std::vector<BenchmarkCase> training_suite();
 // convolution, md, matrixMul, spmv, transpose.
 std::vector<BenchmarkCase> event_screening_suite();
 
-// Lookup by name across both suites; aborts on unknown names.
+// Builds only the named case of either suite; nullopt for unknown names.
+std::optional<BenchmarkCase> find_benchmark(std::string_view name);
+
+// find_benchmark that aborts on unknown names.
 BenchmarkCase get_benchmark(std::string_view name);
 
 }  // namespace gpuhms::workloads

@@ -48,7 +48,8 @@ std::string signature(const std::vector<TraceOp>& ops) {
 
 std::string warp0_signature(const KernelInfo& k, const DataPlacement& p) {
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const TraceSkeleton skeleton(k);
+  const auto traces = mat.generate(skeleton, 0, 1);
   return signature(traces.front().ops);
 }
 

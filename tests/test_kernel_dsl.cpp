@@ -41,24 +41,17 @@ TEST(KernelInfo, ArrayLookup) {
   EXPECT_EQ(k.array("x").elems, 4096u);
 }
 
-TEST(ForEachWarp, VisitsEveryWarpInOrder) {
+TEST(RecordWarp, RecordsOneWarpIntoAReusedBuffer) {
   const KernelInfo k = tiny_kernel(3, 64);
-  std::vector<std::pair<std::int64_t, int>> visited;
-  for_each_warp(k, 0, k.num_blocks,
-                [&](const WarpCtx& ctx, std::vector<DslOp>&& ops) {
-                  visited.emplace_back(ctx.block, ctx.warp_in_block);
-                  EXPECT_EQ(ops.size(), 3u);  // ialu + load + falu(count=2)
-                });
-  ASSERT_EQ(visited.size(), 6u);
-  EXPECT_EQ(visited.front(), (std::pair<std::int64_t, int>{0, 0}));
-  EXPECT_EQ(visited.back(), (std::pair<std::int64_t, int>{2, 1}));
-}
-
-TEST(ForEachWarp, BlockRangeSubsets) {
-  const KernelInfo k = tiny_kernel(4, 64);
-  int count = 0;
-  for_each_warp(k, 1, 3, [&](const WarpCtx&, std::vector<DslOp>&&) { ++count; });
-  EXPECT_EQ(count, 2 * 2);
+  std::vector<DslOp> ops;
+  const WarpCtx ctx = record_warp(k, 2, 1, ops);
+  EXPECT_EQ(ctx.block, 2);
+  EXPECT_EQ(ctx.warp_in_block, 1);
+  EXPECT_EQ(ops.size(), 3u);  // ialu + load + falu(count=2)
+  const DslOp* storage = ops.data();
+  record_warp(k, 0, 0, ops);
+  EXPECT_EQ(ops.size(), 3u);  // cleared first, not appended to
+  EXPECT_EQ(ops.data(), storage);
 }
 
 TEST(WarpEmitter, ComputeCountsExpand) {

@@ -7,10 +7,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "arch/arch_registry.hpp"
 #include "common/hashing.hpp"
+#include "common/obs.hpp"
 #include "common/rng.hpp"
 #include "model/search.hpp"
 #include "test_util.hpp"
@@ -292,6 +294,57 @@ TEST(SearchBnb, CancelTokenStopsTheWalk) {
   EXPECT_EQ(r.evaluated, 1u);
   EXPECT_EQ(r.placement, pred.sample_placement());
   EXPECT_EQ(r.nodes_expanded, 0u);
+}
+
+// The walk reads the stop watch before it scores each leaf chunk, and on a
+// stop drops the buffered leaves unscored, folding their bounds into the
+// certificate: once a stop is observed, at most the chunk already in
+// flight gets scored. A watcher fires the token once two chunks have been
+// scored, then reads the chunk count; at most one more chunk may follow.
+// bnb_synth(7) on fermi walks about nine chunks when left alone.
+TEST(SearchBnb, StopScoresAtMostTheChunkInFlight) {
+  const KernelInfo k = workloads::make_bnb_synth(7);
+  const GpuArch& fermi = ArchRegistry::builtin().find("fermi")->arch;
+  Predictor pred(k, fermi);
+  ASSERT_TRUE(pred.try_profile_sample(DataPlacement::defaults(k)).ok());
+  SearchOptions o;
+  o.num_threads = 1;
+  // The uninterrupted walk's proven optimum is the enumerator's (the
+  // exactness tests above check B&B against it bit for bit).
+  const SearchResult done = search_branch_and_bound(pred, o);
+  ASSERT_TRUE(done.proven_optimal);
+
+  const bool was = obs::metrics_active();
+  obs::set_enabled(true);
+  obs::reset_all_metrics();
+  const auto chunks = [] {
+    const obs::MetricsSnapshot s = obs::snapshot();
+    const auto* c = s.find_counter("search.chunks");
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  std::atomic<bool> cancel{false};
+  std::uint64_t chunks_at_stop = 0;
+  std::thread watcher([&] {
+    while (chunks() < 2)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    cancel.store(true);
+    chunks_at_stop = chunks();
+  });
+  o.cancel = &cancel;
+  const SearchResult r = search_branch_and_bound(pred, o);
+  watcher.join();
+  const std::uint64_t scored = chunks();
+  obs::reset_all_metrics();
+  obs::set_enabled(was);
+
+  ASSERT_TRUE(r.cancelled) << "the walk finished before the token fired";
+  EXPECT_FALSE(r.proven_optimal);
+  EXPECT_LE(scored, chunks_at_stop + 1);
+  EXPECT_LT(r.evaluated, done.evaluated);
+  // The certificate stays sound with the dropped leaves folded in.
+  EXPECT_LE(r.lower_bound, done.predicted_cycles);
+  EXPECT_LE(r.lower_bound, r.predicted_cycles);
+  EXPECT_FALSE(validate_placement(k, r.placement, fermi).has_value());
 }
 
 // --- error contract ----------------------------------------------------------

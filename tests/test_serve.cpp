@@ -606,6 +606,24 @@ TEST(Serve, IdempotentReplayIsByteIdenticalAndWorksWhileDraining) {
                "UNAVAILABLE");
 }
 
+// A non-string idem is a mistyped field like any other: INVALID_ARGUMENT,
+// no model work, and nothing memoized under it.
+TEST(Serve, NonStringIdemIsInvalidArgument) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  const std::string line =
+      R"({"id":3,"op":"predict","benchmark":"triad",)"
+      R"("placement":"G,G,G","idem":5})";
+  const std::string first = service.handle_line(line);
+  expect_error(first, "INVALID_ARGUMENT");
+  const serve::Json r = parse_ok(first);
+  EXPECT_EQ(r.find("id")->as_number(), 3.0);
+  EXPECT_EQ(r.find("error")->find("message")->as_string(),
+            "field 'idem' must be a string");
+  EXPECT_EQ(service.handle_line(line), first);
+  EXPECT_EQ(service.stats().predictions, 0u);
+  EXPECT_EQ(service.stats().idem_hits, 0u);
+}
+
 TEST(Serve, WatchdogCancelsRunawaySearchesAndSparesFastOnes) {
   {
     // A generous watchdog never fires on a small search.

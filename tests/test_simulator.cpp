@@ -207,8 +207,10 @@ TEST(Simulator, PartialTailBlockHandled) {
 // samples, for every Table IV placement (training and evaluation suites,
 // samples and tests) legal on every registered arch, under both warp
 // schedulers. The pinned digests were computed with the engine that lowered
-// every block into materialized TraceOp vectors; the skeleton-fed cursor
-// engine must reproduce them bit for bit.
+// every block into materialized TraceOp vectors and coalesced every access
+// from its lane addresses; the cursor engine, which reads a body access's
+// requests from the skeleton's memoized tables, must reproduce them bit for
+// bit.
 
 void mix_result(Fnv1a& h, const SimResult& r,
                 const std::vector<std::vector<std::uint64_t>>& samples) {
@@ -258,8 +260,11 @@ std::vector<GoldenCase> table_iv_cases(
   return out;
 }
 
-// Folds the per-run digests arch-major, in suite order. Each case also runs
-// from a skeleton recorded once per kernel, which must give the same result.
+// Folds the per-run digests arch-major, in suite order. Each case runs twice:
+// "plain" (no skeleton passed, so the run records a fresh one and builds its
+// tables itself) and "fed" (one skeleton per kernel, shared by all of the
+// kernel's cases on every registered arch, so each arch's line size and bank
+// count gets its own tables beside the others'); both must agree.
 std::uint64_t sweep_digest(WarpScheduler scheduler, std::size_t* runs) {
   const auto training = workloads::training_suite();
   const auto evaluation = workloads::evaluation_suite();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/addressing.hpp"
+#include "workloads/workloads.hpp"
 
 namespace gpuhms {
 namespace {
@@ -25,6 +26,13 @@ KernelInfo one_load_kernel(MemSpace def = MemSpace::Global) {
   return k;
 }
 
+// The full lowering of blocks [b0, b1) from a freshly recorded skeleton.
+std::vector<WarpTrace> lower(const TraceMaterializer& mat, std::int64_t b0,
+                             std::int64_t b1) {
+  const TraceSkeleton skeleton(mat.kernel());
+  return mat.generate(skeleton, b0, b1);
+}
+
 int count_addr_calcs(const std::vector<TraceOp>& ops) {
   int n = 0;
   for (const auto& op : ops) n += op.is_addr_calc;
@@ -42,7 +50,7 @@ TEST(Materializer, GlobalPlacementInsertsTwoAddrInstructions) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const auto traces = lower(mat, 0, 1);
   ASSERT_EQ(traces.size(), 2u);
   // load x: 2 addr IALUs, falu, store y: 2 addr IALUs -> 4 total.
   EXPECT_EQ(count_addr_calcs(traces[0].ops), 4);
@@ -58,7 +66,7 @@ TEST_P(MaterializeSpace, AddrCalcCountsFollowTable) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k).with(0, space);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const auto traces = lower(mat, 0, 1);
   // Staging (shared only) adds its own global addr calcs; count only the
   // body by looking after the final Sync when staging exists.
   const auto& ops = traces[0].ops;
@@ -84,7 +92,7 @@ TEST(Materializer, LoadDependsOnItsAddressCalc) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const auto traces = lower(mat, 0, 1);
   const auto& ops = traces[0].ops;
   ASSERT_EQ(ops[2].cls, OpClass::Load);
   EXPECT_TRUE(ops[2].uses_prev);
@@ -94,7 +102,7 @@ TEST(Materializer, Texture1DLoadKeepsDslDependency) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k).with(0, MemSpace::Texture1D);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const auto traces = lower(mat, 0, 1);
   // No addr calc for 1-D texture; the load keeps uses_prev = false.
   ASSERT_EQ(traces[0].ops[0].cls, OpClass::Load);
   EXPECT_FALSE(traces[0].ops[0].uses_prev);
@@ -104,7 +112,7 @@ TEST(Materializer, AddressesMatchLayout) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(1, 2);  // second block
+  const auto traces = lower(mat, 1, 2);  // second block
   const auto& ld = traces[0].ops[2];
   ASSERT_EQ(ld.cls, OpClass::Load);
   // Block 1, warp 0 -> warp_global_id 2 -> element 64.
@@ -119,14 +127,14 @@ TEST(Materializer, StagingPreambleOnlyForArraysMovedIntoShared) {
   const TraceMaterializer mat1(
       k_shared_default, DataPlacement::defaults(k_shared_default),
       kepler_arch());
-  const auto t1 = mat1.generate(0, 1);
+  const auto t1 = lower(mat1, 0, 1);
   for (const auto& op : t1[0].ops) EXPECT_NE(op.cls, OpClass::Sync);
 
   // Global-by-default array moved to shared gets the copy-in + barrier.
   const KernelInfo k = one_load_kernel(MemSpace::Global);
   const auto p = DataPlacement::defaults(k).with(0, MemSpace::Shared);
   const TraceMaterializer mat2(k, p, kepler_arch());
-  const auto t2 = mat2.generate(0, 1);
+  const auto t2 = lower(mat2, 0, 1);
   bool has_sync = false, has_shared_store = false;
   for (const auto& op : t2[0].ops) {
     has_sync = has_sync || op.cls == OpClass::Sync;
@@ -142,7 +150,7 @@ TEST(Materializer, StagingCoversTheWholeSlice) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k).with(0, MemSpace::Shared);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const auto traces = lower(mat, 0, 1);
   for (const auto& wt : traces) {
     int staged_lanes = 0;
     for (const auto& op : wt.ops) {
@@ -167,10 +175,78 @@ TEST(Materializer, InactiveLanesGetNoAddresses) {
     }));
   };
   const TraceMaterializer mat(k, DataPlacement::defaults(k), kepler_arch());
-  const auto traces = mat.generate(0, 1);
+  const auto traces = lower(mat, 0, 1);
   const auto& ld = traces[0].ops[2];
   EXPECT_EQ(popcount32(ld.active_mask), 4);
   EXPECT_EQ(ld.addr[10], -1);
+}
+
+// The skeleton keeps one ProtoOp per DSL op and lane element indices for
+// its memory ops alone (none for compute ops or syncs), and its memoized
+// tables keep no lane addresses once built: its footprint is bounded by a
+// formula over DSL ops and memory ops, and a table costs only its entries.
+TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
+  using Skel = TraceSkeleton;
+  constexpr std::size_t kSlack = 4096;  // headers, per-array bookkeeping
+  for (const char* name : {"md5hash", "matrixmul"}) {
+    SCOPED_TRACE(name);
+    const workloads::BenchmarkCase c = workloads::get_benchmark(name);
+    const KernelInfo& k = c.kernel;
+    const Skel skeleton(k);
+    std::size_t dsl_ops = 0;
+    for (std::size_t w = 0; w < skeleton.num_warps(); ++w)
+      dsl_ops += skeleton.proto(w).size();
+    std::size_t mem_ops = 0;
+    for (std::uint64_t n : skeleton.mem_ops_per_array())
+      mem_ops += static_cast<std::size_t>(n);
+    const std::size_t warps = skeleton.num_warps();
+    const std::size_t arrays = k.arrays.size();
+    ASSERT_EQ(warps, static_cast<std::size_t>(k.total_warps()));
+    const std::size_t wpb = static_cast<std::size_t>(k.warps_per_block());
+    for (std::size_t w = 0; w < warps; ++w) {  // block-major
+      EXPECT_EQ(skeleton.warp_ctx(w).block, static_cast<std::int64_t>(w / wpb));
+      EXPECT_EQ(skeleton.warp_ctx(w).warp_in_block,
+                static_cast<int>(w % wpb));
+    }
+    // Per warp: its context, its proto and memory-record range starts, its
+    // invariant op count and its per-array memory-op counts.
+    const std::size_t per_warp = sizeof(WarpCtx) +
+                                 3 * sizeof(std::uint32_t) +
+                                 arrays * sizeof(std::uint32_t);
+    const std::size_t recorded =
+        dsl_ops * sizeof(Skel::ProtoOp) +
+        mem_ops * (sizeof(LaneIdx) + sizeof(Skel::MemRecord)) +
+        (warps + 2) * per_warp + kSlack;
+    EXPECT_LE(skeleton.footprint_bytes(), recorded);
+    // md5hash is nearly all compute: one lane index block per DSL op would
+    // cost it over 10x more.
+    if (std::string(name) == "md5hash") {
+      EXPECT_GT(dsl_ops, 100 * mem_ops);
+      EXPECT_LT(skeleton.footprint_bytes() * 10, dsl_ops * sizeof(DslOp));
+    }
+
+    // Every table of every array, both layouts: the footprint grows by the
+    // tables' exact entries, not by a block of lane addresses per memory op.
+    const std::size_t before = skeleton.footprint_bytes();
+    const MemoryLayout layout(k, c.sample, kepler_arch());
+    const std::size_t line = kepler_arch().cache_line;
+    const int banks = kepler_arch().shared_banks;
+    std::size_t entries = 0;
+    for (std::size_t a = 0; a < arrays; ++a) {
+      const int array = static_cast<int>(a);
+      for (bool block_linear : {false, true}) {
+        if (block_linear && k.arrays[a].width == 0) continue;
+        const Skel::LinePool& lp =
+            skeleton.line_pool(array, block_linear, layout, line);
+        ASSERT_EQ(lp.begin.size(), skeleton.mem_ops_per_array()[a] + 1);
+        entries += lp.begin.size() * sizeof(std::uint32_t) +
+                   lp.lines.size() * sizeof(std::uint64_t);
+      }
+      entries += skeleton.const_words_pool(array, layout).size();
+      entries += skeleton.shared_fold(array, banks).degree.size();
+    }
+    EXPECT_LE(skeleton.footprint_bytes() - before, entries + kSlack);
+  }
 }
 
 }  // namespace
