@@ -59,18 +59,6 @@ std::size_t parse_size(const char* arg, const char* what) {
   return static_cast<std::size_t>(v);
 }
 
-std::optional<workloads::BenchmarkCase> find_benchmark(
-    const std::string& name, std::vector<std::string>* known) {
-  for (auto suite : {workloads::training_suite(),
-                     workloads::evaluation_suite()}) {
-    for (auto& c : suite) {
-      if (known != nullptr) known->push_back(c.name);
-      if (c.name == name) return std::move(c);
-    }
-  }
-  return std::nullopt;
-}
-
 // Accepts both --flag=value and --flag value spellings; returns nullptr
 // when `arg` is not this flag, dies when the value is missing.
 const char* flag_value(const char* arg, const char* flag, int argc,
@@ -180,9 +168,15 @@ int main(int argc, char** argv) {
   if (metrics_out) obs::set_enabled(true);
   if (trace_out) obs::start_tracing();
 
-  std::vector<std::string> known;
-  const auto bench = find_benchmark(name, &known);
+  const std::optional<workloads::BenchmarkCase> bench =
+      workloads::find_benchmark(name);
   if (!bench) {
+    // Only an unknown name pays for building the suites, to list them.
+    std::vector<std::string> known;
+    for (const auto& suite :
+         {workloads::training_suite(), workloads::evaluation_suite()}) {
+      for (const auto& c : suite) known.push_back(c.name);
+    }
     std::string msg = "unknown benchmark '" + name + "'; known benchmarks:";
     std::sort(known.begin(), known.end());
     known.erase(std::unique(known.begin(), known.end()), known.end());

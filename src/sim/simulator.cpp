@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
 #include "common/obs.hpp"
-#include "sim/coalesce.hpp"
 
 namespace gpuhms {
 
@@ -41,12 +40,17 @@ struct BlockSlot {
 
 // One array's memoized skeleton tables under the run's placement, indexed
 // by a body access's ordinal: its coalesced lines (off-chip spaces), its
-// distinct words (Constant) or its bank-conflict degree (Shared).
+// distinct words (Constant) or its bank-conflict degree (Shared). A staged
+// array also has its copy-in tables, indexed by a copy's entry.
 struct ArrayTables {
   const std::uint32_t* line_begin = nullptr;
   const std::uint64_t* lines = nullptr;
   const std::uint8_t* words = nullptr;
   const std::uint8_t* degree = nullptr;
+  const std::uint32_t* copy_begin = nullptr;
+  const std::uint64_t* copy_lines = nullptr;
+  const std::uint8_t* copy_degree = nullptr;  // per chunk (entry % chunks)
+  std::uint32_t copy_chunks = 0;
 };
 
 // Warps of slot b are warps[b * wpb .. (b + 1) * wpb). gate[i] caches
@@ -133,6 +137,16 @@ Engine::Engine(const GpuArch& arch, const KernelInfo& kernel,
     if (space == MemSpace::Constant)
       t.words = skeleton->const_words_pool(array, mat_.layout()).data();
   }
+  for (int array : mat_.staged_arrays()) {
+    ArrayTables& t = tables_[static_cast<std::size_t>(array)];
+    const TraceSkeleton::LinePool& lp =
+        skeleton->copy_in_lines(array, mat_.layout(), arch.cache_line);
+    t.copy_begin = lp.begin.data();
+    t.copy_lines = lp.lines.data();
+    t.copy_degree =
+        skeleton->copy_in_fold(array, arch.shared_banks).degree.data();
+    t.copy_chunks = skeleton->copy_in_chunks(array);
+  }
 }
 
 // Returns false when every warp of the block has an empty stream: such a
@@ -185,9 +199,9 @@ void Engine::release_sync_if_ready(Sm& sm, int slot_idx, std::uint64_t t) {
 }
 
 // Handles the memory op at a warp's cursor, issued at t: takes its requests
-// from the skeleton's tables (a staging copy computes its lane addresses),
-// walks the cache hierarchy, books counters/replays, and returns the
-// data-ready time.
+// from the skeleton's tables (a staging copy from the copy-in tables), walks
+// the cache hierarchy, books counters/replays, and returns the data-ready
+// time.
 std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
                                 std::uint64_t t, std::uint64_t& slots) {
   const bool is_store = op.cls() == OpClass::Store;
@@ -202,28 +216,26 @@ std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
 
   // The access's coalesced lines (off-chip spaces), distinct words
   // (Constant) and bank-conflict degree (Shared).
-  std::uint64_t buf[kWarpSize];
   std::span<const std::uint64_t> lines;
   int words = 1;
   int degree = 1;
+  const ArrayTables& tab = tables_[static_cast<std::size_t>(op.array())];
   if (op.staging()) {
-    std::int64_t addr[kWarpSize];
-    op.lane_addresses(addr);
+    const std::uint32_t e = op.copy_in_entry();
     if (space == MemSpace::Shared) {
-      degree = shared_conflict_degree(active_mask, addr, arch_.shared_banks);
+      degree = tab.copy_degree[e % tab.copy_chunks];
     } else {
-      lines = std::span(buf, static_cast<std::size_t>(coalesce_lines_buf(
-                                 active_mask, addr, arch_.cache_line, buf)));
+      lines = std::span(tab.copy_lines + tab.copy_begin[e],
+                        tab.copy_begin[e + 1] - tab.copy_begin[e]);
     }
   } else {
-    const ArrayTables& t = tables_[static_cast<std::size_t>(op.array())];
     const std::uint32_t ord = op.ordinal();
     if (space == MemSpace::Shared) {
-      degree = t.degree[ord];
+      degree = tab.degree[ord];
     } else {
-      lines = std::span(t.lines + t.line_begin[ord],
-                        t.line_begin[ord + 1] - t.line_begin[ord]);
-      if (space == MemSpace::Constant) words = t.words[ord];
+      lines = std::span(tab.lines + tab.line_begin[ord],
+                        tab.line_begin[ord + 1] - tab.line_begin[ord]);
+      if (space == MemSpace::Constant) words = tab.words[ord];
     }
   }
 

@@ -15,9 +15,10 @@
 // its warp of a TraceSkeleton (the one passed, or one recorded for the run),
 // which yields the ops TraceMaterializer::generate would build, one at a
 // time. A body access takes its coalesced lines, constant-space words and
-// shared bank-conflict degree from the skeleton's memoized tables — the ones
-// the model's SoA replay reads, so both see the same requests by
-// construction; only staging copies compute lane addresses at issue.
+// shared bank-conflict degree from the skeleton's memoized tables, and a
+// staging copy its lines and degree from the skeleton's copy-in tables —
+// the ones the model's SoA replay reads, so both see the same requests by
+// construction. Nothing computes lane addresses at issue.
 #pragma once
 
 #include <memory>

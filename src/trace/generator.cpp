@@ -1,5 +1,8 @@
 #include "trace/generator.hpp"
 
+#include <limits>
+#include <numeric>
+
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
 #include "common/obs.hpp"
@@ -8,7 +11,11 @@
 
 namespace gpuhms {
 
-std::uint32_t active_mask_of(const LaneIdx& idx) {
+namespace {
+
+// Active-lane mask of a lane element-index block of either width.
+template <class Idx>
+std::uint32_t mask_of(const Idx& idx) {
   std::uint32_t m = 0;
   for (int l = 0; l < kWarpSize; ++l) {
     if (idx[static_cast<std::size_t>(l)] != kInactiveLane)
@@ -17,16 +24,23 @@ std::uint32_t active_mask_of(const LaneIdx& idx) {
   return m;
 }
 
-namespace {
-
 // Writes the kWarpSize lane byte addresses `to(e)` of the element indices
 // `idx` into `addr` (inactive lanes: -1).
 template <class To>
-void lane_bytes(const LaneIdx& idx, To&& to, std::int64_t* addr) {
+void lane_bytes(const TraceSkeleton::Lanes& idx, To&& to,
+                std::int64_t* addr) {
   for (int l = 0; l < kWarpSize; ++l) {
     const std::int64_t e = idx[static_cast<std::size_t>(l)];
     addr[l] = e == kInactiveLane ? -1 : static_cast<std::int64_t>(to(e));
   }
+}
+
+// The copy-in lanes of the chunk starting at slice-local element `first`:
+// those still inside the slice.
+std::uint32_t chunk_mask(std::int64_t slice, std::int64_t first) {
+  const std::int64_t left = slice - first;
+  return left >= kWarpSize ? 0xffffffffu
+                           : (1u << static_cast<unsigned>(left)) - 1;
 }
 
 template <class T>
@@ -36,12 +50,33 @@ std::size_t bytes_of(const std::vector<T>& v) {
 
 }  // namespace
 
+std::uint32_t active_mask_of(const LaneIdx& idx) { return mask_of(idx); }
+
 TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
     : kernel_(&kernel),
       lanes_(kernel.arrays.size()),
       mem_ops_per_array_(kernel.arrays.size(), 0) {
   GPUHMS_SCOPED_PHASE("trace.skeleton_record_ns");
   GPUHMS_COUNTER_ADD("trace.skeletons_recorded", 1);
+  for (const ArrayDecl& arr : kernel.arrays) {
+    GPUHMS_CHECK_MSG(arr.elems <= static_cast<std::size_t>(
+                                      std::numeric_limits<std::int32_t>::max()),
+                     "TraceSkeleton: array too large for 32-bit lane indices");
+    // Copy-in geometry (see copy_in_entry): block b's slice starts at
+    // (b * slice) % elems, which repeats every elems / gcd(slice, elems)
+    // blocks; a replicated slice starts at 0 in every block.
+    const std::uint64_t elems = arr.elems;
+    const std::uint64_t slice =
+        arr.shared_slice_elems ? arr.shared_slice_elems : elems;
+    const std::uint64_t period =
+        slice >= elems ? 1 : elems / std::gcd(slice, elems);
+    const std::uint64_t blocks = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(1, kernel.num_blocks));
+    copy_in_chunks_.push_back(
+        static_cast<std::uint32_t>((slice + kWarpSize - 1) / kWarpSize));
+    copy_in_classes_.push_back(
+        static_cast<std::uint32_t>(std::min(period, blocks)));
+  }
   const std::size_t total_warps =
       static_cast<std::size_t>(kernel.total_warps());
   const int wpb = kernel.warps_per_block();
@@ -64,10 +99,15 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
             if (op.cls == OpClass::Load) ++base_load_insts_;
             const auto a = static_cast<std::size_t>(op.array);
             p.array = op.array;
-            p.active_mask = active_mask_of(op.idx);
+            p.active_mask = mask_of(op.idx);
             p.ordinal = static_cast<std::uint32_t>(mem_ops_per_array_[a]);
             ++mem_ops_per_array_[a];
-            lanes_[a].push_back(op.idx);
+            Lanes& lanes = lanes_[a].emplace_back();
+            for (std::size_t l = 0; l < lanes.size(); ++l) {
+              lanes[l] = static_cast<std::int32_t>(op.idx[l]);
+              GPUHMS_CHECK_MSG(lanes[l] == op.idx[l],
+                               "TraceSkeleton: lane index out of 32-bit range");
+            }
             break;
           }
           case OpClass::Sync:
@@ -86,7 +126,7 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
     }
   }
   proto_.shrink_to_fit();
-  for (std::vector<LaneIdx>& pool : lanes_) pool.shrink_to_fit();
+  for (std::vector<Lanes>& pool : lanes_) pool.shrink_to_fit();
 
   // SoA replay tables: digest the proto stream into per-warp memory-record
   // ranges plus the placement-invariant tallies the data-oriented path folds
@@ -171,7 +211,7 @@ TraceSkeleton::LineTable& TraceSkeleton::line_table(
   for (const std::unique_ptr<LineTable>& t : line_tables_) {
     if (t->line_size == line_size) return *t;
   }
-  const std::size_t slots = kernel_->arrays.size() * 2;
+  const std::size_t slots = kernel_->arrays.size() * 3;
   auto t = std::make_unique<LineTable>();
   t->line_size = line_size;
   t->pools.resize(slots);
@@ -185,10 +225,11 @@ TraceSkeleton::FoldTable& TraceSkeleton::fold_table(int num_banks) const {
   for (const std::unique_ptr<FoldTable>& t : fold_tables_) {
     if (t->num_banks == num_banks) return *t;
   }
+  const std::size_t slots = kernel_->arrays.size() * 2;
   auto t = std::make_unique<FoldTable>();
   t->num_banks = num_banks;
-  t->folds.resize(kernel_->arrays.size());
-  t->once = std::make_unique<std::once_flag[]>(kernel_->arrays.size());
+  t->folds.resize(slots);
+  t->once = std::make_unique<std::once_flag[]>(slots);
   fold_tables_.push_back(std::move(t));
   return *fold_tables_.back();
 }
@@ -198,14 +239,14 @@ const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
     std::size_t line_size) const {
   LineTable& table = line_table(line_size);
   const std::size_t slot =
-      static_cast<std::size_t>(array) * 2 + (block_linear ? 1 : 0);
+      static_cast<std::size_t>(array) * 3 + (block_linear ? 1 : 0);
   std::call_once(table.once[slot], [&] {
     const std::size_t a = static_cast<std::size_t>(array);
     const ArrayDecl& arr = kernel_->arrays[a];
     // Fixed per-array allocation base: identical under every placement, so
     // one table serves the whole search.
     const std::uint64_t base = layout.device_base(array);
-    const std::vector<LaneIdx>& pool = lanes_[a];
+    const std::vector<Lanes>& pool = lanes_[a];
     LinePool& lp = table.pools[slot];
     lp.line_size = line_size;
     lp.begin.reserve(pool.size() + 1);
@@ -214,8 +255,8 @@ const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
     std::int64_t addr[kWarpSize];
     std::uint64_t buf[kWarpSize];
     // Masked-off ops keep an empty range (they form no requests).
-    for (const LaneIdx& idx : pool) {
-      const std::uint32_t mask = active_mask_of(idx);
+    for (const Lanes& idx : pool) {
+      const std::uint32_t mask = mask_of(idx);
       int n = 0;
       if (mask != 0) {
         lane_bytes(
@@ -241,12 +282,12 @@ std::span<const std::uint8_t> TraceSkeleton::const_words_pool(
   std::call_once(const_once_[a], [&] {
     const ArrayDecl& arr = kernel_->arrays[a];
     const std::uint64_t base = layout.device_base(array);
-    const std::vector<LaneIdx>& pool = lanes_[a];
+    const std::vector<Lanes>& pool = lanes_[a];
     std::vector<std::uint8_t>& words = const_words_[a];
     words.reserve(pool.size());
     std::int64_t addr[kWarpSize];
-    for (const LaneIdx& idx : pool) {
-      const std::uint32_t mask = active_mask_of(idx);
+    for (const Lanes& idx : pool) {
+      const std::uint32_t mask = mask_of(idx);
       int n = 0;
       if (mask != 0) {
         lane_bytes(
@@ -265,7 +306,8 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
     int array, int num_banks) const {
   FoldTable& table = fold_table(num_banks);
   const std::size_t a = static_cast<std::size_t>(array);
-  std::call_once(table.once[a], [&] {
+  const std::size_t slot = a * 2;
+  std::call_once(table.once[slot], [&] {
     // Degrees are computed on the slice-local byte offsets. The shared base
     // offset of every placement is kSharedAlign-byte aligned, so as long as
     // kSharedAlign is a multiple of the bank stride 4 * num_banks, the base
@@ -280,12 +322,12 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
         static_cast<std::int64_t>(arr.shared_slice_elems ? arr.shared_slice_elems
                                                          : arr.elems);
     const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
-    SharedFold& fold = table.folds[a];
+    SharedFold& fold = table.folds[slot];
     fold.num_banks = num_banks;
     fold.degree.reserve(lanes_[a].size());
     std::int64_t addr[kWarpSize];
-    for (const LaneIdx& idx : lanes_[a]) {
-      const std::uint32_t mask = active_mask_of(idx);
+    for (const Lanes& idx : lanes_[a]) {
+      const std::uint32_t mask = mask_of(idx);
       std::uint8_t deg = 1;
       if (mask != 0) {
         lane_bytes(idx, [&](std::int64_t e) { return e % slice * esize; },
@@ -297,20 +339,97 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
       fold.degree.push_back(deg);
     }
   });
-  return table.folds[a];
+  return table.folds[slot];
+}
+
+const TraceSkeleton::LinePool& TraceSkeleton::copy_in_lines(
+    int array, const MemoryLayout& layout, std::size_t line_size) const {
+  LineTable& table = line_table(line_size);
+  const std::size_t a = static_cast<std::size_t>(array);
+  const std::size_t slot = a * 3 + 2;
+  std::call_once(table.once[slot], [&] {
+    // The load reads the block's slice pitch-linear from the array's fixed
+    // device allocation, wrapping around the array, exactly as
+    // LoweringCursor::lane_addresses does; block c stands for its class.
+    const ArrayDecl& arr = kernel_->arrays[a];
+    const std::int64_t slice = layout.shared_slice_elems(array);
+    const std::int64_t elems = static_cast<std::int64_t>(arr.elems);
+    const std::uint64_t base = layout.device_base(array);
+    const std::uint32_t chunks = copy_in_chunks_[a];
+    const std::uint32_t classes = copy_in_classes_[a];
+    LinePool& lp = table.pools[slot];
+    lp.line_size = line_size;
+    lp.begin.reserve(std::size_t{classes} * chunks + 1);
+    lp.begin.push_back(0);
+    std::int64_t addr[kWarpSize];
+    std::uint64_t buf[kWarpSize];
+    for (std::uint32_t c = 0; c < classes; ++c) {
+      const std::int64_t start = layout.shared_slice_start(array, c);
+      for (std::uint32_t j = 0; j < chunks; ++j) {
+        const std::int64_t first = std::int64_t{j} * kWarpSize;
+        const std::uint32_t mask = chunk_mask(slice, first);
+        for (int l = 0; l < kWarpSize; ++l) {
+          addr[l] = (mask >> l & 1u) != 0
+                        ? static_cast<std::int64_t>(
+                              base + pitch_linear_offset(
+                                         arr, (start + first + l) % elems))
+                        : -1;
+        }
+        const int n = coalesce_lines_buf(mask, addr, line_size, buf);
+        lp.lines.insert(lp.lines.end(), buf, buf + n);
+        lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
+      }
+    }
+    lp.lines.shrink_to_fit();
+  });
+  return table.pools[slot];
+}
+
+const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(
+    int array, int num_banks) const {
+  FoldTable& table = fold_table(num_banks);
+  const std::size_t a = static_cast<std::size_t>(array);
+  const std::size_t slot = a * 2 + 1;
+  std::call_once(table.once[slot], [&] {
+    // The store writes slice-local element first + l at byte offset
+    // (first + l) * elem_size past the kSharedAlign-aligned base offset:
+    // the fold shared_fold makes, on the same condition.
+    GPUHMS_CHECK_MSG(shared_banks_foldable(num_banks),
+                     "copy_in_fold: bank count not foldable at kSharedAlign");
+    const ArrayDecl& arr = kernel_->arrays[a];
+    const std::int64_t slice = static_cast<std::int64_t>(
+        arr.shared_slice_elems ? arr.shared_slice_elems : arr.elems);
+    const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
+    const std::uint32_t chunks = copy_in_chunks_[a];
+    SharedFold& fold = table.folds[slot];
+    fold.num_banks = num_banks;
+    fold.degree.reserve(chunks);
+    std::int64_t addr[kWarpSize];
+    for (std::uint32_t j = 0; j < chunks; ++j) {
+      const std::int64_t first = std::int64_t{j} * kWarpSize;
+      const std::uint32_t mask = chunk_mask(slice, first);
+      for (int l = 0; l < kWarpSize; ++l)
+        addr[l] = (mask >> l & 1u) != 0 ? (first + l) * esize : -1;
+      const int deg = shared_conflict_degree(mask, addr, num_banks);
+      fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
+      fold.degree.push_back(static_cast<std::uint8_t>(deg));
+    }
+  });
+  return table.folds[slot];
 }
 
 std::size_t TraceSkeleton::footprint_bytes() const {
   std::size_t n = sizeof(*this) + bytes_of(ctx_) + bytes_of(proto_) +
                   bytes_of(proto_begin_) + bytes_of(lanes_) +
-                  bytes_of(mem_ops_per_array_) + bytes_of(mem_rec_) +
+                  bytes_of(mem_ops_per_array_) + bytes_of(copy_in_chunks_) +
+                  bytes_of(copy_in_classes_) + bytes_of(mem_rec_) +
                   bytes_of(mem_rec_begin_) + bytes_of(inv_ops_) +
                   bytes_of(mem_cnt_) + bytes_of(invariants_.mem_uses_prev) +
                   bytes_of(invariants_.chain_mem_up) +
                   bytes_of(invariants_.unmasked) +
                   bytes_of(invariants_.unmasked_loads) +
                   bytes_of(const_words_);
-  for (const std::vector<LaneIdx>& pool : lanes_) n += bytes_of(pool);
+  for (const std::vector<Lanes>& pool : lanes_) n += bytes_of(pool);
   std::lock_guard<std::mutex> lock(memo_mu_);
   for (const std::vector<std::uint8_t>& words : const_words_)
     n += bytes_of(words);
@@ -346,18 +465,13 @@ TraceMaterializer::TraceMaterializer(const KernelInfo& kernel,
 
 LoweringCursor::LoweringCursor(const TraceMaterializer& mat,
                                const TraceSkeleton& skeleton, std::size_t warp)
-    : LoweringCursor(mat, skeleton.warp_ctx(warp), &skeleton,
-                     skeleton.proto(warp)) {}
-
-LoweringCursor::LoweringCursor(const TraceMaterializer& mat,
-                               const WarpCtx& ctx,
-                               const TraceSkeleton* skeleton,
-                               std::span<const ProtoOp> ops)
-    : mat_(&mat), skeleton_(skeleton), op_(ops.data()),
-      end_(ops.data() + ops.size()),
+    : mat_(&mat), skeleton_(&skeleton), op_(skeleton.proto(warp).data()),
+      end_(op_ + skeleton.proto(warp).size()),
       stage_(mat.staged_arrays_.empty() ? -1 : 0),
-      chunk_(static_cast<std::int64_t>(ctx.warp_in_block) * kWarpSize),
-      block_(ctx.block), warp_in_block_(ctx.warp_in_block), done_(false) {
+      chunk_(static_cast<std::int64_t>(skeleton.warp_ctx(warp).warp_in_block) *
+             kWarpSize),
+      block_(skeleton.warp_ctx(warp).block),
+      warp_in_block_(skeleton.warp_ctx(warp).warp_in_block), done_(false) {
   settle();
 }
 
@@ -457,13 +571,8 @@ int LoweringCursor::array() const {
 
 std::uint32_t LoweringCursor::active_mask() const {
   if (stage_ >= 0 &&
-      stage_ < static_cast<int>(mat_->staged_arrays_.size())) {
-    // A copy-in chunk's lanes: those still inside the slice.
-    const std::int64_t left =
-        mat_->layout_.shared_slice_elems(array()) - chunk_;
-    return left >= kWarpSize ? 0xffffffffu
-                             : (1u << static_cast<unsigned>(left)) - 1;
-  }
+      stage_ < static_cast<int>(mat_->staged_arrays_.size()))
+    return chunk_mask(mat_->layout_.shared_slice_elems(array()), chunk_);
   // Compute and sync protos carry every lane.
   if (stage_ < 0) return op_->active_mask;
   return 0xffffffffu;
@@ -499,7 +608,7 @@ std::uint32_t LoweringCursor::lane_addresses(std::int64_t* addr) const {
     return mask;
   }
   const bool shared = space() == MemSpace::Shared;
-  const LaneIdx& idx = skeleton_->lane_idx(array, op_->ordinal);
+  const TraceSkeleton::Lanes& idx = skeleton_->lane_idx(array, op_->ordinal);
   for (int l = 0; l < kWarpSize; ++l) {
     const std::int64_t e = idx[static_cast<std::size_t>(l)];
     if (e == kInactiveLane) {
@@ -529,11 +638,6 @@ void TraceMaterializer::emit(LoweringCursor cursor,
     }
     out.push_back(t);
   }
-}
-
-void TraceMaterializer::staging_preamble(const WarpCtx& ctx,
-                                         std::vector<TraceOp>& out) const {
-  emit(LoweringCursor(*this, ctx, nullptr, {}), out);
 }
 
 std::vector<WarpTrace> TraceMaterializer::generate(

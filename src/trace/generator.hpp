@@ -9,6 +9,7 @@
 // "initialization phase").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -60,9 +61,12 @@ class TraceSkeleton {
         proto_.data() + proto_begin_[warp],
         proto_begin_[warp + 1] - proto_begin_[warp]);
   }
+  // A memory op's lane element indices, narrowed to 32 bits: the
+  // constructor checks that every array's elements fit.
+  using Lanes = std::array<std::int32_t, kWarpSize>;
   // Lane element indices of memory op `ordinal` of `array` (ProtoOp::ordinal
   // and MemRecord::ordinal index this; inactive lanes: kInactiveLane).
-  const LaneIdx& lane_idx(int array, std::uint32_t ordinal) const {
+  const Lanes& lane_idx(int array, std::uint32_t ordinal) const {
     return lanes_[static_cast<std::size_t>(array)][ordinal];
   }
 
@@ -107,8 +111,8 @@ class TraceSkeleton {
   }
 
   // Placement-invariant totals the SoA path folds analytically instead of
-  // walking expanded ops. The dependency fields mirror the lowering rules of
-  // TraceMaterializer::lower: a memory op consumes its predecessor when addressing
+  // walking expanded ops. The dependency fields mirror LoweringCursor's
+  // lowering rules: a memory op consumes its predecessor when addressing
   // instructions were inserted (ai > 0) and keeps its DSL dependency
   // otherwise; only the first op of a compute run carries the run's
   // dependency; syncs never depend.
@@ -164,6 +168,44 @@ class TraceSkeleton {
   };
   const SharedFold& shared_fold(int array, int num_banks) const;
 
+  // --- Staging copy-in (Sec. III-B's "initialization phase") ----------------
+  // An array placed in shared memory (but not defaulting there) is copied in
+  // by every block before its body runs: chunk j of the block's slice
+  // (slice-local elements [32j, 32j + 32)) is copied by warp j % wpb as one
+  // Global load of the block's slice (pitch-linear, wrapping around the
+  // array) and one Shared store. Only the store's base offset depends on the
+  // placement, and it is kSharedAlign-byte aligned, so the copies' requests
+  // are memoized like the body's. The load's addresses depend on the block
+  // only through its slice start, which repeats every elems / gcd(slice,
+  // elems) blocks (a replicated slice, slice >= elems, starts at 0 in every
+  // block): blocks b and b' copy the same lines when b and b' are equal
+  // modulo copy_in_classes(array). One entry per (class, chunk).
+  std::uint32_t copy_in_chunks(int array) const {
+    return copy_in_chunks_[static_cast<std::size_t>(array)];
+  }
+  std::uint32_t copy_in_classes(int array) const {
+    return copy_in_classes_[static_cast<std::size_t>(array)];
+  }
+  // Entry of chunk `chunk` of block `block`'s copy-in: class * chunks + chunk.
+  std::uint32_t copy_in_entry(int array, std::int64_t block,
+                              std::uint32_t chunk) const {
+    const std::size_t a = static_cast<std::size_t>(array);
+    return static_cast<std::uint32_t>(
+               block % static_cast<std::int64_t>(copy_in_classes_[a])) *
+               copy_in_chunks_[a] +
+           chunk;
+  }
+  // Coalesced lines of every entry's Global load (`begin` is per entry),
+  // memoized per line_size with the body's line pools.
+  const LinePool& copy_in_lines(int array, const MemoryLayout& layout,
+                                std::size_t line_size) const;
+  // Bank-conflict degree of every chunk's Shared store (indexed by the chunk,
+  // entry % copy_in_chunks; the store's addresses do not depend on the
+  // block), and their conflict_sum over one block's chunks. Memoized per
+  // num_banks with the body's folds, under the same shared_banks_foldable
+  // condition.
+  const SharedFold& copy_in_fold(int array, int num_banks) const;
+
   // --- skeleton statistics (for cheap per-placement bounds) -----------------
   // Executed warp instructions excluding addressing-mode inserts and staging
   // preambles (i.e. the placement-invariant part of insts_executed).
@@ -182,7 +224,9 @@ class TraceSkeleton {
   std::vector<WarpCtx> ctx_;      // per warp, block-major
   std::vector<ProtoOp> proto_;    // all warps, concatenated
   std::vector<std::uint32_t> proto_begin_;  // per-warp ranges, size warps+1
-  std::vector<std::vector<LaneIdx>> lanes_;  // per array, in ordinal order
+  std::vector<std::vector<Lanes>> lanes_;  // per array, in ordinal order
+  std::vector<std::uint32_t> copy_in_chunks_;   // per array
+  std::vector<std::uint32_t> copy_in_classes_;  // per array
   std::uint64_t base_insts_ = 0;
   std::uint64_t base_load_insts_ = 0;
   std::vector<std::uint64_t> mem_ops_per_array_;
@@ -201,12 +245,13 @@ class TraceSkeleton {
   // analyzers on different archs never block each other's builds.
   struct LineTable {
     std::size_t line_size = 0;
-    std::vector<LinePool> pools;  // two per array
+    // Three per array: pitch-linear body, block-linear body, copy-in.
+    std::vector<LinePool> pools;
     std::unique_ptr<std::once_flag[]> once;
   };
   struct FoldTable {
     int num_banks = 0;
-    std::vector<SharedFold> folds;  // per array
+    std::vector<SharedFold> folds;  // two per array: body, copy-in
     std::unique_ptr<std::once_flag[]> once;
   };
   LineTable& line_table(std::size_t line_size) const;
@@ -230,10 +275,6 @@ class TraceMaterializer {
   const DataPlacement& placement() const { return placement_; }
   // Arrays needing the copy-in preamble (placed shared, default off-chip).
   std::span<const int> staged_arrays() const { return staged_arrays_; }
-
-  // Copy-in preamble executed by warp `ctx.warp_in_block` of its block for
-  // every array moved into shared memory; ends with a Sync when nonempty.
-  void staging_preamble(const WarpCtx& ctx, std::vector<TraceOp>& out) const;
 
   // Full trace (staging + lowered body) for every warp of the block range,
   // lowered from `skeleton` (recorded from this materializer's kernel): the
@@ -263,12 +304,12 @@ class TraceMaterializer {
 // op at a time: the staging preamble (per staged array and nonempty copy-in
 // chunk, the Global addressing inserts, a Global load and a Shared store;
 // then a Sync), then the body (per proto op, a compute run of `count` ops,
-// the array's addressing inserts followed by the access, or a Sync). A
-// memory op's lane addresses are computed only when asked for; the
-// simulator asks only in the preamble and reads a body access's lines,
-// words and bank-conflict degree from the skeleton's tables by ordinal().
-// generate() drains cursors. The materializer and the skeleton must outlive
-// the cursor.
+// the array's addressing inserts followed by the access, or a Sync). Only
+// generate(), the reference full walk, computes a memory op's lane
+// addresses; the simulator reads a body access's lines, words and
+// bank-conflict degree from the skeleton's tables by ordinal(), and a
+// staging copy's by copy_in_entry(). The materializer and the skeleton must
+// outlive the cursor.
 class LoweringCursor {
  public:
   LoweringCursor() = default;  // done()
@@ -280,7 +321,8 @@ class LoweringCursor {
   OpClass cls() const { return cls_; }
   bool uses_prev() const { return uses_prev_; }
   bool is_addr_calc() const { return addr_calc_; }
-  // In the staging preamble (its ops are not in the skeleton's tables).
+  // In the staging preamble (its copies are in the skeleton's copy-in
+  // tables, not its per-array body tables).
   bool staging() const { return stage_ >= 0; }
   // Memory ops: the access's placed space and array.
   MemSpace space() const;
@@ -288,12 +330,15 @@ class LoweringCursor {
   // Body memory ops: the access's index into the skeleton's per-array
   // tables (lane_idx, line_pool, const_words_pool, shared_fold).
   std::uint32_t ordinal() const { return op_->ordinal; }
+  // Staging copies: the copy's entry in the skeleton's copy-in tables
+  // (copy_in_lines; its chunk, entry % copy_in_chunks, indexes copy_in_fold).
+  std::uint32_t copy_in_entry() const {
+    return skeleton_->copy_in_entry(
+        array(), block_, static_cast<std::uint32_t>(chunk_ / kWarpSize));
+  }
   // The access's lanes for a memory op and its addressing inserts; every
   // lane for compute ops and Syncs.
   std::uint32_t active_mask() const;
-  // Memory ops: writes the kWarpSize lane byte addresses (inactive lanes:
-  // -1) and returns the active mask.
-  std::uint32_t lane_addresses(std::int64_t* addr) const;
 
   void next() {
     ++step_;
@@ -304,15 +349,15 @@ class LoweringCursor {
   friend class TraceMaterializer;
   using ProtoOp = TraceSkeleton::ProtoOp;
 
-  // `skeleton` may be null when `ops` is empty (the staging preamble alone).
-  LoweringCursor(const TraceMaterializer& mat, const WarpCtx& ctx,
-                 const TraceSkeleton* skeleton, std::span<const ProtoOp> ops);
   // Moves onto the next expanded op at or after the position and decodes
   // it; sets done_ past the end of the stream.
   void settle();
+  // Memory ops: writes the kWarpSize lane byte addresses (inactive lanes:
+  // -1) and returns the active mask.
+  std::uint32_t lane_addresses(std::int64_t* addr) const;
 
   const TraceMaterializer* mat_ = nullptr;
-  const TraceSkeleton* skeleton_ = nullptr;  // null: preamble only
+  const TraceSkeleton* skeleton_ = nullptr;
   const ProtoOp* op_ = nullptr;  // current body op
   const ProtoOp* end_ = nullptr;
   std::uint32_t step_ = 0;     // expanded op within the current group

@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
 #include "isa/addressing.hpp"
-#include "sim/coalesce.hpp"
 
 namespace gpuhms {
 
@@ -66,6 +65,44 @@ void SoaLowering::bind(const TraceMaterializer& mat,
   tallies_.sync_insts = inv.sync_protos;
   tallies_.mem_insts = inv.mem_protos;
   tallies_.load_insts = inv.load_protos;
+
+  // Staging preamble: every block copies each staged array's whole slice,
+  // chunk by chunk, as `ai` Global addressing inserts, a load and a store,
+  // and each of its warps then waits at one closing Sync. All of it but the
+  // loads' lines is the same in every block, so only the loads reach
+  // lower_wave; the rest folds here.
+  staged_.clear();
+  if (mat.staged_arrays().empty()) return;
+  const std::uint64_t blocks = static_cast<std::uint64_t>(k.num_blocks);
+  for (int array : mat.staged_arrays()) {
+    const std::size_t a = static_cast<std::size_t>(array);
+    const TraceSkeleton::LinePool& lp =
+        skeleton.copy_in_lines(array, mat.layout(), arch.cache_line);
+    Staged st;
+    st.array = array;
+    st.ai = static_cast<std::uint32_t>(
+        addr_calc_instructions(MemSpace::Global, k.arrays[a].dtype));
+    // Every copy then starts with an insert, which consumes nothing, so a
+    // store never chain-breaks the warp's next copy.
+    GPUHMS_CHECK(st.ai > 0);
+    st.chunks = skeleton.copy_in_chunks(array);
+    st.line_begin = lp.begin.data();
+    st.lines = lp.lines.data();
+    staged_.push_back(st);
+    const std::uint64_t copies = blocks * st.chunks;
+    tallies_.addr_calc_insts += copies * st.ai;
+    tallies_.mem_insts += 2 * copies;
+    tallies_.load_insts += copies;
+    // The load consumes its address, the store the loaded value; so the
+    // store also chain-breaks its load.
+    tallies_.dep_breaks += 2 * copies;
+    tallies_.mem_chain_breaks += copies;
+    tallies_.shared_requests += copies;
+    tallies_.shared_conflicts +=
+        blocks * skeleton.copy_in_fold(array, arch.shared_banks).conflict_sum;
+  }
+  tallies_.sync_insts +=
+      blocks * static_cast<std::uint64_t>(k.warps_per_block());
 }
 
 SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
@@ -80,21 +117,10 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   SoaWave wave;
   if (warp_count == 0) return wave;
 
-  // Capacity bound: every skeleton memory record plus one staged global load
-  // per (warp, staging iteration).
+  // Capacity bound: every skeleton memory record plus every copy-in load.
   std::size_t bound = skeleton_->mem_record_count(w0, w1);
-  const bool staged = !mat_->staged_arrays().empty();
-  if (staged) {
-    const std::int64_t lanes_per_block =
-        static_cast<std::int64_t>(wpb) * kWarpSize;
-    std::size_t pre_iters = 0;
-    for (int a : mat_->staged_arrays()) {
-      const std::int64_t slice = mat_->layout().shared_slice_elems(a);
-      pre_iters += static_cast<std::size_t>(
-          (slice + lanes_per_block - 1) / lanes_per_block);
-    }
-    bound += warp_count * pre_iters;
-  }
+  for (const Staged& st : staged_)
+    bound += static_cast<std::size_t>(block_end - block_begin) * st.chunks;
 
   // Unscheduled (warp-major) record arrays.
   std::uint32_t* pc = arena_.alloc<std::uint32_t>(bound);
@@ -118,65 +144,33 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     const std::uint16_t warp_sm =
         static_cast<std::uint16_t>(ctx.block % num_sms);
     std::uint32_t preamble_len = 0;
-    if (staged) {
-      // Rare, placement-dependent and cold: transcribe the TraceOp emitter
-      // instead of duplicating its logic, folding counters inline. A memory
-      // op here is never last (the preamble ends with a Sync), so the
-      // chain-break probe of the successor is always in range.
-      scratch_.clear();
-      mat_->staging_preamble(ctx, scratch_);
-      preamble_len = static_cast<std::uint32_t>(scratch_.size());
-      for (std::size_t i = 0; i < scratch_.size(); ++i) {
-        const TraceOp& op = scratch_[i];
-        if (op.uses_prev) ++tallies_.dep_breaks;
-        switch (op.cls) {
-          case OpClass::Load:
-          case OpClass::Store: {
-            ++tallies_.mem_insts;
-            const bool is_store = op.cls == OpClass::Store;
-            if (!is_store) ++tallies_.load_insts;
-            if (scratch_[i + 1].uses_prev) ++tallies_.mem_chain_breaks;
-            if (op.active_mask == 0) break;
-            if (op.space == MemSpace::Shared) {
-              ++tallies_.shared_requests;
-              if (!is_store) ++tallies_.shared_load_requests;
-              const int degree = shared_conflict_degree(
-                  op.active_mask, op.addr.data(), arch_->shared_banks);
-              tallies_.shared_conflicts +=
-                  static_cast<std::uint64_t>(degree - 1);
-            } else {
-              std::uint64_t buf[kWarpSize];
-              const int cnt = coalesce_lines_buf(
-                  op.active_mask, op.addr.data(), arch_->cache_line, buf);
-              std::uint64_t* stable =
-                  arena_.alloc<std::uint64_t>(static_cast<std::size_t>(cnt));
-              std::copy(buf, buf + cnt, stable);
-              ++tallies_.global_requests;
-              tallies_.global_transactions += static_cast<std::uint64_t>(cnt);
-              tallies_.replay_global_divergence +=
-                  static_cast<std::uint64_t>(cnt - 1);
-              if (!is_store)
-                tallies_.offchip_load_transactions +=
-                    static_cast<std::uint64_t>(cnt);
-              pc[n] = static_cast<std::uint32_t>(i);
-              spc[n] = static_cast<std::uint8_t>(MemSpace::Global);
-              str[n] = is_store;
-              sms[n] = warp_sm;
-              lin[n] = stable;
-              linn[n] = static_cast<std::uint16_t>(cnt);
-              wrd[n] = 0;
-              ++n;
-            }
-            break;
-          }
-          case OpClass::Sync:
-            ++tallies_.sync_insts;
-            break;
-          default:
-            if (op.is_addr_calc) ++tallies_.addr_calc_insts;
-            break;
+    if (!staged_.empty()) {
+      // The warp copies chunks warp_in_block, + wpb, ... of each staged
+      // slice, in staging order; each copy is ai inserts, the load at pc
+      // preamble_len + ai, and the store. A closing Sync ends the preamble.
+      for (const Staged& st : staged_) {
+        const std::uint32_t row =
+            skeleton_->copy_in_entry(st.array, ctx.block, 0);
+        for (std::uint32_t j = static_cast<std::uint32_t>(ctx.warp_in_block);
+             j < st.chunks; j += static_cast<std::uint32_t>(wpb)) {
+          const std::uint32_t b = st.line_begin[row + j];
+          const std::uint32_t cnt = st.line_begin[row + j + 1] - b;
+          ++tallies_.global_requests;
+          tallies_.global_transactions += cnt;
+          tallies_.replay_global_divergence += cnt - 1;
+          tallies_.offchip_load_transactions += cnt;
+          pc[n] = preamble_len + st.ai;
+          spc[n] = static_cast<std::uint8_t>(MemSpace::Global);
+          str[n] = 0;
+          sms[n] = warp_sm;
+          lin[n] = st.lines + b;
+          linn[n] = static_cast<std::uint16_t>(cnt);
+          wrd[n] = 0;
+          ++n;
+          preamble_len += st.ai + 2;
         }
       }
+      ++preamble_len;
     }
 
     // Expanded op count of the warp under this placement.

@@ -13,6 +13,10 @@
 //   * shared-memory ops fold away entirely: their bank-conflict degrees are
 //     placement-invariant (TraceSkeleton::SharedFold), so a shared-placed
 //     array costs three counter adds per *candidate*, not per op;
+//   * the staging preamble that copies a shared-placed array in is
+//     memoized too (TraceSkeleton::copy_in_lines / copy_in_fold): bind()
+//     folds its order-free counters per staged array, and lower_wave emits
+//     only its off-chip copy-in loads, at pcs computed in closed form;
 //   * the round-robin schedule's issue tick of every surviving record is
 //     computed in closed form from the per-warp op counts (an alive-warp
 //     prefix sum plus a Fenwick rank over finish rounds), then the records
@@ -103,7 +107,16 @@ class SoaLowering {
   std::vector<const std::uint32_t*> line_begin_;
   std::vector<const std::uint64_t*> line_data_;
   std::vector<const std::uint8_t*> words_;
-  std::vector<TraceOp> scratch_;  // staging-preamble transcription buffer
+  // Per staged array, in staging order: what lower_wave needs to emit its
+  // copy-in loads.
+  struct Staged {
+    int array = 0;
+    std::uint32_t ai = 0;      // Global addressing inserts before each load
+    std::uint32_t chunks = 0;  // copy-in chunks per slice
+    const std::uint32_t* line_begin = nullptr;  // per copy-in entry
+    const std::uint64_t* lines = nullptr;
+  };
+  std::vector<Staged> staged_;
 };
 
 }  // namespace gpuhms

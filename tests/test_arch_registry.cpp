@@ -180,6 +180,20 @@ TEST(TraceSkeletonMemo, KeysLinePoolsAndFoldsPerGeometry) {
     EXPECT_GE(fold16.degree[i], fold32.degree[i]) << "ordinal " << i;
   }
   EXPECT_GE(fold16.conflict_sum, fold32.conflict_sum);
+
+  // The staging copy-in tables sit beside them, keyed the same way.
+  const auto& copy128 = skeleton.copy_in_lines(0, layout, 128);
+  const auto& copy64 = skeleton.copy_in_lines(0, layout, 64);
+  EXPECT_NE(&copy128, &p128);
+  EXPECT_EQ(&skeleton.copy_in_lines(0, layout, 128), &copy128);
+  EXPECT_EQ(&skeleton.copy_in_lines(0, layout, 64), &copy64);
+  EXPECT_GE(copy64.lines.size(), copy128.lines.size());
+  const auto& copy32 = skeleton.copy_in_fold(0, 32);
+  const auto& copy16 = skeleton.copy_in_fold(0, 16);
+  EXPECT_NE(&copy32, &fold32);
+  EXPECT_EQ(&skeleton.copy_in_fold(0, 32), &copy32);
+  EXPECT_EQ(&skeleton.copy_in_fold(0, 16), &copy16);
+  EXPECT_GE(copy16.conflict_sum, copy32.conflict_sum);
 }
 
 // One skeleton serving analyzers of different archs must not alias their

@@ -4,6 +4,7 @@
 
 #include "arch/arch_registry.hpp"
 #include "common/hashing.hpp"
+#include "model/trace_analysis.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -309,6 +310,50 @@ std::uint64_t sweep_digest(WarpScheduler scheduler, std::size_t* runs) {
     }
   }
   return h.digest();
+}
+
+// A staging copy takes its lines and bank-conflict degree from the
+// skeleton's copy-in tables: a run fed a skeleton shared by every placement
+// (its tables built once, on the first placement that stages each array)
+// must match a run that records its own, on every placement of matrixmul
+// that stages an array. Its order-free request counters must also equal
+// the model's SoA analysis of the placement, which test_soa_replay holds
+// to the full walk; the SimGolden digests below pin the lines themselves.
+TEST(Simulator, SkeletonFedMatchesPlainOnStagedMatrixmul) {
+  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
+  const KernelInfo& k = c.kernel;
+  const GpuArch& arch = kepler_arch();
+  const TraceSkeleton skeleton(k);
+  TraceAnalyzer analyzer(k, arch);
+  const SimOptions opts{.record_interarrivals = true};
+  std::size_t staged = 0;
+  for (const DataPlacement& p : enumerate_placements(k, arch)) {
+    if (TraceMaterializer(k, p, arch).staged_arrays().empty()) continue;
+    SCOPED_TRACE(p.to_string());
+    ++staged;
+    GpuSimulator sim(arch, opts);
+    const SimResult r = sim.run(k, p);
+    Fnv1a plain;
+    mix_result(plain, r, sim.interarrival_samples());
+    Fnv1a fed;
+    mix_result(fed, sim.run(k, p, &skeleton), sim.interarrival_samples());
+    EXPECT_EQ(plain.digest(), fed.digest());
+
+    const PlacementEvents ev = analyzer.analyze(p, &skeleton);
+    const ProfileCounters& rc = r.counters;
+    EXPECT_EQ(rc.inst_executed, ev.insts_executed);
+    EXPECT_EQ(rc.ldst_executed, ev.mem_insts);
+    EXPECT_EQ(rc.global_requests, ev.global_requests);
+    EXPECT_EQ(rc.global_transactions, ev.global_transactions);
+    EXPECT_EQ(rc.replay_global_divergence, ev.replay_global_divergence);
+    EXPECT_EQ(rc.tex_requests, ev.tex_requests);
+    EXPECT_EQ(rc.tex_transactions, ev.tex_transactions);
+    EXPECT_EQ(rc.const_requests, ev.const_requests);
+    EXPECT_EQ(rc.replay_const_divergence, ev.replay_const_divergence);
+    EXPECT_EQ(rc.shared_requests, ev.shared_requests);
+    EXPECT_EQ(rc.shared_bank_conflicts, ev.shared_conflicts);
+  }
+  EXPECT_GT(staged, 0u);
 }
 
 TEST(SimGolden, TableIvEveryArchRoundRobin) {

@@ -6,8 +6,10 @@
 // predictions.
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "arch/arch_registry.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
+#include "trace/generator.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -109,6 +112,70 @@ TEST(SoaReplayEveryWorkload, MatchesFullWalkBitForBitOnEveryBackend) {
         expect_soa_matches_full_walk(c.kernel, t.placement, skel, arch);
       }
     }
+  }
+}
+
+// Every placement that stages an array into shared memory, on every
+// backend, from one skeleton per kernel: the staging preamble's copy-in
+// tables (memoized per cache-line size and per bank count, beside the
+// body's) must give exactly the full walk's counters. matrixmul stages both
+// slice kinds, a replicated slice (C, one block class) and per-block slices
+// (A and B), and some of its placements stage two arrays at once. One
+// thread per backend shares the skeletons, so each arch's tables build
+// concurrently with the others', as in a serve process answering for a
+// mixed fleet.
+TEST(SoaReplayEveryWorkload, StagedPlacementsMatchFullWalkOnEveryBackend) {
+  std::vector<workloads::BenchmarkCase> cases;
+  for (const char* name : {"matrixmul", "spmv", "triad"})
+    cases.push_back(workloads::get_benchmark(name));
+  std::vector<std::unique_ptr<const TraceSkeleton>> skeletons;
+  for (const workloads::BenchmarkCase& c : cases)
+    skeletons.push_back(std::make_unique<const TraceSkeleton>(c.kernel));
+  // Per case: staged placements run, those staging two or more arrays, and
+  // whether a replicated / per-block slice was staged.
+  struct Seen {
+    std::size_t runs = 0;
+    std::size_t multi = 0;
+    bool replicated = false;
+    bool per_block = false;
+  };
+  const std::vector<std::string> archs = ArchRegistry::builtin().names();
+  std::vector<std::vector<Seen>> seen(archs.size(),
+                                      std::vector<Seen>(cases.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t ai = 0; ai < archs.size(); ++ai) {
+    threads.emplace_back([&, ai] {
+      SCOPED_TRACE(archs[ai]);
+      const GpuArch& arch = ArchRegistry::builtin().find(archs[ai])->arch;
+      for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+        const KernelInfo& k = cases[ci].kernel;
+        SCOPED_TRACE(k.name);
+        Seen& s = seen[ai][ci];
+        for (const DataPlacement& p : enumerate_placements(k, arch)) {
+          const TraceMaterializer mat(k, p, arch);
+          if (mat.staged_arrays().empty()) continue;
+          SCOPED_TRACE(p.to_string());
+          EXPECT_TRUE(expect_soa_matches_full_walk(k, p, *skeletons[ci], arch));
+          ++s.runs;
+          if (mat.staged_arrays().size() > 1) ++s.multi;
+          for (int a : mat.staged_arrays()) {
+            (skeletons[ci]->copy_in_classes(a) == 1 ? s.replicated
+                                                     : s.per_block) = true;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t ai = 0; ai < archs.size(); ++ai) {
+    for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+      SCOPED_TRACE(archs[ai] + " " + cases[ci].name);
+      EXPECT_GT(seen[ai][ci].runs, 0u);
+    }
+    const Seen& mm = seen[ai][0];  // matrixmul
+    EXPECT_TRUE(mm.replicated);
+    EXPECT_TRUE(mm.per_block);
+    EXPECT_GT(mm.multi, 0u);
   }
 }
 

@@ -1,5 +1,7 @@
 #include "trace/generator.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "isa/addressing.hpp"
@@ -215,7 +217,7 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
                                  arrays * sizeof(std::uint32_t);
     const std::size_t recorded =
         dsl_ops * sizeof(Skel::ProtoOp) +
-        mem_ops * (sizeof(LaneIdx) + sizeof(Skel::MemRecord)) +
+        mem_ops * (sizeof(Skel::Lanes) + sizeof(Skel::MemRecord)) +
         (warps + 2) * per_warp + kSlack;
     EXPECT_LE(skeleton.footprint_bytes(), recorded);
     // md5hash is nearly all compute: one lane index block per DSL op would
@@ -246,6 +248,38 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
       entries += skeleton.shared_fold(array, banks).degree.size();
     }
     EXPECT_LE(skeleton.footprint_bytes() - before, entries + kSlack);
+  }
+}
+
+// The staging preamble's copy-in tables hold one entry per distinct copy
+// (block class x chunk), not one per copy a placement executes: on every
+// Table IV kernel, those of every array that can be staged cost no more
+// than the body's line pools.
+TEST(SkeletonFootprint, CopyInTablesNoLargerThanLinePools) {
+  std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
+  for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
+    cases.push_back(std::move(c));
+  const GpuArch& arch = kepler_arch();
+  for (const workloads::BenchmarkCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const KernelInfo& k = c.kernel;
+    const TraceSkeleton skeleton(k);
+    const MemoryLayout layout(k, c.sample, arch);
+    const std::size_t recorded = skeleton.footprint_bytes();
+    for (std::size_t a = 0; a < k.arrays.size(); ++a)
+      skeleton.line_pool(static_cast<int>(a), false, layout, arch.cache_line);
+    const std::size_t with_lines = skeleton.footprint_bytes();
+    for (std::size_t a = 0; a < k.arrays.size(); ++a) {
+      const int array = static_cast<int>(a);
+      const std::vector<MemSpace> spaces = legal_spaces(k, array, arch);
+      if (k.arrays[a].default_space == MemSpace::Shared ||
+          std::find(spaces.begin(), spaces.end(), MemSpace::Shared) ==
+              spaces.end())
+        continue;
+      skeleton.copy_in_lines(array, layout, arch.cache_line);
+      skeleton.copy_in_fold(array, arch.shared_banks);
+    }
+    EXPECT_LE(skeleton.footprint_bytes() - with_lines, with_lines - recorded);
   }
 }
 
