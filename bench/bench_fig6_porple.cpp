@@ -52,7 +52,7 @@ int main() {
 
   Predictor pred(c.kernel, arch, ModelOptions{}, overlap);
   pred.profile_sample(c.sample);
-  const TraceSkeleton skeleton(c.kernel);
+  const TraceSkeleton skeleton(c.kernel, arch);
 
   std::vector<Entry> entries;
   entries.push_back({"NN_G",

@@ -88,7 +88,7 @@ void BM_TraceMaterialize(benchmark::State& state) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   const auto p = DataPlacement::defaults(k);
   const TraceMaterializer mat(k, p, kepler_arch());
-  const TraceSkeleton skeleton(k);
+  const TraceSkeleton skeleton(k, kepler_arch());
   for (auto _ : state) {
     benchmark::DoNotOptimize(mat.generate(skeleton, 0, 4));
   }

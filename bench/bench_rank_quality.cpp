@@ -47,7 +47,7 @@ int main() {
     const DataPlacement sample = DataPlacement::defaults(s.kernel);
     Predictor pred(s.kernel, arch, ModelOptions{}, overlap);
     pred.profile_sample(sample);
-    const TraceSkeleton skeleton(s.kernel);
+    const TraceSkeleton skeleton(s.kernel, arch);
 
     const auto space = enumerate_placements(s.kernel, arch, 64);
     std::vector<double> measured, ours, porple;

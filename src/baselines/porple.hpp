@@ -16,8 +16,9 @@ namespace gpuhms {
 // ranking placements of one kernel, not as an execution-time estimate.
 double porple_cost(const PlacementEvents& ev, const GpuArch& arch);
 
-// Convenience: analyze `placement` of the skeleton's kernel (replaying the
-// skeleton, so scoring a whole space records the kernel once) + score.
+// Convenience: analyze `placement` of the skeleton's kernel on `arch`, the
+// arch the skeleton was recorded for (replaying the skeleton, so scoring a
+// whole space records the kernel once) + score.
 double porple_cost(const TraceSkeleton& skeleton,
                    const DataPlacement& placement, const GpuArch& arch);
 

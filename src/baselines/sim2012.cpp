@@ -10,7 +10,7 @@ namespace gpuhms {
 Sim2012Predictor::Sim2012Predictor(const KernelInfo& kernel,
                                    const GpuArch& arch, bool anchor_to_sample)
     : kernel_(&kernel), arch_(&arch), anchor_(anchor_to_sample),
-      skeleton_(kernel) {}
+      skeleton_(kernel, arch) {}
 
 void Sim2012Predictor::profile_sample(const DataPlacement& sample) {
   set_sample(sample, simulate(*kernel_, sample, *arch_, &skeleton_));

@@ -103,7 +103,7 @@ Status Predictor::try_set_sample(const DataPlacement& sample,
 }
 
 std::shared_ptr<const TraceSkeleton> Predictor::memoize_trace() {
-  if (!skeleton_) skeleton_ = std::make_shared<TraceSkeleton>(*kernel_);
+  if (!skeleton_) skeleton_ = std::make_shared<TraceSkeleton>(*kernel_, *arch_);
   return skeleton_;
 }
 
@@ -424,7 +424,8 @@ TrainingRow training_row(const SimResult& measured, const PlacementEvents& ev,
 // alive. Cases of one kernel need not be adjacent.
 template <class Case, class RowOf>
 std::vector<TrainingRow> rows_by_kernel(std::span<const Case> cases,
-                                        ThreadPool* pool, RowOf&& row_of) {
+                                        const GpuArch& arch, ThreadPool* pool,
+                                        RowOf&& row_of) {
   std::vector<TrainingRow> rows(cases.size());
   ThreadPool local_pool(pool ? 1 : 0);
   ThreadPool& tp = pool ? *pool : local_pool;
@@ -440,7 +441,7 @@ std::vector<TrainingRow> rows_by_kernel(std::span<const Case> cases,
       seen[i] = true;
       group.push_back(i);
     }
-    const TraceSkeleton skeleton(*kernel);
+    const TraceSkeleton skeleton(*kernel, arch);
     tp.parallel_for(group.size(), [&](int, std::size_t g) {
       rows[group[g]] = row_of(cases[group[g]], skeleton);
     });
@@ -471,7 +472,8 @@ ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
                                            double ridge, ThreadPool* pool) {
   GPUHMS_SCOPED_PHASE("predictor.train_overlap_ns");
   std::vector<TrainingRow> rows = rows_by_kernel(
-      cases, pool, [&](const MeasuredCase& c, const TraceSkeleton& skeleton) {
+      cases, arch, pool,
+      [&](const MeasuredCase& c, const TraceSkeleton& skeleton) {
         return training_row(c.measured,
                             analyze_trace(*c.kernel, c.placement, arch,
                                           analysis_options(options), &skeleton),
@@ -486,7 +488,8 @@ ToverlapModel train_overlap_model(std::span<const TrainingCase> cases,
                                   ThreadPool* pool) {
   GPUHMS_SCOPED_PHASE("predictor.train_overlap_ns");
   std::vector<TrainingRow> rows = rows_by_kernel(
-      cases, pool, [&](const TrainingCase& c, const TraceSkeleton& skeleton) {
+      cases, arch, pool,
+      [&](const TrainingCase& c, const TraceSkeleton& skeleton) {
         return training_row(
             simulate(*c.kernel, c.placement, arch, &skeleton),
             analyze_trace(*c.kernel, c.placement, arch,

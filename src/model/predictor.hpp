@@ -163,8 +163,8 @@ class Predictor {
   // predict entry point).
   bool has_sample() const { return sample_result_.has_value(); }
 
-  // Records (once) the placement-independent skeleton of the kernel and
-  // returns it. Setting a sample already does this; kept for callers that
+  // Records (once) the placement-independent skeleton of the kernel, for
+  // the predictor's arch, and returns it. Setting a sample already does this; kept for callers that
   // replay the skeleton themselves.
   std::shared_ptr<const TraceSkeleton> memoize_trace();
 

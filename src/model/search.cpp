@@ -543,7 +543,7 @@ OracleResult search_oracle(const KernelInfo& kernel, const GpuArch& arch,
   ThreadPool local_pool(options.pool ? 1 : options.num_threads);
   ThreadPool& pool = options.pool ? *options.pool : local_pool;
   // Every candidate is simulated from one recording of the kernel function.
-  const TraceSkeleton skeleton(kernel);
+  const TraceSkeleton skeleton(kernel, arch);
 
   OracleResult r;
   r.space_truncated = space.truncated;

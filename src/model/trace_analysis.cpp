@@ -185,7 +185,7 @@ void TraceAnalyzer::rr_schedule(const std::vector<WarpTrace>& traces) {
 
 void TraceAnalyzer::run(const TraceMaterializer& mat) {
   const KernelInfo& k = mat.kernel();
-  const TraceSkeleton skeleton(k);
+  const TraceSkeleton skeleton(k, *arch_);
   const int blocks_per_sm = mat.layout().blocks_per_sm(*arch_);
   ev_.warps_per_sm = mat.layout().warps_per_sm(*arch_);
   const std::int64_t wave_blocks =
@@ -193,7 +193,8 @@ void TraceAnalyzer::run(const TraceMaterializer& mat) {
   for (std::int64_t wave = 0; wave * wave_blocks < k.num_blocks; ++wave) {
     const std::int64_t b0 = wave * wave_blocks;
     const std::int64_t b1 = std::min(k.num_blocks, b0 + wave_blocks);
-    rr_schedule(mat.generate(skeleton, b0, b1));
+    wave_ = mat.generate(skeleton, b0, b1, std::move(wave_));
+    rr_schedule(wave_);
   }
 }
 

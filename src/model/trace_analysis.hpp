@@ -109,10 +109,12 @@ class TraceAnalyzer {
                 const AnalysisOptions& opts = {});
 
   // Replays the (kernel, placement) trace in analysis order. With a
-  // skeleton (recorded from this analyzer's kernel) the data-oriented SoA
-  // engine answers; without one, a skeleton is recorded for the call and
-  // every lowered op is walked, coalescing from its lane addresses — the
-  // reference the SoA engine is tested against, bit for bit.
+  // skeleton (recorded from this analyzer's kernel for an arch of its
+  // cache-line size and shared bank count, which the call CHECKs) the
+  // data-oriented SoA engine answers; without one, a skeleton is recorded
+  // for the call and every lowered op is walked, coalescing from its lane
+  // addresses — the reference the SoA engine is tested against, bit for
+  // bit.
   PlacementEvents analyze(const DataPlacement& placement,
                           const TraceSkeleton* skeleton = nullptr);
 
@@ -142,6 +144,7 @@ class TraceAnalyzer {
   std::vector<SetAssocCache> tex_caches_;
   std::vector<BankRow> rows_;
   std::vector<std::uint64_t> lines_;  // coalescing scratch
+  std::vector<WarpTrace> wave_;       // the full walk's reused wave buffer
   SoaLowering soa_;                   // data-oriented replay engine
   PlacementEvents ev_;
   std::uint64_t tick_ = 0;

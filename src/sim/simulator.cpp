@@ -38,21 +38,6 @@ struct BlockSlot {
   int parked = 0;  // warps finished or waiting at the barrier
 };
 
-// One array's memoized skeleton tables under the run's placement, indexed
-// by a body access's ordinal: its coalesced lines (off-chip spaces), its
-// distinct words (Constant) or its bank-conflict degree (Shared). A staged
-// array also has its copy-in tables, indexed by a copy's entry.
-struct ArrayTables {
-  const std::uint32_t* line_begin = nullptr;
-  const std::uint64_t* lines = nullptr;
-  const std::uint8_t* words = nullptr;
-  const std::uint8_t* degree = nullptr;
-  const std::uint32_t* copy_begin = nullptr;
-  const std::uint64_t* copy_lines = nullptr;
-  const std::uint8_t* copy_degree = nullptr;  // per chunk (entry % chunks)
-  std::uint32_t copy_chunks = 0;
-};
-
 // Warps of slot b are warps[b * wpb .. (b + 1) * wpb). gate[i] caches
 // warps[i].gate() (kInf for warps whose slot never held a block), so the
 // issue scan reads one contiguous array.
@@ -94,7 +79,7 @@ class Engine {
   SimOptions opts_;
   TraceMaterializer mat_;  // the placement's lowering rules and layout
   int wpb_;
-  std::vector<ArrayTables> tables_;  // per array
+  std::vector<PlacedArray> tables_;  // the placement's, bound once per run
   GddrSystem gddr_;
   SetAssocCache l2_;
   std::vector<Sm> sms_;
@@ -110,43 +95,13 @@ Engine::Engine(const GpuArch& arch, const KernelInfo& kernel,
       gddr_(arch, arch_mapping(arch), opts.record_interarrivals),
       l2_(l2_config(arch)) {
   if (skeleton == nullptr) {
-    recorded_ = std::make_unique<const TraceSkeleton>(kernel);
+    recorded_ = std::make_unique<const TraceSkeleton>(kernel, arch);
     skeleton = recorded_.get();
   }
-  GPUHMS_CHECK_MSG(&skeleton->kernel() == &kernel,
-                   "skeleton recorded from a different kernel");
   skeleton_ = skeleton;
-  // The tables the SoA replay reads, bound once per run: a body access
-  // reads its requests from them instead of recomputing lane addresses.
-  const std::span<const std::uint64_t> mem_ops = skeleton->mem_ops_per_array();
-  tables_.resize(kernel.arrays.size());
-  for (std::size_t a = 0; a < tables_.size(); ++a) {
-    if (mem_ops[a] == 0) continue;
-    const int array = static_cast<int>(a);
-    const MemSpace space = placement.of(array);
-    ArrayTables& t = tables_[a];
-    if (space == MemSpace::Shared) {
-      t.degree = skeleton->shared_fold(array, arch.shared_banks).degree.data();
-      continue;
-    }
-    const TraceSkeleton::LinePool& lp =
-        skeleton->line_pool(array, space == MemSpace::Texture2D,
-                            mat_.layout(), arch.cache_line);
-    t.line_begin = lp.begin.data();
-    t.lines = lp.lines.data();
-    if (space == MemSpace::Constant)
-      t.words = skeleton->const_words_pool(array, mat_.layout()).data();
-  }
-  for (int array : mat_.staged_arrays()) {
-    ArrayTables& t = tables_[static_cast<std::size_t>(array)];
-    const TraceSkeleton::LinePool& lp =
-        skeleton->copy_in_lines(array, mat_.layout(), arch.cache_line);
-    t.copy_begin = lp.begin.data();
-    t.copy_lines = lp.lines.data();
-    t.copy_degree =
-        skeleton->copy_in_fold(array, arch.shared_banks).degree.data();
-    t.copy_chunks = skeleton->copy_in_chunks(array);
-  }
+  // The tables the SoA replay reads: a body access or a staging copy reads
+  // its requests from them instead of recomputing lane addresses.
+  tables_ = mat_.bind(*skeleton);
 }
 
 // Returns false when every warp of the block has an empty stream: such a
@@ -219,7 +174,7 @@ std::uint64_t Engine::issue_mem(Sm& sm, const LoweringCursor& op,
   std::span<const std::uint64_t> lines;
   int words = 1;
   int degree = 1;
-  const ArrayTables& tab = tables_[static_cast<std::size_t>(op.array())];
+  const PlacedArray& tab = tables_[static_cast<std::size_t>(op.array())];
   if (op.staging()) {
     const std::uint32_t e = op.copy_in_entry();
     if (space == MemSpace::Shared) {

@@ -15,10 +15,11 @@
 // its warp of a TraceSkeleton (the one passed, or one recorded for the run),
 // which yields the ops TraceMaterializer::generate would build, one at a
 // time. A body access takes its coalesced lines, constant-space words and
-// shared bank-conflict degree from the skeleton's memoized tables, and a
-// staging copy its lines and degree from the skeleton's copy-in tables —
-// the ones the model's SoA replay reads, so both see the same requests by
-// construction. Nothing computes lane addresses at issue.
+// shared bank-conflict degree, and a staging copy its lines and degree, from
+// the skeleton's memoized tables as TraceMaterializer::bind resolves them
+// for the placement — the binding the model's SoA replay reads, so both see
+// the same requests by construction. Nothing computes lane addresses at
+// issue.
 #pragma once
 
 #include <memory>
@@ -44,8 +45,9 @@ class GpuSimulator {
  public:
   explicit GpuSimulator(const GpuArch& arch, SimOptions opts = {});
 
-  // `skeleton`, when non-null, must have been recorded from `kernel`; the
-  // result is identical with and without it.
+  // `skeleton`, when non-null, must have been recorded from `kernel` for an
+  // arch of this simulator's cache-line size and shared bank count (the run
+  // CHECKs both); the result is identical with and without it.
   SimResult run(const KernelInfo& kernel, const DataPlacement& placement,
                 const TraceSkeleton* skeleton = nullptr);
 

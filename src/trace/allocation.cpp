@@ -100,10 +100,20 @@ std::uint64_t MemoryLayout::shared_offset(int array) const {
   return shared_offset_[static_cast<std::size_t>(array)];
 }
 
+std::int64_t shared_slice_elems(const ArrayDecl& a) {
+  return static_cast<std::int64_t>(a.shared_slice_elems ? a.shared_slice_elems
+                                                        : a.elems);
+}
+
+std::int64_t shared_slice_start(const ArrayDecl& a, std::int64_t block) {
+  const std::int64_t slice = shared_slice_elems(a);
+  if (static_cast<std::size_t>(slice) >= a.elems) return 0;  // replicated
+  return (block * slice) % static_cast<std::int64_t>(a.elems);
+}
+
 std::int64_t MemoryLayout::shared_slice_elems(int array) const {
-  const ArrayDecl& a = kernel_->arrays[static_cast<std::size_t>(array)];
-  const std::size_t s = a.shared_slice_elems ? a.shared_slice_elems : a.elems;
-  return static_cast<std::int64_t>(s);
+  return gpuhms::shared_slice_elems(
+      kernel_->arrays[static_cast<std::size_t>(array)]);
 }
 
 std::uint64_t MemoryLayout::shared_addr(int array, std::int64_t elem) const {
@@ -115,10 +125,8 @@ std::uint64_t MemoryLayout::shared_addr(int array, std::int64_t elem) const {
 
 std::int64_t MemoryLayout::shared_slice_start(int array,
                                               std::int64_t block) const {
-  const ArrayDecl& a = kernel_->arrays[static_cast<std::size_t>(array)];
-  const std::int64_t slice = shared_slice_elems(array);
-  if (static_cast<std::size_t>(slice) >= a.elems) return 0;  // replicated
-  return (block * slice) % static_cast<std::int64_t>(a.elems);
+  return gpuhms::shared_slice_start(
+      kernel_->arrays[static_cast<std::size_t>(array)], block);
 }
 
 }  // namespace gpuhms

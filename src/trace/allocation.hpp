@@ -25,6 +25,13 @@
 
 namespace gpuhms {
 
+// Elements of `a` a single block keeps in shared memory (the whole array
+// unless it declares a per-block slice).
+std::int64_t shared_slice_elems(const ArrayDecl& a);
+// First global element index of block `block`'s shared slice of `a` (0 in
+// every block for a replicated slice).
+std::int64_t shared_slice_start(const ArrayDecl& a, std::int64_t block);
+
 class MemoryLayout {
  public:
   MemoryLayout(const KernelInfo& kernel, const DataPlacement& placement,

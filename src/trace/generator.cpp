@@ -52,12 +52,19 @@ std::size_t bytes_of(const std::vector<T>& v) {
 
 std::uint32_t active_mask_of(const LaneIdx& idx) { return mask_of(idx); }
 
-TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
+TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
     : kernel_(&kernel),
       lanes_(kernel.arrays.size()),
-      mem_ops_per_array_(kernel.arrays.size(), 0) {
+      mem_ops_per_array_(kernel.arrays.size(), 0),
+      line_size_(arch.cache_line),
+      shared_banks_(arch.shared_banks) {
   GPUHMS_SCOPED_PHASE("trace.skeleton_record_ns");
   GPUHMS_COUNTER_ADD("trace.skeletons_recorded", 1);
+  // The shared folds are exact only when kSharedAlign is a whole number of
+  // bank rotations; validate(GpuArch) rejects every other bank count.
+  GPUHMS_CHECK_MSG(shared_banks_foldable(shared_banks_),
+                   "TraceSkeleton: bank count not foldable at kSharedAlign");
+  const std::size_t num_arrays = kernel.arrays.size();
   for (const ArrayDecl& arr : kernel.arrays) {
     GPUHMS_CHECK_MSG(arr.elems <= static_cast<std::size_t>(
                                       std::numeric_limits<std::int32_t>::max()),
@@ -67,7 +74,7 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
     // blocks; a replicated slice starts at 0 in every block.
     const std::uint64_t elems = arr.elems;
     const std::uint64_t slice =
-        arr.shared_slice_elems ? arr.shared_slice_elems : elems;
+        static_cast<std::uint64_t>(shared_slice_elems(arr));
     const std::uint64_t period =
         slice >= elems ? 1 : elems / std::gcd(slice, elems);
     const std::uint64_t blocks = static_cast<std::uint64_t>(
@@ -133,7 +140,6 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
   // analytically (see the header for the dependency/chain rules mirrored
   // from TraceMaterializer::lower).
   const std::size_t num_warps = ctx_.size();
-  const std::size_t num_arrays = kernel.arrays.size();
   std::uint64_t mem_ops = 0;
   for (std::uint64_t n : mem_ops_per_array_) mem_ops += n;
   inv_ops_.resize(num_warps);
@@ -200,55 +206,31 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel)
     inv_ops_[w] = inv;
     mem_rec_begin_.push_back(static_cast<std::uint32_t>(mem_rec_.size()));
   }
+  {
+    // Device bases do not depend on the placement: read them off any one.
+    const DataPlacement offchip(
+        std::vector<MemSpace>(num_arrays, MemSpace::Global));
+    const MemoryLayout layout(kernel, offchip, arch);
+    for (std::size_t a = 0; a < num_arrays; ++a)
+      device_base_.push_back(layout.device_base(static_cast<int>(a)));
+  }
+  lines_.resize(num_arrays * (kCopyLines + 1));
+  folds_.resize(num_arrays * 2);
   const_words_.resize(num_arrays);
-  const_once_ = std::make_unique<std::once_flag[]>(num_arrays);
-  // line_tables_ / fold_tables_ are found-or-created per arch parameter.
-}
-
-TraceSkeleton::LineTable& TraceSkeleton::line_table(
-    std::size_t line_size) const {
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  for (const std::unique_ptr<LineTable>& t : line_tables_) {
-    if (t->line_size == line_size) return *t;
-  }
-  const std::size_t slots = kernel_->arrays.size() * 3;
-  auto t = std::make_unique<LineTable>();
-  t->line_size = line_size;
-  t->pools.resize(slots);
-  t->once = std::make_unique<std::once_flag[]>(slots);
-  line_tables_.push_back(std::move(t));
-  return *line_tables_.back();
-}
-
-TraceSkeleton::FoldTable& TraceSkeleton::fold_table(int num_banks) const {
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  for (const std::unique_ptr<FoldTable>& t : fold_tables_) {
-    if (t->num_banks == num_banks) return *t;
-  }
-  const std::size_t slots = kernel_->arrays.size() * 2;
-  auto t = std::make_unique<FoldTable>();
-  t->num_banks = num_banks;
-  t->folds.resize(slots);
-  t->once = std::make_unique<std::once_flag[]>(slots);
-  fold_tables_.push_back(std::move(t));
-  return *fold_tables_.back();
+  once_ = std::make_unique<std::once_flag[]>(num_arrays * kTables);
 }
 
 const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
-    int array, bool block_linear, const MemoryLayout& layout,
-    std::size_t line_size) const {
-  LineTable& table = line_table(line_size);
-  const std::size_t slot =
-      static_cast<std::size_t>(array) * 3 + (block_linear ? 1 : 0);
-  std::call_once(table.once[slot], [&] {
-    const std::size_t a = static_cast<std::size_t>(array);
+    int array, bool block_linear) const {
+  const Table table = block_linear ? kBlockLines : kPitchLines;
+  const std::size_t a = static_cast<std::size_t>(array);
+  LinePool& lp = lines_[a * (kCopyLines + 1) + table];
+  std::call_once(once(array, table), [&] {
     const ArrayDecl& arr = kernel_->arrays[a];
     // Fixed per-array allocation base: identical under every placement, so
     // one table serves the whole search.
-    const std::uint64_t base = layout.device_base(array);
+    const std::uint64_t base = device_base_[a];
     const std::vector<Lanes>& pool = lanes_[a];
-    LinePool& lp = table.pools[slot];
-    lp.line_size = line_size;
     lp.begin.reserve(pool.size() + 1);
     lp.begin.push_back(0);
     lp.lines.reserve(pool.size());
@@ -266,24 +248,24 @@ const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
                                           : pitch_linear_offset(arr, e));
             },
             addr);
-        n = coalesce_lines_buf(mask, addr, line_size, buf);
+        n = coalesce_lines_buf(mask, addr, line_size_, buf);
       }
       lp.lines.insert(lp.lines.end(), buf, buf + n);
       lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
     }
     lp.lines.shrink_to_fit();
   });
-  return table.pools[slot];
+  return lp;
 }
 
 std::span<const std::uint8_t> TraceSkeleton::const_words_pool(
-    int array, const MemoryLayout& layout) const {
+    int array) const {
   const std::size_t a = static_cast<std::size_t>(array);
-  std::call_once(const_once_[a], [&] {
+  std::vector<std::uint8_t>& words = const_words_[a];
+  std::call_once(once(array, kConstWords), [&] {
     const ArrayDecl& arr = kernel_->arrays[a];
-    const std::uint64_t base = layout.device_base(array);
+    const std::uint64_t base = device_base_[a];
     const std::vector<Lanes>& pool = lanes_[a];
-    std::vector<std::uint8_t>& words = const_words_[a];
     words.reserve(pool.size());
     std::int64_t addr[kWarpSize];
     for (const Lanes& idx : pool) {
@@ -299,31 +281,23 @@ std::span<const std::uint8_t> TraceSkeleton::const_words_pool(
       words.push_back(static_cast<std::uint8_t>(n));
     }
   });
-  return const_words_[a];
+  return words;
 }
 
-const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
-    int array, int num_banks) const {
-  FoldTable& table = fold_table(num_banks);
+const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(int array) const {
   const std::size_t a = static_cast<std::size_t>(array);
-  const std::size_t slot = a * 2;
-  std::call_once(table.once[slot], [&] {
+  SharedFold& fold = folds_[a * 2];
+  std::call_once(once(array, kBodyFold), [&] {
     // Degrees are computed on the slice-local byte offsets. The shared base
-    // offset of every placement is kSharedAlign-byte aligned, so as long as
-    // kSharedAlign is a multiple of the bank stride 4 * num_banks, the base
-    // shifts every word by a whole number of bank rotations: distinctness
-    // and bank assignment — hence the conflict degree — match
-    // shared_conflict_degree on the real addresses of any placement.
-    // validate(GpuArch) rejects every bank count this CHECK would refuse.
-    GPUHMS_CHECK_MSG(shared_banks_foldable(num_banks),
-                     "shared_fold: bank count not foldable at kSharedAlign");
+    // offset of every placement is kSharedAlign-byte aligned, and the
+    // constructor checked that kSharedAlign is a multiple of the bank stride
+    // 4 * shared_banks_, so the base shifts every word by a whole number of
+    // bank rotations: distinctness and bank assignment — hence the conflict
+    // degree — match shared_conflict_degree on the real addresses of any
+    // placement.
     const ArrayDecl& arr = kernel_->arrays[a];
-    const std::int64_t slice =
-        static_cast<std::int64_t>(arr.shared_slice_elems ? arr.shared_slice_elems
-                                                         : arr.elems);
+    const std::int64_t slice = shared_slice_elems(arr);
     const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
-    SharedFold& fold = table.folds[slot];
-    fold.num_banks = num_banks;
     fold.degree.reserve(lanes_[a].size());
     std::int64_t addr[kWarpSize];
     for (const Lanes& idx : lanes_[a]) {
@@ -333,38 +307,34 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
         lane_bytes(idx, [&](std::int64_t e) { return e % slice * esize; },
                    addr);
         deg = static_cast<std::uint8_t>(
-            shared_conflict_degree(mask, addr, num_banks));
+            shared_conflict_degree(mask, addr, shared_banks_));
         fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
       }
       fold.degree.push_back(deg);
     }
   });
-  return table.folds[slot];
+  return fold;
 }
 
-const TraceSkeleton::LinePool& TraceSkeleton::copy_in_lines(
-    int array, const MemoryLayout& layout, std::size_t line_size) const {
-  LineTable& table = line_table(line_size);
+const TraceSkeleton::LinePool& TraceSkeleton::copy_in_lines(int array) const {
   const std::size_t a = static_cast<std::size_t>(array);
-  const std::size_t slot = a * 3 + 2;
-  std::call_once(table.once[slot], [&] {
+  LinePool& lp = lines_[a * (kCopyLines + 1) + kCopyLines];
+  std::call_once(once(array, kCopyLines), [&] {
     // The load reads the block's slice pitch-linear from the array's fixed
     // device allocation, wrapping around the array, exactly as
     // LoweringCursor::lane_addresses does; block c stands for its class.
     const ArrayDecl& arr = kernel_->arrays[a];
-    const std::int64_t slice = layout.shared_slice_elems(array);
+    const std::int64_t slice = shared_slice_elems(arr);
     const std::int64_t elems = static_cast<std::int64_t>(arr.elems);
-    const std::uint64_t base = layout.device_base(array);
+    const std::uint64_t base = device_base_[a];
     const std::uint32_t chunks = copy_in_chunks_[a];
     const std::uint32_t classes = copy_in_classes_[a];
-    LinePool& lp = table.pools[slot];
-    lp.line_size = line_size;
     lp.begin.reserve(std::size_t{classes} * chunks + 1);
     lp.begin.push_back(0);
     std::int64_t addr[kWarpSize];
     std::uint64_t buf[kWarpSize];
     for (std::uint32_t c = 0; c < classes; ++c) {
-      const std::int64_t start = layout.shared_slice_start(array, c);
+      const std::int64_t start = shared_slice_start(arr, c);
       for (std::uint32_t j = 0; j < chunks; ++j) {
         const std::int64_t first = std::int64_t{j} * kWarpSize;
         const std::uint32_t mask = chunk_mask(slice, first);
@@ -375,34 +345,27 @@ const TraceSkeleton::LinePool& TraceSkeleton::copy_in_lines(
                                          arr, (start + first + l) % elems))
                         : -1;
         }
-        const int n = coalesce_lines_buf(mask, addr, line_size, buf);
+        const int n = coalesce_lines_buf(mask, addr, line_size_, buf);
         lp.lines.insert(lp.lines.end(), buf, buf + n);
         lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
       }
     }
     lp.lines.shrink_to_fit();
   });
-  return table.pools[slot];
+  return lp;
 }
 
-const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(
-    int array, int num_banks) const {
-  FoldTable& table = fold_table(num_banks);
+const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(int array) const {
   const std::size_t a = static_cast<std::size_t>(array);
-  const std::size_t slot = a * 2 + 1;
-  std::call_once(table.once[slot], [&] {
+  SharedFold& fold = folds_[a * 2 + 1];
+  std::call_once(once(array, kCopyFold), [&] {
     // The store writes slice-local element first + l at byte offset
     // (first + l) * elem_size past the kSharedAlign-aligned base offset:
-    // the fold shared_fold makes, on the same condition.
-    GPUHMS_CHECK_MSG(shared_banks_foldable(num_banks),
-                     "copy_in_fold: bank count not foldable at kSharedAlign");
+    // the fold shared_fold makes.
     const ArrayDecl& arr = kernel_->arrays[a];
-    const std::int64_t slice = static_cast<std::int64_t>(
-        arr.shared_slice_elems ? arr.shared_slice_elems : arr.elems);
+    const std::int64_t slice = shared_slice_elems(arr);
     const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
     const std::uint32_t chunks = copy_in_chunks_[a];
-    SharedFold& fold = table.folds[slot];
-    fold.num_banks = num_banks;
     fold.degree.reserve(chunks);
     std::int64_t addr[kWarpSize];
     for (std::uint32_t j = 0; j < chunks; ++j) {
@@ -410,12 +373,12 @@ const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(
       const std::uint32_t mask = chunk_mask(slice, first);
       for (int l = 0; l < kWarpSize; ++l)
         addr[l] = (mask >> l & 1u) != 0 ? (first + l) * esize : -1;
-      const int deg = shared_conflict_degree(mask, addr, num_banks);
+      const int deg = shared_conflict_degree(mask, addr, shared_banks_);
       fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
       fold.degree.push_back(static_cast<std::uint8_t>(deg));
     }
   });
-  return table.folds[slot];
+  return fold;
 }
 
 std::size_t TraceSkeleton::footprint_bytes() const {
@@ -428,20 +391,14 @@ std::size_t TraceSkeleton::footprint_bytes() const {
                   bytes_of(invariants_.chain_mem_up) +
                   bytes_of(invariants_.unmasked) +
                   bytes_of(invariants_.unmasked_loads) +
-                  bytes_of(const_words_);
+                  bytes_of(device_base_) + bytes_of(lines_) +
+                  bytes_of(folds_) + bytes_of(const_words_) +
+                  kernel_->arrays.size() * kTables * sizeof(std::once_flag);
   for (const std::vector<Lanes>& pool : lanes_) n += bytes_of(pool);
-  std::lock_guard<std::mutex> lock(memo_mu_);
+  for (const LinePool& lp : lines_) n += bytes_of(lp.begin) + bytes_of(lp.lines);
+  for (const SharedFold& f : folds_) n += bytes_of(f.degree);
   for (const std::vector<std::uint8_t>& words : const_words_)
     n += bytes_of(words);
-  for (const std::unique_ptr<LineTable>& t : line_tables_) {
-    n += sizeof(LineTable) + bytes_of(t->pools);
-    for (const LinePool& lp : t->pools)
-      n += bytes_of(lp.begin) + bytes_of(lp.lines);
-  }
-  for (const std::unique_ptr<FoldTable>& t : fold_tables_) {
-    n += sizeof(FoldTable) + bytes_of(t->folds);
-    for (const SharedFold& f : t->folds) n += bytes_of(f.degree);
-  }
   return n;
 }
 
@@ -452,15 +409,79 @@ TraceMaterializer::TraceMaterializer(const KernelInfo& kernel,
       layout_(kernel, placement_, arch) {
   const auto err = validate_placement(kernel, placement_, arch);
   GPUHMS_CHECK_MSG(!err.has_value(), err ? err->c_str() : "");
+  arrays_.resize(kernel.arrays.size());
   for (std::size_t i = 0; i < kernel.arrays.size(); ++i) {
     const int a = static_cast<int>(i);
     const ArrayDecl& arr = kernel.arrays[i];
-    const MemSpace space = placement_.of(a);
-    addr_insts_.push_back(
-        static_cast<std::uint32_t>(addr_calc_instructions(space, arr.dtype)));
-    if (space == MemSpace::Shared && arr.default_space != MemSpace::Shared)
-      staged_arrays_.push_back(a);
+    PlacedArray& p = arrays_[i];
+    p.space = placement_.of(a);
+    p.inserts =
+        static_cast<std::uint32_t>(addr_calc_instructions(p.space, arr.dtype));
+    p.staged = p.space == MemSpace::Shared &&
+               arr.default_space != MemSpace::Shared;
+    if (!p.staged) continue;
+    staged_arrays_.push_back(a);
+    // The copy-in load uses Global addressing (register indirect).
+    p.copy_inserts = static_cast<std::uint32_t>(
+        addr_calc_instructions(MemSpace::Global, arr.dtype));
   }
+}
+
+std::vector<PlacedArray> TraceMaterializer::bind(
+    const TraceSkeleton& skeleton) const {
+  GPUHMS_CHECK_MSG(&skeleton.kernel() == kernel_,
+                   "skeleton recorded from a different kernel");
+  GPUHMS_CHECK_MSG(skeleton.fits(*arch_),
+                   "skeleton recorded for another cache-line size or shared "
+                   "bank count");
+  std::vector<PlacedArray> out = arrays_;
+  for (std::size_t a = 0; a < out.size(); ++a) {
+    const int array = static_cast<int>(a);
+    PlacedArray& p = out[a];
+    if (p.space == MemSpace::Shared) {
+      const TraceSkeleton::SharedFold& fold = skeleton.shared_fold(array);
+      p.degree = fold.degree.data();
+      p.conflict_sum = fold.conflict_sum;
+    } else {
+      const TraceSkeleton::LinePool& lp =
+          skeleton.line_pool(array, p.space == MemSpace::Texture2D);
+      p.line_begin = lp.begin.data();
+      p.lines = lp.lines.data();
+      if (p.space == MemSpace::Constant)
+        p.words = skeleton.const_words_pool(array).data();
+    }
+  }
+  for (int array : staged_arrays_) {
+    PlacedArray& p = out[static_cast<std::size_t>(array)];
+    const TraceSkeleton::LinePool& copy = skeleton.copy_in_lines(array);
+    const TraceSkeleton::SharedFold& fold = skeleton.copy_in_fold(array);
+    p.copy_chunks = skeleton.copy_in_chunks(array);
+    p.copy_begin = copy.begin.data();
+    p.copy_lines = copy.lines.data();
+    p.copy_degree = fold.degree.data();
+    p.copy_conflict_sum = fold.conflict_sum;
+  }
+  return out;
+}
+
+std::uint32_t TraceMaterializer::warp_ops(const TraceSkeleton& skeleton,
+                                          std::size_t warp) const {
+  std::uint32_t n = skeleton.invariant_ops(warp);
+  for (std::size_t a = 0; a < arrays_.size(); ++a)
+    n += skeleton.mem_count(warp, a) * arrays_[a].inserts;
+  if (staged_arrays_.empty()) return n;
+  // The warp copies chunks warp_in_block, + wpb, ... of each staged slice,
+  // then waits at the preamble's closing Sync.
+  const std::uint32_t wib =
+      static_cast<std::uint32_t>(skeleton.warp_ctx(warp).warp_in_block);
+  const std::uint32_t wpb =
+      static_cast<std::uint32_t>(kernel_->warps_per_block());
+  for (int array : staged_arrays_) {
+    const PlacedArray& p = arrays_[static_cast<std::size_t>(array)];
+    const std::uint32_t chunks = skeleton.copy_in_chunks(array);
+    if (chunks > wib) n += (chunks - wib + wpb - 1) / wpb * (p.copy_inserts + 2);
+  }
+  return n + 1;
 }
 
 LoweringCursor::LoweringCursor(const TraceMaterializer& mat,
@@ -490,10 +511,8 @@ void LoweringCursor::settle() {
       break;
     }
     const int array = mat_->staged_arrays_[static_cast<std::size_t>(stage_)];
-    // The copy-in load uses Global addressing (register indirect).
-    const std::uint32_t ai = static_cast<std::uint32_t>(addr_calc_instructions(
-        MemSpace::Global,
-        mat_->kernel_->arrays[static_cast<std::size_t>(array)].dtype));
+    const std::uint32_t ai =
+        mat_->arrays_[static_cast<std::size_t>(array)].copy_inserts;
     if (step_ > ai + 1) {  // chunk copied: on to the warp's next one
       chunk_ += static_cast<std::int64_t>(mat_->kernel_->warps_per_block()) *
                 kWarpSize;
@@ -518,9 +537,9 @@ void LoweringCursor::settle() {
       case OpClass::Load:
       case OpClass::Store: {
         GPUHMS_CHECK(op.array >= 0 && static_cast<std::size_t>(op.array) <
-                                          mat_->addr_insts_.size());
+                                          mat_->arrays_.size());
         const std::uint32_t ai =
-            mat_->addr_insts_[static_cast<std::size_t>(op.array)];
+            mat_->arrays_[static_cast<std::size_t>(op.array)].inserts;
         if (step_ < ai) {
           cls_ = OpClass::IAlu;
           uses_prev_ = false;
@@ -642,7 +661,7 @@ void TraceMaterializer::emit(LoweringCursor cursor,
 
 std::vector<WarpTrace> TraceMaterializer::generate(
     const TraceSkeleton& skeleton, std::int64_t block_begin,
-    std::int64_t block_end) const {
+    std::int64_t block_end, std::vector<WarpTrace> traces) const {
   GPUHMS_CHECK_MSG(&skeleton.kernel() == kernel_,
                    "skeleton recorded from a different kernel");
   GPUHMS_CHECK(0 <= block_begin && block_begin <= block_end &&
@@ -652,15 +671,15 @@ std::vector<WarpTrace> TraceMaterializer::generate(
   const std::size_t w1 = static_cast<std::size_t>(block_end) * wpb;
   GPUHMS_COUNTER_ADD("trace.waves_lowered", 1);
   GPUHMS_COUNTER_ADD("trace.warps_lowered", w1 - w0);
-  std::vector<WarpTrace> traces;
-  traces.reserve(w1 - w0);
+  traces.resize(w1 - w0);
   for (std::size_t w = w0; w < w1; ++w) {
     if (GPUHMS_FAULT_POINT("trace.lower"))
       throw InjectedFault("trace.lower: injected failure lowering warp trace");
-    WarpTrace wt;
+    WarpTrace& wt = traces[w - w0];
     wt.ctx = skeleton.warp_ctx(w);
+    wt.ops.clear();
+    wt.ops.reserve(warp_ops(skeleton, w));
     emit(LoweringCursor(*this, skeleton, w), wt.ops);
-    traces.push_back(std::move(wt));
   }
   return traces;
 }

@@ -32,11 +32,16 @@ struct WarpTrace {
 // records it once and replays it per candidate instead of re-running the
 // kernel function. It keeps only what its readers use: one ProtoOp per DSL
 // op, one WarpCtx per warp, and the lane element indices of the memory ops
-// alone (compute ops and syncs carry none). Immutable after construction;
-// safe to share across threads.
+// alone (compute ops and syncs carry none). It is recorded for one
+// architecture, whose cache-line size and shared bank count fix the geometry
+// of its memo tables below. Immutable after construction apart from those
+// tables, which build once each under their own flags; safe to share across
+// threads.
 class TraceSkeleton {
  public:
-  explicit TraceSkeleton(const KernelInfo& kernel);
+  // CHECKs that arch's shared bank count folds (shared_banks_foldable), as
+  // every validated arch's does.
+  TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch);
 
   // Pre-digested DSL op: the active mask and the per-array memory-op ordinal
   // (the index into the per-array tables below) are placement-invariant, so
@@ -51,6 +56,11 @@ class TraceSkeleton {
   };
 
   const KernelInfo& kernel() const { return *kernel_; }
+  // Whether the memo tables fit `arch`: the same cache-line size and shared
+  // bank count as the arch the skeleton was recorded for.
+  bool fits(const GpuArch& arch) const {
+    return arch.cache_line == line_size_ && arch.shared_banks == shared_banks_;
+  }
   // Warps are numbered block-major: warp w is warp w % warps_per_block of
   // block w / warps_per_block.
   std::size_t num_warps() const { return ctx_.size(); }
@@ -129,44 +139,35 @@ class TraceSkeleton {
   };
   const InvariantTallies& invariants() const { return invariants_; }
 
-  // Memoized coalescing results, per (array, layout, line_size): the device
-  // addresses of an array are placement-invariant (fixed allocation,
-  // Sec. III-E), so the ascending deduplicated line list of every memory op —
-  // exactly what coalesce_lines produces — is too. Built lazily (the lane
-  // addresses are computed from lane_idx while building and never kept),
-  // with one table per distinct `line_size`, so a skeleton
-  // shared across architectures (a cross-arch study, or serve answering for
-  // a heterogeneous fleet) memoizes each cache-line geometry independently.
+  // Memoized coalescing results, per (array, layout): the device addresses
+  // of an array are placement-invariant (fixed allocation, Sec. III-E), so
+  // the ascending deduplicated line list of every memory op — exactly what
+  // coalesce_lines produces at the skeleton's cache-line size — is too.
+  // Built lazily (the lane addresses are computed from lane_idx while
+  // building and never kept). Outside tests, only TraceMaterializer::bind
+  // reads these tables.
   struct LinePool {
     std::vector<std::uint32_t> begin;  // per ordinal, size mem_ops + 1
     std::vector<std::uint64_t> lines;  // concatenated ascending line lists
-    std::size_t line_size = 0;
   };
-  const LinePool& line_pool(int array, bool block_linear,
-                            const MemoryLayout& layout,
-                            std::size_t line_size) const;
+  const LinePool& line_pool(int array, bool block_linear) const;
 
   // Distinct 4-byte words per ordinal over the linear device addresses
   // (constant-space divergence replays, Eq. 3 cause 3), built like the line
   // pools.
-  std::span<const std::uint8_t> const_words_pool(
-      int array, const MemoryLayout& layout) const;
+  std::span<const std::uint8_t> const_words_pool(int array) const;
 
   // Shared-memory bank-conflict degrees per ordinal plus their fold. The
   // slice-local byte offset of an element is placement-invariant and the
-  // placement-dependent base offset is kSharedAlign-byte aligned, so when
-  // shared_banks_foldable(num_banks) holds the degrees match
-  // shared_conflict_degree on the real addresses of ANY placement that puts
-  // the array in shared memory (the offset shifts every word by a multiple
-  // of num_banks). Memoized per (array, num_banks) — each bank geometry gets
-  // its own fold table, so archs with different shared_banks can share one
-  // skeleton without aliasing each other's degrees.
+  // placement-dependent base offset is kSharedAlign-byte aligned, so (the
+  // bank count being foldable) the degrees match shared_conflict_degree on
+  // the real addresses of ANY placement that puts the array in shared memory
+  // (the offset shifts every word by a multiple of the bank count).
   struct SharedFold {
     std::vector<std::uint8_t> degree;  // per ordinal (1 for masked-off ops)
     std::uint64_t conflict_sum = 0;    // sum of (degree - 1), unmasked ops
-    int num_banks = 0;
   };
-  const SharedFold& shared_fold(int array, int num_banks) const;
+  const SharedFold& shared_fold(int array) const;
 
   // --- Staging copy-in (Sec. III-B's "initialization phase") ----------------
   // An array placed in shared memory (but not defaulting there) is copied in
@@ -196,15 +197,13 @@ class TraceSkeleton {
            chunk;
   }
   // Coalesced lines of every entry's Global load (`begin` is per entry),
-  // memoized per line_size with the body's line pools.
-  const LinePool& copy_in_lines(int array, const MemoryLayout& layout,
-                                std::size_t line_size) const;
+  // memoized like the body's line pools.
+  const LinePool& copy_in_lines(int array) const;
   // Bank-conflict degree of every chunk's Shared store (indexed by the chunk,
   // entry % copy_in_chunks; the store's addresses do not depend on the
-  // block), and their conflict_sum over one block's chunks. Memoized per
-  // num_banks with the body's folds, under the same shared_banks_foldable
-  // condition.
-  const SharedFold& copy_in_fold(int array, int num_banks) const;
+  // block), and their conflict_sum over one block's chunks; folded like the
+  // body's.
+  const SharedFold& copy_in_fold(int array) const;
 
   // --- skeleton statistics (for cheap per-placement bounds) -----------------
   // Executed warp instructions excluding addressing-mode inserts and staging
@@ -236,31 +235,48 @@ class TraceSkeleton {
   std::vector<std::uint32_t> inv_ops_;        // per warp
   std::vector<std::uint32_t> mem_cnt_;        // warps x arrays, row-major
   InvariantTallies invariants_;
-  // Lazily-built memoized pools. Constant-word counts are arch-invariant
-  // (4-byte words); line pools and shared folds are keyed by the arch
-  // parameter they depend on (cache-line size / bank count), one table per
-  // distinct value. Tables are found-or-created under memo_mu_ in an
-  // append-only list of unique_ptrs — returned references never move — and
-  // each table's entries build under its own call_once flags, so concurrent
-  // analyzers on different archs never block each other's builds.
-  struct LineTable {
-    std::size_t line_size = 0;
-    // Three per array: pitch-linear body, block-linear body, copy-in.
-    std::vector<LinePool> pools;
-    std::unique_ptr<std::once_flag[]> once;
-  };
-  struct FoldTable {
-    int num_banks = 0;
-    std::vector<SharedFold> folds;  // two per array: body, copy-in
-    std::unique_ptr<std::once_flag[]> once;
-  };
-  LineTable& line_table(std::size_t line_size) const;
-  FoldTable& fold_table(int num_banks) const;
-  mutable std::mutex memo_mu_;
-  mutable std::vector<std::unique_ptr<LineTable>> line_tables_;
-  mutable std::vector<std::unique_ptr<FoldTable>> fold_tables_;
+  // The memo tables' geometry, and every array's fixed device allocation
+  // (MemoryLayout::device_base, the same under every placement).
+  std::size_t line_size_;
+  int shared_banks_;
+  std::vector<std::uint64_t> device_base_;
+  // Lazily-built memo tables, fixed in number: each builds once under its
+  // own flag, so concurrent readers build different tables in parallel, and
+  // returned references never move.
+  enum Table { kPitchLines, kBlockLines, kCopyLines, kBodyFold, kCopyFold,
+               kConstWords, kTables };
+  std::once_flag& once(int array, Table table) const {
+    return once_[static_cast<std::size_t>(array) * kTables + table];
+  }
+  mutable std::vector<LinePool> lines_;    // per array: kPitchLines..kCopyLines
+  mutable std::vector<SharedFold> folds_;  // per array: kBodyFold, kCopyFold
   mutable std::vector<std::vector<std::uint8_t>> const_words_;  // per array
-  mutable std::unique_ptr<std::once_flag[]> const_once_;
+  mutable std::unique_ptr<std::once_flag[]> once_;  // kTables per array
+};
+
+// How a placement lowers one array, and which of a skeleton's memo tables
+// answer its accesses: the one place that decides it, read by the
+// simulator and the SoA lowering alike. The table pointers are set by
+// TraceMaterializer::bind and stay valid while the skeleton lives.
+struct PlacedArray {
+  MemSpace space = MemSpace::Global;
+  std::uint32_t inserts = 0;  // addressing IAlus before each access (Fig. 2)
+  // Body accesses, indexed by ordinal: coalesced lines (off-chip spaces),
+  // distinct words (Constant), or bank-conflict degree and its fold (Shared).
+  const std::uint32_t* line_begin = nullptr;
+  const std::uint64_t* lines = nullptr;
+  const std::uint8_t* words = nullptr;
+  const std::uint8_t* degree = nullptr;
+  std::uint64_t conflict_sum = 0;
+  // Staged arrays (placed shared, default off-chip): the copy-in preamble.
+  // Each copy is copy_inserts Global addressing IAlus, a load, a store.
+  bool staged = false;
+  std::uint32_t copy_inserts = 0;
+  std::uint32_t copy_chunks = 0;
+  const std::uint32_t* copy_begin = nullptr;  // per copy-in entry
+  const std::uint64_t* copy_lines = nullptr;
+  const std::uint8_t* copy_degree = nullptr;  // per chunk (entry % chunks)
+  std::uint64_t copy_conflict_sum = 0;        // over one block's chunks
 };
 
 class LoweringCursor;
@@ -273,16 +289,28 @@ class TraceMaterializer {
   const MemoryLayout& layout() const { return layout_; }
   const KernelInfo& kernel() const { return *kernel_; }
   const DataPlacement& placement() const { return placement_; }
-  // Arrays needing the copy-in preamble (placed shared, default off-chip).
+  // Arrays needing the copy-in preamble (placed shared, default off-chip),
+  // in staging order.
   std::span<const int> staged_arrays() const { return staged_arrays_; }
+
+  // Every array's PlacedArray, with the skeleton's tables bound. CHECKs that
+  // the skeleton was recorded from this kernel for this arch's geometry.
+  std::vector<PlacedArray> bind(const TraceSkeleton& skeleton) const;
+
+  // Expanded ops of warp `warp` under this placement: its staging preamble,
+  // its placement-invariant ops and its arrays' addressing inserts.
+  std::uint32_t warp_ops(const TraceSkeleton& skeleton, std::size_t warp) const;
 
   // Full trace (staging + lowered body) for every warp of the block range,
   // lowered from `skeleton` (recorded from this materializer's kernel): the
   // analysis full walk's input. The simulator walks the same sequence
-  // lazily, one LoweringCursor per resident warp, instead.
+  // lazily, one LoweringCursor per resident warp, instead. The result is
+  // written into `traces`, whose op vectors keep their capacity, so a caller
+  // that hands back the previous result allocates only when a warp grows.
   std::vector<WarpTrace> generate(const TraceSkeleton& skeleton,
                                   std::int64_t block_begin,
-                                  std::int64_t block_end) const;
+                                  std::int64_t block_end,
+                                  std::vector<WarpTrace> traces = {}) const;
 
  private:
   friend class LoweringCursor;
@@ -294,8 +322,7 @@ class TraceMaterializer {
   DataPlacement placement_;
   const GpuArch* arch_;
   MemoryLayout layout_;
-  // Addressing-mode IAlus before each access, per array (Fig. 2).
-  std::vector<std::uint32_t> addr_insts_;
+  std::vector<PlacedArray> arrays_;  // tables unbound
   std::vector<int> staged_arrays_;
 };
 

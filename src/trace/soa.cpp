@@ -4,61 +4,38 @@
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
-#include "isa/addressing.hpp"
 
 namespace gpuhms {
 
 void SoaLowering::bind(const TraceMaterializer& mat,
                        const TraceSkeleton& skeleton, const GpuArch& arch) {
-  GPUHMS_CHECK_MSG(shared_banks_foldable(arch.shared_banks),
-                   "SoA replay: shared bank count not foldable");
+  arrays_ = mat.bind(skeleton);
   mat_ = &mat;
   skeleton_ = &skeleton;
   arch_ = &arch;
   tick_base_ = 0;
   tallies_ = SoaTallies{};
   const KernelInfo& k = mat.kernel();
-  const std::size_t num_arrays = k.arrays.size();
-  space_.resize(num_arrays);
-  ai_.resize(num_arrays);
-  line_begin_.assign(num_arrays, nullptr);
-  line_data_.assign(num_arrays, nullptr);
-  words_.assign(num_arrays, nullptr);
   const TraceSkeleton::InvariantTallies& inv = skeleton.invariants();
   const std::span<const std::uint64_t> mem_tot = skeleton.mem_ops_per_array();
-  for (std::size_t a = 0; a < num_arrays; ++a) {
-    const int array = static_cast<int>(a);
-    const MemSpace s = mat.placement().of(array);
-    space_[a] = static_cast<std::uint8_t>(s);
-    const int ai = addr_calc_instructions(s, k.arrays[a].dtype);
-    ai_[a] = static_cast<std::uint8_t>(ai);
-    if (s == MemSpace::Shared) {
+  for (std::size_t a = 0; a < arrays_.size(); ++a) {
+    const PlacedArray& p = arrays_[a];
+    if (p.space == MemSpace::Shared) {
       // Shared body ops never reach the scheduled stream: every counter they
       // touch is placement-invariant per array, so the whole space folds to
       // three adds per candidate.
-      const TraceSkeleton::SharedFold& fold =
-          skeleton.shared_fold(array, arch.shared_banks);
       tallies_.shared_requests += inv.unmasked[a];
       tallies_.shared_load_requests += inv.unmasked_loads[a];
-      tallies_.shared_conflicts += fold.conflict_sum;
-    } else if (mem_tot[a] > 0) {
-      const bool block_linear = s == MemSpace::Texture2D;
-      const TraceSkeleton::LinePool& lp =
-          skeleton.line_pool(array, block_linear, mat.layout(),
-                             arch.cache_line);
-      line_begin_[a] = lp.begin.data();
-      line_data_[a] = lp.lines.data();
-      if (s == MemSpace::Constant)
-        words_[a] = skeleton.const_words_pool(array, mat.layout()).data();
+      tallies_.shared_conflicts += p.conflict_sum;
     }
     // Dependency folds mirroring the lowering rules: with addressing inserts
     // (ai > 0) every memory op of the array consumes its address, otherwise
     // it keeps its DSL dependency; a memory op is chain-broken by a
     // dependent successor, which for a successor memory op only happens when
     // that op lowers without inserts.
-    tallies_.dep_breaks += ai > 0 ? mem_tot[a] : inv.mem_uses_prev[a];
-    if (ai == 0) tallies_.mem_chain_breaks += inv.chain_mem_up[a];
-    tallies_.addr_calc_insts += mem_tot[a] * static_cast<std::uint64_t>(ai);
+    tallies_.dep_breaks += p.inserts > 0 ? mem_tot[a] : inv.mem_uses_prev[a];
+    if (p.inserts == 0) tallies_.mem_chain_breaks += inv.chain_mem_up[a];
+    tallies_.addr_calc_insts += mem_tot[a] * p.inserts;
   }
   tallies_.dep_breaks += inv.dep_compute;
   tallies_.mem_chain_breaks += inv.chain_comp_up;
@@ -67,30 +44,19 @@ void SoaLowering::bind(const TraceMaterializer& mat,
   tallies_.load_insts = inv.load_protos;
 
   // Staging preamble: every block copies each staged array's whole slice,
-  // chunk by chunk, as `ai` Global addressing inserts, a load and a store,
-  // and each of its warps then waits at one closing Sync. All of it but the
+  // chunk by chunk, as Global addressing inserts, a load and a store, and
+  // each of its warps then waits at one closing Sync. All of it but the
   // loads' lines is the same in every block, so only the loads reach
   // lower_wave; the rest folds here.
-  staged_.clear();
   if (mat.staged_arrays().empty()) return;
   const std::uint64_t blocks = static_cast<std::uint64_t>(k.num_blocks);
   for (int array : mat.staged_arrays()) {
-    const std::size_t a = static_cast<std::size_t>(array);
-    const TraceSkeleton::LinePool& lp =
-        skeleton.copy_in_lines(array, mat.layout(), arch.cache_line);
-    Staged st;
-    st.array = array;
-    st.ai = static_cast<std::uint32_t>(
-        addr_calc_instructions(MemSpace::Global, k.arrays[a].dtype));
+    const PlacedArray& p = arrays_[static_cast<std::size_t>(array)];
     // Every copy then starts with an insert, which consumes nothing, so a
     // store never chain-breaks the warp's next copy.
-    GPUHMS_CHECK(st.ai > 0);
-    st.chunks = skeleton.copy_in_chunks(array);
-    st.line_begin = lp.begin.data();
-    st.lines = lp.lines.data();
-    staged_.push_back(st);
-    const std::uint64_t copies = blocks * st.chunks;
-    tallies_.addr_calc_insts += copies * st.ai;
+    GPUHMS_CHECK(p.copy_inserts > 0);
+    const std::uint64_t copies = blocks * p.copy_chunks;
+    tallies_.addr_calc_insts += copies * p.copy_inserts;
     tallies_.mem_insts += 2 * copies;
     tallies_.load_insts += copies;
     // The load consumes its address, the store the loaded value; so the
@@ -98,8 +64,7 @@ void SoaLowering::bind(const TraceMaterializer& mat,
     tallies_.dep_breaks += 2 * copies;
     tallies_.mem_chain_breaks += copies;
     tallies_.shared_requests += copies;
-    tallies_.shared_conflicts +=
-        blocks * skeleton.copy_in_fold(array, arch.shared_banks).conflict_sum;
+    tallies_.shared_conflicts += blocks * p.copy_conflict_sum;
   }
   tallies_.sync_insts +=
       blocks * static_cast<std::uint64_t>(k.warps_per_block());
@@ -113,14 +78,15 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   const std::size_t w0 = static_cast<std::size_t>(block_begin) * wpb;
   const std::size_t w1 = static_cast<std::size_t>(block_end) * wpb;
   const std::size_t warp_count = w1 - w0;
-  const std::size_t num_arrays = k.arrays.size();
+  const std::span<const int> staged = mat_->staged_arrays();
   SoaWave wave;
   if (warp_count == 0) return wave;
 
   // Capacity bound: every skeleton memory record plus every copy-in load.
   std::size_t bound = skeleton_->mem_record_count(w0, w1);
-  for (const Staged& st : staged_)
-    bound += static_cast<std::size_t>(block_end - block_begin) * st.chunks;
+  for (int array : staged)
+    bound += static_cast<std::size_t>(block_end - block_begin) *
+             arrays_[static_cast<std::size_t>(array)].copy_chunks;
 
   // Unscheduled (warp-major) record arrays.
   std::uint32_t* pc = arena_.alloc<std::uint32_t>(bound);
@@ -129,7 +95,6 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   std::uint16_t* sms = arena_.alloc<std::uint16_t>(bound);
   const std::uint64_t** lin = arena_.alloc<const std::uint64_t*>(bound);
   std::uint16_t* linn = arena_.alloc<std::uint16_t>(bound);
-  std::uint8_t* wrd = arena_.alloc<std::uint8_t>(bound);
   std::uint32_t* rec_end = arena_.alloc<std::uint32_t>(warp_count);
   std::uint32_t* ns = arena_.alloc<std::uint32_t>(warp_count);
 
@@ -144,41 +109,36 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     const std::uint16_t warp_sm =
         static_cast<std::uint16_t>(ctx.block % num_sms);
     std::uint32_t preamble_len = 0;
-    if (!staged_.empty()) {
+    if (!staged.empty()) {
       // The warp copies chunks warp_in_block, + wpb, ... of each staged
       // slice, in staging order; each copy is ai inserts, the load at pc
       // preamble_len + ai, and the store. A closing Sync ends the preamble.
-      for (const Staged& st : staged_) {
-        const std::uint32_t row =
-            skeleton_->copy_in_entry(st.array, ctx.block, 0);
+      for (int array : staged) {
+        const PlacedArray& st = arrays_[static_cast<std::size_t>(array)];
+        const std::uint32_t ai = st.copy_inserts;
+        const std::uint32_t row = skeleton_->copy_in_entry(array, ctx.block, 0);
         for (std::uint32_t j = static_cast<std::uint32_t>(ctx.warp_in_block);
-             j < st.chunks; j += static_cast<std::uint32_t>(wpb)) {
-          const std::uint32_t b = st.line_begin[row + j];
-          const std::uint32_t cnt = st.line_begin[row + j + 1] - b;
+             j < st.copy_chunks; j += static_cast<std::uint32_t>(wpb)) {
+          const std::uint32_t b = st.copy_begin[row + j];
+          const std::uint32_t cnt = st.copy_begin[row + j + 1] - b;
           ++tallies_.global_requests;
           tallies_.global_transactions += cnt;
           tallies_.replay_global_divergence += cnt - 1;
           tallies_.offchip_load_transactions += cnt;
-          pc[n] = preamble_len + st.ai;
+          pc[n] = preamble_len + ai;
           spc[n] = static_cast<std::uint8_t>(MemSpace::Global);
           str[n] = 0;
           sms[n] = warp_sm;
-          lin[n] = st.lines + b;
+          lin[n] = st.copy_lines + b;
           linn[n] = static_cast<std::uint16_t>(cnt);
-          wrd[n] = 0;
           ++n;
-          preamble_len += st.ai + 2;
+          preamble_len += ai + 2;
         }
       }
       ++preamble_len;
     }
 
-    // Expanded op count of the warp under this placement.
-    std::uint32_t extra = 0;
-    for (std::size_t a = 0; a < num_arrays; ++a)
-      extra += skeleton_->mem_count(gw, a) * ai_[a];
-    const std::uint32_t warp_ops =
-        preamble_len + skeleton_->invariant_ops(gw) + extra;
+    const std::uint32_t warp_ops = mat_->warp_ops(*skeleton_, gw);
     ns[wi] = warp_ops;
     max_ops = std::max(max_ops, warp_ops);
     tallies_.insts_executed += warp_ops;
@@ -188,13 +148,13 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     // dependent addressing inserts, inclusive of the current op's own.
     std::uint32_t run = 0;
     for (const TraceSkeleton::MemRecord& r : skeleton_->mem_records(gw)) {
-      const std::size_t a = static_cast<std::size_t>(r.array);
-      run += ai_[a];
-      const MemSpace s = static_cast<MemSpace>(space_[a]);
+      const PlacedArray& p = arrays_[static_cast<std::size_t>(r.array)];
+      run += p.inserts;
+      const MemSpace s = p.space;
       if (s == MemSpace::Shared) continue;
       if (r.active_mask == 0) continue;
-      const std::uint32_t b = line_begin_[a][r.ordinal];
-      const std::uint32_t cnt = line_begin_[a][r.ordinal + 1] - b;
+      const std::uint32_t b = p.line_begin[r.ordinal];
+      const std::uint32_t cnt = p.line_begin[r.ordinal + 1] - b;
       switch (s) {
         case MemSpace::Global:
           ++tallies_.global_requests;
@@ -211,19 +171,18 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
         case MemSpace::Constant:
           ++tallies_.const_requests;
           tallies_.replay_const_divergence +=
-              static_cast<std::uint64_t>(words_[a][r.ordinal]) - 1;
+              static_cast<std::uint64_t>(p.words[r.ordinal]) - 1;
           tallies_.offchip_load_transactions += cnt;
           break;
         default:
           break;
       }
       pc[n] = preamble_len + r.inv_prefix + run;
-      spc[n] = space_[a];
+      spc[n] = static_cast<std::uint8_t>(s);
       str[n] = r.is_store;
       sms[n] = warp_sm;
-      lin[n] = line_data_[a] + b;
+      lin[n] = p.lines + b;
       linn[n] = static_cast<std::uint16_t>(cnt);
-      wrd[n] = s == MemSpace::Constant ? words_[a][r.ordinal] : 0;
       ++n;
     }
     rec_end[wi] = static_cast<std::uint32_t>(n);
@@ -284,7 +243,6 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   std::uint64_t* tick2 = arena_.alloc<std::uint64_t>(n);
   const std::uint64_t** lin2 = arena_.alloc<const std::uint64_t*>(n);
   std::uint16_t* linn2 = arena_.alloc<std::uint16_t>(n);
-  std::uint8_t* wrd2 = arena_.alloc<std::uint8_t>(n);
   for (std::size_t j = 0; j < n; ++j) {
     const std::uint32_t d = start[pc[j]]++;
     spc2[d] = spc[j];
@@ -293,7 +251,6 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     tick2[d] = tick[j];
     lin2[d] = lin[j];
     linn2[d] = linn[j];
-    wrd2[d] = wrd[j];
   }
 
   wave.mem_n = n;
@@ -303,7 +260,6 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   wave.tick = tick2;
   wave.lines = lin2;
   wave.lines_n = linn2;
-  wave.words = wrd2;
   wave.ops = cum[rounds];
   return wave;
 }

@@ -9,14 +9,16 @@
 //     that do (see TraceSkeleton::MemRecord);
 //   * coalesced line lists and constant-divergence word counts are memoized
 //     per (array, layout) in the skeleton — device allocations are
-//     placement-fixed, so they are shared by every candidate of a search;
+//     placement-fixed, so they are shared by every candidate of a search —
+//     and bound per candidate by TraceMaterializer::bind, as in the
+//     simulator;
 //   * shared-memory ops fold away entirely: their bank-conflict degrees are
 //     placement-invariant (TraceSkeleton::SharedFold), so a shared-placed
 //     array costs three counter adds per *candidate*, not per op;
 //   * the staging preamble that copies a shared-placed array in is
-//     memoized too (TraceSkeleton::copy_in_lines / copy_in_fold): bind()
-//     folds its order-free counters per staged array, and lower_wave emits
-//     only its off-chip copy-in loads, at pcs computed in closed form;
+//     memoized too (a PlacedArray's copy-in tables): bind() folds its
+//     order-free counters per staged array, and lower_wave emits only its
+//     off-chip copy-in loads, at pcs computed in closed form;
 //   * the round-robin schedule's issue tick of every surviving record is
 //     computed in closed form from the per-warp op counts (an alive-warp
 //     prefix sum plus a Fenwick rank over finish rounds), then the records
@@ -52,7 +54,6 @@ struct SoaWave {
   const std::uint64_t* tick = nullptr;    // rr-schedule issue tick
   const std::uint64_t* const* lines = nullptr;  // coalesced line list
   const std::uint16_t* lines_n = nullptr;
-  const std::uint8_t* words = nullptr;    // constant-space distinct words
   std::uint64_t ops = 0;  // expanded op count of the wave (tick span)
 };
 
@@ -81,10 +82,10 @@ struct SoaTallies {
 
 class SoaLowering {
  public:
-  // Resolves the placement into per-array dispatch tables and folds every
-  // placement-dependent-but-order-free counter. Call once per candidate,
-  // before the first lower_wave. CHECKs shared_banks_foldable(arch), which
-  // every validated arch satisfies.
+  // Binds the placement's tables (TraceMaterializer::bind, which CHECKs
+  // that `skeleton` was recorded from the materializer's kernel for its
+  // arch's geometry) and folds every placement-dependent-but-order-free
+  // counter. Call once per candidate, before the first lower_wave.
   void bind(const TraceMaterializer& mat, const TraceSkeleton& skeleton,
             const GpuArch& arch);
 
@@ -101,22 +102,7 @@ class SoaLowering {
   Arena arena_;
   SoaTallies tallies_;
   std::uint64_t tick_base_ = 0;
-  // Per-array placement-resolved dispatch tables (indexed by array id).
-  std::vector<std::uint8_t> space_;
-  std::vector<std::uint8_t> ai_;  // addressing inserts per op
-  std::vector<const std::uint32_t*> line_begin_;
-  std::vector<const std::uint64_t*> line_data_;
-  std::vector<const std::uint8_t*> words_;
-  // Per staged array, in staging order: what lower_wave needs to emit its
-  // copy-in loads.
-  struct Staged {
-    int array = 0;
-    std::uint32_t ai = 0;      // Global addressing inserts before each load
-    std::uint32_t chunks = 0;  // copy-in chunks per slice
-    const std::uint32_t* line_begin = nullptr;  // per copy-in entry
-    const std::uint64_t* lines = nullptr;
-  };
-  std::vector<Staged> staged_;
+  std::vector<PlacedArray> arrays_;  // the placement's, tables bound
 };
 
 }  // namespace gpuhms

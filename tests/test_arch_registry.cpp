@@ -1,8 +1,8 @@
 // ArchRegistry battery (DESIGN §16): registry semantics, the differential
 // golden lock-in of the default backend against the historical hardwired
-// Kepler path, the per-arch memoization keying of shared TraceSkeletons, and
-// the registry's rejection of shared-bank geometries the SoA fold cannot
-// handle.
+// Kepler path, the refusal of a TraceSkeleton recorded for another
+// geometry, and the registry's rejection of shared-bank geometries the SoA
+// fold cannot handle.
 //
 // Naming note: the exhaustive differential sweeps carry "EveryWorkload" in
 // their test names so the sanitizer rebuilds (which filter -*EveryWorkload*)
@@ -144,87 +144,22 @@ TEST(ArchRegistryDifferential, EveryWorkloadPredictsBitIdentical) {
   }
 }
 
-// --- per-arch memo keying on a shared TraceSkeleton --------------------------
+// --- one geometry per TraceSkeleton ----------------------------------------
 
-// Regression: line pools and shared folds used to be keyed by slot only,
-// with a trailing CHECK on line_size / num_banks consistency — a skeleton
-// shared across two cache-line or bank geometries crashed on the second.
-// Now each geometry gets its own table; references are stable and distinct.
-TEST(TraceSkeletonMemo, KeysLinePoolsAndFoldsPerGeometry) {
-  const KernelInfo kernel = workloads::make_transpose(64);
-  const TraceSkeleton skeleton(kernel);
-  const TraceMaterializer mat(kernel, DataPlacement::defaults(kernel),
-                              kepler_arch());
-  const MemoryLayout& layout = mat.layout();
-
-  const auto& p128 = skeleton.line_pool(0, false, layout, 128);
-  const auto& p64 = skeleton.line_pool(0, false, layout, 64);
-  EXPECT_EQ(p128.line_size, 128u);
-  EXPECT_EQ(p64.line_size, 64u);
-  // Memoized: asking again returns the same table entries, not rebuilds.
-  EXPECT_EQ(&skeleton.line_pool(0, false, layout, 128), &p128);
-  EXPECT_EQ(&skeleton.line_pool(0, false, layout, 64), &p64);
-  // Halving the line size can only split lines, never merge them.
-  EXPECT_GE(p64.lines.size(), p128.lines.size());
-
-  const auto& fold32 = skeleton.shared_fold(0, 32);
-  const auto& fold16 = skeleton.shared_fold(0, 16);
-  EXPECT_EQ(fold32.num_banks, 32);
-  EXPECT_EQ(fold16.num_banks, 16);
-  EXPECT_EQ(&skeleton.shared_fold(0, 32), &fold32);
-  EXPECT_EQ(&skeleton.shared_fold(0, 16), &fold16);
-  ASSERT_EQ(fold32.degree.size(), fold16.degree.size());
-  // 16 divides 32, so words colliding on a 32-bank machine also collide on a
-  // 16-bank one: per-op degrees are ordered, as is the fold total.
-  for (std::size_t i = 0; i < fold32.degree.size(); ++i) {
-    EXPECT_GE(fold16.degree[i], fold32.degree[i]) << "ordinal " << i;
-  }
-  EXPECT_GE(fold16.conflict_sum, fold32.conflict_sum);
-
-  // The staging copy-in tables sit beside them, keyed the same way.
-  const auto& copy128 = skeleton.copy_in_lines(0, layout, 128);
-  const auto& copy64 = skeleton.copy_in_lines(0, layout, 64);
-  EXPECT_NE(&copy128, &p128);
-  EXPECT_EQ(&skeleton.copy_in_lines(0, layout, 128), &copy128);
-  EXPECT_EQ(&skeleton.copy_in_lines(0, layout, 64), &copy64);
-  EXPECT_GE(copy64.lines.size(), copy128.lines.size());
-  const auto& copy32 = skeleton.copy_in_fold(0, 32);
-  const auto& copy16 = skeleton.copy_in_fold(0, 16);
-  EXPECT_NE(&copy32, &fold32);
-  EXPECT_EQ(&skeleton.copy_in_fold(0, 32), &copy32);
-  EXPECT_EQ(&skeleton.copy_in_fold(0, 16), &copy16);
-  EXPECT_GE(copy16.conflict_sum, copy32.conflict_sum);
-}
-
-// One skeleton serving analyzers of different archs must not alias their
-// memoized tables: re-analyzing on the first arch after a second arch used
-// the skeleton reproduces the original counters exactly.
-TEST(TraceSkeletonMemo, TwoArchsShareOneSkeletonWithoutAliasing) {
+// A skeleton's memo tables are built for the cache-line size and shared
+// bank count of the arch it was recorded for. Analyzing on an arch of
+// another geometry (hbm2 has 16 shared banks, kepler 32) must abort, not
+// read lines and bank degrees folded for the wrong machine.
+TEST(TraceSkeletonDeathTest, AnotherGeometrysSkeletonAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const KernelInfo kernel = workloads::make_transpose(64);
   const DataPlacement placement = DataPlacement::defaults(kernel);
-  const TraceSkeleton skeleton(kernel);
   const GpuArch& kepler = ArchRegistry::builtin().find("kepler")->arch;
   const GpuArch& hbm2 = ArchRegistry::builtin().find("hbm2")->arch;
-
-  const PlacementEvents first =
-      analyze_trace(kernel, placement, kepler, {}, &skeleton);
-  const PlacementEvents other =
-      analyze_trace(kernel, placement, hbm2, {}, &skeleton);
-  const PlacementEvents again =
-      analyze_trace(kernel, placement, kepler, {}, &skeleton);
-
-  EXPECT_EQ(first.insts_executed, again.insts_executed);
-  EXPECT_EQ(first.global_transactions, again.global_transactions);
-  EXPECT_EQ(first.shared_requests, again.shared_requests);
-  EXPECT_EQ(first.shared_conflicts, again.shared_conflicts);
-  EXPECT_EQ(first.row_hits, again.row_hits);
-  EXPECT_EQ(first.row_misses, again.row_misses);
-  EXPECT_EQ(first.row_conflicts, again.row_conflicts);
-  EXPECT_EQ(first.trace_ticks, again.trace_ticks);
-  // Sanity: the hbm2 analysis really ran against a different DRAM geometry.
-  EXPECT_EQ(other.insts_executed, first.insts_executed);  // same lowering
-  EXPECT_EQ(static_cast<int>(other.banks.size()), hbm2.total_banks());
-  EXPECT_EQ(static_cast<int>(first.banks.size()), kepler.total_banks());
+  ASSERT_NE(kepler.shared_banks, hbm2.shared_banks);
+  const TraceSkeleton skeleton(kernel, kepler);
+  EXPECT_DEATH(analyze_trace(kernel, placement, hbm2, {}, &skeleton),
+               "another cache-line size or shared bank count");
 }
 
 // --- shared-bank fold validity ----------------------------------------------
@@ -262,7 +197,6 @@ TEST(ArchRegistry, AddRejectsUnfoldableSharedBankCounts) {
 // whose fold differs from the 32-bank one (see above).
 TEST(SoaReplay, MatchesFullWalkOnEveryRegisteredBackend) {
   const KernelInfo kernel = workloads::make_transpose(64);
-  const TraceSkeleton skeleton(kernel);
   const DataPlacement base = DataPlacement::defaults(kernel);
   // Exercise the shared fold: stage the first shared-legal array.
   DataPlacement staged = base;
@@ -276,6 +210,7 @@ TEST(SoaReplay, MatchesFullWalkOnEveryRegisteredBackend) {
   for (const std::string& name : ArchRegistry::builtin().names()) {
     const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
     SCOPED_TRACE(name);
+    const TraceSkeleton skeleton(kernel, arch);
     for (const DataPlacement* placement :
          std::initializer_list<const DataPlacement*>{&base, &staged}) {
       const PlacementEvents soa =

@@ -102,7 +102,7 @@ TEST(Sim2012, InstructionsFrozenAcrossPlacements) {
 
 TEST(Porple, CostPositiveAndPlacementSensitive) {
   const KernelInfo k = workloads::make_vecadd(1 << 13);
-  const TraceSkeleton skel(k);
+  const TraceSkeleton skel(k, kepler_arch());
   const auto base = DataPlacement::defaults(k);
   const double cg = porple_cost(skel, base, kepler_arch());
   const double ct =
@@ -118,7 +118,7 @@ TEST(Porple, SharedLooksFreeToIt) {
   const KernelInfo k = workloads::make_neuralnet(32, 64, 64);
   const auto base = DataPlacement::defaults(k);
   const int iw = k.array_index("weights");
-  const TraceSkeleton skel(k);
+  const TraceSkeleton skel(k, kepler_arch());
   const double cg = porple_cost(skel, base, kepler_arch());
   const double cs = porple_cost(skel, base.with(iw, MemSpace::Shared),
                                 kepler_arch());
@@ -127,7 +127,7 @@ TEST(Porple, SharedLooksFreeToIt) {
 
 TEST(Porple, DeterministicScores) {
   const auto bench = workloads::get_benchmark("stencil2d");
-  const TraceSkeleton skel(bench.kernel);
+  const TraceSkeleton skel(bench.kernel, kepler_arch());
   const double c1 = porple_cost(skel, bench.sample, kepler_arch());
   const double c2 = porple_cost(skel, bench.sample, kepler_arch());
   EXPECT_DOUBLE_EQ(c1, c2);

@@ -48,7 +48,7 @@ std::string signature(const std::vector<TraceOp>& ops) {
 
 std::string warp0_signature(const KernelInfo& k, const DataPlacement& p) {
   const TraceMaterializer mat(k, p, kepler_arch());
-  const TraceSkeleton skeleton(k);
+  const TraceSkeleton skeleton(k, kepler_arch());
   const auto traces = mat.generate(skeleton, 0, 1);
   return signature(traces.front().ops);
 }

@@ -263,9 +263,9 @@ std::vector<GoldenCase> table_iv_cases(
 
 // Folds the per-run digests arch-major, in suite order. Each case runs twice:
 // "plain" (no skeleton passed, so the run records a fresh one and builds its
-// tables itself) and "fed" (one skeleton per kernel, shared by all of the
-// kernel's cases on every registered arch, so each arch's line size and bank
-// count gets its own tables beside the others'); both must agree.
+// tables itself) and "fed" (one skeleton per (kernel, arch), shared by all of
+// the kernel's cases on that arch, its tables built on the first case that
+// reads them); both must agree.
 std::uint64_t sweep_digest(WarpScheduler scheduler, std::size_t* runs) {
   const auto training = workloads::training_suite();
   const auto evaluation = workloads::evaluation_suite();
@@ -281,9 +281,9 @@ std::uint64_t sweep_digest(WarpScheduler scheduler, std::size_t* runs) {
     const KernelInfo& kernel = *cases[first].kernel;
     std::size_t last = first;
     while (last < cases.size() && cases[last].kernel == &kernel) ++last;
-    const TraceSkeleton skeleton(kernel);
     for (std::size_t a = 0; a < archs.size(); ++a) {
       const GpuArch& arch = reg.find(archs[a])->arch;
+      const TraceSkeleton skeleton(kernel, arch);
       for (std::size_t i = first; i < last; ++i) {
         if (validate_placement(kernel, cases[i].placement, arch)) continue;
         GpuSimulator sim(arch, opts);
@@ -323,7 +323,7 @@ TEST(Simulator, SkeletonFedMatchesPlainOnStagedMatrixmul) {
   const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
   const KernelInfo& k = c.kernel;
   const GpuArch& arch = kepler_arch();
-  const TraceSkeleton skeleton(k);
+  const TraceSkeleton skeleton(k, arch);
   TraceAnalyzer analyzer(k, arch);
   const SimOptions opts{.record_interarrivals = true};
   std::size_t staged = 0;

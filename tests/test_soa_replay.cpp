@@ -6,7 +6,6 @@
 // predictions.
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -92,20 +91,20 @@ bool expect_soa_matches_full_walk(const KernelInfo& k, const DataPlacement& p,
 }
 
 // The full seed-workload sweep: every benchmark of both suites, its sample
-// placement plus every figure placement, on every registered backend. One
-// skeleton per kernel serves all backends, as in serve. (Suite name carries
-// "EveryWorkload" so sanitizer binaries can filter the heavy sweep like the
-// other sweeps.)
+// placement plus every figure placement, on every registered backend, from
+// one skeleton per (kernel, backend), as serve records one per (benchmark,
+// arch) entry. (Suite name carries "EveryWorkload" so sanitizer binaries can
+// filter the heavy sweep like the other sweeps.)
 TEST(SoaReplayEveryWorkload, MatchesFullWalkBitForBitOnEveryBackend) {
   std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
   for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
     cases.push_back(std::move(c));
   for (const workloads::BenchmarkCase& c : cases) {
     SCOPED_TRACE(c.name);
-    const TraceSkeleton skel(c.kernel);
     for (const std::string& name : ArchRegistry::builtin().names()) {
       SCOPED_TRACE(name);
       const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+      const TraceSkeleton skel(c.kernel, arch);
       EXPECT_TRUE(expect_soa_matches_full_walk(c.kernel, c.sample, skel, arch));
       for (const workloads::PlacementTest& t : c.tests) {
         SCOPED_TRACE(t.id);
@@ -116,21 +115,16 @@ TEST(SoaReplayEveryWorkload, MatchesFullWalkBitForBitOnEveryBackend) {
 }
 
 // Every placement that stages an array into shared memory, on every
-// backend, from one skeleton per kernel: the staging preamble's copy-in
-// tables (memoized per cache-line size and per bank count, beside the
-// body's) must give exactly the full walk's counters. matrixmul stages both
-// slice kinds, a replicated slice (C, one block class) and per-block slices
-// (A and B), and some of its placements stage two arrays at once. One
-// thread per backend shares the skeletons, so each arch's tables build
-// concurrently with the others', as in a serve process answering for a
-// mixed fleet.
+// backend, from one skeleton per (kernel, backend): the staging preamble's
+// copy-in tables (memoized beside the body's) must give exactly the full
+// walk's counters. matrixmul stages both slice kinds, a replicated slice (C,
+// one block class) and per-block slices (A and B), and some of its
+// placements stage two arrays at once. One thread per backend, as in a
+// serve process answering for several archs at once.
 TEST(SoaReplayEveryWorkload, StagedPlacementsMatchFullWalkOnEveryBackend) {
   std::vector<workloads::BenchmarkCase> cases;
   for (const char* name : {"matrixmul", "spmv", "triad"})
     cases.push_back(workloads::get_benchmark(name));
-  std::vector<std::unique_ptr<const TraceSkeleton>> skeletons;
-  for (const workloads::BenchmarkCase& c : cases)
-    skeletons.push_back(std::make_unique<const TraceSkeleton>(c.kernel));
   // Per case: staged placements run, those staging two or more arrays, and
   // whether a replicated / per-block slice was staged.
   struct Seen {
@@ -150,17 +144,18 @@ TEST(SoaReplayEveryWorkload, StagedPlacementsMatchFullWalkOnEveryBackend) {
       for (std::size_t ci = 0; ci < cases.size(); ++ci) {
         const KernelInfo& k = cases[ci].kernel;
         SCOPED_TRACE(k.name);
+        const TraceSkeleton skel(k, arch);
         Seen& s = seen[ai][ci];
         for (const DataPlacement& p : enumerate_placements(k, arch)) {
           const TraceMaterializer mat(k, p, arch);
           if (mat.staged_arrays().empty()) continue;
           SCOPED_TRACE(p.to_string());
-          EXPECT_TRUE(expect_soa_matches_full_walk(k, p, *skeletons[ci], arch));
+          EXPECT_TRUE(expect_soa_matches_full_walk(k, p, skel, arch));
           ++s.runs;
           if (mat.staged_arrays().size() > 1) ++s.multi;
           for (int a : mat.staged_arrays()) {
-            (skeletons[ci]->copy_in_classes(a) == 1 ? s.replicated
-                                                     : s.per_block) = true;
+            (skel.copy_in_classes(a) == 1 ? s.replicated : s.per_block) =
+                true;
           }
         }
       }
@@ -249,10 +244,10 @@ TEST(SoaReplay, RandomizedSyntheticTracesMatchFullWalkOnEveryBackend) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const KernelInfo k = make_random_kernel(seed);
-    const TraceSkeleton skel(k);
     for (const std::string& name : ArchRegistry::builtin().names()) {
       SCOPED_TRACE(name);
       const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+      const TraceSkeleton skel(k, arch);
       std::mt19937_64 rng(seed * 77ull + 5ull);
       EXPECT_TRUE(
           expect_soa_matches_full_walk(k, DataPlacement::defaults(k), skel,
@@ -281,7 +276,7 @@ void expect_predictions_match_full_walk(
     const std::vector<DataPlacement>& placements) {
   Predictor pred(k, kepler_arch());
   pred.profile_sample(sample);
-  const TraceSkeleton skel(k);
+  const TraceSkeleton skel(k, kepler_arch());
   TraceAnalyzer an = pred.make_analyzer();
   for (const DataPlacement& p : placements) {
     SCOPED_TRACE(k.name + " " + p.to_string());

@@ -109,5 +109,18 @@ TEST(TraceAnalysis, DeterministicAcrossCalls) {
   EXPECT_EQ(e1.insts_executed, e2.insts_executed);
 }
 
+// The SoA path reads a skeleton's per-array tables by the kernel's array
+// ids and ordinals: another kernel's skeleton must abort, not index past
+// its tables.
+TEST(TraceAnalysisDeathTest, AnotherKernelsSkeletonAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto matrixmul = workloads::get_benchmark("matrixmul");
+  const auto triad = workloads::get_benchmark("triad");
+  const TraceSkeleton triad_skeleton(triad.kernel, kepler_arch());
+  EXPECT_DEATH(analyze_trace(matrixmul.kernel, matrixmul.sample,
+                             kepler_arch(), {}, &triad_skeleton),
+               "skeleton recorded from a different kernel");
+}
+
 }  // namespace
 }  // namespace gpuhms

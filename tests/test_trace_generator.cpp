@@ -28,10 +28,11 @@ KernelInfo one_load_kernel(MemSpace def = MemSpace::Global) {
   return k;
 }
 
-// The full lowering of blocks [b0, b1) from a freshly recorded skeleton.
+// The full lowering of blocks [b0, b1) from a freshly recorded skeleton
+// (every materializer here lowers for kepler).
 std::vector<WarpTrace> lower(const TraceMaterializer& mat, std::int64_t b0,
                              std::int64_t b1) {
-  const TraceSkeleton skeleton(mat.kernel());
+  const TraceSkeleton skeleton(mat.kernel(), kepler_arch());
   return mat.generate(skeleton, b0, b1);
 }
 
@@ -194,7 +195,7 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
     SCOPED_TRACE(name);
     const workloads::BenchmarkCase c = workloads::get_benchmark(name);
     const KernelInfo& k = c.kernel;
-    const Skel skeleton(k);
+    const Skel skeleton(k, kepler_arch());
     std::size_t dsl_ops = 0;
     for (std::size_t w = 0; w < skeleton.num_warps(); ++w)
       dsl_ops += skeleton.proto(w).size();
@@ -230,22 +231,18 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
     // Every table of every array, both layouts: the footprint grows by the
     // tables' exact entries, not by a block of lane addresses per memory op.
     const std::size_t before = skeleton.footprint_bytes();
-    const MemoryLayout layout(k, c.sample, kepler_arch());
-    const std::size_t line = kepler_arch().cache_line;
-    const int banks = kepler_arch().shared_banks;
     std::size_t entries = 0;
     for (std::size_t a = 0; a < arrays; ++a) {
       const int array = static_cast<int>(a);
       for (bool block_linear : {false, true}) {
         if (block_linear && k.arrays[a].width == 0) continue;
-        const Skel::LinePool& lp =
-            skeleton.line_pool(array, block_linear, layout, line);
+        const Skel::LinePool& lp = skeleton.line_pool(array, block_linear);
         ASSERT_EQ(lp.begin.size(), skeleton.mem_ops_per_array()[a] + 1);
         entries += lp.begin.size() * sizeof(std::uint32_t) +
                    lp.lines.size() * sizeof(std::uint64_t);
       }
-      entries += skeleton.const_words_pool(array, layout).size();
-      entries += skeleton.shared_fold(array, banks).degree.size();
+      entries += skeleton.const_words_pool(array).size();
+      entries += skeleton.shared_fold(array).degree.size();
     }
     EXPECT_LE(skeleton.footprint_bytes() - before, entries + kSlack);
   }
@@ -253,9 +250,9 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
 
 // The staging preamble's copy-in tables hold one entry per distinct copy
 // (block class x chunk), not one per copy a placement executes: on every
-// Table IV kernel, those of every array that can be staged cost no more
-// than the body's line pools.
-TEST(SkeletonFootprint, CopyInTablesNoLargerThanLinePools) {
+// Table IV kernel, for every array that can be staged, the lines table has
+// one range per (class, chunk) and the fold one degree per chunk.
+TEST(SkeletonFootprint, CopyInTablesHoldOneEntryPerDistinctCopy) {
   std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
   for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
     cases.push_back(std::move(c));
@@ -263,12 +260,7 @@ TEST(SkeletonFootprint, CopyInTablesNoLargerThanLinePools) {
   for (const workloads::BenchmarkCase& c : cases) {
     SCOPED_TRACE(c.name);
     const KernelInfo& k = c.kernel;
-    const TraceSkeleton skeleton(k);
-    const MemoryLayout layout(k, c.sample, arch);
-    const std::size_t recorded = skeleton.footprint_bytes();
-    for (std::size_t a = 0; a < k.arrays.size(); ++a)
-      skeleton.line_pool(static_cast<int>(a), false, layout, arch.cache_line);
-    const std::size_t with_lines = skeleton.footprint_bytes();
+    const TraceSkeleton skeleton(k, arch);
     for (std::size_t a = 0; a < k.arrays.size(); ++a) {
       const int array = static_cast<int>(a);
       const std::vector<MemSpace> spaces = legal_spaces(k, array, arch);
@@ -276,10 +268,12 @@ TEST(SkeletonFootprint, CopyInTablesNoLargerThanLinePools) {
           std::find(spaces.begin(), spaces.end(), MemSpace::Shared) ==
               spaces.end())
         continue;
-      skeleton.copy_in_lines(array, layout, arch.cache_line);
-      skeleton.copy_in_fold(array, arch.shared_banks);
+      SCOPED_TRACE(k.arrays[a].name);
+      const std::size_t chunks = skeleton.copy_in_chunks(array);
+      EXPECT_EQ(skeleton.copy_in_lines(array).begin.size(),
+                skeleton.copy_in_classes(array) * chunks + 1);
+      EXPECT_EQ(skeleton.copy_in_fold(array).degree.size(), chunks);
     }
-    EXPECT_LE(skeleton.footprint_bytes() - with_lines, with_lines - recorded);
   }
 }
 
