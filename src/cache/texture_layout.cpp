@@ -1,26 +1,20 @@
 #include "cache/texture_layout.hpp"
 
-#include "common/check.hpp"
+#include <bit>
 
 namespace gpuhms {
 
-std::uint64_t block_linear_offset(const ArrayDecl& arr, std::int64_t elem,
-                                  const TextureTileShape& tile) {
-  GPUHMS_CHECK(elem >= 0 && static_cast<std::size_t>(elem) < arr.elems);
+BlockLinearMap::BlockLinearMap(const ArrayDecl& arr,
+                               const TextureTileShape& tile)
+    : elems_(arr.elems), width_(arr.width), esize_(arr.elem_size()),
+      w_shift_(static_cast<unsigned>(std::countr_zero(tile.tile_w))),
+      h_shift_(static_cast<unsigned>(std::countr_zero(tile.tile_h))),
+      w_mask_(tile.tile_w - 1u), h_mask_(tile.tile_h - 1u) {
   GPUHMS_CHECK_MSG(arr.width > 0, "block-linear layout needs a 2-D shape");
-  const std::uint64_t esize = arr.elem_size();
-  const std::uint64_t x = static_cast<std::uint64_t>(elem) % arr.width;
-  const std::uint64_t y = static_cast<std::uint64_t>(elem) / arr.width;
-  const std::uint64_t bx = x * esize;  // byte column
-  const std::uint64_t row_bytes = arr.width * esize;
-  const std::uint64_t tiles_per_row = (row_bytes + tile.tile_w - 1) / tile.tile_w;
-  const std::uint64_t tx = bx / tile.tile_w;
-  const std::uint64_t ty = y / tile.tile_h;
-  const std::uint64_t ox = bx % tile.tile_w;
-  const std::uint64_t oy = y % tile.tile_h;
-  const std::uint64_t tile_bytes =
-      static_cast<std::uint64_t>(tile.tile_w) * tile.tile_h;
-  return (ty * tiles_per_row + tx) * tile_bytes + oy * tile.tile_w + ox;
+  GPUHMS_CHECK_MSG(std::has_single_bit(tile.tile_w) &&
+                       std::has_single_bit(tile.tile_h),
+                   "block-linear tile sides must be powers of two");
+  tiles_per_row_ = (width_ * esize_ + w_mask_) >> w_shift_;
 }
 
 std::uint64_t pitch_linear_offset(const ArrayDecl& arr, std::int64_t elem) {

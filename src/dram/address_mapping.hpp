@@ -68,7 +68,6 @@ class AddressMapping {
  private:
   Fields fields_;
   int usable_bits_;
-  std::uint64_t bank_mask_ = 0, column_mask_ = 0, row_mask_ = 0;
 };
 
 // Kepler-like default: transaction bits 0-6, bank-select bits 7-13

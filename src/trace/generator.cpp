@@ -1,7 +1,9 @@
 #include "trace/generator.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
@@ -13,27 +15,52 @@ namespace gpuhms {
 
 namespace {
 
-// Active-lane mask of a lane element-index block of either width.
-template <class Idx>
-std::uint32_t mask_of(const Idx& idx) {
-  std::uint32_t m = 0;
-  for (int l = 0; l < kWarpSize; ++l) {
-    if (idx[static_cast<std::size_t>(l)] != kInactiveLane)
-      m |= 1u << l;
+// Active-lane mask and largest offset of a lane pattern.
+struct PatternShape {
+  std::uint32_t mask = 0;
+  std::int32_t span = 0;
+};
+
+// The shape of every pattern (`none` marks an inactive lane).
+std::vector<PatternShape> shapes_of(
+    const std::vector<TraceSkeleton::Lanes>& patterns, std::int32_t none) {
+  std::vector<PatternShape> shapes(patterns.size());
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    for (int l = 0; l < kWarpSize; ++l) {
+      const std::int32_t off = patterns[i][static_cast<std::size_t>(l)];
+      if (off == none) continue;
+      shapes[i].mask |= 1u << l;
+      shapes[i].span = std::max(shapes[i].span, off);
+    }
   }
-  return m;
+  return shapes;
 }
 
-// Writes the kWarpSize lane byte addresses `to(e)` of the element indices
-// `idx` into `addr` (inactive lanes: -1).
+// Writes the kWarpSize lane byte addresses `to(offset)` of a pattern's
+// offsets into `addr` (inactive lanes, `none`: -1).
 template <class To>
-void lane_bytes(const TraceSkeleton::Lanes& idx, To&& to,
-                std::int64_t* addr) {
+void lane_bytes(const TraceSkeleton::Lanes& pattern, std::int32_t none,
+                To&& to, std::int64_t* addr) {
   for (int l = 0; l < kWarpSize; ++l) {
-    const std::int64_t e = idx[static_cast<std::size_t>(l)];
-    addr[l] = e == kInactiveLane ? -1 : static_cast<std::int64_t>(to(e));
+    const std::int32_t off = pattern[static_cast<std::size_t>(l)];
+    addr[l] = off == none ? -1 : static_cast<std::int64_t>(to(off));
   }
 }
+
+// Key of a result memoized per (pattern, alignment of the op's base).
+std::uint64_t memo_key(std::uint32_t pattern, std::uint64_t align) {
+  return std::uint64_t{pattern} << 32 | align;
+}
+
+// Hash of a lane pattern, for interning while the skeleton records.
+struct LanesHash {
+  std::size_t operator()(const TraceSkeleton::Lanes& p) const {
+    std::uint64_t h = 0;
+    for (std::int32_t v : p)
+      h = (h ^ static_cast<std::uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(h ^ h >> 32);
+  }
+};
 
 // The copy-in lanes of the chunk starting at slice-local element `first`:
 // those still inside the slice.
@@ -50,7 +77,13 @@ std::size_t bytes_of(const std::vector<T>& v) {
 
 }  // namespace
 
-std::uint32_t active_mask_of(const LaneIdx& idx) { return mask_of(idx); }
+std::uint32_t active_mask_of(const LaneIdx& idx) {
+  std::uint32_t m = 0;
+  for (int l = 0; l < kWarpSize; ++l) {
+    if (idx[static_cast<std::size_t>(l)] != kInactiveLane) m |= 1u << l;
+  }
+  return m;
+}
 
 TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
     : kernel_(&kernel),
@@ -92,6 +125,9 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
   proto_begin_.push_back(0);
   // Every warp records into one reused buffer; only its digest is kept.
   std::vector<DslOp> ops;
+  // Per array: pattern -> its id in the array's dictionary.
+  std::vector<std::unordered_map<Lanes, std::uint32_t, LanesHash>> ids(
+      num_arrays);
   for (std::int64_t b = 0; b < kernel.num_blocks; ++b) {
     for (int w = 0; w < wpb; ++w) {
       ctx_.push_back(record_warp(kernel, b, w, ops));
@@ -106,15 +142,32 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
             if (op.cls == OpClass::Load) ++base_load_insts_;
             const auto a = static_cast<std::size_t>(op.array);
             p.array = op.array;
-            p.active_mask = mask_of(op.idx);
+            p.active_mask = active_mask_of(op.idx);
             p.ordinal = static_cast<std::uint32_t>(mem_ops_per_array_[a]);
             ++mem_ops_per_array_[a];
-            Lanes& lanes = lanes_[a].emplace_back();
-            for (std::size_t l = 0; l < lanes.size(); ++l) {
-              lanes[l] = static_cast<std::int32_t>(op.idx[l]);
-              GPUHMS_CHECK_MSG(lanes[l] == op.idx[l],
-                               "TraceSkeleton: lane index out of 32-bit range");
+            // Interned as its lowest active index and the offsets from it.
+            std::int64_t lo = 0;
+            if (p.active_mask != 0) {
+              lo = std::numeric_limits<std::int64_t>::max();
+              for (std::int64_t e : op.idx)
+                if (e != kInactiveLane) lo = std::min(lo, e);
             }
+            Lanes pattern{};
+            for (std::size_t l = 0; l < pattern.size(); ++l) {
+              const std::int64_t e = op.idx[l];
+              GPUHMS_CHECK_MSG(
+                  e == static_cast<std::int32_t>(e) &&
+                      e - lo <= std::numeric_limits<std::int32_t>::max(),
+                  "TraceSkeleton: lane index out of 32-bit range");
+              pattern[l] = e == kInactiveLane
+                               ? kNoLane
+                               : static_cast<std::int32_t>(e - lo);
+            }
+            const auto [it, fresh] = ids[a].try_emplace(
+                pattern, static_cast<std::uint32_t>(lanes_[a].patterns.size()));
+            if (fresh) lanes_[a].patterns.push_back(pattern);
+            lanes_[a].ops.push_back(
+                {static_cast<std::int32_t>(lo), it->second});
             break;
           }
           case OpClass::Sync:
@@ -133,7 +186,10 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
     }
   }
   proto_.shrink_to_fit();
-  for (std::vector<Lanes>& pool : lanes_) pool.shrink_to_fit();
+  for (ArrayLanes& lanes : lanes_) {
+    lanes.ops.shrink_to_fit();
+    lanes.patterns.shrink_to_fit();
+  }
 
   // SoA replay tables: digest the proto stream into per-warp memory-record
   // ranges plus the placement-invariant tallies the data-oriented path folds
@@ -230,28 +286,65 @@ const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
     // Fixed per-array allocation base: identical under every placement, so
     // one table serves the whole search.
     const std::uint64_t base = device_base_[a];
-    const std::vector<Lanes>& pool = lanes_[a];
-    lp.begin.reserve(pool.size() + 1);
+    const ArrayLanes& lanes = lanes_[a];
+    const std::vector<PatternShape> shapes = shapes_of(lanes.patterns, kNoLane);
+    lp.begin.reserve(lanes.ops.size() + 1);
     lp.begin.push_back(0);
-    lp.lines.reserve(pool.size());
+    lp.lines.reserve(lanes.ops.size());
     std::int64_t addr[kWarpSize];
     std::uint64_t buf[kWarpSize];
-    // Masked-off ops keep an empty range (they form no requests).
-    for (const Lanes& idx : pool) {
-      const std::uint32_t mask = mask_of(idx);
-      int n = 0;
-      if (mask != 0) {
-        lane_bytes(
-            idx,
-            [&](std::int64_t e) {
-              return base + (block_linear ? block_linear_offset(arr, e)
-                                          : pitch_linear_offset(arr, e));
-            },
-            addr);
-        n = coalesce_lines_buf(mask, addr, line_size_, buf);
+    if (block_linear) {
+      const BlockLinearMap map(arr);
+      for (const MemOp& op : lanes.ops) {
+        const std::uint32_t mask = shapes[op.pattern].mask;
+        int n = 0;  // masked-off ops keep an empty range
+        if (mask != 0) {
+          lane_bytes(
+              lanes.patterns[op.pattern], kNoLane,
+              [&](std::int32_t off) {
+                return base + map.offset(op.base + off);
+              },
+              addr);
+          n = coalesce_lines_buf(mask, addr, line_size_, buf);
+        }
+        lp.lines.insert(lp.lines.end(), buf, buf + n);
+        lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
       }
-      lp.lines.insert(lp.lines.end(), buf, buf + n);
-      lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
+    } else {
+      // An op's lanes sit at at + off * esize, at = base + op.base * esize.
+      // With at = q * L + r, the line of at + x is q * L plus the line of
+      // r + x: the op's lines are those of its pattern at r, shifted.
+      const std::uint64_t esize = arr.elem_size();
+      std::unordered_map<std::uint64_t, std::uint32_t> memo;  // -> rel index
+      std::vector<std::uint64_t> rel;  // per (pattern, r): count, then lines
+      for (const MemOp& op : lanes.ops) {
+        const PatternShape& shape = shapes[op.pattern];
+        if (shape.mask != 0) {
+          GPUHMS_CHECK(op.base >= 0 &&
+                       static_cast<std::uint64_t>(op.base) + shape.span <
+                           arr.elems);
+          const std::uint64_t at =
+              base + static_cast<std::uint64_t>(op.base) * esize;
+          const std::uint64_t r = at % line_size_;
+          const auto [it, fresh] = memo.try_emplace(
+              memo_key(op.pattern, r), static_cast<std::uint32_t>(rel.size()));
+          if (fresh) {
+            lane_bytes(
+                lanes.patterns[op.pattern], kNoLane,
+                [&](std::int32_t off) {
+                  return r + static_cast<std::uint64_t>(off) * esize;
+                },
+                addr);
+            const int n = coalesce_lines_buf(shape.mask, addr, line_size_, buf);
+            rel.push_back(static_cast<std::uint64_t>(n));
+            rel.insert(rel.end(), buf, buf + n);
+          }
+          const std::uint64_t* lines = rel.data() + it->second;
+          for (std::uint64_t i = 1; i <= lines[0]; ++i)
+            lp.lines.push_back(at - r + lines[i]);
+        }
+        lp.begin.push_back(static_cast<std::uint32_t>(lp.lines.size()));
+      }
     }
     lp.lines.shrink_to_fit();
   });
@@ -263,22 +356,38 @@ std::span<const std::uint8_t> TraceSkeleton::const_words_pool(
   const std::size_t a = static_cast<std::size_t>(array);
   std::vector<std::uint8_t>& words = const_words_[a];
   std::call_once(once(array, kConstWords), [&] {
+    // Words are 4 bytes, so an op's count is its pattern's at its linear
+    // base address modulo 4 (the pitch-linear line pool's argument).
     const ArrayDecl& arr = kernel_->arrays[a];
-    const std::uint64_t base = device_base_[a];
-    const std::vector<Lanes>& pool = lanes_[a];
-    words.reserve(pool.size());
+    const std::uint64_t esize = arr.elem_size();
+    const ArrayLanes& lanes = lanes_[a];
+    const std::vector<PatternShape> shapes = shapes_of(lanes.patterns, kNoLane);
+    std::unordered_map<std::uint64_t, std::uint8_t> memo;
+    words.reserve(lanes.ops.size());
     std::int64_t addr[kWarpSize];
-    for (const Lanes& idx : pool) {
-      const std::uint32_t mask = mask_of(idx);
-      int n = 0;
-      if (mask != 0) {
-        lane_bytes(
-            idx,
-            [&](std::int64_t e) { return base + pitch_linear_offset(arr, e); },
-            addr);
-        n = distinct_words(mask, addr);
+    for (const MemOp& op : lanes.ops) {
+      const PatternShape& shape = shapes[op.pattern];
+      std::uint8_t n = 0;
+      if (shape.mask != 0) {
+        GPUHMS_CHECK(op.base >= 0 &&
+                     static_cast<std::uint64_t>(op.base) + shape.span <
+                         arr.elems);
+        const std::uint64_t r =
+            (device_base_[a] + static_cast<std::uint64_t>(op.base) * esize) % 4;
+        const auto [it, fresh] = memo.try_emplace(memo_key(op.pattern, r), 0);
+        if (fresh) {
+          lane_bytes(
+              lanes.patterns[op.pattern], kNoLane,
+              [&](std::int32_t off) {
+                return r + static_cast<std::uint64_t>(off) * esize;
+              },
+              addr);
+          it->second =
+              static_cast<std::uint8_t>(distinct_words(shape.mask, addr));
+        }
+        n = it->second;
       }
-      words.push_back(static_cast<std::uint8_t>(n));
+      words.push_back(n);
     }
   });
   return words;
@@ -294,20 +403,41 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(int array) const {
     // 4 * shared_banks_, so the base shifts every word by a whole number of
     // bank rotations: distinctness and bank assignment — hence the conflict
     // degree — match shared_conflict_degree on the real addresses of any
-    // placement.
+    // placement. Likewise a shift by whole words only rotates the banks, so
+    // an op whose lanes stay inside one slice has the degree of its pattern
+    // at its slice-local base offset modulo 4; an op that wraps the slice is
+    // computed per op.
     const ArrayDecl& arr = kernel_->arrays[a];
     const std::int64_t slice = shared_slice_elems(arr);
     const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
-    fold.degree.reserve(lanes_[a].size());
+    const ArrayLanes& lanes = lanes_[a];
+    const std::vector<PatternShape> shapes = shapes_of(lanes.patterns, kNoLane);
+    std::unordered_map<std::uint64_t, std::uint8_t> memo;
+    fold.degree.reserve(lanes.ops.size());
     std::int64_t addr[kWarpSize];
-    for (const Lanes& idx : lanes_[a]) {
-      const std::uint32_t mask = mask_of(idx);
+    const auto degree = [&](const MemOp& op, auto&& to) {
+      lane_bytes(lanes.patterns[op.pattern], kNoLane, to, addr);
+      return static_cast<std::uint8_t>(shared_conflict_degree(
+          shapes[op.pattern].mask, addr, shared_banks_));
+    };
+    for (const MemOp& op : lanes.ops) {
+      const PatternShape& shape = shapes[op.pattern];
       std::uint8_t deg = 1;
-      if (mask != 0) {
-        lane_bytes(idx, [&](std::int64_t e) { return e % slice * esize; },
-                   addr);
-        deg = static_cast<std::uint8_t>(
-            shared_conflict_degree(mask, addr, shared_banks_));
+      if (shape.mask != 0) {
+        const std::int64_t local = op.base % slice;
+        if (op.base >= 0 && local + shape.span < slice) {
+          const std::int64_t r = local * esize % 4;
+          const auto [it, fresh] = memo.try_emplace(
+              memo_key(op.pattern, static_cast<std::uint64_t>(r)), 0);
+          if (fresh)
+            it->second =
+                degree(op, [&](std::int32_t off) { return r + off * esize; });
+          deg = it->second;
+        } else {
+          deg = degree(op, [&](std::int32_t off) {
+            return (std::int64_t{op.base} + off) % slice * esize;
+          });
+        }
         fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
       }
       fold.degree.push_back(deg);
@@ -394,7 +524,8 @@ std::size_t TraceSkeleton::footprint_bytes() const {
                   bytes_of(device_base_) + bytes_of(lines_) +
                   bytes_of(folds_) + bytes_of(const_words_) +
                   kernel_->arrays.size() * kTables * sizeof(std::once_flag);
-  for (const std::vector<Lanes>& pool : lanes_) n += bytes_of(pool);
+  for (const ArrayLanes& lanes : lanes_)
+    n += bytes_of(lanes.ops) + bytes_of(lanes.patterns);
   for (const LinePool& lp : lines_) n += bytes_of(lp.begin) + bytes_of(lp.lines);
   for (const SharedFold& f : folds_) n += bytes_of(f.degree);
   for (const std::vector<std::uint8_t>& words : const_words_)
@@ -627,7 +758,7 @@ std::uint32_t LoweringCursor::lane_addresses(std::int64_t* addr) const {
     return mask;
   }
   const bool shared = space() == MemSpace::Shared;
-  const TraceSkeleton::Lanes& idx = skeleton_->lane_idx(array, op_->ordinal);
+  const TraceSkeleton::Lanes idx = skeleton_->lane_idx(array, op_->ordinal);
   for (int l = 0; l < kWarpSize; ++l) {
     const std::int64_t e = idx[static_cast<std::size_t>(l)];
     if (e == kInactiveLane) {

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -31,8 +32,11 @@ struct WarpTrace {
 // recorded here is shared by all m^n placements of a kernel, so a search
 // records it once and replays it per candidate instead of re-running the
 // kernel function. It keeps only what its readers use: one ProtoOp per DSL
-// op, one WarpCtx per warp, and the lane element indices of the memory ops
-// alone (compute ops and syncs carry none). It is recorded for one
+// op, one WarpCtx per warp, and the lanes of the memory ops alone (compute
+// ops and syncs carry none). A memory op's lanes are stored as 8 bytes, its
+// lowest active element index (its base) and the index of its lane pattern,
+// the lanes' offsets from that base, in its array's dictionary of distinct
+// patterns: a kernel's ops repeat a handful of shapes. It is recorded for one
 // architecture, whose cache-line size and shared bank count fix the geometry
 // of its memo tables below. Immutable after construction apart from those
 // tables, which build once each under their own flags; safe to share across
@@ -75,9 +79,19 @@ class TraceSkeleton {
   // constructor checks that every array's elements fit.
   using Lanes = std::array<std::int32_t, kWarpSize>;
   // Lane element indices of memory op `ordinal` of `array` (ProtoOp::ordinal
-  // and MemRecord::ordinal index this; inactive lanes: kInactiveLane).
-  const Lanes& lane_idx(int array, std::uint32_t ordinal) const {
-    return lanes_[static_cast<std::size_t>(array)][ordinal];
+  // and MemRecord::ordinal index this; inactive lanes: kInactiveLane),
+  // rebuilt from its base and pattern.
+  Lanes lane_idx(int array, std::uint32_t ordinal) const {
+    const ArrayLanes& lanes = lanes_[static_cast<std::size_t>(array)];
+    const MemOp op = lanes.ops[ordinal];
+    Lanes idx = lanes.patterns[op.pattern];
+    for (std::int32_t& e : idx)
+      e = e == kNoLane ? static_cast<std::int32_t>(kInactiveLane) : op.base + e;
+    return idx;
+  }
+  // Distinct lane patterns of `array`'s memory ops.
+  std::size_t lane_patterns(int array) const {
+    return lanes_[static_cast<std::size_t>(array)].patterns.size();
   }
 
   // Bytes held by the skeleton's containers (their capacity), memoized
@@ -143,9 +157,13 @@ class TraceSkeleton {
   // of an array are placement-invariant (fixed allocation, Sec. III-E), so
   // the ascending deduplicated line list of every memory op — exactly what
   // coalesce_lines produces at the skeleton's cache-line size — is too.
-  // Built lazily (the lane addresses are computed from lane_idx while
-  // building and never kept). Outside tests, only TraceMaterializer::bind
-  // reads these tables.
+  // Built lazily (lane addresses are computed while building and never
+  // kept), with one entry per op. A pitch-linear op's lines are its
+  // pattern's lines at its base's offset within a line, shifted by whole
+  // lines, so they are computed once per (pattern, offset within a line)
+  // and placed per op; block-linear lines are not translation-invariant and
+  // are computed per op. Outside tests, only TraceMaterializer::bind reads
+  // these tables.
   struct LinePool {
     std::vector<std::uint32_t> begin;  // per ordinal, size mem_ops + 1
     std::vector<std::uint64_t> lines;  // concatenated ascending line lists
@@ -153,8 +171,8 @@ class TraceSkeleton {
   const LinePool& line_pool(int array, bool block_linear) const;
 
   // Distinct 4-byte words per ordinal over the linear device addresses
-  // (constant-space divergence replays, Eq. 3 cause 3), built like the line
-  // pools.
+  // (constant-space divergence replays, Eq. 3 cause 3), built like the
+  // pitch-linear line pool: once per (pattern, base byte offset modulo 4).
   std::span<const std::uint8_t> const_words_pool(int array) const;
 
   // Shared-memory bank-conflict degrees per ordinal plus their fold. The
@@ -162,7 +180,11 @@ class TraceSkeleton {
   // placement-dependent base offset is kSharedAlign-byte aligned, so (the
   // bank count being foldable) the degrees match shared_conflict_degree on
   // the real addresses of ANY placement that puts the array in shared memory
-  // (the offset shifts every word by a multiple of the bank count).
+  // (the offset shifts every word by a multiple of the bank count). A shift
+  // by whole words only rotates the banks, so an op whose lanes stay inside
+  // one slice has its pattern's degree at its base's byte offset modulo 4,
+  // computed once per such pair; an op whose pattern wraps the slice is
+  // computed per op.
   struct SharedFold {
     std::vector<std::uint8_t> degree;  // per ordinal (1 for masked-off ops)
     std::uint64_t conflict_sum = 0;    // sum of (degree - 1), unmasked ops
@@ -223,7 +245,21 @@ class TraceSkeleton {
   std::vector<WarpCtx> ctx_;      // per warp, block-major
   std::vector<ProtoOp> proto_;    // all warps, concatenated
   std::vector<std::uint32_t> proto_begin_;  // per-warp ranges, size warps+1
-  std::vector<std::vector<Lanes>> lanes_;  // per array, in ordinal order
+  // A memory op's lanes: element index of lane l = base + patterns[pattern][l]
+  // (kNoLane: inactive). base is the lowest active index, so every offset
+  // is >= 0 and no offset can take the sentinel; a fully masked op has base
+  // 0 and the all-kNoLane pattern.
+  static constexpr std::int32_t kNoLane =
+      std::numeric_limits<std::int32_t>::min();
+  struct MemOp {
+    std::int32_t base = 0;
+    std::uint32_t pattern = 0;
+  };
+  struct ArrayLanes {
+    std::vector<MemOp> ops;        // in ordinal order
+    std::vector<Lanes> patterns;   // distinct, in order of first use
+  };
+  std::vector<ArrayLanes> lanes_;  // per array
   std::vector<std::uint32_t> copy_in_chunks_;   // per array
   std::vector<std::uint32_t> copy_in_classes_;  // per array
   std::uint64_t base_insts_ = 0;

@@ -85,5 +85,47 @@ TEST(BlockLinear, StaysWithinPaddedBounds) {
   }
 }
 
+// BlockLinearMap hoists the per-array constants and turns the tile
+// divisions into shifts; every element of ragged images, in every element
+// size and tile shape, lands where the per-element tile formula puts it.
+TEST(BlockLinear, MapMatchesTheTileFormula) {
+  const auto reference = [](const ArrayDecl& arr, std::uint64_t e,
+                            const TextureTileShape& tile) {
+    const std::uint64_t esize = arr.elem_size();
+    const std::uint64_t bx = e % arr.width * esize;
+    const std::uint64_t y = e / arr.width;
+    const std::uint64_t tiles_per_row =
+        (arr.width * esize + tile.tile_w - 1) / tile.tile_w;
+    return (y / tile.tile_h * tiles_per_row + bx / tile.tile_w) *
+               tile.tile_w * tile.tile_h +
+           y % tile.tile_h * tile.tile_w + bx % tile.tile_w;
+  };
+  for (DType dtype : {DType::F32, DType::F64}) {
+    for (std::size_t width : {1u, 7u, 16u, 100u, 257u}) {
+      const ArrayDecl a{.name = "img", .dtype = dtype, .elems = width * 19,
+                        .width = width};
+      for (const TextureTileShape tile :
+           {TextureTileShape{}, TextureTileShape{.tile_w = 32, .tile_h = 4},
+            TextureTileShape{.tile_w = 16, .tile_h = 1}}) {
+        const BlockLinearMap map(a, tile);
+        for (std::uint64_t e = 0; e < a.elems; ++e) {
+          ASSERT_EQ(map.offset(static_cast<std::int64_t>(e)),
+                    reference(a, e, tile))
+              << "width " << width << " elem " << e;
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockLinearDeathTest, ElementOutsideTheArrayAborts) {
+  const ArrayDecl a = image(16, 4);
+  const BlockLinearMap map(a);
+  EXPECT_DEATH(map.offset(64), "check failed");
+  EXPECT_DEATH(map.offset(-1), "check failed");
+  const TextureTileShape ragged{.tile_w = 48, .tile_h = 8};
+  EXPECT_DEATH(BlockLinearMap(a, ragged), "powers of two");
+}
+
 }  // namespace
 }  // namespace gpuhms

@@ -1,10 +1,13 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_registry.hpp"
 #include "isa/addressing.hpp"
+#include "sim/coalesce.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -34,6 +37,140 @@ std::vector<WarpTrace> lower(const TraceMaterializer& mat, std::int64_t b0,
                              std::int64_t b1) {
   const TraceSkeleton skeleton(mat.kernel(), kepler_arch());
   return mat.generate(skeleton, b0, b1);
+}
+
+// Every Table IV case: the training suite, then the evaluation suite.
+std::vector<workloads::BenchmarkCase> table_iv_cases() {
+  std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
+  for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
+    cases.push_back(std::move(c));
+  return cases;
+}
+
+// Lanes that descend (each active lane one element below its predecessor)
+// with every third lane masked off, so an active lane sits one element
+// below the op's first lane right next to an inactive lane; a fully masked
+// op; and a store that skips lane 0. Bases differ per warp, and array x's
+// shared slice wraps under some of them; at 40 elements (160 bytes, not a
+// whole number of bank rotations) a wrapped lane changes bank.
+KernelInfo descending_masked_kernel() {
+  KernelInfo k = one_load_kernel();
+  k.arrays[0].shared_slice_elems = 40;
+  k.fn = [](WarpEmitter& em, const WarpCtx& ctx) {
+    const std::int64_t top = 1000 + 29 * ctx.warp_global_id();
+    em.load(0, em.by_lane([&](int l) {
+      return l % 3 == 2 ? kInactiveLane : top - l;
+    }));
+    em.load(0, em.by_lane([](int) { return kInactiveLane; }));
+    em.falu(1, true);
+    em.store(1, em.by_lane([&](int l) {
+      return l == 0 ? kInactiveLane : top - 31 + l;
+    }));
+  };
+  return k;
+}
+
+// Re-records every warp of `k` and counts the memory ops whose interned
+// lanes differ from the DSL's lane indices, inactive lanes included.
+std::size_t lane_mismatches(const KernelInfo& k,
+                            const TraceSkeleton& skeleton) {
+  std::vector<std::uint32_t> ordinal(k.arrays.size(), 0);
+  std::vector<DslOp> ops;
+  std::size_t bad = 0;
+  for (std::int64_t b = 0; b < k.num_blocks; ++b) {
+    for (int w = 0; w < k.warps_per_block(); ++w) {
+      record_warp(k, b, w, ops);
+      for (const DslOp& op : ops) {
+        if (!is_memory(op.cls)) continue;
+        const TraceSkeleton::Lanes got = skeleton.lane_idx(
+            op.array, ordinal[static_cast<std::size_t>(op.array)]++);
+        if (!std::equal(got.begin(), got.end(), op.idx.begin())) {
+          if (bad++ == 0)
+            ADD_FAILURE() << "first mismatch: array " << op.array
+                          << ", block " << b << ", warp " << w;
+        }
+      }
+    }
+  }
+  for (std::size_t a = 0; a < k.arrays.size(); ++a)
+    EXPECT_EQ(ordinal[a], skeleton.mem_ops_per_array()[a]);
+  return bad;
+}
+
+// Counts the table entries of every array of `k`'s skeleton for `arch` that
+// differ from a per-op recomputation from lane_idx: line pools (both
+// layouts) through coalesce_lines_buf, constant words through
+// distinct_words, shared degrees and their fold through
+// shared_conflict_degree.
+std::size_t table_mismatches(const KernelInfo& k, const GpuArch& arch) {
+  const TraceSkeleton skeleton(k, arch);
+  const DataPlacement offchip(
+      std::vector<MemSpace>(k.arrays.size(), MemSpace::Global));
+  const MemoryLayout layout(k, offchip, arch);
+  std::size_t bad = 0;
+  const auto check = [&](bool same, const char* table, std::size_t a,
+                         std::uint32_t ordinal) {
+    if (!same && bad++ == 0)
+      ADD_FAILURE() << "first mismatch: " << table << " of array " << a
+                    << ", ordinal " << ordinal << ", arch line "
+                    << arch.cache_line << " banks " << arch.shared_banks;
+  };
+  for (std::size_t a = 0; a < k.arrays.size(); ++a) {
+    const int array = static_cast<int>(a);
+    const ArrayDecl& arr = k.arrays[a];
+    const std::uint64_t base = layout.device_base(array);
+    const std::int64_t slice = shared_slice_elems(arr);
+    const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
+    const TraceSkeleton::LinePool& pitch = skeleton.line_pool(array, false);
+    const TraceSkeleton::LinePool* block =
+        arr.width > 0 ? &skeleton.line_pool(array, true) : nullptr;
+    const std::span<const std::uint8_t> words =
+        skeleton.const_words_pool(array);
+    const TraceSkeleton::SharedFold& fold = skeleton.shared_fold(array);
+    const std::size_t n = skeleton.mem_ops_per_array()[a];
+    EXPECT_EQ(pitch.begin.size(), n + 1);
+    EXPECT_EQ(words.size(), n);
+    EXPECT_EQ(fold.degree.size(), n);
+    std::uint64_t conflict_sum = 0;
+    std::int64_t addr[kWarpSize];
+    std::uint64_t buf[kWarpSize];
+    for (std::uint32_t o = 0; o < n; ++o) {
+      const TraceSkeleton::Lanes idx = skeleton.lane_idx(array, o);
+      std::uint32_t mask = 0;
+      for (int l = 0; l < kWarpSize; ++l)
+        if (idx[static_cast<std::size_t>(l)] != kInactiveLane) mask |= 1u << l;
+      const auto fill = [&](auto&& to) {
+        for (int l = 0; l < kWarpSize; ++l) {
+          const std::int64_t e = idx[static_cast<std::size_t>(l)];
+          addr[l] = e == kInactiveLane ? -1 : static_cast<std::int64_t>(to(e));
+        }
+      };
+      const auto lines_match = [&](const TraceSkeleton::LinePool& lp) {
+        const int m = mask == 0 ? 0
+                                : coalesce_lines_buf(mask, addr,
+                                                     arch.cache_line, buf);
+        return std::equal(lp.lines.begin() + lp.begin[o],
+                          lp.lines.begin() + lp.begin[o + 1], buf, buf + m);
+      };
+      fill([&](std::int64_t e) { return base + pitch_linear_offset(arr, e); });
+      check(lines_match(pitch), "pitch-linear lines", a, o);
+      check(words[o] == (mask == 0 ? 0 : distinct_words(mask, addr)),
+            "constant words", a, o);
+      if (block != nullptr) {
+        fill([&](std::int64_t e) {
+          return base + block_linear_offset(arr, e);
+        });
+        check(lines_match(*block), "block-linear lines", a, o);
+      }
+      fill([&](std::int64_t e) { return e % slice * esize; });
+      const int degree =
+          mask == 0 ? 1 : shared_conflict_degree(mask, addr, arch.shared_banks);
+      check(fold.degree[o] == degree, "shared degree", a, o);
+      if (mask != 0) conflict_sum += static_cast<std::uint64_t>(degree - 1);
+    }
+    EXPECT_EQ(fold.conflict_sum, conflict_sum) << "array " << a;
+  }
+  return bad;
 }
 
 int count_addr_calcs(const std::vector<TraceOp>& ops) {
@@ -167,6 +304,8 @@ TEST(Materializer, StagingCoversTheWholeSlice) {
 TEST(Materializer, RejectsInvalidPlacement) {
   const KernelInfo k = one_load_kernel();
   const auto p = DataPlacement::defaults(k).with(1, MemSpace::Constant);
+  // Threadsafe: the sanitizer binaries that compile this file run threads.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(TraceMaterializer(k, p, kepler_arch()), "read-only");
 }
 
@@ -184,13 +323,15 @@ TEST(Materializer, InactiveLanesGetNoAddresses) {
   EXPECT_EQ(ld.addr[10], -1);
 }
 
-// The skeleton keeps one ProtoOp per DSL op and lane element indices for
-// its memory ops alone (none for compute ops or syncs), and its memoized
-// tables keep no lane addresses once built: its footprint is bounded by a
-// formula over DSL ops and memory ops, and a table costs only its entries.
+// The skeleton keeps one ProtoOp per DSL op, and for its memory ops alone
+// (none for compute ops or syncs) 8 bytes plus its array's distinct lane
+// patterns, and its memoized tables keep no lane addresses once built: its
+// footprint is bounded by a formula over DSL ops, memory ops and patterns,
+// and a table costs only its entries.
 TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
   using Skel = TraceSkeleton;
   constexpr std::size_t kSlack = 4096;  // headers, per-array bookkeeping
+  constexpr std::size_t kLaneBytesPerOp = 8;  // base + pattern id
   for (const char* name : {"md5hash", "matrixmul"}) {
     SCOPED_TRACE(name);
     const workloads::BenchmarkCase c = workloads::get_benchmark(name);
@@ -204,6 +345,9 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
       mem_ops += static_cast<std::size_t>(n);
     const std::size_t warps = skeleton.num_warps();
     const std::size_t arrays = k.arrays.size();
+    std::size_t patterns = 0;
+    for (std::size_t a = 0; a < arrays; ++a)
+      patterns += skeleton.lane_patterns(static_cast<int>(a));
     ASSERT_EQ(warps, static_cast<std::size_t>(k.total_warps()));
     const std::size_t wpb = static_cast<std::size_t>(k.warps_per_block());
     for (std::size_t w = 0; w < warps; ++w) {  // block-major
@@ -218,14 +362,19 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
                                  arrays * sizeof(std::uint32_t);
     const std::size_t recorded =
         dsl_ops * sizeof(Skel::ProtoOp) +
-        mem_ops * (sizeof(Skel::Lanes) + sizeof(Skel::MemRecord)) +
-        (warps + 2) * per_warp + kSlack;
+        mem_ops * (kLaneBytesPerOp + sizeof(Skel::MemRecord)) +
+        patterns * sizeof(Skel::Lanes) + (warps + 2) * per_warp + kSlack;
     EXPECT_LE(skeleton.footprint_bytes(), recorded);
     // md5hash is nearly all compute: one lane index block per DSL op would
     // cost it over 10x more.
     if (std::string(name) == "md5hash") {
       EXPECT_GT(dsl_ops, 100 * mem_ops);
       EXPECT_LT(skeleton.footprint_bytes() * 10, dsl_ops * sizeof(DslOp));
+    }
+    // matrixmul's 62,496 memory ops repeat a handful of lane shapes.
+    if (std::string(name) == "matrixmul") {
+      EXPECT_GT(mem_ops, 60000u);
+      EXPECT_LE(patterns, 16u);
     }
 
     // Every table of every array, both layouts: the footprint grows by the
@@ -248,16 +397,82 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
   }
 }
 
+// The 17 Table IV skeletons a kepler server holds, as recorded (before any
+// table builds), fit in 20 MB: a count of the skeletons' own bytes, which
+// allocation order does not move.
+TEST(SkeletonFootprint, TableIvSkeletonsFitInTwentyMegabytes) {
+  const std::vector<workloads::BenchmarkCase> cases = table_iv_cases();
+  ASSERT_EQ(cases.size(), 17u);
+  std::size_t total = 0;
+  for (const workloads::BenchmarkCase& c : cases)
+    total += TraceSkeleton(c.kernel, kepler_arch()).footprint_bytes();
+  EXPECT_LE(total, std::size_t{20} * 1000 * 1000);
+}
+
+// --- lane interning ----------------------------------------------------------
+
+// Descending and masked lanes survive interning exactly: an active lane one
+// element below the op's first lane must not read as inactive.
+TEST(LaneInterning, DescendingAndMaskedLanesRoundTrip) {
+  const KernelInfo k = descending_masked_kernel();
+  const TraceSkeleton skeleton(k, kepler_arch());
+  EXPECT_EQ(lane_mismatches(k, skeleton), 0u);
+  // Both arrays' ops repeat one shape per op position across the warps.
+  EXPECT_EQ(skeleton.lane_patterns(0), 2u);
+  EXPECT_EQ(skeleton.lane_patterns(1), 1u);
+  // The interned lanes give back every DSL op's active mask.
+  for (std::size_t w = 0; w < skeleton.num_warps(); ++w) {
+    for (const TraceSkeleton::ProtoOp& p : skeleton.proto(w)) {
+      if (!is_memory(p.cls)) continue;
+      const TraceSkeleton::Lanes idx = skeleton.lane_idx(p.array, p.ordinal);
+      LaneIdx wide{};
+      std::copy(idx.begin(), idx.end(), wide.begin());
+      EXPECT_EQ(active_mask_of(wide), p.active_mask);
+    }
+  }
+}
+
+// For every Table IV kernel on kepler, every memory op's interned lanes
+// equal the lane indices its warp records.
+TEST(LaneInterning, TableIvKernelsRoundTripEveryMemoryOp) {
+  for (const workloads::BenchmarkCase& c : table_iv_cases()) {
+    SCOPED_TRACE(c.name);
+    const TraceSkeleton skeleton(c.kernel, kepler_arch());
+    EXPECT_EQ(lane_mismatches(c.kernel, skeleton), 0u);
+  }
+}
+
+// The per-pattern table builders equal a per-op recomputation: on the
+// synthetic kernel (whose shared slice wraps under some bases) and on every
+// Table IV kernel, for every registered arch.
+TEST(SkeletonTables, DescendingAndMaskedLanesMatchPerOpRecomputation) {
+  const KernelInfo k = descending_masked_kernel();
+  for (const std::string& name : ArchRegistry::builtin().names()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(table_mismatches(k, ArchRegistry::builtin().find(name)->arch),
+              0u);
+  }
+}
+
+TEST(SkeletonTables, EveryWorkloadMatchesPerOpRecomputation) {
+  for (const workloads::BenchmarkCase& c : table_iv_cases()) {
+    SCOPED_TRACE(c.name);
+    for (const std::string& name : ArchRegistry::builtin().names()) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(
+          table_mismatches(c.kernel, ArchRegistry::builtin().find(name)->arch),
+          0u);
+    }
+  }
+}
+
 // The staging preamble's copy-in tables hold one entry per distinct copy
 // (block class x chunk), not one per copy a placement executes: on every
 // Table IV kernel, for every array that can be staged, the lines table has
 // one range per (class, chunk) and the fold one degree per chunk.
 TEST(SkeletonFootprint, CopyInTablesHoldOneEntryPerDistinctCopy) {
-  std::vector<workloads::BenchmarkCase> cases = workloads::training_suite();
-  for (workloads::BenchmarkCase& c : workloads::evaluation_suite())
-    cases.push_back(std::move(c));
   const GpuArch& arch = kepler_arch();
-  for (const workloads::BenchmarkCase& c : cases) {
+  for (const workloads::BenchmarkCase& c : table_iv_cases()) {
     SCOPED_TRACE(c.name);
     const KernelInfo& k = c.kernel;
     const TraceSkeleton skeleton(k, arch);
