@@ -1,11 +1,14 @@
 // E11 — component microbenchmarks (google-benchmark): throughput of the hot
 // paths every experiment leans on — cache simulation, DRAM timing, address
-// decoding, coalescing, trace materialization, and a full simulator run.
+// decoding, coalescing, trace materialization, a full simulator run,
+// skeleton recording and T_overlap training.
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "dram/gddr.hpp"
+#include "model/predictor.hpp"
 #include "model/queuing.hpp"
 #include "model/trace_analysis.hpp"
 #include "sim/coalesce.hpp"
@@ -113,6 +116,37 @@ void BM_AnalyzeTrace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyzeTrace);
+
+// Skeleton recording: runs matrixmul's DSL for every warp and interns the
+// lane patterns of its memory ops.
+void BM_SkeletonRecord(benchmark::State& state) {
+  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
+  for (auto _ : state) {
+    const TraceSkeleton skeleton(c.kernel, kepler_arch());
+    benchmark::DoNotOptimize(skeleton.num_warps());
+  }
+}
+BENCHMARK(BM_SkeletonRecord)->Unit(benchmark::kMillisecond);
+
+// T_overlap training at start-up: simulates and analyzes every training
+// case on one thread.
+void BM_TrainOverlapOneThread(benchmark::State& state) {
+  const std::vector<workloads::BenchmarkCase> training =
+      workloads::training_suite();
+  std::vector<TrainingCase> cases;
+  for (const auto& c : training) {
+    cases.push_back({&c.kernel, c.sample});
+    for (const auto& t : c.tests) cases.push_back({&c.kernel, t.placement});
+  }
+  ThreadPool pool(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        train_overlap_model(cases, kepler_arch(), ModelOptions{}, 1e-3, &pool));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cases.size()));
+}
+BENCHMARK(BM_TrainOverlapOneThread)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,6 +1,8 @@
 #include "arch/gpu_arch.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -94,6 +96,38 @@ Status validate(const GpuArch& arch) {
     return field_error("cache_line",
                        "must be a power of two (got " +
                            std::to_string(arch.cache_line) + ")");
+  // The cache model (SetAssocCache) needs whole sets and at most
+  // kMaxCacheWays ways; a remainder would be silently dropped.
+  struct CacheField {
+    const char* capacity_name;
+    const char* ways_name;
+    std::size_t capacity;
+    int ways;
+  };
+  for (const CacheField c : {
+           CacheField{"l2_capacity", "l2_ways", arch.l2_capacity, arch.l2_ways},
+           CacheField{"const_cache_capacity", "const_cache_ways",
+                      arch.const_cache_capacity, arch.const_cache_ways},
+           CacheField{"tex_cache_capacity", "tex_cache_ways",
+                      arch.tex_cache_capacity, arch.tex_cache_ways},
+       }) {
+    if (c.ways > kMaxCacheWays)
+      return field_error(c.ways_name,
+                         "must be at most " + std::to_string(kMaxCacheWays) +
+                             " (got " + std::to_string(c.ways) + ")");
+    const std::size_t ways = static_cast<std::size_t>(c.ways);
+    // Checked before the product, which could overflow.
+    const bool no_set = arch.cache_line > c.capacity / ways;
+    const std::size_t set_bytes = arch.cache_line * ways;
+    if (no_set || c.capacity % set_bytes != 0 ||
+        c.capacity / set_bytes > std::numeric_limits<std::uint32_t>::max())
+      return field_error(
+          c.capacity_name,
+          "must be a whole number of cache_line x " + std::string(c.ways_name) +
+              " = " + std::to_string(set_bytes) +
+              "-byte sets, at least one and below 2^32 (got " +
+              std::to_string(c.capacity) + ")");
+  }
   if (arch.dram.row_hit_service < 1 || arch.dram.row_miss_service < 1 ||
       arch.dram.row_conflict_service < 1)
     return field_error("dram", "row-buffer service times must be >= 1");

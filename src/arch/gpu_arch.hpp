@@ -136,6 +136,10 @@ constexpr bool shared_banks_foldable(int shared_banks) {
          kSharedAlign % (4 * static_cast<std::uint64_t>(shared_banks)) == 0;
 }
 
+// Most ways a cache may have: the cache model keeps each set's dirty bits in
+// one 64-bit mask (SetAssocCache).
+inline constexpr int kMaxCacheWays = 64;
+
 // The default configuration used everywhere unless a test overrides fields.
 const GpuArch& kepler_arch();
 
@@ -148,8 +152,9 @@ const GpuArch& fermi_arch();
 // models cannot operate on: non-positive structural counts, a warp size
 // other than the DSL's fixed 32 lanes, a non-power-of-two cache line, zero
 // latencies/capacities, a shared bank count the conflict fold cannot handle
-// (shared_banks_foldable). Returns INVALID_ARGUMENT naming the offending
-// field.
+// (shared_banks_foldable), a cache with more than kMaxCacheWays ways or whose
+// capacity is not a whole, positive number of cache_line x ways sets.
+// Returns INVALID_ARGUMENT naming the offending field.
 Status validate(const GpuArch& arch);
 
 }  // namespace gpuhms

@@ -32,8 +32,14 @@ struct CacheStats {
   }
 };
 
+// Each set keeps its tags in most-recently-used order, so a hit moves its
+// tag to the front and a miss into a full set evicts the last one. Lines are
+// never invalidated, so a set's valid tags always occupy its first `fill`
+// ways; bit w of the set's dirty mask belongs to the tag at position w.
 class SetAssocCache {
  public:
+  // CHECKs a power-of-two line size, 1 to kMaxCacheWays ways and a whole,
+  // positive number of sets below 2^32.
   explicit SetAssocCache(const CacheConfig& cfg);
 
   // Access a byte address; returns true on hit. On a write miss the line is
@@ -47,21 +53,24 @@ class SetAssocCache {
   const CacheConfig& config() const { return cfg_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // last-use stamp
-    bool valid = false;
-    bool dirty = false;
-  };
-
+  // line_addr % num_sets_: Lemire's fastmod, exact for 32-bit dividends
+  // and divisors, with `%` for the rare line address past 2^32.
   std::size_t set_of(std::uint64_t line_addr) const {
-    return static_cast<std::size_t>(line_addr % num_sets_);
+    if (line_addr >> 32 != 0)
+      return static_cast<std::size_t>(line_addr % num_sets_);
+    const std::uint64_t low = set_magic_ * line_addr;
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(low) * num_sets_) >> 64);
   }
 
   CacheConfig cfg_;
-  std::size_t num_sets_;
-  std::vector<Line> lines_;  // num_sets * ways, set-major
-  std::uint64_t tick_ = 0;
+  std::uint64_t num_sets_;
+  std::uint64_t set_magic_;  // 2^64 / num_sets_, rounded up
+  unsigned line_shift_;      // log2(line_size)
+  std::size_t ways_;
+  std::vector<std::uint64_t> tags_;  // num_sets * ways, set-major, MRU first
+  std::vector<std::uint8_t> fill_;   // valid tags per set
+  std::vector<std::uint64_t> dirty_;  // per set, by MRU position
   CacheStats stats_;
 };
 

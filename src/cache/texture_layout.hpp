@@ -25,7 +25,8 @@ struct TextureTileShape {
 
 // The block-linear image of one array, with its per-array constants (row
 // bytes, tiles per row, tile shifts) computed once: an offset costs one
-// division by the row width, where the per-element formula costs six.
+// division by the row width, where the per-element formula costs six, and
+// none when the caller has the element's row and column.
 class BlockLinearMap {
  public:
   // CHECKs that arr is 2-D and the tile sides are powers of two.
@@ -38,14 +39,26 @@ class BlockLinearMap {
     GPUHMS_CHECK(elem >= 0 && static_cast<std::uint64_t>(elem) < elems_);
     const std::uint64_t e = static_cast<std::uint64_t>(elem);
     const std::uint64_t y = e / width_;
-    const std::uint64_t bx = (e - y * width_) * esize_;  // byte column
+    return tiled(y, e - y * width_);
+  }
+  // offset(y * width() + x) for a column x < width() (CHECKed, as is the
+  // element lying inside the array), without the division by the width.
+  std::uint64_t offset(std::uint64_t y, std::uint64_t x) const {
+    GPUHMS_CHECK(x < width_ && y * width_ + x < elems_);
+    return tiled(y, x);
+  }
+  // Row width in elements.
+  std::uint64_t width() const { return width_; }
+
+ private:
+  std::uint64_t tiled(std::uint64_t y, std::uint64_t x) const {
+    const std::uint64_t bx = x * esize_;  // byte column
     const std::uint64_t tile =
         (y >> h_shift_) * tiles_per_row_ + (bx >> w_shift_);
     return (tile << (w_shift_ + h_shift_)) +
            ((y & h_mask_) << w_shift_) + (bx & w_mask_);
   }
 
- private:
   std::uint64_t elems_, width_, esize_, tiles_per_row_;
   unsigned w_shift_, h_shift_;
   std::uint64_t w_mask_, h_mask_;

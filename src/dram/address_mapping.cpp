@@ -55,17 +55,37 @@ AddressMapping::AddressMapping(Fields f) : fields_(std::move(f)) {
     }
   }
   usable_bits_ = hi + 1;
+  bank_runs_ = runs_of(fields_.bank_bits);
+  xor_runs_ = runs_of(fields_.bank_xor_bits);
+  column_runs_ = runs_of(fields_.column_bits);
+  row_runs_ = runs_of(fields_.row_bits);
+}
+
+std::vector<AddressMapping::BitRun> AddressMapping::runs_of(
+    const std::vector<int>& positions) {
+  std::vector<BitRun> runs;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    GPUHMS_CHECK(positions[i] >= 0 && positions[i] < 64);
+    if (i > 0 && positions[i] == positions[i - 1] + 1) {
+      runs.back().mask = (runs.back().mask << 1) | 1;
+    } else {
+      runs.push_back({static_cast<unsigned>(positions[i]),
+                      static_cast<unsigned>(i), 1});
+    }
+  }
+  return runs;
 }
 
 AddressMapping::Decoded AddressMapping::decode(std::uint64_t addr) const {
   Decoded d;
-  std::uint64_t bank_field = extract_bits(addr, fields_.bank_bits);
-  if (!fields_.bank_xor_bits.empty())
-    bank_field ^= extract_bits(addr, fields_.bank_xor_bits);
-  d.bank = static_cast<int>(bank_field %
-                            static_cast<std::uint64_t>(fields_.num_banks));
-  d.row = extract_bits(addr, fields_.row_bits);
-  d.column = extract_bits(addr, fields_.column_bits);
+  // Without swizzling xor_runs_ is empty and XORs in zero.
+  const std::uint64_t bank_field =
+      extract_runs(addr, bank_runs_) ^ extract_runs(addr, xor_runs_);
+  const auto banks = static_cast<std::uint64_t>(fields_.num_banks);
+  d.bank = static_cast<int>(bank_field < banks ? bank_field
+                                               : bank_field % banks);
+  d.row = extract_runs(addr, row_runs_);
+  d.column = extract_runs(addr, column_runs_);
   return d;
 }
 

@@ -66,8 +66,27 @@ class AddressMapping {
   int usable_bits() const { return usable_bits_; }
 
  private:
+  // A run of contiguous address bits [from, from + width) that lands at
+  // field bits [to, to + width): mask has the run's width in ones.
+  struct BitRun {
+    unsigned from = 0;
+    unsigned to = 0;
+    std::uint64_t mask = 0;
+  };
+  static std::vector<BitRun> runs_of(const std::vector<int>& positions);
+  // extract_bits(addr, positions) for the positions `runs` was made from:
+  // one shift and one mask per run.
+  static std::uint64_t extract_runs(std::uint64_t addr,
+                                    const std::vector<BitRun>& runs) {
+    std::uint64_t v = 0;
+    for (const BitRun& r : runs) v |= ((addr >> r.from) & r.mask) << r.to;
+    return v;
+  }
+
   Fields fields_;
   int usable_bits_;
+  // The fields' bit positions as runs, for decode().
+  std::vector<BitRun> bank_runs_, xor_runs_, column_runs_, row_runs_;
 };
 
 // Kepler-like default: transaction bits 0-6, bank-select bits 7-13

@@ -108,12 +108,9 @@ class WarpEmitter {
     ops_.push_back(op);
   }
   void mem(OpClass cls, int array, const LaneIdx& idx, bool uses_prev) {
-    DslOp op;
-    op.cls = cls;
-    op.array = static_cast<std::int16_t>(array);
-    op.uses_prev = uses_prev;
-    op.idx = idx;
-    ops_.push_back(op);
+    // Built in place: idx is copied once, and nothing is zeroed first.
+    ops_.emplace_back(cls, static_cast<std::int16_t>(array), std::uint16_t{1},
+                      uses_prev, idx);
   }
 
   const WarpCtx* ctx_;

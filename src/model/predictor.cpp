@@ -1,8 +1,12 @@
 #include "model/predictor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/hashing.hpp"
@@ -418,34 +422,54 @@ TrainingRow training_row(const SimResult& measured, const PlacementEvents& ev,
   return row;
 }
 
-// rows[i] = row_of(cases[i], skeleton of its kernel), one kernel at a time:
-// the kernel's skeleton is recorded once, shared by its cases across the
-// pool, and freed before the next kernel's, so at most one skeleton is
-// alive. Cases of one kernel need not be adjacent.
+// rows[i] = row_of(cases[i], skeleton of its kernel), from one work queue
+// over every case, grouped by kernel in order of first appearance. The first
+// worker to reach a kernel records its skeleton, the kernel's cases share
+// it, and the last of them to finish frees it; a worker that runs out of a
+// kernel's cases moves on to the next kernel instead of waiting for the
+// others. On one thread a single skeleton is alive at a time. Rows land at
+// their case's index, so the fit does not depend on the thread count.
 template <class Case, class RowOf>
 std::vector<TrainingRow> rows_by_kernel(std::span<const Case> cases,
                                         const GpuArch& arch, ThreadPool* pool,
                                         RowOf&& row_of) {
+  struct Group {
+    const KernelInfo* kernel = nullptr;
+    std::once_flag recorded;
+    std::unique_ptr<const TraceSkeleton> skeleton;
+    std::atomic<std::size_t> left{0};  // cases not finished yet
+  };
+  std::vector<const KernelInfo*> kernels;  // in order of first appearance
+  std::vector<std::size_t> group_of(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    GPUHMS_CHECK(cases[i].kernel != nullptr);
+    const auto it = std::find(kernels.begin(), kernels.end(), cases[i].kernel);
+    group_of[i] = static_cast<std::size_t>(it - kernels.begin());
+    if (it == kernels.end()) kernels.push_back(cases[i].kernel);
+  }
+  std::vector<Group> groups(kernels.size());
+  for (std::size_t g = 0; g < kernels.size(); ++g) groups[g].kernel = kernels[g];
+  for (std::size_t i = 0; i < cases.size(); ++i) ++groups[group_of[i]].left;
+  // Case indices grouped by kernel, in case order within a kernel.
+  std::vector<std::size_t> queue(cases.size());
+  std::iota(queue.begin(), queue.end(), std::size_t{0});
+  std::stable_sort(queue.begin(), queue.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return group_of[a] < group_of[b];
+                   });
+
   std::vector<TrainingRow> rows(cases.size());
   ThreadPool local_pool(pool ? 1 : 0);
   ThreadPool& tp = pool ? *pool : local_pool;
-  std::vector<bool> seen(cases.size(), false);
-  std::vector<std::size_t> group;
-  for (std::size_t first = 0; first < cases.size(); ++first) {
-    if (seen[first]) continue;
-    const KernelInfo* kernel = cases[first].kernel;
-    GPUHMS_CHECK(kernel != nullptr);
-    group.clear();
-    for (std::size_t i = first; i < cases.size(); ++i) {
-      if (cases[i].kernel != kernel) continue;
-      seen[i] = true;
-      group.push_back(i);
-    }
-    const TraceSkeleton skeleton(*kernel, arch);
-    tp.parallel_for(group.size(), [&](int, std::size_t g) {
-      rows[group[g]] = row_of(cases[group[g]], skeleton);
+  tp.parallel_for(queue.size(), [&](int, std::size_t q) {
+    const std::size_t i = queue[q];
+    Group& g = groups[group_of[i]];
+    std::call_once(g.recorded, [&] {
+      g.skeleton = std::make_unique<const TraceSkeleton>(*g.kernel, arch);
     });
-  }
+    rows[i] = row_of(cases[i], *g.skeleton);
+    if (g.left.fetch_sub(1) == 1) g.skeleton.reset();
+  });
   return rows;
 }
 

@@ -239,10 +239,11 @@ struct MeasuredCase {
 
 // Computes the measured overlap ratio y = (T_comp + T_mem - T_measured) /
 // T_mem against the analytical T_comp/T_mem of each placement and fits
-// Eq. 11 by ridge regression. Cases are taken one kernel at a time: the
-// kernel's TraceSkeleton is recorded once, its cases are analyzed from it in
-// parallel over `pool` (a local default-size pool when null), and it is
-// freed before the next kernel's. The regression consumes the cases in case
+// Eq. 11 by ridge regression. Cases run from one work queue over `pool` (a
+// local default-size pool when null), grouped by kernel: the first worker to
+// reach a kernel records its TraceSkeleton, the kernel's cases are analyzed
+// from it, and it is freed with the kernel's last case, while idle workers
+// go on to the next kernel. The regression consumes the cases in case
 // order, so the fit is independent of the thread count.
 ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
                                            const GpuArch& arch,

@@ -428,15 +428,24 @@ SimResult Engine::run() {
     if (sm.active_slots > 0) clock[s] = sm.time;
   }
 
-  // Global loop: always step the SM with the smallest clock so shared
-  // structures (L2, DRAM queues) observe accesses in time order.
-  while (true) {
-    const auto next = std::min_element(clock.begin(), clock.end());
-    if (*next == kInf) break;
-    const std::size_t s = static_cast<std::size_t>(next - clock.begin());
-    Sm& sm = sms_[s];
-    if (!try_issue(sm, sm.time)) advance_stalled(sm);
-    clock[s] = sm.active_slots > 0 ? sm.time : kInf;
+  // Global loop: always step the SM with the smallest (clock, index) so
+  // shared structures (L2, DRAM queues) observe accesses in time order. A
+  // step moves its SM's clock strictly forward (try_issue takes at least one
+  // slot, advance_stalled CHECKs it jumps ahead) and no other SM's, so the
+  // SMs at the minimum clock m are stepped once each in index order before
+  // any clock above m: one sweep per clock value, which also finds the next.
+  std::uint64_t now = *std::min_element(clock.begin(), clock.end());
+  while (now != kInf) {
+    std::uint64_t next = kInf;
+    for (std::size_t s = 0; s < num_sms; ++s) {
+      if (clock[s] == now) {
+        Sm& sm = sms_[s];
+        if (!try_issue(sm, sm.time)) advance_stalled(sm);
+        clock[s] = sm.active_slots > 0 ? sm.time : kInf;
+      }
+      next = std::min(next, clock[s]);
+    }
+    now = next;
   }
 
   SimResult r;

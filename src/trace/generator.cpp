@@ -125,9 +125,11 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
   proto_begin_.push_back(0);
   // Every warp records into one reused buffer; only its digest is kept.
   std::vector<DslOp> ops;
-  // Per array: pattern -> its id in the array's dictionary.
+  // Per array: pattern -> its id in the array's dictionary, and the id of
+  // its last op's pattern, which consecutive ops of a loop often repeat.
   std::vector<std::unordered_map<Lanes, std::uint32_t, LanesHash>> ids(
       num_arrays);
+  std::vector<std::uint32_t> last(num_arrays, 0);
   for (std::int64_t b = 0; b < kernel.num_blocks; ++b) {
     for (int w = 0; w < wpb; ++w) {
       ctx_.push_back(record_warp(kernel, b, w, ops));
@@ -142,16 +144,17 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
             if (op.cls == OpClass::Load) ++base_load_insts_;
             const auto a = static_cast<std::size_t>(op.array);
             p.array = op.array;
-            p.active_mask = active_mask_of(op.idx);
             p.ordinal = static_cast<std::uint32_t>(mem_ops_per_array_[a]);
             ++mem_ops_per_array_[a];
             // Interned as its lowest active index and the offsets from it.
-            std::int64_t lo = 0;
-            if (p.active_mask != 0) {
-              lo = std::numeric_limits<std::int64_t>::max();
-              for (std::int64_t e : op.idx)
-                if (e != kInactiveLane) lo = std::min(lo, e);
+            std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+            for (int l = 0; l < kWarpSize; ++l) {
+              const std::int64_t e = op.idx[static_cast<std::size_t>(l)];
+              if (e == kInactiveLane) continue;
+              p.active_mask |= 1u << l;
+              lo = std::min(lo, e);
             }
+            if (p.active_mask == 0) lo = 0;
             Lanes pattern{};
             for (std::size_t l = 0; l < pattern.size(); ++l) {
               const std::int64_t e = op.idx[l];
@@ -163,11 +166,14 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
                                ? kNoLane
                                : static_cast<std::int32_t>(e - lo);
             }
-            const auto [it, fresh] = ids[a].try_emplace(
-                pattern, static_cast<std::uint32_t>(lanes_[a].patterns.size()));
-            if (fresh) lanes_[a].patterns.push_back(pattern);
-            lanes_[a].ops.push_back(
-                {static_cast<std::int32_t>(lo), it->second});
+            std::vector<Lanes>& patterns = lanes_[a].patterns;
+            if (patterns.empty() || patterns[last[a]] != pattern) {
+              const auto [it, fresh] = ids[a].try_emplace(
+                  pattern, static_cast<std::uint32_t>(patterns.size()));
+              if (fresh) patterns.push_back(pattern);
+              last[a] = it->second;
+            }
+            lanes_[a].ops.push_back({static_cast<std::int32_t>(lo), last[a]});
             break;
           }
           case OpClass::Sync:
@@ -294,17 +300,45 @@ const TraceSkeleton::LinePool& TraceSkeleton::line_pool(
     std::int64_t addr[kWarpSize];
     std::uint64_t buf[kWarpSize];
     if (block_linear) {
+      // Lane element op.base + off sits at row yb + dy, column xb + dx
+      // (carrying one row past the width), with (yb, xb) the op's base and
+      // (dy, dx) the offset split once per pattern: one division per op.
       const BlockLinearMap map(arr);
+      const std::uint64_t width = map.width();
+      constexpr std::size_t kLanes = kWarpSize;
+      using Split = std::array<std::uint32_t, kLanes>;  // offsets are int32
+      std::vector<Split> dy(lanes.patterns.size()), dx(lanes.patterns.size());
+      for (std::size_t i = 0; i < lanes.patterns.size(); ++i) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::int32_t off = lanes.patterns[i][l];
+          if (off == kNoLane) continue;
+          dy[i][l] = static_cast<std::uint32_t>(
+              static_cast<std::uint64_t>(off) / width);
+          dx[i][l] = static_cast<std::uint32_t>(
+              static_cast<std::uint64_t>(off) - dy[i][l] * width);
+        }
+      }
       for (const MemOp& op : lanes.ops) {
         const std::uint32_t mask = shapes[op.pattern].mask;
         int n = 0;  // masked-off ops keep an empty range
         if (mask != 0) {
-          lane_bytes(
-              lanes.patterns[op.pattern], kNoLane,
-              [&](std::int32_t off) {
-                return base + map.offset(op.base + off);
-              },
-              addr);
+          GPUHMS_CHECK(op.base >= 0);
+          const std::uint64_t yb = static_cast<std::uint64_t>(op.base) / width;
+          const std::uint64_t xb =
+              static_cast<std::uint64_t>(op.base) - yb * width;
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            if ((mask >> l & 1u) == 0) {
+              addr[l] = -1;
+              continue;
+            }
+            std::uint64_t y = yb + dy[op.pattern][l];
+            std::uint64_t x = xb + dx[op.pattern][l];
+            if (x >= width) {
+              x -= width;
+              ++y;
+            }
+            addr[l] = static_cast<std::int64_t>(base + map.offset(y, x));
+          }
           n = coalesce_lines_buf(mask, addr, line_size_, buf);
         }
         lp.lines.insert(lp.lines.end(), buf, buf + n);

@@ -405,6 +405,13 @@ class LoweringCursor {
 
   void next() {
     ++step_;
+    // Inside a body compute run (only compute protos count more than one
+    // op) the next op is one more of the same class, without the run's
+    // dependency: what settle() would decide.
+    if (stage_ < 0 && step_ < op_->count) {
+      uses_prev_ = false;
+      return;
+    }
     settle();
   }
 

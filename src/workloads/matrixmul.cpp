@@ -3,6 +3,8 @@
 // Table IV tests move A/B to 1-D and 2-D texture memory.
 #include "workloads/workloads.hpp"
 
+#include <array>
+
 #include "common/check.hpp"
 
 namespace gpuhms::workloads {
@@ -40,12 +42,15 @@ KernelInfo make_matrixmul(int n, int tile) {
     const int bx = static_cast<int>(ctx.block % grid);
     const int by = static_cast<int>(ctx.block / grid);
     // Thread (tx, ty) within the tile; lanes are row-major in the block.
-    auto tx = [&](int l) {
-      return (ctx.warp_in_block * kWarpSize + l) % tile;
-    };
-    auto ty = [&](int l) {
-      return (ctx.warp_in_block * kWarpSize + l) / tile;
-    };
+    // Computed once per warp: every op below reads them.
+    std::array<int, kWarpSize> tx_of{}, ty_of{};
+    for (int l = 0; l < kWarpSize; ++l) {
+      const int thread = ctx.warp_in_block * kWarpSize + l;
+      tx_of[static_cast<std::size_t>(l)] = thread % tile;
+      ty_of[static_cast<std::size_t>(l)] = thread / tile;
+    }
+    auto tx = [&](int l) { return tx_of[static_cast<std::size_t>(l)]; };
+    auto ty = [&](int l) { return ty_of[static_cast<std::size_t>(l)]; };
     for (int t = 0; t < grid; ++t) {
       // As[ty][tx] = A[by*tile+ty][t*tile+tx]
       em.load(iA, em.by_lane([&](int l) {

@@ -80,6 +80,19 @@ TEST(ArchRegistry, AddRejectsEmptyDuplicateAndInvalid) {
   EXPECT_EQ(r.default_backend().name, "a");
 }
 
+TEST(ArchRegistry, AddRejectsCachesOfNoWholeSets) {
+  ArchRegistry r;
+  GpuArch no_sets;
+  no_sets.l2_capacity = 1000;  // zero sets: simulate would abort on it
+  EXPECT_EQ(r.add({"no_sets", "l2 below one set", no_sets}).code(),
+            StatusCode::kInvalidArgument);
+  GpuArch ragged;
+  ragged.tex_cache_capacity = 24 * 1024 + 64;  // 64 bytes would be dropped
+  EXPECT_EQ(r.add({"ragged", "partial texture set", ragged}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.size(), 0u);
+}
+
 // --- default-backend equivalence with the hardwired path ---------------------
 
 TEST(ArchRegistry, KeplerBackendIsTheHardwiredArch) {

@@ -1,7 +1,12 @@
 #include "cache/cache.hpp"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "arch/arch_registry.hpp"
 #include "common/rng.hpp"
 
 namespace gpuhms {
@@ -111,6 +116,126 @@ TEST_P(CacheWays, InvariantsUnderRandomTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(Associativities, CacheWays,
                          ::testing::Values(1, 2, 4, 8, 16));
+
+// Stamp-based reference LRU: every line carries its last-use stamp, a miss
+// fills the first invalid way, else evicts the smallest stamp. The model
+// keeps its sets in most-recently-used order instead, and must match this
+// hit for hit.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(const CacheConfig& cfg)
+      : cfg_(cfg), sets_(cfg.num_sets()),
+        lines_(sets_ * static_cast<std::size_t>(cfg.ways)) {}
+
+  bool access(std::uint64_t addr, bool is_write) {
+    ++stats_.accesses;
+    ++tick_;
+    const std::uint64_t tag = addr / cfg_.line_size;
+    Line* set = set_of(tag);
+    Line* victim = nullptr;
+    for (int w = 0; w < cfg_.ways; ++w) {
+      Line& ln = set[w];
+      if (ln.valid && ln.tag == tag) {
+        ln.stamp = tick_;
+        ln.dirty = ln.dirty || is_write;
+        return true;
+      }
+      if (victim == nullptr || (victim->valid && (!ln.valid ||
+                                                  ln.stamp < victim->stamp)))
+        victim = &ln;
+    }
+    ++stats_.misses;
+    if (victim->valid && victim->dirty) ++stats_.writebacks;
+    *victim = Line{tag, tick_, true, is_write};
+    return false;
+  }
+  bool probe(std::uint64_t addr) const {
+    const std::uint64_t tag = addr / cfg_.line_size;
+    const Line* set =
+        &lines_[tag % sets_ * static_cast<std::size_t>(cfg_.ways)];
+    for (int w = 0; w < cfg_.ways; ++w)
+      if (set[w].valid && set[w].tag == tag) return true;
+    return false;
+  }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    std::uint64_t stamp = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  Line* set_of(std::uint64_t tag) {
+    return &lines_[tag % sets_ * static_cast<std::size_t>(cfg_.ways)];
+  }
+
+  CacheConfig cfg_;
+  std::size_t sets_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+  CacheStats stats_;
+};
+
+// Random mixed reads and writes over a pool of lines about three times the
+// cache's, so sets fill, hit and evict; a quarter of the pool lies at line
+// addresses of 2^32 and above, past the set index's 32-bit fast path.
+void expect_matches_reference(const CacheConfig& cfg, std::uint64_t seed) {
+  SetAssocCache cache(cfg);
+  ReferenceLru ref(cfg);
+  Rng rng(seed);
+  const std::size_t lines = cfg.capacity / cfg.line_size;
+  std::vector<std::uint64_t> pool(3 * lines);
+  const std::uint64_t max_line = ~std::uint64_t{0} / cfg.line_size;
+  for (std::uint64_t& addr : pool) {
+    const std::uint64_t line =
+        rng.next_bool(0.25)
+            ? (1ull << 32) + rng.next_below(max_line - (1ull << 32))
+            : rng.next_below(4 * lines);
+    addr = line * cfg.line_size + rng.next_below(cfg.line_size);
+  }
+  for (int i = 0; i < 40000; ++i) {
+    const std::uint64_t addr = pool[rng.next_below(pool.size())];
+    const bool write = rng.next_bool(0.3);
+    ASSERT_EQ(cache.access(addr, write), ref.access(addr, write))
+        << "access " << i << " addr 0x" << std::hex << addr;
+  }
+  EXPECT_EQ(cache.stats().accesses, ref.stats().accesses);
+  EXPECT_EQ(cache.stats().misses, ref.stats().misses);
+  EXPECT_EQ(cache.stats().writebacks, ref.stats().writebacks);
+  EXPECT_GT(cache.stats().writebacks, 0u);
+  EXPECT_GT(cache.stats().hits(), 0u);
+  for (const std::uint64_t addr : pool)
+    EXPECT_EQ(cache.probe(addr), ref.probe(addr)) << std::hex << addr;
+}
+
+TEST(CacheDifferential, EveryRegisteredArchMatchesTheStampReference) {
+  std::uint64_t seed = 1;
+  for (const std::string& name : ArchRegistry::builtin().names()) {
+    const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+    for (const auto& [what, cfg] :
+         {std::pair{"l2", l2_config(arch)},
+          std::pair{"const", const_cache_config(arch)},
+          std::pair{"tex", tex_cache_config(arch)}}) {
+      SCOPED_TRACE(name + " " + what);
+      expect_matches_reference(cfg, seed++);
+    }
+  }
+}
+
+// The same over odd set counts and the widest associativity the model
+// allows (its dirty mask's 64 ways), one set included.
+TEST(CacheDifferential, OddGeometriesMatchTheStampReference) {
+  for (const CacheConfig& cfg :
+       {CacheConfig{3 * 2 * 128, 128, 2}, CacheConfig{7 * 5 * 64, 64, 5},
+        CacheConfig{64 * 128, 128, kMaxCacheWays},
+        CacheConfig{3 * 64 * 32, 32, kMaxCacheWays},
+        CacheConfig{1 * 8 * 128, 128, 8}}) {
+    SCOPED_TRACE(std::to_string(cfg.num_sets()) + " sets x " +
+                 std::to_string(cfg.ways) + " ways");
+    expect_matches_reference(cfg, cfg.num_sets() * 131 + cfg.ways);
+  }
+}
 
 TEST(CacheConfigs, ArchDerivedConfigsConstruct) {
   const GpuArch& a = kepler_arch();

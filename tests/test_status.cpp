@@ -108,6 +108,38 @@ TEST(Validate, ArchRejectsNonWarpSize32AndOddCacheLine) {
   EXPECT_EQ(validate(arch).code(), StatusCode::kInvalidArgument);
 }
 
+// The cache model needs a whole, positive number of cache_line x ways sets
+// and at most kMaxCacheWays ways: an L2 with no set would abort in the
+// cache's constructor, and a remainder would be silently dropped.
+TEST(Validate, ArchRejectsCachesOfNoWholeSets) {
+  GpuArch arch = kepler_arch();
+  arch.l2_capacity = 1000;  // less than one 128 B x 16-way set
+  Status st = validate(arch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("l2_capacity"), std::string::npos)
+      << st.to_string();
+
+  arch = kepler_arch();
+  arch.tex_cache_capacity = 24 * 1024 + 64;  // 24 sets and 64 bytes over
+  st = validate(arch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("tex_cache_capacity"), std::string::npos)
+      << st.to_string();
+
+  arch = kepler_arch();
+  arch.const_cache_ways = kMaxCacheWays + 1;
+  arch.const_cache_capacity = arch.cache_line * (kMaxCacheWays + 1);
+  st = validate(arch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("const_cache_ways"), std::string::npos)
+      << st.to_string();
+
+  arch = kepler_arch();
+  arch.l2_ways = kMaxCacheWays;
+  arch.l2_capacity = arch.cache_line * kMaxCacheWays * 4;
+  EXPECT_TRUE(validate(arch).ok());
+}
+
 TEST(Validate, KernelRejectsMissingFnAndBadGeometry) {
   KernelInfo k = workloads::make_vecadd(1 << 10);
   EXPECT_TRUE(validate(k).ok());

@@ -3,8 +3,14 @@
 // defining fingerprint of the original (divergence, conflicts, broadcast,
 // 2-D locality...). These tests keep a workload edit from silently turning
 // md's gathers coalesced or fft's butterflies conflict-free.
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/hashing.hpp"
 #include "model/trace_analysis.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -189,6 +195,55 @@ TEST_P(SignatureSweep, NontrivialEventProfile) {
     EXPECT_GT(ev.total_mem_events(), 10.0);
   }
   EXPECT_GE(ev.warps_per_sm, 1.0);
+}
+
+// FNV digest of every warp's recorded DSL stream: each op's class, count,
+// array, uses_prev flag and lane indices, warp by warp. A rewritten workload
+// DSL must record exactly the stream it replaces, so these are pinned here
+// as well as through the simulator's golden digests.
+std::uint64_t dsl_digest(const KernelInfo& k) {
+  Fnv1a h;
+  std::vector<DslOp> ops;
+  for (std::int64_t b = 0; b < k.num_blocks; ++b) {
+    for (int w = 0; w < k.warps_per_block(); ++w) {
+      record_warp(k, b, w, ops);
+      h.mix(ops.size());
+      for (const DslOp& op : ops) {
+        h.mix(op.cls);
+        h.mix(op.count);
+        h.mix(op.array);
+        h.mix(op.uses_prev);
+        for (const std::int64_t e : op.idx) h.mix(e);
+      }
+    }
+  }
+  return h.digest();
+}
+
+TEST_P(SignatureSweep, RecordedDslStreamIsPinned) {
+  static const std::map<std::string, std::uint64_t> kPinned = {
+      {"bfs", 0x9f9e5aefe66714beull},
+      {"fft", 0xd06243300b576f25ull},
+      {"neuralnet", 0x4e46f9862adee225ull},
+      {"reduction", 0x1927d65142be0725ull},
+      {"scan", 0x09fef9d86fd97625ull},
+      {"sort", 0x4735bb047c44bbbfull},
+      {"stencil2d", 0x4d5a1b96d91245e5ull},
+      {"md5hash", 0xc2918ac64721cdadull},
+      {"s3d", 0xac9f2064529f9725ull},
+      {"convolution", 0x1aab2125196d4625ull},
+      {"md", 0x4eb4baa339bbed3bull},
+      {"matrixmul", 0xdc34080507b70ba5ull},
+      {"spmv", 0x993bbd2da2154d7full},
+      {"transpose", 0x713ac517071a64a5ull},
+      {"cfd", 0x7718e0187145ac7eull},
+      {"triad", 0x65f02c6d94242325ull},
+      {"qtc", 0x7d30a22d89cf628dull},
+  };
+  const auto c = workloads::get_benchmark(GetParam());
+  const std::uint64_t d = dsl_digest(c.kernel);
+  EXPECT_EQ(d, kPinned.at(GetParam()))
+      << GetParam() << ": 0x" << std::hex << d;
 }
 
 INSTANTIATE_TEST_SUITE_P(
