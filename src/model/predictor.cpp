@@ -43,9 +43,19 @@ double compute_itilp(const PlacementEvents& ev, double n_warps,
 }  // namespace
 
 Predictor::Predictor(const KernelInfo& kernel, const GpuArch& arch,
-                     ModelOptions options, ToverlapModel overlap)
+                     ModelOptions options, ToverlapModel overlap,
+                     std::shared_ptr<const TraceSkeleton> skeleton)
     : kernel_(&kernel), arch_(&arch), options_(options),
-      overlap_(std::move(overlap)) {}
+      overlap_(std::move(overlap)), skeleton_(std::move(skeleton)) {
+  if (skeleton_) {
+    // The predicate TraceMaterializer::bind enforces, checked up front.
+    GPUHMS_CHECK_MSG(&skeleton_->kernel() == kernel_,
+                     "skeleton recorded from a different kernel");
+    GPUHMS_CHECK_MSG(skeleton_->fits(*arch_),
+                     "skeleton recorded for another cache-line size or shared "
+                     "bank count");
+  }
+}
 
 void Predictor::profile_sample(const DataPlacement& sample) {
   memoize_trace();

@@ -138,8 +138,12 @@ struct Prediction {
 // time, not lazily inside predict).
 class Predictor {
  public:
+  // `skeleton`, when given, is an already-recorded skeleton of `kernel` that
+  // fits `arch` (both CHECKed); the sample and every predict replay it
+  // instead of a recording of the predictor's own.
   Predictor(const KernelInfo& kernel, const GpuArch& arch,
-            ModelOptions options = {}, ToverlapModel overlap = {});
+            ModelOptions options = {}, ToverlapModel overlap = {},
+            std::shared_ptr<const TraceSkeleton> skeleton = nullptr);
 
   // Run the simulator substrate on the sample placement ("measure" it).
   // Aborts on malformed input; prefer try_profile_sample at API boundaries.
@@ -164,8 +168,9 @@ class Predictor {
   bool has_sample() const { return sample_result_.has_value(); }
 
   // Records (once) the placement-independent skeleton of the kernel, for
-  // the predictor's arch, and returns it. Setting a sample already does this; kept for callers that
-  // replay the skeleton themselves.
+  // the predictor's arch, and returns it (the constructor's skeleton when
+  // one was given). Setting a sample already does this; kept for callers
+  // that replay the skeleton themselves.
   std::shared_ptr<const TraceSkeleton> memoize_trace();
 
   // Predicts `target` from the kernel's skeleton. `scratch` (one per

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -147,13 +149,25 @@ StatusOr<std::uint64_t> get_uint(const Json& req, std::string_view key,
 
 // --- service -----------------------------------------------------------------
 
+// A benchmark and the TraceSkeleton recorded from its kernel, in one
+// immutable object: the skeleton points into `bench.kernel`, so neither can
+// outlive the other. Every kernel entry of the benchmark on an arch the
+// skeleton fits shares it.
+struct PredictionService::Recording {
+  Recording(workloads::BenchmarkCase c, const GpuArch& arch)
+      : bench(std::move(c)), skeleton(bench.kernel, arch) {}
+  const workloads::BenchmarkCase bench;
+  const TraceSkeleton skeleton;
+};
+
 // The heavyweight per-kernel state a long-lived service amortizes: the
-// benchmark definition (owning the KernelInfo the predictor points into),
-// one profiled Predictor, and the lowered TraceSkeleton shared by every
-// prediction of this kernel. Immutable once published to the cache; the
-// shared_ptr keeps an entry alive while in use even after LRU eviction.
+// shared recording (owning the KernelInfo the predictor points into and the
+// skeleton every prediction of this kernel replays) and one profiled
+// Predictor. Immutable once published to the cache; the shared_ptr keeps an
+// entry alive while in use even after LRU eviction.
 struct PredictionService::KernelEntry {
-  workloads::BenchmarkCase bench;
+  std::shared_ptr<const Recording> recording;
+  const workloads::BenchmarkCase& bench() const { return recording->bench; }
   // The backend this entry was profiled under: the service default when the
   // request named no arch, otherwise the resolved registry backend. Owned by
   // value — the predictor points into it, and the entry outlives the request.
@@ -243,22 +257,42 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
     if (!backend.ok()) return backend.status();
     entry->arch = (*backend)->arch;
   }
-  std::optional<workloads::BenchmarkCase> bench =
-      workloads::find_benchmark(benchmark);
-  if (!bench)
-    return InvalidArgumentError("unknown benchmark '" + benchmark +
-                                "' (not in the Table IV training or "
-                                "evaluation suite)");
-  entry->bench = std::move(*bench);
+  // Adopt the live recording whose skeleton fits this arch, or record one.
+  const auto recording_key = std::make_tuple(
+      benchmark, entry->arch.cache_line, entry->arch.shared_banks);
+  if (auto it = recordings_.find(recording_key); it != recordings_.end()) {
+    entry->recording = it->second.lock();
+    if (!entry->recording) recordings_.erase(it);
+  }
+  if (!entry->recording) {
+    std::optional<workloads::BenchmarkCase> bench =
+        workloads::find_benchmark(benchmark);
+    if (!bench)
+      return InvalidArgumentError("unknown benchmark '" + benchmark +
+                                  "' (not in the Table IV training or "
+                                  "evaluation suite)");
+    try {
+      entry->recording =
+          std::make_shared<const Recording>(std::move(*bench), entry->arch);
+    } catch (const std::exception& e) {
+      return InternalError(e.what()).annotate(
+          "recording the trace skeleton of benchmark '" + benchmark + "'");
+    }
+    recordings_[recording_key] = entry->recording;
+  }
+  const workloads::BenchmarkCase& bench = entry->bench();
 
   const ModelOptions model_options{};
+  // The aliasing pointer shares ownership of the whole recording.
   entry->predictor = std::make_unique<Predictor>(
-      entry->bench.kernel, entry->arch, model_options, overlap_);
+      bench.kernel, entry->arch, model_options, overlap_,
+      std::shared_ptr<const TraceSkeleton>(entry->recording,
+                                           &entry->recording->skeleton));
   GPUHMS_RETURN_IF_ERROR(
-      entry->predictor->try_profile_sample(entry->bench.sample)
+      entry->predictor->try_profile_sample(bench.sample)
           .annotate("profiling the sample placement of benchmark '" +
                     benchmark + "'"));
-  entry->key_prefix = hex64(fingerprint(entry->bench.kernel)) + "|" +
+  entry->key_prefix = hex64(fingerprint(bench.kernel)) + "|" +
                       hex64(fingerprint(entry->arch)) + "|" +
                       hex64(fingerprint(model_options)) + "|";
   KernelEntryPtr published = std::move(entry);
@@ -305,7 +339,7 @@ Status PredictionService::predict_many(std::span<PendingPredict> pending) {
       return batch.status().annotate(
           "batch predicting " + std::to_string(targets.size()) +
           " placements of benchmark '" +
-          pending[indices.front()].entry->bench.name + "'");
+          pending[indices.front()].entry->bench().name + "'");
     batch_calls_.fetch_add(1, std::memory_order_relaxed);
     batched_predicts_.fetch_add(targets.size(), std::memory_order_relaxed);
     GPUHMS_HISTOGRAM_RECORD("serve.batch_size", targets.size());
@@ -372,13 +406,13 @@ Json error_response(const Json* id, std::string_view op, const Status& st) {
 StatusOr<PredictionService::PendingPredict>
 PredictionService::parse_placement(const KernelEntryPtr& entry,
                                    const std::string& placement) {
-  const KernelInfo& kernel = entry->bench.kernel;
+  const KernelInfo& kernel = entry->bench().kernel;
   const std::optional<DataPlacement> p =
       DataPlacement::from_string(kernel, placement);
   if (!p)
     return InvalidArgumentError(
         "cannot parse placement '" + placement + "' for benchmark '" +
-        entry->bench.name + "' (" + std::to_string(kernel.arrays.size()) +
+        entry->bench().name + "' (" + std::to_string(kernel.arrays.size()) +
         " arrays; codes G,S,C,T,2T)");
   GPUHMS_RETURN_IF_ERROR(validate(kernel, *p, entry->arch));
   return PendingPredict{entry, *p, {}, {}, false};
@@ -818,7 +852,7 @@ std::vector<std::string> PredictionService::handle_pipeline(
         const KernelEntry& e = *pending[t].entry;
         Json r = make_response_shell(&run.id, run.op);
         r.set("ok", true);
-        r.set("benchmark", e.bench.name);
+        r.set("benchmark", e.bench().name);
         // Echoed only when the request named a backend: default-arch
         // responses stay byte-identical to the pre-registry protocol.
         if (!e.arch_name.empty()) r.set("arch", e.arch_name);

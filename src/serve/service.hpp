@@ -12,7 +12,10 @@
 //     (benchmark name, arch backend), fingerprinted structurally
 //     (common/hashing.hpp); the optional request `arch` field selects an
 //     ArchRegistry backend per request, and the arch fingerprint in every
-//     prediction-cache key keeps cross-arch entries from ever colliding;
+//     prediction-cache key keeps cross-arch entries from ever colliding.
+//     Entries of one benchmark on archs of one skeleton geometry (cache-line
+//     size, shared bank count) share one recording of the benchmark and its
+//     skeleton;
 //   * a bounded cache of memoized Predictions keyed by
 //     (kernel fingerprint, arch fingerprint, placement) so repeated predicts
 //     are a map lookup, not a trace replay. Both caches (and the idem-replay
@@ -35,12 +38,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/concurrent_cache.hpp"
@@ -169,6 +174,7 @@ class PredictionService {
  private:
   struct KernelEntry;
   using KernelEntryPtr = std::shared_ptr<const KernelEntry>;
+  struct Recording;
   struct PendingPredict;
 
   Json handle_request(const Json& request, std::string_view op);
@@ -182,7 +188,9 @@ class PredictionService {
   // arch, any other name resolves through ArchRegistry::builtin() (unknown
   // names are a structured INVALID_ARGUMENT listing the registered
   // backends). Entries are cached per (benchmark, arch) — the profiled
-  // predictor and the cache-key prefix are arch-specific.
+  // predictor and the cache-key prefix are arch-specific — and adopt a live
+  // recording of the benchmark whose skeleton fits the arch instead of
+  // recording their own.
   StatusOr<KernelEntryPtr> kernel_entry(const std::string& benchmark,
                                         const std::string& arch_name);
   // Every predict placement becomes a PendingPredict here — lone and
@@ -216,6 +224,12 @@ class PredictionService {
   ThreadPool pool_;
   std::mutex pool_mu_;   // parallel_for admits one job at a time
   std::mutex build_mu_;  // serializes kernel-entry construction (profiling)
+  // Live recordings by (benchmark, cache_line, shared_banks): held by the
+  // kernel entries that use them, so a recording dies with its last entry.
+  // Guarded by build_mu_; an expired one is erased when looked up.
+  std::map<std::tuple<std::string, std::size_t, int>,
+           std::weak_ptr<const Recording>>
+      recordings_;
 
   std::atomic<bool> stopped_{false};
   std::atomic<bool> draining_{false};

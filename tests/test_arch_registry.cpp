@@ -1,8 +1,9 @@
 // ArchRegistry battery (DESIGN §16): registry semantics, the differential
 // golden lock-in of the default backend against the historical hardwired
 // Kepler path, the refusal of a TraceSkeleton recorded for another
-// geometry, and the registry's rejection of shared-bank geometries the SoA
-// fold cannot handle.
+// geometry, the registry's rejection of shared-bank geometries the SoA
+// fold cannot handle, and the serve layer's sharing of one recording
+// between a benchmark's kernel entries on archs of one geometry.
 //
 // Naming note: the exhaustive differential sweeps carry "EveryWorkload" in
 // their test names so the sanitizer rebuilds (which filter -*EveryWorkload*)
@@ -10,14 +11,21 @@
 #include "arch/arch_registry.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/obs.hpp"
 #include "common/rng.hpp"
 #include "dram/address_mapping.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
+#include "serve/service.hpp"
 #include "trace/generator.hpp"
 #include "workloads/workloads.hpp"
 
@@ -175,6 +183,23 @@ TEST(TraceSkeletonDeathTest, AnotherGeometrysSkeletonAborts) {
                "another cache-line size or shared bank count");
 }
 
+// A Predictor handed a recorded skeleton checks the same predicate up front.
+TEST(TraceSkeletonDeathTest, PredictorRefusesAnotherGeometrysSkeleton) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const KernelInfo kernel = workloads::make_transpose(64);
+  const KernelInfo other = workloads::make_transpose(64);
+  const GpuArch& kepler = ArchRegistry::builtin().find("kepler")->arch;
+  const GpuArch& fermi = ArchRegistry::builtin().find("fermi")->arch;
+  const GpuArch& hbm2 = ArchRegistry::builtin().find("hbm2")->arch;
+  const auto skeleton = std::make_shared<const TraceSkeleton>(kernel, kepler);
+  EXPECT_TRUE(Predictor(kernel, fermi, {}, {}, skeleton).try_profile_sample(
+      DataPlacement::defaults(kernel)).ok());
+  EXPECT_DEATH(Predictor(kernel, hbm2, {}, {}, skeleton),
+               "another cache-line size or shared bank count");
+  EXPECT_DEATH(Predictor(other, kepler, {}, {}, skeleton),
+               "different kernel");
+}
+
 // --- shared-bank fold validity ----------------------------------------------
 
 // The SoA engine folds shared-memory bank conflicts once per kernel, which is
@@ -269,6 +294,157 @@ TEST(ArchRegistry, BackendsPredictDistinctly) {
     totals.insert(p.predict(sample).total_cycles);
   }
   EXPECT_EQ(totals.size(), 3u);
+}
+
+// --- one recording per benchmark and skeleton geometry in the serve layer --
+
+const char* const kBackends[] = {"kepler", "fermi", "maxwell", "hbm2"};
+
+// Counts the skeletons recorded while it lives; restores the metrics state.
+class RecordingCount {
+ public:
+  RecordingCount() : was_(obs::metrics_active()) {
+    obs::set_enabled(true);
+    obs::reset_all_metrics();
+  }
+  ~RecordingCount() {
+    obs::reset_all_metrics();
+    obs::set_enabled(was_);
+  }
+  std::uint64_t recorded() const {
+    const obs::MetricsSnapshot s = obs::snapshot();
+    const auto* c = s.find_counter("trace.skeletons_recorded");
+    return c == nullptr ? 0 : c->value;
+  }
+
+ private:
+  bool was_;
+};
+
+// A predict_batch over the first legal placements of `benchmark` on `arch`.
+std::string batch_line(const std::string& benchmark, const std::string& arch) {
+  const workloads::BenchmarkCase c = workloads::get_benchmark(benchmark);
+  const PlacementSpace space = enumerate_placement_space(
+      c.kernel, ArchRegistry::builtin().find(arch)->arch, 8);
+  std::string line = R"({"op":"predict_batch","benchmark":")" + benchmark +
+                     R"(","arch":")" + arch + R"(","placements":[)";
+  for (std::size_t i = 0; i < space.placements.size(); ++i)
+    line += (i ? ",\"" : "\"") + space.placements[i].to_string() + "\"";
+  return line + "]}";
+}
+
+// A pair's predict_batch and search responses from `service`. The search
+// is a capped exhaustive one: a full branch-and-bound per pair costs about a
+// minute under ThreadSanitizer over the sixteen services below.
+std::vector<std::string> answers(serve::PredictionService& service,
+                                 const std::string& benchmark,
+                                 const std::string& arch) {
+  return {service.handle_line(batch_line(benchmark, arch)),
+          service.handle_line(R"({"op":"search","benchmark":")" + benchmark +
+                              R"(","arch":")" + arch +
+                              R"(","algo":"exhaustive","cap":32})")};
+}
+
+// The same responses from a fresh service that built only this pair.
+std::vector<std::string> isolated_answers(const std::string& benchmark,
+                                          const std::string& arch) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  return answers(service, benchmark, arch);
+}
+
+// kepler, fermi and maxwell share a cache-line size and a shared bank
+// count, so their entries of a benchmark share one recording; hbm2 (16
+// banks) records its own. Sharing changes no response byte.
+TEST(ServeRecordingSharing, EntriesOfOneGeometryShareOneRecording) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  std::vector<std::vector<std::string>> shared;
+  {
+    const RecordingCount count;
+    for (const char* benchmark : {"spmv", "matrixmul"})
+      for (const char* arch : kBackends)
+        shared.push_back(answers(service, benchmark, arch));
+    EXPECT_EQ(count.recorded(), 4u);  // not one per pair
+  }
+  std::size_t i = 0;
+  for (const char* benchmark : {"spmv", "matrixmul"}) {
+    for (const char* arch : kBackends) {
+      SCOPED_TRACE(std::string(benchmark) + "/" + arch);
+      const std::vector<std::string>& got = shared[i++];
+      EXPECT_NE(got[0].find("\"ok\":true"), std::string::npos) << got[0];
+      EXPECT_NE(got[1].find("\"ok\":true"), std::string::npos) << got[1];
+      EXPECT_EQ(got, isolated_answers(benchmark, arch));
+    }
+  }
+}
+
+// An entry that adopted another's recording keeps it alive after that entry
+// is evicted, and a rebuilt entry adopts it back; once the last entry
+// holding a recording is evicted, the next build records anew. With one
+// kernel-cache slot and no prediction cache every answer replays the
+// current entry's skeleton.
+TEST(ServeRecordingSharing, RecordingOutlivesTheEntryThatMadeIt) {
+  serve::ServeOptions options;
+  options.kernel_cache_capacity = 1;
+  options.prediction_cache_capacity = 0;
+  serve::PredictionService service{options};
+  std::vector<std::string> fermi, kepler, fermi_again;
+  {
+    const RecordingCount count;
+    EXPECT_NE(service.handle_line(batch_line("spmv", "kepler"))
+                  .find("\"ok\":true"),
+              std::string::npos);
+    fermi = answers(service, "spmv", "fermi");  // evicts kepler's entry
+    EXPECT_EQ(count.recorded(), 1u);
+    kepler = answers(service, "spmv", "kepler");  // adopts fermi's recording
+    EXPECT_EQ(count.recorded(), 1u);
+    // hbm2 records its own and evicts the last holder of the first.
+    EXPECT_NE(service.handle_line(batch_line("spmv", "hbm2"))
+                  .find("\"ok\":true"),
+              std::string::npos);
+    EXPECT_EQ(count.recorded(), 2u);
+    fermi_again = answers(service, "spmv", "fermi");
+    EXPECT_EQ(count.recorded(), 3u);
+  }
+  EXPECT_EQ(service.stats().kernel_cache.evictions, 4u);
+  const std::vector<std::string> fermi_alone = isolated_answers("spmv", "fermi");
+  EXPECT_EQ(fermi, fermi_alone);
+  EXPECT_EQ(fermi_again, fermi_alone);
+  EXPECT_EQ(kepler, isolated_answers("spmv", "kepler"));
+}
+
+// Threads racing on cold entries of one benchmark on three archs of one
+// geometry make one recording between them and answer as isolated services.
+TEST(ServeRecordingSharing, ConcurrentColdEntriesRecordOnce) {
+  const char* const archs[] = {"fermi", "maxwell", "kepler"};
+  std::vector<std::string> lines, expected;
+  for (const char* arch : archs) {
+    lines.push_back(batch_line("spmv", arch));
+    serve::PredictionService alone{serve::ServeOptions{}};
+    expected.push_back(alone.handle_line(lines.back()));
+  }
+  constexpr std::size_t kThreads = 6;
+  serve::PredictionService service{serve::ServeOptions{}};
+  std::vector<std::string> got(kThreads);
+  std::atomic<bool> go{false};
+  std::uint64_t recorded = 0;
+  {
+    const RecordingCount count;
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        got[t] = service.handle_line(lines[t % 3]);
+      });
+    go.store(true);
+    for (std::thread& t : threads) t.join();
+    recorded = count.recorded();
+  }
+  EXPECT_EQ(recorded, 1u);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(archs[t % 3]);
+    EXPECT_NE(got[t].find("\"ok\":true"), std::string::npos) << got[t];
+    EXPECT_EQ(got[t], expected[t % 3]);
+  }
 }
 
 }  // namespace

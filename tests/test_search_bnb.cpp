@@ -232,13 +232,21 @@ TEST(SearchBnb, GapNonNegativeAndZeroOnCompletion) {
   EXPECT_EQ(done.optimality_gap, 0.0);
   EXPECT_EQ(done.lower_bound, done.predicted_cycles);
 
+  // Every stopped run must carry a sound certificate.
+  const auto expect_sound = [&](const SearchResult& stopped) {
+    EXPECT_FALSE(stopped.proven_optimal);
+    EXPECT_GE(stopped.optimality_gap, 0.0);
+    EXPECT_LE(stopped.lower_bound, stopped.predicted_cycles + 1e-9);
+    // The certificate is sound: the true optimum lies above the bound.
+    EXPECT_LE(stopped.lower_bound, done.predicted_cycles + 1e-9);
+    // And the anytime incumbent is a real, legal placement.
+    EXPECT_FALSE(
+        validate_placement(k, stopped.placement, kepler_arch()).has_value());
+  };
+
   // Stop the walk with a doubling ladder of deadlines, up to the first rung
-  // the walk finishes inside. Every run that stops must carry a sound
-  // certificate, and some rung must stop inside the tree: rungs shorter than
-  // the greedy seed stop inside the seed, but the walk after it takes
-  // several times as long as the seed, so the doubling cannot step over the
-  // walk whatever the machine's speed.
-  bool stopped_inside = false;
+  // the walk finishes inside. Where a rung stops depends on the machine's
+  // speed: short rungs stop inside the greedy seed.
   for (int ms = 1; ms <= 1 << 16; ms *= 2) {
     SCOPED_TRACE(ms);
     SearchOptions o;
@@ -248,19 +256,38 @@ TEST(SearchBnb, GapNonNegativeAndZeroOnCompletion) {
       EXPECT_TRUE(stopped.proven_optimal);  // finished inside the budget
       break;
     }
-    if (stopped.nodes_expanded > 0 &&
-        stopped.nodes_expanded < done.nodes_expanded)
-      stopped_inside = true;
-    EXPECT_FALSE(stopped.proven_optimal);
-    EXPECT_GE(stopped.optimality_gap, 0.0);
-    EXPECT_LE(stopped.lower_bound, stopped.predicted_cycles + 1e-9);
-    // The certificate is sound: the true optimum lies above the bound.
-    EXPECT_LE(stopped.lower_bound, done.predicted_cycles + 1e-9);
-    // And the anytime incumbent is a real, legal placement.
-    EXPECT_FALSE(
-        validate_placement(k, stopped.placement, kepler_arch()).has_value());
+    expect_sound(stopped);
   }
-  EXPECT_TRUE(stopped_inside) << "no deadline rung stopped inside the tree";
+
+  // A stop inside the tree, whatever the machine's speed: a watcher fires
+  // the token once the walk has scored its first leaf chunk.
+  const bool was = obs::metrics_active();
+  obs::set_enabled(true);
+  obs::reset_all_metrics();
+  const auto chunks = [] {
+    const obs::MetricsSnapshot s = obs::snapshot();
+    const auto* c = s.find_counter("search.chunks");
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  std::atomic<bool> cancel{false};
+  std::thread watcher([&] {
+    while (chunks() < 1)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    cancel.store(true);
+  });
+  SearchOptions o;
+  o.num_threads = 1;
+  o.cancel = &cancel;
+  const SearchResult stopped = search_branch_and_bound(pred, o);
+  watcher.join();
+  obs::reset_all_metrics();
+  obs::set_enabled(was);
+
+  ASSERT_TRUE(stopped.cancelled) << "the walk finished before the token fired";
+  const bool stopped_inside = stopped.nodes_expanded > 0 &&
+                              stopped.nodes_expanded < done.nodes_expanded;
+  EXPECT_TRUE(stopped_inside) << "the stop did not land inside the tree";
+  expect_sound(stopped);
 }
 
 TEST(SearchBnb, ExpiredDeadlineStillReturnsFeasibleIncumbent) {
