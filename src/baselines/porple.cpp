@@ -42,7 +42,7 @@ double porple_cost(const TraceSkeleton& skeleton,
   // PORPLE has no bank-conflict or staging model; analyze with defaults and
   // score only the events its model understands.
   const PlacementEvents ev = analyze_trace(skeleton.kernel(), placement, arch,
-                                           AnalysisOptions{}, &skeleton);
+                                           ModelOptions{}, &skeleton);
   return porple_cost(ev, arch);
 }
 

@@ -7,6 +7,19 @@
 
 namespace gpuhms {
 
+namespace {
+
+// [7]'s memory model: a constant microbenchmark DRAM latency (no queuing, no
+// row-buffer variation) over traces analyzed with the detected mapping.
+ModelOptions sim2012_options() {
+  ModelOptions o;
+  o.queuing_model = false;
+  o.row_buffer_model = false;
+  return o;
+}
+
+}  // namespace
+
 Sim2012Predictor::Sim2012Predictor(const KernelInfo& kernel,
                                    const GpuArch& arch, bool anchor_to_sample)
     : kernel_(&kernel), arch_(&arch), anchor_(anchor_to_sample),
@@ -18,60 +31,39 @@ void Sim2012Predictor::profile_sample(const DataPlacement& sample) {
 
 void Sim2012Predictor::set_sample(const DataPlacement& sample,
                                   const SimResult& measured) {
-  sample_ = sample;
-  sample_result_ = measured;
-  sample_ev_ = analyze_trace(*kernel_, sample, *arch_, AnalysisOptions{},
-                             &skeleton_);
-  const Prediction self = predict_from_events(*sample_ev_);
-  anchor_scale_ = static_cast<double>(sample_result_->cycles) /
-                  std::max(1.0, self.raw_cycles);
+  ProfiledSample s{sample, measured,
+                   analyze_trace(*kernel_, sample, *arch_, sim2012_options(),
+                                 &skeleton_)};
+  s.anchor_scale = static_cast<double>(measured.cycles) /
+                   std::max(1.0, predict_from_events(s, s.events).raw_cycles);
+  sample_ = std::move(s);
 }
 
 const SimResult& Sim2012Predictor::sample_result() const {
-  GPUHMS_CHECK(sample_result_.has_value());
-  return *sample_result_;
+  GPUHMS_CHECK(sample_.has_value());
+  return sample_->measured;
 }
 
 Prediction Sim2012Predictor::predict_from_events(
-    const PlacementEvents& target_ev) const {
-  GPUHMS_CHECK_MSG(sample_result_.has_value(), "no sample profiled");
-  const ProfileCounters& sc = sample_result_->counters;
+    const ProfiledSample& sample, const PlacementEvents& target_ev) const {
+  const ProfileCounters& sc = sample.measured.counters;
   const double total_warps =
       static_cast<double>(std::max<std::uint64_t>(1, sc.total_warps));
   const int active_sms = std::max(1, sc.active_sms);
   const double n_warps = std::max(1.0, target_ev.warps_per_sm);
 
-  Prediction p;
   // Executed instructions, assumed placement-invariant ([7] has no replay or
   // addressing-mode accounting).
-  p.inst.executed_total = static_cast<double>(sc.inst_executed);
-  p.inst.replays_total = 0.0;
-  p.inst.issued_total = p.inst.executed_total;
-  p.inst.issued_per_warp = p.inst.issued_total / total_warps;
+  InstructionEstimate inst;
+  inst.executed_total = static_cast<double>(sc.inst_executed);
+  inst.issued_total = inst.executed_total;
+  inst.issued_per_warp = inst.issued_total / total_warps;
 
-  // T_mem with the constant-latency assumption.
-  TmemInputs tin;
-  tin.events = &target_ev;
-  tin.total_warps = total_warps;
-  tin.active_sms = active_sms;
-  tin.n_warps_per_sm = n_warps;
-  tin.issued_per_warp = p.inst.issued_per_warp;
-  tin.tick_to_cycles = 1.0;  // unused without the queuing model
-  TmemOptions topts;
-  topts.queuing_model = false;
-  topts.row_buffer_model = false;  // fixed microbenchmark latency
-  const TmemResult tm = tmem(tin, *arch_, topts);
-  p.t_mem = tm.t_mem;
-  p.amat = tm.amat;
-  p.dram_lat = tm.dram_lat;
-
-  TcompInputs cin;
-  cin.inst = p.inst;
-  cin.total_warps = total_warps;
-  cin.active_sms = active_sms;
-  const double itilp_max = static_cast<double>(arch_->avg_inst_lat);
-  cin.itilp = std::max(1.0, std::min(target_ev.ilp * n_warps, itilp_max));
-  p.t_comp = tcomp(cin, *arch_);
+  // T_mem with the constant-latency assumption (tick_to_cycles is unused
+  // without the queuing model); ITILP capped at avg_inst_lat.
+  Prediction p = predict_components(
+      target_ev, inst, sc, /*tick_to_cycles=*/1.0,
+      static_cast<double>(arch_->avg_inst_lat), *arch_, sim2012_options());
 
   // Overlap via the MWP/CWP case analysis.
   WarpParallelismInputs win;
@@ -83,7 +75,7 @@ Prediction Sim2012Predictor::predict_from_events(
       (target_ev.offchip_transactions() +
        static_cast<double>(target_ev.shared_requests)) /
       std::max(1.0, static_cast<double>(target_ev.mem_insts));
-  win.mem_lat = tm.amat;
+  win.mem_lat = p.amat;
   win.mlp = target_ev.mlp;
   win.ilp = target_ev.ilp;
   win.unloaded_service = static_cast<double>(arch_->dram.row_miss_service);
@@ -97,7 +89,7 @@ Prediction Sim2012Predictor::predict_from_events(
   HongKimInputs hin;
   hin.comp_cycles_per_warp = p.t_comp * active_sms / total_warps;
   hin.mem_insts_per_warp = win.mem_insts_per_warp;
-  hin.mem_lat = tm.amat;
+  hin.mem_lat = p.amat;
   hin.n_warps = n_warps;
   hin.mwp = wp.mwp;
   hin.cwp = wp.cwp;
@@ -113,10 +105,11 @@ Prediction Sim2012Predictor::predict_from_events(
 }
 
 Prediction Sim2012Predictor::predict(const DataPlacement& target) const {
+  GPUHMS_CHECK_MSG(sample_.has_value(), "no sample profiled");
   const PlacementEvents target_ev = analyze_trace(
-      *kernel_, target, *arch_, AnalysisOptions{}, &skeleton_);
-  Prediction p = predict_from_events(target_ev);
-  if (anchor_) p.total_cycles = p.raw_cycles * anchor_scale_;
+      *kernel_, target, *arch_, sim2012_options(), &skeleton_);
+  Prediction p = predict_from_events(*sample_, target_ev);
+  if (anchor_) p.total_cycles = p.raw_cycles * sample_->anchor_scale;
   return p;
 }
 

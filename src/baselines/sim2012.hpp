@@ -27,16 +27,14 @@ class Sim2012Predictor {
   const SimResult& sample_result() const;
 
  private:
-  Prediction predict_from_events(const PlacementEvents& target_ev) const;
+  Prediction predict_from_events(const ProfiledSample& sample,
+                                 const PlacementEvents& target_ev) const;
 
   const KernelInfo* kernel_;
   const GpuArch* arch_;
   bool anchor_;
-  std::optional<DataPlacement> sample_;
-  std::optional<SimResult> sample_result_;
-  std::optional<PlacementEvents> sample_ev_;
-  double anchor_scale_ = 1.0;  // computed eagerly in set_sample
-  TraceSkeleton skeleton_;     // recorded once, at construction
+  std::optional<ProfiledSample> sample_;
+  TraceSkeleton skeleton_;  // recorded once, at construction
 };
 
 }  // namespace gpuhms

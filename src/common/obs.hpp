@@ -28,7 +28,7 @@
 //   * Compiling with -DGPUHMS_DISABLE_OBS turns every macro below into
 //     ((void)0) for a hard zero-overhead build.
 //
-// Naming convention: "layer.metric[_unit]", e.g. "predictor.tmem_ns",
+// Naming convention: "layer.metric[_unit]", e.g. "predictor.predict_ns",
 // "search.evaluated", "queuing.bank_utilization_pct". Snapshots render
 // metrics sorted by name, so stable names give stable output.
 #pragma once

@@ -7,7 +7,7 @@ namespace gpuhms {
 InstructionEstimate estimate_issued_instructions(
     const ProfileCounters& sample_profile, const PlacementEvents& sample_ev,
     const PlacementEvents& target_ev, std::uint64_t total_warps,
-    const InstructionCountOptions& opts) {
+    const ModelOptions& options) {
   InstructionEstimate e;
   const double warps = static_cast<double>(std::max<std::uint64_t>(1, total_warps));
 
@@ -16,7 +16,7 @@ InstructionEstimate estimate_issued_instructions(
   const double replays_sample =
       static_cast<double>(sample_profile.replays_total());
 
-  if (!opts.detailed_counting) {
+  if (!options.detailed_instruction_counting) {
     e.executed_total = exec_sample;
     e.replays_total = replays_sample;
     e.issued_total = exec_sample + replays_sample;

@@ -15,8 +15,13 @@
 //        placement-invariant)
 //
 //   issued_target   = executed_target + replays_target
+//
+// Without options.detailed_instruction_counting (the Fig. 7 ablation) the
+// target is assumed to issue exactly what the sample issued (the
+// pre-existing executed-instruction assumption).
 #pragma once
 
+#include "model/model_options.hpp"
 #include "model/trace_analysis.hpp"
 #include "sim/counters.hpp"
 
@@ -33,16 +38,9 @@ struct InstructionEstimate {
   double replay_delta = 0.0;
 };
 
-struct InstructionCountOptions {
-  // Ablation (Fig. 7): without detailed instruction counting, the target is
-  // assumed to issue exactly what the sample issued (the pre-existing
-  // executed-instruction assumption).
-  bool detailed_counting = true;
-};
-
 InstructionEstimate estimate_issued_instructions(
     const ProfileCounters& sample_profile, const PlacementEvents& sample_ev,
     const PlacementEvents& target_ev, std::uint64_t total_warps,
-    const InstructionCountOptions& opts = {});
+    const ModelOptions& options = {});
 
 }  // namespace gpuhms

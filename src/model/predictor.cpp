@@ -17,30 +17,61 @@ namespace gpuhms {
 
 namespace {
 
-AnalysisOptions analysis_options(const ModelOptions& o) {
-  AnalysisOptions a;
-  a.even_bank_distribution = !o.address_mapping;
-  return a;
+// Eq. 13's ITILP cap: avg_inst_lat over the cycles one warp instruction
+// occupies the SIMD lanes.
+double itilp_cap(const GpuArch& arch) {
+  return static_cast<double>(arch.avg_inst_lat) /
+         (static_cast<double>(arch.warp_size) /
+          static_cast<double>(arch.simd_width));
 }
 
-TmemOptions tmem_options(const ModelOptions& o) {
-  TmemOptions t;
-  t.queuing_model = o.queuing_model;
-  t.row_buffer_model = o.row_buffer_model;
-  t.discipline = o.queue_discipline;
-  return t;
-}
-
-double compute_itilp(const PlacementEvents& ev, double n_warps,
-                     const GpuArch& arch) {
-  const double itilp_max =
-      static_cast<double>(arch.avg_inst_lat) /
-      (static_cast<double>(arch.warp_size) /
-       static_cast<double>(arch.simd_width));
-  return std::max(1.0, std::min(ev.ilp * std::max(1.0, n_warps), itilp_max));
+// Instruction-tick -> cycle calibration of a measured run.
+double tick_to_cycles(const SimResult& measured, const PlacementEvents& ev) {
+  return static_cast<double>(measured.cycles) /
+         std::max(1.0, static_cast<double>(ev.trace_ticks));
 }
 
 }  // namespace
+
+Prediction predict_components(const PlacementEvents& target_ev,
+                              const InstructionEstimate& inst,
+                              const ProfileCounters& sample,
+                              double tick_to_cycles, double itilp_cap,
+                              const GpuArch& arch,
+                              const ModelOptions& options) {
+  const double total_warps =
+      static_cast<double>(std::max<std::uint64_t>(1, sample.total_warps));
+  const int active_sms = std::max(1, sample.active_sms);
+  // Occupancy under the *target* placement (shared staging costs warps).
+  const double n_warps = std::max(1.0, target_ev.warps_per_sm);
+
+  Prediction p;
+  p.inst = inst;
+
+  // T_mem (Eq. 4-10).
+  TmemInputs tin;
+  tin.events = &target_ev;
+  tin.total_warps = total_warps;
+  tin.active_sms = active_sms;
+  tin.n_warps_per_sm = n_warps;
+  tin.issued_per_warp = inst.issued_per_warp;
+  tin.tick_to_cycles = tick_to_cycles;
+  const TmemResult tm = tmem(tin, arch, options);
+  p.t_mem = tm.t_mem;
+  p.amat = tm.amat;
+  p.dram_lat = tm.dram_lat;
+  p.queue_saturated = tm.queue_saturated;
+
+  // T_comp (Eq. 2). W_serial is placement-invariant and absorbed by the
+  // sample anchoring / the T_overlap regression constant.
+  TcompInputs cin;
+  cin.inst = inst;
+  cin.total_warps = total_warps;
+  cin.active_sms = active_sms;
+  cin.itilp = std::max(1.0, std::min(target_ev.ilp * n_warps, itilp_cap));
+  p.t_comp = tcomp(cin, arch);
+  return p;
+}
 
 Predictor::Predictor(const KernelInfo& kernel, const GpuArch& arch,
                      ModelOptions options, ToverlapModel overlap,
@@ -64,18 +95,22 @@ void Predictor::profile_sample(const DataPlacement& sample) {
 
 void Predictor::set_sample(const DataPlacement& sample,
                            const SimResult& measured) {
+  sample_ = analyze_sample(sample, measured);
+}
+
+ProfiledSample Predictor::analyze_sample(const DataPlacement& placement,
+                                         const SimResult& measured) {
   GPUHMS_SCOPED_PHASE("predictor.set_sample_ns");
   GPUHMS_COUNTER_ADD("predictor.samples_set", 1);
   memoize_trace();
-  sample_ = sample;
-  sample_result_ = measured;
-  sample_ev_ = analyze_trace(*kernel_, sample, *arch_,
-                             analysis_options(options_), skeleton_.get());
+  ProfiledSample s{placement, measured,
+                   analyze_trace(*kernel_, placement, *arch_, options_,
+                                 skeleton_.get())};
   // Anchor scale computed eagerly so predict() stays const and race-free
   // when one predictor is shared across search threads.
-  const Prediction self = predict_from_events(*sample_ev_);
-  anchor_scale_ = static_cast<double>(sample_result_->cycles) /
-                  std::max(1.0, self.raw_cycles);
+  s.anchor_scale = static_cast<double>(measured.cycles) /
+                   std::max(1.0, predict_from_events(s, s.events).raw_cycles);
+  return s;
 }
 
 Status Predictor::try_profile_sample(const DataPlacement& sample) {
@@ -99,20 +134,17 @@ Status Predictor::try_set_sample(const DataPlacement& sample,
       "setting the sample measurement of kernel '" + kernel_->name + "'";
   GPUHMS_RETURN_IF_ERROR(validate(*kernel_, sample, *arch_).annotate(ctx));
   GPUHMS_RETURN_IF_ERROR(validate(measured).annotate(ctx));
+  std::optional<ProfiledSample> s;
   try {
-    set_sample(sample, measured);
+    s = analyze_sample(sample, measured);
   } catch (const std::exception& e) {
     return InternalError(e.what()).annotate(ctx);
   }
-  if (!std::isfinite(anchor_scale_) || anchor_scale_ <= 0.0) {
-    sample_.reset();
-    sample_result_.reset();
-    sample_ev_.reset();
-    anchor_scale_ = 1.0;
+  if (!std::isfinite(s->anchor_scale) || s->anchor_scale <= 0.0)
     return InternalError("sample calibration produced a non-finite or "
                          "non-positive anchor scale")
         .annotate(ctx);
-  }
+  sample_ = std::move(s);
   return OkStatus();
 }
 
@@ -122,81 +154,45 @@ std::shared_ptr<const TraceSkeleton> Predictor::memoize_trace() {
 }
 
 TraceAnalyzer Predictor::make_analyzer() const {
-  return TraceAnalyzer(*kernel_, *arch_, analysis_options(options_));
+  return TraceAnalyzer(*kernel_, *arch_, options_);
 }
 
 const SimResult& Predictor::sample_result() const {
-  GPUHMS_CHECK_MSG(sample_result_.has_value(), "no sample profiled");
-  return *sample_result_;
+  GPUHMS_CHECK_MSG(sample_.has_value(), "no sample profiled");
+  return sample_->measured;
 }
 
 const DataPlacement& Predictor::sample_placement() const {
   GPUHMS_CHECK_MSG(sample_.has_value(), "no sample profiled");
-  return *sample_;
+  return sample_->placement;
 }
 
 Prediction Predictor::predict_from_events(
-    const PlacementEvents& target_ev) const {
-  GPUHMS_CHECK_MSG(sample_result_.has_value(),
-                   "profile_sample/set_sample must be called first");
-  const ProfileCounters& sc = sample_result_->counters;
-  const double total_warps =
-      static_cast<double>(std::max<std::uint64_t>(1, sc.total_warps));
-  const int active_sms = std::max(1, sc.active_sms);
-  // Occupancy under the *target* placement (shared staging costs warps).
-  const double n_warps = std::max(1.0, target_ev.warps_per_sm);
-
-  Prediction p;
+    const ProfiledSample& sample, const PlacementEvents& target_ev) const {
+  const ProfileCounters& sc = sample.measured.counters;
 
   // Issued instructions (Sec. III-B / Eq. 3).
+  InstructionEstimate inst;
   {
     GPUHMS_SCOPED_PHASE("predictor.inst_count_ns");
-    InstructionCountOptions ico;
-    ico.detailed_counting = options_.detailed_instruction_counting;
-    p.inst = estimate_issued_instructions(sc, *sample_ev_, target_ev,
-                                          sc.total_warps, ico);
+    inst = estimate_issued_instructions(sc, sample.events, target_ev,
+                                        sc.total_warps, options_);
   }
 
-  // Instruction-tick -> cycle calibration from the sample run.
-  const double tick_to_cycles =
-      static_cast<double>(sample_result_->cycles) /
-      std::max(1.0, static_cast<double>(sample_ev_->trace_ticks));
-
-  // T_mem (Eq. 4-10).
+  Prediction p;
   {
-    GPUHMS_SCOPED_PHASE("predictor.tmem_ns");
-    TmemInputs tin;
-    tin.events = &target_ev;
-    tin.total_warps = total_warps;
-    tin.active_sms = active_sms;
-    tin.n_warps_per_sm = n_warps;
-    tin.issued_per_warp = p.inst.issued_per_warp;
-    tin.tick_to_cycles = tick_to_cycles;
-    const TmemResult tm = tmem(tin, *arch_, tmem_options(options_));
-    p.t_mem = tm.t_mem;
-    p.amat = tm.amat;
-    p.dram_lat = tm.dram_lat;
-    p.queue_saturated = tm.queue_saturated;
-  }
-
-  // T_comp (Eq. 2). W_serial is placement-invariant and absorbed by the
-  // sample anchoring / the T_overlap regression constant.
-  {
-    GPUHMS_SCOPED_PHASE("predictor.tcomp_ns");
-    TcompInputs cin;
-    cin.inst = p.inst;
-    cin.total_warps = total_warps;
-    cin.active_sms = active_sms;
-    cin.itilp = compute_itilp(target_ev, n_warps, *arch_);
-    cin.w_serial = 0.0;
-    p.t_comp = tcomp(cin, *arch_);
+    GPUHMS_SCOPED_PHASE("predictor.components_ns");
+    p = predict_components(target_ev, inst, sc,
+                           tick_to_cycles(sample.measured, sample.events),
+                           itilp_cap(*arch_), *arch_, options_);
   }
 
   // T_overlap (Eq. 11-12). The upper bound keeps the overlap physical: it
   // cannot exceed the smaller of the two overlapped components.
   {
     GPUHMS_SCOPED_PHASE("predictor.toverlap_ns");
-    p.overlap_ratio = overlap_.overlap_ratio(target_ev, n_warps);
+    p.overlap_ratio = overlap_.overlap_ratio(
+        target_ev, std::max(1.0, target_ev.warps_per_sm));
     p.t_overlap = std::clamp(p.overlap_ratio * p.t_mem,
                              -0.25 * (p.t_comp + p.t_mem),
                              std::min(p.t_comp, p.t_mem));
@@ -214,8 +210,8 @@ Prediction Predictor::predict(const DataPlacement& target,
                    "profile_sample/set_sample must be called first");
   const PlacementEvents target_ev =
       scratch ? scratch->analyze(target, skeleton_.get())
-              : analyze_trace(*kernel_, target, *arch_,
-                              analysis_options(options_), skeleton_.get());
+              : analyze_trace(*kernel_, target, *arch_, options_,
+                              skeleton_.get());
   GPUHMS_COUNTER_ADD("predictor.predictions", 1);
   GPUHMS_COUNTER_ADD("predictor.replay_global_divergence",
                      target_ev.replay_global_divergence);
@@ -229,9 +225,11 @@ Prediction Predictor::predict(const DataPlacement& target,
 }
 
 Prediction Predictor::predict(const PlacementEvents& target_ev) const {
-  Prediction p = predict_from_events(target_ev);
+  GPUHMS_CHECK_MSG(has_sample(),
+                   "profile_sample/set_sample must be called first");
+  Prediction p = predict_from_events(*sample_, target_ev);
   if (options_.anchor_to_sample)
-    p.total_cycles = p.raw_cycles * anchor_scale_;
+    p.total_cycles = p.raw_cycles * sample_->anchor_scale;
   return p;
 }
 
@@ -329,21 +327,22 @@ double PlacementBounder::bound_cycles(double addr_insts_total) const {
 }
 
 PlacementBounder Predictor::make_bounder() const {
-  GPUHMS_CHECK_MSG(sample_result_.has_value(),
+  GPUHMS_CHECK_MSG(has_sample(),
                    "profile_sample/set_sample must be called first");
   const TraceSkeleton& skeleton = *skeleton_;
-  const ProfileCounters& sc = sample_result_->counters;
+  const ProfileCounters& sc = sample_->measured.counters;
+  const PlacementEvents& sample_ev = sample_->events;
   PlacementBounder b;
   b.detailed_ = options_.detailed_instruction_counting;
   b.active_sms_ = std::max(1, sc.active_sms);
-  b.anchor_ = options_.anchor_to_sample ? anchor_scale_ : 1.0;
+  b.anchor_ = options_.anchor_to_sample ? sample_->anchor_scale : 1.0;
   const double exec_sample = static_cast<double>(sc.inst_executed);
   const double replays_sample = static_cast<double>(sc.replays_total());
   b.issued_const_ = exec_sample + replays_sample;
   b.exec_base_ = exec_sample + static_cast<double>(skeleton.base_insts()) -
-                 static_cast<double>(sample_ev_->insts_executed);
+                 static_cast<double>(sample_ev.insts_executed);
   b.replays_floor_ = std::max(
-      0.0, replays_sample - static_cast<double>(sample_ev_->replays_1_4()));
+      0.0, replays_sample - static_cast<double>(sample_ev.replays_1_4()));
   TmemFloorInputs tf;
   tf.load_insts_lb = static_cast<double>(skeleton.base_load_insts());
   tf.active_sms = b.active_sms_;
@@ -388,46 +387,20 @@ struct TrainingRow {
 };
 
 // The measured overlap ratio of one case against its analytical T_comp and
-// T_mem; the case is its own sample, so issued instructions are measured.
+// T_mem. The case is its own sample, so the instruction estimate is its
+// measured issue count.
 TrainingRow training_row(const SimResult& measured, const PlacementEvents& ev,
                          const GpuArch& arch, const ModelOptions& options) {
   const ProfileCounters& sc = measured.counters;
-  const double total_warps =
-      static_cast<double>(std::max<std::uint64_t>(1, sc.total_warps));
-  const int active_sms = std::max(1, sc.active_sms);
-  const double n_warps = std::max(1.0, ev.warps_per_sm);
-  const double tick_to_cycles =
-      static_cast<double>(measured.cycles) /
-      std::max(1.0, static_cast<double>(ev.trace_ticks));
-
-  InstructionEstimate inst;
-  inst.executed_total = static_cast<double>(sc.inst_executed);
-  inst.replays_total = static_cast<double>(sc.replays_total());
-  inst.issued_total = inst.executed_total + inst.replays_total;
-  inst.issued_per_warp = inst.issued_total / total_warps;
-
-  TmemInputs tin;
-  tin.events = &ev;
-  tin.total_warps = total_warps;
-  tin.active_sms = active_sms;
-  tin.n_warps_per_sm = n_warps;
-  tin.issued_per_warp = inst.issued_per_warp;
-  tin.tick_to_cycles = tick_to_cycles;
-  const TmemResult tm = tmem(tin, arch, tmem_options(options));
-
-  TcompInputs cin;
-  cin.inst = inst;
-  cin.total_warps = total_warps;
-  cin.active_sms = active_sms;
-  cin.itilp = compute_itilp(ev, n_warps, arch);
-  const double tc = tcomp(cin, arch);
-
+  const Prediction p = predict_components(
+      ev, estimate_issued_instructions(sc, ev, ev, sc.total_warps, options),
+      sc, tick_to_cycles(measured, ev), itilp_cap(arch), arch, options);
   TrainingRow row;
-  if (tm.t_mem <= 0.0) return row;
+  if (p.t_mem <= 0.0) return row;
   row.y = std::clamp(
-      (tc + tm.t_mem - static_cast<double>(measured.cycles)) / tm.t_mem,
+      (p.t_comp + p.t_mem - static_cast<double>(measured.cycles)) / p.t_mem,
       -1.0, 1.5);
-  row.x = ToverlapModel::features(ev, n_warps);
+  row.x = ToverlapModel::features(ev, std::max(1.0, ev.warps_per_sm));
   row.valid = true;
   return row;
 }
@@ -509,8 +482,8 @@ ToverlapModel train_overlap_model_measured(std::span<const MeasuredCase> cases,
       cases, arch, pool,
       [&](const MeasuredCase& c, const TraceSkeleton& skeleton) {
         return training_row(c.measured,
-                            analyze_trace(*c.kernel, c.placement, arch,
-                                          analysis_options(options), &skeleton),
+                            analyze_trace(*c.kernel, c.placement, arch, options,
+                                          &skeleton),
                             arch, options);
       });
   return fit_rows(rows, ridge);
@@ -526,8 +499,7 @@ ToverlapModel train_overlap_model(std::span<const TrainingCase> cases,
       [&](const TrainingCase& c, const TraceSkeleton& skeleton) {
         return training_row(
             simulate(*c.kernel, c.placement, arch, &skeleton),
-            analyze_trace(*c.kernel, c.placement, arch,
-                          analysis_options(options), &skeleton),
+            analyze_trace(*c.kernel, c.placement, arch, options, &skeleton),
             arch, options);
       });
   return fit_rows(rows, ridge);

@@ -3,10 +3,8 @@
 // nvprof run on the K80) and predict the execution time of any *target*
 // placement via T = T_comp + T_mem - T_overlap (Eq. 1).
 //
-// ModelOptions toggles reproduce the paper's ablations:
-//   * detailed_instruction_counting  — Fig. 7 (addressing mode + Eq. 3 replays)
-//   * queuing_model                  — Fig. 8/9 (G/G/1 vs constant latency)
-//   * address_mapping                — Fig. 8 (detected map vs even spread)
+// The six ModelOptions toggles (model/model_options.hpp, one comment per
+// field naming the figure it ablates) reproduce the paper's ablations.
 #pragma once
 
 #include <array>
@@ -19,6 +17,7 @@
 #include "common/thread_pool.hpp"
 #include "kernel/placement.hpp"
 #include "model/instruction_counter.hpp"
+#include "model/model_options.hpp"
 #include "model/tcomp.hpp"
 #include "model/tmem.hpp"
 #include "model/toverlap.hpp"
@@ -93,29 +92,6 @@ class PlacementBounder {
   double anchor_ = 1.0;
 };
 
-struct ModelOptions {
-  bool detailed_instruction_counting = true;
-  bool queuing_model = true;
-  bool address_mapping = true;
-  bool row_buffer_model = true;
-  // Queue discipline for the DRAM model; MM1 exists to reproduce the
-  // paper's argument that Markovian queues misfit GPU arrival processes.
-  QueueDiscipline queue_discipline = QueueDiscipline::GG1;
-  // Anchor predictions on the sample's measured/predicted ratio — this is
-  // the "quantified correlation" use of the sample placement.
-  bool anchor_to_sample = true;
-
-  // The paper's "baseline" configuration of Sec. V-B.
-  static ModelOptions baseline() {
-    ModelOptions o;
-    o.detailed_instruction_counting = false;
-    o.queuing_model = false;
-    o.address_mapping = false;
-    o.row_buffer_model = false;
-    return o;
-  }
-};
-
 struct Prediction {
   double t_comp = 0.0;
   double t_mem = 0.0;
@@ -126,10 +102,34 @@ struct Prediction {
   double dram_lat = 0.0;
   double overlap_ratio = 0.0;
   // True when the G/G/1 queuing model clamped an over-saturated or
-  // degenerate bank (rho >= rho_max, or non-finite inputs): the prediction
+  // degenerate bank (rho >= kRhoMax, or non-finite inputs): the prediction
   // is a bounded extrapolation rather than a steady-state delay.
   bool queue_saturated = false;
   InstructionEstimate inst;
+};
+
+// T_comp (Eq. 2) and T_mem (Eq. 4-10) of one placement's events: the part
+// of Eq. 1 that every model built on it shares — the predictor, the Eq. 11
+// training rows and the Sim et al. [7] baseline. Fills inst, t_comp, t_mem,
+// amat, dram_lat and queue_saturated, and leaves the overlap and the totals
+// to the caller. The caller owns the three choices that tell the models
+// apart: the issued-instruction estimate `inst`, the ITILP cap (Eq. 13) and
+// the overlap. `sample` gives the warp and SM counts, `tick_to_cycles`
+// converts the analysis clock for the queuing model.
+Prediction predict_components(const PlacementEvents& target_ev,
+                              const InstructionEstimate& inst,
+                              const ProfileCounters& sample,
+                              double tick_to_cycles, double itilp_cap,
+                              const GpuArch& arch, const ModelOptions& options);
+
+// A profiled sample placement: its measurement, its analyzed events and the
+// anchor scale (measured / predicted cycles) they give. A predictor adopts
+// one whole or not at all.
+struct ProfiledSample {
+  DataPlacement placement;
+  SimResult measured;
+  PlacementEvents events;
+  double anchor_scale = 1.0;
 };
 
 // Once a sample is profiled (profile_sample/set_sample), every predict
@@ -150,7 +150,8 @@ class Predictor {
   void profile_sample(const DataPlacement& sample);
   // Inject an existing measurement instead. Aborts on malformed input.
   // The first sample records the kernel's TraceSkeleton; the sample and
-  // every later predict and bound are analyzed from it.
+  // every later predict and bound are analyzed from it. A sample whose
+  // analysis throws is not adopted.
   void set_sample(const DataPlacement& sample, const SimResult& measured);
 
   // Non-aborting variants: validate the placement against this predictor's
@@ -159,13 +160,14 @@ class Predictor {
   // aborting. try_profile_sample hands its simulated measurement to
   // try_set_sample, so both reject the same measurements, and a rejected
   // one is never adopted. Exceptions escaping the substrate (including
-  // injected faults) and a non-finite sample anchor surface as INTERNAL.
+  // injected faults) and a non-finite sample anchor surface as INTERNAL,
+  // and leave the predictor's earlier sample (or its lack of one) as it was.
   Status try_profile_sample(const DataPlacement& sample);
   Status try_set_sample(const DataPlacement& sample, const SimResult& measured);
 
   // Whether a sample has been profiled/injected (the precondition of every
   // predict entry point).
-  bool has_sample() const { return sample_result_.has_value(); }
+  bool has_sample() const { return sample_.has_value(); }
 
   // Records (once) the placement-independent skeleton of the kernel, for
   // the predictor's arch, and returns it (the constructor's skeleton when
@@ -214,17 +216,19 @@ class Predictor {
   const ModelOptions& options() const { return options_; }
 
  private:
-  Prediction predict_from_events(const PlacementEvents& target_ev) const;
+  // Analyzes a sample and computes its anchor scale without adopting it
+  // (throws what the analysis throws).
+  ProfiledSample analyze_sample(const DataPlacement& placement,
+                                const SimResult& measured);
+  Prediction predict_from_events(const ProfiledSample& sample,
+                                 const PlacementEvents& target_ev) const;
 
   const KernelInfo* kernel_;
   const GpuArch* arch_;
   ModelOptions options_;
   ToverlapModel overlap_;
 
-  std::optional<DataPlacement> sample_;
-  std::optional<SimResult> sample_result_;
-  std::optional<PlacementEvents> sample_ev_;
-  double anchor_scale_ = 1.0;  // computed eagerly in set_sample
+  std::optional<ProfiledSample> sample_;
   std::shared_ptr<const TraceSkeleton> skeleton_;
 };
 

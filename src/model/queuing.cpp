@@ -36,14 +36,14 @@ double safe_cv(double sigma, double tau) {
   return sigma / tau;
 }
 
-// Delay of a degenerate bank, pinned at the rho_max saturation point: the
-// inter-arrival time that *would* produce rho_max (tau_s / rho_max) feeds
+// Delay of a degenerate bank, pinned at the kRhoMax saturation point: the
+// inter-arrival time that *would* produce kRhoMax (tau_s / kRhoMax) feeds
 // the requested formula. Finite by construction.
-double saturated_delay(const GG1Bank& b, double rho_max, bool kingman) {
+double saturated_delay(const GG1Bank& b, bool kingman) {
   if (!std::isfinite(b.tau_s) || b.tau_s <= 0.0) return 0.0;
-  const double rho_term = rho_max / (1.0 - rho_max);
+  const double rho_term = kRhoMax / (1.0 - kRhoMax);
   if (!kingman) return rho_term * b.tau_s;  // M/M/1
-  const double tau_a_eff = b.tau_s / rho_max;
+  const double tau_a_eff = b.tau_s / kRhoMax;
   const double variability =
       (safe_cv(b.sigma_a, tau_a_eff) + safe_cv(b.sigma_s, b.tau_s)) / 2.0;
   return variability * rho_term * tau_a_eff;
@@ -56,27 +56,26 @@ void flag(bool* saturated) {
 
 }  // namespace
 
-double kingman_queue_delay(const GG1Bank& bank, double rho_max,
-                           bool* saturated) {
+double kingman_queue_delay(const GG1Bank& bank, bool* saturated) {
   if (!well_formed(bank)) {
     flag(saturated);
-    return saturated_delay(bank, rho_max, /*kingman=*/true);
+    return saturated_delay(bank, /*kingman=*/true);
   }
   if (bank.tau_a <= 0.0 || bank.tau_s <= 0.0) return 0.0;
-  if (bank.rho() >= rho_max) flag(saturated);
-  const double rho = std::min(bank.rho(), rho_max);
+  if (bank.rho() >= kRhoMax) flag(saturated);
+  const double rho = std::min(bank.rho(), kRhoMax);
   const double variability = (bank.ca() + bank.cs()) / 2.0;
   return variability * (rho / (1.0 - rho)) * bank.tau_a;
 }
 
-double mm1_queue_delay(const GG1Bank& bank, double rho_max, bool* saturated) {
+double mm1_queue_delay(const GG1Bank& bank, bool* saturated) {
   if (!well_formed(bank)) {
     flag(saturated);
-    return saturated_delay(bank, rho_max, /*kingman=*/false);
+    return saturated_delay(bank, /*kingman=*/false);
   }
   if (bank.tau_a <= 0.0 || bank.tau_s <= 0.0) return 0.0;
-  if (bank.rho() >= rho_max) flag(saturated);
-  const double rho = std::min(bank.rho(), rho_max);
+  if (bank.rho() >= kRhoMax) flag(saturated);
+  const double rho = std::min(bank.rho(), kRhoMax);
   return (rho / (1.0 - rho)) * bank.tau_s;
 }
 
@@ -124,7 +123,7 @@ namespace {
 
 template <typename DelayFn>
 QueuingResult aggregate_banks(const std::vector<GG1Bank>& banks,
-                              double rho_max, DelayFn&& delay) {
+                              DelayFn&& delay) {
   QueuingResult r;
   double weight_sum = 0.0;
   const bool observe = obs::metrics_active();
@@ -151,7 +150,7 @@ QueuingResult aggregate_banks(const std::vector<GG1Bank>& banks,
     // arrival rate gets the same nominal weight.
     const double w =
         std::isfinite(b.lambda) && b.lambda > 0.0 ? b.lambda : 1e-9;
-    const double wq = delay(b, rho_max, &r.saturated);
+    const double wq = delay(b, &r.saturated);
     r.dram_lat += w * (wq + b.tau_s);
     r.avg_queue_delay += w * wq;
     r.avg_service += w * b.tau_s;
@@ -167,20 +166,16 @@ QueuingResult aggregate_banks(const std::vector<GG1Bank>& banks,
 
 }  // namespace
 
-QueuingResult dram_latency_gg1(const std::vector<GG1Bank>& banks,
-                               double rho_max) {
-  return aggregate_banks(banks, rho_max,
-                         [](const GG1Bank& b, double rm, bool* sat) {
-                           return kingman_queue_delay(b, rm, sat);
-                         });
+QueuingResult dram_latency_gg1(const std::vector<GG1Bank>& banks) {
+  return aggregate_banks(banks, [](const GG1Bank& b, bool* sat) {
+    return kingman_queue_delay(b, sat);
+  });
 }
 
-QueuingResult dram_latency_mm1(const std::vector<GG1Bank>& banks,
-                               double rho_max) {
-  return aggregate_banks(banks, rho_max,
-                         [](const GG1Bank& b, double rm, bool* sat) {
-                           return mm1_queue_delay(b, rm, sat);
-                         });
+QueuingResult dram_latency_mm1(const std::vector<GG1Bank>& banks) {
+  return aggregate_banks(banks, [](const GG1Bank& b, bool* sat) {
+    return mm1_queue_delay(b, sat);
+  });
 }
 
 double bank_service_floor(const GpuArch& arch) {

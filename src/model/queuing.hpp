@@ -15,7 +15,7 @@
 // Robustness: the delay functions never return NaN/inf. Degenerate inputs
 // (zero inter-arrival time with a nonzero arrival rate, negative or
 // non-finite moments — all possible with caller-built GG1Bank values or
-// under fault injection) are clamped to the rho_max saturation point, and
+// under fault injection) are clamped to the kRhoMax saturation point, and
 // the aggregate QueuingResult carries a `saturated` flag so the caller can
 // tell a trustworthy latency from a clamped one.
 #pragma once
@@ -39,28 +39,29 @@ struct GG1Bank {
   double rho() const { return tau_a > 0.0 ? tau_s / tau_a : 0.0; }
 };
 
-// Kingman's approximation (paper Eq. 9). rho is clamped to rho_max: a bank
-// driven at or beyond saturation has unbounded G/G/1 delay, while the real
-// system throttles arrivals through finite warp counts. Always finite and
-// non-negative; `saturated` (when provided) is set to true if the bank was
-// clamped (rho >= rho_max) or its inputs were degenerate, left unchanged
-// otherwise.
-double kingman_queue_delay(const GG1Bank& bank, double rho_max = 0.95,
-                           bool* saturated = nullptr);
+// The utilization at which a bank's queue is clamped: a bank driven at or
+// beyond saturation has unbounded G/G/1 delay, while the real system
+// throttles arrivals through finite warp counts.
+inline constexpr double kRhoMax = 0.95;
+
+// Kingman's approximation (paper Eq. 9), with rho clamped to kRhoMax.
+// Always finite and non-negative; `saturated` (when provided) is set to true
+// if the bank was clamped (rho >= kRhoMax) or its inputs were degenerate,
+// left unchanged otherwise.
+double kingman_queue_delay(const GG1Bank& bank, bool* saturated = nullptr);
 
 // The Markovian alternative the paper argues *against* (Sec. III-C3): an
 // M/M/1 queue, W_q = (rho / (1 - rho)) * tau_s, which assumes exponential
 // arrivals and service — i.e. ignores the measured variability entirely.
 // Kept for the comparison bench that reproduces the paper's argument.
 // Same clamping/saturation contract as kingman_queue_delay.
-double mm1_queue_delay(const GG1Bank& bank, double rho_max = 0.95,
-                       bool* saturated = nullptr);
+double mm1_queue_delay(const GG1Bank& bank, bool* saturated = nullptr);
 
 struct QueuingResult {
   double dram_lat = 0.0;        // Eq. 7: lambda-weighted per-bank latency
   double avg_queue_delay = 0.0; // lambda-weighted W_q
   double avg_service = 0.0;     // lambda-weighted service time (Eq. 8 aggregate)
-  // At least one contributing bank ran at or past the rho_max clamp, or had
+  // At least one contributing bank ran at or past the kRhoMax clamp, or had
   // degenerate (zero/negative/non-finite) queuing inputs: the latencies
   // above are a saturation floor, not a faithful G/G/1 estimate.
   bool saturated = false;
@@ -74,12 +75,10 @@ std::vector<GG1Bank> build_bank_inputs(const PlacementEvents& ev,
 
 // Eq. 6/7: per-bank latency = W_q + service, aggregated over banks weighted
 // by arrival rate. The result is always finite.
-QueuingResult dram_latency_gg1(const std::vector<GG1Bank>& banks,
-                               double rho_max = 0.95);
+QueuingResult dram_latency_gg1(const std::vector<GG1Bank>& banks);
 
 // Same aggregation with M/M/1 per-bank delays.
-QueuingResult dram_latency_mm1(const std::vector<GG1Bank>& banks,
-                               double rho_max = 0.95);
+QueuingResult dram_latency_mm1(const std::vector<GG1Bank>& banks);
 
 // The constant-latency alternative the ablations compare against
 // (Sec. V-B / Fig. 9 "no queuing model"): unloaded average service by

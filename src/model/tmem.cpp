@@ -7,21 +7,21 @@
 namespace gpuhms {
 
 TmemResult tmem(const TmemInputs& in, const GpuArch& arch,
-                const TmemOptions& opts) {
+                const ModelOptions& options) {
   GPUHMS_CHECK(in.events != nullptr);
   const PlacementEvents& ev = *in.events;
   TmemResult r;
 
   // --- DRAM latency (Sec. III-C) -------------------------------------------
-  if (opts.queuing_model) {
+  if (options.queuing_model) {
     const auto banks = build_bank_inputs(ev, in.tick_to_cycles);
-    const QueuingResult q = opts.discipline == QueueDiscipline::GG1
-                                ? dram_latency_gg1(banks, opts.rho_max)
-                                : dram_latency_mm1(banks, opts.rho_max);
+    const QueuingResult q = options.queue_discipline == QueueDiscipline::GG1
+                                ? dram_latency_gg1(banks)
+                                : dram_latency_mm1(banks);
     r.dram_lat = q.dram_lat;
     r.queue_delay = q.avg_queue_delay;
     r.queue_saturated = q.saturated;
-  } else if (opts.row_buffer_model) {
+  } else if (options.row_buffer_model) {
     r.dram_lat = dram_latency_constant(ev, arch);
   } else {
     // Prior work's constant, microbenchmark-style latency.

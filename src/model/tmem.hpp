@@ -10,27 +10,12 @@
 #pragma once
 
 #include "arch/gpu_arch.hpp"
+#include "model/model_options.hpp"
 #include "model/queuing.hpp"
 #include "model/trace_analysis.hpp"
 #include "model/warp_parallelism.hpp"
 
 namespace gpuhms {
-
-enum class QueueDiscipline {
-  GG1,  // Kingman, the paper's choice
-  MM1,  // Markovian alternative (for the Sec. III-C3 comparison)
-};
-
-struct TmemOptions {
-  // Ablations: without the queuing model, DRAM latency degenerates to the
-  // unloaded (microbenchmark) constant, as prior work assumes.
-  bool queuing_model = true;
-  // Without row-buffer modeling the constant is the unloaded row-miss
-  // latency; with it (but no queue) the Eq. 8 outcome mix is used.
-  bool row_buffer_model = true;
-  QueueDiscipline discipline = QueueDiscipline::GG1;
-  double rho_max = 0.95;
-};
 
 struct TmemResult {
   double t_mem = 0.0;
@@ -56,8 +41,12 @@ struct TmemInputs {
   double tick_to_cycles = 1.0;
 };
 
+// Reads options.queuing_model, row_buffer_model and queue_discipline: with
+// the queuing model DRAM latency is the Eq. 7 aggregate of per-bank queues
+// of that discipline; without it, it is the unloaded constant — the Eq. 8
+// outcome mix with the row-buffer model, the row-miss latency without.
 TmemResult tmem(const TmemInputs& in, const GpuArch& arch,
-                const TmemOptions& opts = {});
+                const ModelOptions& options = {});
 
 // --- Admissible T_mem floor (branch-and-bound search) -----------------------
 struct TmemFloorInputs {

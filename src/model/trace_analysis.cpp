@@ -9,8 +9,9 @@
 namespace gpuhms {
 
 TraceAnalyzer::TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
-                             const AnalysisOptions& opts)
-    : kernel_(&kernel), arch_(&arch), opts_(opts),
+                             const ModelOptions& options)
+    : kernel_(&kernel), arch_(&arch),
+      address_mapping_(options.address_mapping),
       mapping_(arch_mapping(arch)), l2_(l2_config(arch)) {
   const std::size_t num_sms = static_cast<std::size_t>(arch.num_sms);
   const_caches_.assign(num_sms, SetAssocCache(const_cache_config(arch)));
@@ -38,11 +39,11 @@ void TraceAnalyzer::dram_request(std::uint64_t line_addr, bool is_store) {
   std::uint64_t row;
   const auto d = mapping_.decode(line_addr);
   row = d.row;
-  if (opts_.even_bank_distribution) {
+  if (address_mapping_) {
+    bank = d.bank;
+  } else {
     bank = static_cast<int>(rr_bank_++ % static_cast<std::uint64_t>(
                                              mapping_.num_banks()));
-  } else {
-    bank = d.bank;
   }
   BankRow& b = rows_[static_cast<std::size_t>(bank)];
   BankStream& s = ev_.banks[static_cast<std::size_t>(bank)];
@@ -323,9 +324,9 @@ PlacementEvents TraceAnalyzer::analyze(const DataPlacement& placement,
 PlacementEvents analyze_trace(const KernelInfo& kernel,
                               const DataPlacement& placement,
                               const GpuArch& arch,
-                              const AnalysisOptions& opts,
+                              const ModelOptions& options,
                               const TraceSkeleton* skeleton) {
-  TraceAnalyzer an(kernel, arch, opts);
+  TraceAnalyzer an(kernel, arch, options);
   return an.analyze(placement, skeleton);
 }
 

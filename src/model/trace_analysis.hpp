@@ -22,17 +22,12 @@
 #include "cache/cache.hpp"
 #include "common/stats.hpp"
 #include "dram/address_mapping.hpp"
+#include "model/model_options.hpp"
 #include "sim/counters.hpp"
 #include "trace/generator.hpp"
 #include "trace/soa.hpp"
 
 namespace gpuhms {
-
-struct AnalysisOptions {
-  // Ablation (Fig. 8): ignore the detected address mapping and spread DRAM
-  // requests round-robin over banks.
-  bool even_bank_distribution = false;
-};
 
 struct BankStream {
   RunningStat interarrival;  // instruction-slot clock deltas
@@ -102,11 +97,13 @@ struct PlacementEvents {
 // placements of one kernel without reallocating them (the per-candidate hot
 // path of a placement search). Instances are NOT thread-safe — give each
 // worker thread its own analyzer; the (optional) TraceSkeleton is immutable
-// and can be shared by all of them.
+// and can be shared by all of them. Of the options it reads only
+// address_mapping: without it (Fig. 8) DRAM requests are spread round-robin
+// over the banks instead of decoded through the detected mapping.
 class TraceAnalyzer {
  public:
   TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
-                const AnalysisOptions& opts = {});
+                const ModelOptions& options = {});
 
   // Replays the (kernel, placement) trace in analysis order. With a
   // skeleton (recorded from this analyzer's kernel for an arch of its
@@ -137,7 +134,7 @@ class TraceAnalyzer {
 
   const KernelInfo* kernel_;
   const GpuArch* arch_;
-  AnalysisOptions opts_;
+  bool address_mapping_;
   AddressMapping mapping_;
   SetAssocCache l2_;
   std::vector<SetAssocCache> const_caches_;  // one per SM
@@ -156,7 +153,7 @@ class TraceAnalyzer {
 PlacementEvents analyze_trace(const KernelInfo& kernel,
                               const DataPlacement& placement,
                               const GpuArch& arch,
-                              const AnalysisOptions& opts = {},
+                              const ModelOptions& options = {},
                               const TraceSkeleton* skeleton = nullptr);
 
 }  // namespace gpuhms

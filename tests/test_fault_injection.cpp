@@ -150,6 +150,55 @@ TEST_F(FaultInjection, PredictUnderInjectedFaultReturnsInternal) {
   EXPECT_TRUE(pred.try_predict(DataPlacement::defaults(k)).ok());
 }
 
+// A sample whose analysis throws is not adopted, not even in part: the
+// skeleton is recorded before arming, so the fault fires in the sample's
+// own lowering.
+TEST_F(FaultInjection, FailedFirstSampleLeavesNoSample) {
+  const KernelInfo k = workloads::make_vecadd(1 << 12);
+  const DataPlacement sample = DataPlacement::defaults(k);
+  const SimResult measured = simulate(k, sample, kepler_arch());
+  Predictor pred(k, kepler_arch());
+  pred.memoize_trace();
+
+  fault::arm("trace.lower", 1);
+  const Status s = pred.try_set_sample(sample, measured);
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.to_string();
+  EXPECT_GT(fault::hits("trace.lower"), 0u) << "fault site never reached";
+  EXPECT_FALSE(pred.has_sample());
+  const auto r = pred.try_predict(sample);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << r.status().to_string();
+}
+
+TEST_F(FaultInjection, FailedResampleKeepsTheEarlierSample) {
+  const KernelInfo k = workloads::make_vecadd(1 << 12);
+  const DataPlacement first = DataPlacement::defaults(k);
+  const DataPlacement second = first.with(0, MemSpace::Texture1D);
+  Predictor pred(k, kepler_arch());
+  pred.profile_sample(first);
+  const std::vector<DataPlacement> targets = {first, second,
+                                              first.with(1, MemSpace::Constant)};
+  std::vector<Prediction> before;
+  for (const DataPlacement& t : targets) before.push_back(pred.predict(t));
+  const SimResult measured = simulate(k, second, kepler_arch());
+  ASSERT_NE(measured.cycles, pred.sample_result().cycles);
+
+  fault::arm("trace.lower", 1);
+  const Status s = pred.try_set_sample(second, measured);
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.to_string();
+  EXPECT_GT(fault::hits("trace.lower"), 0u) << "fault site never reached";
+  ASSERT_TRUE(pred.has_sample());
+  EXPECT_EQ(pred.sample_placement(), first);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const Prediction p = pred.predict(targets[i]);
+    EXPECT_EQ(p.total_cycles, before[i].total_cycles) << i;  // bit for bit
+    EXPECT_EQ(p.raw_cycles, before[i].raw_cycles) << i;
+    EXPECT_EQ(p.t_comp, before[i].t_comp) << i;
+    EXPECT_EQ(p.t_mem, before[i].t_mem) << i;
+  }
+}
+
 TEST_F(FaultInjection, QueuingNanFaultKeepsPredictionFiniteAndFlagged) {
   const KernelInfo k = workloads::make_vecadd(1 << 12);
   Predictor pred(k, kepler_arch());  // queuing model on by default

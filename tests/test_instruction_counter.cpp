@@ -71,8 +71,8 @@ TEST(InstructionCounter, Cause5ReplaysAreInvariant) {
 
 TEST(InstructionCounter, DetailedCountingOffFreezesSample) {
   const auto c = sample_profile();
-  InstructionCountOptions opts;
-  opts.detailed_counting = false;
+  ModelOptions opts;
+  opts.detailed_instruction_counting = false;
   const auto e = estimate_issued_instructions(c, events(10000, 300),
                                               events(42, 9999),
                                               c.total_warps, opts);

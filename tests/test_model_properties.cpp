@@ -85,8 +85,8 @@ TEST(ModelProperties, EvenDistributionNeverSeesRealBankSkew) {
   // banks look identical to two that do not: predictions depend only on
   // request counts, not addresses. Verify via bank streams.
   const KernelInfo k = workloads::make_vecadd(1 << 13);
-  AnalysisOptions even;
-  even.even_bank_distribution = true;
+  ModelOptions even;
+  even.address_mapping = false;
   const auto ev = analyze_trace(k, DataPlacement::defaults(k), kepler_arch(),
                                 even);
   std::uint64_t lo = ~0ull, hi = 0;

@@ -43,7 +43,7 @@ TEST(Kingman, GrowsWithArrivalVariability) {
 
 TEST(Kingman, SaturationClamped) {
   // rho >= 1 would blow up; the clamp keeps the delay finite.
-  const double d = kingman_queue_delay(bank(10, 5, 50, 10), 0.95);
+  const double d = kingman_queue_delay(bank(10, 5, 50, 10));
   EXPECT_GT(d, 0.0);
   EXPECT_LT(d, 1e6);
 }
@@ -141,7 +141,7 @@ TEST(KingmanProperty, MonotoneInUtilization) {
       b.sigma_s = sigma_s;
       b.lambda = 1.0 / b.tau_a;
       bool saturated = false;
-      const double d = kingman_queue_delay(b, 0.95, &saturated);
+      const double d = kingman_queue_delay(b, &saturated);
       EXPECT_FALSE(saturated) << "rho=" << rho;
       EXPECT_GE(d, 0.0);
       EXPECT_GT(d, prev) << "trial " << trial << " rho=" << rho;
@@ -175,14 +175,14 @@ TEST(KingmanProperty, CollapsesToMm1WhenCvIsOne) {
   }
 }
 
-// rho -> 1 would make the rho/(1-rho) pole blow up; the rho_max clamp must
+// rho -> 1 would make the rho/(1-rho) pole blow up; the kRhoMax clamp must
 // keep the delay finite for arbitrarily saturated banks and report the
 // clamping through `saturated`. Below the clamp the flag stays untouched.
 TEST(KingmanProperty, FiniteAndFlaggedNearSaturation) {
   Rng rng(0xcafe);
   for (int trial = 0; trial < 1000; ++trial) {
     const double tau_s = 1.0 + 200.0 * rng.next_double();
-    // rho in [0.951, ~20]: at or past the default clamp.
+    // rho in [0.951, ~20]: at or past the kRhoMax clamp.
     const double rho = 0.951 + 19.0 * rng.next_double();
     GG1Bank b;
     b.tau_a = tau_s / rho;
@@ -191,11 +191,11 @@ TEST(KingmanProperty, FiniteAndFlaggedNearSaturation) {
     b.sigma_s = tau_s * rng.next_double();
     b.lambda = 1.0 / b.tau_a;
     bool saturated = false;
-    const double d = kingman_queue_delay(b, 0.95, &saturated);
+    const double d = kingman_queue_delay(b, &saturated);
     EXPECT_TRUE(std::isfinite(d)) << "rho=" << rho;
     EXPECT_GE(d, 0.0);
     EXPECT_TRUE(saturated) << "rho=" << rho;
-    // The clamp pins the delay at the rho_max pole: never beyond the value
+    // The clamp pins the delay at the kRhoMax pole: never beyond the value
     // the formula yields at rho = 0.95 exactly.
     const double at_clamp =
         ((b.ca() + b.cs()) / 2.0) * (0.95 / 0.05) * b.tau_a;
@@ -205,7 +205,7 @@ TEST(KingmanProperty, FiniteAndFlaggedNearSaturation) {
     GG1Bank calm = b;
     calm.tau_a = tau_s / 0.5;
     calm.lambda = 1.0 / calm.tau_a;
-    (void)kingman_queue_delay(calm, 0.95, &unsat);
+    (void)kingman_queue_delay(calm, &unsat);
     EXPECT_FALSE(unsat);
   }
 }

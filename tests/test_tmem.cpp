@@ -38,8 +38,8 @@ TEST(Tmem, QueuingRaisesLatencyOverConstant) {
   // constant; the constant variant has zero queue delay by construction.
   const auto ev = analyzed("md");
   const auto in = inputs_for(ev);
-  TmemOptions with_q;
-  TmemOptions no_q;
+  ModelOptions with_q;
+  ModelOptions no_q;
   no_q.queuing_model = false;
   const auto rq = tmem(in, kepler_arch(), with_q);
   const auto rc = tmem(in, kepler_arch(), no_q);
@@ -53,7 +53,7 @@ TEST(Tmem, RowBufferMixBelowPureMissConstant) {
   // the hit and conflict service times (plus pipeline).
   const auto ev = analyzed("stencil2d");
   const auto in = inputs_for(ev);
-  TmemOptions o;
+  ModelOptions o;
   o.queuing_model = false;
   o.row_buffer_model = true;
   const auto r = tmem(in, kepler_arch(), o);
@@ -64,7 +64,7 @@ TEST(Tmem, RowBufferMixBelowPureMissConstant) {
 
 TEST(Tmem, PureMissConstantWithoutRowModel) {
   const auto ev = analyzed("stencil2d");
-  TmemOptions o;
+  ModelOptions o;
   o.queuing_model = false;
   o.row_buffer_model = false;
   const auto r = tmem(inputs_for(ev), kepler_arch(), o);
@@ -101,9 +101,9 @@ TEST(Tmem, Mm1AndGg1DifferUnderBurstyArrivals) {
     }
   }
   const auto in = inputs_for(ev);
-  TmemOptions gg1;
-  TmemOptions mm1;
-  mm1.discipline = QueueDiscipline::MM1;
+  ModelOptions gg1;
+  ModelOptions mm1;
+  mm1.queue_discipline = QueueDiscipline::MM1;
   const auto rg = tmem(in, kepler_arch(), gg1);
   const auto rm = tmem(in, kepler_arch(), mm1);
   EXPECT_NE(rg.queue_delay, rm.queue_delay);

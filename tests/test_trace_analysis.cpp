@@ -41,8 +41,8 @@ TEST(TraceAnalysis, BankStreamsCoverAllRequests) {
 
 TEST(TraceAnalysis, EvenDistributionSpreadsUniformly) {
   const KernelInfo k = workloads::make_vecadd(1 << 13);
-  AnalysisOptions opts;
-  opts.even_bank_distribution = true;
+  ModelOptions opts;
+  opts.address_mapping = false;
   const auto ev = analyze_trace(k, DataPlacement::defaults(k), kepler_arch(),
                                 opts);
   std::uint64_t lo = ~0ull, hi = 0;
