@@ -6,10 +6,13 @@
 //   * assumes a constant off-chip DRAM access latency (microbenchmark value,
 //     no queuing, no row-buffer variation),
 //   * computes the computation/memory overlap with the MWP/CWP case analysis
-//     of Hong & Kim instead of the trained event model.
+//     of Hong & Kim instead of the trained event model,
+//   * caps ITILP (Eq. 13) at avg_inst_lat, without our division by
+//     warp_size / simd_width.
 // It shares the cache models (Sim et al. model cache effects), the same
-// sample anchoring and the same skeleton replay, so the comparison isolates
-// the modeling differences.
+// sample anchoring, the same skeleton replay and the same T_comp/T_mem core
+// (predict_components), so the comparison isolates the modeling
+// differences.
 #pragma once
 
 #include "model/predictor.hpp"

@@ -6,10 +6,10 @@ namespace gpuhms {
 
 InstructionEstimate estimate_issued_instructions(
     const ProfileCounters& sample_profile, const PlacementEvents& sample_ev,
-    const PlacementEvents& target_ev, std::uint64_t total_warps,
-    const ModelOptions& options) {
+    const PlacementEvents& target_ev, const ModelOptions& options) {
   InstructionEstimate e;
-  const double warps = static_cast<double>(std::max<std::uint64_t>(1, total_warps));
+  const double warps = static_cast<double>(
+      std::max<std::uint64_t>(1, sample_profile.total_warps));
 
   const double exec_sample =
       static_cast<double>(sample_profile.inst_executed);

@@ -38,9 +38,10 @@ struct InstructionEstimate {
   double replay_delta = 0.0;
 };
 
+// issued_per_warp is over the sample's grid (sample_profile.total_warps):
+// placements do not change the launch geometry.
 InstructionEstimate estimate_issued_instructions(
     const ProfileCounters& sample_profile, const PlacementEvents& sample_ev,
-    const PlacementEvents& target_ev, std::uint64_t total_warps,
-    const ModelOptions& options = {});
+    const PlacementEvents& target_ev, const ModelOptions& options = {});
 
 }  // namespace gpuhms

@@ -1,8 +1,5 @@
-// The model's switches, in one struct that every layer reads: the trace
-// analysis (address_mapping), the instruction estimate
-// (detailed_instruction_counting), T_mem (queuing_model, row_buffer_model,
-// queue_discipline) and the predictor (anchor_to_sample). Each toggle
-// reproduces one of the paper's ablations (Sec. V-B).
+// The model's switches, one struct that every layer reads the fields it
+// needs from. Each toggle reproduces one of the paper's ablations.
 #pragma once
 
 namespace gpuhms {

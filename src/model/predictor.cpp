@@ -176,7 +176,7 @@ Prediction Predictor::predict_from_events(
   {
     GPUHMS_SCOPED_PHASE("predictor.inst_count_ns");
     inst = estimate_issued_instructions(sc, sample.events, target_ev,
-                                        sc.total_warps, options_);
+                                        options_);
   }
 
   Prediction p;
@@ -393,7 +393,7 @@ TrainingRow training_row(const SimResult& measured, const PlacementEvents& ev,
                          const GpuArch& arch, const ModelOptions& options) {
   const ProfileCounters& sc = measured.counters;
   const Prediction p = predict_components(
-      ev, estimate_issued_instructions(sc, ev, ev, sc.total_warps, options),
+      ev, estimate_issued_instructions(sc, ev, ev, options),
       sc, tick_to_cycles(measured, ev), itilp_cap(arch), arch, options);
   TrainingRow row;
   if (p.t_mem <= 0.0) return row;

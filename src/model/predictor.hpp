@@ -108,14 +108,11 @@ struct Prediction {
   InstructionEstimate inst;
 };
 
-// T_comp (Eq. 2) and T_mem (Eq. 4-10) of one placement's events: the part
-// of Eq. 1 that every model built on it shares — the predictor, the Eq. 11
-// training rows and the Sim et al. [7] baseline. Fills inst, t_comp, t_mem,
-// amat, dram_lat and queue_saturated, and leaves the overlap and the totals
-// to the caller. The caller owns the three choices that tell the models
-// apart: the issued-instruction estimate `inst`, the ITILP cap (Eq. 13) and
-// the overlap. `sample` gives the warp and SM counts, `tick_to_cycles`
-// converts the analysis clock for the queuing model.
+// T_comp (Eq. 2) and T_mem (Eq. 4-10) of one placement's events, shared by
+// the predictor, the Eq. 11 training rows and the Sim et al. [7] baseline.
+// Fills inst, t_comp, t_mem, amat, dram_lat and queue_saturated; the caller
+// owns what tells the models apart: the estimate `inst`, the ITILP cap
+// (Eq. 13) and the overlap. `sample` gives the warp and SM counts.
 Prediction predict_components(const PlacementEvents& target_ev,
                               const InstructionEstimate& inst,
                               const ProfileCounters& sample,

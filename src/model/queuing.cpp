@@ -167,15 +167,11 @@ QueuingResult aggregate_banks(const std::vector<GG1Bank>& banks,
 }  // namespace
 
 QueuingResult dram_latency_gg1(const std::vector<GG1Bank>& banks) {
-  return aggregate_banks(banks, [](const GG1Bank& b, bool* sat) {
-    return kingman_queue_delay(b, sat);
-  });
+  return aggregate_banks(banks, kingman_queue_delay);
 }
 
 QueuingResult dram_latency_mm1(const std::vector<GG1Bank>& banks) {
-  return aggregate_banks(banks, [](const GG1Bank& b, bool* sat) {
-    return mm1_queue_delay(b, sat);
-  });
+  return aggregate_banks(banks, mm1_queue_delay);
 }
 
 double bank_service_floor(const GpuArch& arch) {

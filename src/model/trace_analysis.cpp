@@ -39,11 +39,11 @@ void TraceAnalyzer::dram_request(std::uint64_t line_addr, bool is_store) {
   std::uint64_t row;
   const auto d = mapping_.decode(line_addr);
   row = d.row;
-  if (address_mapping_) {
-    bank = d.bank;
-  } else {
+  if (!address_mapping_) {
     bank = static_cast<int>(rr_bank_++ % static_cast<std::uint64_t>(
                                              mapping_.num_banks()));
+  } else {
+    bank = d.bank;
   }
   BankRow& b = rows_[static_cast<std::size_t>(bank)];
   BankStream& s = ev_.banks[static_cast<std::size_t>(bank)];

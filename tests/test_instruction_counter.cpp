@@ -29,7 +29,7 @@ PlacementEvents events(std::uint64_t execd, std::uint64_t g_div,
 TEST(InstructionCounter, IdenticalPlacementsReproduceMeasurement) {
   const auto c = sample_profile();
   const auto ev = events(10000, 300);
-  const auto e = estimate_issued_instructions(c, ev, ev, c.total_warps);
+  const auto e = estimate_issued_instructions(c, ev, ev);
   EXPECT_DOUBLE_EQ(e.executed_total, 10000.0);
   EXPECT_DOUBLE_EQ(e.replays_total, 350.0);  // measured incl. cause 5
   EXPECT_DOUBLE_EQ(e.issued_total, 10350.0);
@@ -40,8 +40,7 @@ TEST(InstructionCounter, AddressingDeltaApplied) {
   const auto c = sample_profile();
   // Target saves 2000 addressing instructions (e.g. G -> 1D texture).
   const auto e = estimate_issued_instructions(c, events(10000, 300),
-                                              events(8000, 300),
-                                              c.total_warps);
+                                              events(8000, 300));
   EXPECT_DOUBLE_EQ(e.executed_total, 8000.0);
   EXPECT_DOUBLE_EQ(e.addr_mode_delta, -2000.0);
   EXPECT_DOUBLE_EQ(e.replays_total, 350.0);
@@ -51,8 +50,7 @@ TEST(InstructionCounter, ReplaySwapPerEquation3) {
   const auto c = sample_profile();
   // Target trades 300 global-divergence replays for 120 bank conflicts.
   const auto e = estimate_issued_instructions(c, events(10000, 300),
-                                              events(10000, 0, 120),
-                                              c.total_warps);
+                                              events(10000, 0, 120));
   // replays = 350 (measured) - 300 (sample 1-4) + 120 (target 1-4) = 170.
   EXPECT_DOUBLE_EQ(e.replays_total, 170.0);
   EXPECT_DOUBLE_EQ(e.replay_delta, -180.0);
@@ -64,8 +62,7 @@ TEST(InstructionCounter, Cause5ReplaysAreInvariant) {
   // replays (cause 5) survive the swap.
   const auto c = sample_profile();
   const auto e = estimate_issued_instructions(c, events(10000, 300),
-                                              events(10000, 0),
-                                              c.total_warps);
+                                              events(10000, 0));
   EXPECT_DOUBLE_EQ(e.replays_total, 50.0);
 }
 
@@ -74,8 +71,7 @@ TEST(InstructionCounter, DetailedCountingOffFreezesSample) {
   ModelOptions opts;
   opts.detailed_instruction_counting = false;
   const auto e = estimate_issued_instructions(c, events(10000, 300),
-                                              events(42, 9999),
-                                              c.total_warps, opts);
+                                              events(42, 9999), opts);
   EXPECT_DOUBLE_EQ(e.issued_total, 10350.0);
   EXPECT_DOUBLE_EQ(e.addr_mode_delta, 0.0);
 }
@@ -84,7 +80,7 @@ TEST(InstructionCounter, NeverGoesNegative) {
   const auto c = sample_profile();
   // Pathological deltas larger than the measurement clamp at zero.
   const auto e = estimate_issued_instructions(c, events(50000, 5000),
-                                              events(10, 0), c.total_warps);
+                                              events(10, 0));
   EXPECT_GE(e.executed_total, 0.0);
   EXPECT_GE(e.replays_total, 0.0);
 }
