@@ -15,10 +15,6 @@
 //        placement-invariant)
 //
 //   issued_target   = executed_target + replays_target
-//
-// Without options.detailed_instruction_counting (the Fig. 7 ablation) the
-// target is assumed to issue exactly what the sample issued (the
-// pre-existing executed-instruction assumption).
 #pragma once
 
 #include "model/model_options.hpp"
@@ -38,8 +34,9 @@ struct InstructionEstimate {
   double replay_delta = 0.0;
 };
 
-// issued_per_warp is over the sample's grid (sample_profile.total_warps):
-// placements do not change the launch geometry.
+// Reads options.detailed_instruction_counting. issued_per_warp is over the
+// sample's grid (sample_profile.total_warps): placements do not change the
+// launch geometry.
 InstructionEstimate estimate_issued_instructions(
     const ProfileCounters& sample_profile, const PlacementEvents& sample_ev,
     const PlacementEvents& target_ev, const ModelOptions& options = {});

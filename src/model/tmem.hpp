@@ -41,10 +41,7 @@ struct TmemInputs {
   double tick_to_cycles = 1.0;
 };
 
-// Reads options.queuing_model, row_buffer_model and queue_discipline: with
-// the queuing model DRAM latency is the Eq. 7 aggregate of per-bank queues
-// of that discipline; without it, it is the unloaded constant — the Eq. 8
-// outcome mix with the row-buffer model, the row-miss latency without.
+// Reads options.queuing_model, row_buffer_model and queue_discipline.
 TmemResult tmem(const TmemInputs& in, const GpuArch& arch,
                 const ModelOptions& options = {});
 

@@ -98,8 +98,7 @@ struct PlacementEvents {
 // path of a placement search). Instances are NOT thread-safe — give each
 // worker thread its own analyzer; the (optional) TraceSkeleton is immutable
 // and can be shared by all of them. Of the options it reads only
-// address_mapping: without it (Fig. 8) DRAM requests are spread round-robin
-// over the banks instead of decoded through the detected mapping.
+// address_mapping.
 class TraceAnalyzer {
  public:
   TraceAnalyzer(const KernelInfo& kernel, const GpuArch& arch,
