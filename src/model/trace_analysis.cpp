@@ -224,12 +224,13 @@ void TraceAnalyzer::run_soa(const TraceMaterializer& mat,
     GPUHMS_SCOPED_PHASE("trace.soa_replay_ns");
     total_ops += wv.ops;
     for (std::size_t i = 0; i < wv.mem_n; ++i) {
-      tick_ = wv.tick[i];
-      const std::uint64_t* lines = wv.lines[i];
-      const std::uint16_t cnt = wv.lines_n[i];
-      const bool is_store = wv.is_store[i] != 0;
-      const std::size_t sm = wv.sm[i];
-      switch (static_cast<MemSpace>(wv.space[i])) {
+      const SoaRecord& r = wv.rec[i];
+      tick_ = wv.tick_base + r.tick;
+      const std::uint64_t* lines = r.lines;
+      const std::uint16_t cnt = r.lines_n;
+      const bool is_store = r.is_store();
+      const std::size_t sm = r.sm;
+      switch (r.space()) {
         case MemSpace::Global:
           for (std::uint16_t j = 0; j < cnt; ++j) {
             ++ev_.l2_transactions;

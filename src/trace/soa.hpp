@@ -21,8 +21,14 @@
 //     off-chip copy-in loads, at pcs computed in closed form;
 //   * the round-robin schedule's issue tick of every surviving record is
 //     computed in closed form from the per-warp op counts (an alive-warp
-//     prefix sum plus a Fenwick rank over finish rounds), then the records
-//     are counting-sorted into issue order — no per-round scan.
+//     prefix sum plus, only once an earlier warp can have retired, a Fenwick
+//     rank over finish rounds) — no per-round scan;
+//   * records are written once, straight into issue order: a first walk
+//     over the warps' records sums the order-free counters and a histogram
+//     of issue positions (pc, a record's round in its warp's op stream),
+//     which gives every record its counting-sort slot; a second walk over
+//     the same records recomputes each pc and writes the record, 16 bytes
+//     (SoaRecord), into its slot. That is all the per-record scratch.
 //
 // What remains per candidate is a flat, branch-light pass over the off-chip
 // memory records only; the stateful cache/row-buffer walk consumes the
@@ -43,18 +49,30 @@
 
 namespace gpuhms {
 
-// One resident wave, lowered and scheduled: parallel arrays over the
-// off-chip memory records in issue (tick) order. Pointers reference the
-// engine's arena and stay valid until the next lower_wave call.
+// One off-chip memory record of a scheduled wave.
+struct SoaRecord {
+  const std::uint64_t* lines;  // coalesced line list
+  std::uint32_t tick;          // rr-schedule issue tick minus the wave's base
+  std::uint16_t sm;            // SM owning the warp's block
+  std::uint8_t lines_n;        // at most one line per lane
+  std::uint8_t space_store;    // MemSpace, plus kStoreBit for a store
+
+  static constexpr std::uint8_t kStoreBit = 0x80;
+  MemSpace space() const {
+    return static_cast<MemSpace>(space_store & ~kStoreBit);
+  }
+  bool is_store() const { return (space_store & kStoreBit) != 0; }
+};
+static_assert(sizeof(SoaRecord) == 16);
+
+// One resident wave, lowered and scheduled: its off-chip memory records in
+// issue (tick) order. `rec` references the engine's arena and stays valid
+// until the next lower_wave call.
 struct SoaWave {
   std::size_t mem_n = 0;
-  const std::uint8_t* space = nullptr;    // MemSpace of each record
-  const std::uint8_t* is_store = nullptr;
-  const std::uint16_t* sm = nullptr;      // SM owning the warp's block
-  const std::uint64_t* tick = nullptr;    // rr-schedule issue tick
-  const std::uint64_t* const* lines = nullptr;  // coalesced line list
-  const std::uint16_t* lines_n = nullptr;
-  std::uint64_t ops = 0;  // expanded op count of the wave (tick span)
+  const SoaRecord* rec = nullptr;
+  std::uint64_t tick_base = 0;  // a record's issue tick is tick_base + tick
+  std::uint64_t ops = 0;        // expanded op count of the wave (tick span)
 };
 
 // Candidate-level counters accumulated analytically by bind()/lower_wave(),
@@ -96,6 +114,9 @@ class SoaLowering {
   const SoaTallies& tallies() const { return tallies_; }
 
  private:
+  template <class Visit>
+  void walk_records(std::size_t gw, Visit&& visit) const;
+
   const TraceMaterializer* mat_ = nullptr;
   const TraceSkeleton* skeleton_ = nullptr;
   const GpuArch* arch_ = nullptr;

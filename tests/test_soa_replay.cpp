@@ -4,6 +4,7 @@
 // trace (TraceAnalyzer::analyze without a skeleton) — same counters, same
 // per-bank arrival/service statistics (order-sensitive doubles), same
 // predictions.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -264,6 +265,91 @@ TEST(SoaReplay, RandomizedSyntheticTracesMatchFullWalkOnEveryBackend) {
       }
       EXPECT_GT(tried, 0);
     }
+  }
+}
+
+// One wave whose warps end at different rounds, the shortest warp both first
+// and last: records issued below every earlier warp's op count take their
+// rank as the warp index, later rounds need the count of earlier warps
+// already finished. The first warp's one load of "in" issues at round a (its
+// addressing inserts) and ends the warp at a + 1, where the next warps, one
+// compute op ahead, issue theirs: the round at which the first warp counts
+// as finished. Those loads read lines no other warp reads, and every later
+// load of "tab" reads 32 fresh lines, so the DRAM banks they share record
+// the boundary round's ticks in their interarrival times. Array "in" is read
+// inside its block's slice, so placing it in shared memory stages it (every
+// warp copies two chunks).
+KernelInfo make_ragged_kernel() {
+  KernelInfo k;
+  k.name = "soa_ragged";
+  constexpr std::int64_t kSlice = 256;
+  constexpr std::int64_t kMaxSteps = 8;
+  ArrayDecl in;
+  in.name = "in";
+  in.elems = 3 * kSlice;
+  in.shared_slice_elems = kSlice;
+  ArrayDecl tab;
+  tab.name = "tab";
+  tab.elems = 12 * kMaxSteps * kWarpSize * kWarpSize;
+  ArrayDecl out;
+  out.name = "out";
+  out.elems = 3 * kSlice;
+  out.written = true;
+  k.arrays = {in, tab, out};
+  k.num_blocks = 3;
+  k.threads_per_block = 4 * kWarpSize;
+  const std::int64_t last = k.total_warps() - 1;
+  k.fn = [last](WarpEmitter& e, const WarpCtx& ctx) {
+    const std::int64_t gw = ctx.block * 4 + ctx.warp_in_block;
+    const auto in_line = [&](std::int64_t j) {
+      return e.linear(ctx.block * kSlice + (j * kWarpSize) % kSlice);
+    };
+    if (gw == 0 || gw == last) {
+      e.load(0, in_line(ctx.warp_in_block));
+      return;
+    }
+    e.falu(1, true);
+    e.load(0, in_line(ctx.warp_in_block));
+    const std::int64_t steps = 1 + (gw * 5) % 7;
+    for (std::int64_t s = 0; s < steps; ++s) {
+      e.load(1, e.linear((gw * kMaxSteps + s) * kWarpSize * kWarpSize,
+                         kWarpSize));
+      e.falu(1, true);
+      e.load(0, in_line(ctx.warp_in_block + s + 1));
+      if (s % 2 == 1) e.store(2, e.linear(ctx.block * kSlice + s), true);
+    }
+  };
+  return k;
+}
+
+TEST(SoaReplay, RaggedWarpsInOneWaveMatchFullWalkOnEveryBackend) {
+  const KernelInfo k = make_ragged_kernel();
+  const std::size_t last = static_cast<std::size_t>(k.total_warps() - 1);
+  for (const std::string& name : ArchRegistry::builtin().names()) {
+    SCOPED_TRACE(name);
+    const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+    const TraceSkeleton skel(k, arch);
+    std::size_t staged = 0;
+    for (const DataPlacement& p : enumerate_placements(k, arch)) {
+      SCOPED_TRACE(p.to_string());
+      const TraceMaterializer mat(k, p, arch);
+      // The shape the case is for: one wave, the first and the last warp
+      // equally short and strictly shorter than a warp between them.
+      ASSERT_LE(k.num_blocks,
+                static_cast<std::int64_t>(arch.num_sms) *
+                    mat.layout().blocks_per_sm(arch));
+      const std::uint32_t shortest = mat.warp_ops(skel, 0);
+      EXPECT_EQ(mat.warp_ops(skel, last), shortest);
+      std::uint32_t longest = 0;
+      for (std::size_t w = 0; w <= last; ++w) {
+        EXPECT_GE(mat.warp_ops(skel, w), shortest);
+        longest = std::max(longest, mat.warp_ops(skel, w));
+      }
+      EXPECT_GT(longest, shortest);
+      if (!mat.staged_arrays().empty()) ++staged;
+      EXPECT_TRUE(expect_soa_matches_full_walk(k, p, skel, arch));
+    }
+    EXPECT_GT(staged, 0u);
   }
 }
 
