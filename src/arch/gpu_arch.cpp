@@ -81,6 +81,10 @@ Status validate(const GpuArch& arch) {
       return field_error(f.name,
                          "must be >= 1 (got " + std::to_string(f.value) + ")");
   }
+  if (arch.num_sms > kMaxSms)
+    return field_error("num_sms", "must be at most " + std::to_string(kMaxSms) +
+                                      " (got " + std::to_string(arch.num_sms) +
+                                      ")");
   if (!shared_banks_foldable(arch.shared_banks))
     return field_error(
         "shared_banks",

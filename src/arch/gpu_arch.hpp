@@ -140,6 +140,10 @@ constexpr bool shared_banks_foldable(int shared_banks) {
 // one 64-bit mask (SetAssocCache).
 inline constexpr int kMaxCacheWays = 64;
 
+// Most SMs an arch may have: the SoA lowering stores each record's SM index
+// in 16 bits (SoaRecord::sm).
+inline constexpr int kMaxSms = 1 << 16;
+
 // The default configuration used everywhere unless a test overrides fields.
 const GpuArch& kepler_arch();
 
@@ -151,7 +155,7 @@ const GpuArch& fermi_arch();
 // Checks a (possibly user-built) configuration for values the simulator and
 // models cannot operate on: non-positive structural counts, a warp size
 // other than the DSL's fixed 32 lanes, a non-power-of-two cache line, zero
-// latencies/capacities, a shared bank count the conflict fold cannot handle
+// latencies/capacities, more than kMaxSms SMs, a shared bank count the conflict fold cannot handle
 // (shared_banks_foldable), a cache with more than kMaxCacheWays ways or whose
 // capacity is not a whole, positive number of cache_line x ways sets.
 // Returns INVALID_ARGUMENT naming the offending field.

@@ -88,6 +88,16 @@ TEST(ArchRegistry, AddRejectsEmptyDuplicateAndInvalid) {
   EXPECT_EQ(r.default_backend().name, "a");
 }
 
+TEST(ArchRegistry, AddRejectsMoreSmsThanTheRecordIndexHolds) {
+  ArchRegistry r;
+  GpuArch wide;
+  wide.num_sms = kMaxSms + 1;  // SM indices past 16 bits would alias
+  const Status st = r.add({"wide", "too many SMs", wide});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("num_sms"), std::string::npos) << st.to_string();
+  EXPECT_EQ(r.size(), 0u);
+}
+
 TEST(ArchRegistry, AddRejectsCachesOfNoWholeSets) {
   ArchRegistry r;
   GpuArch no_sets;

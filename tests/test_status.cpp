@@ -99,6 +99,18 @@ TEST(Validate, ArchRejectsNonPositiveFieldsByName) {
   EXPECT_NE(st.message().find("num_sms"), std::string::npos) << st.to_string();
 }
 
+// An SM index is 16 bits in a lowered record; a larger count would fold two
+// SMs onto one SM's texture and constant caches.
+TEST(Validate, ArchRejectsMoreSmsThanTheRecordIndexHolds) {
+  GpuArch arch = kepler_arch();
+  arch.num_sms = kMaxSms;
+  EXPECT_TRUE(validate(arch).ok());
+  arch.num_sms = kMaxSms + 1;
+  const Status st = validate(arch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("num_sms"), std::string::npos) << st.to_string();
+}
+
 TEST(Validate, ArchRejectsNonWarpSize32AndOddCacheLine) {
   GpuArch arch = kepler_arch();
   arch.warp_size = 16;
