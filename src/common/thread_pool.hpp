@@ -63,9 +63,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   const std::function<void(int, std::size_t)>* job_ = nullptr;
   std::size_t job_n_ = 0;
-  std::atomic<std::size_t> next_{0};
+  // Bumped by every worker once per index, so it sits alone on its cache
+  // line: no other field of the pool, nor any object beside it, shares it.
+  alignas(64) std::atomic<std::size_t> next_{0};
   // Set when a task threw: remaining claims of the current job are skipped.
-  std::atomic<bool> job_cancelled_{false};
+  alignas(64) std::atomic<bool> job_cancelled_{false};
   std::exception_ptr first_error_;  // guarded by mu_
   std::size_t inflight_ = 0;  // indices claimed but not yet finished
   std::uint64_t generation_ = 0;
