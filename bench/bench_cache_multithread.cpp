@@ -49,7 +49,8 @@ double now_ms() {
 // fraction of the lookup.
 std::string key_for(std::size_t i) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%016zx|G,T,S", i * 0x9e3779b97f4a7c15ULL);
+  std::snprintf(buf, sizeof buf, "%016llx|G,T,S",
+                static_cast<unsigned long long>(i) * 0x9e3779b97f4a7c15ULL);
   return buf;
 }
 std::string value_for(std::size_t i) {
