@@ -120,10 +120,6 @@ class TraceSkeleton {
         mem_rec_.data() + mem_rec_begin_[warp],
         mem_rec_begin_[warp + 1] - mem_rec_begin_[warp]);
   }
-  std::size_t mem_record_count(std::size_t warp_begin,
-                               std::size_t warp_end) const {
-    return mem_rec_begin_[warp_end] - mem_rec_begin_[warp_begin];
-  }
   // Expanded ops of the warp excluding addressing inserts and staging
   // preambles: memory and sync protos count 1, compute protos their count.
   std::uint32_t invariant_ops(std::size_t warp) const {
