@@ -83,8 +83,7 @@ Predictor::Predictor(const KernelInfo& kernel, const GpuArch& arch,
     GPUHMS_CHECK_MSG(&skeleton_->kernel() == kernel_,
                      "skeleton recorded from a different kernel");
     GPUHMS_CHECK_MSG(skeleton_->fits(*arch_),
-                     "skeleton recorded for another cache-line size or shared "
-                     "bank count");
+                     "skeleton recorded for another cache-line size");
   }
 }
 

@@ -10,7 +10,6 @@
 #include <iterator>
 #include <optional>
 #include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -152,12 +151,21 @@ StatusOr<std::uint64_t> get_uint(const Json& req, std::string_view key,
 // A benchmark and the TraceSkeleton recorded from its kernel, in one
 // immutable object: the skeleton points into `bench.kernel`, so neither can
 // outlive the other. Every kernel entry of the benchmark on an arch the
-// skeleton fits shares it.
+// skeleton fits shares it. `live` counts the recordings alive.
 struct PredictionService::Recording {
-  Recording(workloads::BenchmarkCase c, const GpuArch& arch)
-      : bench(std::move(c)), skeleton(bench.kernel, arch) {}
+  Recording(workloads::BenchmarkCase c, const GpuArch& arch,
+            std::atomic<std::uint64_t>& live)
+      : bench(std::move(c)), skeleton(bench.kernel, arch), live_(live) {
+    live_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ~Recording() { live_.fetch_sub(1, std::memory_order_relaxed); }
+  Recording(const Recording&) = delete;
+  Recording& operator=(const Recording&) = delete;
   const workloads::BenchmarkCase bench;
   const TraceSkeleton skeleton;
+
+ private:
+  std::atomic<std::uint64_t>& live_;
 };
 
 // The heavyweight per-kernel state a long-lived service amortizes: the
@@ -258,8 +266,7 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
     entry->arch = (*backend)->arch;
   }
   // Adopt the live recording whose skeleton fits this arch, or record one.
-  const auto recording_key = std::make_tuple(
-      benchmark, entry->arch.cache_line, entry->arch.shared_banks);
+  const auto recording_key = std::make_pair(benchmark, entry->arch.cache_line);
   if (auto it = recordings_.find(recording_key); it != recordings_.end()) {
     entry->recording = it->second.lock();
     if (!entry->recording) recordings_.erase(it);
@@ -272,13 +279,14 @@ StatusOr<PredictionService::KernelEntryPtr> PredictionService::kernel_entry(
                                   "' (not in the Table IV training or "
                                   "evaluation suite)");
     try {
-      entry->recording =
-          std::make_shared<const Recording>(std::move(*bench), entry->arch);
+      entry->recording = std::make_shared<const Recording>(
+          std::move(*bench), entry->arch, live_recordings_);
     } catch (const std::exception& e) {
       return InternalError(e.what()).annotate(
           "recording the trace skeleton of benchmark '" + benchmark + "'");
     }
     recordings_[recording_key] = entry->recording;
+    recordings_made_.fetch_add(1, std::memory_order_relaxed);
   }
   const workloads::BenchmarkCase& bench = entry->bench();
 
@@ -604,6 +612,10 @@ Json PredictionService::handle_metrics() const {
   r.set("kernel_cache", cache_json(s.kernel_cache));
   r.set("prediction_cache", cache_json(s.prediction_cache));
   r.set("idem_cache", cache_json(s.idem_cache));
+  Json recordings = Json::object();
+  recordings.set("live", s.recordings_live);
+  recordings.set("recorded", s.recordings_recorded);
+  r.set("recordings", std::move(recordings));
   return r;
 }
 
@@ -917,6 +929,8 @@ ServeStats PredictionService::stats() const {
   s.shed_draining = shed_draining_.load(std::memory_order_relaxed);
   s.watchdog_cancels = watchdog_cancels_.load(std::memory_order_relaxed);
   s.idem_hits = idem_hits_.load(std::memory_order_relaxed);
+  s.recordings_live = live_recordings_.load(std::memory_order_relaxed);
+  s.recordings_recorded = recordings_made_.load(std::memory_order_relaxed);
   // Cache snapshots: every counter is one atomic read (per shard, summed),
   // so each is individually exact and — counters being monotone — a later
   // snapshot never shows a smaller total than an earlier one, even taken

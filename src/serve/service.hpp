@@ -45,7 +45,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "common/concurrent_cache.hpp"
@@ -118,6 +117,11 @@ struct ServeStats {
   CacheStats kernel_cache;
   CacheStats prediction_cache;
   CacheStats idem_cache;
+  // Trace recordings: alive now (held by kernel entries, each shared by
+  // every entry of its benchmark at its cache-line size) and made since
+  // start.
+  std::uint64_t recordings_live = 0;
+  std::uint64_t recordings_recorded = 0;
 };
 
 // Thread-safe: any number of client threads may call handle_line /
@@ -213,6 +217,9 @@ class PredictionService {
   const ServeOptions options_;
   const GpuArch arch_;  // copied: cached entries must outlive the caller's ref
   ToverlapModel overlap_;
+  // Recordings alive and made since start (ServeStats). Declared before the
+  // kernel cache, whose entries' recordings count down on destruction.
+  std::atomic<std::uint64_t> live_recordings_{0}, recordings_made_{0};
 
   ConcurrentCache<std::string, KernelEntryPtr> kernel_cache_;
   struct PredictionKeyHash {
@@ -224,11 +231,10 @@ class PredictionService {
   ThreadPool pool_;
   std::mutex pool_mu_;   // parallel_for admits one job at a time
   std::mutex build_mu_;  // serializes kernel-entry construction (profiling)
-  // Live recordings by (benchmark, cache_line, shared_banks): held by the
-  // kernel entries that use them, so a recording dies with its last entry.
-  // Guarded by build_mu_; an expired one is erased when looked up.
-  std::map<std::tuple<std::string, std::size_t, int>,
-           std::weak_ptr<const Recording>>
+  // Live recordings by (benchmark, cache_line): held by the kernel entries
+  // that use them, so a recording dies with its last entry. Guarded by
+  // build_mu_; an expired one is erased when looked up.
+  std::map<std::pair<std::string, std::size_t>, std::weak_ptr<const Recording>>
       recordings_;
 
   std::atomic<bool> stopped_{false};

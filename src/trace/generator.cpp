@@ -1,6 +1,7 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <unordered_map>
@@ -89,14 +90,9 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
     : kernel_(&kernel),
       lanes_(kernel.arrays.size()),
       mem_ops_per_array_(kernel.arrays.size(), 0),
-      line_size_(arch.cache_line),
-      shared_banks_(arch.shared_banks) {
+      line_size_(arch.cache_line) {
   GPUHMS_SCOPED_PHASE("trace.skeleton_record_ns");
   GPUHMS_COUNTER_ADD("trace.skeletons_recorded", 1);
-  // The shared folds are exact only when kSharedAlign is a whole number of
-  // bank rotations; validate(GpuArch) rejects every other bank count.
-  GPUHMS_CHECK_MSG(shared_banks_foldable(shared_banks_),
-                   "TraceSkeleton: bank count not foldable at kSharedAlign");
   const std::size_t num_arrays = kernel.arrays.size();
   for (const ArrayDecl& arr : kernel.arrays) {
     GPUHMS_CHECK_MSG(arr.elems <= static_cast<std::size_t>(
@@ -277,7 +273,7 @@ TraceSkeleton::TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch)
       device_base_.push_back(layout.device_base(static_cast<int>(a)));
   }
   lines_.resize(num_arrays * (kCopyLines + 1));
-  folds_.resize(num_arrays * 2);
+  folds_.resize(num_arrays * 2 * kFoldSlots);
   const_words_.resize(num_arrays);
   once_ = std::make_unique<std::once_flag[]>(num_arrays * kTables);
 }
@@ -427,14 +423,33 @@ std::span<const std::uint8_t> TraceSkeleton::const_words_pool(
   return words;
 }
 
-const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(int array) const {
+int TraceSkeleton::fold_slot(int shared_banks) {
+  // The shared folds are exact only when kSharedAlign is a whole number of
+  // bank rotations; validate(GpuArch) rejects every other bank count. The
+  // foldable counts are the powers of two up to kSharedAlign / 4.
+  GPUHMS_CHECK_MSG(shared_banks_foldable(shared_banks),
+                   "TraceSkeleton: bank count not foldable at kSharedAlign");
+  return std::countr_zero(static_cast<unsigned>(shared_banks));
+}
+
+template <class Build>
+const TraceSkeleton::SharedFold& TraceSkeleton::fold(int array, int table,
+                                                     Build&& build) const {
+  SharedFold& f =
+      folds_[static_cast<std::size_t>(array) * 2 * kFoldSlots +
+             static_cast<std::size_t>(table - kBodyFold)];
+  std::call_once(once(array, table), [&] { build(f); });
+  return f;
+}
+
+const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
+    int array, int shared_banks) const {
   const std::size_t a = static_cast<std::size_t>(array);
-  SharedFold& fold = folds_[a * 2];
-  std::call_once(once(array, kBodyFold), [&] {
+  return fold(array, kBodyFold + fold_slot(shared_banks), [&](SharedFold& f) {
     // Degrees are computed on the slice-local byte offsets. The shared base
-    // offset of every placement is kSharedAlign-byte aligned, and the
-    // constructor checked that kSharedAlign is a multiple of the bank stride
-    // 4 * shared_banks_, so the base shifts every word by a whole number of
+    // offset of every placement is kSharedAlign-byte aligned, and fold_slot
+    // checked that kSharedAlign is a multiple of the bank stride
+    // 4 * shared_banks, so the base shifts every word by a whole number of
     // bank rotations: distinctness and bank assignment — hence the conflict
     // degree — match shared_conflict_degree on the real addresses of any
     // placement. Likewise a shift by whole words only rotates the banks, so
@@ -447,12 +462,12 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(int array) const {
     const ArrayLanes& lanes = lanes_[a];
     const std::vector<PatternShape> shapes = shapes_of(lanes.patterns, kNoLane);
     std::unordered_map<std::uint64_t, std::uint8_t> memo;
-    fold.degree.reserve(lanes.ops.size());
+    f.degree.reserve(lanes.ops.size());
     std::int64_t addr[kWarpSize];
     const auto degree = [&](const MemOp& op, auto&& to) {
       lane_bytes(lanes.patterns[op.pattern], kNoLane, to, addr);
       return static_cast<std::uint8_t>(shared_conflict_degree(
-          shapes[op.pattern].mask, addr, shared_banks_));
+          shapes[op.pattern].mask, addr, shared_banks));
     };
     for (const MemOp& op : lanes.ops) {
       const PatternShape& shape = shapes[op.pattern];
@@ -472,12 +487,11 @@ const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(int array) const {
             return (std::int64_t{op.base} + off) % slice * esize;
           });
         }
-        fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
+        f.conflict_sum += static_cast<std::uint64_t>(deg - 1);
       }
-      fold.degree.push_back(deg);
+      f.degree.push_back(deg);
     }
   });
-  return fold;
 }
 
 const TraceSkeleton::LinePool& TraceSkeleton::copy_in_lines(int array) const {
@@ -519,10 +533,10 @@ const TraceSkeleton::LinePool& TraceSkeleton::copy_in_lines(int array) const {
   return lp;
 }
 
-const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(int array) const {
+const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(
+    int array, int shared_banks) const {
   const std::size_t a = static_cast<std::size_t>(array);
-  SharedFold& fold = folds_[a * 2 + 1];
-  std::call_once(once(array, kCopyFold), [&] {
+  return fold(array, kCopyFold + fold_slot(shared_banks), [&](SharedFold& f) {
     // The store writes slice-local element first + l at byte offset
     // (first + l) * elem_size past the kSharedAlign-aligned base offset:
     // the fold shared_fold makes.
@@ -530,19 +544,18 @@ const TraceSkeleton::SharedFold& TraceSkeleton::copy_in_fold(int array) const {
     const std::int64_t slice = shared_slice_elems(arr);
     const std::int64_t esize = static_cast<std::int64_t>(arr.elem_size());
     const std::uint32_t chunks = copy_in_chunks_[a];
-    fold.degree.reserve(chunks);
+    f.degree.reserve(chunks);
     std::int64_t addr[kWarpSize];
     for (std::uint32_t j = 0; j < chunks; ++j) {
       const std::int64_t first = std::int64_t{j} * kWarpSize;
       const std::uint32_t mask = chunk_mask(slice, first);
       for (int l = 0; l < kWarpSize; ++l)
         addr[l] = (mask >> l & 1u) != 0 ? (first + l) * esize : -1;
-      const int deg = shared_conflict_degree(mask, addr, shared_banks_);
-      fold.conflict_sum += static_cast<std::uint64_t>(deg - 1);
-      fold.degree.push_back(static_cast<std::uint8_t>(deg));
+      const int deg = shared_conflict_degree(mask, addr, shared_banks);
+      f.conflict_sum += static_cast<std::uint64_t>(deg - 1);
+      f.degree.push_back(static_cast<std::uint8_t>(deg));
     }
   });
-  return fold;
 }
 
 std::size_t TraceSkeleton::footprint_bytes() const {
@@ -597,14 +610,15 @@ std::vector<PlacedArray> TraceMaterializer::bind(
   GPUHMS_CHECK_MSG(&skeleton.kernel() == kernel_,
                    "skeleton recorded from a different kernel");
   GPUHMS_CHECK_MSG(skeleton.fits(*arch_),
-                   "skeleton recorded for another cache-line size or shared "
-                   "bank count");
+                   "skeleton recorded for another cache-line size");
+  const int banks = arch_->shared_banks;
   std::vector<PlacedArray> out = arrays_;
   for (std::size_t a = 0; a < out.size(); ++a) {
     const int array = static_cast<int>(a);
     PlacedArray& p = out[a];
     if (p.space == MemSpace::Shared) {
-      const TraceSkeleton::SharedFold& fold = skeleton.shared_fold(array);
+      const TraceSkeleton::SharedFold& fold =
+          skeleton.shared_fold(array, banks);
       p.degree = fold.degree.data();
       p.conflict_sum = fold.conflict_sum;
     } else {
@@ -619,7 +633,8 @@ std::vector<PlacedArray> TraceMaterializer::bind(
   for (int array : staged_arrays_) {
     PlacedArray& p = out[static_cast<std::size_t>(array)];
     const TraceSkeleton::LinePool& copy = skeleton.copy_in_lines(array);
-    const TraceSkeleton::SharedFold& fold = skeleton.copy_in_fold(array);
+    const TraceSkeleton::SharedFold& fold =
+        skeleton.copy_in_fold(array, banks);
     p.copy_chunks = skeleton.copy_in_chunks(array);
     p.copy_begin = copy.begin.data();
     p.copy_lines = copy.lines.data();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -36,15 +37,16 @@ struct WarpTrace {
 // ops and syncs carry none). A memory op's lanes are stored as 8 bytes, its
 // lowest active element index (its base) and the index of its lane pattern,
 // the lanes' offsets from that base, in its array's dictionary of distinct
-// patterns: a kernel's ops repeat a handful of shapes. It is recorded for one
-// architecture, whose cache-line size and shared bank count fix the geometry
-// of its memo tables below. Immutable after construction apart from those
+// patterns: a kernel's ops repeat a handful of shapes. It is recorded at one
+// cache-line size, which fixes the geometry of its line pools below; its
+// shared-bank folds are built per bank count, so one recording serves every
+// arch of that line size. Immutable after construction apart from those memo
 // tables, which build once each under their own flags; safe to share across
 // threads.
 class TraceSkeleton {
  public:
-  // CHECKs that arch's shared bank count folds (shared_banks_foldable), as
-  // every validated arch's does.
+  // Records `kernel` at `arch`'s cache-line size; nothing else of the arch
+  // is kept.
   TraceSkeleton(const KernelInfo& kernel, const GpuArch& arch);
 
   // Pre-digested DSL op: the active mask and the per-array memory-op ordinal
@@ -60,11 +62,9 @@ class TraceSkeleton {
   };
 
   const KernelInfo& kernel() const { return *kernel_; }
-  // Whether the memo tables fit `arch`: the same cache-line size and shared
-  // bank count as the arch the skeleton was recorded for.
-  bool fits(const GpuArch& arch) const {
-    return arch.cache_line == line_size_ && arch.shared_banks == shared_banks_;
-  }
+  // Whether the memo tables fit `arch`: the same cache-line size as the arch
+  // the skeleton was recorded for. Any foldable bank count fits.
+  bool fits(const GpuArch& arch) const { return arch.cache_line == line_size_; }
   // Warps are numbered block-major: warp w is warp w % warps_per_block of
   // block w / warps_per_block.
   std::size_t num_warps() const { return ctx_.size(); }
@@ -171,7 +171,8 @@ class TraceSkeleton {
   // pitch-linear line pool: once per (pattern, base byte offset modulo 4).
   std::span<const std::uint8_t> const_words_pool(int array) const;
 
-  // Shared-memory bank-conflict degrees per ordinal plus their fold. The
+  // Shared-memory bank-conflict degrees per ordinal plus their fold, at
+  // `shared_banks` banks (CHECKed foldable, shared_banks_foldable). The
   // slice-local byte offset of an element is placement-invariant and the
   // placement-dependent base offset is kSharedAlign-byte aligned, so (the
   // bank count being foldable) the degrees match shared_conflict_degree on
@@ -180,12 +181,12 @@ class TraceSkeleton {
   // by whole words only rotates the banks, so an op whose lanes stay inside
   // one slice has its pattern's degree at its base's byte offset modulo 4,
   // computed once per such pair; an op whose pattern wraps the slice is
-  // computed per op.
+  // computed per op. Each foldable bank count has its own slot.
   struct SharedFold {
     std::vector<std::uint8_t> degree;  // per ordinal (1 for masked-off ops)
     std::uint64_t conflict_sum = 0;    // sum of (degree - 1), unmasked ops
   };
-  const SharedFold& shared_fold(int array) const;
+  const SharedFold& shared_fold(int array, int shared_banks) const;
 
   // --- Staging copy-in (Sec. III-B's "initialization phase") ----------------
   // An array placed in shared memory (but not defaulting there) is copied in
@@ -219,9 +220,9 @@ class TraceSkeleton {
   const LinePool& copy_in_lines(int array) const;
   // Bank-conflict degree of every chunk's Shared store (indexed by the chunk,
   // entry % copy_in_chunks; the store's addresses do not depend on the
-  // block), and their conflict_sum over one block's chunks; folded like the
-  // body's.
-  const SharedFold& copy_in_fold(int array) const;
+  // block), and their conflict_sum over one block's chunks, at `shared_banks`
+  // banks; folded like the body's.
+  const SharedFold& copy_in_fold(int array, int shared_banks) const;
 
   // --- skeleton statistics (for cheap per-placement bounds) -----------------
   // Executed warp instructions excluding addressing-mode inserts and staging
@@ -267,21 +268,32 @@ class TraceSkeleton {
   std::vector<std::uint32_t> inv_ops_;        // per warp
   std::vector<std::uint32_t> mem_cnt_;        // warps x arrays, row-major
   InvariantTallies invariants_;
-  // The memo tables' geometry, and every array's fixed device allocation
+  // The line pools' geometry, and every array's fixed device allocation
   // (MemoryLayout::device_base, the same under every placement).
   std::size_t line_size_;
-  int shared_banks_;
   std::vector<std::uint64_t> device_base_;
+  // One fold slot per foldable bank count: kSharedAlign / 4 banks and every
+  // power of two below it (1, 2, 4, 8, 16, 32 at kSharedAlign = 128).
+  static constexpr int kFoldSlots =
+      static_cast<int>(std::bit_width(kSharedAlign / 4));
+  static int fold_slot(int shared_banks);
   // Lazily-built memo tables, fixed in number: each builds once under its
   // own flag, so concurrent readers build different tables in parallel, and
-  // returned references never move.
-  enum Table { kPitchLines, kBlockLines, kCopyLines, kBodyFold, kCopyFold,
-               kConstWords, kTables };
-  std::once_flag& once(int array, Table table) const {
-    return once_[static_cast<std::size_t>(array) * kTables + table];
+  // returned references never move. kBodyFold and kCopyFold stand for
+  // kFoldSlots tables each, one per bank count.
+  enum Table { kPitchLines, kBlockLines, kCopyLines, kConstWords, kBodyFold,
+               kCopyFold = kBodyFold + kFoldSlots,
+               kTables = kCopyFold + kFoldSlots };
+  std::once_flag& once(int array, int table) const {
+    return once_[static_cast<std::size_t>(array) * kTables +
+                 static_cast<std::size_t>(table)];
   }
+  // Builds, once, fold slot `table` (kBodyFold or kCopyFold plus the slot)
+  // of `array` with `build`.
+  template <class Build>
+  const SharedFold& fold(int array, int table, Build&& build) const;
   mutable std::vector<LinePool> lines_;    // per array: kPitchLines..kCopyLines
-  mutable std::vector<SharedFold> folds_;  // per array: kBodyFold, kCopyFold
+  mutable std::vector<SharedFold> folds_;  // per array: both folds' slots
   mutable std::vector<std::vector<std::uint8_t>> const_words_;  // per array
   mutable std::unique_ptr<std::once_flag[]> once_;  // kTables per array
 };

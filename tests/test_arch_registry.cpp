@@ -1,9 +1,10 @@
 // ArchRegistry battery (DESIGN §16): registry semantics, the differential
 // golden lock-in of the default backend against the historical hardwired
-// Kepler path, the refusal of a TraceSkeleton recorded for another
-// geometry, the registry's rejection of shared-bank geometries the SoA
-// fold cannot handle, and the serve layer's sharing of one recording
-// between a benchmark's kernel entries on archs of one geometry.
+// Kepler path, one kepler recording replaying every registered arch bit for
+// bit and the refusal of one recorded at another cache-line size, the
+// registry's rejection of shared-bank geometries the SoA fold cannot
+// handle, and the serve layer's sharing of one recording between a
+// benchmark's kernel entries on every arch of one cache-line size.
 //
 // Naming note: the exhaustive differential sweeps carry "EveryWorkload" in
 // their test names so the sanitizer rebuilds (which filter -*EveryWorkload*)
@@ -12,20 +13,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hashing.hpp"
 #include "common/obs.hpp"
 #include "common/rng.hpp"
 #include "dram/address_mapping.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
 #include "serve/service.hpp"
+#include "sim/simulator.hpp"
+#include "sim_compare.hpp"
 #include "trace/generator.hpp"
 #include "workloads/workloads.hpp"
 
@@ -175,37 +181,110 @@ TEST(ArchRegistryDifferential, EveryWorkloadPredictsBitIdentical) {
   }
 }
 
-// --- one geometry per TraceSkeleton ----------------------------------------
+// --- one recording per kernel and cache-line size ---------------------------
 
-// A skeleton's memo tables are built for the cache-line size and shared
-// bank count of the arch it was recorded for. Analyzing on an arch of
-// another geometry (hbm2 has 16 shared banks, kepler 32) must abort, not
-// read lines and bank degrees folded for the wrong machine.
-TEST(TraceSkeletonDeathTest, AnotherGeometrysSkeletonAborts) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+// Simulates and analyzes `placement` on `arch` through the skeleton `shared`
+// and through `own`, the arch's own recording, and requires the same
+// results, bit for bit. Returns false (checking nothing) when the placement
+// is illegal on the arch.
+bool expect_same_replay(const KernelInfo& kernel,
+                        const DataPlacement& placement, const GpuArch& arch,
+                        const TraceSkeleton& shared, const TraceSkeleton& own) {
+  if (validate_placement(kernel, placement, arch)) return false;
+  SCOPED_TRACE(placement.to_string());
+  GpuSimulator sim(arch, SimOptions{.record_interarrivals = true});
+  Fnv1a through_shared;
+  testutil::mix_result(through_shared, sim.run(kernel, placement, &shared),
+                       sim.interarrival_samples());
+  Fnv1a through_own;
+  testutil::mix_result(through_own, sim.run(kernel, placement, &own),
+                       sim.interarrival_samples());
+  EXPECT_EQ(through_shared.digest(), through_own.digest());
+  testutil::expect_events_identical(
+      analyze_trace(kernel, placement, arch, {}, &shared),
+      analyze_trace(kernel, placement, arch, {}, &own));
+  return true;
+}
+
+// A skeleton's line pools are built at its recording's cache-line size and
+// its shared folds per bank count, so a kepler recording replays an hbm2
+// analysis (16 shared banks, not 32) exactly as hbm2's own recording does,
+// staged shared placements included.
+TEST(TraceSkeletonSharing, KeplerRecordingReplaysHbm2) {
   const KernelInfo kernel = workloads::make_transpose(64);
-  const DataPlacement placement = DataPlacement::defaults(kernel);
   const GpuArch& kepler = ArchRegistry::builtin().find("kepler")->arch;
   const GpuArch& hbm2 = ArchRegistry::builtin().find("hbm2")->arch;
   ASSERT_NE(kepler.shared_banks, hbm2.shared_banks);
-  const TraceSkeleton skeleton(kernel, kepler);
-  EXPECT_DEATH(analyze_trace(kernel, placement, hbm2, {}, &skeleton),
-               "another cache-line size or shared bank count");
+  const DataPlacement base = DataPlacement::defaults(kernel);
+  std::vector<DataPlacement> placements{base};
+  for (std::size_t a = 0; a < kernel.arrays.size(); ++a)
+    placements.push_back(base.with(static_cast<int>(a), MemSpace::Shared));
+  const TraceSkeleton from_kepler(kernel, kepler);
+  const TraceSkeleton own(kernel, hbm2);
+  std::size_t staged = 0;
+  for (const DataPlacement& p : placements)
+    if (expect_same_replay(kernel, p, hbm2, from_kepler, own) &&
+        !TraceMaterializer(kernel, p, hbm2).staged_arrays().empty())
+      ++staged;
+  EXPECT_GT(staged, 0u);
 }
 
-// A Predictor handed a recorded skeleton checks the same predicate up front.
-TEST(TraceSkeletonDeathTest, PredictorRefusesAnotherGeometrysSkeleton) {
+// Every Table IV benchmark on every registered arch (all of 128-byte lines),
+// over its sample and its tests: a kepler recording serves the arch bit for
+// bit. The tests include shared and staged placements (triad_BS,
+// spmv_rdS), so each bank count's folds are read.
+TEST(TraceSkeletonSharing, EveryWorkloadKeplerRecordingServesEveryArch) {
+  const GpuArch& kepler = ArchRegistry::builtin().find("kepler")->arch;
+  std::set<std::string> staged_ids;
+  std::size_t runs = 0;
+  for (const auto& suite :
+       {workloads::training_suite(), workloads::evaluation_suite()}) {
+    for (const workloads::BenchmarkCase& c : suite) {
+      SCOPED_TRACE(c.name);
+      const TraceSkeleton from_kepler(c.kernel, kepler);
+      for (const std::string& name : ArchRegistry::builtin().names()) {
+        SCOPED_TRACE(name);
+        const GpuArch& arch = ArchRegistry::builtin().find(name)->arch;
+        ASSERT_TRUE(from_kepler.fits(arch));
+        const TraceSkeleton own(c.kernel, arch);
+        runs += expect_same_replay(c.kernel, c.sample, arch, from_kepler, own);
+        for (const workloads::PlacementTest& t : c.tests) {
+          if (!expect_same_replay(c.kernel, t.placement, arch, from_kepler,
+                                  own))
+            continue;
+          ++runs;
+          if (!TraceMaterializer(c.kernel, t.placement, arch)
+                   .staged_arrays()
+                   .empty())
+            staged_ids.insert(t.id);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 244u);  // SimGolden's runs under one scheduler
+  EXPECT_TRUE(staged_ids.count("triad_BS"));
+  EXPECT_TRUE(staged_ids.count("spmv_rdS"));
+}
+
+// Binding a skeleton at another cache-line size must abort, not read lines
+// coalesced for the wrong machine: kepler's recording on a copy of kepler
+// with 64-byte lines. A Predictor handed a recorded skeleton checks the same
+// predicate, and the kernel, up front.
+TEST(TraceSkeletonDeathTest, AnotherLineSizesSkeletonAborts) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const KernelInfo kernel = workloads::make_transpose(64);
   const KernelInfo other = workloads::make_transpose(64);
   const GpuArch& kepler = ArchRegistry::builtin().find("kepler")->arch;
-  const GpuArch& fermi = ArchRegistry::builtin().find("fermi")->arch;
-  const GpuArch& hbm2 = ArchRegistry::builtin().find("hbm2")->arch;
+  GpuArch narrow = kepler;
+  narrow.cache_line = 64;
+  ASSERT_TRUE(validate(narrow).ok());
   const auto skeleton = std::make_shared<const TraceSkeleton>(kernel, kepler);
-  EXPECT_TRUE(Predictor(kernel, fermi, {}, {}, skeleton).try_profile_sample(
-      DataPlacement::defaults(kernel)).ok());
-  EXPECT_DEATH(Predictor(kernel, hbm2, {}, {}, skeleton),
-               "another cache-line size or shared bank count");
+  EXPECT_FALSE(skeleton->fits(narrow));
+  EXPECT_DEATH(analyze_trace(kernel, DataPlacement::defaults(kernel), narrow,
+                             {}, skeleton.get()),
+               "another cache-line size");
+  EXPECT_DEATH(Predictor(kernel, narrow, {}, {}, skeleton),
+               "another cache-line size");
   EXPECT_DEATH(Predictor(other, kepler, {}, {}, skeleton),
                "different kernel");
 }
@@ -306,7 +385,7 @@ TEST(ArchRegistry, BackendsPredictDistinctly) {
   EXPECT_EQ(totals.size(), 3u);
 }
 
-// --- one recording per benchmark and skeleton geometry in the serve layer --
+// --- one recording per benchmark and cache-line size in the serve layer ---
 
 const char* const kBackends[] = {"kepler", "fermi", "maxwell", "hbm2"};
 
@@ -362,10 +441,21 @@ std::vector<std::string> isolated_answers(const std::string& benchmark,
   return answers(service, benchmark, arch);
 }
 
-// kepler, fermi and maxwell share a cache-line size and a shared bank
-// count, so their entries of a benchmark share one recording; hbm2 (16
-// banks) records its own. Sharing changes no response byte.
-TEST(ServeRecordingSharing, EntriesOfOneGeometryShareOneRecording) {
+// The service's recording counts from the metrics verb: {live, recorded}.
+std::pair<double, double> recordings(serve::PredictionService& service) {
+  const StatusOr<serve::Json> m =
+      serve::Json::parse(service.handle_line(R"({"op":"metrics"})"));
+  EXPECT_TRUE(m.ok());
+  const serve::Json* r = m->find("recordings");
+  EXPECT_NE(r, nullptr);
+  return {r->find("live")->as_number(), r->find("recorded")->as_number()};
+}
+
+// Every registered arch has 128-byte lines, so the entries of a benchmark
+// on all four share one recording, hbm2's (16 banks) included: serve-warm's
+// eight (benchmark, arch) pairs record two skeletons, not one per pair.
+// Sharing changes no response byte.
+TEST(ServeRecordingSharing, EntriesOfOneLineSizeShareOneRecording) {
   serve::PredictionService service{serve::ServeOptions{}};
   std::vector<std::vector<std::string>> shared;
   {
@@ -373,8 +463,10 @@ TEST(ServeRecordingSharing, EntriesOfOneGeometryShareOneRecording) {
     for (const char* benchmark : {"spmv", "matrixmul"})
       for (const char* arch : kBackends)
         shared.push_back(answers(service, benchmark, arch));
-    EXPECT_EQ(count.recorded(), 4u);  // not one per pair
+    EXPECT_EQ(count.recorded(), 2u);  // one per benchmark
   }
+  EXPECT_EQ(service.stats().recordings_live, 2u);
+  EXPECT_EQ(recordings(service), std::make_pair(2.0, 2.0));
   std::size_t i = 0;
   for (const char* benchmark : {"spmv", "matrixmul"}) {
     for (const char* arch : kBackends) {
@@ -397,7 +489,7 @@ TEST(ServeRecordingSharing, RecordingOutlivesTheEntryThatMadeIt) {
   options.kernel_cache_capacity = 1;
   options.prediction_cache_capacity = 0;
   serve::PredictionService service{options};
-  std::vector<std::string> fermi, kepler, fermi_again;
+  std::vector<std::string> fermi, kepler, hbm2, fermi_again;
   {
     const RecordingCount count;
     EXPECT_NE(service.handle_line(batch_line("spmv", "kepler"))
@@ -407,32 +499,37 @@ TEST(ServeRecordingSharing, RecordingOutlivesTheEntryThatMadeIt) {
     EXPECT_EQ(count.recorded(), 1u);
     kepler = answers(service, "spmv", "kepler");  // adopts fermi's recording
     EXPECT_EQ(count.recorded(), 1u);
-    // hbm2 records its own and evicts the last holder of the first.
-    EXPECT_NE(service.handle_line(batch_line("spmv", "hbm2"))
+    hbm2 = answers(service, "spmv", "hbm2");  // and so does hbm2
+    EXPECT_EQ(count.recorded(), 1u);
+    // matrixmul evicts the last holder of spmv's recording.
+    EXPECT_NE(service.handle_line(batch_line("matrixmul", "kepler"))
                   .find("\"ok\":true"),
               std::string::npos);
     EXPECT_EQ(count.recorded(), 2u);
+    EXPECT_EQ(recordings(service), std::make_pair(1.0, 2.0));
     fermi_again = answers(service, "spmv", "fermi");
     EXPECT_EQ(count.recorded(), 3u);
   }
-  EXPECT_EQ(service.stats().kernel_cache.evictions, 4u);
+  EXPECT_EQ(service.stats().kernel_cache.evictions, 5u);
+  EXPECT_EQ(recordings(service), std::make_pair(1.0, 3.0));
   const std::vector<std::string> fermi_alone = isolated_answers("spmv", "fermi");
   EXPECT_EQ(fermi, fermi_alone);
   EXPECT_EQ(fermi_again, fermi_alone);
   EXPECT_EQ(kepler, isolated_answers("spmv", "kepler"));
+  EXPECT_EQ(hbm2, isolated_answers("spmv", "hbm2"));
 }
 
-// Threads racing on cold entries of one benchmark on three archs of one
-// geometry make one recording between them and answer as isolated services.
+// Threads racing on cold entries of one benchmark on every registered arch
+// make one recording between them and answer as isolated services.
 TEST(ServeRecordingSharing, ConcurrentColdEntriesRecordOnce) {
-  const char* const archs[] = {"fermi", "maxwell", "kepler"};
   std::vector<std::string> lines, expected;
-  for (const char* arch : archs) {
+  for (const char* arch : kBackends) {
     lines.push_back(batch_line("spmv", arch));
     serve::PredictionService alone{serve::ServeOptions{}};
     expected.push_back(alone.handle_line(lines.back()));
   }
-  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kArchs = std::size(kBackends);
+  constexpr std::size_t kThreads = 2 * kArchs;
   serve::PredictionService service{serve::ServeOptions{}};
   std::vector<std::string> got(kThreads);
   std::atomic<bool> go{false};
@@ -443,7 +540,7 @@ TEST(ServeRecordingSharing, ConcurrentColdEntriesRecordOnce) {
     for (std::size_t t = 0; t < kThreads; ++t)
       threads.emplace_back([&, t] {
         while (!go.load()) std::this_thread::yield();
-        got[t] = service.handle_line(lines[t % 3]);
+        got[t] = service.handle_line(lines[t % kArchs]);
       });
     go.store(true);
     for (std::thread& t : threads) t.join();
@@ -451,9 +548,9 @@ TEST(ServeRecordingSharing, ConcurrentColdEntriesRecordOnce) {
   }
   EXPECT_EQ(recorded, 1u);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    SCOPED_TRACE(archs[t % 3]);
+    SCOPED_TRACE(kBackends[t % kArchs]);
     EXPECT_NE(got[t].find("\"ok\":true"), std::string::npos) << got[t];
-    EXPECT_EQ(got[t], expected[t % 3]);
+    EXPECT_EQ(got[t], expected[t % kArchs]);
   }
 }
 

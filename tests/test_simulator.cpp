@@ -5,6 +5,7 @@
 #include "arch/arch_registry.hpp"
 #include "common/hashing.hpp"
 #include "model/trace_analysis.hpp"
+#include "sim_compare.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
@@ -203,48 +204,15 @@ TEST(Simulator, PartialTailBlockHandled) {
 }
 
 // --- SimResult golden ---------------------------------------------------------
-// FNV-1a over every SimResult field (the cycle count, every ProfileCounters
-// field, every per-bank DramStats field) plus the raw per-bank inter-arrival
-// samples, for every Table IV placement (training and evaluation suites,
-// samples and tests) legal on every registered arch, under both warp
-// schedulers. The pinned digests were computed with the engine that lowered
-// every block into materialized TraceOp vectors and coalesced every access
-// from its lane addresses; the cursor engine, which reads a body access's
-// requests from the skeleton's memoized tables, must reproduce them bit for
-// bit.
+// FNV-1a over every SimResult field (testutil::mix_result) for every Table
+// IV placement (training and evaluation suites, samples and tests) legal on
+// every registered arch, under both warp schedulers. The pinned digests were
+// computed with the engine that lowered every block into materialized
+// TraceOp vectors and coalesced every access from its lane addresses; the
+// cursor engine, which reads a body access's requests from the skeleton's
+// memoized tables, must reproduce them bit for bit.
 
-void mix_result(Fnv1a& h, const SimResult& r,
-                const std::vector<std::vector<std::uint64_t>>& samples) {
-  const ProfileCounters& c = r.counters;
-  h.mix(r.cycles);
-  for (std::uint64_t v :
-       {c.inst_executed, c.inst_issued, c.issue_slots, c.inst_integer,
-        c.inst_fp32, c.inst_fp64, c.inst_sfu, c.ldst_executed, c.ldst_issued,
-        c.replay_global_divergence, c.replay_const_miss,
-        c.replay_const_divergence, c.replay_shared_conflict,
-        c.replay_double_issue, c.global_requests, c.global_transactions,
-        c.l2_transactions, c.l2_misses, c.const_requests,
-        c.const_cache_misses, c.tex_requests, c.tex_transactions,
-        c.tex_cache_misses, c.shared_requests, c.shared_bank_conflicts,
-        c.dram_requests, c.mem_stall_cycles, c.comp_stall_cycles,
-        c.busy_issue_cycles, c.total_warps})
-    h.mix(v);
-  h.mix(c.warps_per_sm);
-  h.mix(c.active_sms);
-  h.mix(r.dram.banks.size());
-  for (const BankStats& b : r.dram.banks) {
-    h.mix(b.arrivals).mix(b.row_hits).mix(b.row_misses).mix(b.row_conflicts);
-    h.mix(b.queue_delay_sum).mix(b.busy_cycles);
-    h.mix(b.interarrival.count()).mix(b.interarrival.mean());
-    h.mix(b.interarrival.variance());
-  }
-  h.mix(r.dram.total_requests).mix(r.dram.latency_sum);
-  h.mix(samples.size());
-  for (const auto& bank : samples) {
-    h.mix(bank.size());
-    for (std::uint64_t v : bank) h.mix(v);
-  }
-}
+using testutil::mix_result;
 
 struct GoldenCase {
   const KernelInfo* kernel;

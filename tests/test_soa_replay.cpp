@@ -6,7 +6,6 @@
 // predictions.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -17,65 +16,15 @@
 #include "arch/arch_registry.hpp"
 #include "model/predictor.hpp"
 #include "model/trace_analysis.hpp"
+#include "sim_compare.hpp"
 #include "trace/generator.hpp"
 #include "workloads/workloads.hpp"
 
 namespace gpuhms {
 namespace {
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-void expect_events_identical(const PlacementEvents& a,
-                             const PlacementEvents& b) {
-  EXPECT_EQ(a.insts_executed, b.insts_executed);
-  EXPECT_EQ(a.addr_calc_insts, b.addr_calc_insts);
-  EXPECT_EQ(a.mem_insts, b.mem_insts);
-  EXPECT_EQ(a.load_insts, b.load_insts);
-  EXPECT_EQ(a.sync_insts, b.sync_insts);
-  EXPECT_EQ(a.replay_global_divergence, b.replay_global_divergence);
-  EXPECT_EQ(a.replay_const_miss, b.replay_const_miss);
-  EXPECT_EQ(a.replay_const_divergence, b.replay_const_divergence);
-  EXPECT_EQ(a.replay_shared_conflict, b.replay_shared_conflict);
-  EXPECT_EQ(a.global_requests, b.global_requests);
-  EXPECT_EQ(a.global_transactions, b.global_transactions);
-  EXPECT_EQ(a.l2_transactions, b.l2_transactions);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.const_misses, b.const_misses);
-  EXPECT_EQ(a.tex_requests, b.tex_requests);
-  EXPECT_EQ(a.tex_transactions, b.tex_transactions);
-  EXPECT_EQ(a.tex_misses, b.tex_misses);
-  EXPECT_EQ(a.shared_requests, b.shared_requests);
-  EXPECT_EQ(a.shared_conflicts, b.shared_conflicts);
-  EXPECT_EQ(a.dram_requests, b.dram_requests);
-  EXPECT_EQ(a.row_hits, b.row_hits);
-  EXPECT_EQ(a.row_misses, b.row_misses);
-  EXPECT_EQ(a.row_conflicts, b.row_conflicts);
-  EXPECT_EQ(a.offchip_load_transactions, b.offchip_load_transactions);
-  EXPECT_EQ(a.shared_load_requests, b.shared_load_requests);
-  EXPECT_EQ(a.dram_load_requests, b.dram_load_requests);
-  EXPECT_EQ(a.trace_ticks, b.trace_ticks);
-  EXPECT_TRUE(same_bits(a.ilp, b.ilp)) << a.ilp << " vs " << b.ilp;
-  EXPECT_TRUE(same_bits(a.mlp, b.mlp)) << a.mlp << " vs " << b.mlp;
-  EXPECT_TRUE(same_bits(a.warps_per_sm, b.warps_per_sm));
-  ASSERT_EQ(a.banks.size(), b.banks.size());
-  for (std::size_t i = 0; i < a.banks.size(); ++i) {
-    SCOPED_TRACE("bank " + std::to_string(i));
-    EXPECT_EQ(a.banks[i].count, b.banks[i].count);
-    EXPECT_EQ(a.banks[i].interarrival.count(), b.banks[i].interarrival.count());
-    EXPECT_TRUE(same_bits(a.banks[i].interarrival.mean(),
-                          b.banks[i].interarrival.mean()));
-    EXPECT_TRUE(same_bits(a.banks[i].interarrival.variance(),
-                          b.banks[i].interarrival.variance()));
-    EXPECT_EQ(a.banks[i].service.count(), b.banks[i].service.count());
-    EXPECT_TRUE(
-        same_bits(a.banks[i].service.mean(), b.banks[i].service.mean()));
-    EXPECT_TRUE(same_bits(a.banks[i].service.variance(),
-                          b.banks[i].service.variance()));
-  }
-}
+using testutil::expect_events_identical;
+using testutil::same_bits;
 
 // Runs `placement` through the SoA engine (against `skel`) and through the
 // full walk (no skeleton) on `arch`, and requires bitwise-equal results.

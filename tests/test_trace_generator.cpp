@@ -126,7 +126,8 @@ std::size_t table_mismatches(const KernelInfo& k, const GpuArch& arch) {
         arr.width > 0 ? &skeleton.line_pool(array, true) : nullptr;
     const std::span<const std::uint8_t> words =
         skeleton.const_words_pool(array);
-    const TraceSkeleton::SharedFold& fold = skeleton.shared_fold(array);
+    const TraceSkeleton::SharedFold& fold =
+        skeleton.shared_fold(array, arch.shared_banks);
     const std::size_t n = skeleton.mem_ops_per_array()[a];
     EXPECT_EQ(pitch.begin.size(), n + 1);
     EXPECT_EQ(words.size(), n);
@@ -391,7 +392,8 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
                    lp.lines.size() * sizeof(std::uint64_t);
       }
       entries += skeleton.const_words_pool(array).size();
-      entries += skeleton.shared_fold(array).degree.size();
+      entries +=
+          skeleton.shared_fold(array, kepler_arch().shared_banks).degree.size();
     }
     EXPECT_LE(skeleton.footprint_bytes() - before, entries + kSlack);
   }
@@ -487,7 +489,8 @@ TEST(SkeletonFootprint, CopyInTablesHoldOneEntryPerDistinctCopy) {
       const std::size_t chunks = skeleton.copy_in_chunks(array);
       EXPECT_EQ(skeleton.copy_in_lines(array).begin.size(),
                 skeleton.copy_in_classes(array) * chunks + 1);
-      EXPECT_EQ(skeleton.copy_in_fold(array).degree.size(), chunks);
+      EXPECT_EQ(skeleton.copy_in_fold(array, arch.shared_banks).degree.size(),
+                chunks);
     }
   }
 }
