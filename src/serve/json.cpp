@@ -22,8 +22,68 @@ struct Parser {
   char peek() const { return text[pos]; }
 
   Status error(std::string what) const {
+    return error_at(pos, std::move(what));
+  }
+
+  Status error_at(std::size_t at, std::string what) const {
     return InvalidArgumentError("JSON parse error at byte " +
-                                std::to_string(pos) + ": " + std::move(what));
+                                std::to_string(at) + ": " + std::move(what));
+  }
+
+  // A byte for an error message: itself when printable ASCII, else hex, so
+  // no message carries a byte that is not UTF-8.
+  static std::string printable(char c) {
+    const auto b = static_cast<unsigned char>(c);
+    if (b >= 0x20 && b < 0x7f) return std::string(1, c);
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "0x%02x", static_cast<unsigned>(b));
+    return buf;
+  }
+
+  // Length of the well-formed UTF-8 sequence starting at byte `at`, or 0:
+  // RFC 3629's shortest forms, without surrogates, up to U+10FFFF.
+  std::size_t utf8_length(std::size_t at) const {
+    const auto byte = [&](std::size_t i) -> unsigned {
+      return i < text.size() ? static_cast<unsigned char>(text[i]) : 0u;
+    };
+    const unsigned lead = byte(at);
+    std::size_t n = 0;
+    unsigned lo = 0x80, hi = 0xBF;  // the second byte's range
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      n = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      n = 3;
+      if (lead == 0xE0) lo = 0xA0;  // overlong
+      if (lead == 0xED) hi = 0x9F;  // surrogates
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      n = 4;
+      if (lead == 0xF0) lo = 0x90;  // overlong
+      if (lead == 0xF4) hi = 0x8F;  // past U+10FFFF
+    } else {
+      return 0;
+    }
+    if (byte(at + 1) < lo || byte(at + 1) > hi) return 0;
+    for (std::size_t i = 2; i < n; ++i)
+      if ((byte(at + i) & 0xC0) != 0x80) return 0;
+    return n;
+  }
+
+  // The four hex digits of a \u escape at pos, consumed.
+  StatusOr<unsigned> parse_hex4() {
+    unsigned cp = 0;
+    for (int i = 0; i < 4; ++i) {
+      if (at_end()) return error("truncated \\u escape");
+      const char h = text[pos++];
+      cp <<= 4;
+      if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f')
+        cp |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F')
+        cp |= static_cast<unsigned>(h - 'A' + 10);
+      else
+        return error("invalid hex digit in \\u escape");
+    }
+    return cp;
   }
 
   void skip_ws() {
@@ -110,13 +170,27 @@ struct Parser {
     ++pos;  // opening quote
     std::string out;
     while (true) {
+      // A run of plain ASCII bytes is copied at once.
+      const std::size_t run = pos;
+      while (!at_end()) {
+        const auto b = static_cast<unsigned char>(peek());
+        if (b < 0x20 || b >= 0x80 || b == '"' || b == '\\') break;
+        ++pos;
+      }
+      out.append(text, run, pos - run);
       if (at_end()) return error("unterminated string");
+      const std::size_t at = pos;
       const char c = text[pos++];
       if (c == '"') return Json(std::move(out));
       if (static_cast<unsigned char>(c) < 0x20)
         return error("unescaped control character in string");
       if (c != '\\') {
-        out.push_back(c);
+        const std::size_t n = utf8_length(at);
+        if (n == 0)
+          return error_at(at, "invalid UTF-8 byte " + printable(c) +
+                                  " in string");
+        out.append(text, at, n);
+        pos = at + n;
         continue;
       }
       if (at_end()) return error("unterminated escape");
@@ -131,35 +205,39 @@ struct Parser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            if (at_end()) return error("truncated \\u escape");
-            const char h = text[pos++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              cp |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return error("invalid hex digit in \\u escape");
+          GPUHMS_ASSIGN_OR_RETURN(unsigned cp, parse_hex4());
+          // A high surrogate must be followed by a low one's escape: the
+          // pair is one code point. Any other surrogate is unpaired.
+          if (cp >= 0xDC00 && cp <= 0xDFFF)
+            return error_at(at, "unpaired surrogate in \\u escape");
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            if (text.substr(pos, 2) != "\\u")
+              return error_at(at, "unpaired surrogate in \\u escape");
+            pos += 2;
+            GPUHMS_ASSIGN_OR_RETURN(const unsigned low, parse_hex4());
+            if (low < 0xDC00 || low > 0xDFFF)
+              return error_at(at, "unpaired surrogate in \\u escape");
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
           }
-          // UTF-8 encode the BMP code point (surrogate pairs are passed
-          // through individually — the protocol is ASCII in practice).
           if (cp < 0x80) {
             out.push_back(static_cast<char>(cp));
           } else if (cp < 0x800) {
             out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
             out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
+          } else if (cp < 0x10000) {
             out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+            out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
             out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
             out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
           }
           break;
         }
         default:
-          return error(std::string("invalid escape '\\") + e + "'");
+          return error_at(at, "invalid escape '\\" + printable(e) + "'");
       }
     }
   }
@@ -187,7 +265,12 @@ struct Parser {
       skip_ws();
       if (at_end() || peek() != '"')
         return error("expected a quoted object key");
+      const std::size_t key_at = pos;
       GPUHMS_ASSIGN_OR_RETURN(Json key, parse_string());
+      // A repeated key would let its last copy silently win.
+      if (obj.find(key.as_string()) != nullptr)
+        return error_at(key_at, "duplicate object key " +
+                                    json_quote(key.as_string()));
       skip_ws();
       if (!consume(':')) return error("expected ':' after object key");
       GPUHMS_ASSIGN_OR_RETURN(Json v, parse_value(depth + 1));

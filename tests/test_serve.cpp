@@ -170,6 +170,50 @@ TEST(Serve, MalformedRequestsGetStructuredErrors) {
   EXPECT_TRUE(r.find("ok")->as_bool());
 }
 
+// A repeated key (whose last copy would silently win), a byte that is not
+// UTF-8 and an unpaired surrogate escape each answer exactly one
+// INVALID_ARGUMENT line naming the offending byte offset, so no response
+// echoes a byte that is not UTF-8.
+TEST(Serve, DuplicateKeysAndInvalidUtf8AreInvalidArgument) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"op":"predict","op":"metrics"})",
+       "at byte 16: duplicate object key \"op\""},
+      {"{\"op\":\"predict\",\"benchmark\":\"sp\xffmv\",\"placement\":\"G\"}",
+       "at byte 31: invalid UTF-8 byte 0xff in string"},
+      {R"({"op":"\ud800"})", "at byte 7: unpaired surrogate"},
+      {R"({"op":"\udc00"})", "at byte 7: unpaired surrogate"},
+      {R"({"op":"x\ud83dA"})", "at byte 8: unpaired surrogate"},
+      {"{\"op\":\"\xc0\xaf\"}", "at byte 7: invalid UTF-8 byte 0xc0"},
+      {"{\"op\":\"\xed\xa0\x80\"}", "at byte 7: invalid UTF-8 byte 0xed"},
+      {"{\"op\":\"\xe2\x82\"}", "at byte 7: invalid UTF-8 byte 0xe2"},
+      {"{\"op\":\"\\\xff\"}", "at byte 7: invalid escape '\\0xff'"},
+  };
+  std::vector<std::string> lines;
+  for (const auto& c : cases) lines.push_back(c.first);
+  const std::vector<std::string> out = service.handle_pipeline(lines);
+  ASSERT_EQ(out.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_error(out[i], "INVALID_ARGUMENT");
+    const std::string message =
+        parse_ok(out[i]).find("error")->find("message")->as_string();
+    EXPECT_EQ(message.find("JSON parse error " + cases[i].second), 0u)
+        << message;
+    for (const char b : out[i])
+      EXPECT_LT(static_cast<unsigned char>(b), 0x80) << out[i];
+  }
+  EXPECT_EQ(service.stats().errors, cases.size());
+  // Well-formed UTF-8 and a surrogate pair still parse, to the same bytes.
+  const std::string smile = "\xf0\x9f\x98\x80";
+  EXPECT_EQ(parse_ok(R"("\ud83d\ude00")").as_string(), smile);
+  EXPECT_EQ(parse_ok("\"" + smile + "\xc3\xa9\"").as_string(),
+            smile + "\xc3\xa9");
+  // A key may repeat in different objects.
+  EXPECT_TRUE(serve::Json::parse(R"({"a":{"a":1},"b":[{"a":2},{"a":3}]})")
+                  .ok());
+}
+
 // A predict answers the same bytes whether it arrives alone or heads a
 // pipelined run of same-benchmark predicts: one parse path, one error order
 // (benchmark, arch, placement field, kernel lookup, parse, validate).
