@@ -435,11 +435,15 @@ int TraceSkeleton::fold_slot(int shared_banks) {
 template <class Build>
 const TraceSkeleton::SharedFold& TraceSkeleton::fold(int array, int table,
                                                      Build&& build) const {
-  SharedFold& f =
+  std::unique_ptr<SharedFold>& slot =
       folds_[static_cast<std::size_t>(array) * 2 * kFoldSlots +
              static_cast<std::size_t>(table - kBodyFold)];
-  std::call_once(once(array, table), [&] { build(f); });
-  return f;
+  std::call_once(once(array, table), [&] {
+    auto f = std::make_unique<SharedFold>();
+    build(*f);
+    slot = std::move(f);
+  });
+  return *slot;
 }
 
 const TraceSkeleton::SharedFold& TraceSkeleton::shared_fold(
@@ -574,7 +578,8 @@ std::size_t TraceSkeleton::footprint_bytes() const {
   for (const ArrayLanes& lanes : lanes_)
     n += bytes_of(lanes.ops) + bytes_of(lanes.patterns);
   for (const LinePool& lp : lines_) n += bytes_of(lp.begin) + bytes_of(lp.lines);
-  for (const SharedFold& f : folds_) n += bytes_of(f.degree);
+  for (const std::unique_ptr<SharedFold>& f : folds_)
+    if (f) n += sizeof(SharedFold) + bytes_of(f->degree);
   for (const std::vector<std::uint8_t>& words : const_words_)
     n += bytes_of(words);
   return n;

@@ -293,7 +293,9 @@ class TraceSkeleton {
   template <class Build>
   const SharedFold& fold(int array, int table, Build&& build) const;
   mutable std::vector<LinePool> lines_;    // per array: kPitchLines..kCopyLines
-  mutable std::vector<SharedFold> folds_;  // per array: both folds' slots
+  // Per array: both folds' slots, each allocated when built (a slot no
+  // arch reads costs one pointer).
+  mutable std::vector<std::unique_ptr<SharedFold>> folds_;
   mutable std::vector<std::vector<std::uint8_t>> const_words_;  // per array
   mutable std::unique_ptr<std::once_flag[]> once_;  // kTables per array
 };

@@ -209,7 +209,8 @@ bool expect_same_replay(const KernelInfo& kernel,
 // A skeleton's line pools are built at its recording's cache-line size and
 // its shared folds per bank count, so a kepler recording replays an hbm2
 // analysis (16 shared banks, not 32) exactly as hbm2's own recording does,
-// staged shared placements included.
+// and as the full walk over the lowered trace's addresses does, staged
+// shared placements included.
 TEST(TraceSkeletonSharing, KeplerRecordingReplaysHbm2) {
   const KernelInfo kernel = workloads::make_transpose(64);
   const GpuArch& kepler = ArchRegistry::builtin().find("kepler")->arch;
@@ -222,10 +223,13 @@ TEST(TraceSkeletonSharing, KeplerRecordingReplaysHbm2) {
   const TraceSkeleton from_kepler(kernel, kepler);
   const TraceSkeleton own(kernel, hbm2);
   std::size_t staged = 0;
-  for (const DataPlacement& p : placements)
-    if (expect_same_replay(kernel, p, hbm2, from_kepler, own) &&
-        !TraceMaterializer(kernel, p, hbm2).staged_arrays().empty())
-      ++staged;
+  for (const DataPlacement& p : placements) {
+    if (!expect_same_replay(kernel, p, hbm2, from_kepler, own)) continue;
+    testutil::expect_events_identical(
+        analyze_trace(kernel, p, hbm2, {}, &from_kepler),
+        analyze_trace(kernel, p, hbm2, {}, nullptr));
+    if (!TraceMaterializer(kernel, p, hbm2).staged_arrays().empty()) ++staged;
+  }
   EXPECT_GT(staged, 0u);
 }
 

@@ -378,8 +378,9 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
       EXPECT_LE(patterns, 16u);
     }
 
-    // Every table of every array, both layouts: the footprint grows by the
-    // tables' exact entries, not by a block of lane addresses per memory op.
+    // Every table of every array, both layouts and two bank counts: the
+    // footprint grows by the tables' exact entries (each counted), not by a
+    // block of lane addresses per memory op.
     const std::size_t before = skeleton.footprint_bytes();
     std::size_t entries = 0;
     for (std::size_t a = 0; a < arrays; ++a) {
@@ -392,10 +393,12 @@ TEST(SkeletonFootprint, BoundedByDslOpsAndMemoryOps) {
                    lp.lines.size() * sizeof(std::uint64_t);
       }
       entries += skeleton.const_words_pool(array).size();
-      entries +=
-          skeleton.shared_fold(array, kepler_arch().shared_banks).degree.size();
+      // Each bank count's fold slot counts once built: kepler's and hbm2's.
+      for (int banks : {32, 16})
+        entries += skeleton.shared_fold(array, banks).degree.size();
     }
     EXPECT_LE(skeleton.footprint_bytes() - before, entries + kSlack);
+    EXPECT_GE(skeleton.footprint_bytes() - before, entries);
   }
 }
 
