@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "model/search.hpp"
 #include "workloads/workloads.hpp"
 
@@ -127,7 +128,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_bnb.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"kernel\": \"bnb_synth\",\n  \"rows\": [\n");
+  std::fprintf(json, "{\n");
+  bench::write_stamp(json);
+  std::fprintf(json, "  \"kernel\": \"bnb_synth\",\n  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "common/concurrent_cache.hpp"
 
 using namespace gpuhms;
@@ -173,8 +174,10 @@ int main(int argc, char** argv) {
                    points[i].gets_per_sec, i + 1 < points.size() ? "," : "");
     std::fprintf(json, "  },\n");
   };
-  std::fprintf(json, "{\n  \"keys\": %zu,\n  \"gets_per_point\": %zu,\n",
-               keys, total_gets);
+  std::fprintf(json, "{\n");
+  bench::write_stamp(json);
+  std::fprintf(json, "  \"keys\": %zu,\n  \"gets_per_point\": %zu,\n", keys,
+               total_gets);
   std::fprintf(json, "  \"hardware_concurrency\": %u,\n", hw);
   dump_points("sharded_gets_per_sec", sharded_points);
   std::fprintf(json,

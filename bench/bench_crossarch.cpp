@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "arch/arch_registry.hpp"
+#include "bench_stamp.hpp"
 #include "common/stats.hpp"
 #include "model/predictor.hpp"
 #include "sim/simulator.hpp"
@@ -202,8 +203,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_crossarch.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"cap\": %zu,\n  \"identity_floor\": %.2f,\n",
-               cap, kIdentityFloor);
+  std::fprintf(json, "{\n");
+  bench::write_stamp(json);
+  std::fprintf(json, "  \"cap\": %zu,\n  \"identity_floor\": %.2f,\n", cap,
+               kIdentityFloor);
   std::fprintf(json, "  \"pairs\": [\n");
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const PairResult& pr = pairs[i];

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "common/obs.hpp"
 #include "model/search.hpp"
 #include "workloads/workloads.hpp"
@@ -172,8 +173,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_search.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"threads\": %d,\n  \"cap\": %zu,\n"
-               "  \"workloads\": [\n", threads, cap);
+  std::fprintf(json, "{\n");
+  bench::write_stamp(json);
+  std::fprintf(json, "  \"threads\": %d,\n  \"cap\": %zu,\n  \"workloads\": [\n",
+               threads, cap);
 
   std::printf("search throughput (cap=%zu, %d threads, best of %d)\n\n", cap,
               threads, repeats);

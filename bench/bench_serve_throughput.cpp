@@ -37,6 +37,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "bench_stamp.hpp"
 #include "kernel/placement.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -436,8 +437,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_serve.json\n");
     return 1;
   }
+  std::fprintf(json, "{\n");
+  bench::write_stamp(json);
   std::fprintf(json,
-               "{\n"
                "  \"requests\": %zu,\n"
                "  \"cold_pipelined_ms\": %.3f,\n"
                "  \"warm_pipelined_ms\": %.3f,\n"
