@@ -449,9 +449,9 @@ std::vector<std::string> isolated_answers(const std::string& benchmark,
 std::pair<double, double> recordings(serve::PredictionService& service) {
   const StatusOr<serve::Json> m =
       serve::Json::parse(service.handle_line(R"({"op":"metrics"})"));
-  EXPECT_TRUE(m.ok());
-  const serve::Json* r = m->find("recordings");
+  const serve::Json* r = m.ok() ? m->find("recordings") : nullptr;
   EXPECT_NE(r, nullptr);
+  if (r == nullptr) return {-1, -1};
   return {r->find("live")->as_number(), r->find("recorded")->as_number()};
 }
 
