@@ -110,7 +110,7 @@ std::span<const std::string_view> known_sites() {
   // scenario table.
   static constexpr std::string_view kSites[] = {
       "trace.lower", "queuing.nan",  "queuing.saturate", "pool.task",
-      "serve.parse", "serve.accept", "arena.alloc",
+      "serve.parse", "serve.accept",
   };
   return kSites;
 }

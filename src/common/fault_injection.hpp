@@ -3,7 +3,7 @@
 // A *site* is a named point in library code (GPUHMS_FAULT_POINT("pool.task"))
 // that normally evaluates to false at ~zero cost. Arming a site makes its
 // Nth execution return true exactly once, letting tests drive rare failure
-// paths (worker exceptions, allocation failure, queuing saturation)
+// paths (worker exceptions, serve errors, queuing saturation)
 // deterministically — the same arm always fires at the same hit regardless
 // of thread count, because hits are counted under a lock in program order of
 // the site's executions.
@@ -22,8 +22,6 @@
 //                      instead of parsing the request line
 //   serve.accept     — PredictionService sheds one request at admission with
 //                      an UNAVAILABLE error response (a dropped accept)
-//   arena.alloc      — Arena::grow throws std::bad_alloc instead of
-//                      allocating the next chunk (replay-scratch OOM)
 //
 // Every site name MUST also appear in fault::known_sites() below — the chaos
 // harness (tests/test_chaos.cpp) enumerates that registry and fails if a

@@ -106,7 +106,7 @@ class TraceAnalyzer {
 
   // Replays the (kernel, placement) trace in analysis order. With a
   // skeleton (recorded from this analyzer's kernel for an arch of its
-  // cache-line size and shared bank count, which the call CHECKs) the
+  // cache-line size, which the call CHECKs; any foldable bank count) the
   // data-oriented SoA engine answers; without one, a skeleton is recorded
   // for the call and every lowered op is walked, coalescing from its lane
   // addresses — the reference the SoA engine is tested against, bit for

@@ -13,9 +13,9 @@
 //     (common/hashing.hpp); the optional request `arch` field selects an
 //     ArchRegistry backend per request, and the arch fingerprint in every
 //     prediction-cache key keeps cross-arch entries from ever colliding.
-//     Entries of one benchmark on archs of one skeleton geometry (cache-line
-//     size, shared bank count) share one recording of the benchmark and its
-//     skeleton;
+//     Entries of one benchmark on archs of one cache-line size share one
+//     recording of the benchmark and its skeleton, whatever their shared
+//     bank counts;
 //   * a bounded cache of memoized Predictions keyed by
 //     (kernel fingerprint, arch fingerprint, placement) so repeated predicts
 //     are a map lookup, not a trace replay. Both caches (and the idem-replay

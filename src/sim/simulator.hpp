@@ -46,8 +46,9 @@ class GpuSimulator {
   explicit GpuSimulator(const GpuArch& arch, SimOptions opts = {});
 
   // `skeleton`, when non-null, must have been recorded from `kernel` for an
-  // arch of this simulator's cache-line size and shared bank count (the run
-  // CHECKs both); the result is identical with and without it.
+  // arch of this simulator's cache-line size (the run CHECKs the kernel and
+  // the line size); its shared bank count may differ. The result is
+  // identical with and without it.
   SimResult run(const KernelInfo& kernel, const DataPlacement& placement,
                 const TraceSkeleton* skeleton = nullptr);
 

@@ -340,7 +340,8 @@ class TraceMaterializer {
   std::span<const int> staged_arrays() const { return staged_arrays_; }
 
   // Every array's PlacedArray, with the skeleton's tables bound. CHECKs that
-  // the skeleton was recorded from this kernel for this arch's geometry.
+  // the skeleton was recorded from this kernel at this arch's cache-line
+  // size.
   std::vector<PlacedArray> bind(const TraceSkeleton& skeleton) const;
 
   // Expanded ops of warp `warp` under this placement: its staging preamble,

@@ -7,6 +7,22 @@
 
 namespace gpuhms {
 
+namespace {
+
+// `buf`'s storage, holding at least n elements. A buffer grows only past its
+// largest size so far, and drops its old contents before it allocates: every
+// caller writes each element before reading it.
+template <class T>
+T* scratch(std::vector<T>& buf, std::size_t n) {
+  if (buf.size() < n) {
+    buf = std::vector<T>();
+    buf.resize(n);
+  }
+  return buf.data();
+}
+
+}  // namespace
+
 void SoaLowering::bind(const TraceMaterializer& mat,
                        const TraceSkeleton& skeleton, const GpuArch& arch) {
   arrays_ = mat.bind(skeleton);
@@ -117,7 +133,6 @@ void SoaLowering::walk_records(std::size_t gw, Visit&& visit) const {
 
 SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
                                 std::int64_t block_end) {
-  arena_.reset();
   const KernelInfo& k = mat_->kernel();
   const std::size_t wpb = static_cast<std::size_t>(k.warps_per_block());
   const std::size_t w0 = static_cast<std::size_t>(block_begin) * wpb;
@@ -132,7 +147,7 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   // (warp wi, round pc) is
   //   base + sum_{r < pc} alive(r) + |{w' < wi alive at pc}| + 1.
   // `slot` first counts the warps retiring at each round.
-  std::uint32_t* ns = arena_.alloc<std::uint32_t>(warp_count);
+  std::uint32_t* ns = scratch(ns_, warp_count);
   std::uint32_t max_ops = 0;
   for (std::size_t wi = 0; wi < warp_count; ++wi) {
     ns[wi] = mat_->warp_ops(*skeleton_, w0 + wi);
@@ -140,8 +155,8 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
     tallies_.insts_executed += ns[wi];
   }
   const std::size_t rounds = max_ops;
-  std::uint64_t* cum = arena_.alloc<std::uint64_t>(rounds + 1);
-  std::uint32_t* slot = arena_.alloc<std::uint32_t>(rounds + 1);
+  std::uint64_t* cum = scratch(cum_, rounds + 1);
+  std::uint32_t* slot = scratch(slot_, rounds + 1);
   std::fill(slot, slot + rounds + 1, 0u);
   for (std::size_t wi = 0; wi < warp_count; ++wi) ++slot[ns[wi]];
   cum[0] = 0;
@@ -210,9 +225,9 @@ SoaWave SoaLowering::lower_wave(std::int64_t block_begin,
   // only consulted once pc reaches the smallest op count of an earlier warp
   // — below that, none has finished.
   const std::size_t fen_len = rounds + 2;
-  std::uint32_t* fen = arena_.alloc<std::uint32_t>(fen_len);
+  std::uint32_t* fen = scratch(fen_, fen_len);
   std::fill(fen, fen + fen_len, 0u);
-  SoaRecord* rec = arena_.alloc<SoaRecord>(n);
+  SoaRecord* rec = scratch(rec_, n);
   std::uint32_t min_prev_ops = UINT32_MAX;
   const std::int64_t num_sms = arch_->num_sms;
   for (std::size_t wi = 0; wi < warp_count; ++wi) {

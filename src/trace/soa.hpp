@@ -37,14 +37,16 @@
 // produces (TraceAnalyzer::analyze without a skeleton), which is what makes
 // the two bit-identical.
 //
-// All scratch lives in an Arena that is reset per wave: after the first wave
-// of the first candidate, lowering performs zero heap allocations.
+// A wave's scratch is five arrays (per-warp op counts, the round table, the
+// pc histogram that becomes the slot cursors, the Fenwick tree and the
+// records), each a member vector that grows only when a wave needs more room
+// than every earlier one: once the largest wave has been lowered, lowering
+// performs zero heap allocations.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "trace/generator.hpp"
 
 namespace gpuhms {
@@ -66,7 +68,7 @@ struct SoaRecord {
 static_assert(sizeof(SoaRecord) == 16);
 
 // One resident wave, lowered and scheduled: its off-chip memory records in
-// issue (tick) order. `rec` references the engine's arena and stays valid
+// issue (tick) order. `rec` points into the engine's scratch and stays valid
 // until the next lower_wave call.
 struct SoaWave {
   std::size_t mem_n = 0;
@@ -101,8 +103,8 @@ struct SoaTallies {
 class SoaLowering {
  public:
   // Binds the placement's tables (TraceMaterializer::bind, which CHECKs
-  // that `skeleton` was recorded from the materializer's kernel for its
-  // arch's geometry) and folds every placement-dependent-but-order-free
+  // that `skeleton` was recorded from the materializer's kernel at its
+  // arch's cache-line size) and folds every placement-dependent-but-order-free
   // counter. Call once per candidate, before the first lower_wave.
   void bind(const TraceMaterializer& mat, const TraceSkeleton& skeleton,
             const GpuArch& arch);
@@ -120,7 +122,12 @@ class SoaLowering {
   const TraceMaterializer* mat_ = nullptr;
   const TraceSkeleton* skeleton_ = nullptr;
   const GpuArch* arch_ = nullptr;
-  Arena arena_;
+  // lower_wave's scratch, reused across waves and candidates.
+  std::vector<std::uint32_t> ns_;    // op count per warp
+  std::vector<std::uint64_t> cum_;   // issue ticks before each round
+  std::vector<std::uint32_t> slot_;  // pc histogram, then slot cursors
+  std::vector<std::uint32_t> fen_;   // Fenwick tree over finish rounds
+  std::vector<SoaRecord> rec_;       // the wave's records, in issue order
   SoaTallies tallies_;
   std::uint64_t tick_base_ = 0;
   std::vector<PlacedArray> arrays_;  // the placement's, tables bound

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/deadline.hpp"
 #include "common/fault_injection.hpp"
 #include "common/thread_pool.hpp"
@@ -126,16 +125,6 @@ void scenario_serve_accept(bool fire) {
   }
 }
 
-void scenario_arena_alloc(bool fire) {
-  Arena arena;
-  if (fire) {
-    fault::arm("arena.alloc", 1);
-    EXPECT_THROW(arena.alloc_bytes(64, 8), std::bad_alloc);
-  } else {
-    EXPECT_NE(arena.alloc_bytes(64, 8), nullptr);
-  }
-}
-
 const std::map<std::string, Scenario>& scenario_table() {
   static const std::map<std::string, Scenario> table = {
       {"trace.lower", scenario_trace_lower},
@@ -145,7 +134,6 @@ const std::map<std::string, Scenario>& scenario_table() {
       {"pool.task", scenario_pool_task},
       {"serve.parse", scenario_serve_parse},
       {"serve.accept", scenario_serve_accept},
-      {"arena.alloc", scenario_arena_alloc},
   };
   return table;
 }

@@ -1,9 +1,36 @@
 #include "model/trace_analysis.hpp"
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
+
+namespace {
+
+// Heap allocations made while armed (SoaLowering.SecondPassAllocatesNothing).
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+// The replaceable global allocation functions, counting while armed. The
+// array and nothrow forms forward to these. All three stay out of line:
+// inlined, GCC's -Wmismatched-new-delete pairs malloc() or free() with the
+// operator at the other end.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace gpuhms {
 namespace {
@@ -120,6 +147,51 @@ TEST(TraceAnalysisDeathTest, AnotherKernelsSkeletonAborts) {
   EXPECT_DEATH(analyze_trace(matrixmul.kernel, matrixmul.sample,
                              kepler_arch(), {}, &triad_skeleton),
                "skeleton recorded from a different kernel");
+}
+
+// Lowering keeps every wave's scratch for the next wave and the next
+// candidate, so once it has lowered its largest wave it allocates nothing:
+// a second pass over every wave of matrixmul's sample and test placements,
+// through the same SoaLowering, makes no heap allocation in lower_wave.
+TEST(SoaLowering, SecondPassAllocatesNothing) {
+  const auto bench = workloads::get_benchmark("matrixmul");
+  const GpuArch& arch = kepler_arch();
+  const TraceSkeleton skeleton(bench.kernel, arch);
+  std::vector<DataPlacement> placements = {bench.sample};
+  for (const workloads::PlacementTest& t : bench.tests)
+    placements.push_back(t.placement);
+  SoaLowering soa;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::size_t waves = 0, records = 0, allocations = 0;
+    for (const DataPlacement& p : placements) {
+      const TraceMaterializer mat(bench.kernel, p, arch);
+      soa.bind(mat, skeleton, arch);
+      const std::int64_t wave_blocks =
+          static_cast<std::int64_t>(arch.num_sms) *
+          mat.layout().blocks_per_sm(arch);
+      for (std::int64_t b0 = 0; b0 < bench.kernel.num_blocks;
+           b0 += wave_blocks) {
+        g_allocations = 0;
+        g_count_allocations = true;
+        const SoaWave wave = soa.lower_wave(
+            b0, std::min(bench.kernel.num_blocks, b0 + wave_blocks));
+        g_count_allocations = false;
+        allocations += g_allocations;
+        ++waves;
+        records += wave.mem_n;
+      }
+    }
+    SCOPED_TRACE(pass);
+    EXPECT_GE(waves, placements.size());
+    EXPECT_GT(records, 0u);
+    // The first pass grows the scratch, which shows the counter sees
+    // lower_wave's allocations; the second must make none.
+    if (pass == 0) {
+      EXPECT_GT(allocations, 0u);
+    } else {
+      EXPECT_EQ(allocations, 0u);
+    }
+  }
 }
 
 }  // namespace
