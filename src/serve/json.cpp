@@ -1,5 +1,6 @@
 #include "serve/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -14,7 +15,44 @@ namespace {
 // adversarial request from exhausting the stack.
 constexpr int kMaxDepth = 64;
 
-struct Parser {
+// True when the number literal `lit`, whose grammar is already checked,
+// denotes exactly the integral double v, which is below 2^64 in magnitude.
+bool literal_is_integer(std::string_view lit, double v) {
+  const auto digit = [&](std::size_t i) {
+    return i < lit.size() && lit[i] >= '0' && lit[i] <= '9';
+  };
+  std::size_t i = lit[0] == '-' ? 1 : 0;
+  std::string digits;
+  long long exp10 = 0;
+  for (; digit(i); ++i) digits += lit[i];
+  if (i < lit.size() && lit[i] == '.')
+    for (++i; digit(i); ++i, --exp10) digits += lit[i];
+  if (i < lit.size()) {  // 'e' or 'E', then an optional sign
+    const bool negative = lit[++i] == '-';
+    if (!digit(i)) ++i;
+    long long e = 0;
+    for (; digit(i); ++i) e = std::min(e * 10 + (lit[i] - '0'), 1000000LL);
+    exp10 += negative ? -e : e;
+  }
+  // The literal is digits * 10^exp10; compare it to v's decimal digits.
+  digits.erase(0, digits.find_first_not_of('0'));
+  if (digits.empty()) return v == 0;
+  while (digits.back() == '0') {
+    digits.pop_back();
+    ++exp10;
+  }
+  if (exp10 < 0 || static_cast<long long>(digits.size()) + exp10 > 20)
+    return false;
+  digits.append(static_cast<std::size_t>(exp10), '0');
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf,
+                               static_cast<std::uint64_t>(std::fabs(v)));
+  return digits == std::string_view(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
+}  // namespace
+
+struct Json::Parser {
   std::string_view text;
   std::size_t pos = 0;
 
@@ -144,6 +182,7 @@ struct Parser {
     } else {
       while (!at_end() && peek() >= '0' && peek() <= '9') ++pos;
     }
+    const std::size_t int_end = pos;
     if (!at_end() && peek() == '.') {
       ++pos;
       if (at_end() || peek() < '0' || peek() > '9')
@@ -163,7 +202,16 @@ struct Parser {
     if (ec != std::errc{} || end != text.data() + pos)
       return error("unrepresentable number");
     if (!std::isfinite(v)) return error("number overflows a double");
-    return Json(v);
+    Json j(v);
+    // An integer literal of at most 15 digits is exact (10^15 < 2^53); only
+    // a longer one, or one with a fraction or an exponent, can round to an
+    // integer it does not write.
+    const std::size_t int_digits = int_end - start - (text[start] == '-');
+    j.rounded_integer_ =
+        (pos != int_end || int_digits > 15) && v == std::floor(v) &&
+        std::fabs(v) < 0x1p64 &&
+        !literal_is_integer(text.substr(start, pos - start), v);
+    return j;
   }
 
   StatusOr<Json> parse_string() {
@@ -282,8 +330,6 @@ struct Parser {
   }
 };
 
-}  // namespace
-
 bool Json::as_bool() const {
   GPUHMS_CHECK_MSG(type_ == Type::kBool, "Json::as_bool on a non-bool");
   return bool_;
@@ -292,6 +338,11 @@ bool Json::as_bool() const {
 double Json::as_number() const {
   GPUHMS_CHECK_MSG(type_ == Type::kNumber, "Json::as_number on a non-number");
   return num_;
+}
+
+bool Json::is_exact_integer() const {
+  return type_ == Type::kNumber && num_ == std::floor(num_) &&
+         std::fabs(num_) < 0x1p64 && !rounded_integer_;
 }
 
 const std::string& Json::as_string() const {

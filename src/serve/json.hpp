@@ -65,6 +65,10 @@ class Json {
   bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
+  // True for a number that is an integer below 2^64 in magnitude and, when
+  // parsed, is the integer its literal wrote: 9007199254740993 parses to
+  // 2^53, which is integral but not what the literal says.
+  bool is_exact_integer() const;
 
   // Array element access / append.
   std::size_t size() const { return items_.size(); }
@@ -89,10 +93,13 @@ class Json {
   std::string dump() const;
 
  private:
+  struct Parser;
+
   void dump_to(std::string& out) const;
 
   Type type_ = Type::kNull;
   bool bool_ = false;
+  bool rounded_integer_ = false;  // parsed integral, but not as written
   double num_ = 0.0;
   std::string str_;
   std::vector<Json> items_;                            // kArray

@@ -129,7 +129,9 @@ Status check_request_keys(const Json& req, std::string_view op) {
   return OkStatus();
 }
 
-// Optional non-negative integer member; `fallback` when absent.
+// Optional non-negative integer member; `fallback` when absent. -0 counts
+// as negative, and an integer the double rounded (2^53 + 1) is refused
+// rather than read as its neighbour.
 StatusOr<std::uint64_t> get_uint(const Json& req, std::string_view key,
                                  std::uint64_t fallback) {
   const Json* v = req.find(key);
@@ -138,9 +140,14 @@ StatusOr<std::uint64_t> get_uint(const Json& req, std::string_view key,
     return InvalidArgumentError("field '" + std::string(key) +
                                 "' must be a number");
   const double d = v->as_number();
-  if (!(d >= 0) || d != std::floor(d) || d > 1e18)
+  if (std::signbit(d) || d != std::floor(d) || d > 1e18)
     return InvalidArgumentError("field '" + std::string(key) +
                                 "' must be a non-negative integer");
+  if (!v->is_exact_integer())
+    return InvalidArgumentError(
+        "field '" + std::string(key) +
+        "' must be an integer a double holds exactly; it reads as " +
+        json_number(d));
   return static_cast<std::uint64_t>(d);
 }
 

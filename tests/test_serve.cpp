@@ -397,6 +397,56 @@ TEST(Serve, SearchDeadlineExpiryReturnsBestSoFarNotAnError) {
   EXPECT_FALSE(r.find("placement")->as_string().empty());
 }
 
+// An integer field takes only a non-negative integer the double holds
+// exactly. -0 (which would expire the search at once) and a literal the
+// double rounds (2^53 + 1 reads as 2^53, so the search would run to its
+// proof) answer INVALID_ARGUMENT naming the field and run nothing. An exact
+// integer reads as written however it is spelt, past 2^53 too.
+TEST(Serve, IntegerFieldsRejectNegativeZeroAndRoundedLiterals) {
+  serve::PredictionService service{serve::ServeOptions{}};
+  const std::string rounded = "' must be an integer a double holds exactly";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"("deadline_ms":-0)",
+       "field 'deadline_ms' must be a non-negative integer"},
+      {R"("deadline_ms":-0.0e3)",
+       "field 'deadline_ms' must be a non-negative integer"},
+      {R"("cap":-0)", "field 'cap' must be a non-negative integer"},
+      {R"("deadline_ms":9007199254740993)",
+       "field 'deadline_ms" + rounded + "; it reads as 9007199254740992"},
+      {R"("deadline_ms":9007199254740992.5)",
+       "field 'deadline_ms" + rounded + "; it reads as 9007199254740992"},
+      {R"("deadline_ms":90071992547409930e-1)",
+       "field 'deadline_ms" + rounded + "; it reads as 9007199254740992"},
+      {R"("cap":16.00000000000000001)",
+       "field 'cap" + rounded + "; it reads as 16"},
+  };
+  for (const auto& [field, message] : cases) {
+    SCOPED_TRACE(field);
+    const std::string resp = service.handle_line(
+        R"({"op":"search","benchmark":"triad",)" + field + "}");
+    expect_error(resp, "INVALID_ARGUMENT");
+    const serve::Json r = parse_ok(resp);
+    const serve::Json* error = r.find("error");
+    EXPECT_EQ(error ? error->find("message")->as_string() : resp, message);
+  }
+  EXPECT_EQ(service.stats().searches, 0u);
+
+  for (const char* deadline_ms :
+       {"9007199254740992", "1e18", "1000000000000000000", "0.1e19",
+        "100000000000000000000e-2"}) {
+    SCOPED_TRACE(deadline_ms);
+    const serve::Json r = parse_ok(service.handle_line(
+        std::string(R"({"op":"search","benchmark":"triad","cap":16,)") +
+        R"("deadline_ms":)" + deadline_ms + "}"));
+    ASSERT_TRUE(r.find("ok")->as_bool());
+    EXPECT_TRUE(r.find("proven_optimal")->as_bool());
+  }
+  for (const char* cap : {"16", "1.6e1", "160e-1", "16.000", "16E+0"})
+    EXPECT_TRUE(parse_ok(cap).is_exact_integer()) << cap;
+  for (const char* cap : {"16.5", "1.65e1", "9007199254740993"})
+    EXPECT_FALSE(parse_ok(cap).is_exact_integer()) << cap;
+}
+
 TEST(Serve, ShutdownHandshakeRefusesLaterRequests) {
   serve::PredictionService service{serve::ServeOptions{}};
   const serve::Json bye =
