@@ -1,7 +1,8 @@
 // E11 — component microbenchmarks (google-benchmark): throughput of the hot
 // paths every experiment leans on — cache simulation, DRAM timing, address
-// decoding, coalescing, trace materialization, a full simulator run,
-// skeleton recording and T_overlap training.
+// decoding, coalescing, trace materialization, a full simulator run, the
+// trace analysis (uncached and from a recorded skeleton), skeleton recording
+// and T_overlap training.
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hpp"
@@ -116,6 +117,25 @@ void BM_AnalyzeTrace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyzeTrace);
+
+// The analysis every search candidate and training case runs: matrixmul's
+// skeleton recorded once, and one TraceAnalyzer replaying it through the
+// SoA lowering for the sample and every test placement. BM_AnalyzeTrace
+// above times the uncached full walk, which only the tests use.
+void BM_AnalyzeTraceSkeleton(benchmark::State& state) {
+  const workloads::BenchmarkCase c = workloads::get_benchmark("matrixmul");
+  const TraceSkeleton skeleton(c.kernel, kepler_arch());
+  TraceAnalyzer analyzer(c.kernel, kepler_arch());
+  std::vector<DataPlacement> placements = {c.sample};
+  for (const auto& t : c.tests) placements.push_back(t.placement);
+  for (auto _ : state) {
+    for (const DataPlacement& p : placements)
+      benchmark::DoNotOptimize(analyzer.analyze(p, &skeleton));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(placements.size()));
+}
+BENCHMARK(BM_AnalyzeTraceSkeleton)->Unit(benchmark::kMicrosecond);
 
 // Skeleton recording: runs matrixmul's DSL for every warp and interns the
 // lane patterns of its memory ops.
